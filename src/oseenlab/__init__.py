@@ -54,8 +54,6 @@ from .io import field_to_csv, load_field, save_field
 from .lifting import CutoffSpec, LiftingField, build_lifting, default_cutoff, lifting_load
 from .nonlinear import convective_product, nonlinearity, split_nonlinearity
 from .norms import (
-    NormRequest,
-    evaluate_norm,
     lambda_norm,
     lq_norm,
     maxreg_norm,

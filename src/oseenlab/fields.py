@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations_with_replacement
 
 import numpy as np
 from scipy import fft as _sfft
@@ -45,6 +46,18 @@ def _fftn(values: np.ndarray, dim: int) -> np.ndarray:
 def _ifftn(coefficients: np.ndarray, dim: int) -> np.ndarray:
     axes = tuple(range(-dim, 0))
     return _sfft.ifftn(coefficients, axes=axes, norm="forward", workers=_fft_workers)
+
+
+def _rfftn(values: np.ndarray, dim: int) -> np.ndarray:
+    axes = tuple(range(-dim, 0))
+    return _sfft.rfftn(values, axes=axes, norm="forward", workers=_fft_workers)
+
+
+def _irfftn(coefficients: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    axes = tuple(range(-len(shape), 0))
+    return _sfft.irfftn(
+        coefficients, s=shape, axes=axes, norm="forward", workers=_fft_workers
+    )
 
 
 def _lock(array: np.ndarray) -> np.ndarray:
@@ -129,7 +142,7 @@ class GridSpec:
 
     def _axis_profile(self, values: np.ndarray, axis: int) -> np.ndarray:
         shape = [1] * self.dim
-        shape[axis] = self.points_per_axis
+        shape[axis] = values.size
         return values.reshape(shape)
 
     def wavenumber(self, axis: int) -> np.ndarray:
@@ -144,6 +157,32 @@ class GridSpec:
         m = self.mode_numbers.astype(np.float64)
         m = np.where(np.abs(self.mode_numbers) == self.points_per_axis // 2, 0.0, m)
         return self._axis_profile(m / self.half_period, axis)
+
+    @cached_property
+    def derivative_symbols(self) -> dict[int, tuple[np.ndarray, ...]]:
+        """D^alpha multipliers (i xi)^alpha in the real-FFT half layout.
+
+        Maps each derivative order 1 and 2 to one broadcastable multiplier per
+        multi-index |alpha| = order, in ``combinations_with_replacement``
+        order.  The last axis holds modes 0..N/2 only; the Nyquist mode is
+        zeroed on every axis, as in :meth:`wavenumber`.
+        """
+        n = self.points_per_axis
+        factors = []
+        for axis in range(self.dim):
+            m = self.mode_numbers if axis < self.dim - 1 else np.arange(n // 2 + 1)
+            xi = np.where(np.abs(m) == n // 2, 0.0, m.astype(np.float64))
+            factors.append(1j * self._axis_profile(xi / self.half_period, axis))
+        symbols = {}
+        for order in (1, 2):
+            products = []
+            for alpha in combinations_with_replacement(range(self.dim), order):
+                multiplier = factors[alpha[0]]
+                for axis in alpha[1:]:
+                    multiplier = multiplier * factors[axis]
+                products.append(_lock(multiplier))
+            symbols[order] = tuple(products)
+        return symbols
 
     @cached_property
     def ksq(self) -> np.ndarray:
@@ -167,8 +206,13 @@ class GridSpec:
         return _lock(mask)
 
 
+def _owned_copy(values, dtype) -> np.ndarray:
+    """A fresh C-ordered array, so a field never locks or aliases caller data."""
+    return np.array(values, dtype=dtype, order="C")
+
+
 def _as_field_array(values, expected_shape: tuple[int, ...], name: str) -> np.ndarray:
-    array = np.ascontiguousarray(values, dtype=np.float64)
+    array = _owned_copy(values, np.float64)
     if array.shape != expected_shape:
         raise ValueError(f"{name} has shape {array.shape}, expected {expected_shape}")
     if not np.all(np.isfinite(array)):
@@ -263,7 +307,7 @@ class SpectralField:
     coefficients: np.ndarray
 
     def __post_init__(self) -> None:
-        array = np.ascontiguousarray(self.coefficients, dtype=np.complex128)
+        array = _owned_copy(self.coefficients, np.complex128)
         if array.ndim != self.grid.dim + 1 or array.shape[1:] != self.grid.shape:
             raise ValueError(
                 f"coefficients have shape {array.shape}, expected "
@@ -387,12 +431,29 @@ class TimePeriodicField:
     time modes u_k(x), k = -K..K, with u(t, x) = sum_k u_k(x) exp(i omega_k t)
     and omega_k = 2 pi k / T.  Reality forces u_{-k} = conj(u_k), which is
     validated on construction and preserved exactly by all operations here.
+    The constructor keeps a copy of ``modes``, never the caller's array.
     """
 
     def __init__(self, grid: GridSpec, period: float, modes: np.ndarray) -> None:
+        self._take(grid, period, _owned_copy(modes, np.complex128))
+
+    @classmethod
+    def _adopt(
+        cls, grid: GridSpec, period: float, modes: np.ndarray
+    ) -> "TimePeriodicField":
+        """Wrap a stack the package just built and holds nowhere else.
+
+        The constructor copies its input so that it never locks or rewrites a
+        caller's array; a fresh stack needs no copy and is snapped and locked
+        in place.
+        """
+        field = cls.__new__(cls)
+        field._take(grid, period, np.ascontiguousarray(modes, dtype=np.complex128))
+        return field
+
+    def _take(self, grid: GridSpec, period: float, modes: np.ndarray) -> None:
         if not period > 0:
             raise ValueError(f"period must be positive, got {period}")
-        modes = np.ascontiguousarray(modes, dtype=np.complex128)
         if modes.ndim != grid.dim + 2 or modes.shape[2:] != grid.shape:
             raise ValueError(
                 f"modes have shape {modes.shape}, expected "
@@ -456,7 +517,7 @@ class TimePeriodicField:
         k_max = len(nonneg_modes) - 1
         stack = [np.conj(nonneg_modes[k]) for k in range(k_max, 0, -1)]
         stack.extend(nonneg_modes)
-        return cls(grid, period, np.stack(stack))
+        return cls._adopt(grid, period, np.stack(stack))
 
     @classmethod
     def from_steady(
@@ -470,7 +531,7 @@ class TimePeriodicField:
         shape = (2 * max_mode + 1,) + data.shape
         modes = np.zeros(shape, dtype=np.complex128)
         modes[max_mode] = data
-        return cls(field.grid, period, modes)
+        return cls._adopt(field.grid, period, modes)
 
     @classmethod
     def from_time_samples(
@@ -523,19 +584,25 @@ class TimePeriodicField:
 
     def __add__(self, other: "TimePeriodicField") -> "TimePeriodicField":
         self._check_compatible(other)
-        return TimePeriodicField(self.grid, self.period, self.modes + other.modes)
+        return TimePeriodicField._adopt(
+            self.grid, self.period, self.modes + other.modes
+        )
 
     def __sub__(self, other: "TimePeriodicField") -> "TimePeriodicField":
         self._check_compatible(other)
-        return TimePeriodicField(self.grid, self.period, self.modes - other.modes)
+        return TimePeriodicField._adopt(
+            self.grid, self.period, self.modes - other.modes
+        )
 
     def __mul__(self, scalar: float) -> "TimePeriodicField":
-        return TimePeriodicField(self.grid, self.period, self.modes * float(scalar))
+        return TimePeriodicField._adopt(
+            self.grid, self.period, self.modes * float(scalar)
+        )
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "TimePeriodicField":
-        return TimePeriodicField(self.grid, self.period, -self.modes)
+        return TimePeriodicField._adopt(self.grid, self.period, -self.modes)
 
     def _check_compatible(self, other: "TimePeriodicField") -> None:
         if self.grid != other.grid:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -515,7 +516,9 @@ def oseen_apply(field: VectorField, lam: float) -> VectorField:
 # ---------------------------------------------------------------------------
 # fitted smallness constant
 
-_FIT_CACHE: dict[tuple, float] = {}
+# Least-recently-used memo of fitted constants, at most _FIT_CACHE_SIZE entries.
+_FIT_CACHE: OrderedDict[tuple, float] = OrderedDict()
+_FIT_CACHE_SIZE = 16
 
 
 def fit_smallness_constant(
@@ -535,18 +538,10 @@ def fit_smallness_constant(
     result feeds the radius schedule; the fixed-point runs then verify the
     scheduled contraction empirically rather than trusting the fit.
     """
-    key = (
-        grid.dim,
-        grid.points_per_axis,
-        round(grid.half_period, 12),
-        profile,
-        seed,
-        sample_count,
-        tuple(probe_drifts),
-        mode_cap,
-    )
+    key = (grid, profile, seed, sample_count, tuple(probe_drifts), mode_cap)
     cached = _FIT_CACHE.get(key)
     if cached is not None:
+        _FIT_CACHE.move_to_end(key)
         return cached
     n, q, r = profile.n, profile.q, profile.r
     weight = 1.0 / (n + 1)
@@ -578,6 +573,8 @@ def fit_smallness_constant(
                 weak * lam ** (profile.eta * weight) / denominator,
             )
     _FIT_CACHE[key] = best
+    if len(_FIT_CACHE) > _FIT_CACHE_SIZE:
+        _FIT_CACHE.popitem(last=False)
     return best
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import GridSpec, ScalarField, VectorField, _lock
+from .fields import GridSpec, ScalarField, VectorField, _lock, _owned_copy
 from .norms import lq_norm, negative_norm_surrogate
 
 
@@ -117,8 +117,8 @@ class LiftingField:
 
     def __post_init__(self) -> None:
         grid = self.velocity.grid
-        jac = np.ascontiguousarray(self.jacobian, dtype=np.float64)
-        lap = np.ascontiguousarray(self.laplacian, dtype=np.float64)
+        jac = _owned_copy(self.jacobian, np.float64)
+        lap = _owned_copy(self.laplacian, np.float64)
         if jac.shape != (grid.dim, grid.dim) + grid.shape:
             raise ValueError("jacobian has the wrong shape")
         if lap.shape != (grid.dim,) + grid.shape:

@@ -128,7 +128,7 @@ def nonlinearity(
         )
         modes = -quad_tp.modes
         modes[u.max_mode] = modes[u.max_mode] + _lifting_only_terms(lifting, lam)
-        return TimePeriodicField(grid, u.period, modes)
+        return TimePeriodicField._adopt(grid, u.period, modes)
     raise TypeError(f"cannot evaluate the nonlinearity of {type(u).__name__}")
 
 
@@ -153,7 +153,7 @@ def _oscillatory_from_samples(
     tp = TimePeriodicField.from_time_samples(grid, period, samples, max_mode)
     modes = tp.modes.copy()
     modes[max_mode] = 0.0
-    return TimePeriodicField(grid, period, modes)
+    return TimePeriodicField._adopt(grid, period, modes)
 
 
 def split_nonlinearity(

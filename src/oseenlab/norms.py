@@ -8,15 +8,23 @@ each multi-index counted once.  The full W^{k,q} norm used inside the
 maximal-regularity norm combines the multi-index derivative blocks in an
 l^q sense, which makes every q = 2 quantity Plancherel-exact.
 
+Derivative norms are evaluated from real-FFT coefficients: each field takes
+one forward ``rfftn``, and each derivative block D^alpha u comes back through
+one ``irfftn`` after a multiply by the grid's cached half-layout symbol
+(:attr:`GridSpec.derivative_symbols`).  ``lambda_norm`` shares that one
+transform between its two seminorms.  ``maxreg_norm`` writes the K+1 stored
+time modes as 2K+1 real fields B_b, with u(t) = sum_b W_b(t) B_b for cosine
+and sine weights W_b.  It transforms each derivative block of those fields
+once and forms every time sample by a small (nt x (2K+1)) weight matrix, so
+its spatial transform count does not grow with the number of time samples.
+The time derivative is the same sum with the weights differentiated in t and
+needs no spatial transform.
+
 The negative-order functional is a surrogate: |f|_{-1,r} is computed as
 ||grad (-Delta)^{-1} f||_r with the zero mode projected out.  At r = 2 this
 equals the exact dual norm of the homogeneous H^1 space on the box.
 """
-
 from __future__ import annotations
-
-from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -24,20 +32,13 @@ from .exponents import s_exponent
 from .fields import (
     GridSpec,
     ScalarField,
-    SpectralField,
     TimePeriodicField,
     VectorField,
     _fftn,
     _ifftn,
+    _irfftn,
+    _rfftn,
 )
-
-NORM_LQ = "lq"
-NORM_SEMINORM = "seminorm-kq"
-NORM_NEGATIVE = "negative-1r"
-NORM_LAMBDA = "lambda"
-NORM_MAXREG = "maxreg"
-
-_KINDS = (NORM_LQ, NORM_SEMINORM, NORM_NEGATIVE, NORM_LAMBDA, NORM_MAXREG)
 
 
 def _component_array(field: ScalarField | VectorField) -> np.ndarray:
@@ -82,61 +83,56 @@ def lq_norm(field, q: float) -> float:
     return _lq_of_array(field.grid, _component_array(field), q)
 
 
-def _multi_indices(dim: int, order: int) -> list[tuple[int, ...]]:
-    return list(combinations_with_replacement(range(dim), order))
+def _derivative_blocks(grid: GridSpec, coeff: np.ndarray, order: int):
+    """Yield the physical samples of D^alpha u for each |alpha| = order.
 
-
-def _derivative_blocks(
-    grid: GridSpec, coeff: np.ndarray, order: int
-) -> list[np.ndarray]:
-    """Physical sample arrays of D^alpha applied to every component.
-
-    ``coeff`` holds spectral coefficients with a leading component axis; one
-    array per multi-index of the requested order is returned.
+    ``coeff`` holds real-FFT (half layout) coefficients with any leading
+    axes; each multi-index costs one ``irfftn`` over all of them.
     """
-    blocks = []
-    for alpha in _multi_indices(grid.dim, order):
-        multiplier = np.ones(grid.shape, dtype=np.complex128)
-        for axis in alpha:
-            multiplier = multiplier * (1j * grid.wavenumber(axis))
-        blocks.append(_ifftn(coeff * multiplier, grid.dim).real)
-    return blocks
+    for symbol in grid.derivative_symbols[order]:
+        yield _irfftn(coeff * symbol, grid.shape)
+
+
+def _seminorm_from_coefficients(
+    grid: GridSpec, coeff: np.ndarray, k: int, q: float
+) -> float:
+    return sum(
+        _lq_of_array(grid, block, q) for block in _derivative_blocks(grid, coeff, k)
+    )
+
+
+def _check_order(k: int) -> None:
+    if k not in (0, 1, 2):
+        raise ValueError(f"derivative order k must be 0, 1, or 2, got {k}")
 
 
 def sobolev_seminorm(field: ScalarField | VectorField, k: int, q: float) -> float:
     """Homogeneous seminorm |u|_{k,q} = sum over multi-indices |alpha| = k."""
     q = _check_exponent(q, "q")
-    if k not in (0, 1, 2):
-        raise ValueError(f"derivative order k must be 0, 1, or 2, got {k}")
+    _check_order(k)
     grid = field.grid
     components = _component_array(field)
     if k == 0:
         return _lq_of_array(grid, components, q)
-    coeff = _fftn(components, grid.dim)
-    total = 0.0
-    for block in _derivative_blocks(grid, coeff, k):
-        total += _lq_of_array(grid, block, q)
-    return total
-
-
-def _w_full_norm_of_array(
-    grid: GridSpec, components: np.ndarray, k: int, q: float
-) -> float:
-    """Full W^{k,q} norm, combining multi-index blocks in the l^q sense."""
-    coeff = _fftn(components, grid.dim)
-    total = _lq_of_array(grid, components, q) ** q
-    for order in range(1, k + 1):
-        for block in _derivative_blocks(grid, coeff, order):
-            total += _lq_of_array(grid, block, q) ** q
-    return total ** (1.0 / q)
+    return _seminorm_from_coefficients(grid, _rfftn(components, grid.dim), k, q)
 
 
 def sobolev_full_norm(field: ScalarField | VectorField, k: int, q: float) -> float:
-    """Full W^{k,q} norm of a spatial field (orders 0 through k)."""
+    """Full W^{k,q} norm of a spatial field (orders 0 through k).
+
+    The multi-index blocks are combined in the l^q sense.
+    """
     q = _check_exponent(q, "q")
-    if k not in (0, 1, 2):
-        raise ValueError(f"derivative order k must be 0, 1, or 2, got {k}")
-    return _w_full_norm_of_array(field.grid, _component_array(field), k, q)
+    _check_order(k)
+    grid = field.grid
+    components = _component_array(field)
+    total = _lq_of_array(grid, components, q) ** q
+    if k > 0:
+        coeff = _rfftn(components, grid.dim)
+        for order in range(1, k + 1):
+            for block in _derivative_blocks(grid, coeff, order):
+                total += _lq_of_array(grid, block, q) ** q
+    return total ** (1.0 / q)
 
 
 def _riesz_gradient_inverse_laplacian(
@@ -198,7 +194,13 @@ def lambda_norm(
         n = field.grid.dim
     s = s_exponent(n, r)
     weighted = lam ** (1.0 / (n + 1)) * lq_norm(field, s) if lam > 0 else 0.0
-    return sobolev_seminorm(field, 2, q) + sobolev_seminorm(field, 1, r) + weighted
+    grid = field.grid
+    coeff = _rfftn(_component_array(field), grid.dim)
+    return (
+        _seminorm_from_coefficients(grid, coeff, 2, q)
+        + _seminorm_from_coefficients(grid, coeff, 1, r)
+        + weighted
+    )
 
 
 def _default_time_samples(max_mode: int) -> int:
@@ -223,15 +225,56 @@ def maxreg_norm(
             f"need at least {2 * field.max_mode + 1} time samples, got {nt}"
         )
     grid = field.grid
-    samples = field.sample_times(nt)
-    spatial_pow = [
-        _w_full_norm_of_array(grid, samples[j], 2, q) ** q for j in range(nt)
-    ]
-    bochner = float(np.mean(spatial_pow)) ** (1.0 / q)
-    dt_samples = field.time_derivative().sample_times(nt)
-    dt_pow = [_lq_of_array(grid, dt_samples[j], q) ** q for j in range(nt)]
-    dt_norm = float(np.mean(dt_pow)) ** (1.0 / q)
-    return bochner + dt_norm
+    basis, weights, dt_weights = _real_time_basis(field, nt)
+    powers = _sample_powers(weights, basis, q)
+    coeff = _rfftn(basis, grid.dim)
+    for order in (1, 2):
+        for block in _derivative_blocks(grid, coeff, order):
+            powers += _sample_powers(weights, block, q)
+    bochner = (float(np.mean(powers)) * grid.volume) ** (1.0 / q)
+    dt_power = float(np.mean(_sample_powers(dt_weights, basis, q)))
+    return bochner + (dt_power * grid.volume) ** (1.0 / q)
+
+
+def _real_time_basis(
+    field: TimePeriodicField, nt: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Real fields B_b and weights for the samples at t_j = j * period / nt.
+
+    With B_0 = u_0, B_{2k-1} = 2 Re u_k and B_{2k} = -2 Im u_k, the samples
+    are u(t_j) = sum_b weights[j, b] B_b and du/dt(t_j) = sum_b
+    dt_weights[j, b] B_b.
+    """
+    size = 2 * field.max_mode + 1
+    basis = np.empty((size,) + field.modes.shape[1:])
+    weights = np.zeros((nt, size))
+    dt_weights = np.zeros((nt, size))
+    basis[0] = field.mode(0).real
+    weights[:, 0] = 1.0
+    phase = 2.0 * np.pi * np.arange(nt) / nt
+    for k in range(1, field.max_mode + 1):
+        mode = field.mode(k)
+        basis[2 * k - 1] = 2.0 * mode.real
+        basis[2 * k] = -2.0 * mode.imag
+        cos, sin = np.cos(k * phase), np.sin(k * phase)
+        omega = field.omega(k)
+        weights[:, 2 * k - 1] = cos
+        weights[:, 2 * k] = sin
+        dt_weights[:, 2 * k - 1] = -omega * sin
+        dt_weights[:, 2 * k] = omega * cos
+    return basis, weights, dt_weights
+
+
+def _sample_powers(weights: np.ndarray, fields: np.ndarray, q: float) -> np.ndarray:
+    """Grid means of |v_j|^q for the samples v_j = sum_b weights[j, b] fields[b]."""
+    # einsum rather than a BLAS product: at these sizes BLAS wakes worker
+    # threads that busy-wait on the other cores, so CPU time far exceeds wall
+    # time (the package otherwise runs on one core unless FFT workers are set).
+    samples = np.einsum("jb,b...->j...", weights, fields)
+    magnitude_sq = np.sum(np.square(samples, out=samples), axis=1)
+    if q != 2.0:
+        np.power(magnitude_sq, q / 2.0, out=magnitude_sq)
+    return np.mean(magnitude_sq.reshape(len(weights), -1), axis=1)
 
 
 def spacetime_l2_plancherel(field: TimePeriodicField) -> float:
@@ -245,58 +288,3 @@ def spacetime_l2_plancherel(field: TimePeriodicField) -> float:
         mode = field.mode(k)
         total += float(np.mean(np.sum(np.abs(mode) ** 2, axis=0)))
     return float(np.sqrt(total * field.grid.volume))
-
-
-@dataclass(frozen=True)
-class NormRequest:
-    """A reified norm selection for the dispatch helper.
-
-    ``kind`` is one of "lq", "seminorm-kq", "negative-1r", "lambda",
-    "maxreg".  Exponents must lie in (1, inf); derivative orders above 2 are
-    rejected.
-    """
-
-    kind: str
-    q_exponent: float | None = None
-    r_exponent: float | None = None
-    k_order: int | None = None
-    lambda_weight: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        for name, value in (("q_exponent", self.q_exponent), ("r_exponent", self.r_exponent)):
-            if value is not None:
-                _check_exponent(value, name)
-        if self.k_order is not None and self.k_order not in (0, 1, 2):
-            raise ValueError(f"k_order must be 0, 1, or 2, got {self.k_order}")
-        if self.lambda_weight is not None and self.lambda_weight < 0:
-            raise ValueError(f"lambda_weight must be nonnegative, got {self.lambda_weight}")
-
-
-def evaluate_norm(request: NormRequest, field) -> float:
-    """Evaluate a :class:`NormRequest` against a field."""
-    if request.kind == NORM_LQ:
-        return lq_norm(field, _require(request.q_exponent, "q_exponent"))
-    if request.kind == NORM_SEMINORM:
-        return sobolev_seminorm(
-            field,
-            _require(request.k_order, "k_order"),
-            _require(request.q_exponent, "q_exponent"),
-        )
-    if request.kind == NORM_NEGATIVE:
-        return negative_norm_surrogate(field, _require(request.r_exponent, "r_exponent"))
-    if request.kind == NORM_LAMBDA:
-        return lambda_norm(
-            field,
-            _require(request.lambda_weight, "lambda_weight"),
-            _require(request.q_exponent, "q_exponent"),
-            _require(request.r_exponent, "r_exponent"),
-        )
-    return maxreg_norm(field, _require(request.q_exponent, "q_exponent"))
-
-
-def _require(value, name: str):
-    if value is None:
-        raise ValueError(f"norm request is missing {name}")
-    return value

@@ -26,6 +26,7 @@ from .fields import (
     _fftn,
     _ifftn,
     _lock,
+    _owned_copy,
 )
 
 
@@ -202,7 +203,7 @@ def project_oscillatory(field: TimePeriodicField) -> TimePeriodicField:
     """The zero-time-average complement; its k = 0 mode is exactly zero."""
     modes = field.modes.copy()
     modes[field.max_mode] = 0.0
-    return TimePeriodicField(field.grid, field.period, modes)
+    return TimePeriodicField._adopt(field.grid, field.period, modes)
 
 
 @dataclass(frozen=True)
@@ -218,7 +219,7 @@ class ObstacleMask:
     penalization: float
 
     def __post_init__(self) -> None:
-        arr = np.ascontiguousarray(self.indicator, dtype=np.float64)
+        arr = _owned_copy(self.indicator, np.float64)
         if arr.shape != self.grid.shape:
             raise ValueError(
                 f"indicator has shape {arr.shape}, expected {self.grid.shape}"

@@ -35,6 +35,7 @@ from .oseen import (
     SolveReport,
     StokesPair,
     contraction_rate_from_updates,
+    project_oscillatory,
     residual,
     residual_timeperiodic,
     solve_steady,
@@ -201,11 +202,9 @@ def driver_norm_timeperiodic(
 ) -> float:
     """Wake-weighted norm of the time average plus maximal-regularity norm
     of the oscillation; the metric the time-periodic driver contracts in."""
-    steady = u.steady_part()
-    modes = u.modes.copy()
-    modes[u.max_mode] = 0.0
-    oscillation = TimePeriodicField(u.grid, u.period, modes)
-    return lambda_norm(steady, lam, q, r) + maxreg_norm(oscillation, q)
+    return lambda_norm(u.steady_part(), lam, q, r) + maxreg_norm(
+        project_oscillatory(u), q
+    )
 
 
 def _resolve_lifting(

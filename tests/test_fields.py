@@ -8,6 +8,7 @@ import pytest
 from oseenlab.fields import (
     GridSpec,
     ScalarField,
+    SpectralField,
     TimePeriodicField,
     VectorField,
     dealias,
@@ -20,6 +21,8 @@ from oseenlab.fields import (
     to_spectral,
     truncate_modes,
 )
+from oseenlab.lifting import LiftingField, default_cutoff
+from oseenlab.oseen import ObstacleMask
 
 from conftest import trig_scalar, trig_values, trig_vector
 
@@ -250,6 +253,61 @@ def test_fields_are_immutable(grid2):
     field = trig_scalar(grid2, 54)
     with pytest.raises(ValueError):
         field.values[0, 0] = 1.0
+
+
+def _owned_array_cases():
+    """(caller array shape, dtype, constructor, stored array) per class."""
+    return {
+        "ScalarField": ((), float, ScalarField, lambda f: f.values),
+        "VectorField": ((2,), float, VectorField, lambda f: f.components),
+        "SpectralField": ((1,), complex, SpectralField, lambda f: f.coefficients),
+        "TimePeriodicField": (
+            (3, 1),
+            complex,
+            lambda grid, a: TimePeriodicField(grid, 1.0, a),
+            lambda f: f.modes,
+        ),
+        "ObstacleMask": (
+            (),
+            float,
+            lambda grid, a: ObstacleMask(grid, a, 1.0),
+            lambda f: f.indicator,
+        ),
+        "LiftingField.jacobian": (
+            (2, 2),
+            float,
+            lambda grid, a: LiftingField(
+                VectorField.zeros(grid),
+                0.0,
+                a,
+                np.zeros((2,) + grid.shape),
+                default_cutoff(grid),
+            ),
+            lambda f: f.jacobian,
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_owned_array_cases()))
+def test_constructors_neither_lock_nor_alias_caller_arrays(grid2, case):
+    lead, dtype, build, stored = _owned_array_cases()[case]
+    array = np.zeros(lead + grid2.shape, dtype=dtype)
+    field = build(grid2, array)
+    array[(0,) * array.ndim] = 1.0
+    assert np.all(stored(field) == 0.0)
+    with pytest.raises(ValueError):
+        stored(field)[(0,) * array.ndim] = 1.0
+
+
+def test_reality_snap_leaves_caller_modes_untouched(grid2):
+    phi = trig_values(grid2, 67)[None]
+    modes = np.zeros((3, 1) + grid2.shape, dtype=np.complex128)
+    modes[2] = phi * (1.0 + 1.0j)
+    modes[0] = np.conj(modes[2]) * (1.0 + 1e-14)
+    before = modes.copy()
+    stack = TimePeriodicField(grid2, 1.0, modes)
+    assert np.array_equal(modes, before)
+    assert np.array_equal(stack.mode(-1), np.conj(stack.mode(1)))
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
+from oseenlab import harness
 from oseenlab.config import log_spaced
 from oseenlab.exponents import ExponentProfile, s_exponent
 from oseenlab.fields import (
@@ -343,6 +346,28 @@ def test_smallness_constant_is_stable_under_refinement():
     assert 0.8 <= coarse / fine <= 1.2
     # memoized: the repeat call returns the identical value
     assert fit_smallness_constant(GridSpec(3, np.pi, 16), profile, seed=0) == coarse
+
+
+def test_smallness_constant_cache_keys_on_the_whole_grid(monkeypatch):
+    monkeypatch.setattr(harness, "_FIT_CACHE", OrderedDict())
+    profile = ExponentProfile.build(3, 4.0, 2.0)
+    fit = dict(sample_count=1, probe_drifts=(1.0,))
+    full = GridSpec(3, np.pi, 8, dealias_fraction=1.0)
+    fit_smallness_constant(GridSpec(3, np.pi, 8), profile, **fit)
+    cached_full = fit_smallness_constant(full, profile, **fit)
+    assert len(harness._FIT_CACHE) == 2
+    harness._FIT_CACHE.clear()
+    assert fit_smallness_constant(full, profile, **fit) == cached_full
+
+
+def test_smallness_constant_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(harness, "_FIT_CACHE", OrderedDict())
+    monkeypatch.setattr(harness, "_FIT_CACHE_SIZE", 2)
+    profile = ExponentProfile.build(3, 4.0, 2.0)
+    grid = GridSpec(3, np.pi, 8)
+    for seed in (0, 1, 2):
+        fit_smallness_constant(grid, profile, seed=seed, sample_count=1, probe_drifts=(1.0,))
+    assert [key[2] for key in harness._FIT_CACHE] == [1, 2]
 
 
 def test_bilinear_constants_are_stable_under_resampling():

@@ -1,0 +1,188 @@
+"""The coefficient-based norm kernels against a per-sample reference.
+
+The reference below is the direct evaluation: complex FFTs, one derivative
+multiplier built per multi-index, and for space-time norms a full spatial
+norm of every time sample from ``TimePeriodicField.sample_times``.  The
+kernels in ``oseenlab.norms`` reorder that arithmetic (real FFTs, cached
+symbols, time samples synthesized after the spatial transforms), so the two
+agree to roundoff, not bit for bit.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from itertools import combinations_with_replacement
+
+import numpy as np
+import pytest
+import scipy.fft
+
+from oseenlab.exponents import s_exponent
+from oseenlab.fields import GridSpec, ScalarField, TimePeriodicField, VectorField
+from oseenlab.norms import (
+    lambda_norm,
+    maxreg_norm,
+    sobolev_full_norm,
+    sobolev_seminorm,
+)
+
+REL = 1e-12
+GRIDS = {2: GridSpec(2, 1.3, 16), 3: GridSpec(3, 0.8, 8)}
+TRANSFORMS = ("fftn", "ifftn", "rfftn", "irfftn", "fft", "ifft", "rfft", "irfft")
+FORWARD = ("fftn", "rfftn", "fft", "rfft")
+
+
+# ---------------------------------------------------------------------------
+# per-sample reference
+
+
+def _ref_lq(grid: GridSpec, components: np.ndarray, q: float) -> float:
+    magnitude_sq = np.sum(components * components, axis=0)
+    mean_pow = float(np.mean(magnitude_sq ** (q / 2.0)))
+    return (mean_pow * grid.volume) ** (1.0 / q)
+
+
+def _ref_blocks(grid: GridSpec, components: np.ndarray, order: int) -> list:
+    axes = tuple(range(-grid.dim, 0))
+    coeff = np.fft.fftn(components, axes=axes, norm="forward")
+    blocks = []
+    for alpha in combinations_with_replacement(range(grid.dim), order):
+        multiplier = np.ones(grid.shape, dtype=np.complex128)
+        for axis in alpha:
+            multiplier = multiplier * (1j * grid.wavenumber(axis))
+        blocks.append(np.fft.ifftn(coeff * multiplier, axes=axes, norm="forward").real)
+    return blocks
+
+
+def _ref_seminorm(grid, components, k, q) -> float:
+    if k == 0:
+        return _ref_lq(grid, components, q)
+    return sum(_ref_lq(grid, block, q) for block in _ref_blocks(grid, components, k))
+
+
+def _ref_full_norm(grid, components, k, q) -> float:
+    total = _ref_lq(grid, components, q) ** q
+    for order in range(1, k + 1):
+        for block in _ref_blocks(grid, components, order):
+            total += _ref_lq(grid, block, q) ** q
+    return total ** (1.0 / q)
+
+
+def _ref_lambda_norm(grid, components, lam, q, r) -> float:
+    n = grid.dim
+    weighted = lam ** (1.0 / (n + 1)) * _ref_lq(grid, components, s_exponent(n, r))
+    return (
+        _ref_seminorm(grid, components, 2, q)
+        + _ref_seminorm(grid, components, 1, r)
+        + weighted
+    )
+
+
+def _ref_maxreg(field: TimePeriodicField, q: float, nt: int) -> float:
+    grid = field.grid
+    samples = field.sample_times(nt)
+    bochner = np.mean([_ref_full_norm(grid, s, 2, q) ** q for s in samples])
+    dt_samples = field.time_derivative().sample_times(nt)
+    dt = np.mean([_ref_lq(grid, s, q) ** q for s in dt_samples])
+    return bochner ** (1.0 / q) + dt ** (1.0 / q)
+
+
+# ---------------------------------------------------------------------------
+# inputs: white noise, so every mode up to Nyquist is populated
+
+
+def _spatial(grid: GridSpec, ncomp: int, seed: int):
+    values = np.random.default_rng(seed).standard_normal((ncomp,) + grid.shape)
+    if ncomp == 1:
+        return ScalarField(grid, values[0]), values
+    return VectorField(grid, values), values
+
+
+def _time_periodic(grid: GridSpec, ncomp: int, max_mode: int, seed: int):
+    rng = np.random.default_rng(seed)
+    shape = (ncomp,) + grid.shape
+    modes = [rng.standard_normal(shape).astype(np.complex128)]
+    for _ in range(max_mode):
+        modes.append(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return TimePeriodicField.from_modes(grid, 1.7, modes)
+
+
+def _ncomp(grid: GridSpec, kind: str) -> int:
+    return 1 if kind == "scalar" else grid.dim
+
+
+# ---------------------------------------------------------------------------
+# equivalence
+
+
+@pytest.mark.parametrize("kind", ["scalar", "vector"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_spatial_kernels_match_reference(dim, kind):
+    grid = GRIDS[dim]
+    field, values = _spatial(grid, _ncomp(grid, kind), seed=10 * dim + len(kind))
+    for q in (2.0, 3.0, 4.0):
+        for k in (0, 1, 2):
+            assert sobolev_seminorm(field, k, q) == pytest.approx(
+                _ref_seminorm(grid, values, k, q), rel=REL
+            )
+            assert sobolev_full_norm(field, k, q) == pytest.approx(
+                _ref_full_norm(grid, values, k, q), rel=REL
+            )
+        for lam, r in ((0.0, 2.0), (0.6, 2.0), (2.5, 1.5)):
+            assert lambda_norm(field, lam, q, r) == pytest.approx(
+                _ref_lambda_norm(grid, values, lam, q, r), rel=REL
+            )
+
+
+@pytest.mark.parametrize("kind", ["scalar", "vector"])
+@pytest.mark.parametrize("max_mode", [0, 1, 2])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_maxreg_matches_per_sample_reference(dim, max_mode, kind):
+    grid = GRIDS[dim]
+    field = _time_periodic(grid, _ncomp(grid, kind), max_mode, seed=dim + 7 * max_mode)
+    default = 4 * max_mode + 8
+    for q in (2.0, 3.0, 4.0):
+        assert maxreg_norm(field, q) == pytest.approx(
+            _ref_maxreg(field, q, default), rel=REL
+        )
+        for nt in (2 * max_mode + 1, default + 5):
+            assert maxreg_norm(field, q, num_time_samples=nt) == pytest.approx(
+                _ref_maxreg(field, q, nt), rel=REL
+            )
+
+
+# ---------------------------------------------------------------------------
+# transform counts
+
+
+@pytest.fixture
+def transform_calls(monkeypatch) -> Counter:
+    calls: Counter = Counter()
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for module in (scipy.fft, np.fft):
+        for name in TRANSFORMS:
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return calls
+
+
+def test_lambda_norm_makes_one_forward_transform(transform_calls):
+    field, _ = _spatial(GRIDS[3], 3, seed=5)
+    lambda_norm(field, 0.7, 4.0, 2.0)
+    assert sum(transform_calls[name] for name in FORWARD) == 1
+
+
+def test_maxreg_transform_count_is_independent_of_time_samples(transform_calls):
+    field = _time_periodic(GRIDS[3], 3, max_mode=2, seed=6)
+    counts = {}
+    for nt in (12, 48):
+        transform_calls.clear()
+        maxreg_norm(field, 4.0, num_time_samples=nt)
+        counts[nt] = sum(transform_calls.values())
+    assert counts[12] == counts[48] > 0

@@ -14,8 +14,6 @@ from oseenlab.fields import (
     gradient,
 )
 from oseenlab.norms import (
-    NormRequest,
-    evaluate_norm,
     lambda_norm,
     lq_norm,
     maxreg_norm,
@@ -307,41 +305,3 @@ def test_spacetime_plancherel_matches_quadrature(grid2):
     assert spacetime_l2_plancherel(stack) == pytest.approx(
         lq_norm(stack, 2.0), rel=1e-12
     )
-
-
-# ---------------------------------------------------------------------------
-# norm request dispatch
-
-
-def test_norm_request_dispatch_matches_direct_calls(grid3):
-    v = trig_vector(grid3, 23)
-    pairs = [
-        (NormRequest("lq", q_exponent=3.0), lq_norm(v, 3.0)),
-        (
-            NormRequest("seminorm-kq", q_exponent=2.0, k_order=1),
-            sobolev_seminorm(v, 1, 2.0),
-        ),
-        (
-            NormRequest("negative-1r", r_exponent=2.0),
-            negative_norm_surrogate(v, 2.0),
-        ),
-        (
-            NormRequest("lambda", q_exponent=4.0, r_exponent=2.0, lambda_weight=0.3),
-            lambda_norm(v, 0.3, 4.0, 2.0),
-        ),
-    ]
-    for request, expected in pairs:
-        assert evaluate_norm(request, v) == pytest.approx(expected, rel=1e-13)
-
-
-def test_norm_request_validation():
-    with pytest.raises(ValueError, match="kind"):
-        NormRequest("unknown")
-    with pytest.raises(ValueError):
-        NormRequest("lq", q_exponent=1.0)
-    with pytest.raises(ValueError, match="k_order"):
-        NormRequest("seminorm-kq", q_exponent=2.0, k_order=5)
-    with pytest.raises(ValueError, match="lambda_weight"):
-        NormRequest("lambda", q_exponent=2.0, r_exponent=2.0, lambda_weight=-0.5)
-    with pytest.raises(ValueError):
-        evaluate_norm(NormRequest("lq"), None)
