@@ -399,6 +399,11 @@ def truncate_modes(spectral: SpectralField) -> SpectralField:
     )
 
 
+def _truncate_samples(grid: GridSpec, values: np.ndarray) -> np.ndarray:
+    """Physical samples projected onto the retained modes, any leading axes."""
+    return _ifftn(_fftn(values, grid.dim) * grid.dealias_mask, grid.dim).real
+
+
 def dealias(field: ScalarField | VectorField) -> ScalarField | VectorField:
     """Physical-space projection onto retained (dealiased) modes."""
     return from_spectral(truncate_modes(to_spectral(field)))

@@ -43,6 +43,8 @@ from .lifting import CutoffSpec, build_lifting, default_cutoff, lifting_load
 from .nonlinear import convective_product
 from .norms import (
     lambda_norm,
+    lambda_norm_from_pieces,
+    lambda_norm_pieces,
     lq_norm,
     maxreg_norm,
     negative_norm_surrogate,
@@ -558,15 +560,16 @@ def fit_smallness_constant(
             numerator = lambda_norm(pair.velocity, lam, q, r)
             denominator = g_data + lam ** (-profile.m_exponent * weight) * g_neg
             best = max(best, numerator / denominator)
+    pieces = [lambda_norm_pieces(v, q, r) for v in samples]
     for i, v_one in enumerate(samples):
-        v_two = samples[(i + 1) % len(samples)]
-        product = convective_product(v_one, v_two)
+        j = (i + 1) % len(samples)
+        product = convective_product(v_one, samples[j])
         strong = lq_norm(product, q)
         weak = negative_norm_surrogate(product, r)
         for lam in probe_drifts:
-            denominator = lambda_norm(v_one, lam, q, r) * lambda_norm(
-                v_two, lam, q, r
-            )
+            denominator = lambda_norm_from_pieces(
+                pieces[i], lam, grid.dim
+            ) * lambda_norm_from_pieces(pieces[j], lam, grid.dim)
             best = max(
                 best,
                 strong * lam ** (profile.theta * weight) / denominator,
@@ -1163,16 +1166,8 @@ def run_bilinear_ensemble(cfg: ExperimentConfig) -> ScalingResult:
         )
         for i in range(count)
     ]
-    s = s_exponent(n, cfg.r)
-
-    def wake_pieces(v):
-        return (
-            sobolev_seminorm(v, 2, cfg.q) + sobolev_seminorm(v, 1, cfg.r),
-            lq_norm(v, s),
-        )
-
-    v_one_pieces = [wake_pieces(v) for v in v_one]
-    v_two_pieces = [wake_pieces(v) for v in v_two]
+    v_one_pieces = [lambda_norm_pieces(v, cfg.q, cfg.r) for v in v_one]
+    v_two_pieces = [lambda_norm_pieces(v, cfg.q, cfg.r) for v in v_two]
     w_one_norms = [maxreg_norm(w, cfg.q) for w in w_one]
     w_two_norms = [maxreg_norm(w, cfg.q) for w in w_two]
 

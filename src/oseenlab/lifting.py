@@ -18,10 +18,18 @@ supported inside the box, so periodization is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .fields import GridSpec, ScalarField, VectorField, _lock, _owned_copy
+from .fields import (
+    GridSpec,
+    ScalarField,
+    VectorField,
+    _lock,
+    _owned_copy,
+    _truncate_samples,
+)
 from .norms import lq_norm, negative_norm_surrogate
 
 
@@ -129,6 +137,16 @@ class LiftingField:
     @property
     def grid(self) -> GridSpec:
         return self.velocity.grid
+
+    @cached_property
+    def self_advection(self) -> np.ndarray:
+        """Dealiased (V . grad)V from the exact jacobian, formed once per lifting."""
+        values = self.velocity.components
+        acc = np.zeros(values.shape)
+        for k in range(self.grid.dim):
+            acc = acc + values[k] * self.jacobian[:, k]
+        # A contiguous copy, so the cache does not pin the complex transform.
+        return _lock(np.ascontiguousarray(_truncate_samples(self.grid, acc)))
 
     def drift_derivative(self) -> VectorField:
         """The derivative of the lifting along axis 1."""

@@ -8,7 +8,19 @@ The nonlinearity of the perturbation u around the lifting field is
 Band-limited factors follow the truncate-multiply-truncate dealiasing
 pattern.  The lifting V and its derivative arrays are exact closed-form
 samples (not band-limited), so they enter products at full resolution and
-only the product is re-truncated; the V-only terms are added raw.
+only the product is re-truncated; the V-only terms are added raw, and the
+truncated (V . grad)V is formed once per lifting
+(:attr:`LiftingField.self_advection`).
+
+Each operand is transformed once.  The quadratic kernel takes one forward
+transform of u, one inverse for the truncated u and one inverse per gradient
+axis, and forms (u . grad)u, (u . grad)V and (V . grad)u pointwise from
+them.  The three products are still truncated one by one and summed in a
+fixed order: merging the truncations would be the same map in exact
+arithmetic but would not reproduce the separate truncations bit for bit.
+The bilinear kernel ``_convective`` takes sample arrays whose leading axes
+broadcast, so a steady factor against many time instants is transformed
+once, not once per instant.
 
 Time-periodic input is multiplied in physical time: the field is sampled
 on 4K+1 uniform instants (enough to hold the full quadratic band), the
@@ -22,58 +34,66 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import GridSpec, TimePeriodicField, VectorField, _fftn, _ifftn
+from .fields import (
+    GridSpec,
+    TimePeriodicField,
+    VectorField,
+    _fftn,
+    _ifftn,
+    _truncate_samples,
+)
 from .lifting import LiftingField
 
 
-def _truncate_samples(grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    return _ifftn(_fftn(values, grid.dim) * grid.dealias_mask, grid.dim).real
-
-
 def _convective(grid: GridSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(a . grad) b with truncated inputs and a truncated product."""
+    """(a . grad) b with truncated inputs and a truncated product.
+
+    ``a`` and ``b`` are (..., dim) + grid.shape sample arrays whose leading
+    axes broadcast against each other; each is transformed once.
+    """
     mask = grid.dealias_mask
     a_t = _ifftn(_fftn(a, grid.dim) * mask, grid.dim).real
     b_hat = _fftn(b, grid.dim) * mask
-    acc = np.zeros(a.shape)
+    acc = np.zeros(np.broadcast_shapes(a.shape, b.shape))
+    spatial = (slice(None),) * grid.dim
     for k in range(grid.dim):
         db = _ifftn(b_hat * (1j * grid.wavenumber(k)), grid.dim).real
-        acc = acc + a_t[k] * db
+        acc = acc + a_t[(Ellipsis, slice(k, k + 1)) + spatial] * db
     return _truncate_samples(grid, acc)
 
 
-def _advect_lifting(grid: GridSpec, a: np.ndarray, jacobian: np.ndarray) -> np.ndarray:
-    """(a . grad) V from the exact lifting jacobian."""
-    a_t = _truncate_samples(grid, a)
-    acc = np.zeros(a.shape)
-    for k in range(grid.dim):
-        acc = acc + a_t[k] * jacobian[:, k]
-    return _truncate_samples(grid, acc)
+def _quadratic_terms(
+    grid: GridSpec, a: np.ndarray, lifting: LiftingField
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a . grad)a, (a . grad)V and (V . grad)a for one physical sample.
 
-
-def _lifting_advect(grid: GridSpec, lifting_values: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(V . grad) b with the exact lifting samples."""
-    b_hat = _fftn(b, grid.dim) * grid.dealias_mask
-    acc = np.zeros(b.shape)
-    for k in range(grid.dim):
-        db = _ifftn(b_hat * (1j * grid.wavenumber(k)), grid.dim).real
-        acc = acc + lifting_values[k] * db
-    return _truncate_samples(grid, acc)
-
-
-def _lifting_self_advection(lifting: LiftingField) -> np.ndarray:
-    grid = lifting.grid
+    One forward transform of ``a`` feeds the truncated samples and every
+    gradient axis; each product is accumulated axis by axis and truncated
+    on its own.
+    """
+    a_hat = _fftn(a, grid.dim) * grid.dealias_mask
+    a_t = _ifftn(a_hat, grid.dim).real
     values = lifting.velocity.components
-    acc = np.zeros(values.shape)
+    conv = np.zeros(a.shape)
+    adv = np.zeros(a.shape)
+    ladv = np.zeros(a.shape)
     for k in range(grid.dim):
-        acc = acc + values[k] * lifting.jacobian[:, k]
-    return _truncate_samples(grid, acc)
+        da = _ifftn(a_hat * (1j * grid.wavenumber(k)), grid.dim).real
+        conv = conv + a_t[k] * da
+        adv = adv + a_t[k] * lifting.jacobian[:, k]
+        ladv = ladv + values[k] * da
+    # Drop the spectra first so the truncations do not raise peak memory.
+    del a_hat, a_t, da
+    conv = _truncate_samples(grid, conv)
+    adv = _truncate_samples(grid, adv)
+    ladv = _truncate_samples(grid, ladv)
+    return conv, adv, ladv
 
 
 def _lifting_only_terms(lifting: LiftingField, lam: float) -> np.ndarray:
     """-(V . grad)V + laplacian(V) - lam * d1(V), the u-independent forcing."""
     return (
-        -_lifting_self_advection(lifting)
+        -lifting.self_advection
         + lifting.laplacian
         - lam * lifting.jacobian[:, 0]
     )
@@ -90,11 +110,8 @@ def _quadratic_samples(
     grid: GridSpec, a: np.ndarray, lifting: LiftingField
 ) -> np.ndarray:
     """(a . grad)a + (a . grad)V + (V . grad)a for one physical sample."""
-    return (
-        _convective(grid, a, a)
-        + _advect_lifting(grid, a, lifting.jacobian)
-        + _lifting_advect(grid, lifting.velocity.components, a)
-    )
+    conv, adv, ladv = _quadratic_terms(grid, a, lifting)
+    return conv + adv + ladv
 
 
 def nonlinearity(
@@ -178,24 +195,18 @@ def split_nonlinearity(
     samples = u.sample_times(num_samples)
     w_samples = samples - v[None]
 
-    lifting_values = lifting.velocity.components
-    v_adv_v = _convective(grid, v, v)
-    v_adv_lift = _advect_lifting(grid, v, lifting.jacobian)
-    lift_adv_v = _lifting_advect(grid, lifting_values, v)
-    lift_adv_lift = _lifting_self_advection(lifting)
+    v_adv_v, v_adv_lift, lift_adv_v = _quadratic_terms(grid, v, lifting)
+    lift_adv_lift = lifting.self_advection
+    v_adv_w = _convective(grid, v, w_samples)
+    w_adv_v = _convective(grid, w_samples, v)
 
-    v_adv_w = np.empty_like(samples)
-    w_adv_v = np.empty_like(samples)
     w_adv_w = np.empty_like(samples)
     w_adv_lift = np.empty_like(samples)
     lift_adv_w = np.empty_like(samples)
     for j in range(num_samples):
-        w_j = w_samples[j]
-        v_adv_w[j] = _convective(grid, v, w_j)
-        w_adv_v[j] = _convective(grid, w_j, v)
-        w_adv_w[j] = _convective(grid, w_j, w_j)
-        w_adv_lift[j] = _advect_lifting(grid, w_j, lifting.jacobian)
-        lift_adv_w[j] = _lifting_advect(grid, lifting_values, w_j)
+        w_adv_w[j], w_adv_lift[j], lift_adv_w[j] = _quadratic_terms(
+            grid, w_samples[j], lifting
+        )
 
     w_adv_w_tp = TimePeriodicField.from_time_samples(
         grid, u.period, w_adv_w, max_mode
@@ -265,10 +276,8 @@ def convective_product(
     period = a.period if a_tp else b.period
     k_out = (a.max_mode if a_tp else 0) + (b.max_mode if b_tp else 0)
     num_samples = 2 * k_out + 1
-    shape = (num_samples, grid.dim) + grid.shape
-    a_samples = a.sample_times(num_samples) if a_tp else np.broadcast_to(a.components, shape)
-    b_samples = b.sample_times(num_samples) if b_tp else np.broadcast_to(b.components, shape)
-    out = np.empty(shape)
-    for j in range(num_samples):
-        out[j] = _convective(grid, a_samples[j], b_samples[j])
+    # A steady operand keeps its (dim, ...) shape and broadcasts over time.
+    a_samples = a.sample_times(num_samples) if a_tp else a.components
+    b_samples = b.sample_times(num_samples) if b_tp else b.components
+    out = _convective(grid, a_samples, b_samples)
     return TimePeriodicField.from_time_samples(grid, period, out, k_out)

@@ -153,10 +153,20 @@ def _riesz_gradient_inverse_laplacian(
     return out
 
 
+def _negative_norm_of_coefficients(
+    grid: GridSpec, coeff: np.ndarray, r: float
+) -> float:
+    tensor = _riesz_gradient_inverse_laplacian(grid, coeff)
+    samples = _ifftn(tensor.reshape((-1,) + grid.shape), grid.dim).real
+    return _lq_of_array(grid, samples, r)
+
+
 def negative_norm_surrogate(field: ScalarField | VectorField, r: float) -> float:
     """Surrogate |f|_{-1,r} = ||grad (-Delta)^{-1} f||_r, mean projected out."""
-    value, _, _ = negative_norm_surrogate_flagged(field, r)
-    return value
+    r = _check_exponent(r, "r")
+    grid = field.grid
+    coeff = _fftn(_component_array(field), grid.dim)
+    return _negative_norm_of_coefficients(grid, coeff, r)
 
 
 def negative_norm_surrogate_flagged(
@@ -175,9 +185,40 @@ def negative_norm_surrogate_flagged(
     scale = float(np.sqrt(np.sum(np.abs(coeff) ** 2)))
     relative_mean = mean_mag / scale if scale > 0 else 0.0
     flagged = relative_mean > 1e-13
-    tensor = _riesz_gradient_inverse_laplacian(grid, coeff)
-    samples = _ifftn(tensor.reshape((-1,) + grid.shape), grid.dim).real
-    return _lq_of_array(grid, samples, r), flagged, relative_mean
+    return _negative_norm_of_coefficients(grid, coeff, r), flagged, relative_mean
+
+
+def lambda_norm_pieces(
+    field: VectorField, q: float, r: float, n: int | None = None
+) -> tuple[float, float]:
+    """The drift-free pieces (|v|_{2,q} + |v|_{1,r}, ||v||_s) of the wake norm.
+
+    Both seminorms share one forward transform.  :func:`lambda_norm` at any
+    drift follows from these by :func:`lambda_norm_from_pieces`, so a caller
+    sweeping the drift evaluates them once per field.
+    """
+    q = _check_exponent(q, "q")
+    if n is None:
+        n = field.grid.dim
+    s = s_exponent(n, r)
+    grid = field.grid
+    components = _component_array(field)
+    coeff = _rfftn(components, grid.dim)
+    smooth = _seminorm_from_coefficients(
+        grid, coeff, 2, q
+    ) + _seminorm_from_coefficients(grid, coeff, 1, r)
+    return smooth, _lq_of_array(grid, components, s)
+
+
+def lambda_norm_from_pieces(
+    pieces: tuple[float, float], lam: float, n: int
+) -> float:
+    """|v|_{2,q} + |v|_{1,r} + lambda^{1/(n+1)} ||v||_s from its pieces."""
+    if lam < 0:
+        raise ValueError(f"lambda must be nonnegative, got {lam}")
+    smooth, s_norm = pieces
+    weighted = lam ** (1.0 / (n + 1)) * s_norm if lam > 0 else 0.0
+    return smooth + weighted
 
 
 def lambda_norm(
@@ -188,19 +229,9 @@ def lambda_norm(
     ``n`` defaults to the grid dimension; s = (n+1) r / (n+1-r) requires
     r < n+1.
     """
-    if lam < 0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
     if n is None:
         n = field.grid.dim
-    s = s_exponent(n, r)
-    weighted = lam ** (1.0 / (n + 1)) * lq_norm(field, s) if lam > 0 else 0.0
-    grid = field.grid
-    coeff = _rfftn(_component_array(field), grid.dim)
-    return (
-        _seminorm_from_coefficients(grid, coeff, 2, q)
-        + _seminorm_from_coefficients(grid, coeff, 1, r)
-        + weighted
-    )
+    return lambda_norm_from_pieces(lambda_norm_pieces(field, q, r, n), lam, n)
 
 
 def _default_time_samples(max_mode: int) -> int:
@@ -219,7 +250,11 @@ def maxreg_norm(
     with only the k = 0 mode reduces to its steady W^{2,q} norm.
     """
     q = _check_exponent(q, "q")
-    nt = num_time_samples or _default_time_samples(field.max_mode)
+    nt = (
+        _default_time_samples(field.max_mode)
+        if num_time_samples is None
+        else num_time_samples
+    )
     if nt < 2 * field.max_mode + 1:
         raise ValueError(
             f"need at least {2 * field.max_mode + 1} time samples, got {nt}"

@@ -278,3 +278,13 @@ def test_load_with_explicit_drift_override():
     assert default_lq == override_lq
     zero_drift_lq, _ = lifting_load(lift, 2.0, 2.0, lam=0.0)
     assert zero_drift_lq != default_lq
+
+
+def test_self_advection_is_cached_and_read_only():
+    grid = GridSpec(2, np.pi, 16)
+    lifting = build_lifting(0.4, default_cutoff(grid), grid)
+    first = lifting.self_advection
+    assert first is lifting.self_advection
+    assert first.shape == (grid.dim,) + grid.shape
+    assert not first.flags.writeable
+    assert np.max(np.abs(first)) > 0.0

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from conftest import trig_scalar, trig_values, trig_vector
 from oseenlab.fields import (
@@ -11,6 +12,8 @@ from oseenlab.fields import (
     ScalarField,
     TimePeriodicField,
     VectorField,
+    _fftn,
+    _ifftn,
     derivative,
 )
 from oseenlab.lifting import build_lifting, default_cutoff
@@ -387,3 +390,280 @@ def test_nonlinearity_input_validation(grid2):
         split_nonlinearity(scalar_tp, lifting, 0.0)
     with pytest.raises(TypeError, match="cannot evaluate the nonlinearity"):
         nonlinearity(trig_scalar(grid2, 6), lifting, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# bit-for-bit equivalence with the three-helper reference
+#
+# The helpers below are the straightforward evaluation the kernels replace:
+# u is transformed separately for (u . grad)u, (u . grad)V and (V . grad)u,
+# the lifting self-advection is recomputed on every call, and a steady
+# operand of convective_product is broadcast to every time instant and
+# transformed once per instant.  The package kernels share those transforms
+# but keep every floating-point operation and its order, so the outputs must
+# be equal, not merely close.
+
+
+def _ref_truncate(grid: GridSpec, values: np.ndarray) -> np.ndarray:
+    return _ifftn(_fftn(values, grid.dim) * grid.dealias_mask, grid.dim).real
+
+
+def _ref_convective(grid: GridSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    mask = grid.dealias_mask
+    a_t = _ifftn(_fftn(a, grid.dim) * mask, grid.dim).real
+    b_hat = _fftn(b, grid.dim) * mask
+    acc = np.zeros(a.shape)
+    for k in range(grid.dim):
+        db = _ifftn(b_hat * (1j * grid.wavenumber(k)), grid.dim).real
+        acc = acc + a_t[k] * db
+    return _ref_truncate(grid, acc)
+
+
+def _ref_advect_lifting(grid, a, jacobian):
+    a_t = _ref_truncate(grid, a)
+    acc = np.zeros(a.shape)
+    for k in range(grid.dim):
+        acc = acc + a_t[k] * jacobian[:, k]
+    return _ref_truncate(grid, acc)
+
+
+def _ref_lifting_advect(grid, lifting_values, b):
+    b_hat = _fftn(b, grid.dim) * grid.dealias_mask
+    acc = np.zeros(b.shape)
+    for k in range(grid.dim):
+        db = _ifftn(b_hat * (1j * grid.wavenumber(k)), grid.dim).real
+        acc = acc + lifting_values[k] * db
+    return _ref_truncate(grid, acc)
+
+
+def _ref_self_advection(lifting):
+    grid = lifting.grid
+    values = lifting.velocity.components
+    acc = np.zeros(values.shape)
+    for k in range(grid.dim):
+        acc = acc + values[k] * lifting.jacobian[:, k]
+    return _ref_truncate(grid, acc)
+
+
+def _ref_lifting_only_terms(lifting, lam):
+    return (
+        -_ref_self_advection(lifting)
+        + lifting.laplacian
+        - lam * lifting.jacobian[:, 0]
+    )
+
+
+def _ref_quadratic_samples(grid, a, lifting):
+    return (
+        _ref_convective(grid, a, a)
+        + _ref_advect_lifting(grid, a, lifting.jacobian)
+        + _ref_lifting_advect(grid, lifting.velocity.components, a)
+    )
+
+
+def _ref_nonlinearity(u, lifting, lam):
+    grid = u.grid
+    if isinstance(u, VectorField):
+        quad = _ref_quadratic_samples(grid, u.components, lifting)
+        return -quad + _ref_lifting_only_terms(lifting, lam)
+    num_samples = 4 * u.max_mode + 1
+    samples = u.sample_times(num_samples)
+    conv = np.empty_like(samples)
+    for j in range(num_samples):
+        conv[j] = _ref_quadratic_samples(grid, samples[j], lifting)
+    quad_tp = TimePeriodicField.from_time_samples(grid, u.period, conv, u.max_mode)
+    modes = -quad_tp.modes
+    modes[u.max_mode] = modes[u.max_mode] + _ref_lifting_only_terms(lifting, lam)
+    return modes
+
+
+def _ref_oscillatory(grid, period, samples, max_mode):
+    tp = TimePeriodicField.from_time_samples(grid, period, samples, max_mode)
+    modes = tp.modes.copy()
+    modes[max_mode] = 0.0
+    return TimePeriodicField(grid, period, modes)
+
+
+def _ref_split(u, lifting, lam):
+    grid = u.grid
+    max_mode = u.max_mode
+    num_samples = 4 * max_mode + 1
+    v = u.mode(0).real
+    samples = u.sample_times(num_samples)
+    w_samples = samples - v[None]
+    lifting_values = lifting.velocity.components
+    v_adv_v = _ref_convective(grid, v, v)
+    v_adv_lift = _ref_advect_lifting(grid, v, lifting.jacobian)
+    lift_adv_v = _ref_lifting_advect(grid, lifting_values, v)
+    lift_adv_lift = _ref_self_advection(lifting)
+    v_adv_w = np.empty_like(samples)
+    w_adv_v = np.empty_like(samples)
+    w_adv_w = np.empty_like(samples)
+    w_adv_lift = np.empty_like(samples)
+    lift_adv_w = np.empty_like(samples)
+    for j in range(num_samples):
+        w_j = w_samples[j]
+        v_adv_w[j] = _ref_convective(grid, v, w_j)
+        w_adv_v[j] = _ref_convective(grid, w_j, v)
+        w_adv_w[j] = _ref_convective(grid, w_j, w_j)
+        w_adv_lift[j] = _ref_advect_lifting(grid, w_j, lifting.jacobian)
+        lift_adv_w[j] = _ref_lifting_advect(grid, lifting_values, w_j)
+    w_adv_w_tp = TimePeriodicField.from_time_samples(grid, u.period, w_adv_w, max_mode)
+    w_adv_w_osc_modes = w_adv_w_tp.modes.copy()
+    w_adv_w_osc_modes[max_mode] = 0.0
+    steady_terms = {
+        "v_adv_v": -v_adv_v,
+        "w_adv_w_mean": -w_adv_w_tp.mode(0).real,
+        "v_adv_lift": -v_adv_lift,
+        "lift_adv_v": -lift_adv_v,
+        "lift_adv_lift": -lift_adv_lift,
+        "lift_laplacian": lifting.laplacian.copy(),
+        "lift_drift": -lam * lifting.jacobian[:, 0],
+    }
+    oscillatory_terms = {
+        "v_adv_w": -_ref_oscillatory(grid, u.period, v_adv_w, max_mode).modes,
+        "w_adv_v": -_ref_oscillatory(grid, u.period, w_adv_v, max_mode).modes,
+        "w_adv_w_osc": -TimePeriodicField(grid, u.period, w_adv_w_osc_modes).modes,
+        "w_adv_lift": -_ref_oscillatory(grid, u.period, w_adv_lift, max_mode).modes,
+        "lift_adv_w": -_ref_oscillatory(grid, u.period, lift_adv_w, max_mode).modes,
+    }
+    steady = np.zeros((grid.dim,) + grid.shape)
+    for term in steady_terms.values():
+        steady = steady + term
+    oscillatory = np.zeros((2 * max_mode + 1, grid.dim) + grid.shape, complex)
+    for term in oscillatory_terms.values():
+        oscillatory = oscillatory + term
+    return steady, oscillatory, steady_terms, oscillatory_terms
+
+
+def _ref_convective_product(a, b):
+    grid = a.grid
+    a_tp = isinstance(a, TimePeriodicField)
+    b_tp = isinstance(b, TimePeriodicField)
+    if not a_tp and not b_tp:
+        return _ref_convective(grid, a.components, b.components)
+    k_out = (a.max_mode if a_tp else 0) + (b.max_mode if b_tp else 0)
+    num_samples = 2 * k_out + 1
+    shape = (num_samples, grid.dim) + grid.shape
+    period = a.period if a_tp else b.period
+    a_samples = (
+        a.sample_times(num_samples) if a_tp else np.broadcast_to(a.components, shape)
+    )
+    b_samples = (
+        b.sample_times(num_samples) if b_tp else np.broadcast_to(b.components, shape)
+    )
+    out = np.empty(shape)
+    for j in range(num_samples):
+        out[j] = _ref_convective(grid, a_samples[j], b_samples[j])
+    return TimePeriodicField.from_time_samples(grid, period, out, k_out).modes
+
+
+def _nonzero_lifting(grid: GridSpec):
+    return build_lifting(0.3, default_cutoff(grid), grid)
+
+
+@pytest.mark.parametrize("fixture_name", ["grid2", "grid3"])
+def test_steady_nonlinearity_is_bitwise_the_reference(request, fixture_name):
+    grid = request.getfixturevalue(fixture_name)
+    lifting = _nonzero_lifting(grid)
+    u = trig_vector(grid, 41, max_mode=3, terms=8)
+    expected = _ref_nonlinearity(u, lifting, 0.7)
+    assert np.array_equal(nonlinearity(u, lifting, 0.7).components, expected)
+    # The second call reads the cached lifting self-advection.
+    assert np.array_equal(nonlinearity(u, lifting, 0.7).components, expected)
+
+
+@pytest.mark.parametrize("fixture_name", ["grid2", "grid3"])
+def test_time_periodic_nonlinearity_is_bitwise_the_reference(request, fixture_name):
+    grid = request.getfixturevalue(fixture_name)
+    lifting = _nonzero_lifting(grid)
+    u = _oscillating_velocity(grid, 2.5, 43, max_mode=2)
+    out = nonlinearity(u, lifting, 0.7)
+    assert np.array_equal(out.modes, _ref_nonlinearity(u, lifting, 0.7))
+
+
+@pytest.mark.parametrize("fixture_name", ["grid2", "grid3"])
+def test_split_nonlinearity_is_bitwise_the_reference(request, fixture_name):
+    grid = request.getfixturevalue(fixture_name)
+    lifting = _nonzero_lifting(grid)
+    u = _oscillating_velocity(grid, 2.5, 47, max_mode=1)
+    split = split_nonlinearity(u, lifting, 0.7)
+    steady, oscillatory, steady_terms, oscillatory_terms = _ref_split(u, lifting, 0.7)
+    assert np.array_equal(split.steady.components, steady)
+    assert np.array_equal(split.oscillatory.modes, oscillatory)
+    for key, term in steady_terms.items():
+        assert np.array_equal(split.steady_terms[key].components, term), key
+    for key, term in oscillatory_terms.items():
+        assert np.array_equal(split.oscillatory_terms[key].modes, term), key
+
+
+@pytest.mark.parametrize("fixture_name", ["grid2", "grid3"])
+def test_convective_product_is_bitwise_the_reference(request, fixture_name):
+    grid = request.getfixturevalue(fixture_name)
+    a = trig_vector(grid, 51, max_mode=3, terms=8)
+    b = trig_vector(grid, 52, max_mode=3, terms=8)
+    a_tp = _oscillating_velocity(grid, 2.0, 53, max_mode=1)
+    b_tp = _oscillating_velocity(grid, 2.0, 54, max_mode=2)
+    assert np.array_equal(
+        convective_product(a, b).components, _ref_convective_product(a, b)
+    )
+    for left, right in ((a, b_tp), (a_tp, b), (a_tp, b_tp)):
+        out = convective_product(left, right)
+        assert np.array_equal(out.modes, _ref_convective_product(left, right))
+
+
+# ---------------------------------------------------------------------------
+# transform counts
+
+
+@pytest.fixture
+def transform_inputs(monkeypatch) -> list:
+    """Record the input of every scipy.fft / numpy.fft transform call."""
+    inputs: list = []
+
+    def recording(name, original):
+        def wrapper(x, *args, **kwargs):
+            inputs.append((name, np.asarray(x)))
+            return original(x, *args, **kwargs)
+
+        return wrapper
+
+    for module in (scipy.fft, np.fft):
+        for name in ("fftn", "ifftn", "rfftn", "irfftn", "fft", "ifft", "rfft", "irfft"):
+            monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
+    return inputs
+
+
+def test_steady_nonlinearity_makes_33_single_component_transforms(
+    grid3, transform_inputs
+):
+    lifting = _nonzero_lifting(grid3)
+    u = trig_vector(grid3, 61, max_mode=3, terms=8)
+    points = grid3.points_per_axis**grid3.dim
+
+    def single_component_transforms():
+        transform_inputs.clear()
+        nonlinearity(u, lifting, 0.7)
+        return sum(x.size for _, x in transform_inputs) // points
+
+    # The first call also truncates the lifting self-advection once (3 + 3).
+    assert single_component_transforms() == 33 + 6
+    assert single_component_transforms() == 33
+
+
+def test_steady_operand_is_transformed_once_per_product(grid3, transform_inputs):
+    a = trig_vector(grid3, 62, max_mode=3, terms=8)
+    forward = {"fftn", "rfftn", "fft", "rfft"}
+    counts = {}
+    for k_out in (1, 3):
+        b = _oscillating_velocity(grid3, 2.0, 63, max_mode=k_out)
+        transform_inputs.clear()
+        convective_product(a, b)
+        counts[k_out] = sum(
+            1
+            for name, x in transform_inputs
+            if name in forward
+            and x.shape == a.components.shape
+            and np.array_equal(x, a.components)
+        )
+    assert counts[1] == counts[3] == 1

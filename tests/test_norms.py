@@ -15,6 +15,8 @@ from oseenlab.fields import (
 )
 from oseenlab.norms import (
     lambda_norm,
+    lambda_norm_from_pieces,
+    lambda_norm_pieces,
     lq_norm,
     maxreg_norm,
     negative_norm_surrogate,
@@ -211,6 +213,18 @@ def test_negative_norm_mean_flagging(grid2):
     assert value_shifted == pytest.approx(value_free, rel=1e-12)
 
 
+def test_negative_norm_equals_the_flagged_value_exactly(grid2, grid3):
+    fields = (
+        trig_scalar(grid2, 23),
+        trig_scalar(grid2, 24) + ScalarField(grid2, np.full(grid2.shape, 1.5)),
+        trig_vector(grid3, 25),
+    )
+    for field in fields:
+        for r in (1.5, 2.0, 3.0):
+            value, _, _ = negative_norm_surrogate_flagged(field, r)
+            assert negative_norm_surrogate(field, r) == value
+
+
 def test_negative_norm_of_derivative_is_bounded_at_r2(grid2):
     u = trig_scalar(grid2, 15)
     bound = lq_norm(u, 2.0)
@@ -236,6 +250,18 @@ def test_lambda_norm_composition(grid3):
         + lam ** (1.0 / 4.0) * lq_norm(v, s)
     )
     assert lambda_norm(v, lam, q, r) == pytest.approx(expected, rel=1e-13)
+
+
+def test_lambda_norm_is_exactly_its_pieces(grid3):
+    v = trig_vector(grid3, 26)
+    q, r = 4.0, 2.0
+    smooth, s_norm = lambda_norm_pieces(v, q, r)
+    assert smooth == sobolev_seminorm(v, 2, q) + sobolev_seminorm(v, 1, r)
+    assert s_norm == lq_norm(v, s_exponent(3, r))
+    for lam in (0.0, 0.25, 4.0):
+        expected = smooth + lam ** (1.0 / 4.0) * s_norm if lam > 0 else smooth
+        assert lambda_norm(v, lam, q, r) == expected
+        assert lambda_norm_from_pieces((smooth, s_norm), lam, 3) == expected
 
 
 def test_lambda_norm_weighted_term_absent_at_zero_drift(grid3):
@@ -292,6 +318,12 @@ def test_maxreg_homogeneity_and_sample_floor(grid2):
     assert maxreg_norm(stack * 2.0, 3.0) == pytest.approx(2.0 * base, rel=1e-13)
     with pytest.raises(ValueError, match="time samples"):
         maxreg_norm(stack, 3.0, num_time_samples=2)
+
+
+def test_maxreg_rejects_zero_time_samples(grid2):
+    stack = TimePeriodicField.from_steady(trig_vector(grid2, 27), period=1.0, max_mode=1)
+    with pytest.raises(ValueError, match="need at least 3 time samples, got 0"):
+        maxreg_norm(stack, 3.0, num_time_samples=0)
 
 
 def test_spacetime_plancherel_matches_quadrature(grid2):
