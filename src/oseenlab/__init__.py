@@ -52,7 +52,7 @@ from .harness import (
 )
 from .io import field_to_csv, load_field, save_field
 from .lifting import CutoffSpec, LiftingField, build_lifting, default_cutoff, lifting_load
-from .nonlinear import convective_product, nonlinearity, split_nonlinearity
+from .nonlinear import convective_product, nonlinearity
 from .norms import (
     lambda_norm,
     lq_norm,
@@ -63,17 +63,14 @@ from .norms import (
     spacetime_l2_plancherel,
 )
 from .oseen import (
-    ObstacleMask,
     OseenParams,
     SolveReport,
     StokesPair,
-    ball_mask,
     leray_project,
     project_oscillatory,
     project_steady,
     residual,
     residual_timeperiodic,
-    solve_exterior_penalized,
     solve_mode,
     solve_steady,
     solve_timeperiodic,

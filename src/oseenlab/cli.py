@@ -167,8 +167,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "exponents":
         return _run_exponents(args)
-    if getattr(args, "threads", None):
-        set_fft_workers(args.threads)
+    if args.threads is not None:
+        try:
+            set_fft_workers(args.threads)
+        except ValueError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 1
     if args.config:
         cfg = parse_config(args.config)
         if cfg.experiment != args.command:

@@ -61,6 +61,7 @@ from .oseen import (
 )
 from .picard import (
     PicardConfig,
+    data_size,
     driver_norm_timeperiodic,
     picard_steady,
     picard_timeperiodic,
@@ -681,22 +682,13 @@ def run_mms(cfg: ExperimentConfig) -> ScalingResult:
 def _mms_nonlinear(cfg: ExperimentConfig):
     """Manufactured recovery through the steady fixed-point driver."""
     grid = cfg.grid
-    profile = ExponentProfile.build(grid.dim, cfg.q, cfg.r)
-    gamma = cfg.gamma if cfg.gamma is not None else profile.gamma_midpoint()
-    constant = fit_smallness_constant(grid, profile, seed=cfg.seed)
-    pcfg = radius_schedule(
-        cfg.rho, gamma, profile, constant, tol=cfg.tol, max_iter=60
-    )
+    _profile, _gamma, constant, pcfg = _picard_schedule(cfg)
     u_unit = random_divergence_free(grid, [cfg.seed, 31], mode_cap=cfg.mode_cap)
     p_unit = random_scalar_field(grid, [cfg.seed, 32], mode_cap=cfg.mode_cap)
     linear_part = oseen_apply(u_unit, pcfg.lam) + gradient(p_unit)
     quadratic_part = convective_product(u_unit, u_unit)
-    linear_size = lq_norm(linear_part, cfg.q) + negative_norm_surrogate(
-        linear_part, cfg.r
-    )
-    quadratic_size = lq_norm(quadratic_part, cfg.q) + negative_norm_surrogate(
-        quadratic_part, cfg.r
-    )
+    linear_size = data_size(linear_part, cfg.q, cfg.r)
+    quadratic_size = data_size(quadratic_part, cfg.q, cfg.r)
     amplitude = 0.8 * min(
         pcfg.epsilon / (2.0 * linear_size),
         math.sqrt(pcfg.epsilon / (2.0 * quadratic_size)),
@@ -704,10 +696,8 @@ def _mms_nonlinear(cfg: ExperimentConfig):
     )
     for _ in range(60):
         forcing = linear_part * amplitude + quadratic_part * (amplitude**2)
-        data_size = lq_norm(forcing, cfg.q) + negative_norm_surrogate(
-            forcing, cfg.r
-        )
-        if data_size <= 0.95 * pcfg.epsilon:
+        size = data_size(forcing, cfg.q, cfg.r)
+        if size <= 0.95 * pcfg.epsilon:
             break
         amplitude *= 0.5
     else:
@@ -723,7 +713,7 @@ def _mms_nonlinear(cfg: ExperimentConfig):
         "picard_epsilon": pcfg.epsilon,
         "picard_rho": pcfg.rho,
         "picard_amplitude": amplitude,
-        "picard_data_size": data_size,
+        "picard_data_size": size,
         "picard_iterations": float(report.iterations),
         "picard_velocity_error": velocity_error,
         "picard_pressure_error": pressure_error,
@@ -1403,7 +1393,93 @@ def _picard_schedule(cfg: ExperimentConfig):
     return profile, gamma, constant, base
 
 
-def _picard_result(cfg, rows, checks, constants, flags):
+def run_picard(cfg: ExperimentConfig) -> ScalingResult:
+    """Run the fixed-point construction on a shrinking radius ladder.
+
+    Serves both picard-steady and picard-tp; they differ only in the forcing
+    draw, the driver and the norm it contracts in.  The radius is scheduled
+    once from the configured start, then the run is repeated at half and
+    quarter radius; every run must contract at a rate below one half, the
+    rates must decrease down the ladder, and a fresh application of the
+    solution map must reproduce the fixed point within twice the stopping
+    tolerance.
+    """
+    steady = cfg.experiment == EXPERIMENT_PICARD_STEADY
+    if not steady:
+        _require_experiment(cfg, EXPERIMENT_PICARD_TP)
+    grid = cfg.grid
+    profile, gamma, constant, base = _picard_schedule(cfg)
+    lifting = build_lifting(0.0, cfg.cutoff_spec(), grid)
+    driver = picard_steady if steady else picard_timeperiodic
+    norm = lambda_norm if steady else driver_norm_timeperiodic
+    forcing_seed, start_seed = (41, 42) if steady else (51, 52)
+
+    def draw(seed_tail: int):
+        if steady:
+            return random_divergence_free(
+                grid, [cfg.seed, seed_tail], mode_cap=cfg.mode_cap
+            )
+        return random_timeperiodic_forcing(
+            grid, cfg.period, cfg.time_modes, [cfg.seed, seed_tail],
+            mode_cap=cfg.mode_cap,
+        )
+
+    def velocity_of(solution):
+        return solution.velocity if steady else solution[0]
+
+    direction = draw(forcing_seed)
+    unit_size = data_size(direction, cfg.q, cfg.r)
+    rows = []
+    checks: list[CheckRecord] = []
+    for j, rho in enumerate((base.rho, base.rho / 2.0, base.rho / 4.0)):
+        pcfg = PicardConfig.from_schedule(
+            profile, rho, gamma, tol=cfg.tol, max_iter=60
+        )
+        forcing = direction * (0.5 * pcfg.epsilon / unit_size)
+        forcing_size = data_size(forcing, cfg.q, cfg.r)
+        solution, report = driver(forcing, pcfg, lifting=lifting)
+        velocity = velocity_of(solution)
+        solution_norm = norm(velocity, pcfg.lam, cfg.q, cfg.r)
+        rows.append(
+            (
+                rho,
+                pcfg.lam,
+                pcfg.epsilon,
+                forcing_size,
+                float(report.iterations),
+                report.contraction_rate,
+                report.final_residual,
+                solution_norm,
+                report.residual_momentum,
+                report.residual_div,
+            )
+        )
+        tag = f"rho_{j}"
+        checks.append(
+            _check_lt(f"contraction_rate_{tag}", report.contraction_rate, 0.5)
+        )
+        checks.append(
+            _check_le(
+                f"certificate_{tag}",
+                report.final_residual,
+                2.0 * cfg.tol * solution_norm,
+            )
+        )
+        if j == 0:
+            # A start elsewhere in the ball must reach the same fixed point.
+            alt = draw(start_seed)
+            alt = alt * (0.5 * rho / norm(alt, pcfg.lam, cfg.q, cfg.r))
+            other, _ = driver(forcing, pcfg, lifting=lifting, initial=alt)
+            distance = norm(
+                velocity_of(other) - velocity, pcfg.lam, cfg.q, cfg.r
+            )
+            checks.append(
+                _check_le(
+                    "initial_iterate_independence",
+                    distance,
+                    10.0 * cfg.tol * solution_norm,
+                )
+            )
     table = tuple(tuple(map(float, row)) for row in rows)
     rates = [row[_PICARD_COLUMNS.index("contraction_rate")] for row in table]
     for j in range(len(rates) - 1):
@@ -1412,6 +1488,13 @@ def _picard_result(cfg, rows, checks, constants, flags):
                 f"contraction_rate_decreases_{j + 1}", rates[j + 1], rates[j]
             )
         )
+    constants = {
+        "fitted_constant": constant,
+        "gamma": gamma,
+        "scheduled_rho": base.rho,
+        "scheduled_lambda": base.lam,
+        "scheduled_epsilon": base.epsilon,
+    }
     return ScalingResult(
         experiment=cfg.experiment,
         columns=_PICARD_COLUMNS,
@@ -1419,172 +1502,8 @@ def _picard_result(cfg, rows, checks, constants, flags):
         slopes={},
         constants=constants,
         checks=tuple(checks),
-        flags=tuple(flags),
+        flags=(),
     )
-
-
-def run_picard_steady(cfg: ExperimentConfig) -> ScalingResult:
-    """Run the steady fixed-point construction on a shrinking radius ladder.
-
-    The radius is scheduled once from the configured start, then the run is
-    repeated at half and quarter radius; every run must contract at a rate
-    below one half, the rates must decrease down the ladder, and a fresh
-    application of the solution map must reproduce the fixed point within
-    twice the stopping tolerance.
-    """
-    _require_experiment(cfg, EXPERIMENT_PICARD_STEADY)
-    grid = cfg.grid
-    profile, gamma, constant, base = _picard_schedule(cfg)
-    lifting = build_lifting(0.0, cfg.cutoff_spec(), grid)
-    direction = random_divergence_free(grid, [cfg.seed, 41], mode_cap=cfg.mode_cap)
-    unit_size = lq_norm(direction, cfg.q) + negative_norm_surrogate(
-        direction, cfg.r
-    )
-    rows = []
-    checks: list[CheckRecord] = []
-    for j, rho in enumerate((base.rho, base.rho / 2.0, base.rho / 4.0)):
-        pcfg = PicardConfig.from_schedule(
-            profile, rho, gamma, tol=cfg.tol, max_iter=60
-        )
-        forcing = direction * (0.5 * pcfg.epsilon / unit_size)
-        forcing_size = lq_norm(forcing, cfg.q) + negative_norm_surrogate(
-            forcing, cfg.r
-        )
-        pair, report = picard_steady(forcing, pcfg, lifting=lifting)
-        solution_norm = lambda_norm(pair.velocity, pcfg.lam, cfg.q, cfg.r)
-        rows.append(
-            (
-                rho,
-                pcfg.lam,
-                pcfg.epsilon,
-                forcing_size,
-                float(report.iterations),
-                report.contraction_rate,
-                report.final_residual,
-                solution_norm,
-                report.residual_momentum,
-                report.residual_div,
-            )
-        )
-        tag = f"rho_{j}"
-        checks.append(
-            _check_lt(f"contraction_rate_{tag}", report.contraction_rate, 0.5)
-        )
-        checks.append(
-            _check_le(
-                f"certificate_{tag}",
-                report.final_residual,
-                2.0 * cfg.tol * solution_norm,
-            )
-        )
-        if j == 0:
-            # A start elsewhere in the ball must reach the same fixed point.
-            alt = random_divergence_free(grid, [cfg.seed, 42], mode_cap=cfg.mode_cap)
-            alt = alt * (0.5 * rho / lambda_norm(alt, pcfg.lam, cfg.q, cfg.r))
-            other_pair, _ = picard_steady(forcing, pcfg, lifting=lifting, initial=alt)
-            distance = lambda_norm(
-                other_pair.velocity - pair.velocity, pcfg.lam, cfg.q, cfg.r
-            )
-            checks.append(
-                _check_le(
-                    "initial_iterate_independence",
-                    distance,
-                    10.0 * cfg.tol * solution_norm,
-                )
-            )
-    constants = {
-        "fitted_constant": constant,
-        "gamma": gamma,
-        "scheduled_rho": base.rho,
-        "scheduled_lambda": base.lam,
-        "scheduled_epsilon": base.epsilon,
-    }
-    return _picard_result(cfg, rows, checks, constants, [])
-
-
-def run_picard_tp(cfg: ExperimentConfig) -> ScalingResult:
-    """Time-periodic analog of :func:`run_picard_steady`."""
-    _require_experiment(cfg, EXPERIMENT_PICARD_TP)
-    grid = cfg.grid
-    profile, gamma, constant, base = _picard_schedule(cfg)
-    lifting = build_lifting(0.0, cfg.cutoff_spec(), grid)
-    direction = random_timeperiodic_forcing(
-        grid, cfg.period, cfg.time_modes, [cfg.seed, 51], mode_cap=cfg.mode_cap
-    )
-    unit_size = lq_norm(direction, cfg.q) + negative_norm_surrogate(
-        project_steady(direction), cfg.r
-    )
-    rows = []
-    checks: list[CheckRecord] = []
-    for j, rho in enumerate((base.rho, base.rho / 2.0, base.rho / 4.0)):
-        pcfg = PicardConfig.from_schedule(
-            profile, rho, gamma, tol=cfg.tol, max_iter=60
-        )
-        scale = 0.5 * pcfg.epsilon / unit_size
-        forcing = TimePeriodicField(grid, cfg.period, direction.modes * scale)
-        forcing_size = lq_norm(forcing, cfg.q) + negative_norm_surrogate(
-            project_steady(forcing), cfg.r
-        )
-        (velocity, _pressure), report = picard_timeperiodic(
-            forcing, pcfg, lifting=lifting
-        )
-        solution_norm = driver_norm_timeperiodic(velocity, pcfg.lam, cfg.q, cfg.r)
-        rows.append(
-            (
-                rho,
-                pcfg.lam,
-                pcfg.epsilon,
-                forcing_size,
-                float(report.iterations),
-                report.contraction_rate,
-                report.final_residual,
-                solution_norm,
-                report.residual_momentum,
-                report.residual_div,
-            )
-        )
-        tag = f"rho_{j}"
-        checks.append(
-            _check_lt(f"contraction_rate_{tag}", report.contraction_rate, 0.5)
-        )
-        checks.append(
-            _check_le(
-                f"certificate_{tag}",
-                report.final_residual,
-                2.0 * cfg.tol * solution_norm,
-            )
-        )
-        if j == 0:
-            # A start elsewhere in the ball must reach the same fixed point.
-            alt = random_timeperiodic_forcing(
-                grid, cfg.period, direction.max_mode, [cfg.seed, 52],
-                mode_cap=cfg.mode_cap,
-            )
-            alt_scale = 0.5 * rho / driver_norm_timeperiodic(
-                alt, pcfg.lam, cfg.q, cfg.r
-            )
-            initial = TimePeriodicField(grid, cfg.period, alt.modes * alt_scale)
-            (other_velocity, _), _report = picard_timeperiodic(
-                forcing, pcfg, lifting=lifting, initial=initial
-            )
-            distance = driver_norm_timeperiodic(
-                other_velocity - velocity, pcfg.lam, cfg.q, cfg.r
-            )
-            checks.append(
-                _check_le(
-                    "initial_iterate_independence",
-                    distance,
-                    10.0 * cfg.tol * solution_norm,
-                )
-            )
-    constants = {
-        "fitted_constant": constant,
-        "gamma": gamma,
-        "scheduled_rho": base.rho,
-        "scheduled_lambda": base.lam,
-        "scheduled_epsilon": base.epsilon,
-    }
-    return _picard_result(cfg, rows, checks, constants, [])
 
 
 # ---------------------------------------------------------------------------
@@ -1629,8 +1548,8 @@ RUNNERS = {
     EXPERIMENT_SCALING_STEADY: run_scaling_steady,
     EXPERIMENT_SCALING_TP: run_scaling_tp,
     EXPERIMENT_BILINEAR: run_bilinear_ensemble,
-    EXPERIMENT_PICARD_STEADY: run_picard_steady,
-    EXPERIMENT_PICARD_TP: run_picard_tp,
+    EXPERIMENT_PICARD_STEADY: run_picard,
+    EXPERIMENT_PICARD_TP: run_picard,
     EXPERIMENT_LIFTING: run_lifting_check,
 }
 

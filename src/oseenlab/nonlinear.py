@@ -1,4 +1,5 @@
-"""Quadratic momentum nonlinearity around the lifting, and its time split.
+"""Quadratic momentum nonlinearity around the lifting, and the dealiased
+convective product.
 
 The nonlinearity of the perturbation u around the lifting field is
 
@@ -30,8 +31,6 @@ back to |k| <= K.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .fields import (
@@ -62,34 +61,6 @@ def _convective(grid: GridSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _truncate_samples(grid, acc)
 
 
-def _quadratic_terms(
-    grid: GridSpec, a: np.ndarray, lifting: LiftingField
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(a . grad)a, (a . grad)V and (V . grad)a for one physical sample.
-
-    One forward transform of ``a`` feeds the truncated samples and every
-    gradient axis; each product is accumulated axis by axis and truncated
-    on its own.
-    """
-    a_hat = _fftn(a, grid.dim) * grid.dealias_mask
-    a_t = _ifftn(a_hat, grid.dim).real
-    values = lifting.velocity.components
-    conv = np.zeros(a.shape)
-    adv = np.zeros(a.shape)
-    ladv = np.zeros(a.shape)
-    for k in range(grid.dim):
-        da = _ifftn(a_hat * (1j * grid.wavenumber(k)), grid.dim).real
-        conv = conv + a_t[k] * da
-        adv = adv + a_t[k] * lifting.jacobian[:, k]
-        ladv = ladv + values[k] * da
-    # Drop the spectra first so the truncations do not raise peak memory.
-    del a_hat, a_t, da
-    conv = _truncate_samples(grid, conv)
-    adv = _truncate_samples(grid, adv)
-    ladv = _truncate_samples(grid, ladv)
-    return conv, adv, ladv
-
-
 def _lifting_only_terms(lifting: LiftingField, lam: float) -> np.ndarray:
     """-(V . grad)V + laplacian(V) - lam * d1(V), the u-independent forcing."""
     return (
@@ -109,8 +80,28 @@ def _check_inputs(u_grid: GridSpec, lifting: LiftingField, lam: float) -> None:
 def _quadratic_samples(
     grid: GridSpec, a: np.ndarray, lifting: LiftingField
 ) -> np.ndarray:
-    """(a . grad)a + (a . grad)V + (V . grad)a for one physical sample."""
-    conv, adv, ladv = _quadratic_terms(grid, a, lifting)
+    """(a . grad)a + (a . grad)V + (V . grad)a for one physical sample.
+
+    One forward transform of ``a`` feeds the truncated samples and every
+    gradient axis; each product is accumulated axis by axis, truncated on
+    its own, and the three are summed in this order.
+    """
+    a_hat = _fftn(a, grid.dim) * grid.dealias_mask
+    a_t = _ifftn(a_hat, grid.dim).real
+    values = lifting.velocity.components
+    conv = np.zeros(a.shape)
+    adv = np.zeros(a.shape)
+    ladv = np.zeros(a.shape)
+    for k in range(grid.dim):
+        da = _ifftn(a_hat * (1j * grid.wavenumber(k)), grid.dim).real
+        conv = conv + a_t[k] * da
+        adv = adv + a_t[k] * lifting.jacobian[:, k]
+        ladv = ladv + values[k] * da
+    # Drop the spectra first so the truncations do not raise peak memory.
+    del a_hat, a_t, da
+    conv = _truncate_samples(grid, conv)
+    adv = _truncate_samples(grid, adv)
+    ladv = _truncate_samples(grid, ladv)
     return conv + adv + ladv
 
 
@@ -147,109 +138,6 @@ def nonlinearity(
         modes[u.max_mode] = modes[u.max_mode] + _lifting_only_terms(lifting, lam)
         return TimePeriodicField._adopt(grid, u.period, modes)
     raise TypeError(f"cannot evaluate the nonlinearity of {type(u).__name__}")
-
-
-@dataclass(frozen=True)
-class NonlinearitySplit:
-    """Steady/oscillatory decomposition of the nonlinearity.
-
-    ``steady_terms`` and ``oscillatory_terms`` hold the individual summands
-    (signs included), keyed by structure; their sums are ``steady`` and
-    ``oscillatory``.
-    """
-
-    steady: VectorField
-    oscillatory: TimePeriodicField
-    steady_terms: dict[str, VectorField]
-    oscillatory_terms: dict[str, TimePeriodicField]
-
-
-def _oscillatory_from_samples(
-    grid: GridSpec, period: float, samples: np.ndarray, max_mode: int
-) -> TimePeriodicField:
-    tp = TimePeriodicField.from_time_samples(grid, period, samples, max_mode)
-    modes = tp.modes.copy()
-    modes[max_mode] = 0.0
-    return TimePeriodicField._adopt(grid, period, modes)
-
-
-def split_nonlinearity(
-    u: TimePeriodicField, lifting: LiftingField, lam: float | None = None
-) -> NonlinearitySplit:
-    """Time-average part and zero-average part of the nonlinearity.
-
-    With v the time average of u and w its oscillation, the steady part
-    collects the seven time-constant summands and the oscillatory part the
-    five zero-average ones; adding the two reproduces
-    :func:`nonlinearity` up to round-off.
-    """
-    if lam is None:
-        lam = lifting.lambda_used
-    _check_inputs(u.grid, lifting, lam)
-    grid = u.grid
-    if u.ncomp != grid.dim:
-        raise ValueError("time-periodic input must be vector-valued")
-    max_mode = u.max_mode
-    num_samples = 4 * max_mode + 1
-    v = u.mode(0).real
-    samples = u.sample_times(num_samples)
-    w_samples = samples - v[None]
-
-    v_adv_v, v_adv_lift, lift_adv_v = _quadratic_terms(grid, v, lifting)
-    lift_adv_lift = lifting.self_advection
-    v_adv_w = _convective(grid, v, w_samples)
-    w_adv_v = _convective(grid, w_samples, v)
-
-    w_adv_w = np.empty_like(samples)
-    w_adv_lift = np.empty_like(samples)
-    lift_adv_w = np.empty_like(samples)
-    for j in range(num_samples):
-        w_adv_w[j], w_adv_lift[j], lift_adv_w[j] = _quadratic_terms(
-            grid, w_samples[j], lifting
-        )
-
-    w_adv_w_tp = TimePeriodicField.from_time_samples(
-        grid, u.period, w_adv_w, max_mode
-    )
-    w_adv_w_mean = w_adv_w_tp.mode(0).real
-    w_adv_w_osc_modes = w_adv_w_tp.modes.copy()
-    w_adv_w_osc_modes[max_mode] = 0.0
-
-    steady_terms = {
-        "v_adv_v": VectorField(grid, -v_adv_v),
-        "w_adv_w_mean": VectorField(grid, -w_adv_w_mean),
-        "v_adv_lift": VectorField(grid, -v_adv_lift),
-        "lift_adv_v": VectorField(grid, -lift_adv_v),
-        "lift_adv_lift": VectorField(grid, -lift_adv_lift),
-        "lift_laplacian": VectorField(grid, lifting.laplacian.copy()),
-        "lift_drift": VectorField(grid, -lam * lifting.jacobian[:, 0]),
-    }
-    oscillatory_terms = {
-        "v_adv_w": -_oscillatory_from_samples(grid, u.period, v_adv_w, max_mode),
-        "w_adv_v": -_oscillatory_from_samples(grid, u.period, w_adv_v, max_mode),
-        "w_adv_w_osc": -TimePeriodicField(grid, u.period, w_adv_w_osc_modes),
-        "w_adv_lift": -_oscillatory_from_samples(
-            grid, u.period, w_adv_lift, max_mode
-        ),
-        "lift_adv_w": -_oscillatory_from_samples(
-            grid, u.period, lift_adv_w, max_mode
-        ),
-    }
-
-    steady = VectorField.zeros(grid)
-    for term in steady_terms.values():
-        steady = steady + term
-    oscillatory = TimePeriodicField(
-        grid, u.period, np.zeros((2 * max_mode + 1, grid.dim) + grid.shape, complex)
-    )
-    for term in oscillatory_terms.values():
-        oscillatory = oscillatory + term
-    return NonlinearitySplit(
-        steady=steady,
-        oscillatory=oscillatory,
-        steady_terms=steady_terms,
-        oscillatory_terms=oscillatory_terms,
-    )
 
 
 def convective_product(

@@ -153,39 +153,14 @@ def _riesz_gradient_inverse_laplacian(
     return out
 
 
-def _negative_norm_of_coefficients(
-    grid: GridSpec, coeff: np.ndarray, r: float
-) -> float:
-    tensor = _riesz_gradient_inverse_laplacian(grid, coeff)
-    samples = _ifftn(tensor.reshape((-1,) + grid.shape), grid.dim).real
-    return _lq_of_array(grid, samples, r)
-
-
 def negative_norm_surrogate(field: ScalarField | VectorField, r: float) -> float:
     """Surrogate |f|_{-1,r} = ||grad (-Delta)^{-1} f||_r, mean projected out."""
     r = _check_exponent(r, "r")
     grid = field.grid
     coeff = _fftn(_component_array(field), grid.dim)
-    return _negative_norm_of_coefficients(grid, coeff, r)
-
-
-def negative_norm_surrogate_flagged(
-    field: ScalarField | VectorField, r: float
-) -> tuple[float, bool, float]:
-    """Like :func:`negative_norm_surrogate`, also reporting mean projection.
-
-    Returns (value, mean_was_projected, relative_mean_magnitude); a nonzero
-    box mean is not an error, it is removed and flagged.
-    """
-    r = _check_exponent(r, "r")
-    grid = field.grid
-    coeff = _fftn(_component_array(field), grid.dim)
-    zero_index = (slice(None),) + (0,) * grid.dim
-    mean_mag = float(np.linalg.norm(coeff[zero_index]))
-    scale = float(np.sqrt(np.sum(np.abs(coeff) ** 2)))
-    relative_mean = mean_mag / scale if scale > 0 else 0.0
-    flagged = relative_mean > 1e-13
-    return _negative_norm_of_coefficients(grid, coeff, r), flagged, relative_mean
+    tensor = _riesz_gradient_inverse_laplacian(grid, coeff)
+    samples = _ifftn(tensor.reshape((-1,) + grid.shape), grid.dim).real
+    return _lq_of_array(grid, samples, r)
 
 
 def lambda_norm_pieces(

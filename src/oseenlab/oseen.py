@@ -1,5 +1,6 @@
 """Linear flow solvers: steady drift solve, per-frequency and time-periodic
-solves, steady/oscillatory projections, and a penalized-obstacle solve.
+solves, steady/oscillatory projections, residuals, and the iteration record
+of the fixed-point drivers.
 
 Every solve works coefficientwise on the shared zeroed-Nyquist wavenumbers,
 so applying the differential operator to a solution reproduces the forcing
@@ -13,7 +14,6 @@ box mean.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +25,6 @@ from .fields import (
     VectorField,
     _fftn,
     _ifftn,
-    _lock,
-    _owned_copy,
 )
 
 
@@ -207,65 +205,8 @@ def project_oscillatory(field: TimePeriodicField) -> TimePeriodicField:
 
 
 @dataclass(frozen=True)
-class ObstacleMask:
-    """0/1 indicator of a compact obstacle plus its penalization strength.
-
-    The indicator must leave a clearance of at least two cells at every box
-    face so the obstacle is compactly contained in the periodic cell.
-    """
-
-    grid: GridSpec
-    indicator: np.ndarray
-    penalization: float
-
-    def __post_init__(self) -> None:
-        arr = _owned_copy(self.indicator, np.float64)
-        if arr.shape != self.grid.shape:
-            raise ValueError(
-                f"indicator has shape {arr.shape}, expected {self.grid.shape}"
-            )
-        if not np.all((arr == 0.0) | (arr == 1.0)):
-            raise ValueError("indicator must be a 0/1 array")
-        if not self.penalization > 0:
-            raise ValueError(
-                f"penalization must be positive, got {self.penalization}"
-            )
-        n = self.grid.points_per_axis
-        for axis in range(self.grid.dim):
-            edge = np.take(arr, [0, 1, n - 2, n - 1], axis=axis)
-            if np.any(edge != 0.0):
-                raise ValueError(
-                    "obstacle touches the two-cell boundary layer of the box"
-                )
-        object.__setattr__(self, "indicator", _lock(arr))
-
-    @property
-    def is_empty(self) -> bool:
-        return not bool(np.any(self.indicator))
-
-    @property
-    def cell_count(self) -> int:
-        return int(np.sum(self.indicator))
-
-
-def ball_mask(
-    grid: GridSpec, radius: float, penalization: float, center=None
-) -> ObstacleMask:
-    """Indicator of the ball of given radius, centered in the box by default."""
-    if not radius > 0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    if center is None:
-        center = grid.center
-    dist_sq = np.zeros(grid.shape)
-    for axis, x in enumerate(grid.coordinates()):
-        dist_sq = dist_sq + (x - center[axis]) ** 2
-    indicator = (dist_sq <= radius * radius).astype(np.float64)
-    return ObstacleMask(grid, indicator, penalization)
-
-
-@dataclass(frozen=True)
 class SolveReport:
-    """Iteration record shared by the penalized and fixed-point drivers.
+    """Iteration record of the steady and time-periodic fixed-point drivers.
 
     ``iterates`` holds the update norms per iteration; ``contraction_rate``
     is the maximum consecutive-update ratio after the second update,
@@ -281,7 +222,6 @@ class SolveReport:
     residual_momentum: float
     residual_div: float
     wall_time_seconds: float
-    obstacle_max_speed: float | None = None
 
     @property
     def iterations(self) -> int:
@@ -325,100 +265,6 @@ def contraction_rate_from_updates(updates) -> float:
         if updates[m] > 0
     ]
     return max(ratios) if ratios else float("nan")
-
-
-class PenalizedConvergenceError(RuntimeError):
-    """Penalized iteration failed to converge; carries the partial report."""
-
-    def __init__(self, message: str, report: SolveReport) -> None:
-        super().__init__(message)
-        self.report = report
-
-
-def _l2_of_components(grid: GridSpec, components: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(np.sum(components * components, axis=0)) * grid.volume))
-
-
-def solve_exterior_penalized(
-    f: VectorField,
-    params: OseenParams,
-    mask: ObstacleMask,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-    initial: VectorField | None = None,
-) -> tuple[StokesPair, SolveReport]:
-    """Drift solve with an obstacle enforced by volume penalization.
-
-    Richardson iteration preconditioned by the unobstructed solve:
-    u ← solve(f - indicator * u / penalization).  The obstacle drains
-    momentum, so the converged velocity is small inside it; the maximum
-    speed on the obstacle is reported, not asserted.  Raises
-    :class:`PenalizedConvergenceError` when updates grow three times in a
-    row or ``max_iter`` is exhausted.
-    """
-    grid = f.grid
-    _check_params(grid, params)
-    if mask.grid != grid:
-        raise ValueError("mask and forcing live on different grids")
-    if initial is not None and initial.grid != grid:
-        raise ValueError("initial iterate lives on a different grid")
-    start = time.perf_counter()
-    inv_eta = 1.0 / mask.penalization
-    u = initial if initial is not None else solve_steady(f, params).velocity
-    updates: list[float] = []
-    grow_streak = 0
-    converged = False
-    pair = StokesPair(u, ScalarField.zeros(grid))
-    # The update test is relative to the larger of the velocity scale and
-    # the forcing scale: a forcing whose solution is (numerically) zero must
-    # still converge instead of chasing round-off noise.
-    f_scale = _l2_of_components(grid, f.components)
-    for _ in range(max_iter):
-        forcing = VectorField(
-            grid, f.components - inv_eta * mask.indicator * u.components
-        )
-        pair = solve_steady(forcing, params)
-        delta = _l2_of_components(grid, pair.velocity.components - u.components)
-        scale = _l2_of_components(grid, pair.velocity.components)
-        updates.append(delta)
-        if len(updates) >= 2 and updates[-2] > 0 and delta >= updates[-2]:
-            grow_streak += 1
-        else:
-            grow_streak = 0
-        u = pair.velocity
-        if delta <= tol * max(scale, f_scale, 1e-300):
-            converged = True
-            break
-        if grow_streak >= 3:
-            break
-    effective = VectorField(
-        grid, f.components - inv_eta * mask.indicator * u.components
-    )
-    res_mom, res_div = residual(pair, effective, params)
-    speed = pair.velocity.magnitude()
-    on_obstacle = speed[mask.indicator > 0.5]
-    report = SolveReport(
-        lam=params.lam,
-        grid_points=grid.points_per_axis,
-        iterates=tuple(updates),
-        contraction_rate=contraction_rate_from_updates(updates),
-        final_residual=updates[-1] if updates else 0.0,
-        converged=converged,
-        residual_momentum=res_mom,
-        residual_div=res_div,
-        wall_time_seconds=time.perf_counter() - start,
-        obstacle_max_speed=float(np.max(on_obstacle)) if on_obstacle.size else 0.0,
-    )
-    if not converged:
-        reason = "updates grew three times in a row" if grow_streak >= 3 else (
-            f"no convergence within {max_iter} iterations"
-        )
-        raise PenalizedConvergenceError(
-            f"penalized iteration failed: {reason}; "
-            f"final update {report.final_residual:.3e}",
-            report,
-        )
-    return pair, report
 
 
 def residual(

@@ -1,12 +1,15 @@
 """Contraction-driven fixed-point solvers for the nonlinear problem.
 
-The steady driver iterates u <- solve(f + nonlinearity(u)) and measures
-progress in the wake-weighted norm; the time-periodic driver does the same
-with the mode-stack solver and measures progress in the decomposed norm
-(wake-weighted norm of the time average plus maximal-regularity norm of
-the oscillation).  Both enforce the small-data gate on the forcing, keep
-every iterate inside the ball of radius rho, and re-derive a fixed-point
-certificate from scratch after convergence.
+Both drivers run one loop, u <- solve(f + nonlinearity(u)).  The steady
+driver solves with the drift solve and measures progress in the
+wake-weighted norm; the time-periodic driver solves mode by mode and
+measures progress in the decomposed norm (wake-weighted norm of the time
+average plus maximal-regularity norm of the oscillation).  The loop enforces
+the small-data gate on the forcing, keeps every iterate inside the ball of
+radius rho, stops on a relative update below the tolerance, gives up after
+three growing updates in a row, and re-derives a fixed-point certificate
+from scratch after convergence.  Every failure after the start raises a
+:class:`PicardRunError` carrying the partial report.
 
 The radius schedule ties the drift coefficient and the data budget to one
 small parameter: lam = epsilon = rho^gamma, with rho halved until the two
@@ -26,7 +29,7 @@ from .exponents import (
     ExponentProfile,
     admissibility,
 )
-from .fields import GridSpec, ScalarField, TimePeriodicField, VectorField
+from .fields import GridSpec, TimePeriodicField, VectorField
 from .lifting import LiftingField, build_lifting, default_cutoff
 from .nonlinear import nonlinearity
 from .norms import lambda_norm, lq_norm, maxreg_norm, negative_norm_surrogate
@@ -51,28 +54,25 @@ class RadiusFloorError(ValueError):
     """Radius halving hit the floor before the smallness inequalities held."""
 
 
-class RadiusEscapeError(RuntimeError):
-    """An iterate left the radius-rho ball; carries the partial report."""
+class PicardRunError(RuntimeError):
+    """A fixed-point run that failed after it started; carries its partial
+    report (``converged`` is False)."""
 
     def __init__(self, message: str, report: SolveReport) -> None:
         super().__init__(message)
         self.report = report
 
 
-class PicardDivergenceError(RuntimeError):
-    """Updates grew three times in a row; carries the partial report."""
-
-    def __init__(self, message: str, report: SolveReport) -> None:
-        super().__init__(message)
-        self.report = report
+class RadiusEscapeError(PicardRunError):
+    """An iterate left the radius-rho ball."""
 
 
-class PicardConvergenceError(RuntimeError):
-    """Iteration budget exhausted before the tolerance; carries the report."""
+class PicardDivergenceError(PicardRunError):
+    """Updates grew three times in a row."""
 
-    def __init__(self, message: str, report: SolveReport) -> None:
-        super().__init__(message)
-        self.report = report
+
+class PicardConvergenceError(PicardRunError):
+    """Iteration budget exhausted before the tolerance."""
 
 
 @dataclass(frozen=True)
@@ -207,6 +207,13 @@ def driver_norm_timeperiodic(
     )
 
 
+def data_size(f: VectorField | TimePeriodicField, q: float, r: float) -> float:
+    """The size the small-data gate bounds by epsilon: the L^q norm of the
+    forcing plus the negative-norm surrogate of its time average."""
+    average = f.steady_part() if isinstance(f, TimePeriodicField) else f
+    return lq_norm(f, q) + negative_norm_surrogate(average, r)
+
+
 def _resolve_lifting(
     lifting: LiftingField | None, grid: GridSpec, lam: float
 ) -> LiftingField:
@@ -240,23 +247,121 @@ def _check_admissible(profile: ExponentProfile, grid: GridSpec, problem: str) ->
         )
 
 
-def _partial_report(
+def _report(
     cfg: PicardConfig,
     grid: GridSpec,
     updates: list[float],
     start: float,
+    certificate: float | None = None,
+    residuals: tuple[float, float] = (float("nan"), float("nan")),
 ) -> SolveReport:
+    """Run record; without a certificate it is the partial report of a failure."""
     return SolveReport(
         lam=cfg.lam,
         grid_points=grid.points_per_axis,
         iterates=tuple(updates),
         contraction_rate=contraction_rate_from_updates(updates),
-        final_residual=float("nan"),
-        converged=False,
-        residual_momentum=float("nan"),
-        residual_div=float("nan"),
+        final_residual=float("nan") if certificate is None else certificate,
+        converged=certificate is not None,
+        residual_momentum=residuals[0],
+        residual_div=residuals[1],
         wall_time_seconds=time.perf_counter() - start,
     )
+
+
+def _fixed_point(
+    f,
+    cfg: PicardConfig,
+    lifting: LiftingField | None,
+    initial,
+    problem: str,
+    zeros,
+    solve,
+    norm,
+    residual_of,
+    certificate_pressure: bool,
+):
+    """The contraction loop behind both drivers; returns (u, p, report).
+
+    ``solve(forcing, params)`` gives (velocity, pressure), ``norm`` has the
+    signature of :func:`lambda_norm`, ``residual_of(u, p, forcing, params)``
+    gives the two residual norms and ``zeros()`` builds the zero iterate of
+    the default start.  The returned pressure is the last iterate's, or the
+    certificate solve's when ``certificate_pressure`` is set.
+    """
+    grid = f.grid
+    _check_admissible(cfg.profile, grid, problem)
+    q, r = cfg.profile.q, cfg.profile.r
+    size = data_size(f, q, r)
+    if size > cfg.epsilon * (1.0 + 1e-12):
+        raise GateError(
+            f"forcing size {size:.6e} exceeds the budget {cfg.epsilon:.6e}"
+        )
+    lifting = _resolve_lifting(lifting, grid, cfg.lam)
+    params = OseenParams(lam=cfg.lam, lam_max=max(16.0, cfg.lam))
+    start = time.perf_counter()
+
+    if initial is None:
+        u = solve(f + nonlinearity(zeros(), lifting, cfg.lam), params)[0]
+    elif initial.grid != grid:
+        raise ValueError("initial iterate lives on a different grid")
+    elif getattr(initial, "period", None) != getattr(f, "period", None):
+        raise ValueError("initial iterate is incompatible with the forcing")
+    else:
+        u = initial
+
+    updates: list[float] = []
+    grow_streak = 0
+    norm_u = norm(u, cfg.lam, q, r)
+    if norm_u > cfg.rho * (1.0 + 1e-9):
+        raise RadiusEscapeError(
+            f"initial iterate norm {norm_u:.6e} exceeds rho {cfg.rho:.6e}",
+            _report(cfg, grid, updates, start),
+        )
+    for _ in range(cfg.max_iter):
+        u_new, pressure = solve(f + nonlinearity(u, lifting, cfg.lam), params)
+        delta = norm(u_new - u, cfg.lam, q, r)
+        scale = norm(u_new, cfg.lam, q, r)
+        updates.append(delta)
+        u = u_new
+        if scale > cfg.rho * (1.0 + 1e-9):
+            raise RadiusEscapeError(
+                f"iterate norm {scale:.6e} left the ball of radius {cfg.rho:.6e}",
+                _report(cfg, grid, updates, start),
+            )
+        if delta <= cfg.tol * scale:
+            break
+        if len(updates) >= 2 and updates[-2] > 0 and delta >= updates[-2]:
+            grow_streak += 1
+            if grow_streak >= 3:
+                raise PicardDivergenceError(
+                    "update norms grew three times in a row",
+                    _report(cfg, grid, updates, start),
+                )
+        else:
+            grow_streak = 0
+    else:
+        raise PicardConvergenceError(
+            f"no convergence within {cfg.max_iter} iterations",
+            _report(cfg, grid, updates, start),
+        )
+
+    forcing_star = f + nonlinearity(u, lifting, cfg.lam)
+    u_check, p_check = solve(forcing_star, params)
+    certificate = norm(u_check - u, cfg.lam, q, r)
+    if certificate_pressure:
+        pressure = p_check
+    residuals = residual_of(u, pressure, forcing_star, params)
+    return u, pressure, _report(cfg, grid, updates, start, certificate, residuals)
+
+
+def _solve_steady_pair(forcing: VectorField, params: OseenParams):
+    pair = solve_steady(forcing, params)
+    return pair.velocity, pair.pressure
+
+
+def _residual_steady(velocity, pressure, forcing, params):
+    return residual(StokesPair(velocity, pressure), forcing, params)
 
 
 def picard_steady(
@@ -269,86 +374,15 @@ def picard_steady(
 
     The default initial iterate is one linear solve of the forcing plus the
     u-independent part of the nonlinearity; any start inside the radius ball
-    converges to the same fixed point at small data.
+    converges to the same fixed point at small data.  The returned pressure
+    and the residuals belong to the last iterate.
     """
     grid = f.grid
-    profile = cfg.profile
-    _check_admissible(profile, grid, PROBLEM_STEADY)
-    q, r = profile.q, profile.r
-    data_size = lq_norm(f, q) + negative_norm_surrogate(f, r)
-    if data_size > cfg.epsilon * (1.0 + 1e-12):
-        raise GateError(
-            f"forcing size {data_size:.6e} exceeds the budget {cfg.epsilon:.6e}"
-        )
-    lifting = _resolve_lifting(lifting, grid, cfg.lam)
-    params = OseenParams(lam=cfg.lam, lam_max=max(16.0, cfg.lam))
-    start = time.perf_counter()
-
-    if initial is None:
-        forcing0 = f + nonlinearity(VectorField.zeros(grid), lifting, cfg.lam)
-        pair = solve_steady(forcing0, params)
-        u = pair.velocity
-    else:
-        if initial.grid != grid:
-            raise ValueError("initial iterate lives on a different grid")
-        pair = StokesPair(initial, ScalarField.zeros(grid))
-        u = initial
-
-    updates: list[float] = []
-    grow_streak = 0
-    converged = False
-    norm_u = lambda_norm(u, cfg.lam, q, r)
-    if norm_u > cfg.rho * (1.0 + 1e-9):
-        raise RadiusEscapeError(
-            f"initial iterate norm {norm_u:.6e} exceeds rho {cfg.rho:.6e}",
-            _partial_report(cfg, grid, updates, start),
-        )
-    for _ in range(cfg.max_iter):
-        pair_new = solve_steady(f + nonlinearity(u, lifting, cfg.lam), params)
-        delta = lambda_norm(pair_new.velocity - u, cfg.lam, q, r)
-        scale = lambda_norm(pair_new.velocity, cfg.lam, q, r)
-        updates.append(delta)
-        pair = pair_new
-        u = pair_new.velocity
-        if scale > cfg.rho * (1.0 + 1e-9):
-            raise RadiusEscapeError(
-                f"iterate norm {scale:.6e} left the ball of radius {cfg.rho:.6e}",
-                _partial_report(cfg, grid, updates, start),
-            )
-        if delta <= cfg.tol * scale:
-            converged = True
-            break
-        if len(updates) >= 2 and updates[-2] > 0 and delta >= updates[-2]:
-            grow_streak += 1
-            if grow_streak >= 3:
-                raise PicardDivergenceError(
-                    "update norms grew three times in a row",
-                    _partial_report(cfg, grid, updates, start),
-                )
-        else:
-            grow_streak = 0
-    if not converged:
-        raise PicardConvergenceError(
-            f"no convergence within {cfg.max_iter} iterations",
-            _partial_report(cfg, grid, updates, start),
-        )
-
-    forcing_star = f + nonlinearity(u, lifting, cfg.lam)
-    certificate_pair = solve_steady(forcing_star, params)
-    certificate = lambda_norm(certificate_pair.velocity - u, cfg.lam, q, r)
-    res_mom, res_div = residual(pair, forcing_star, params)
-    report = SolveReport(
-        lam=cfg.lam,
-        grid_points=grid.points_per_axis,
-        iterates=tuple(updates),
-        contraction_rate=contraction_rate_from_updates(updates),
-        final_residual=certificate,
-        converged=True,
-        residual_momentum=res_mom,
-        residual_div=res_div,
-        wall_time_seconds=time.perf_counter() - start,
+    u, pressure, report = _fixed_point(
+        f, cfg, lifting, initial, PROBLEM_STEADY, lambda: VectorField.zeros(grid),
+        _solve_steady_pair, lambda_norm, _residual_steady, certificate_pressure=False,
     )
-    return pair, report
+    return StokesPair(u, pressure), report
 
 
 def picard_timeperiodic(
@@ -360,89 +394,16 @@ def picard_timeperiodic(
     """Fixed point of the time-periodic problem; returns (velocity, pressure).
 
     Stopping, the radius ball, and the certificate all use the decomposed
-    norm from :func:`driver_norm_timeperiodic`.
+    norm from :func:`driver_norm_timeperiodic`.  The returned pressure and
+    the residuals pair the last iterate with the certificate solve's
+    pressure.
     """
     grid = f.grid
-    profile = cfg.profile
-    _check_admissible(profile, grid, PROBLEM_TP)
-    q, r = profile.q, profile.r
-    steady_forcing = f.steady_part()
-    data_size = lq_norm(f, q) + negative_norm_surrogate(steady_forcing, r)
-    if data_size > cfg.epsilon * (1.0 + 1e-12):
-        raise GateError(
-            f"forcing size {data_size:.6e} exceeds the budget {cfg.epsilon:.6e}"
-        )
-    lifting = _resolve_lifting(lifting, grid, cfg.lam)
-    params = OseenParams(lam=cfg.lam, lam_max=max(16.0, cfg.lam))
-    start = time.perf_counter()
-
-    if initial is None:
-        zero = TimePeriodicField(
-            grid,
-            f.period,
-            np.zeros((2 * f.max_mode + 1, grid.dim) + grid.shape, dtype=complex),
-        )
-        forcing0 = f + nonlinearity(zero, lifting, cfg.lam)
-        u, _ = solve_timeperiodic(forcing0, params)
-    else:
-        if initial.grid != grid or initial.period != f.period:
-            raise ValueError("initial iterate is incompatible with the forcing")
-        u = initial
-
-    pressure = None
-    updates: list[float] = []
-    grow_streak = 0
-    converged = False
-    norm_u = driver_norm_timeperiodic(u, cfg.lam, q, r)
-    if norm_u > cfg.rho * (1.0 + 1e-9):
-        raise RadiusEscapeError(
-            f"initial iterate norm {norm_u:.6e} exceeds rho {cfg.rho:.6e}",
-            _partial_report(cfg, grid, updates, start),
-        )
-    for _ in range(cfg.max_iter):
-        u_new, pressure = solve_timeperiodic(
-            f + nonlinearity(u, lifting, cfg.lam), params
-        )
-        delta = driver_norm_timeperiodic(u_new - u, cfg.lam, q, r)
-        scale = driver_norm_timeperiodic(u_new, cfg.lam, q, r)
-        updates.append(delta)
-        u = u_new
-        if scale > cfg.rho * (1.0 + 1e-9):
-            raise RadiusEscapeError(
-                f"iterate norm {scale:.6e} left the ball of radius {cfg.rho:.6e}",
-                _partial_report(cfg, grid, updates, start),
-            )
-        if delta <= cfg.tol * scale:
-            converged = True
-            break
-        if len(updates) >= 2 and updates[-2] > 0 and delta >= updates[-2]:
-            grow_streak += 1
-            if grow_streak >= 3:
-                raise PicardDivergenceError(
-                    "update norms grew three times in a row",
-                    _partial_report(cfg, grid, updates, start),
-                )
-        else:
-            grow_streak = 0
-    if not converged:
-        raise PicardConvergenceError(
-            f"no convergence within {cfg.max_iter} iterations",
-            _partial_report(cfg, grid, updates, start),
-        )
-
-    forcing_star = f + nonlinearity(u, lifting, cfg.lam)
-    u_check, pressure = solve_timeperiodic(forcing_star, params)
-    certificate = driver_norm_timeperiodic(u_check - u, cfg.lam, q, r)
-    res_mom, res_div = residual_timeperiodic(u, pressure, forcing_star, params)
-    report = SolveReport(
-        lam=cfg.lam,
-        grid_points=grid.points_per_axis,
-        iterates=tuple(updates),
-        contraction_rate=contraction_rate_from_updates(updates),
-        final_residual=certificate,
-        converged=True,
-        residual_momentum=res_mom,
-        residual_div=res_div,
-        wall_time_seconds=time.perf_counter() - start,
+    shape = (2 * f.max_mode + 1, grid.dim) + grid.shape
+    velocity, pressure, report = _fixed_point(
+        f, cfg, lifting, initial, PROBLEM_TP,
+        lambda: TimePeriodicField(grid, f.period, np.zeros(shape, dtype=complex)),
+        solve_timeperiodic, driver_norm_timeperiodic, residual_timeperiodic,
+        certificate_pressure=True,
     )
-    return (u, pressure), report
+    return (velocity, pressure), report

@@ -122,6 +122,14 @@ def test_threads_flag_accepted(capsys):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_nonpositive_threads_rejected(count, capsys):
+    assert main(["lifting-check", "--threads", count]) == 1
+    captured = capsys.readouterr()
+    assert "error: fft worker count must be a positive integer" in captured.err
+    assert "experiment:" not in captured.out
+
+
 def test_config_subcommand_mismatch(mms_ini, capsys):
     assert main(["scaling-steady", "--config", str(mms_ini)]) == 1
     err = capsys.readouterr().err

@@ -22,7 +22,6 @@ from oseenlab.fields import (
     truncate_modes,
 )
 from oseenlab.lifting import LiftingField, default_cutoff
-from oseenlab.oseen import ObstacleMask
 
 from conftest import trig_scalar, trig_values, trig_vector
 
@@ -266,12 +265,6 @@ def _owned_array_cases():
             complex,
             lambda grid, a: TimePeriodicField(grid, 1.0, a),
             lambda f: f.modes,
-        ),
-        "ObstacleMask": (
-            (),
-            float,
-            lambda grid, a: ObstacleMask(grid, a, 1.0),
-            lambda f: f.indicator,
         ),
         "LiftingField.jacobian": (
             (2, 2),

@@ -1,4 +1,4 @@
-"""Convective nonlinearity: closed-form mirrors, splitting, hand formulas."""
+"""Convective nonlinearity: closed-form mirrors, hand formulas, bitwise references."""
 
 from __future__ import annotations
 
@@ -17,31 +17,8 @@ from oseenlab.fields import (
     derivative,
 )
 from oseenlab.lifting import build_lifting, default_cutoff
-from oseenlab.nonlinear import (
-    NonlinearitySplit,
-    convective_product,
-    nonlinearity,
-    split_nonlinearity,
-)
+from oseenlab.nonlinear import convective_product, nonlinearity
 from oseenlab.norms import lq_norm
-
-STEADY_TERM_KEYS = {
-    "v_adv_v",
-    "w_adv_w_mean",
-    "v_adv_lift",
-    "lift_adv_v",
-    "lift_adv_lift",
-    "lift_laplacian",
-    "lift_drift",
-}
-OSCILLATORY_TERM_KEYS = {
-    "v_adv_w",
-    "w_adv_v",
-    "w_adv_w_osc",
-    "w_adv_lift",
-    "lift_adv_w",
-}
-
 
 def _axes(grid: GridSpec) -> tuple[int, ...]:
     return tuple(range(-grid.dim, 0))
@@ -227,60 +204,18 @@ def _oscillating_velocity(grid: GridSpec, period: float, seed: int, max_mode=2):
     return TimePeriodicField.from_modes(grid, period, modes)
 
 
-def test_split_reassembles_the_nonlinearity(grid2):
-    lifting = build_lifting(0.8, default_cutoff(grid2), grid2)
-    lam = 1.4
-    u = _oscillating_velocity(grid2, 2.0, seed=41)
-    split = split_nonlinearity(u, lifting, lam)
-    assert isinstance(split, NonlinearitySplit)
-    assert set(split.steady_terms) == STEADY_TERM_KEYS
-    assert set(split.oscillatory_terms) == OSCILLATORY_TERM_KEYS
-
-    total = nonlinearity(u, lifting, lam)
-    scale = np.max(np.abs(total.modes))
-    assert np.max(np.abs(split.steady.components - total.mode(0).real)) <= 1e-12 * scale
-    assert np.max(np.abs(split.oscillatory.mode(0))) <= 1e-12 * scale
-    for k in (1, 2):
-        assert np.max(np.abs(split.oscillatory.mode(k) - total.mode(k))) <= 1e-12 * scale
-
-    steady_sum = np.zeros_like(split.steady.components)
-    for term in split.steady_terms.values():
-        steady_sum = steady_sum + term.components
-    assert np.max(np.abs(steady_sum - split.steady.components)) <= 1e-12 * scale
-    osc_sum = np.zeros_like(split.oscillatory.modes)
-    for term in split.oscillatory_terms.values():
-        osc_sum = osc_sum + term.modes
-    assert np.max(np.abs(osc_sum - split.oscillatory.modes)) <= 1e-12 * scale
-
-
-def test_split_of_time_constant_velocity_has_no_oscillation(grid2):
-    lifting = build_lifting(0.8, default_cutoff(grid2), grid2)
-    lam = 1.0
-    u = trig_vector(grid2, 17, max_mode=3, terms=8)
-    u_tp = TimePeriodicField.from_steady(u, 2.0, max_mode=2)
-    split = split_nonlinearity(u_tp, lifting, lam)
-    steady_ref = nonlinearity(u, lifting, lam)
-    scale = np.max(np.abs(steady_ref.components))
-    assert np.max(np.abs(split.oscillatory.modes)) <= 1e-13 * scale
-    assert np.max(np.abs(split.steady.components - steady_ref.components)) <= 1e-13 * scale
-    for key in ("w_adv_w_mean",):
-        assert np.max(np.abs(split.steady_terms[key].components)) <= 1e-13 * scale
-
-
-def test_split_of_zero_mean_velocity_drops_mean_coupled_terms(grid2):
-    lifting = build_lifting(0.8, default_cutoff(grid2), grid2)
+def test_zero_mean_oscillation_drives_a_time_average(grid2):
+    # Without lifting, a velocity with no time average still feeds the k = 0
+    # mode through the product of its oscillation with itself.
+    lifting = _zero_lifting(grid2)
     zero_mode = np.zeros((grid2.dim,) + grid2.shape, complex)
     m1 = trig_vector(grid2, 61, max_mode=2, terms=6).components + 1j * trig_vector(
         grid2, 62, max_mode=2, terms=6
     ).components
     u = TimePeriodicField.from_modes(grid2, 2.0, [zero_mode, 0.4 * m1])
-    split = split_nonlinearity(u, lifting, 1.0)
-    scale = max(np.max(np.abs(split.steady.components)), np.max(np.abs(split.oscillatory.modes)))
-    for key in ("v_adv_v", "v_adv_lift", "lift_adv_v"):
-        assert np.max(np.abs(split.steady_terms[key].components)) <= 1e-13 * scale
-    for key in ("v_adv_w", "w_adv_v"):
-        assert np.max(np.abs(split.oscillatory_terms[key].modes)) <= 1e-13 * scale
-    assert np.max(np.abs(split.steady_terms["w_adv_w_mean"].components)) > 1e-13 * scale
+    out = nonlinearity(u, lifting, 1.0)
+    scale = np.max(np.abs(out.modes))
+    assert np.max(np.abs(out.mode(0))) > 1e-13 * scale
 
 
 def _unit_phase(grid: GridSpec, axis: int) -> np.ndarray:
@@ -386,8 +321,6 @@ def test_nonlinearity_input_validation(grid2):
     )
     with pytest.raises(ValueError, match="vector-valued"):
         nonlinearity(scalar_tp, lifting, 0.0)
-    with pytest.raises(ValueError, match="vector-valued"):
-        split_nonlinearity(scalar_tp, lifting, 0.0)
     with pytest.raises(TypeError, match="cannot evaluate the nonlinearity"):
         nonlinearity(trig_scalar(grid2, 6), lifting, 0.0)
 
@@ -477,65 +410,6 @@ def _ref_nonlinearity(u, lifting, lam):
     return modes
 
 
-def _ref_oscillatory(grid, period, samples, max_mode):
-    tp = TimePeriodicField.from_time_samples(grid, period, samples, max_mode)
-    modes = tp.modes.copy()
-    modes[max_mode] = 0.0
-    return TimePeriodicField(grid, period, modes)
-
-
-def _ref_split(u, lifting, lam):
-    grid = u.grid
-    max_mode = u.max_mode
-    num_samples = 4 * max_mode + 1
-    v = u.mode(0).real
-    samples = u.sample_times(num_samples)
-    w_samples = samples - v[None]
-    lifting_values = lifting.velocity.components
-    v_adv_v = _ref_convective(grid, v, v)
-    v_adv_lift = _ref_advect_lifting(grid, v, lifting.jacobian)
-    lift_adv_v = _ref_lifting_advect(grid, lifting_values, v)
-    lift_adv_lift = _ref_self_advection(lifting)
-    v_adv_w = np.empty_like(samples)
-    w_adv_v = np.empty_like(samples)
-    w_adv_w = np.empty_like(samples)
-    w_adv_lift = np.empty_like(samples)
-    lift_adv_w = np.empty_like(samples)
-    for j in range(num_samples):
-        w_j = w_samples[j]
-        v_adv_w[j] = _ref_convective(grid, v, w_j)
-        w_adv_v[j] = _ref_convective(grid, w_j, v)
-        w_adv_w[j] = _ref_convective(grid, w_j, w_j)
-        w_adv_lift[j] = _ref_advect_lifting(grid, w_j, lifting.jacobian)
-        lift_adv_w[j] = _ref_lifting_advect(grid, lifting_values, w_j)
-    w_adv_w_tp = TimePeriodicField.from_time_samples(grid, u.period, w_adv_w, max_mode)
-    w_adv_w_osc_modes = w_adv_w_tp.modes.copy()
-    w_adv_w_osc_modes[max_mode] = 0.0
-    steady_terms = {
-        "v_adv_v": -v_adv_v,
-        "w_adv_w_mean": -w_adv_w_tp.mode(0).real,
-        "v_adv_lift": -v_adv_lift,
-        "lift_adv_v": -lift_adv_v,
-        "lift_adv_lift": -lift_adv_lift,
-        "lift_laplacian": lifting.laplacian.copy(),
-        "lift_drift": -lam * lifting.jacobian[:, 0],
-    }
-    oscillatory_terms = {
-        "v_adv_w": -_ref_oscillatory(grid, u.period, v_adv_w, max_mode).modes,
-        "w_adv_v": -_ref_oscillatory(grid, u.period, w_adv_v, max_mode).modes,
-        "w_adv_w_osc": -TimePeriodicField(grid, u.period, w_adv_w_osc_modes).modes,
-        "w_adv_lift": -_ref_oscillatory(grid, u.period, w_adv_lift, max_mode).modes,
-        "lift_adv_w": -_ref_oscillatory(grid, u.period, lift_adv_w, max_mode).modes,
-    }
-    steady = np.zeros((grid.dim,) + grid.shape)
-    for term in steady_terms.values():
-        steady = steady + term
-    oscillatory = np.zeros((2 * max_mode + 1, grid.dim) + grid.shape, complex)
-    for term in oscillatory_terms.values():
-        oscillatory = oscillatory + term
-    return steady, oscillatory, steady_terms, oscillatory_terms
-
-
 def _ref_convective_product(a, b):
     grid = a.grid
     a_tp = isinstance(a, TimePeriodicField)
@@ -580,21 +454,6 @@ def test_time_periodic_nonlinearity_is_bitwise_the_reference(request, fixture_na
     u = _oscillating_velocity(grid, 2.5, 43, max_mode=2)
     out = nonlinearity(u, lifting, 0.7)
     assert np.array_equal(out.modes, _ref_nonlinearity(u, lifting, 0.7))
-
-
-@pytest.mark.parametrize("fixture_name", ["grid2", "grid3"])
-def test_split_nonlinearity_is_bitwise_the_reference(request, fixture_name):
-    grid = request.getfixturevalue(fixture_name)
-    lifting = _nonzero_lifting(grid)
-    u = _oscillating_velocity(grid, 2.5, 47, max_mode=1)
-    split = split_nonlinearity(u, lifting, 0.7)
-    steady, oscillatory, steady_terms, oscillatory_terms = _ref_split(u, lifting, 0.7)
-    assert np.array_equal(split.steady.components, steady)
-    assert np.array_equal(split.oscillatory.modes, oscillatory)
-    for key, term in steady_terms.items():
-        assert np.array_equal(split.steady_terms[key].components, term), key
-    for key, term in oscillatory_terms.items():
-        assert np.array_equal(split.oscillatory_terms[key].modes, term), key
 
 
 @pytest.mark.parametrize("fixture_name", ["grid2", "grid3"])

@@ -20,7 +20,6 @@ from oseenlab.norms import (
     lq_norm,
     maxreg_norm,
     negative_norm_surrogate,
-    negative_norm_surrogate_flagged,
     sobolev_full_norm,
     sobolev_seminorm,
     spacetime_l2_plancherel,
@@ -198,31 +197,14 @@ def test_negative_norm_r2_matches_plancherel(grid2):
     assert value == pytest.approx(expected, rel=1e-12)
 
 
-def test_negative_norm_mean_flagging(grid2):
+def test_negative_norm_ignores_the_box_mean(grid2):
     mean_free = trig_scalar(grid2, 14) - ScalarField(
         grid2, np.full(grid2.shape, float(np.mean(trig_values(grid2, 14))))
     )
-    _, flagged, rel_mean = negative_norm_surrogate_flagged(mean_free, 2.0)
-    assert not flagged
-    assert rel_mean <= 1e-12
     shifted = mean_free + ScalarField(grid2, np.full(grid2.shape, 2.0))
-    value_shifted, flagged, rel_mean = negative_norm_surrogate_flagged(shifted, 2.0)
-    assert flagged
-    assert rel_mean > 0.1
     value_free = negative_norm_surrogate(mean_free, 2.0)
-    assert value_shifted == pytest.approx(value_free, rel=1e-12)
-
-
-def test_negative_norm_equals_the_flagged_value_exactly(grid2, grid3):
-    fields = (
-        trig_scalar(grid2, 23),
-        trig_scalar(grid2, 24) + ScalarField(grid2, np.full(grid2.shape, 1.5)),
-        trig_vector(grid3, 25),
-    )
-    for field in fields:
-        for r in (1.5, 2.0, 3.0):
-            value, _, _ = negative_norm_surrogate_flagged(field, r)
-            assert negative_norm_surrogate(field, r) == value
+    assert value_free > 0
+    assert negative_norm_surrogate(shifted, 2.0) == pytest.approx(value_free, rel=1e-12)
 
 
 def test_negative_norm_of_derivative_is_bounded_at_r2(grid2):

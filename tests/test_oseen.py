@@ -1,10 +1,11 @@
-"""Steady and time-periodic drift solver behavior, penalized obstacles."""
+"""Steady and time-periodic drift solver behavior, wake signature, reports."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from oseenlab.exponents import ExponentProfile
 from oseenlab.fields import (
     GridSpec,
     ScalarField,
@@ -13,26 +14,25 @@ from oseenlab.fields import (
     divergence,
     gradient,
 )
+from oseenlab.harness import random_divergence_free
 from oseenlab.lifting import build_lifting, default_cutoff
 from oseenlab.norms import lq_norm
 from oseenlab.oseen import (
-    ObstacleMask,
     OseenParams,
-    PenalizedConvergenceError,
     StokesPair,
-    ball_mask,
     contraction_rate_from_updates,
     leray_project,
     project_oscillatory,
     project_steady,
     residual,
     residual_timeperiodic,
-    solve_exterior_penalized,
     solve_mode,
     solve_steady,
     solve_timeperiodic,
     wake_asymmetry,
 )
+
+from oseenlab.picard import PicardConfig, data_size, picard_steady
 
 from conftest import trig_scalar, trig_values, trig_vector
 
@@ -403,108 +403,11 @@ def test_timeperiodic_residual_of_exact_solution(grid2):
 
 
 # ---------------------------------------------------------------------------
-# obstacle masks
-
-
-def test_ball_mask_geometry():
-    grid = GridSpec(2, np.pi, 64)
-    mask = ball_mask(grid, 0.8, 0.5)
-    assert not mask.is_empty
-    assert mask.cell_count > 0
-    # indicated cells really lie inside the ball around the box center
-    idx = np.argwhere(mask.indicator > 0.5)
-    x = grid.axis_coordinates()
-    for i, j in idx:
-        dist = np.hypot(x[i] - grid.center[0], x[j] - grid.center[1])
-        assert dist <= 0.8 + 1e-12
-
-
-def test_ball_mask_validation():
-    grid = GridSpec(2, np.pi, 16)
-    with pytest.raises(ValueError, match="radius"):
-        ball_mask(grid, -1.0, 0.5)
-    with pytest.raises(ValueError, match="boundary"):
-        ball_mask(grid, 0.99 * np.pi**2, 0.5)
-    with pytest.raises(ValueError, match="penalization"):
-        ball_mask(grid, 0.5, 0.0)
-    with pytest.raises(ValueError, match="0/1"):
-        ObstacleMask(grid, np.full(grid.shape, 0.5), 1.0)
-
-
-def test_empty_mask_reduces_to_plain_solve():
-    grid = GridSpec(2, np.pi, 64)
-    f = _channel_forcing(grid)
-    h = grid.spacing
-    center = tuple(c + 0.5 * h for c in grid.center)
-    mask = ball_mask(grid, 0.4 * h, 1.0, center=center)
-    assert mask.is_empty
-    pair, report = solve_exterior_penalized(f, OseenParams(2.0), mask)
-    plain = solve_steady(f, OseenParams(2.0))
-    assert np.array_equal(pair.velocity.components, plain.velocity.components)
-    assert report.iterations == 1
-    assert report.converged
-
-
-def test_penalization_strength_drains_obstacle_speed():
-    # Stronger penalization (smaller eta) leaves less speed on the obstacle.
-    grid = GridSpec(2, np.pi, 64)
-    f = _channel_forcing(grid)
-    speeds = []
-    for eta in (1.0, 0.5, 0.25):
-        mask = ball_mask(grid, 0.8, eta)
-        _, report = solve_exterior_penalized(f, OseenParams(2.0), mask)
-        assert report.converged
-        speeds.append(report.obstacle_max_speed)
-    assert speeds[0] > speeds[1] > speeds[2]
-    free = np.max(np.abs(solve_steady(f, OseenParams(2.0)).velocity.magnitude()))
-    assert speeds[2] < free
-
-
-def test_penalized_iteration_reports_divergence():
-    # Richardson iteration preconditioned by the free solve contracts only
-    # for moderate penalization; eta = 1e-2 overdrives it.
-    grid = GridSpec(2, np.pi, 64)
-    f = _channel_forcing(grid)
-    mask = ball_mask(grid, 0.8, 1e-2)
-    with pytest.raises(PenalizedConvergenceError) as excinfo:
-        solve_exterior_penalized(f, OseenParams(2.0), mask)
-    report = excinfo.value.report
-    assert not report.converged
-    assert report.iterations >= 3
-
-
-def test_penalized_zero_velocity_forcing_converges():
-    # Pure-gradient forcing has zero velocity; the update test must settle
-    # on the forcing scale instead of chasing round-off.
-    grid = GridSpec(2, np.pi, 64)
-    x = grid.coordinates()
-    f = VectorField(
-        grid,
-        np.stack(
-            [np.sin(x[0] / np.pi) * np.ones(grid.shape), np.zeros(grid.shape)]
-        ),
-    )
-    pair, report = solve_exterior_penalized(f, OseenParams(0.0), ball_mask(grid, 0.8, 1.0))
-    assert report.converged
-    assert np.max(np.abs(pair.velocity.components)) <= 1e-12
-
-
-def test_penalized_solve_is_deterministic():
-    grid = GridSpec(2, np.pi, 64)
-    f = _channel_forcing(grid)
-    mask = ball_mask(grid, 0.8, 0.5)
-    first, _ = solve_exterior_penalized(f, OseenParams(2.0), mask)
-    second, _ = solve_exterior_penalized(f, OseenParams(2.0), mask)
-    assert np.array_equal(first.velocity.components, second.velocity.components)
-    assert np.array_equal(first.pressure.values, second.pressure.values)
-
-
-# ---------------------------------------------------------------------------
 # wake signature
 
 
 def test_obstacle_flow_wake_asymmetry():
-    # Flow past the obstacle, driven by the drift-flow lifting load: with
+    # Flow around the obstacle, driven by the drift-flow lifting load: with
     # drift the speed field skews downstream; without drift there is no
     # preferred side.
     grid = GridSpec(2, np.pi, 64)
@@ -516,10 +419,7 @@ def test_obstacle_flow_wake_asymmetry():
             -lift.laplacian_field().components
             + lam * lift.drift_derivative().components
         )
-        f = VectorField(grid, -load)
-        mask = ball_mask(grid, 0.5 * spec.inner_radius, 0.5)
-        pair, report = solve_exterior_penalized(f, OseenParams(lam), mask)
-        assert report.converged
+        pair = solve_steady(VectorField(grid, -load), OseenParams(lam))
         return VectorField(grid, pair.velocity.components + lift.velocity.components)
 
     assert abs(wake_asymmetry(total_flow(0.0))) <= 1e-12
@@ -551,14 +451,17 @@ def test_contraction_rate_from_updates():
 
 
 def test_solve_report_csv(tmp_path):
-    grid = GridSpec(2, np.pi, 64)
-    f = _channel_forcing(grid)
-    _, report = solve_exterior_penalized(f, OseenParams(2.0), ball_mask(grid, 0.8, 0.5))
+    grid = GridSpec(3, np.pi, 16)
+    cfg = PicardConfig.from_schedule(ExponentProfile.build(3, 4.0, 2.0), 0.05, 1.5)
+    raw = random_divergence_free(grid, (7,), mode_cap=2)
+    f = raw * (0.5 * cfg.epsilon / data_size(raw, 4.0, 2.0))
+    lifting = build_lifting(0.0, default_cutoff(grid), grid)
+    _, report = picard_steady(f, cfg, lifting=lifting)
     path = tmp_path / "report.csv"
     report.to_csv(path)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "lambda,grid_n,residual_momentum,residual_div,iterations,wall_time_seconds"
     values = lines[1].split(",")
-    assert float(values[0]) == 2.0
-    assert int(values[1]) == 64
+    assert float(values[0]) == cfg.lam
+    assert int(values[1]) == 16
     assert int(values[4]) == report.iterations

@@ -21,12 +21,13 @@ from oseenlab.norms import (
     maxreg_norm,
     negative_norm_surrogate,
 )
-from oseenlab.oseen import OseenParams, solve_steady, solve_timeperiodic
+from oseenlab.oseen import OseenParams, solve_steady
 from oseenlab.picard import (
     GateError,
     PicardConfig,
     PicardConvergenceError,
     PicardDivergenceError,
+    PicardRunError,
     RadiusEscapeError,
     driver_norm_timeperiodic,
     picard_steady,
@@ -245,28 +246,49 @@ def test_driver_norm_splits_average_and_oscillation(grid):
 
 
 # --- gates and escapes -------------------------------------------------------
+#
+# Each failure is checked on both drivers: the steady one on a steady forcing
+# and the time-periodic one on the same forcing embedded as a time-constant
+# stack.
+
+
+def _both_drivers(f):
+    """(driver, forcing) pairs for the steady and time-periodic drivers."""
+    return (
+        (picard_steady, f),
+        (picard_timeperiodic, TimePeriodicField.from_steady(f, PERIOD, max_mode=1)),
+    )
+
+
+def _partial_report(excinfo):
+    """The report a failed run carries: partial, never converged."""
+    assert isinstance(excinfo.value, PicardRunError)
+    report = excinfo.value.report
+    assert report.converged is False
+    return report
 
 
 def test_oversized_forcing_is_gated(grid, config, free_lifting):
     f = _scaled_forcing(grid, config, fraction=2.0)
-    with pytest.raises(GateError, match="exceeds the budget"):
-        picard_steady(f, config, lifting=free_lifting)
+    for driver, forcing in _both_drivers(f):
+        with pytest.raises(GateError, match="exceeds the budget"):
+            driver(forcing, config, lifting=free_lifting)
 
 
 def test_obstacle_lifting_at_desk_radius_escapes_immediately(grid, config):
     f = _scaled_forcing(grid, config)
-    with pytest.raises(RadiusEscapeError, match="exceeds rho") as excinfo:
-        picard_steady(f, config)  # default lifting carries the obstacle terms
-    assert excinfo.value.report.converged is False
-    assert excinfo.value.report.iterations == 0
+    for driver, forcing in _both_drivers(f):
+        with pytest.raises(RadiusEscapeError, match="exceeds rho") as excinfo:
+            driver(forcing, config)  # default lifting carries the obstacle terms
+        assert _partial_report(excinfo).iterations == 0
 
 
 def test_iterate_leaving_the_ball_escapes_with_partial_report(grid, config):
-    with pytest.raises(RadiusEscapeError, match="left the ball") as excinfo:
-        picard_steady(
-            VectorField.zeros(grid), config, initial=VectorField.zeros(grid)
-        )
-    assert excinfo.value.report.iterations == 1
+    # Zero forcing started at zero: the first step picks up the lifting load.
+    for driver, forcing in _both_drivers(VectorField.zeros(grid)):
+        with pytest.raises(RadiusEscapeError, match="left the ball") as excinfo:
+            driver(forcing, config, initial=forcing)
+        assert _partial_report(excinfo).iterations == 1
 
 
 def test_large_data_divergence_is_detected(grid, profile, free_lifting):
@@ -275,10 +297,10 @@ def test_large_data_divergence_is_detected(grid, profile, free_lifting):
     )
     raw = random_divergence_free(grid, (7,), mode_cap=2)
     f = VectorField(grid, raw.components * 50.0)
-    with pytest.raises(PicardDivergenceError, match="grew three times") as excinfo:
-        picard_steady(f, cfg, lifting=free_lifting)
-    assert excinfo.value.report.iterations >= 3
-    assert not excinfo.value.report.converged
+    for driver, forcing in _both_drivers(f):
+        with pytest.raises(PicardDivergenceError, match="grew three times") as excinfo:
+            driver(forcing, cfg, lifting=free_lifting)
+        assert _partial_report(excinfo).iterations >= 3
 
 
 def test_exhausted_iteration_budget_raises(grid, profile, free_lifting):
@@ -292,8 +314,10 @@ def test_exhausted_iteration_budget_raises(grid, profile, free_lifting):
         max_iter=1,
     )
     f = _scaled_forcing(grid, cfg)
-    with pytest.raises(PicardConvergenceError, match="no convergence within 1"):
-        picard_steady(f, cfg, lifting=free_lifting)
+    for driver, forcing in _both_drivers(f):
+        with pytest.raises(PicardConvergenceError, match="no convergence within 1") as excinfo:
+            driver(forcing, cfg, lifting=free_lifting)
+        assert _partial_report(excinfo).iterations == 1
 
 
 # --- input validation --------------------------------------------------------
