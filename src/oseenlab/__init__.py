@@ -20,18 +20,13 @@ from .exponents import (
 from .fields import (
     GridSpec,
     ScalarField,
-    SpectralField,
     TimePeriodicField,
     VectorField,
-    dealias,
-    dealiased_product,
     derivative,
     divergence,
-    from_spectral,
     get_fft_workers,
     gradient,
     set_fft_workers,
-    to_spectral,
 )
 from .harness import (
     EXPERIMENTS,
@@ -50,7 +45,7 @@ from .harness import (
     read_csv,
     run_experiment,
 )
-from .io import field_to_csv, load_field, save_field
+from .io import load_field, save_field
 from .lifting import CutoffSpec, LiftingField, build_lifting, default_cutoff, lifting_load
 from .nonlinear import convective_product, nonlinearity
 from .norms import (

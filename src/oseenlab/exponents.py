@@ -18,9 +18,8 @@ PROBLEM_TP = "timeperiodic-nonlinear"
 
 _PROBLEMS = (PROBLEM_LINEAR, PROBLEM_STEADY, PROBLEM_TP)
 
-# Conservative fallbacks for the bilinear-estimate exponents when no fitted
-# ensemble values are supplied: the top of the eta range and just under the
-# open zeta ceiling.
+# Conservative values of the bilinear-estimate exponents used by every
+# profile: the top of the eta range and just under the open zeta ceiling.
 ETA_FALLBACK = 2.0
 ZETA_FALLBACK = 1.0 - 1e-6
 
@@ -165,8 +164,8 @@ class ExponentProfile:
     """All exponent data for one (n, q, r) configuration.
 
     ``theta`` is the interpolation formula value; ``eta`` and ``zeta`` are the
-    bilinear-estimate exponents, either fitted from an ensemble or the
-    conservative fallbacks.  ``gamma_range`` is the open schedule interval.
+    conservative bilinear-estimate exponents ``ETA_FALLBACK`` and
+    ``ZETA_FALLBACK``.  ``gamma_range`` is the open schedule interval.
     """
 
     n: int
@@ -181,20 +180,11 @@ class ExponentProfile:
     gamma_range: tuple[float, float]
 
     @classmethod
-    def build(
-        cls,
-        n: int,
-        q: float,
-        r: float,
-        eta: float | None = None,
-        zeta: float | None = None,
-    ) -> "ExponentProfile":
+    def build(cls, n: int, q: float, r: float) -> "ExponentProfile":
         s = s_exponent(n, r)
         m_exponent, delta = exponents_Mdelta(n, r)
         theta = theta_exponent(n, q, r)
-        eta_val = ETA_FALLBACK if eta is None else float(eta)
-        zeta_val = ZETA_FALLBACK if zeta is None else float(zeta)
-        interval = gamma_interval(n, m_exponent, theta, zeta_val, eta_val)
+        interval = gamma_interval(n, m_exponent, theta, ZETA_FALLBACK, ETA_FALLBACK)
         return cls(
             n=n,
             q=float(q),
@@ -203,8 +193,8 @@ class ExponentProfile:
             m_exponent=m_exponent,
             delta=delta,
             theta=theta,
-            eta=eta_val,
-            zeta=zeta_val,
+            eta=ETA_FALLBACK,
+            zeta=ZETA_FALLBACK,
             gamma_range=interval,
         )
 

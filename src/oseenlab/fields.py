@@ -1,4 +1,4 @@
-"""Periodic-box grids, field containers, spectral transforms, and dealiased products.
+"""Periodic-box grids, field containers, spectral transforms, and time stacks.
 
 The computational domain is the box [0, 2*pi*L)^dim with periodic boundary
 conditions, so admissible wavenumbers are integer multiples of 1/L per axis.
@@ -10,6 +10,12 @@ grid; first-derivative multipliers are zeroed there, and every composite
 operator downstream (Laplacian, Leray projector, Oseen symbols) is built from
 the same zeroed wavenumbers so that operator compositions are exact
 coefficientwise.
+
+Spatial fields are stored as real samples only; spectral coefficients are
+plain arrays from the forward-normalized transforms here.  A time-periodic
+field stores its time modes k = 0..K only: for a real signal the mode at -k
+is the conjugate of the mode at k, and :meth:`TimePeriodicField.mode` derives
+it on request.
 """
 
 from __future__ import annotations
@@ -111,10 +117,6 @@ class GridSpec:
     @cached_property
     def volume(self) -> float:
         return (2.0 * np.pi * self.half_period) ** self.dim
-
-    @cached_property
-    def cell_volume(self) -> float:
-        return self.spacing ** self.dim
 
     @cached_property
     def box_edge(self) -> float:
@@ -295,88 +297,43 @@ class VectorField:
         return VectorField(self.grid, -self.components)
 
 
-@dataclass(frozen=True)
-class SpectralField:
-    """Complex Fourier coefficients with a leading component axis.
-
-    ``coefficients`` has shape (ncomp,) + grid.shape in FFT mode layout;
-    ncomp is 1 for scalar data and grid.dim for vector data.
-    """
-
-    grid: GridSpec
-    coefficients: np.ndarray
-
-    def __post_init__(self) -> None:
-        array = _owned_copy(self.coefficients, np.complex128)
-        if array.ndim != self.grid.dim + 1 or array.shape[1:] != self.grid.shape:
-            raise ValueError(
-                f"coefficients have shape {array.shape}, expected "
-                f"(ncomp,) + {self.grid.shape}"
-            )
-        if array.shape[0] not in (1, self.grid.dim):
-            raise ValueError(
-                f"component count must be 1 or {self.grid.dim}, got {array.shape[0]}"
-            )
-        if not np.all(np.isfinite(array.view(np.float64))):
-            raise ValueError("coefficients contain non-finite values")
-        object.__setattr__(self, "coefficients", _lock(array))
-
-    @property
-    def ncomp(self) -> int:
-        return self.coefficients.shape[0]
-
-
 def _check_same_grid(a, b) -> None:
     if a.grid != b.grid:
         raise ValueError("fields live on different grids")
 
 
-def to_spectral(field: ScalarField | VectorField) -> SpectralField:
-    """Forward transform; coefficient at the zero mode equals the box mean."""
+def _component_array(field: ScalarField | VectorField) -> np.ndarray:
+    """Samples with a leading component axis: (1,) + shape or (dim,) + shape."""
     if isinstance(field, ScalarField):
-        data = field.values[None]
-    elif isinstance(field, VectorField):
-        data = field.components
-    else:
-        raise TypeError(f"cannot transform {type(field).__name__}")
-    return SpectralField(field.grid, _fftn(data, field.grid.dim))
+        return field.values[None]
+    if isinstance(field, VectorField):
+        return field.components
+    raise TypeError(f"expected a spatial field, got {type(field).__name__}")
 
 
-def from_spectral(spectral: SpectralField) -> ScalarField | VectorField:
-    """Inverse transform, discarding the roundoff-level imaginary residue."""
-    values = _ifftn(spectral.coefficients, spectral.grid.dim).real
-    if spectral.ncomp == 1:
-        return ScalarField(spectral.grid, values[0])
-    return VectorField(spectral.grid, values)
-
-
-def hermitian_defect(spectral: SpectralField) -> float:
-    """Max |c(-xi) - conj(c(xi))| over all coefficients (0 for real fields)."""
-    c = spectral.coefficients
-    reversed_c = c
-    for axis in range(1, spectral.grid.dim + 1):
-        reversed_c = np.roll(np.flip(reversed_c, axis=axis), 1, axis=axis)
-    return float(np.max(np.abs(reversed_c - np.conj(c))))
-
-
-def spectral_derivative(spectral: SpectralField, axis: int) -> SpectralField:
-    """Derivative along ``axis`` (1-based), as multiplication by i*xi_axis."""
-    grid = spectral.grid
-    if not 1 <= axis <= grid.dim:
-        raise ValueError(f"axis must lie in 1..{grid.dim}, got {axis}")
-    xi = grid.wavenumber(axis - 1)
-    return SpectralField(grid, spectral.coefficients * (1j * xi))
+def _from_component_array(
+    grid: GridSpec, values: np.ndarray
+) -> ScalarField | VectorField:
+    """Inverse of :func:`_component_array`: one component is a scalar field."""
+    if values.shape[0] == 1:
+        return ScalarField(grid, values[0])
+    return VectorField(grid, values)
 
 
 def derivative(field: ScalarField | VectorField, axis: int) -> ScalarField | VectorField:
     """Physical-space spectral derivative along ``axis`` (1-based)."""
-    return from_spectral(spectral_derivative(to_spectral(field), axis))
+    grid = field.grid
+    if not 1 <= axis <= grid.dim:
+        raise ValueError(f"axis must lie in 1..{grid.dim}, got {axis}")
+    xi = grid.wavenumber(axis - 1)
+    coeff = _fftn(_component_array(field), grid.dim) * (1j * xi)
+    return _from_component_array(grid, _ifftn(coeff, grid.dim).real)
 
 
 def gradient(field: ScalarField) -> VectorField:
     """Spectral gradient of a scalar field."""
     grid = field.grid
-    coeff = to_spectral(field).coefficients[0]
+    coeff = _fftn(field.values[None], grid.dim)[0]
     parts = [coeff * (1j * grid.wavenumber(axis)) for axis in range(grid.dim)]
     values = _ifftn(np.stack(parts), grid.dim).real
     return VectorField(grid, values)
@@ -385,18 +342,11 @@ def gradient(field: ScalarField) -> VectorField:
 def divergence(field: VectorField) -> ScalarField:
     """Spectral divergence of a vector field."""
     grid = field.grid
-    coeff = to_spectral(field).coefficients
+    coeff = _fftn(field.components, grid.dim)
     out = np.zeros(grid.shape, dtype=np.complex128)
     for axis in range(grid.dim):
         out = out + coeff[axis] * (1j * grid.wavenumber(axis))
     return ScalarField(grid, _ifftn(out[None], grid.dim).real[0])
-
-
-def truncate_modes(spectral: SpectralField) -> SpectralField:
-    """Zero all coefficients above the grid's dealias cutoff."""
-    return SpectralField(
-        spectral.grid, spectral.coefficients * spectral.grid.dealias_mask
-    )
 
 
 def _truncate_samples(grid: GridSpec, values: np.ndarray) -> np.ndarray:
@@ -404,39 +354,16 @@ def _truncate_samples(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     return _ifftn(_fftn(values, grid.dim) * grid.dealias_mask, grid.dim).real
 
 
-def dealias(field: ScalarField | VectorField) -> ScalarField | VectorField:
-    """Physical-space projection onto retained (dealiased) modes."""
-    return from_spectral(truncate_modes(to_spectral(field)))
-
-
-def dealiased_product(a, b):
-    """Pointwise product with modes above the cutoff zeroed before and after.
-
-    Both inputs must share the grid and the type (two scalars or two vectors);
-    vector inputs are multiplied componentwise.
-    """
-    if type(a) is not type(b):
-        raise ValueError("dealiased_product requires two fields of the same kind")
-    _check_same_grid(a, b)
-    ta = dealias(a)
-    tb = dealias(b)
-    if isinstance(a, ScalarField):
-        raw = ScalarField(a.grid, ta.values * tb.values)
-    elif isinstance(a, VectorField):
-        raw = VectorField(a.grid, ta.components * tb.components)
-    else:
-        raise TypeError(f"cannot multiply {type(a).__name__}")
-    return dealias(raw)
-
-
 class TimePeriodicField:
     """Finite Fourier stack in time over spatial fields.
 
-    A real time-periodic field with period T is stored through its complex
-    time modes u_k(x), k = -K..K, with u(t, x) = sum_k u_k(x) exp(i omega_k t)
-    and omega_k = 2 pi k / T.  Reality forces u_{-k} = conj(u_k), which is
-    validated on construction and preserved exactly by all operations here.
-    The constructor keeps a copy of ``modes``, never the caller's array.
+    A real time-periodic field with period T is u(t, x) = sum_k u_k(x)
+    exp(i omega_k t) over k = -K..K, with omega_k = 2 pi k / T.  Reality
+    forces u_{-k} = conj(u_k), so ``modes`` stores only k = 0..K, shape
+    (K+1, ncomp) + grid.shape; :meth:`mode` derives the negative modes.  Mode
+    0 must be real: it is validated on construction and snapped to exactly
+    real.  The constructor keeps a copy of ``modes``, never the caller's
+    array.
     """
 
     def __init__(self, grid: GridSpec, period: float, modes: np.ndarray) -> None:
@@ -459,57 +386,49 @@ class TimePeriodicField:
     def _take(self, grid: GridSpec, period: float, modes: np.ndarray) -> None:
         if not period > 0:
             raise ValueError(f"period must be positive, got {period}")
-        if modes.ndim != grid.dim + 2 or modes.shape[2:] != grid.shape:
+        if (
+            modes.ndim != grid.dim + 2
+            or modes.shape[2:] != grid.shape
+            or modes.shape[0] < 1
+        ):
             raise ValueError(
                 f"modes have shape {modes.shape}, expected "
-                f"(2K+1, ncomp) + {grid.shape}"
+                f"(K+1, ncomp) + {grid.shape}"
             )
-        if modes.shape[0] % 2 != 1:
-            raise ValueError("mode stack must have odd length 2K+1")
         if modes.shape[1] not in (1, grid.dim):
             raise ValueError(
                 f"component count must be 1 or {grid.dim}, got {modes.shape[1]}"
             )
         if not np.all(np.isfinite(modes.view(np.float64))):
             raise ValueError("modes contain non-finite values")
+        # Mode 0 of a real signal is real; roundoff-level imaginary parts are
+        # snapped away so that differences of nearly equal stacks stay valid.
+        scale = np.max(np.abs(modes)) or 1.0
+        defect = 2.0 * np.max(np.abs(modes[0].imag))
+        if defect > 1e-12 * scale:
+            raise ValueError(
+                f"mode 0 is not real: defect {defect:.3e}, "
+                "stack does not represent a real signal"
+            )
+        modes[0] = modes[0].real
         self.grid = grid
         self.period = float(period)
-        self.max_mode = (modes.shape[0] - 1) // 2
-        self._symmetrize_reality(modes)
+        self.max_mode = modes.shape[0] - 1
         self.modes = _lock(modes)
-
-    def _symmetrize_reality(self, modes: np.ndarray) -> None:
-        """Reject non-real stacks; snap roundoff-level Hermitian defects.
-
-        Conjugate-pair defects at the roundoff level are averaged away so
-        that the pairing is exact by construction; this keeps differences of
-        nearly equal stacks (whose own scale can be arbitrarily small) valid.
-        """
-        scale = np.max(np.abs(modes)) or 1.0
-        center = self.max_mode
-        for k in range(center + 1):
-            defect = np.max(np.abs(modes[center - k] - np.conj(modes[center + k])))
-            if defect > 1e-12 * scale:
-                raise ValueError(
-                    f"mode(-{k}) != conj(mode({k})): defect {defect:.3e}, "
-                    "stack does not represent a real signal"
-                )
-            if k == 0:
-                modes[center] = modes[center].real
-            else:
-                paired = 0.5 * (modes[center + k] + np.conj(modes[center - k]))
-                modes[center + k] = paired
-                modes[center - k] = np.conj(paired)
 
     @property
     def ncomp(self) -> int:
         return self.modes.shape[1]
 
     def mode(self, k: int) -> np.ndarray:
-        """Complex spatial mode for time frequency index k in [-K, K]."""
+        """Complex spatial mode for time frequency index k in [-K, K].
+
+        A negative k gives conj(mode(-k)), the only place a negative mode is
+        formed.
+        """
         if abs(k) > self.max_mode:
             raise ValueError(f"|k| must be <= {self.max_mode}, got {k}")
-        return self.modes[k + self.max_mode]
+        return self.modes[k] if k >= 0 else np.conj(self.modes[-k])
 
     def omega(self, k: int) -> float:
         return 2.0 * np.pi * k / self.period
@@ -518,24 +437,17 @@ class TimePeriodicField:
     def from_modes(
         cls, grid: GridSpec, period: float, nonneg_modes: list[np.ndarray]
     ) -> "TimePeriodicField":
-        """Build from modes k = 0..K; negative modes are the exact conjugates."""
-        k_max = len(nonneg_modes) - 1
-        stack = [np.conj(nonneg_modes[k]) for k in range(k_max, 0, -1)]
-        stack.extend(nonneg_modes)
-        return cls._adopt(grid, period, np.stack(stack))
+        """Build from modes k = 0..K; :meth:`mode` derives the negative ones."""
+        return cls._adopt(grid, period, np.stack(nonneg_modes))
 
     @classmethod
     def from_steady(
         cls, field: ScalarField | VectorField, period: float, max_mode: int = 0
     ) -> "TimePeriodicField":
-        """Embed a steady field as the k = 0 mode of a stack with 2K+1 slots."""
-        if isinstance(field, ScalarField):
-            data = field.values[None]
-        else:
-            data = field.components
-        shape = (2 * max_mode + 1,) + data.shape
-        modes = np.zeros(shape, dtype=np.complex128)
-        modes[max_mode] = data
+        """Embed a steady field as the k = 0 mode of a stack with K+1 slots."""
+        data = _component_array(field)
+        modes = np.zeros((max_mode + 1,) + data.shape, dtype=np.complex128)
+        modes[0] = data
         return cls._adopt(field.grid, period, modes)
 
     @classmethod
@@ -575,10 +487,7 @@ class TimePeriodicField:
 
     def steady_part(self) -> ScalarField | VectorField:
         """The k = 0 (time-average) mode as a real field."""
-        values = self.mode(0).real
-        if self.ncomp == 1:
-            return ScalarField(self.grid, values[0])
-        return VectorField(self.grid, values)
+        return _from_component_array(self.grid, self.mode(0).real)
 
     def time_derivative(self) -> "TimePeriodicField":
         """d/dt through i*omega_k multipliers on the mode stack."""

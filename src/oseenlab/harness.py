@@ -32,11 +32,10 @@ from .exponents import (
 from .fields import (
     GridSpec,
     ScalarField,
-    SpectralField,
     TimePeriodicField,
     VectorField,
+    _ifftn,
     derivative,
-    from_spectral,
     gradient,
 )
 from .lifting import CutoffSpec, build_lifting, default_cutoff, lifting_load
@@ -397,7 +396,8 @@ def random_scalar_field(
     modes = _mode_list(grid, mode_cap, shell, drift_mode_cap)
     rng = np.random.default_rng(seed_key)
     coeff = _coefficients_from_draws(grid, modes, rng.standard_normal((len(modes), 2)))
-    return _normalized(from_spectral(SpectralField(grid, coeff[None])), amplitude)
+    values = _ifftn(coeff[None], grid.dim).real[0]
+    return _normalized(ScalarField(grid, values), amplitude)
 
 
 def random_divergence_free(
@@ -433,7 +433,7 @@ def random_divergence_free(
             1j * (w[2] * potential[0] - w[0] * potential[2]),
             1j * (w[0] * potential[1] - w[1] * potential[0]),
         ]
-    field = from_spectral(SpectralField(grid, np.stack(parts)))
+    field = VectorField(grid, _ifftn(np.stack(parts), grid.dim).real)
     return _normalized(field, amplitude)
 
 

@@ -1,4 +1,4 @@
-"""Flat binary field container and CSV export.
+"""Flat binary field container.
 
 Binary layout (all little-endian, in file order):
 
@@ -23,7 +23,13 @@ import struct
 
 import numpy as np
 
-from .fields import GridSpec, ScalarField, VectorField
+from .fields import (
+    GridSpec,
+    ScalarField,
+    VectorField,
+    _component_array,
+    _from_component_array,
+)
 
 _HEADER = struct.Struct("<qqdq")
 
@@ -31,12 +37,7 @@ _HEADER = struct.Struct("<qqdq")
 def save_field(path, field: ScalarField | VectorField) -> None:
     """Write a field to ``path`` in the flat binary container format."""
     grid = field.grid
-    if isinstance(field, ScalarField):
-        payload = field.values[None]
-    elif isinstance(field, VectorField):
-        payload = field.components
-    else:
-        raise TypeError(f"cannot serialize {type(field).__name__}")
+    payload = _component_array(field)
     header = _HEADER.pack(
         grid.dim, grid.points_per_axis, grid.half_period, payload.shape[0]
     )
@@ -67,35 +68,4 @@ def load_field(
         if payload.size != count:
             raise ValueError(f"{path}: truncated payload")
     data = payload.reshape((int(ncomp),) + grid.shape).astype(np.float64)
-    if ncomp == 1:
-        return ScalarField(grid, data[0])
-    return VectorField(grid, data)
-
-
-def field_to_csv(path, field: ScalarField | VectorField, max_points: int = 65536) -> None:
-    """Write grid indices, coordinates, and samples as CSV (small grids only)."""
-    grid = field.grid
-    total = grid.points_per_axis ** grid.dim
-    if total > max_points:
-        raise ValueError(
-            f"grid has {total} points, above the CSV export cap {max_points}"
-        )
-    if isinstance(field, ScalarField):
-        payload = field.values[None]
-    else:
-        payload = field.components
-    ncomp = payload.shape[0]
-    index_cols = [f"i{axis + 1}" for axis in range(grid.dim)]
-    coord_cols = [f"x{axis + 1}" for axis in range(grid.dim)]
-    value_cols = [f"c{comp + 1}" for comp in range(ncomp)]
-    axis_range = np.arange(grid.points_per_axis)
-    mesh = np.meshgrid(*([axis_range] * grid.dim), indexing="ij")
-    with open(path, "w", newline="") as handle:
-        handle.write(",".join(index_cols + coord_cols + value_cols) + "\n")
-        flat_idx = [m.ravel() for m in mesh]
-        flat_val = payload.reshape(ncomp, -1)
-        for row in range(total):
-            idx = [str(int(m[row])) for m in flat_idx]
-            coords = [f"{int(m[row]) * grid.spacing:.17g}" for m in flat_idx]
-            vals = [f"{flat_val[comp, row]:.17g}" for comp in range(ncomp)]
-            handle.write(",".join(idx + coords + vals) + "\n")
+    return _from_component_array(grid, data)

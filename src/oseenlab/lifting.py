@@ -148,13 +148,6 @@ class LiftingField:
         # A contiguous copy, so the cache does not pin the complex transform.
         return _lock(np.ascontiguousarray(_truncate_samples(self.grid, acc)))
 
-    def drift_derivative(self) -> VectorField:
-        """The derivative of the lifting along axis 1."""
-        return VectorField(self.grid, self.jacobian[:, 0].copy())
-
-    def laplacian_field(self) -> VectorField:
-        return VectorField(self.grid, self.laplacian.copy())
-
     def divergence_values(self) -> np.ndarray:
         """Pointwise divergence as the trace of the exact jacobian."""
         return np.trace(self.jacobian, axis1=0, axis2=1)

@@ -135,7 +135,7 @@ def nonlinearity(
             grid, u.period, conv, u.max_mode
         )
         modes = -quad_tp.modes
-        modes[u.max_mode] = modes[u.max_mode] + _lifting_only_terms(lifting, lam)
+        modes[0] = modes[0] + _lifting_only_terms(lifting, lam)
         return TimePeriodicField._adopt(grid, u.period, modes)
     raise TypeError(f"cannot evaluate the nonlinearity of {type(u).__name__}")
 

@@ -34,19 +34,12 @@ from .fields import (
     ScalarField,
     TimePeriodicField,
     VectorField,
+    _component_array,
     _fftn,
     _ifftn,
     _irfftn,
     _rfftn,
 )
-
-
-def _component_array(field: ScalarField | VectorField) -> np.ndarray:
-    if isinstance(field, ScalarField):
-        return field.values[None]
-    if isinstance(field, VectorField):
-        return field.components
-    raise TypeError(f"expected a spatial field, got {type(field).__name__}")
 
 
 def _check_exponent(value: float, name: str) -> float:

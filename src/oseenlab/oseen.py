@@ -170,8 +170,8 @@ def solve_timeperiodic(
 ) -> tuple[TimePeriodicField, TimePeriodicField]:
     """Solve mode-by-mode; returns time-periodic velocity and pressure.
 
-    Negative frequencies are filled with the exact conjugates of the
-    nonnegative ones, so the output stacks are real signals by construction.
+    Only the modes k = 0..K are solved and stored; the negative frequencies
+    are their conjugates, derived by :meth:`TimePeriodicField.mode`.
     """
     grid = forcing.grid
     if forcing.ncomp != grid.dim:
@@ -200,7 +200,7 @@ def project_steady(field: TimePeriodicField) -> ScalarField | VectorField:
 def project_oscillatory(field: TimePeriodicField) -> TimePeriodicField:
     """The zero-time-average complement; its k = 0 mode is exactly zero."""
     modes = field.modes.copy()
-    modes[field.max_mode] = 0.0
+    modes[0] = 0.0
     return TimePeriodicField._adopt(field.grid, field.period, modes)
 
 

@@ -80,7 +80,7 @@ class PicardConfig:
     """Radius, schedule exponent, drift, data budget, and stopping control.
 
     Under the active schedule lam = epsilon = rho**gamma; configs built by
-    hand may deviate, and ``schedule_consistent`` reports whether they do.
+    hand may deviate.
     """
 
     profile: ExponentProfile
@@ -104,14 +104,6 @@ class PicardConfig:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-
-    @property
-    def schedule_consistent(self) -> bool:
-        target = self.rho**self.gamma
-        return (
-            abs(self.lam - target) <= 1e-12 * max(target, 1.0)
-            and abs(self.epsilon - target) <= 1e-12 * max(target, 1.0)
-        )
 
     @classmethod
     def from_schedule(
@@ -307,6 +299,11 @@ def _fixed_point(
         raise ValueError("initial iterate lives on a different grid")
     elif getattr(initial, "period", None) != getattr(f, "period", None):
         raise ValueError("initial iterate is incompatible with the forcing")
+    elif getattr(initial, "max_mode", None) != getattr(f, "max_mode", None):
+        raise ValueError(
+            f"initial iterate has max_mode {initial.max_mode}, "
+            f"the forcing {f.max_mode}"
+        )
     else:
         u = initial
 
@@ -399,7 +396,7 @@ def picard_timeperiodic(
     pressure.
     """
     grid = f.grid
-    shape = (2 * f.max_mode + 1, grid.dim) + grid.shape
+    shape = (f.max_mode + 1, grid.dim) + grid.shape
     velocity, pressure, report = _fixed_point(
         f, cfg, lifting, initial, PROBLEM_TP,
         lambda: TimePeriodicField(grid, f.period, np.zeros(shape, dtype=complex)),

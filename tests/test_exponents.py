@@ -221,6 +221,10 @@ def test_gamma_interval_values():
     lower, upper = gamma_interval(3, 1, 1.0, 0.5, 1.0)
     assert abs(lower - 4.0 / 3.0) <= 1e-15
     assert abs(upper - 2.0) <= 1e-15
+    # eta above theta and zeta sets the upper end on its own
+    lower, upper = gamma_interval(3, 0, 1.0, 0.8, 1.5)
+    assert lower == 1.0
+    assert abs(upper - 8.0 / 3.0) <= 1e-14
     assert gamma_interval(3, 0, 0.0, 0.0, 0.0) == (1.0, math.inf)
 
 
@@ -245,13 +249,6 @@ def test_profile_build_reference_configuration():
     assert lower == 1.0
     assert abs(upper - 2.0) <= 1e-12
     assert abs(profile.gamma_midpoint() - 0.5 * (lower + upper)) <= 1e-15
-
-
-def test_profile_build_with_fitted_bilinear_exponents():
-    profile = ExponentProfile.build(3, 4.0, 2.0, eta=1.5, zeta=0.8)
-    lower, upper = profile.gamma_range
-    assert lower == 1.0
-    assert abs(upper - 8.0 / 3.0) <= 1e-14
 
 
 # --- radius schedule ------------------------------------------------------
@@ -308,7 +305,6 @@ def test_radius_schedule_halves_until_both_inequalities_hold():
     assert cfg.rho == rho
     assert cfg.gamma == gamma
     assert cfg.lam == cfg.epsilon == rho**gamma
-    assert cfg.schedule_consistent
 
 
 def test_halving_the_radius_scales_the_drift_geometrically():
@@ -343,5 +339,3 @@ def test_picard_config_validation():
         PicardConfig(profile, 0.1, 1.5, 0.01, 0.0)
     with pytest.raises(ValueError, match="max_iter must be at least 1"):
         PicardConfig(profile, 0.1, 1.5, 0.01, 0.01, max_iter=0)
-    hand = PicardConfig(profile, 0.1, 1.5, 0.5, 0.01)
-    assert not hand.schedule_consistent

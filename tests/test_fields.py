@@ -8,20 +8,17 @@ import pytest
 from oseenlab.fields import (
     GridSpec,
     ScalarField,
-    SpectralField,
     TimePeriodicField,
     VectorField,
-    dealias,
-    dealiased_product,
+    _fftn,
+    _ifftn,
+    _truncate_samples,
     derivative,
     divergence,
-    from_spectral,
     gradient,
-    hermitian_defect,
-    to_spectral,
-    truncate_modes,
 )
 from oseenlab.lifting import LiftingField, default_cutoff
+from oseenlab.nonlinear import convective_product
 
 from conftest import trig_scalar, trig_values, trig_vector
 
@@ -79,7 +76,7 @@ def test_wavenumber_scaling_and_nyquist_zero():
 
 def test_constant_field_energy_sits_in_zero_mode(grid2):
     field = ScalarField(grid2, np.full(grid2.shape, 3.25))
-    coeff = to_spectral(field).coefficients[0]
+    coeff = _fftn(field.values, grid2.dim)
     assert coeff[0, 0] == pytest.approx(3.25)
     off = coeff.copy()
     off[0, 0] = 0.0
@@ -89,16 +86,16 @@ def test_constant_field_energy_sits_in_zero_mode(grid2):
 def test_transform_round_trip(grid2, grid3):
     for grid, seed in ((grid2, 5), (grid3, 6)):
         field = trig_scalar(grid, seed)
-        back = from_spectral(to_spectral(field))
+        back = _ifftn(_fftn(field.values, grid.dim), grid.dim).real
         scale = np.max(np.abs(field.values))
-        assert np.max(np.abs(back.values - field.values)) <= 1e-13 * scale
+        assert np.max(np.abs(back - field.values)) <= 1e-13 * scale
 
 
 def test_single_harmonic_coefficients():
     grid = GridSpec(2, 1.5, 32)
     x = grid.coordinates()[0]
     field = ScalarField(grid, np.sin(x / 1.5) * np.ones(grid.shape))
-    coeff = to_spectral(field).coefficients[0]
+    coeff = _fftn(field.values, grid.dim)
     # sin(x1/L) = -(i/2) e^{i x1/L} + (i/2) e^{-i x1/L}
     assert coeff[1, 0] == pytest.approx(-0.5j, abs=1e-14)
     assert coeff[-1, 0] == pytest.approx(0.5j, abs=1e-14)
@@ -110,20 +107,10 @@ def test_single_harmonic_coefficients():
 
 def test_parseval_identity(grid2):
     field = trig_scalar(grid2, 11)
-    spectral = to_spectral(field).coefficients[0]
+    spectral = _fftn(field.values, grid2.dim)
     physical = np.mean(field.values**2) * grid2.volume
     modal = np.sum(np.abs(spectral) ** 2) * grid2.volume
     assert physical == pytest.approx(modal, rel=1e-12)
-
-
-def test_hermitian_defect_detects_nonreal_data(grid2):
-    spectral = to_spectral(trig_scalar(grid2, 12))
-    assert hermitian_defect(spectral) <= 1e-13
-    broken = spectral.coefficients.copy()
-    broken[0, 1, 2] += 0.5
-    from oseenlab.fields import SpectralField
-
-    assert hermitian_defect(SpectralField(grid2, broken)) > 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -178,32 +165,27 @@ def test_stream_function_curl_is_divergence_free():
 
 
 def test_truncate_modes_zeroes_high_shells(grid2):
-    spectral = to_spectral(trig_scalar(grid2, 31, max_mode=10, terms=30))
-    cut = truncate_modes(spectral)
+    values = trig_scalar(grid2, 31, max_mode=14, terms=30).values
+    spectrum = _fftn(values, grid2.dim)
+    cut = _fftn(_truncate_samples(grid2, values), grid2.dim)
     inside = grid2.dealias_mask
-    assert np.max(np.abs(cut.coefficients[0][~inside])) == 0.0
-    assert np.allclose(
-        cut.coefficients[0][inside], spectral.coefficients[0][inside]
-    )
-
-
-def test_dealiased_product_with_identity(grid2):
-    one = ScalarField(grid2, np.ones(grid2.shape))
-    rough = trig_scalar(grid2, 32, max_mode=12, terms=24)
-    produced = dealiased_product(one, rough)
-    truncated = dealias(rough)
-    assert np.max(np.abs(produced.values - truncated.values)) <= 1e-13 * (
-        1.0 + np.max(np.abs(truncated.values))
-    )
+    scale = np.max(np.abs(spectrum))
+    assert np.max(np.abs(spectrum[~inside])) > 0.01 * scale
+    assert np.max(np.abs(cut[~inside])) <= 1e-14 * scale
+    assert np.allclose(cut[inside], spectrum[inside], rtol=0.0, atol=1e-14 * scale)
 
 
 def test_product_of_low_modes_is_exact():
+    # (a . grad) b with a = (sin x1, 0) and b = (-cos x1, 0) is (sin^2 x1, 0).
     grid = GridSpec(2, 1.0, 32)
-    x = grid.coordinates()[0]
-    s = np.sin(x) * np.ones(grid.shape)
-    produced = dealiased_product(ScalarField(grid, s), ScalarField(grid, s))
+    x = grid.coordinates()[0] * np.ones(grid.shape)
+    zero = np.zeros(grid.shape)
+    a = VectorField(grid, np.stack([np.sin(x), zero]))
+    b = VectorField(grid, np.stack([-np.cos(x), zero]))
+    produced = convective_product(a, b).components
     expected = 0.5 - 0.5 * np.cos(2.0 * x)
-    assert np.max(np.abs(produced.values - expected)) <= 1e-14
+    assert np.max(np.abs(produced[0] - expected)) <= 1e-14
+    assert np.max(np.abs(produced[1])) <= 1e-14
 
 
 def test_convection_energy_orthogonality():
@@ -213,15 +195,7 @@ def test_convection_energy_orthogonality():
     u = VectorField(
         grid, np.stack([derivative(psi, 2).values, -derivative(psi, 1).values])
     )
-    total = np.zeros(grid.shape)
-    for i in range(2):
-        advect_i = np.zeros(grid.shape)
-        for a in range(2):
-            term = dealiased_product(
-                u.component(a), derivative(u.component(i), a + 1)
-            )
-            advect_i = advect_i + term.values
-        total = total + u.component(i).values * advect_i
+    total = np.sum(u.components * convective_product(u, u).components, axis=0)
     integral = np.mean(total) * grid.volume
     cubic_scale = np.mean(np.abs(total)) * grid.volume
     assert abs(integral) <= 1e-10 * max(cubic_scale, 1.0)
@@ -259,7 +233,6 @@ def _owned_array_cases():
     return {
         "ScalarField": ((), float, ScalarField, lambda f: f.values),
         "VectorField": ((2,), float, VectorField, lambda f: f.components),
-        "SpectralField": ((1,), complex, SpectralField, lambda f: f.coefficients),
         "TimePeriodicField": (
             (3, 1),
             complex,
@@ -294,13 +267,14 @@ def test_constructors_neither_lock_nor_alias_caller_arrays(grid2, case):
 
 def test_reality_snap_leaves_caller_modes_untouched(grid2):
     phi = trig_values(grid2, 67)[None]
-    modes = np.zeros((3, 1) + grid2.shape, dtype=np.complex128)
-    modes[2] = phi * (1.0 + 1.0j)
-    modes[0] = np.conj(modes[2]) * (1.0 + 1e-14)
+    modes = np.zeros((2, 1) + grid2.shape, dtype=np.complex128)
+    modes[0] = phi * (1.0 + 1e-14j)
+    modes[1] = phi * (1.0 + 1.0j)
     before = modes.copy()
     stack = TimePeriodicField(grid2, 1.0, modes)
     assert np.array_equal(modes, before)
-    assert np.array_equal(stack.mode(-1), np.conj(stack.mode(1)))
+    assert np.all(stack.mode(0).imag == 0.0)
+    assert np.array_equal(stack.mode(0).real, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -336,10 +310,9 @@ def test_sample_times_reconstructs_signal(grid2):
     psi = trig_values(grid2, 64)
     period = 2.0
     omega = 2.0 * np.pi / period
-    modes = np.zeros((3, 1) + grid2.shape, dtype=np.complex128)
-    modes[1] = phi  # k = 0
-    modes[2] = 0.5 * (psi - 1j * psi)  # k = +1
-    modes[0] = np.conj(modes[2])
+    modes = np.zeros((2, 1) + grid2.shape, dtype=np.complex128)
+    modes[0] = phi
+    modes[1] = 0.5 * (psi - 1j * psi)
     stack = TimePeriodicField(grid2, period, modes)
     samples = stack.sample_times(12)
     t = np.arange(12) * (period / 12)
@@ -352,9 +325,8 @@ def test_time_derivative_multiplies_by_frequency(grid2):
     phi = trig_values(grid2, 65)
     period = 5.0
     omega = 2.0 * np.pi / period
-    modes = np.zeros((3, 1) + grid2.shape, dtype=np.complex128)
-    modes[2] = 0.5 * phi
-    modes[0] = np.conj(modes[2])
+    modes = np.zeros((2, 1) + grid2.shape, dtype=np.complex128)
+    modes[1] = 0.5 * phi
     stack = TimePeriodicField(grid2, period, modes)
     dt = stack.time_derivative()
     assert np.max(np.abs(dt.mode(1) - 1j * omega * 0.5 * phi)) <= 1e-13
@@ -362,13 +334,13 @@ def test_time_derivative_multiplies_by_frequency(grid2):
 
 
 def test_reality_validator_rejects_unpaired_stack(grid2):
-    modes = np.zeros((3, 1) + grid2.shape, dtype=np.complex128)
-    modes[2] = 1.0 + 1.0j
-    modes[0] = 0.25  # not conj(modes[2])
-    with pytest.raises(ValueError, match="conj"):
+    modes = np.zeros((2, 1) + grid2.shape, dtype=np.complex128)
+    modes[0] = 0.25j  # the time average of a real signal is real
+    modes[1] = 1.0 + 1.0j
+    with pytest.raises(ValueError, match="mode 0 is not real"):
         TimePeriodicField(grid2, 1.0, modes)
-    with pytest.raises(ValueError, match="odd"):
-        TimePeriodicField(grid2, 1.0, np.zeros((4, 1) + grid2.shape, complex))
+    with pytest.raises(ValueError, match=r"\(K\+1, ncomp\)"):
+        TimePeriodicField(grid2, 1.0, np.zeros((0, 1) + grid2.shape, complex))
     with pytest.raises(ValueError, match="period"):
         TimePeriodicField(grid2, -1.0, np.zeros((1, 1) + grid2.shape, complex))
 

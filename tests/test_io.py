@@ -1,14 +1,12 @@
-"""Binary field container round trips and CSV export."""
+"""Binary field container round trips."""
 
 from __future__ import annotations
-
-import csv
 
 import numpy as np
 import pytest
 
 from oseenlab.fields import GridSpec, ScalarField, VectorField
-from oseenlab.io import field_to_csv, load_field, save_field
+from oseenlab.io import load_field, save_field
 
 from conftest import trig_scalar, trig_vector
 
@@ -75,26 +73,3 @@ def test_bad_component_count_raises(tmp_path, grid2):
     path.write_bytes(header + b"\x00" * 64)
     with pytest.raises(ValueError, match="component count"):
         load_field(path)
-
-
-def test_field_to_csv_is_parseable(tmp_path):
-    grid = GridSpec(2, 1.0, 4)
-    field = trig_vector(grid, 6)
-    path = tmp_path / "field.csv"
-    field_to_csv(path, field)
-    with open(path, newline="") as handle:
-        rows = list(csv.DictReader(handle))
-    assert len(rows) == 16
-    assert set(rows[0]) == {"i1", "i2", "x1", "x2", "c1", "c2"}
-    probe = rows[5]
-    i1, i2 = int(probe["i1"]), int(probe["i2"])
-    assert float(probe["x1"]) == pytest.approx(i1 * grid.spacing)
-    assert float(probe["c1"]) == field.components[0, i1, i2]
-    assert float(probe["c2"]) == field.components[1, i1, i2]
-
-
-def test_field_to_csv_rejects_large_grids(tmp_path):
-    grid = GridSpec(3, 1.0, 64)
-    field = VectorField.zeros(grid)
-    with pytest.raises(ValueError, match="cap"):
-        field_to_csv(tmp_path / "big.csv", field)

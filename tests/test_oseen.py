@@ -415,10 +415,7 @@ def test_obstacle_flow_wake_asymmetry():
 
     def total_flow(lam: float) -> VectorField:
         lift = build_lifting(lam, spec, grid)
-        load = (
-            -lift.laplacian_field().components
-            + lam * lift.drift_derivative().components
-        )
+        load = -lift.laplacian + lam * lift.jacobian[:, 0]
         pair = solve_steady(VectorField(grid, -load), OseenParams(lam))
         return VectorField(grid, pair.velocity.components + lift.velocity.components)
 

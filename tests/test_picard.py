@@ -203,7 +203,7 @@ def test_time_constant_forcing_reproduces_the_steady_fixed_point(
     assert report.converged
     scale = np.max(np.abs(u_tp.modes))
     oscillation = u_tp.modes.copy()
-    oscillation[u_tp.max_mode] = 0.0
+    oscillation[0] = 0.0
     assert np.max(np.abs(oscillation)) <= 1e-13 * scale
     assert (
         np.max(np.abs(u_tp.mode(0).real - pair_steady.velocity.components))
@@ -236,7 +236,7 @@ def test_driver_norm_splits_average_and_oscillation(grid):
     u = TimePeriodicField(grid, PERIOD, base.modes + osc.modes)
     lam = 0.3
     osc_modes = u.modes.copy()
-    osc_modes[u.max_mode] = 0.0
+    osc_modes[0] = 0.0
     expected = lambda_norm(u.steady_part(), lam, Q, R) + maxreg_norm(
         TimePeriodicField(grid, PERIOD, osc_modes), Q
     )
@@ -345,6 +345,17 @@ def test_lifting_and_initial_compatibility_checks(grid, config, free_lifting):
         picard_timeperiodic(
             f_tp, config, lifting=free_lifting, initial=wrong_period
         )
+
+
+def test_time_periodic_initial_must_match_the_forcing_modes(
+    grid, config, free_lifting
+):
+    f_tp = TimePeriodicField.from_steady(_scaled_forcing(grid, config), PERIOD, 1)
+    too_many = TimePeriodicField.from_steady(VectorField.zeros(grid), PERIOD, 2)
+    with pytest.raises(
+        ValueError, match="initial iterate has max_mode 2, the forcing 1"
+    ):
+        picard_timeperiodic(f_tp, config, lifting=free_lifting, initial=too_many)
 
 
 def test_inadmissible_exponent_pairs_are_rejected(grid, free_lifting):
