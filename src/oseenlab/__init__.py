@@ -42,7 +42,6 @@ from .harness import (
     random_oscillatory,
     random_scalar_field,
     random_timeperiodic_forcing,
-    read_csv,
     run_experiment,
 )
 from .io import load_field, save_field

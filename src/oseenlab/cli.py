@@ -9,6 +9,7 @@ worker count (the sweeps themselves stay sequential for reproducibility).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -107,12 +108,6 @@ def default_config(experiment: str) -> ExperimentConfig:
     raise ValueError(f"no default configuration for {experiment!r}")
 
 
-def _replace(cfg: ExperimentConfig, **overrides) -> ExperimentConfig:
-    import dataclasses
-
-    return dataclasses.replace(cfg, **overrides)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oseenlab",
@@ -185,9 +180,9 @@ def main(argv=None) -> int:
     else:
         cfg = default_config(args.command)
     if args.seed is not None:
-        cfg = _replace(cfg, seed=args.seed)
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     if args.out:
-        cfg = _replace(cfg, output_path=args.out)
+        cfg = dataclasses.replace(cfg, output_path=args.out)
     try:
         result = run_experiment(cfg)
     except Exception as error:  # noqa: BLE001 - the CLI reports, tests raise

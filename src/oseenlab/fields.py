@@ -119,10 +119,6 @@ class GridSpec:
         return (2.0 * np.pi * self.half_period) ** self.dim
 
     @cached_property
-    def box_edge(self) -> float:
-        return 2.0 * np.pi * self.half_period
-
-    @cached_property
     def center(self) -> tuple[float, ...]:
         return (np.pi * self.half_period,) * self.dim
 

@@ -294,6 +294,17 @@ def leave_one_out_shift(x, y) -> float:
     return worst
 
 
+def _sweep_table(columns, rows, fitted):
+    """The float table, each column's values, and log-log slopes against lambda.
+
+    ``fitted`` names the columns whose slopes are fitted.
+    """
+    table = tuple(tuple(map(float, row)) for row in rows)
+    values = {name: [row[i] for row in table] for i, name in enumerate(columns)}
+    slopes = {name: loglog_slope(values["lambda"], values[name]) for name in fitted}
+    return table, values, slopes
+
+
 def _require_sweep(cfg: ExperimentConfig, min_points: int = 5, decades: float = 1.0) -> None:
     lams = cfg.lambda_grid
     if len(lams) < min_points:
@@ -437,6 +448,28 @@ def random_divergence_free(
     return _normalized(field, amplitude)
 
 
+def _random_stack(
+    grid: GridSpec,
+    period: float,
+    time_modes: int,
+    key: list,
+    mode_zero: np.ndarray,
+    weight: float,
+    amplitude: float,
+    mode_kwargs: dict,
+) -> TimePeriodicField:
+    """``mode_zero`` plus seeded draws weight * (re + i im) at k = 1..K.
+
+    The stack is scaled to space-time L^2 size ``amplitude``.
+    """
+    nonneg = [mode_zero]
+    for k in range(1, time_modes + 1):
+        re = random_divergence_free(grid, key + [k, 0], **mode_kwargs)
+        im = random_divergence_free(grid, key + [k, 1], **mode_kwargs)
+        nonneg.append(weight * (re.components + 1j * im.components))
+    return _normalized(TimePeriodicField.from_modes(grid, period, nonneg), amplitude)
+
+
 def random_oscillatory(
     grid: GridSpec,
     period: float,
@@ -449,21 +482,12 @@ def random_oscillatory(
     amplitude: float = 1.0,
 ) -> TimePeriodicField:
     """Seeded divergence-free time-periodic field with zero time average."""
-    key = list(seed_key)
-    nonneg = [np.zeros((grid.dim,) + grid.shape, dtype=np.complex128)]
-    for k in range(1, time_modes + 1):
-        re = random_divergence_free(
-            grid, key + [k, 0], mode_cap=mode_cap, shell=shell,
-            drift_mode_cap=drift_mode_cap,
-        )
-        im = random_divergence_free(
-            grid, key + [k, 1], mode_cap=mode_cap, shell=shell,
-            drift_mode_cap=drift_mode_cap,
-        )
-        nonneg.append(re.components + 1j * im.components)
-    field = TimePeriodicField.from_modes(grid, period, nonneg)
-    scale = amplitude / lq_norm(field, 2.0)
-    return TimePeriodicField(grid, period, field.modes * scale)
+    mode_zero = np.zeros((grid.dim,) + grid.shape, dtype=np.complex128)
+    mode_kwargs = dict(mode_cap=mode_cap, shell=shell, drift_mode_cap=drift_mode_cap)
+    return _random_stack(
+        grid, period, time_modes, list(seed_key), mode_zero, 1.0, amplitude,
+        mode_kwargs,
+    )
 
 
 def random_timeperiodic_forcing(
@@ -479,24 +503,12 @@ def random_timeperiodic_forcing(
 ) -> TimePeriodicField:
     """Divergence-free forcing with both a steady part and oscillation."""
     key = list(seed_key)
-    steady = random_divergence_free(
-        grid, key + [0], mode_cap=mode_cap, shell=shell,
-        drift_mode_cap=drift_mode_cap,
+    mode_kwargs = dict(mode_cap=mode_cap, shell=shell, drift_mode_cap=drift_mode_cap)
+    steady = random_divergence_free(grid, key + [0], **mode_kwargs)
+    return _random_stack(
+        grid, period, time_modes, key, steady.components.astype(np.complex128),
+        0.5, amplitude, mode_kwargs,
     )
-    nonneg = [steady.components.astype(np.complex128)]
-    for k in range(1, time_modes + 1):
-        re = random_divergence_free(
-            grid, key + [k, 0], mode_cap=mode_cap, shell=shell,
-            drift_mode_cap=drift_mode_cap,
-        )
-        im = random_divergence_free(
-            grid, key + [k, 1], mode_cap=mode_cap, shell=shell,
-            drift_mode_cap=drift_mode_cap,
-        )
-        nonneg.append(0.5 * (re.components + 1j * im.components))
-    field = TimePeriodicField.from_modes(grid, period, nonneg)
-    scale = amplitude / lq_norm(field, 2.0)
-    return TimePeriodicField(grid, period, field.modes * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -656,16 +668,9 @@ def run_mms(cfg: ExperimentConfig) -> ScalingResult:
         "tp_velocity_error",
         "tp_pressure_error",
     )
-    table = tuple(tuple(map(float, row)) for row in rows)
+    table, values, _ = _sweep_table(columns, rows, ())
     result_checks = [
-        _check_le(
-            "steady_velocity_error_max", max(r[1] for r in table), 1e-11
-        ),
-        _check_le(
-            "steady_pressure_error_max", max(r[2] for r in table), 1e-11
-        ),
-        _check_le("tp_velocity_error_max", max(r[3] for r in table), 1e-11),
-        _check_le("tp_pressure_error_max", max(r[4] for r in table), 1e-11),
+        _check_le(name + "_max", max(values[name]), 1e-11) for name in columns[1:]
     ]
     result_checks.extend(checks)
     return ScalingResult(
@@ -781,40 +786,39 @@ def _steady_line_values(velocity, pressure, lam, cfg, m_exp, delta, f_lq, f_neg)
     )
 
 
-def _steady_sweep_checks(cfg, columns, rows, slopes, m_exp, checks, flags, prefix=""):
-    """Shared slope assertions for the steady estimate lines."""
-    lams = [row[0] for row in rows]
+def _steady_lines(values, slopes, m_exp, delta):
+    """Constants, checks and flags of the two steady estimate lines.
 
-    def col(name):
-        return [row[columns.index(name)] for row in rows]
-
-    checks.append(
-        _check_ge(
-            prefix + "weighted_lq_s_slope",
-            slopes[prefix + "weighted_lq_s"],
-            -0.15,
-        )
-    )
+    ``values`` and ``slopes`` are the column values and the log-log slopes
+    of a sweep table from :func:`_sweep_table`.
+    """
+    constants = {
+        "constant_line1": max(values["ratio_line1"]),
+        "constant_line2": max(values["ratio_line2"]),
+        "m_exponent": float(m_exp),
+        "delta": float(delta),
+    }
+    checks = [
+        _check_ge("weighted_lq_s_slope", slopes["weighted_lq_s"], -0.15)
+    ]
+    flags = []
     if m_exp == 0:
         for line in ("ratio_line1", "ratio_line2"):
+            checks.append(_check_le(line + "_slope", slopes[line], 0.15))
             checks.append(
                 _check_le(
-                    prefix + line + "_slope", slopes[prefix + line], 0.15
-                )
-            )
-            checks.append(
-                _check_le(
-                    prefix + line + "_leverage",
-                    leave_one_out_shift(lams, col(line)),
+                    line + "_leverage",
+                    leave_one_out_shift(values["lambda"], values[line]),
                     0.05,
                 )
             )
     else:
         flags.append(
-            prefix + "drift-amplified data weight (M != 0): estimate ratios "
+            "drift-amplified data weight (M != 0): estimate ratios "
             "scale with a positive drift power, so flatness is reported, "
             "not asserted"
         )
+    return constants, checks, flags
 
 
 def run_scaling_steady(cfg: ExperimentConfig) -> ScalingResult:
@@ -848,7 +852,6 @@ def run_scaling_steady(cfg: ExperimentConfig) -> ScalingResult:
     weight = 1.0 / (n + 1)
     columns = _STEADY_COLUMNS + ("lq_q", "seminorm_1q", "ratio_fullnorm")
     rows = []
-    flags: list[str] = []
     for lam in cfg.lambda_grid:
         params = OseenParams(lam=lam, lam_max=max(cfg.lambda_ceiling, lam))
         pair = solve_steady(forcing, params)
@@ -867,30 +870,15 @@ def run_scaling_steady(cfg: ExperimentConfig) -> ScalingResult:
             )
             ratio_full = lhs_full / base[columns.index("rhs_line2")]
         rows.append(base + (lq_q, seminorm_1q, ratio_full))
-    table = tuple(tuple(map(float, row)) for row in rows)
-    lams = [row[0] for row in table]
-    slopes = {
-        name: loglog_slope(lams, [row[i] for row in table])
-        for i, name in enumerate(columns)
-        if name != "lambda"
-    }
-    constants = {
-        "constant_line1": max(row[columns.index("ratio_line1")] for row in table),
-        "constant_line2": max(row[columns.index("ratio_line2")] for row in table),
-        "m_exponent": float(m_exp),
-        "delta": float(delta),
-    }
-    checks: list[CheckRecord] = []
-    _steady_sweep_checks(cfg, columns, table, slopes, m_exp, checks, flags)
+    table, values, slopes = _sweep_table(columns, rows, columns[1:])
+    constants, checks, flags = _steady_lines(values, slopes, m_exp, delta)
     if theta is None:
         flags.append(
             "full-norm line skipped: the interpolation exponent needs "
             "1/q <= 1/r - 1/(n+1)"
         )
     else:
-        constants["constant_fullnorm"] = max(
-            row[columns.index("ratio_fullnorm")] for row in table
-        )
+        constants["constant_fullnorm"] = max(values["ratio_fullnorm"])
         if m_exp == 0:
             checks.append(
                 _check_le(
@@ -935,7 +923,9 @@ def _bochner_gradient_norm(pressure: TimePeriodicField, q: float) -> float:
 def maxreg_norm_mode_sum(field: TimePeriodicField) -> float:
     """Plancherel evaluation of the maximal-regularity norm, q = 2 only.
 
-    Parseval in time converts period averages into sums over time modes; the
+    Parseval in time converts period averages into sums over the time modes
+    k = -K..K, and the mode at -k, the conjugate of the mode at k, adds the
+    same amount, so the sums are mode 0 plus twice the modes k = 1..K.  The
     spatial pieces go through the same full-Sobolev code path on the real and
     imaginary parts of each mode, so this is an independent quadrature-free
     cross-check of :func:`oseenlab.norms.maxreg_norm`.
@@ -943,14 +933,15 @@ def maxreg_norm_mode_sum(field: TimePeriodicField) -> float:
     grid = field.grid
     spatial_total = 0.0
     dt_total = 0.0
-    for k in range(-field.max_mode, field.max_mode + 1):
-        mode = field.mode(k)
+    for k in range(field.max_mode + 1):
+        mode = field.modes[k]
         re = VectorField(grid, mode.real)
         im = VectorField(grid, mode.imag)
-        spatial_total += (
+        weight = 1.0 if k == 0 else 2.0
+        spatial_total += weight * (
             sobolev_full_norm(re, 2, 2.0) ** 2 + sobolev_full_norm(im, 2, 2.0) ** 2
         )
-        dt_total += field.omega(k) ** 2 * (
+        dt_total += weight * field.omega(k) ** 2 * (
             lq_norm(re, 2.0) ** 2 + lq_norm(im, 2.0) ** 2
         )
     return math.sqrt(spatial_total) + math.sqrt(dt_total)
@@ -990,10 +981,7 @@ def run_scaling_tp(cfg: ExperimentConfig) -> ScalingResult:
         grad_modes.append(
             0.5 * (gradient(g_re).components + 1j * gradient(g_im).components)
         )
-    gradient_part = TimePeriodicField.from_modes(grid, cfg.period, grad_modes)
-    forcing = TimePeriodicField(
-        grid, cfg.period, forcing_free.modes + gradient_part.modes
-    )
+    forcing = forcing_free + TimePeriodicField.from_modes(grid, cfg.period, grad_modes)
 
     f_steady = project_steady(forcing)
     f_osc = project_oscillatory(forcing)
@@ -1034,30 +1022,14 @@ def run_scaling_tp(cfg: ExperimentConfig) -> ScalingResult:
             plancherel_worst = max(
                 plancherel_worst, abs(cross - maxreg) / maxreg
             )
-    table = tuple(tuple(map(float, row)) for row in rows)
-    lams = [row[0] for row in table]
-    slopes = {
-        name: loglog_slope(lams, [row[i] for row in table])
-        for i, name in enumerate(columns)
-        if name != "lambda"
-    }
-    constants = {
-        "constant_line1": max(row[columns.index("ratio_line1")] for row in table),
-        "constant_line2": max(row[columns.index("ratio_line2")] for row in table),
-        "m_exponent": float(m_exp),
-        "delta": float(delta),
-    }
-    checks: list[CheckRecord] = []
-    flags: list[str] = []
-    _steady_sweep_checks(cfg, columns, table, slopes, m_exp, checks, flags)
+    table, values, slopes = _sweep_table(columns, rows, columns[1:])
+    constants, checks, flags = _steady_lines(values, slopes, m_exp, delta)
     if osc_trivial:
         flags.append(
             "oscillatory ratio skipped: the forcing has no oscillatory part"
         )
     else:
-        constants["constant_oscillatory"] = max(
-            row[columns.index("ratio_oscillatory")] for row in table
-        )
+        constants["constant_oscillatory"] = max(values["ratio_oscillatory"])
         checks.append(
             _check_le(
                 "oscillatory_ratio_slope_magnitude",
@@ -1068,10 +1040,7 @@ def run_scaling_tp(cfg: ExperimentConfig) -> ScalingResult:
         checks.append(
             _check_le(
                 "oscillatory_ratio_leverage",
-                leave_one_out_shift(
-                    lams,
-                    [row[columns.index("ratio_oscillatory")] for row in table],
-                ),
+                leave_one_out_shift(values["lambda"], values["ratio_oscillatory"]),
                 0.05,
             )
         )
@@ -1136,30 +1105,22 @@ def run_bilinear_ensemble(cfg: ExperimentConfig) -> ScalingResult:
         shell=cfg.forcing_shell,
         drift_mode_cap=cfg.drift_mode_cap,
     )
-    v_one = [
-        random_divergence_free(grid, [cfg.seed, 201, i], **mode_kwargs)
-        for i in range(count)
-    ]
-    v_two = [
-        random_divergence_free(grid, [cfg.seed, 202, i], **mode_kwargs)
-        for i in range(count)
-    ]
-    w_one = [
-        random_oscillatory(
-            grid, cfg.period, cfg.time_modes, [cfg.seed, 203, i], **mode_kwargs
-        )
-        for i in range(count)
-    ]
-    w_two = [
-        random_oscillatory(
-            grid, cfg.period, cfg.time_modes, [cfg.seed, 204, i], **mode_kwargs
-        )
-        for i in range(count)
-    ]
-    v_one_pieces = [lambda_norm_pieces(v, cfg.q, cfg.r) for v in v_one]
-    v_two_pieces = [lambda_norm_pieces(v, cfg.q, cfg.r) for v in v_two]
-    w_one_norms = [maxreg_norm(w, cfg.q) for w in w_one]
-    w_two_norms = [maxreg_norm(w, cfg.q) for w in w_two]
+
+    def ensemble(draw, tag, *time_args):
+        return [
+            draw(grid, *time_args, [cfg.seed, tag, i], **mode_kwargs)
+            for i in range(count)
+        ]
+
+    v_one, v_two = (ensemble(random_divergence_free, tag) for tag in (201, 202))
+    w_one, w_two = (
+        ensemble(random_oscillatory, tag, cfg.period, cfg.time_modes)
+        for tag in (203, 204)
+    )
+    v_one_pieces = np.array([lambda_norm_pieces(v, cfg.q, cfg.r) for v in v_one])
+    v_two_pieces = np.array([lambda_norm_pieces(v, cfg.q, cfg.r) for v in v_two])
+    w_one_arr = np.array([maxreg_norm(w, cfg.q) for w in w_one])
+    w_two_arr = np.array([maxreg_norm(w, cfg.q) for w in w_two])
 
     numerators = np.empty((count, 6))
     for i in range(count):
@@ -1177,17 +1138,10 @@ def run_bilinear_ensemble(cfg: ExperimentConfig) -> ScalingResult:
         )
 
     rows = []
-    raw_history = {name: [] for name in _BILINEAR_NAMES}
     for lam in cfg.lambda_grid:
         lam_w = lam**weight
-        den_one = np.array(
-            [a + lam_w * b for a, b in v_one_pieces]
-        )
-        den_two = np.array(
-            [a + lam_w * b for a, b in v_two_pieces]
-        )
-        w_one_arr = np.array(w_one_norms)
-        w_two_arr = np.array(w_two_norms)
+        den_one = v_one_pieces[:, 0] + lam_w * v_one_pieces[:, 1]
+        den_two = v_two_pieces[:, 0] + lam_w * v_two_pieces[:, 1]
         denominators = np.column_stack(
             (
                 den_one * den_two,
@@ -1201,8 +1155,6 @@ def run_bilinear_ensemble(cfg: ExperimentConfig) -> ScalingResult:
         ratios = numerators / denominators
         means = np.exp(np.mean(np.log(ratios), axis=0))
         maxima = np.max(ratios, axis=0)
-        for name, value in zip(_BILINEAR_NAMES, means):
-            raw_history[name].append(float(value))
         rows.append((lam, *map(float, means), *map(float, maxima)))
 
     columns = (
@@ -1210,13 +1162,7 @@ def run_bilinear_ensemble(cfg: ExperimentConfig) -> ScalingResult:
         + tuple("raw_" + name for name in _BILINEAR_NAMES)
         + tuple("max_" + name for name in _BILINEAR_NAMES)
     )
-    table = tuple(tuple(map(float, row)) for row in rows)
-    lams = [row[0] for row in table]
-    slopes = {
-        name: loglog_slope(lams, [row[i] for row in table])
-        for i, name in enumerate(columns)
-        if name != "lambda"
-    }
+    table, values, slopes = _sweep_table(columns, rows, columns[1:])
     fitted = {
         "fitted_theta": -(n + 1) * slopes["raw_steady_strong"],
         "fitted_eta": -(n + 1) * slopes["raw_steady_weak"],
@@ -1224,33 +1170,26 @@ def run_bilinear_ensemble(cfg: ExperimentConfig) -> ScalingResult:
         "fitted_zeta_osc_steady": -(n + 1) * slopes["raw_mixed_osc_steady"],
     }
 
-    def weighted_constant(index: int, exponent: float) -> float:
+    def weighted_constant(name: str, exponent: float) -> float:
         worst = 0.0
-        for row in table:
-            lam = row[0]
-            worst = max(
-                worst,
-                row[columns.index("max_" + _BILINEAR_NAMES[index])]
-                * lam ** (exponent * weight),
-            )
+        for lam, value in zip(values["lambda"], values["max_" + name]):
+            worst = max(worst, value * lam ** (exponent * weight))
         return worst
 
     constants = {
         "theta_formula": theta_formula,
         **fitted,
-        "constant_steady_strong": weighted_constant(0, theta_formula),
-        "constant_steady_weak": weighted_constant(1, fitted["fitted_eta"]),
-        "constant_osc_strong": max(
-            row[columns.index("max_osc_strong")] for row in table
+        "constant_steady_strong": weighted_constant("steady_strong", theta_formula),
+        "constant_steady_weak": weighted_constant(
+            "steady_weak", fitted["fitted_eta"]
         ),
-        "constant_osc_weak": max(
-            row[columns.index("max_osc_weak")] for row in table
-        ),
+        "constant_osc_strong": max(values["max_osc_strong"]),
+        "constant_osc_weak": max(values["max_osc_weak"]),
         "constant_mixed_steady_osc": weighted_constant(
-            4, fitted["fitted_zeta_steady_osc"]
+            "mixed_steady_osc", fitted["fitted_zeta_steady_osc"]
         ),
         "constant_mixed_osc_steady": weighted_constant(
-            5, fitted["fitted_zeta_osc_steady"]
+            "mixed_osc_steady", fitted["fitted_zeta_osc_steady"]
         ),
     }
     checks = [
@@ -1330,8 +1269,10 @@ def run_lifting_check(cfg: ExperimentConfig) -> ScalingResult:
         "boundary_error_max",
         "divergence_l2",
     )
-    table = tuple(tuple(map(float, row)) for row in rows)
-    ratios = np.array([row[3] for row in table])
+    table, values, slopes = _sweep_table(
+        columns, rows, ("load_lq_q", "load_negnorm_1r_surrogate", "load_ratio")
+    )
+    ratios = np.array(values["load_ratio"])
     mean = float(np.mean(ratios))
     variation = float(np.std(ratios) / mean)
     max_deviation = float(np.max(np.abs(ratios - mean)) / mean)
@@ -1341,20 +1282,10 @@ def run_lifting_check(cfg: ExperimentConfig) -> ScalingResult:
         "load_ratio_max_deviation": max_deviation,
     }
     checks = (
-        _check_le(
-            "boundary_error_max", max(row[4] for row in table), 1e-10
-        ),
-        _check_le("divergence_l2_max", max(row[5] for row in table), 1e-10),
+        _check_le("boundary_error_max", max(values["boundary_error_max"]), 1e-10),
+        _check_le("divergence_l2_max", max(values["divergence_l2"]), 1e-10),
         _check_le("load_ratio_variation", variation, 0.05),
     )
-    slopes = {
-        name: loglog_slope(
-            [row[0] for row in table],
-            [row[i] for row in table],
-        )
-        for i, name in enumerate(columns)
-        if name in ("load_lq_q", "load_negnorm_1r_surrogate", "load_ratio")
-    }
     return ScalingResult(
         experiment=cfg.experiment,
         columns=columns,
@@ -1480,8 +1411,8 @@ def run_picard(cfg: ExperimentConfig) -> ScalingResult:
                     10.0 * cfg.tol * solution_norm,
                 )
             )
-    table = tuple(tuple(map(float, row)) for row in rows)
-    rates = [row[_PICARD_COLUMNS.index("contraction_rate")] for row in table]
+    table, values, _ = _sweep_table(_PICARD_COLUMNS, rows, ())
+    rates = values["contraction_rate"]
     for j in range(len(rates) - 1):
         checks.append(
             _check_lt(
@@ -1575,27 +1506,11 @@ def emit_csv(result: ScalingResult, path) -> None:
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    lines = [",".join(result.columns)]
-    lines.extend(
-        ",".join(_format_value(value) for value in row) for row in result.rows
-    )
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
     dat_path = os.path.splitext(path)[0] + ".dat"
-    dat_lines = ["# " + " ".join(result.columns)]
-    dat_lines.extend(
-        " ".join(_format_value(value) for value in row) for row in result.rows
-    )
-    with open(dat_path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(dat_lines) + "\n")
-
-
-def read_csv(path) -> tuple[tuple[str, ...], tuple[tuple[float, ...], ...]]:
-    """Read back a table written by :func:`emit_csv`, floats bit-exact."""
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = [line.rstrip("\n") for line in handle if line.strip()]
-    columns = tuple(lines[0].split(","))
-    rows = tuple(
-        tuple(float(token) for token in line.split(",")) for line in lines[1:]
-    )
-    return columns, rows
+    for target, sep, head in ((path, ",", ""), (dat_path, " ", "# ")):
+        lines = [head + sep.join(result.columns)]
+        lines.extend(
+            sep.join(_format_value(value) for value in row) for row in result.rows
+        )
+        with open(target, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write("\n".join(lines) + "\n")

@@ -156,9 +156,7 @@ def negative_norm_surrogate(field: ScalarField | VectorField, r: float) -> float
     return _lq_of_array(grid, samples, r)
 
 
-def lambda_norm_pieces(
-    field: VectorField, q: float, r: float, n: int | None = None
-) -> tuple[float, float]:
+def lambda_norm_pieces(field: VectorField, q: float, r: float) -> tuple[float, float]:
     """The drift-free pieces (|v|_{2,q} + |v|_{1,r}, ||v||_s) of the wake norm.
 
     Both seminorms share one forward transform.  :func:`lambda_norm` at any
@@ -166,10 +164,8 @@ def lambda_norm_pieces(
     sweeping the drift evaluates them once per field.
     """
     q = _check_exponent(q, "q")
-    if n is None:
-        n = field.grid.dim
-    s = s_exponent(n, r)
     grid = field.grid
+    s = s_exponent(grid.dim, r)
     components = _component_array(field)
     coeff = _rfftn(components, grid.dim)
     smooth = _seminorm_from_coefficients(
@@ -189,17 +185,14 @@ def lambda_norm_from_pieces(
     return smooth + weighted
 
 
-def lambda_norm(
-    field: VectorField, lam: float, q: float, r: float, n: int | None = None
-) -> float:
+def lambda_norm(field: VectorField, lam: float, q: float, r: float) -> float:
     """Wake-weighted norm |v|_{2,q} + |v|_{1,r} + lambda^{1/(n+1)} ||v||_s.
 
-    ``n`` defaults to the grid dimension; s = (n+1) r / (n+1-r) requires
-    r < n+1.
+    ``n`` is the grid dimension; s = (n+1) r / (n+1-r) requires r < n+1.
     """
-    if n is None:
-        n = field.grid.dim
-    return lambda_norm_from_pieces(lambda_norm_pieces(field, q, r, n), lam, n)
+    return lambda_norm_from_pieces(
+        lambda_norm_pieces(field, q, r), lam, field.grid.dim
+    )
 
 
 def _default_time_samples(max_mode: int) -> int:
@@ -283,11 +276,13 @@ def _sample_powers(weights: np.ndarray, fields: np.ndarray, q: float) -> np.ndar
 def spacetime_l2_plancherel(field: TimePeriodicField) -> float:
     """Space-time L^2 norm evaluated directly from the time-mode stack.
 
-    Parseval in time turns the period average into a sum over modes, so this
-    is an exact cross-check for quadrature-based L^2 quantities.
+    Parseval in time turns the period average into a sum over the modes
+    k = -K..K; the mode at -k is the conjugate of the mode at k, so the sum
+    is mode 0 plus twice the modes k = 1..K.  This is an exact cross-check
+    for quadrature-based L^2 quantities.
     """
     total = 0.0
-    for k in range(-field.max_mode, field.max_mode + 1):
-        mode = field.mode(k)
-        total += float(np.mean(np.sum(np.abs(mode) ** 2, axis=0)))
+    for k in range(field.max_mode + 1):
+        energy = float(np.mean(np.sum(np.abs(field.modes[k]) ** 2, axis=0)))
+        total += energy if k == 0 else 2.0 * energy
     return float(np.sqrt(total * field.grid.volume))

@@ -40,7 +40,6 @@ class OseenParams:
 
     lam: float
     lam_max: float = 16.0
-    dim: int | None = None
 
     def __post_init__(self) -> None:
         if not self.lam_max > 0:
@@ -49,15 +48,6 @@ class OseenParams:
             raise ValueError(
                 f"lam must lie in [0, {self.lam_max}], got {self.lam}"
             )
-        if self.dim is not None and self.dim not in (2, 3):
-            raise ValueError(f"dim must be 2 or 3, got {self.dim}")
-
-
-def _check_params(grid: GridSpec, params: OseenParams) -> None:
-    if params.dim is not None and params.dim != grid.dim:
-        raise ValueError(
-            f"params declare dim {params.dim} but the grid has dim {grid.dim}"
-        )
 
 
 @dataclass(frozen=True)
@@ -131,7 +121,6 @@ def solve_steady(f: VectorField, params: OseenParams) -> StokesPair:
     velocity depends only on the divergence-free part of ``f``.
     """
     grid = f.grid
-    _check_params(grid, params)
     coeff = _fftn(f.components, grid.dim)
     u_coeff, p_coeff = _mode_solution_coeff(grid, coeff, params.lam, 0.0)
     velocity = VectorField(grid, _ifftn(u_coeff, grid.dim).real)
@@ -152,7 +141,6 @@ def solve_mode(
     shape (dim,) + grid.shape.  The returned pressure mode has the stack
     layout (1,) + grid.shape.  k = 0 reproduces :func:`solve_steady`.
     """
-    _check_params(grid, params)
     if not period > 0:
         raise ValueError(f"period must be positive, got {period}")
     f_mode = np.ascontiguousarray(f_mode, dtype=np.complex128)
@@ -227,26 +215,6 @@ class SolveReport:
     def iterations(self) -> int:
         return len(self.iterates)
 
-    def to_csv(self, path) -> None:
-        columns = (
-            ("lambda", self.lam),
-            ("grid_n", self.grid_points),
-            ("residual_momentum", self.residual_momentum),
-            ("residual_div", self.residual_div),
-            ("iterations", self.iterations),
-            ("wall_time_seconds", self.wall_time_seconds),
-        )
-        header = ",".join(name for name, _ in columns)
-        row = ",".join(_format_csv_value(value) for _, value in columns)
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(header + "\n" + row + "\n")
-
-
-def _format_csv_value(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.17g}"
-
 
 def contraction_rate_from_updates(updates) -> float:
     """Max ratio of consecutive update norms.
@@ -272,29 +240,17 @@ def residual(
 ) -> tuple[float, float]:
     """L^2 norms of the momentum defect and of div(velocity).
 
-    The defect is measured against the mean-free part of ``f``: the solvers
-    pin the box mean of velocity and pressure to zero, so a forcing mean is
-    unreachable by construction.
+    The steady problem is the K = 0 case of :func:`residual_timeperiodic`:
+    the pair and the forcing enter as the time-constant stacks of
+    :meth:`TimePeriodicField.from_steady`, so a forcing on another grid is
+    rejected there.
     """
-    grid = pair.velocity.grid
-    _check_params(grid, params)
-    if f.grid != grid:
-        raise ValueError("forcing lives on a different grid")
-    u_coeff = _fftn(pair.velocity.components, grid.dim)
-    p_coeff = _fftn(pair.pressure.values[None], grid.dim)[0]
-    f_coeff = _fftn(f.components, grid.dim)
-    zero = (slice(None),) + (0,) * grid.dim
-    f_coeff[zero] = 0.0
-    symbol = grid.ksq + 1j * params.lam * grid.wavenumber(0)
-    momentum = symbol * u_coeff - f_coeff
-    div = np.zeros(grid.shape, dtype=np.complex128)
-    for axis in range(grid.dim):
-        xi = grid.wavenumber(axis)
-        momentum[axis] = momentum[axis] + 1j * xi * p_coeff
-        div = div + 1j * xi * u_coeff[axis]
-    mom_norm = float(np.sqrt(np.sum(np.abs(momentum) ** 2) * grid.volume))
-    div_norm = float(np.sqrt(np.sum(np.abs(div) ** 2) * grid.volume))
-    return mom_norm, div_norm
+    # Any period will do: the lone block k = 0 has omega = 0.
+    stacks = [
+        TimePeriodicField.from_steady(field, 1.0)
+        for field in (pair.velocity, pair.pressure, f)
+    ]
+    return residual_timeperiodic(*stacks, params)
 
 
 def residual_timeperiodic(
@@ -303,21 +259,34 @@ def residual_timeperiodic(
     forcing: TimePeriodicField,
     params: OseenParams,
 ) -> tuple[float, float]:
-    """Space-time L^2 residual norms of the time-periodic system.
+    """Space-time L^2 norms of the momentum defect and of div(velocity).
 
-    Parseval in time reduces the period-averaged space-time L^2 norm to a
-    sum over frequency blocks, evaluated coefficientwise per block.
+    Parseval in time turns the period-averaged space-time L^2 norm into a
+    sum over the frequency blocks k = -K..K.  The block at -k is the
+    conjugate mirror of the block at k and has the same norm, so the sum is
+    block 0 plus twice the blocks k = 1..K, three transforms per block.  The
+    defect at k = 0 is measured against the mean-free part of the forcing:
+    the solvers pin the box mean of velocity and pressure to zero, so a
+    forcing mean is unreachable by construction.  The three stacks must
+    share grid, period and ``max_mode``.
     """
     grid = velocity.grid
-    _check_params(grid, params)
     if pressure.ncomp != 1:
         raise ValueError("pressure stack must be scalar-valued")
+    for name, other in (("pressure", pressure), ("forcing", forcing)):
+        if other.grid != grid:
+            raise ValueError(f"{name} lives on a different grid")
+        if (other.period, other.max_mode) != (velocity.period, velocity.max_mode):
+            raise ValueError(
+                f"{name} has period {other.period} and max_mode {other.max_mode}, "
+                f"the velocity {velocity.period} and {velocity.max_mode}"
+            )
     mom_total = 0.0
     div_total = 0.0
-    for k in range(-velocity.max_mode, velocity.max_mode + 1):
-        u_coeff = _fftn(velocity.mode(k), grid.dim)
-        p_coeff = _fftn(pressure.mode(k), grid.dim)[0]
-        f_coeff = _fftn(forcing.mode(k), grid.dim)
+    for k in range(velocity.max_mode + 1):
+        u_coeff = _fftn(velocity.modes[k], grid.dim)
+        p_coeff = _fftn(pressure.modes[k], grid.dim)[0]
+        f_coeff = _fftn(forcing.modes[k], grid.dim)
         if k == 0:
             zero = (slice(None),) + (0,) * grid.dim
             f_coeff[zero] = 0.0
@@ -329,8 +298,9 @@ def residual_timeperiodic(
             xi = grid.wavenumber(axis)
             momentum[axis] = momentum[axis] + 1j * xi * p_coeff
             div = div + 1j * xi * u_coeff[axis]
-        mom_total += float(np.sum(np.abs(momentum) ** 2))
-        div_total += float(np.sum(np.abs(div) ** 2))
+        weight = 1.0 if k == 0 else 2.0
+        mom_total += weight * float(np.sum(np.abs(momentum) ** 2))
+        div_total += weight * float(np.sum(np.abs(div) ** 2))
     vol = grid.volume
     return float(np.sqrt(mom_total * vol)), float(np.sqrt(div_total * vol))
 

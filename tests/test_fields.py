@@ -30,12 +30,11 @@ from conftest import trig_scalar, trig_values, trig_vector
 def test_grid_geometry():
     grid = GridSpec(2, 2.0, 8)
     assert grid.shape == (8, 8)
-    assert grid.box_edge == pytest.approx(4.0 * np.pi)
     assert grid.volume == pytest.approx((4.0 * np.pi) ** 2)
     assert grid.spacing == pytest.approx(4.0 * np.pi / 8)
     x = grid.axis_coordinates()
     assert x[0] == 0.0
-    assert x[-1] == pytest.approx(grid.box_edge - grid.spacing)
+    assert x[-1] == pytest.approx(4.0 * np.pi - grid.spacing)
 
 
 def test_grid_validation():

@@ -31,7 +31,6 @@ from oseenlab.harness import (
     oseen_apply,
     random_divergence_free,
     random_scalar_field,
-    read_csv,
     run_bilinear_ensemble,
     run_mms,
     run_scaling_steady,
@@ -417,11 +416,17 @@ def test_exponent_report_contents():
     assert "violated[linear-full]" in blocked
 
 
+def _read_csv(path):
+    lines = path.read_text().splitlines()
+    rows = tuple(tuple(float(token) for token in line.split(",")) for line in lines[1:])
+    return tuple(lines[0].split(",")), rows
+
+
 def test_emit_csv_round_trip_and_twin(tmp_path):
     result = _toy_result(rows=((0.1, 1.0 / 3.0), (0.2, 2.0 / 7.0)))
     path = tmp_path / "nested" / "table.csv"
     emit_csv(result, path)
-    columns, rows = read_csv(path)
+    columns, rows = _read_csv(path)
     assert columns == result.columns
     assert rows == result.rows  # bit-exact through 17 significant digits
 
@@ -441,5 +446,5 @@ def test_emit_csv_empty_sweep_writes_header_only(tmp_path):
     path = tmp_path / "empty.csv"
     emit_csv(result, path)
     assert path.read_text() == "lambda,value\n"
-    columns, rows = read_csv(path)
+    columns, rows = _read_csv(path)
     assert columns == ("lambda", "value") and rows == ()

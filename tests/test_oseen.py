@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oseenlab.exponents import ExponentProfile
 from oseenlab.fields import (
     GridSpec,
     ScalarField,
@@ -14,7 +13,7 @@ from oseenlab.fields import (
     divergence,
     gradient,
 )
-from oseenlab.harness import random_divergence_free
+from oseenlab.harness import random_timeperiodic_forcing
 from oseenlab.lifting import build_lifting, default_cutoff
 from oseenlab.norms import lq_norm
 from oseenlab.oseen import (
@@ -31,8 +30,6 @@ from oseenlab.oseen import (
     solve_timeperiodic,
     wake_asymmetry,
 )
-
-from oseenlab.picard import PicardConfig, data_size, picard_steady
 
 from conftest import trig_scalar, trig_values, trig_vector
 
@@ -77,13 +74,11 @@ def test_leray_is_idempotent_and_kills_gradients(grid2):
 # steady solves
 
 
-def test_parameter_validation(grid2):
+def test_parameter_validation():
     with pytest.raises(ValueError, match="lam"):
         OseenParams(-1.0)
     with pytest.raises(ValueError, match="lam"):
         OseenParams(20.0, lam_max=16.0)
-    with pytest.raises(ValueError, match="dim"):
-        solve_steady(trig_vector(grid2, 5), OseenParams(1.0, dim=3))
 
 
 def test_gradient_forcing_goes_into_pressure(grid2):
@@ -392,14 +387,84 @@ def test_residual_scales_linearly_with_perturbation():
 
 
 def test_timeperiodic_residual_of_exact_solution(grid2):
-    from oseenlab.harness import random_timeperiodic_forcing
-
     forcing = random_timeperiodic_forcing(grid2, 2.0, 2, (24,))
     params = OseenParams(1.5)
     velocity, pressure = solve_timeperiodic(forcing, params)
     momentum, div = residual_timeperiodic(velocity, pressure, forcing, params)
     assert momentum <= 1e-10 * lq_norm(forcing, 2.0)
     assert div <= 1e-12
+
+
+def test_steady_residual_is_the_k0_case():
+    grid = GridSpec(2, np.pi, 32)
+    f = trig_vector(grid, 41)
+    params = OseenParams(1.3)
+    pair = solve_steady(f, params)
+    pair = StokesPair(
+        VectorField(grid, pair.velocity.components + 1e-6 * trig_values(grid, 42)),
+        pair.pressure,
+    )
+    stacks = [
+        TimePeriodicField.from_steady(field, 3.0)
+        for field in (pair.velocity, pair.pressure, f)
+    ]
+    assert residual(pair, f, params) == residual_timeperiodic(*stacks, params)
+
+
+def _solved_stacks(grid, period=2.0, max_mode=1):
+    """(velocity, pressure, forcing) of one time-periodic solve."""
+    forcing = random_timeperiodic_forcing(grid, period, max_mode, (25,))
+    return (*solve_timeperiodic(forcing, OseenParams(1.0)), forcing)
+
+
+# mismatch -> (keyword of _solved_stacks, expected message)
+_MISMATCHES = {
+    "grid": ({"grid": GridSpec(2, 2.0 * np.pi, 16)}, "lives on a different grid"),
+    "period": ({"period": 3.0}, "has period 3.0 and max_mode 1"),
+    "max_mode": ({"max_mode": 2}, "has period 2.0 and max_mode 2"),
+}
+
+
+@pytest.mark.parametrize("name", ["pressure", "forcing"])
+@pytest.mark.parametrize("kind", list(_MISMATCHES))
+def test_timeperiodic_residual_rejects_mismatched_stacks(kind, name):
+    # Before these checks a mismatched forcing was read only up to the
+    # velocity's max_mode and certified as a tiny residual.
+    grid = GridSpec(2, np.pi, 16)
+    keywords, message = _MISMATCHES[kind]
+    slot = 1 if name == "pressure" else 2
+    stacks = list(_solved_stacks(grid))
+    stacks[slot] = _solved_stacks(**{"grid": grid, **keywords})[slot]
+    with pytest.raises(ValueError, match=f"{name} {message}"):
+        residual_timeperiodic(*stacks, OseenParams(1.0))
+
+
+def test_steady_residual_rejects_forcing_on_another_grid(grid2):
+    pair = solve_steady(trig_vector(grid2, 43), OseenParams(1.0))
+    other = GridSpec(2, 2.0 * np.pi, 32)
+    with pytest.raises(ValueError, match="forcing lives on a different grid"):
+        residual(pair, trig_vector(other, 43), OseenParams(1.0))
+
+
+def test_timeperiodic_residual_transforms_each_stored_block_once(monkeypatch):
+    # Three forward transforms per stored block k = 0..K; the conjugate
+    # blocks k < 0 are folded in, not transformed.
+    import oseenlab.oseen as oseen
+
+    grid = GridSpec(2, np.pi, 16)
+    cases = [(k, _solved_stacks(grid, max_mode=k)) for k in (0, 1, 2)]
+    calls = []
+    original = oseen._fftn
+
+    def counting(values, dim):
+        calls.append(values.shape)
+        return original(values, dim)
+
+    monkeypatch.setattr(oseen, "_fftn", counting)
+    for max_mode, stacks in cases:
+        calls.clear()
+        residual_timeperiodic(*stacks, OseenParams(1.0))
+        assert len(calls) == 3 * (max_mode + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -445,20 +510,3 @@ def test_contraction_rate_from_updates():
     assert np.isnan(contraction_rate_from_updates((0.5,)))
     assert contraction_rate_from_updates((1.0, 0.5, 0.2)) == pytest.approx(0.5)
     assert contraction_rate_from_updates((1.0, 0.25, 0.2)) == pytest.approx(0.8)
-
-
-def test_solve_report_csv(tmp_path):
-    grid = GridSpec(3, np.pi, 16)
-    cfg = PicardConfig.from_schedule(ExponentProfile.build(3, 4.0, 2.0), 0.05, 1.5)
-    raw = random_divergence_free(grid, (7,), mode_cap=2)
-    f = raw * (0.5 * cfg.epsilon / data_size(raw, 4.0, 2.0))
-    lifting = build_lifting(0.0, default_cutoff(grid), grid)
-    _, report = picard_steady(f, cfg, lifting=lifting)
-    path = tmp_path / "report.csv"
-    report.to_csv(path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "lambda,grid_n,residual_momentum,residual_div,iterations,wall_time_seconds"
-    values = lines[1].split(",")
-    assert float(values[0]) == cfg.lam
-    assert int(values[1]) == 16
-    assert int(values[4]) == report.iterations
