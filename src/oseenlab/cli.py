@@ -1,9 +1,11 @@
 """Command-line front end: one subcommand per experiment.
 
 Every experiment ships a built-in default configuration so each subcommand
-runs out of the box; ``--config`` swaps in an INI file, ``--seed`` and
-``--out`` override the two most common knobs, and ``--threads`` sets the FFT
-worker count (the sweeps themselves stay sequential for reproducibility).
+runs out of the box.  ``--config`` replaces it with an INI file whose unset
+keys take the :class:`~oseenlab.harness.ExperimentConfig` defaults (not the
+built-in values); ``--seed`` and ``--out`` override the two most common
+knobs, and ``--threads`` sets the FFT worker count (the sweeps themselves
+stay sequential for reproducibility).
 """
 
 from __future__ import annotations
@@ -31,81 +33,42 @@ from .harness import (
 )
 
 
+_BOX_SWEEP = log_spaced(4.0 / math.pi, 40.0 / math.pi, 7)
+# Each experiment's departures from the ExperimentConfig defaults.
+_BUILT_IN = {
+    EXPERIMENT_MMS: dict(
+        grid=GridSpec(3, math.pi, 32), lambda_grid=(0.5, 2.0), q=4.0, time_modes=2
+    ),
+    EXPERIMENT_SCALING_STEADY: dict(
+        grid=GridSpec(3, math.pi, 64), lambda_grid=_BOX_SWEEP, q=4.0,
+        forcing_shell=(14.0, 18.0), drift_mode_cap=1,
+    ),
+    EXPERIMENT_SCALING_TP: dict(
+        grid=GridSpec(3, math.pi, 32), lambda_grid=_BOX_SWEEP, period=1.0,
+        forcing_shell=(7.0, 9.0), drift_mode_cap=1,
+    ),
+    EXPERIMENT_BILINEAR: dict(
+        grid=GridSpec(3, 1.0e7, 16), lambda_grid=log_spaced(10.0, 100.0, 7), q=4.0,
+        lambda_ceiling=100.0, forcing_shell=(1.0, 1.8),
+    ),
+    EXPERIMENT_PICARD_STEADY: dict(
+        grid=GridSpec(3, math.pi, 32), lambda_grid=(1.0,), q=4.0, gamma=1.1
+    ),
+    EXPERIMENT_PICARD_TP: dict(
+        grid=GridSpec(3, math.pi, 24), lambda_grid=(1.0,), q=4.0, time_modes=2,
+        gamma=1.1,
+    ),
+    EXPERIMENT_LIFTING: dict(
+        grid=GridSpec(3, math.pi, 32), lambda_grid=log_spaced(1e-3, 1e-1, 7)
+    ),
+}
+
+
 def default_config(experiment: str) -> ExperimentConfig:
     """The built-in configuration for one experiment subcommand."""
-    box = math.pi
-    if experiment == EXPERIMENT_MMS:
-        return ExperimentConfig(
-            experiment=experiment,
-            grid=GridSpec(3, box, 32),
-            lambda_grid=(0.5, 2.0),
-            q=4.0,
-            r=2.0,
-            time_modes=2,
-        )
-    if experiment == EXPERIMENT_SCALING_STEADY:
-        return ExperimentConfig(
-            experiment=experiment,
-            grid=GridSpec(3, box, 64),
-            lambda_grid=log_spaced(4.0 / box, 40.0 / box, 7),
-            q=4.0,
-            r=2.0,
-            forcing_shell=(14.0, 18.0),
-            drift_mode_cap=1,
-        )
-    if experiment == EXPERIMENT_SCALING_TP:
-        return ExperimentConfig(
-            experiment=experiment,
-            grid=GridSpec(3, box, 32),
-            lambda_grid=log_spaced(4.0 / box, 40.0 / box, 7),
-            q=2.0,
-            r=2.0,
-            period=1.0,
-            time_modes=1,
-            forcing_shell=(7.0, 9.0),
-            drift_mode_cap=1,
-        )
-    if experiment == EXPERIMENT_BILINEAR:
-        return ExperimentConfig(
-            experiment=experiment,
-            grid=GridSpec(3, 1.0e7, 16),
-            lambda_grid=log_spaced(10.0, 100.0, 7),
-            q=4.0,
-            r=2.0,
-            lambda_ceiling=100.0,
-            forcing_shell=(1.0, 1.8),
-            sample_count=100,
-        )
-    if experiment == EXPERIMENT_PICARD_STEADY:
-        return ExperimentConfig(
-            experiment=experiment,
-            grid=GridSpec(3, box, 32),
-            lambda_grid=(1.0,),
-            q=4.0,
-            r=2.0,
-            gamma=1.1,
-            tol=1e-10,
-        )
-    if experiment == EXPERIMENT_PICARD_TP:
-        return ExperimentConfig(
-            experiment=experiment,
-            grid=GridSpec(3, box, 24),
-            lambda_grid=(1.0,),
-            q=4.0,
-            r=2.0,
-            time_modes=2,
-            gamma=1.1,
-            tol=1e-10,
-        )
-    if experiment == EXPERIMENT_LIFTING:
-        return ExperimentConfig(
-            experiment=experiment,
-            grid=GridSpec(3, box, 32),
-            lambda_grid=log_spaced(1e-3, 1e-1, 7),
-            q=2.0,
-            r=2.0,
-        )
-    raise ValueError(f"no default configuration for {experiment!r}")
+    if experiment not in _BUILT_IN:
+        raise ValueError(f"no default configuration for {experiment!r}")
+    return ExperimentConfig(experiment=experiment, **_BUILT_IN[experiment])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -121,7 +84,9 @@ def _build_parser() -> argparse.ArgumentParser:
     for experiment in EXPERIMENTS:
         each = sub.add_parser(experiment, help=f"run the {experiment} experiment")
         each.add_argument(
-            "--config", help="INI file overriding the built-in configuration"
+            "--config",
+            help="INI file replacing the built-in configuration; unset keys "
+            "take the ExperimentConfig defaults",
         )
         each.add_argument("--out", help="write the sweep table to this CSV path")
         each.add_argument("--seed", type=int, help="override the ensemble seed")

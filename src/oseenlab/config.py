@@ -1,14 +1,18 @@
 """INI-file experiment configuration.
 
-One ``[experiment]`` section describes a run.  The drift sweep comes either
-from an explicit comma-separated ``lambda_grid`` (which wins when both are
-present) or from log-spaced ``lambda_min`` / ``lambda_max`` /
-``lambda_points``.  Every other key has the library default.
+One ``[experiment]`` section describes a run.  It replaces the built-in
+configuration of a CLI subcommand as a whole: every key it leaves unset takes
+the :class:`~oseenlab.harness.ExperimentConfig` default.  Keys are the field
+names, except ``name``, ``samples`` and ``out`` and the grid keys ``dim``,
+``points`` and ``half_period``.  The drift sweep comes either from an
+explicit comma-separated ``lambda_grid`` (which wins when both are present)
+or from log-spaced ``lambda_min`` / ``lambda_max`` / ``lambda_points``.
 """
 
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import math
 
 import numpy as np
@@ -18,33 +22,48 @@ from .harness import ExperimentConfig
 
 _SECTION = "experiment"
 
-_KNOWN_KEYS = {
-    "name",
-    "dim",
-    "points",
-    "half_period",
-    "q",
-    "r",
-    "lambda_grid",
-    "lambda_min",
-    "lambda_max",
-    "lambda_points",
-    "lambda_ceiling",
-    "period",
-    "time_modes",
-    "seed",
-    "samples",
-    "rho",
-    "gamma",
-    "tol",
-    "c_wake",
-    "inner_radius",
-    "outer_radius",
-    "mode_cap",
-    "forcing_shell",
-    "drift_mode_cap",
-    "out",
+# INI keys of the config fields whose names differ from the field's.
+_KEY_OF_FIELD = {"experiment": "name", "sample_count": "samples", "output_path": "out"}
+_SWEEP_KEYS = {"lambda_grid", "lambda_min", "lambda_max", "lambda_points"}
+
+
+def _radii(raw: str) -> tuple[float, float] | None:
+    """Two comma-separated radii; an empty value means none."""
+    if not raw:
+        return None
+    lo, hi = (float(token) for token in raw.split(",") if token.strip())
+    return lo, hi
+
+
+def _floats(raw: str) -> tuple[float, ...]:
+    return tuple(float(token) for token in raw.split(",") if token.strip())
+
+
+# Reader of each field annotation (as text) and what a bad value lacks.
+_READERS = {
+    "str": (str, "text"), "int": (int, "an integer"), "float": (float, "a number"),
+    "tuple[float, ...]": (_floats, "comma-separated numbers"),
+    "tuple[float, float]": (_radii, "two comma-separated radii"),
 }
+# INI key -> config field, for every field but the grid and the sweep.
+_FIELD_KEYS = {
+    _KEY_OF_FIELD.get(field.name, field.name): field
+    for field in dataclasses.fields(ExperimentConfig)
+    if field.name not in ("grid", "lambda_grid")
+}
+_KNOWN_KEYS = set(_FIELD_KEYS) | {"dim", "points", "half_period"} | _SWEEP_KEYS
+
+
+def _read(section, key: str, kind: str, fallback=None):
+    """The value of ``key`` read as type ``kind``; ``fallback`` when unset."""
+    if key not in section:
+        return fallback
+    raw = section[key]
+    reader, wanted = _READERS[kind]
+    try:
+        return reader(raw)
+    except ValueError:
+        raise ValueError(f"{key} needs {wanted}, got {raw!r}") from None
 
 
 def log_spaced(lo: float, hi: float, count: int) -> tuple[float, ...]:
@@ -59,22 +78,25 @@ def log_spaced(lo: float, hi: float, count: int) -> tuple[float, ...]:
 
 
 def _parse_lambda_grid(section) -> tuple[float, ...]:
-    raw = section.get("lambda_grid", fallback=None)
-    if raw:
-        return tuple(float(token) for token in raw.split(",") if token.strip())
+    if section.get("lambda_grid", fallback=None):
+        return _read(section, "lambda_grid", "tuple[float, ...]")
     if "lambda_min" not in section or "lambda_max" not in section:
         raise ValueError(
             "set either lambda_grid or lambda_min/lambda_max/lambda_points"
         )
     return log_spaced(
-        section.getfloat("lambda_min"),
-        section.getfloat("lambda_max"),
-        section.getint("lambda_points", fallback=7),
+        _read(section, "lambda_min", "float"),
+        _read(section, "lambda_max", "float"),
+        _read(section, "lambda_points", "int", 7),
     )
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Load an :class:`~oseenlab.harness.ExperimentConfig` from an INI file."""
+    """Load an :class:`~oseenlab.harness.ExperimentConfig` from an INI file.
+
+    Unset keys take the ``ExperimentConfig`` defaults; the grid defaults to
+    3-D, 32 points per axis and half period pi.
+    """
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
@@ -87,48 +109,17 @@ def parse_config(path) -> ExperimentConfig:
         raise ValueError(
             f"unknown config keys: {', '.join(sorted(unknown))}"
         )
-    if "name" not in section:
-        raise ValueError("the [experiment] section needs a 'name' key")
+    values = {}
+    for key, field in _FIELD_KEYS.items():
+        if key in section:
+            values[field.name] = _read(section, key, field.type.removesuffix(" | None"))
+        elif field.default is dataclasses.MISSING:
+            raise ValueError(f"the [{_SECTION}] section needs a {key!r} key")
     grid = GridSpec(
-        dim=section.getint("dim", fallback=3),
-        half_period=section.getfloat("half_period", fallback=math.pi),
-        points_per_axis=section.getint("points", fallback=32),
+        dim=_read(section, "dim", "int", 3),
+        half_period=_read(section, "half_period", "float", math.pi),
+        points_per_axis=_read(section, "points", "int", 32),
     )
-    shell_raw = section.get("forcing_shell", fallback=None)
-    shell = None
-    if shell_raw:
-        parts = [float(token) for token in shell_raw.split(",") if token.strip()]
-        if len(parts) != 2:
-            raise ValueError(
-                f"forcing_shell needs two comma-separated radii, got {shell_raw!r}"
-            )
-        shell = (parts[0], parts[1])
-
-    def optfloat(key):
-        return section.getfloat(key) if key in section else None
-
-    def optint(key):
-        return section.getint(key) if key in section else None
-
     return ExperimentConfig(
-        experiment=section["name"].strip(),
-        grid=grid,
-        lambda_grid=_parse_lambda_grid(section),
-        q=section.getfloat("q", fallback=2.0),
-        r=section.getfloat("r", fallback=2.0),
-        period=section.getfloat("period", fallback=2.0 * math.pi),
-        time_modes=section.getint("time_modes", fallback=1),
-        seed=section.getint("seed", fallback=0),
-        sample_count=section.getint("samples", fallback=100),
-        rho=section.getfloat("rho", fallback=0.05),
-        gamma=optfloat("gamma"),
-        tol=section.getfloat("tol", fallback=1e-10),
-        lambda_ceiling=section.getfloat("lambda_ceiling", fallback=16.0),
-        c_wake=optfloat("c_wake"),
-        inner_radius=optfloat("inner_radius"),
-        outer_radius=optfloat("outer_radius"),
-        mode_cap=optint("mode_cap"),
-        forcing_shell=shell,
-        drift_mode_cap=optint("drift_mode_cap"),
-        output_path=section.get("out", fallback=None),
+        grid=grid, lambda_grid=_parse_lambda_grid(section), **values
     )

@@ -18,7 +18,6 @@ smallness inequalities hold for the supplied fitted constant.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,12 +106,7 @@ class PicardConfig:
 
     @classmethod
     def from_schedule(
-        cls,
-        profile: ExponentProfile,
-        rho: float,
-        gamma: float,
-        tol: float = 1e-10,
-        max_iter: int = 60,
+        cls, profile: ExponentProfile, rho: float, gamma: float, tol: float = 1e-10
     ) -> "PicardConfig":
         target = rho**gamma
         return cls(
@@ -122,7 +116,6 @@ class PicardConfig:
             lam=target,
             epsilon=target,
             tol=tol,
-            max_iter=max_iter,
         )
 
 
@@ -152,20 +145,21 @@ def smallness_terms(
     return first, second
 
 
+_RADIUS_FLOOR = 1e-8
+
+
 def radius_schedule(
     rho: float,
     gamma: float,
     profile: ExponentProfile,
     constant: float,
     tol: float = 1e-10,
-    max_iter: int = 60,
-    floor: float = 1e-8,
 ) -> PicardConfig:
     """Halve rho until both smallness inequalities hold, then build a config.
 
     ``constant`` is the fitted stand-in for the estimate constants; the
     returned config carries lam = epsilon = rho**gamma.  Raises
-    :class:`RadiusFloorError` when rho reaches ``floor`` unsatisfied.
+    :class:`RadiusFloorError` when rho falls below 1e-8 unsatisfied.
     """
     lower, upper = profile.gamma_range
     if not lower < gamma < upper:
@@ -176,15 +170,13 @@ def radius_schedule(
         raise ValueError(f"constant must be positive, got {constant}")
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
-    while rho >= floor:
+    while rho >= _RADIUS_FLOOR:
         first, second = smallness_terms(profile, rho, gamma, constant)
         if first <= rho and second <= 0.5:
-            return PicardConfig.from_schedule(
-                profile, rho, gamma, tol=tol, max_iter=max_iter
-            )
+            return PicardConfig.from_schedule(profile, rho, gamma, tol=tol)
         rho *= 0.5
     raise RadiusFloorError(
-        f"no radius above the floor {floor} satisfies the smallness "
+        f"no radius above the floor {_RADIUS_FLOOR} satisfies the smallness "
         f"inequalities with constant {constant}"
     )
 
@@ -241,23 +233,18 @@ def _check_admissible(profile: ExponentProfile, grid: GridSpec, problem: str) ->
 
 def _report(
     cfg: PicardConfig,
-    grid: GridSpec,
     updates: list[float],
-    start: float,
     certificate: float | None = None,
     residuals: tuple[float, float] = (float("nan"), float("nan")),
 ) -> SolveReport:
     """Run record; without a certificate it is the partial report of a failure."""
     return SolveReport(
-        lam=cfg.lam,
-        grid_points=grid.points_per_axis,
         iterates=tuple(updates),
         contraction_rate=contraction_rate_from_updates(updates),
         final_residual=float("nan") if certificate is None else certificate,
         converged=certificate is not None,
         residual_momentum=residuals[0],
         residual_div=residuals[1],
-        wall_time_seconds=time.perf_counter() - start,
     )
 
 
@@ -290,8 +277,7 @@ def _fixed_point(
             f"forcing size {size:.6e} exceeds the budget {cfg.epsilon:.6e}"
         )
     lifting = _resolve_lifting(lifting, grid, cfg.lam)
-    params = OseenParams(lam=cfg.lam, lam_max=max(16.0, cfg.lam))
-    start = time.perf_counter()
+    params = OseenParams(cfg.lam)
 
     if initial is None:
         u = solve(f + nonlinearity(zeros(), lifting, cfg.lam), params)[0]
@@ -313,7 +299,7 @@ def _fixed_point(
     if norm_u > cfg.rho * (1.0 + 1e-9):
         raise RadiusEscapeError(
             f"initial iterate norm {norm_u:.6e} exceeds rho {cfg.rho:.6e}",
-            _report(cfg, grid, updates, start),
+            _report(cfg, updates),
         )
     for _ in range(cfg.max_iter):
         u_new, pressure = solve(f + nonlinearity(u, lifting, cfg.lam), params)
@@ -324,7 +310,7 @@ def _fixed_point(
         if scale > cfg.rho * (1.0 + 1e-9):
             raise RadiusEscapeError(
                 f"iterate norm {scale:.6e} left the ball of radius {cfg.rho:.6e}",
-                _report(cfg, grid, updates, start),
+                _report(cfg, updates),
             )
         if delta <= cfg.tol * scale:
             break
@@ -333,14 +319,14 @@ def _fixed_point(
             if grow_streak >= 3:
                 raise PicardDivergenceError(
                     "update norms grew three times in a row",
-                    _report(cfg, grid, updates, start),
+                    _report(cfg, updates),
                 )
         else:
             grow_streak = 0
     else:
         raise PicardConvergenceError(
             f"no convergence within {cfg.max_iter} iterations",
-            _report(cfg, grid, updates, start),
+            _report(cfg, updates),
         )
 
     forcing_star = f + nonlinearity(u, lifting, cfg.lam)
@@ -349,7 +335,7 @@ def _fixed_point(
     if certificate_pressure:
         pressure = p_check
     residuals = residual_of(u, pressure, forcing_star, params)
-    return u, pressure, _report(cfg, grid, updates, start, certificate, residuals)
+    return u, pressure, _report(cfg, updates, certificate, residuals)
 
 
 def _solve_steady_pair(forcing: VectorField, params: OseenParams):

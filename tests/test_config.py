@@ -247,3 +247,21 @@ def test_lambda_above_ceiling_rejected(tmp_path):
                 "[experiment]\nname = mms\nlambda_grid = 1.0, 32.0\n",
             )
         )
+
+
+def test_value_that_does_not_convert_names_its_key(tmp_path):
+    with pytest.raises(ValueError, match="mode_cap needs an integer, got ''"):
+        parse_config(
+            _write(
+                tmp_path, "[experiment]\nname = mms\nlambda_grid = 1.0\nmode_cap =\n"
+            )
+        )
+
+
+def test_empty_forcing_shell_means_none(tmp_path):
+    cfg = parse_config(
+        _write(
+            tmp_path, "[experiment]\nname = mms\nlambda_grid = 1.0\nforcing_shell =\n"
+        )
+    )
+    assert cfg.forcing_shell is None

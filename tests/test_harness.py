@@ -276,7 +276,7 @@ def test_steady_sweep_rows_are_re_derivable_from_module_calls():
 
     row = result.rows[2]
     lam = row[0]
-    pair = solve_steady(forcing, OseenParams(lam=lam, lam_max=16.0))
+    pair = solve_steady(forcing, OseenParams(lam=lam))
     s = s_exponent(grid.dim, cfg.r)
 
     def col(name):
@@ -350,13 +350,12 @@ def test_smallness_constant_is_stable_under_refinement():
 def test_smallness_constant_cache_keys_on_the_whole_grid(monkeypatch):
     monkeypatch.setattr(harness, "_FIT_CACHE", OrderedDict())
     profile = ExponentProfile.build(3, 4.0, 2.0)
-    fit = dict(sample_count=1, probe_drifts=(1.0,))
     full = GridSpec(3, np.pi, 8, dealias_fraction=1.0)
-    fit_smallness_constant(GridSpec(3, np.pi, 8), profile, **fit)
-    cached_full = fit_smallness_constant(full, profile, **fit)
+    fit_smallness_constant(GridSpec(3, np.pi, 8), profile)
+    cached_full = fit_smallness_constant(full, profile)
     assert len(harness._FIT_CACHE) == 2
     harness._FIT_CACHE.clear()
-    assert fit_smallness_constant(full, profile, **fit) == cached_full
+    assert fit_smallness_constant(full, profile) == cached_full
 
 
 def test_smallness_constant_cache_is_bounded(monkeypatch):
@@ -365,7 +364,7 @@ def test_smallness_constant_cache_is_bounded(monkeypatch):
     profile = ExponentProfile.build(3, 4.0, 2.0)
     grid = GridSpec(3, np.pi, 8)
     for seed in (0, 1, 2):
-        fit_smallness_constant(grid, profile, seed=seed, sample_count=1, probe_drifts=(1.0,))
+        fit_smallness_constant(grid, profile, seed=seed)
     assert [key[2] for key in harness._FIT_CACHE] == [1, 2]
 
 

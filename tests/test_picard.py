@@ -99,7 +99,7 @@ def test_steady_fixed_point_ignores_the_starting_point(grid, config, free_liftin
     pair_zero, _ = picard_steady(
         f, config, lifting=free_lifting, initial=VectorField.zeros(grid)
     )
-    params = OseenParams(lam=config.lam, lam_max=16.0)
+    params = OseenParams(lam=config.lam)
     half_linear = VectorField(
         grid, 0.5 * solve_steady(f, params).velocity.components
     )
