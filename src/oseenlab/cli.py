@@ -133,22 +133,17 @@ def main(argv=None) -> int:
         except ValueError as error:
             print(f"error: {error}", file=sys.stderr)
             return 1
-    if args.config:
-        cfg = parse_config(args.config)
-        if cfg.experiment != args.command:
-            print(
-                f"error: config names experiment {cfg.experiment!r}, "
-                f"subcommand is {args.command!r}",
-                file=sys.stderr,
-            )
-            return 1
-    else:
-        cfg = default_config(args.command)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    if args.out:
-        cfg = dataclasses.replace(cfg, output_path=args.out)
     try:
+        cfg = parse_config(args.config) if args.config else default_config(args.command)
+        if cfg.experiment != args.command:
+            raise ValueError(
+                f"config names experiment {cfg.experiment!r}, "
+                f"subcommand is {args.command!r}"
+            )
+        if args.seed is not None:
+            cfg = dataclasses.replace(cfg, seed=args.seed)
+        if args.out:
+            cfg = dataclasses.replace(cfg, output_path=args.out)
         result = run_experiment(cfg)
     except Exception as error:  # noqa: BLE001 - the CLI reports, tests raise
         print(f"error: {error}", file=sys.stderr)

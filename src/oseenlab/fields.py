@@ -152,9 +152,14 @@ class GridSpec:
         """
         if not 0 <= axis < self.dim:
             raise ValueError(f"axis must lie in [0, {self.dim}), got {axis}")
+        return self._wavenumbers[axis]
+
+    @cached_property
+    def _wavenumbers(self) -> tuple[np.ndarray, ...]:
         m = self.mode_numbers.astype(np.float64)
         m = np.where(np.abs(self.mode_numbers) == self.points_per_axis // 2, 0.0, m)
-        return self._axis_profile(m / self.half_period, axis)
+        xi = m / self.half_period
+        return tuple(_lock(self._axis_profile(xi, a)) for a in range(self.dim))
 
     @cached_property
     def derivative_symbols(self) -> dict[int, tuple[np.ndarray, ...]]:
@@ -202,6 +207,12 @@ class GridSpec:
         for axis in range(self.dim):
             mask = mask & self._axis_profile(keep, axis)
         return _lock(mask)
+
+    @cached_property
+    def half_dealias_mask(self) -> np.ndarray:
+        """:attr:`dealias_mask` in the real-FFT half layout (last axis 0..N/2)."""
+        half = self.dealias_mask[..., : self.points_per_axis // 2 + 1]
+        return _lock(np.ascontiguousarray(half))
 
 
 def _owned_copy(values, dtype) -> np.ndarray:

@@ -12,6 +12,7 @@ inside the FFTs instead.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -21,6 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exponents import (
+    PROBLEM_LINEAR,
+    PROBLEM_STEADY,
     PROBLEM_TP,
     ExponentProfile,
     admissibility,
@@ -35,6 +38,7 @@ from .fields import (
     TimePeriodicField,
     VectorField,
     _ifftn,
+    _lock,
     derivative,
     gradient,
 )
@@ -91,6 +95,14 @@ EXPERIMENTS = (
 # runs), compare against exact manufactured solutions, or never solve at all,
 # so their floor is off by default.
 _BOX_SOLVING_SWEEPS = (EXPERIMENT_SCALING_STEADY, EXPERIMENT_SCALING_TP)
+
+# The (q, r) windows each fixed-point or bilinear experiment needs; the linear
+# one holds the condition 1/q <= 1/r - 1/(n+1) that theta needs.
+_EXPONENT_WINDOWS = {
+    EXPERIMENT_PICARD_STEADY: (PROBLEM_STEADY, PROBLEM_LINEAR),
+    EXPERIMENT_PICARD_TP: (PROBLEM_TP,),
+    EXPERIMENT_BILINEAR: (PROBLEM_TP,),
+}
 
 
 class WakeConstraintError(ValueError):
@@ -180,6 +192,13 @@ class ExperimentConfig:
                 raise ValueError(
                     f"forcing_shell must satisfy 0 < lo <= hi, got {self.forcing_shell}"
                 )
+        n, windows = self.grid.dim, _EXPONENT_WINDOWS.get(self.experiment, ())
+        violated = [v for w in windows for v in admissibility(n, self.q, self.r, w)[1]]
+        if violated:
+            raise ValueError(
+                f"{self.experiment} needs (q, r) = ({self.q}, {self.r}) to meet the "
+                f"{' and '.join(windows)} conditions; violated: " + "; ".join(violated)
+            )
         object.__setattr__(self, "lambda_grid", lams)
 
     @property
@@ -326,17 +345,18 @@ def _default_mode_cap(grid: GridSpec) -> int:
     return min(4, max(1, grid.points_per_axis // 8))
 
 
+@functools.lru_cache(maxsize=64)
 def _mode_list(
     grid: GridSpec,
     mode_cap: int | None,
     shell: tuple[float, float] | None,
     drift_mode_cap: int | None,
-) -> list[tuple[int, ...]]:
+) -> np.ndarray:
     """Half-lattice representatives of the requested mode set.
 
     One member of every conjugate pair {m, -m} is listed (first nonzero
-    coordinate positive), in an enumeration order that depends only on the
-    requested caps, never on the grid size.
+    coordinate positive) as a memoised, read-only (count, dim) integer array,
+    in an order that depends only on the requested caps, never on the grid.
     """
     cap = int(math.ceil(shell[1])) if shell is not None else (
         mode_cap if mode_cap is not None else _default_mode_cap(grid)
@@ -364,19 +384,20 @@ def _mode_list(
         modes.append(m)
     if not modes:
         raise ValueError("the requested mode set is empty")
-    return modes
+    return _lock(np.array(modes, dtype=np.int64))
 
 
 def _coefficients_from_draws(
-    grid: GridSpec, modes: list[tuple[int, ...]], draws: np.ndarray
+    grid: GridSpec, modes: np.ndarray, draws: np.ndarray
 ) -> np.ndarray:
     """Hermitian coefficient array with Gaussian weights on the given modes."""
     coeff = np.zeros(grid.shape, dtype=np.complex128)
-    n = grid.points_per_axis
-    for m, (a, b) in zip(modes, draws):
-        value = 0.5 * (a + 1j * b)
-        coeff[tuple(v % n for v in m)] = value
-        coeff[tuple(-v % n for v in m)] = np.conj(value)
+    value = 0.5 * (draws[:, 0] + 1j * draws[:, 1])
+    # m and -m alternate, so where two slots coincide (a mode cap of N/2) the
+    # later one wins, as in a loop over the modes.
+    slots = np.stack([modes, -modes], axis=1).reshape(-1, grid.dim)
+    slots = tuple((slots % grid.points_per_axis).T)
+    coeff[slots] = np.stack([value, np.conj(value)], axis=1).ravel()
     return coeff
 
 
@@ -407,6 +428,7 @@ def random_divergence_free(
     drift_mode_cap: int | None = None,
 ) -> VectorField:
     """Seeded divergence-free velocity (stream function in 2-D, curl in 3-D)."""
+    shell = None if shell is None else tuple(shell)  # a hashable cache key
     modes = _mode_list(grid, mode_cap, shell, drift_mode_cap)
     rng = np.random.default_rng(seed_key)
     if grid.dim == 2:
@@ -1066,11 +1088,6 @@ def run_bilinear_ensemble(cfg: ExperimentConfig) -> ScalingResult:
     _require_sweep(cfg)
     grid = cfg.grid
     n = grid.dim
-    admissible, violated = admissibility(n, cfg.q, cfg.r, PROBLEM_TP)
-    if not admissible:
-        raise ValueError(
-            "exponent pair outside the time-periodic window: " + "; ".join(violated)
-        )
     theta_formula = theta_exponent(n, cfg.q, cfg.r)
     weight = 1.0 / (n + 1)
     count = cfg.sample_count
@@ -1121,15 +1138,9 @@ def run_bilinear_ensemble(cfg: ExperimentConfig) -> ScalingResult:
         lam_w = lam**weight
         den_one = v_one_pieces[:, 0] + lam_w * v_one_pieces[:, 1]
         den_two = v_two_pieces[:, 0] + lam_w * v_two_pieces[:, 1]
+        vv, ww = den_one * den_two, w_one_arr * w_two_arr
         denominators = np.column_stack(
-            (
-                den_one * den_two,
-                den_one * den_two,
-                w_one_arr * w_two_arr,
-                w_one_arr * w_two_arr,
-                den_one * w_two_arr,
-                w_one_arr * den_two,
-            )
+            (vv, vv, ww, ww, den_one * w_two_arr, w_one_arr * den_two)
         )
         ratios = numerators / denominators
         means = np.exp(np.mean(np.log(ratios), axis=0))
@@ -1155,40 +1166,26 @@ def run_bilinear_ensemble(cfg: ExperimentConfig) -> ScalingResult:
             worst = max(worst, value * lam ** (exponent * weight))
         return worst
 
-    constants = {
-        "theta_formula": theta_formula,
-        **fitted,
-        "constant_steady_strong": weighted_constant("steady_strong", theta_formula),
-        "constant_steady_weak": weighted_constant(
-            "steady_weak", fitted["fitted_eta"]
-        ),
-        "constant_osc_strong": max(values["max_osc_strong"]),
-        "constant_osc_weak": max(values["max_osc_weak"]),
-        "constant_mixed_steady_osc": weighted_constant(
-            "mixed_steady_osc", fitted["fitted_zeta_steady_osc"]
-        ),
-        "constant_mixed_osc_steady": weighted_constant(
-            "mixed_osc_steady", fitted["fitted_zeta_osc_steady"]
-        ),
+    exponents = {
+        "steady_strong": theta_formula,
+        "steady_weak": fitted["fitted_eta"],
+        "osc_strong": 0.0,  # the oscillatory constants carry no drift weight
+        "osc_weak": 0.0,
+        "mixed_steady_osc": fitted["fitted_zeta_steady_osc"],
+        "mixed_osc_steady": fitted["fitted_zeta_osc_steady"],
     }
-    checks = [
-        _check_ge("fitted_theta_lower", fitted["fitted_theta"], 0.0),
-        _check_le("fitted_theta_upper", fitted["fitted_theta"], 2.0),
-        _check_ge("fitted_eta_lower", fitted["fitted_eta"], 0.0),
-        _check_le("fitted_eta_upper", fitted["fitted_eta"], 2.0),
-        _check_ge(
-            "fitted_zeta_steady_osc_lower", fitted["fitted_zeta_steady_osc"], 0.0
-        ),
-        _check_lt(
-            "fitted_zeta_steady_osc_upper", fitted["fitted_zeta_steady_osc"], 1.0
-        ),
-        _check_ge(
-            "fitted_zeta_osc_steady_lower", fitted["fitted_zeta_osc_steady"], 0.0
-        ),
-        _check_lt(
-            "fitted_zeta_osc_steady_upper", fitted["fitted_zeta_osc_steady"], 1.0
-        ),
-    ]
+    constants = {"theta_formula": theta_formula, **fitted}
+    for name, exponent in exponents.items():
+        constants["constant_" + name] = weighted_constant(name, exponent)
+    checks = []
+    for name, upper, check_upper in (
+        ("fitted_theta", 2.0, _check_le),
+        ("fitted_eta", 2.0, _check_le),
+        ("fitted_zeta_steady_osc", 1.0, _check_lt),
+        ("fitted_zeta_osc_steady", 1.0, _check_lt),
+    ):
+        checks.append(_check_ge(name + "_lower", fitted[name], 0.0))
+        checks.append(check_upper(name + "_upper", fitted[name], upper))
     if abs(cfg.r - (n + 1) / 2.0) <= 1e-9:
         checks.append(
             _check_le(

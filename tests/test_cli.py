@@ -154,6 +154,28 @@ def test_runner_error_reported_on_stderr(tmp_path, capsys):
     assert "error: scaling-steady needs at least 5 sweep points, got 3" in err
 
 
+@pytest.mark.parametrize(
+    "experiment, inequality",
+    [
+        ("picard-tp", "1/q + 1/(n+1) <= 1/r"),
+        ("picard-steady", "1/q <= 1/r - 1/(n+1)"),
+        ("bilinear", "n(n+1)/(n^2-n-1) < q"),
+    ],
+)
+def test_inadmissible_default_exponents_rejected_with_the_config(
+    experiment, inequality, tmp_path, capsys
+):
+    # q = r = 2 are the ExperimentConfig defaults; in 3-D they leave the
+    # fixed-point and bilinear windows.
+    ini = tmp_path / "bare.ini"
+    ini.write_text(f"[experiment]\nname = {experiment}\nlambda_grid = 1.0\n")
+    assert main([experiment, "--config", str(ini)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {experiment} needs (q, r) = (2.0, 2.0)" in err
+    assert inequality in err
+    assert "theta undefined" not in err
+
+
 def test_unknown_subcommand_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["no-such-experiment"])

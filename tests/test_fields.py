@@ -69,6 +69,34 @@ def test_wavenumber_scaling_and_nyquist_zero():
         grid.wavenumber(2)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_wavenumbers_are_built_once_and_read_only(dim):
+    grid = GridSpec(dim, 2.0, 8)
+    m = np.fft.fftfreq(8, d=1.0 / 8)
+    m[4] = 0.0
+    for axis in range(dim):
+        xi = grid.wavenumber(axis)
+        assert xi is grid.wavenumber(axis)
+        assert not xi.flags.writeable
+        shape = [1] * dim
+        shape[axis] = 8
+        assert np.array_equal(xi, (m / 2.0).reshape(shape))
+
+
+@pytest.mark.parametrize("dim, fraction", [(2, 2.0 / 3.0), (3, 2.0 / 3.0), (3, 1.0)])
+def test_half_dealias_mask_is_the_full_mask_on_the_half_layout(dim, fraction):
+    grid = GridSpec(dim, 1.0, 12, dealias_fraction=fraction)
+    full = np.abs(np.fft.fftfreq(12, d=1.0 / 12)) <= grid.dealias_cutoff
+    last = np.arange(7) <= grid.dealias_cutoff
+    expected = np.multiply.outer(full, last) if dim == 2 else (
+        full[:, None, None] & full[None, :, None] & last[None, None, :]
+    )
+    half = grid.half_dealias_mask
+    assert half.shape == (12,) * (dim - 1) + (7,)
+    assert np.array_equal(half, expected)
+    assert not half.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # transforms
 

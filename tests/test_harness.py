@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 from collections import OrderedDict
 
 import numpy as np
@@ -31,6 +33,7 @@ from oseenlab.harness import (
     oseen_apply,
     random_divergence_free,
     random_scalar_field,
+    random_timeperiodic_forcing,
     run_bilinear_ensemble,
     run_mms,
     run_scaling_steady,
@@ -393,6 +396,94 @@ def test_bilinear_constants_are_stable_under_resampling():
     # r = (n+1)/2 pins the weak-estimate drift exponent near two
     assert abs(small.constants["fitted_eta"] - 2.0) <= 0.25
     assert any("below the 100-pair reporting floor" in flag for flag in small.flags)
+
+
+# --- the draw set-up against the loops it replaced ----------------------------
+
+
+def _ref_mode_list(grid, mode_cap, shell, drift_mode_cap):
+    cap = int(math.ceil(shell[1])) if shell is not None else (
+        mode_cap if mode_cap is not None else harness._default_mode_cap(grid)
+    )
+    if cap < 1:
+        raise ValueError(f"mode cap must be >= 1, got {cap}")
+    if cap > grid.dealias_cutoff:
+        raise ValueError(
+            f"mode cap {cap} exceeds the grid's dealias cutoff "
+            f"{grid.dealias_cutoff}; refine the grid"
+        )
+    modes = []
+    for m in itertools.product(range(-cap, cap + 1), repeat=grid.dim):
+        if all(v == 0 for v in m):
+            continue
+        lead = next(v for v in m if v != 0)
+        if lead < 0:
+            continue
+        if shell is not None:
+            radius = math.sqrt(sum(v * v for v in m))
+            if not shell[0] - 1e-9 <= radius <= shell[1] + 1e-9:
+                continue
+        if drift_mode_cap is not None and abs(m[0]) > drift_mode_cap:
+            continue
+        modes.append(m)
+    if not modes:
+        raise ValueError("the requested mode set is empty")
+    return modes
+
+
+def _ref_coefficients_from_draws(grid, modes, draws):
+    coeff = np.zeros(grid.shape, dtype=np.complex128)
+    n = grid.points_per_axis
+    for m, (a, b) in zip(modes, draws):
+        value = 0.5 * (a + 1j * b)
+        coeff[tuple(v % n for v in m)] = value
+        coeff[tuple(-v % n for v in m)] = np.conj(value)
+    return coeff
+
+
+_DRAW_CASES = [
+    (GridSpec(2, np.pi, 16), {}),
+    (GridSpec(2, np.pi, 32), dict(shell=(7.0, 9.0), drift_mode_cap=1)),
+    (GridSpec(3, np.pi, 16), dict(mode_cap=2)),
+    (GridSpec(3, np.pi, 16), dict(mode_cap=3, drift_mode_cap=1)),
+    (GridSpec(3, 1.0e7, 16), dict(shell=(1.0, 1.8))),
+    # A cap of N/2: the slots of m and -m' coincide and the later one wins.
+    (GridSpec(3, np.pi, 8, dealias_fraction=1.0), dict(mode_cap=4)),
+]
+
+
+def _draws(grid, kwargs):
+    return [
+        random_scalar_field(grid, [7, 1], mode_cap=kwargs.get("mode_cap")).values,
+        random_divergence_free(grid, [7, 2], **kwargs).components,
+        random_timeperiodic_forcing(grid, 2.0, 2, [7, 3], **kwargs).modes,
+    ]
+
+
+@pytest.mark.parametrize("grid, kwargs", _DRAW_CASES)
+def test_random_draws_are_bitwise_the_loop_reference(monkeypatch, grid, kwargs):
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "_mode_list", _ref_mode_list)
+        patch.setattr(harness, "_coefficients_from_draws", _ref_coefficients_from_draws)
+        expected = _draws(grid, kwargs)
+    for out, ref in zip(_draws(grid, kwargs), expected):
+        assert np.array_equal(out.view(np.int64), ref.view(np.int64))
+
+
+def test_mode_set_is_cached_read_only_and_still_validated():
+    grid = GridSpec(3, 1.0e7, 16)
+    modes = harness._mode_list(grid, None, (1.0, 1.8), None)
+    assert modes is harness._mode_list(grid, None, (1.0, 1.8), None)
+    assert modes.dtype == np.int64 and modes.shape == (len(modes), 3)
+    assert np.array_equal(modes, _ref_mode_list(grid, None, (1.0, 1.8), None))
+    with pytest.raises(ValueError, match="read-only"):
+        modes[0, 0] = 0
+    listed = random_divergence_free(grid, [3], shell=[1.0, 1.8])
+    paired = random_divergence_free(grid, [3], shell=(1.0, 1.8))
+    assert np.array_equal(listed.components, paired.components)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="exceeds the grid's dealias cutoff"):
+            random_divergence_free(grid, [3], mode_cap=6)
 
 
 # --- dispatch and serialization ---------------------------------------------

@@ -458,18 +458,22 @@ def test_time_periodic_nonlinearity_is_bitwise_the_reference(request, fixture_na
 
 
 @pytest.mark.parametrize("fixture_name", ["grid2", "grid3"])
-def test_convective_product_is_bitwise_the_reference(request, fixture_name):
+def test_convective_product_matches_the_complex_reference(request, fixture_name):
+    # The product runs on real FFTs, so it differs from the complex-FFT
+    # reference by roundoff only, not bit for bit.
     grid = request.getfixturevalue(fixture_name)
     a = trig_vector(grid, 51, max_mode=3, terms=8)
     b = trig_vector(grid, 52, max_mode=3, terms=8)
     a_tp = _oscillating_velocity(grid, 2.0, 53, max_mode=1)
     b_tp = _oscillating_velocity(grid, 2.0, 54, max_mode=2)
-    assert np.array_equal(
-        convective_product(a, b).components, _ref_convective_product(a, b)
-    )
+
+    def assert_close(out, ref):
+        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
+
+    assert_close(convective_product(a, b).components, _ref_convective_product(a, b))
     for left, right in ((a, b_tp), (a_tp, b), (a_tp, b_tp)):
         out = convective_product(left, right)
-        assert np.array_equal(out.modes, _ref_convective_product(left, right))
+        assert_close(out.modes, _ref_convective_product(left, right))
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +513,17 @@ def test_steady_nonlinearity_makes_33_single_component_transforms(
     # The first call also truncates the lifting self-advection once (3 + 3).
     assert single_component_transforms() == 33 + 6
     assert single_component_transforms() == 33
+
+
+def test_convective_product_uses_real_transforms_only(grid3, transform_inputs):
+    a = trig_vector(grid3, 64, max_mode=3, terms=8)
+    b_tp = _oscillating_velocity(grid3, 2.0, 65, max_mode=1)
+    for left, right in ((a, a), (a, b_tp), (b_tp, a), (b_tp, b_tp)):
+        transform_inputs.clear()
+        convective_product(left, right)
+        names = {name for name, _ in transform_inputs}
+        assert "rfftn" in names and "irfftn" in names
+        assert not names & {"fftn", "ifftn"}
 
 
 def test_steady_operand_is_transformed_once_per_product(grid3, transform_inputs):
