@@ -99,6 +99,7 @@ _BOX_SOLVING_SWEEPS = (EXPERIMENT_SCALING_STEADY, EXPERIMENT_SCALING_TP)
 # The (q, r) windows each fixed-point or bilinear experiment needs; the linear
 # one holds the condition 1/q <= 1/r - 1/(n+1) that theta needs.
 _EXPONENT_WINDOWS = {
+    EXPERIMENT_MMS: (PROBLEM_STEADY, PROBLEM_LINEAR),
     EXPERIMENT_PICARD_STEADY: (PROBLEM_STEADY, PROBLEM_LINEAR),
     EXPERIMENT_PICARD_TP: (PROBLEM_TP,),
     EXPERIMENT_BILINEAR: (PROBLEM_TP,),

@@ -139,6 +139,11 @@ class LiftingField:
         return self.velocity.grid
 
     @cached_property
+    def is_zero(self) -> bool:
+        """Whether V and its jacobian, the arrays products read, vanish."""
+        return not (self.velocity.components.any() or self.jacobian.any())
+
+    @cached_property
     def self_advection(self) -> np.ndarray:
         """Dealiased (V . grad)V from the exact jacobian, formed once per lifting."""
         values = self.velocity.components

@@ -19,6 +19,9 @@ axis, and forms (u . grad)u, (u . grad)V and (V . grad)u pointwise from
 them.  The three products are still truncated one by one and summed in a
 fixed order: merging the truncations would be the same map in exact
 arithmetic but would not reproduce the separate truncations bit for bit.
+A zero lifting (:attr:`LiftingField.is_zero`, as in every Picard run) makes
+the V products exact zeros, so only (u . grad)u is formed, with the same
+bits: 21 instead of 33 single-component transforms per instant at dim 3.
 The bilinear kernel ``_convective`` takes sample arrays whose leading axes
 broadcast, so a steady factor against many time instants is transformed
 once, not once per instant.
@@ -91,7 +94,8 @@ def _quadratic_samples(
 
     One forward transform of ``a`` feeds the truncated samples and every
     gradient axis; each product is accumulated axis by axis, truncated on
-    its own, and the three are summed in this order.
+    its own, and the three are summed in this order.  A zero lifting forms
+    (a . grad)a alone.
     """
     a_hat = _fftn(a, grid.dim) * grid.dealias_mask
     a_t = _ifftn(a_hat, grid.dim).real
@@ -102,11 +106,14 @@ def _quadratic_samples(
     for k in range(grid.dim):
         da = _ifftn(a_hat * (1j * grid.wavenumber(k)), grid.dim).real
         conv = conv + a_t[k] * da
-        adv = adv + a_t[k] * lifting.jacobian[:, k]
-        ladv = ladv + values[k] * da
+        if not lifting.is_zero:
+            adv = adv + a_t[k] * lifting.jacobian[:, k]
+            ladv = ladv + values[k] * da
     # Drop the spectra first so the truncations do not raise peak memory.
     del a_hat, a_t, da
     conv = _truncate_samples(grid, conv)
+    if lifting.is_zero:
+        return conv
     adv = _truncate_samples(grid, adv)
     ladv = _truncate_samples(grid, ladv)
     return conv + adv + ladv

@@ -18,7 +18,13 @@ and sine weights W_b.  It transforms each derivative block of those fields
 once and forms every time sample by a small (nt x (2K+1)) weight matrix, so
 its spatial transform count does not grow with the number of time samples.
 The time derivative is the same sum with the weights differentiated in t and
-needs no spatial transform.
+needs no spatial transform.  An exactly zero time average (every oscillatory
+part) is left out, which only drops exact zeros from each sample.  The
+rectangle rule on nt instants integrates exp(imt) exactly for |m| < nt; for an
+even integer q, |u(t)|^q and |du/dt|^q have degree qK in t, so by default
+``maxreg_norm`` samples min(qK + 1, 4K + 8) instants, exact either way.  Other
+q, and ``lq_norm`` always, keep 4K + 8: ``lq_norm`` feeds the Picard data
+size, which scales the forcing and so must not move by roundoff.
 
 The negative-order functional is a surrogate: |f|_{-1,r} is computed as
 ||grad (-Delta)^{-1} f||_r with the zero mode projected out.  At r = 2 this
@@ -195,10 +201,12 @@ def lambda_norm(field: VectorField, lam: float, q: float, r: float) -> float:
     )
 
 
-def _default_time_samples(max_mode: int) -> int:
-    # Enough points to integrate the degree-4K trigonometric content of
-    # squared norms exactly and to resolve fractional powers comfortably.
-    return max(4 * max_mode + 8, 8)
+def _default_time_samples(max_mode: int, q: float | None = None) -> int:
+    # 4K + 8 integrates the degree-4K content of squared norms exactly and
+    # resolves fractional powers comfortably.  For an even integer q the
+    # integrand has degree qK, so qK + 1 instants are already exact.
+    even = q is not None and float(q).is_integer() and int(q) % 2 == 0
+    return min(int(q) * max_mode + 1, 4 * max_mode + 8) if even else 4 * max_mode + 8
 
 
 def maxreg_norm(
@@ -208,11 +216,13 @@ def maxreg_norm(
 
     Time integrals are period-averaged rectangle-rule sums over a uniform
     grid; the time derivative acts through i*omega_k multipliers.  A field
-    with only the k = 0 mode reduces to its steady W^{2,q} norm.
+    with only the k = 0 mode reduces to its steady W^{2,q} norm.  By default
+    an even integer q takes min(qK + 1, 4K + 8) instants, which integrate its
+    degree-qK integrands exactly; any other q takes 4K + 8.
     """
     q = _check_exponent(q, "q")
     nt = (
-        _default_time_samples(field.max_mode)
+        _default_time_samples(field.max_mode, q)
         if num_time_samples is None
         else num_time_samples
     )
@@ -239,7 +249,7 @@ def _real_time_basis(
 
     With B_0 = u_0, B_{2k-1} = 2 Re u_k and B_{2k} = -2 Im u_k, the samples
     are u(t_j) = sum_b weights[j, b] B_b and du/dt(t_j) = sum_b
-    dt_weights[j, b] B_b.
+    dt_weights[j, b] B_b.  An exactly zero u_0 is dropped with its columns.
     """
     size = 2 * field.max_mode + 1
     basis = np.empty((size,) + field.modes.shape[1:])
@@ -258,6 +268,8 @@ def _real_time_basis(
         weights[:, 2 * k] = sin
         dt_weights[:, 2 * k - 1] = -omega * sin
         dt_weights[:, 2 * k] = omega * cos
+    if size > 1 and not basis[0].any():
+        return basis[1:], weights[:, 1:], dt_weights[:, 1:]
     return basis, weights, dt_weights
 
 

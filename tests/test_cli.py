@@ -159,6 +159,7 @@ def test_runner_error_reported_on_stderr(tmp_path, capsys):
     [
         ("picard-tp", "1/q + 1/(n+1) <= 1/r"),
         ("picard-steady", "1/q <= 1/r - 1/(n+1)"),
+        ("mms", "1/q <= 1/r - 1/(n+1)"),
         ("bilinear", "n(n+1)/(n^2-n-1) < q"),
     ],
 )

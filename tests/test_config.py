@@ -112,9 +112,9 @@ def test_parse_full_config(tmp_path):
 
 def test_parse_minimal_config_defaults(tmp_path):
     cfg = parse_config(
-        _write(tmp_path, "[experiment]\nname = mms\nlambda_grid = 1.0\n")
+        _write(tmp_path, "[experiment]\nname = lifting-check\nlambda_grid = 1.0\n")
     )
-    assert cfg.experiment == "mms"
+    assert cfg.experiment == "lifting-check"
     assert cfg.grid.dim == 3
     assert cfg.grid.points_per_axis == 32
     assert cfg.grid.half_period == math.pi
@@ -142,7 +142,7 @@ def test_explicit_lambda_grid_wins_over_range(tmp_path):
     cfg = parse_config(
         _write(
             tmp_path,
-            "[experiment]\nname = mms\nlambda_grid = 0.25, 0.5, 4.0\n"
+            "[experiment]\nname = lifting-check\nlambda_grid = 0.25, 0.5, 4.0\n"
             "lambda_min = 1.0\nlambda_max = 2.0\nlambda_points = 11\n",
         )
     )
@@ -153,7 +153,7 @@ def test_lambda_range_uses_log_spacing(tmp_path):
     cfg = parse_config(
         _write(
             tmp_path,
-            "[experiment]\nname = mms\n"
+            "[experiment]\nname = lifting-check\n"
             "lambda_min = 0.5\nlambda_max = 8.0\nlambda_points = 5\n",
         )
     )
@@ -166,16 +166,16 @@ def test_lambda_points_defaults_to_seven(tmp_path):
     cfg = parse_config(
         _write(
             tmp_path,
-            "[experiment]\nname = mms\nlambda_min = 0.5\nlambda_max = 8.0\n",
+            "[experiment]\nname = lifting-check\nlambda_min = 0.5\nlambda_max = 8.0\n",
         )
     )
     assert len(cfg.lambda_grid) == 7
 
 
 def test_accepts_string_path(tmp_path):
-    path = _write(tmp_path, "[experiment]\nname = mms\nlambda_grid = 1.0\n")
+    path = _write(tmp_path, "[experiment]\nname = lifting-check\nlambda_grid = 1.0\n")
     cfg = parse_config(str(path))
-    assert cfg.experiment == "mms"
+    assert cfg.experiment == "lifting-check"
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +261,8 @@ def test_value_that_does_not_convert_names_its_key(tmp_path):
 def test_empty_forcing_shell_means_none(tmp_path):
     cfg = parse_config(
         _write(
-            tmp_path, "[experiment]\nname = mms\nlambda_grid = 1.0\nforcing_shell =\n"
+            tmp_path,
+            "[experiment]\nname = lifting-check\nlambda_grid = 1.0\nforcing_shell =\n",
         )
     )
     assert cfg.forcing_shell is None

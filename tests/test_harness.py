@@ -132,19 +132,21 @@ def test_wake_floor_guards_the_solving_sweeps():
     assert cfg.resolved_c_wake == 4.0
     assert cfg.wake_floor == pytest.approx(floor)
     # non-solving experiments default to no floor
-    low = ExperimentConfig("mms", grid, (0.001, 1.0))
+    low = ExperimentConfig("lifting-check", grid, (0.001, 1.0))
     assert low.resolved_c_wake == 0.0
     # an explicit c_wake overrides the default
     with pytest.raises(WakeConstraintError):
-        ExperimentConfig("mms", grid, (0.5, 13.0), c_wake=8.0)
+        ExperimentConfig("lifting-check", grid, (0.5, 13.0), c_wake=8.0)
 
 
 def test_cutoff_spec_uses_explicit_radii_when_given():
     grid = GridSpec(3, np.pi, 16)
-    cfg = ExperimentConfig("mms", grid, (1.0,), inner_radius=1.5, outer_radius=4.0)
+    cfg = ExperimentConfig(
+        "lifting-check", grid, (1.0,), inner_radius=1.5, outer_radius=4.0
+    )
     spec = cfg.cutoff_spec()
     assert spec.inner_radius == 1.5 and spec.outer_radius == 4.0
-    default = ExperimentConfig("mms", grid, (1.0,)).cutoff_spec()
+    default = ExperimentConfig("lifting-check", grid, (1.0,)).cutoff_spec()
     half_width = np.pi * grid.half_period
     assert default.inner_radius == pytest.approx(0.2 * half_width)
     assert default.outer_radius == pytest.approx(0.6 * half_width)
@@ -162,7 +164,7 @@ def test_sweep_requirements_are_enforced():
     )
     with pytest.raises(ValueError, match="spanning >= 1"):
         run_scaling_steady(narrow)
-    mismatched = ExperimentConfig("mms", grid, (0.5, 2.0))
+    mismatched = ExperimentConfig("lifting-check", grid, (0.5, 2.0))
     with pytest.raises(ValueError, match="runner expects"):
         run_scaling_steady(mismatched)
 

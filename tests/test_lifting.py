@@ -5,9 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oseenlab.fields import GridSpec, derivative, divergence
+from oseenlab.fields import GridSpec, VectorField, derivative, divergence
 from oseenlab.lifting import (
     CutoffSpec,
+    LiftingField,
     build_cutoff,
     build_lifting,
     default_cutoff,
@@ -288,3 +289,23 @@ def test_self_advection_is_cached_and_read_only():
     assert first.shape == (grid.dim,) + grid.shape
     assert not first.flags.writeable
     assert np.max(np.abs(first)) > 0.0
+
+
+def test_is_zero_reads_the_velocity_and_jacobian():
+    grid = GridSpec(2, np.pi, 16)
+    spec = default_cutoff(grid)
+    zero = build_lifting(0.0, spec, grid)
+    assert zero.is_zero
+    assert not build_lifting(0.4, spec, grid).is_zero
+    # One nonzero jacobian entry is enough, whatever the velocity and the
+    # drift it was labelled with.
+    jacobian = np.zeros((grid.dim, grid.dim) + grid.shape)
+    jacobian[1, 0, 3, 5] = 1e-300
+    hand = LiftingField(
+        velocity=VectorField.zeros(grid),
+        lambda_used=0.0,
+        jacobian=jacobian,
+        laplacian=np.zeros((grid.dim,) + grid.shape),
+        cutoff=spec,
+    )
+    assert not hand.is_zero

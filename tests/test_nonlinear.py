@@ -436,10 +436,26 @@ def _nonzero_lifting(grid: GridSpec):
     return build_lifting(0.3, default_cutoff(grid), grid)
 
 
-@pytest.mark.parametrize("fixture_name", ["grid2", "grid3"])
-def test_steady_nonlinearity_is_bitwise_the_reference(request, fixture_name):
+# A zero lifting takes the kernel's short path, which skips the two V
+# products; the reference still forms all three.
+_GRIDS_AND_LIFTINGS = pytest.mark.parametrize(
+    "fixture_name, make_lifting",
+    [
+        ("grid2", _nonzero_lifting),
+        ("grid3", _nonzero_lifting),
+        ("grid2", _zero_lifting),
+        ("grid3", _zero_lifting),
+    ],
+    ids=["grid2", "grid3", "grid2-zero-lifting", "grid3-zero-lifting"],
+)
+
+
+@_GRIDS_AND_LIFTINGS
+def test_steady_nonlinearity_is_bitwise_the_reference(
+    request, fixture_name, make_lifting
+):
     grid = request.getfixturevalue(fixture_name)
-    lifting = _nonzero_lifting(grid)
+    lifting = make_lifting(grid)
     u = trig_vector(grid, 41, max_mode=3, terms=8)
     expected = _ref_nonlinearity(u, lifting, 0.7)
     assert np.array_equal(nonlinearity(u, lifting, 0.7).components, expected)
@@ -447,10 +463,12 @@ def test_steady_nonlinearity_is_bitwise_the_reference(request, fixture_name):
     assert np.array_equal(nonlinearity(u, lifting, 0.7).components, expected)
 
 
-@pytest.mark.parametrize("fixture_name", ["grid2", "grid3"])
-def test_time_periodic_nonlinearity_is_bitwise_the_reference(request, fixture_name):
+@_GRIDS_AND_LIFTINGS
+def test_time_periodic_nonlinearity_is_bitwise_the_reference(
+    request, fixture_name, make_lifting
+):
     grid = request.getfixturevalue(fixture_name)
-    lifting = _nonzero_lifting(grid)
+    lifting = make_lifting(grid)
     u = _oscillating_velocity(grid, 2.5, 43, max_mode=2)
     out = nonlinearity(u, lifting, 0.7)
     for k, expected in _ref_nonlinearity(u, lifting, 0.7).items():
@@ -498,21 +516,33 @@ def transform_inputs(monkeypatch) -> list:
     return inputs
 
 
+def _single_component_transforms(transform_inputs, lifting) -> list[int]:
+    """Transforms of two steady nonlinearity calls, in single-component units."""
+    grid = lifting.grid
+    u = trig_vector(grid, 61, max_mode=3, terms=8)
+    counts = []
+    for _ in range(2):
+        transform_inputs.clear()
+        nonlinearity(u, lifting, 0.7)
+        counts.append(sum(x.size for _, x in transform_inputs) // np.prod(grid.shape))
+    return counts
+
+
 def test_steady_nonlinearity_makes_33_single_component_transforms(
     grid3, transform_inputs
 ):
-    lifting = _nonzero_lifting(grid3)
-    u = trig_vector(grid3, 61, max_mode=3, terms=8)
-    points = grid3.points_per_axis**grid3.dim
-
-    def single_component_transforms():
-        transform_inputs.clear()
-        nonlinearity(u, lifting, 0.7)
-        return sum(x.size for _, x in transform_inputs) // points
-
     # The first call also truncates the lifting self-advection once (3 + 3).
-    assert single_component_transforms() == 33 + 6
-    assert single_component_transforms() == 33
+    counts = _single_component_transforms(transform_inputs, _nonzero_lifting(grid3))
+    assert counts == [33 + 6, 33]
+
+
+def test_steady_nonlinearity_with_zero_lifting_makes_21_transforms(
+    grid3, transform_inputs
+):
+    # u: one forward, one inverse, three gradient inverses (3 + 3 + 9), and
+    # the truncation of (u . grad)u alone (3 + 3).
+    counts = _single_component_transforms(transform_inputs, _zero_lifting(grid3))
+    assert counts == [21 + 6, 21]
 
 
 def test_convective_product_uses_real_transforms_only(grid3, transform_inputs):

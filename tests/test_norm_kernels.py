@@ -5,7 +5,8 @@ multiplier built per multi-index, and for space-time norms a full spatial
 norm of every time sample from ``TimePeriodicField.sample_times``.  The
 kernels in ``oseenlab.norms`` reorder that arithmetic (real FFTs, cached
 symbols, time samples synthesized after the spatial transforms), so the two
-agree to roundoff, not bit for bit.
+agree to roundoff, not bit for bit.  Leaving out an exactly zero time
+average is checked bit for bit against a copy of the kernel that keeps it.
 """
 
 from __future__ import annotations
@@ -17,9 +18,18 @@ import numpy as np
 import pytest
 import scipy.fft
 
+from oseenlab import norms
 from oseenlab.exponents import s_exponent
-from oseenlab.fields import GridSpec, ScalarField, TimePeriodicField, VectorField
+from oseenlab.fields import (
+    GridSpec,
+    ScalarField,
+    TimePeriodicField,
+    VectorField,
+    _irfftn,
+    _rfftn,
+)
 from oseenlab.norms import (
+    _default_time_samples,
     lambda_norm,
     maxreg_norm,
     sobolev_full_norm,
@@ -149,6 +159,104 @@ def test_maxreg_matches_per_sample_reference(dim, max_mode, kind):
             assert maxreg_norm(field, q, num_time_samples=nt) == pytest.approx(
                 _ref_maxreg(field, q, nt), rel=REL
             )
+
+
+# ---------------------------------------------------------------------------
+# time samples: exact counts and the zero time average
+
+
+def _previous_maxreg(field: TimePeriodicField, q: float, nt: int) -> float:
+    """The coefficient kernel with every real time field B_b kept, B_0 too."""
+    grid, size = field.grid, 2 * field.max_mode + 1
+    basis = np.empty((size,) + field.modes.shape[1:])
+    weights = np.zeros((nt, size))
+    dt_weights = np.zeros((nt, size))
+    basis[0] = field.mode(0).real
+    weights[:, 0] = 1.0
+    phase = 2.0 * np.pi * np.arange(nt) / nt
+    for k in range(1, field.max_mode + 1):
+        mode = field.mode(k)
+        basis[2 * k - 1] = 2.0 * mode.real
+        basis[2 * k] = -2.0 * mode.imag
+        cos, sin = np.cos(k * phase), np.sin(k * phase)
+        omega = field.omega(k)
+        weights[:, 2 * k - 1] = cos
+        weights[:, 2 * k] = sin
+        dt_weights[:, 2 * k - 1] = -omega * sin
+        dt_weights[:, 2 * k] = omega * cos
+
+    def sample_powers(w, fields):
+        samples = np.einsum("jb,b...->j...", w, fields)
+        magnitude_sq = np.sum(np.square(samples, out=samples), axis=1)
+        if q != 2.0:
+            np.power(magnitude_sq, q / 2.0, out=magnitude_sq)
+        return np.mean(magnitude_sq.reshape(len(w), -1), axis=1)
+
+    powers = sample_powers(weights, basis)
+    coeff = _rfftn(basis, grid.dim)
+    for order in (1, 2):
+        for symbol in grid.derivative_symbols[order]:
+            powers += sample_powers(weights, _irfftn(coeff * symbol, grid.shape))
+    bochner = (float(np.mean(powers)) * grid.volume) ** (1.0 / q)
+    dt_power = float(np.mean(sample_powers(dt_weights, basis)))
+    return bochner + (dt_power * grid.volume) ** (1.0 / q)
+
+
+@pytest.mark.parametrize("kind", ["scalar", "vector"])
+@pytest.mark.parametrize("max_mode", [1, 2])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_zero_time_average_is_left_out_bit_for_bit(dim, max_mode, kind):
+    grid = GRIDS[dim]
+    field = _time_periodic(grid, _ncomp(grid, kind), max_mode, seed=3 * dim + max_mode)
+    modes = field.modes.copy()
+    modes[0] = 0.0
+    oscillation = TimePeriodicField(grid, field.period, modes)
+    for q in (2.0, 2.5, 3.0, 4.0):
+        for nt in (2 * max_mode + 1, 4 * max_mode + 8):
+            assert maxreg_norm(oscillation, q, num_time_samples=nt) == (
+                _previous_maxreg(oscillation, q, nt)
+            )
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_default_time_samples_are_exact_for_even_q(dim):
+    # |u|^q and |du/dt|^q have degree qK in t for an even integer q, so
+    # qK + 1 rectangle-rule instants integrate them exactly; other q keep
+    # the 4K + 8 count.
+    grid = GRIDS[dim]
+    for max_mode in range(4):
+        field = _time_periodic(grid, dim, max_mode, seed=40 + 5 * dim + max_mode)
+        full = 4 * max_mode + 8
+        for q in (2.0, 4.0):
+            assert _default_time_samples(max_mode, q) == min(
+                int(q) * max_mode + 1, full
+            )
+            assert maxreg_norm(field, q) == pytest.approx(
+                maxreg_norm(field, q, num_time_samples=full), rel=1e-13
+            )
+        for q in (3.0, 2.5):
+            assert _default_time_samples(max_mode, q) == full
+            assert maxreg_norm(field, q) == maxreg_norm(
+                field, q, num_time_samples=full
+            )
+    assert _default_time_samples(2, 4.0) == 9
+    assert _default_time_samples(2, np.inf) == _default_time_samples(2) == 16
+
+
+def test_zero_time_average_is_not_transformed(monkeypatch):
+    grid = GRIDS[3]
+    modes = _time_periodic(grid, 3, max_mode=2, seed=8).modes.copy()
+    modes[0] = 0.0
+    shapes = []
+    original = norms._rfftn
+
+    def recording(values, dim):
+        shapes.append(values.shape)
+        return original(values, dim)
+
+    monkeypatch.setattr(norms, "_rfftn", recording)
+    maxreg_norm(TimePeriodicField(grid, 1.7, modes), 4.0)
+    assert shapes == [(4, 3) + grid.shape]
 
 
 # ---------------------------------------------------------------------------

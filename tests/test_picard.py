@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oseenlab import picard
 from oseenlab.exponents import ExponentProfile
 from oseenlab.fields import (
     GridSpec,
@@ -243,6 +244,44 @@ def test_driver_norm_splits_average_and_oscillation(grid):
     assert driver_norm_timeperiodic(u, lam, Q, R) == pytest.approx(
         expected, rel=1e-12
     )
+
+
+def test_norm_roundoff_leaves_the_iterates_bit_for_bit(
+    grid, config, free_lifting, monkeypatch
+):
+    # The norms only measure the iterates (update, ball, certificate); they
+    # never feed the next one.  So a norm that moves by roundoff leaves
+    # every iterate, and the iteration count, exactly as they were.
+    f = _scaled_forcing(grid, config, fraction=0.25)
+    raw = random_oscillatory(grid, PERIOD, 1, (13,), mode_cap=2)
+    data = lq_norm(raw, Q) + negative_norm_surrogate(raw.steady_part(), R)
+    modes = raw.modes * (0.25 * config.epsilon / data)
+    modes[0] = modes[0] + f.components
+    f_tp = TimePeriodicField(grid, PERIOD, modes)
+
+    def run_both():
+        pair, steady = picard_steady(f, config, lifting=free_lifting)
+        (u, p), tp = picard_timeperiodic(f_tp, config, lifting=free_lifting)
+        fields = (pair.velocity.components, pair.pressure.values, u.modes, p.modes)
+        return fields, (len(steady.iterates), len(tp.iterates))
+
+    calls = []
+
+    def perturbed_norm(exact):
+        def norm(*args):
+            calls.append(exact.__name__)
+            return exact(*args) * (1.0 + 1e-15)
+
+        return norm
+
+    fields, counts = run_both()
+    for name in ("maxreg_norm", "lambda_norm"):
+        monkeypatch.setattr(picard, name, perturbed_norm(getattr(picard, name)))
+    perturbed, perturbed_counts = run_both()
+    assert set(calls) == {"maxreg_norm", "lambda_norm"}
+    assert perturbed_counts == counts and min(counts) > 1
+    for before, after in zip(fields, perturbed):
+        assert np.array_equal(before, after)
 
 
 # --- gates and escapes -------------------------------------------------------
