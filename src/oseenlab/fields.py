@@ -15,7 +15,9 @@ Spatial fields are stored as real samples only; spectral coefficients are
 plain arrays from the forward-normalized transforms here.  A time-periodic
 field stores its time modes k = 0..K only: for a real signal the mode at -k
 is the conjugate of the mode at k, and :meth:`TimePeriodicField.mode` derives
-it on request.
+it on request.  All three kinds share one arithmetic: sums and differences of
+two fields of one kind on one grid (stacks also share period and ``max_mode``),
+negation, and scaling by a real number.
 """
 
 from __future__ import annotations
@@ -229,8 +231,41 @@ def _as_field_array(values, expected_shape: tuple[int, ...], name: str) -> np.nd
     return _lock(array)
 
 
+class _FieldAlgebra:
+    """Arithmetic on ``_data``: ``_like`` wraps a result as a field of the same
+    kind; ``_check_compatible`` rejects another kind (``TypeError``) or grid.
+    """
+
+    def _like(self, data: np.ndarray):
+        return type(self)(self.grid, data)
+
+    def _check_compatible(self, other) -> None:
+        if type(other) is not type(self):
+            raise TypeError(
+                f"cannot combine {type(self).__name__} with {type(other).__name__}"
+            )
+        if self.grid != other.grid:
+            raise ValueError("fields live on different grids")
+
+    def __add__(self, other):
+        self._check_compatible(other)
+        return self._like(self._data + other._data)
+
+    def __sub__(self, other):
+        self._check_compatible(other)
+        return self._like(self._data - other._data)
+
+    def __mul__(self, scalar: float):
+        return self._like(self._data * float(scalar))
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self._like(-self._data)
+
+
 @dataclass(frozen=True)
-class ScalarField:
+class ScalarField(_FieldAlgebra):
     """Real scalar samples on a GridSpec grid."""
 
     grid: GridSpec
@@ -245,25 +280,11 @@ class ScalarField:
     def zeros(cls, grid: GridSpec) -> "ScalarField":
         return cls(grid, np.zeros(grid.shape))
 
-    def __add__(self, other: "ScalarField") -> "ScalarField":
-        _check_same_grid(self, other)
-        return ScalarField(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "ScalarField") -> "ScalarField":
-        _check_same_grid(self, other)
-        return ScalarField(self.grid, self.values - other.values)
-
-    def __mul__(self, scalar: float) -> "ScalarField":
-        return ScalarField(self.grid, self.values * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "ScalarField":
-        return ScalarField(self.grid, -self.values)
+    _data = property(lambda self: self.values)
 
 
 @dataclass(frozen=True)
-class VectorField:
+class VectorField(_FieldAlgebra):
     """Real vector samples, components stacked on the leading axis."""
 
     grid: GridSpec
@@ -287,26 +308,7 @@ class VectorField:
     def magnitude(self) -> np.ndarray:
         return np.sqrt(np.sum(self.components ** 2, axis=0))
 
-    def __add__(self, other: "VectorField") -> "VectorField":
-        _check_same_grid(self, other)
-        return VectorField(self.grid, self.components + other.components)
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        _check_same_grid(self, other)
-        return VectorField(self.grid, self.components - other.components)
-
-    def __mul__(self, scalar: float) -> "VectorField":
-        return VectorField(self.grid, self.components * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "VectorField":
-        return VectorField(self.grid, -self.components)
-
-
-def _check_same_grid(a, b) -> None:
-    if a.grid != b.grid:
-        raise ValueError("fields live on different grids")
+    _data = property(lambda self: self.components)
 
 
 def _component_array(field: ScalarField | VectorField) -> np.ndarray:
@@ -361,7 +363,7 @@ def _truncate_samples(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     return _ifftn(_fftn(values, grid.dim) * grid.dealias_mask, grid.dim).real
 
 
-class TimePeriodicField:
+class TimePeriodicField(_FieldAlgebra):
     """Finite Fourier stack in time over spatial fields.
 
     A real time-periodic field with period T is u(t, x) = sum_k u_k(x)
@@ -503,30 +505,12 @@ class TimePeriodicField:
         ]
         return TimePeriodicField.from_modes(self.grid, self.period, nonneg)
 
-    def __add__(self, other: "TimePeriodicField") -> "TimePeriodicField":
-        self._check_compatible(other)
-        return TimePeriodicField._adopt(
-            self.grid, self.period, self.modes + other.modes
-        )
+    _data = property(lambda self: self.modes)
 
-    def __sub__(self, other: "TimePeriodicField") -> "TimePeriodicField":
-        self._check_compatible(other)
-        return TimePeriodicField._adopt(
-            self.grid, self.period, self.modes - other.modes
-        )
+    def _like(self, modes: np.ndarray) -> "TimePeriodicField":
+        return TimePeriodicField._adopt(self.grid, self.period, modes)
 
-    def __mul__(self, scalar: float) -> "TimePeriodicField":
-        return TimePeriodicField._adopt(
-            self.grid, self.period, self.modes * float(scalar)
-        )
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "TimePeriodicField":
-        return TimePeriodicField._adopt(self.grid, self.period, -self.modes)
-
-    def _check_compatible(self, other: "TimePeriodicField") -> None:
-        if self.grid != other.grid:
-            raise ValueError("fields live on different grids")
+    def _check_compatible(self, other) -> None:
+        super()._check_compatible(other)
         if self.period != other.period or self.max_mode != other.max_mode:
             raise ValueError("time-periodic fields have mismatched period or modes")

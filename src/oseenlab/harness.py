@@ -42,7 +42,13 @@ from .fields import (
     derivative,
     gradient,
 )
-from .lifting import CutoffSpec, build_lifting, default_cutoff, lifting_load
+from .lifting import (
+    CutoffSpec,
+    build_lifting,
+    center_distance,
+    default_cutoff,
+    lifting_load,
+)
 from .nonlinear import convective_product
 from .norms import (
     lambda_norm,
@@ -1219,12 +1225,7 @@ def run_lifting_check(cfg: ExperimentConfig) -> ScalingResult:
     _require_experiment(cfg, EXPERIMENT_LIFTING)
     grid = cfg.grid
     spec = cfg.cutoff_spec()
-    centered = [
-        x - c for x, c in zip(np.meshgrid(*grid.coordinates(), indexing="ij"),
-                              grid.center)
-    ]
-    radius = np.sqrt(sum(x * x for x in centered))
-    interior = radius <= spec.inner_radius * (1.0 + 1e-12)
+    interior = center_distance(grid) <= spec.inner_radius * (1.0 + 1e-12)
     rows = []
     for lam in cfg.lambda_grid:
         lifting = build_lifting(lam, spec, grid)
@@ -1330,9 +1331,6 @@ def run_picard(cfg: ExperimentConfig) -> ScalingResult:
             mode_cap=cfg.mode_cap,
         )
 
-    def velocity_of(solution):
-        return solution.velocity if steady else solution[0]
-
     direction = draw(forcing_seed)
     unit_size = data_size(direction, cfg.q, cfg.r)
     rows = []
@@ -1342,7 +1340,7 @@ def run_picard(cfg: ExperimentConfig) -> ScalingResult:
         forcing = direction * (0.5 * pcfg.epsilon / unit_size)
         forcing_size = data_size(forcing, cfg.q, cfg.r)
         solution, report = driver(forcing, pcfg, lifting=lifting)
-        velocity = velocity_of(solution)
+        velocity = solution.velocity
         solution_norm = norm(velocity, pcfg.lam, cfg.q, cfg.r)
         rows.append(
             (
@@ -1374,9 +1372,7 @@ def run_picard(cfg: ExperimentConfig) -> ScalingResult:
             alt = draw(start_seed)
             alt = alt * (0.5 * rho / norm(alt, pcfg.lam, cfg.q, cfg.r))
             other, _ = driver(forcing, pcfg, lifting=lifting, initial=alt)
-            distance = norm(
-                velocity_of(other) - velocity, pcfg.lam, cfg.q, cfg.r
-            )
+            distance = norm(other.velocity - velocity, pcfg.lam, cfg.q, cfg.r)
             checks.append(
                 _check_le(
                     "initial_iterate_independence",

@@ -90,6 +90,11 @@ def _centered_coordinates(grid: GridSpec) -> list[np.ndarray]:
     return [x - center[axis] for axis, x in enumerate(grid.coordinates())]
 
 
+def center_distance(grid: GridSpec) -> np.ndarray:
+    """The radius |x - center| at every grid point, shape ``grid.shape``."""
+    return np.sqrt(sum(x * x for x in _centered_coordinates(grid)))
+
+
 def _check_support(spec: CutoffSpec, grid: GridSpec) -> None:
     half_width = np.pi * grid.half_period
     if spec.outer_radius >= half_width:
@@ -102,9 +107,7 @@ def _check_support(spec: CutoffSpec, grid: GridSpec) -> None:
 def build_cutoff(spec: CutoffSpec, grid: GridSpec) -> ScalarField:
     """Sample the radial profile around the box center."""
     _check_support(spec, grid)
-    centered = _centered_coordinates(grid)
-    rho = np.sqrt(sum(np.broadcast_to(x * x, grid.shape) for x in centered))
-    return ScalarField(grid, spec.value(rho))
+    return ScalarField(grid, spec.value(center_distance(grid)))
 
 
 @dataclass(frozen=True)
@@ -168,7 +171,7 @@ def build_lifting(lam: float, spec: CutoffSpec, grid: GridSpec) -> LiftingField:
     _check_support(spec, grid)
     dim = grid.dim
     centered = [np.broadcast_to(x, grid.shape) for x in _centered_coordinates(grid)]
-    rho = np.sqrt(sum(x * x for x in centered))
+    rho = center_distance(grid)
     safe = np.where(rho > 0, rho, 1.0)
     unit = [x / safe for x in centered]
     y = centered[1]

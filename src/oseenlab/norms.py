@@ -50,8 +50,8 @@ from .fields import (
 
 def _check_exponent(value: float, name: str) -> float:
     value = float(value)
-    if not value > 1.0:
-        raise ValueError(f"{name} must exceed 1, got {value}")
+    if not 1.0 < value < np.inf:
+        raise ValueError(f"{name} must be finite and exceed 1, got {value}")
     return value
 
 

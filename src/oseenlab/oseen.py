@@ -24,6 +24,7 @@ from .fields import (
     TimePeriodicField,
     VectorField,
     _fftn,
+    _from_component_array,
     _ifftn,
 )
 
@@ -47,18 +48,17 @@ class OseenParams:
 
 @dataclass(frozen=True)
 class StokesPair:
-    """A velocity/pressure solution pair on one grid."""
+    """Velocity and pressure on one grid: both spatial or both time stacks."""
 
-    velocity: VectorField
-    pressure: ScalarField
+    velocity: VectorField | TimePeriodicField
+    pressure: ScalarField | TimePeriodicField
 
     def __post_init__(self) -> None:
         if self.velocity.grid != self.pressure.grid:
             raise ValueError("velocity and pressure live on different grids")
 
-    @property
-    def grid(self) -> GridSpec:
-        return self.velocity.grid
+    def __iter__(self):
+        return iter((self.velocity, self.pressure))
 
 
 def _apply_leray(grid: GridSpec, coeff: np.ndarray) -> np.ndarray:
@@ -110,17 +110,13 @@ def _mode_solution_coeff(
 
 
 def solve_steady(f: VectorField, params: OseenParams) -> StokesPair:
-    """Solve the steady drift system for velocity and pressure.
+    """Solve the steady drift system: the real part of the k = 0 block.
 
     Gradient parts of the forcing go entirely into the pressure, so the
     velocity depends only on the divergence-free part of ``f``.
     """
-    grid = f.grid
-    coeff = _fftn(f.components, grid.dim)
-    u_coeff, p_coeff = _mode_solution_coeff(grid, coeff, params.lam, 0.0)
-    velocity = VectorField(grid, _ifftn(u_coeff, grid.dim).real)
-    pressure = ScalarField(grid, _ifftn(p_coeff[None], grid.dim).real[0])
-    return StokesPair(velocity, pressure)
+    modes = solve_mode(f.grid, f.components, 0, 1.0, params)
+    return StokesPair(*(_from_component_array(f.grid, m.real) for m in modes))
 
 
 def solve_mode(
@@ -132,13 +128,14 @@ def solve_mode(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve one time-frequency block; returns complex physical-space modes.
 
-    ``f_mode`` is the complex spatial sample array of the k-th time mode,
-    shape (dim,) + grid.shape.  The returned pressure mode has the stack
-    layout (1,) + grid.shape.  k = 0 reproduces :func:`solve_steady`.
+    ``f_mode`` is the spatial sample array of the k-th time mode, shape
+    (dim,) + grid.shape, transformed as given (real samples, as in
+    :func:`solve_steady`, by the real-input transform).  The returned
+    pressure mode has the stack layout (1,) + grid.shape.
     """
     if not period > 0:
         raise ValueError(f"period must be positive, got {period}")
-    f_mode = np.ascontiguousarray(f_mode, dtype=np.complex128)
+    f_mode = np.ascontiguousarray(f_mode)
     expected = (grid.dim,) + grid.shape
     if f_mode.shape != expected:
         raise ValueError(f"f_mode has shape {f_mode.shape}, expected {expected}")
@@ -150,8 +147,8 @@ def solve_mode(
 
 def solve_timeperiodic(
     forcing: TimePeriodicField, params: OseenParams
-) -> tuple[TimePeriodicField, TimePeriodicField]:
-    """Solve mode-by-mode; returns time-periodic velocity and pressure.
+) -> StokesPair:
+    """Solve mode-by-mode; returns the pair of velocity and pressure stacks.
 
     Only the modes k = 0..K are solved and stored; the negative frequencies
     are their conjugates, derived by :meth:`TimePeriodicField.mode`.
@@ -170,9 +167,10 @@ def solve_timeperiodic(
             p_k = p_k.real.astype(np.complex128)
         u_modes.append(u_k)
         p_modes.append(p_k)
-    velocity = TimePeriodicField.from_modes(grid, forcing.period, u_modes)
-    pressure = TimePeriodicField.from_modes(grid, forcing.period, p_modes)
-    return velocity, pressure
+    return StokesPair(
+        TimePeriodicField.from_modes(grid, forcing.period, u_modes),
+        TimePeriodicField.from_modes(grid, forcing.period, p_modes),
+    )
 
 
 def project_steady(field: TimePeriodicField) -> ScalarField | VectorField:
@@ -228,21 +226,19 @@ def contraction_rate_from_updates(updates) -> float:
 
 
 def residual(
-    pair: StokesPair, f: VectorField, params: OseenParams
+    pair: StokesPair, f: VectorField | TimePeriodicField, params: OseenParams
 ) -> tuple[float, float]:
     """L^2 norms of the momentum defect and of div(velocity).
 
-    The steady problem is the K = 0 case of :func:`residual_timeperiodic`:
-    the pair and the forcing enter as the time-constant stacks of
-    :meth:`TimePeriodicField.from_steady`, so a forcing on another grid is
-    rejected there.
+    A stack pair goes to :func:`residual_timeperiodic` as it is; a steady pair
+    and its forcing enter as the K = 0 stacks of
+    :meth:`TimePeriodicField.from_steady`, which rejects a foreign grid.
     """
-    # Any period will do: the lone block k = 0 has omega = 0.
-    stacks = [
-        TimePeriodicField.from_steady(field, 1.0)
-        for field in (pair.velocity, pair.pressure, f)
-    ]
-    return residual_timeperiodic(*stacks, params)
+    fields = (pair.velocity, pair.pressure, f)
+    if not isinstance(pair.velocity, TimePeriodicField):
+        # Any period will do: the lone block k = 0 has omega = 0.
+        fields = [TimePeriodicField.from_steady(field, 1.0) for field in fields]
+    return residual_timeperiodic(*fields, params)
 
 
 def residual_timeperiodic(

@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .exponents import (
     PROBLEM_STEADY,
     PROBLEM_TP,
@@ -39,7 +37,6 @@ from .oseen import (
     contraction_rate_from_updates,
     project_oscillatory,
     residual,
-    residual_timeperiodic,
     solve_steady,
     solve_timeperiodic,
 )
@@ -254,19 +251,14 @@ def _fixed_point(
     lifting: LiftingField | None,
     initial,
     problem: str,
-    zeros,
     solve,
     norm,
-    residual_of,
-    certificate_pressure: bool,
-):
-    """The contraction loop behind both drivers; returns (u, p, report).
+) -> tuple[StokesPair, SolveReport]:
+    """The contraction loop behind both drivers.
 
-    ``solve(forcing, params)`` gives (velocity, pressure), ``norm`` has the
-    signature of :func:`lambda_norm`, ``residual_of(u, p, forcing, params)``
-    gives the two residual norms and ``zeros()`` builds the zero iterate of
-    the default start.  The returned pressure is the last iterate's, or the
-    certificate solve's when ``certificate_pressure`` is set.
+    ``solve(forcing, params)`` gives a :class:`StokesPair`; ``norm`` has the
+    signature of :func:`lambda_norm`.  The returned pair holds the last
+    iterate and the certificate solve's pressure, which pairs with it.
     """
     grid = f.grid
     _check_admissible(cfg.profile, grid, problem)
@@ -280,7 +272,7 @@ def _fixed_point(
     params = OseenParams(cfg.lam)
 
     if initial is None:
-        u = solve(f + nonlinearity(zeros(), lifting, cfg.lam), params)[0]
+        u = solve(f + nonlinearity(f * 0.0, lifting, cfg.lam), params).velocity
     elif initial.grid != grid:
         raise ValueError("initial iterate lives on a different grid")
     elif getattr(initial, "period", None) != getattr(f, "period", None):
@@ -302,7 +294,7 @@ def _fixed_point(
             _report(cfg, updates),
         )
     for _ in range(cfg.max_iter):
-        u_new, pressure = solve(f + nonlinearity(u, lifting, cfg.lam), params)
+        u_new = solve(f + nonlinearity(u, lifting, cfg.lam), params).velocity
         delta = norm(u_new - u, cfg.lam, q, r)
         scale = norm(u_new, cfg.lam, q, r)
         updates.append(delta)
@@ -332,19 +324,9 @@ def _fixed_point(
     forcing_star = f + nonlinearity(u, lifting, cfg.lam)
     u_check, p_check = solve(forcing_star, params)
     certificate = norm(u_check - u, cfg.lam, q, r)
-    if certificate_pressure:
-        pressure = p_check
-    residuals = residual_of(u, pressure, forcing_star, params)
-    return u, pressure, _report(cfg, updates, certificate, residuals)
-
-
-def _solve_steady_pair(forcing: VectorField, params: OseenParams):
-    pair = solve_steady(forcing, params)
-    return pair.velocity, pair.pressure
-
-
-def _residual_steady(velocity, pressure, forcing, params):
-    return residual(StokesPair(velocity, pressure), forcing, params)
+    pair = StokesPair(u, p_check)
+    residuals = residual(pair, forcing_star, params)
+    return pair, _report(cfg, updates, certificate, residuals)
 
 
 def picard_steady(
@@ -357,15 +339,12 @@ def picard_steady(
 
     The default initial iterate is one linear solve of the forcing plus the
     u-independent part of the nonlinearity; any start inside the radius ball
-    converges to the same fixed point at small data.  The returned pressure
-    and the residuals belong to the last iterate.
+    converges to the same fixed point at small data.  The pressure and the
+    residuals come from the certificate solve of the returned velocity.
     """
-    grid = f.grid
-    u, pressure, report = _fixed_point(
-        f, cfg, lifting, initial, PROBLEM_STEADY, lambda: VectorField.zeros(grid),
-        _solve_steady_pair, lambda_norm, _residual_steady, certificate_pressure=False,
+    return _fixed_point(
+        f, cfg, lifting, initial, PROBLEM_STEADY, solve_steady, lambda_norm
     )
-    return StokesPair(u, pressure), report
 
 
 def picard_timeperiodic(
@@ -373,20 +352,14 @@ def picard_timeperiodic(
     cfg: PicardConfig,
     lifting: LiftingField | None = None,
     initial: TimePeriodicField | None = None,
-) -> tuple[tuple[TimePeriodicField, TimePeriodicField], SolveReport]:
-    """Fixed point of the time-periodic problem; returns (velocity, pressure).
+) -> tuple[StokesPair, SolveReport]:
+    """Fixed point of the time-periodic problem; returns the stack pair.
 
     Stopping, the radius ball, and the certificate all use the decomposed
-    norm from :func:`driver_norm_timeperiodic`.  The returned pressure and
-    the residuals pair the last iterate with the certificate solve's
-    pressure.
+    norm from :func:`driver_norm_timeperiodic`.  The pressure comes from the
+    certificate solve, as in :func:`picard_steady`.
     """
-    grid = f.grid
-    shape = (f.max_mode + 1, grid.dim) + grid.shape
-    velocity, pressure, report = _fixed_point(
-        f, cfg, lifting, initial, PROBLEM_TP,
-        lambda: TimePeriodicField(grid, f.period, np.zeros(shape, dtype=complex)),
-        solve_timeperiodic, driver_norm_timeperiodic, residual_timeperiodic,
-        certificate_pressure=True,
+    return _fixed_point(
+        f, cfg, lifting, initial, PROBLEM_TP, solve_timeperiodic,
+        driver_norm_timeperiodic,
     )
-    return (velocity, pressure), report

@@ -242,6 +242,60 @@ def test_field_arithmetic(grid2):
     assert np.allclose((va * 0.5 + va * 0.5).components, va.components)
 
 
+def _operand_pairs(grid):
+    """Two fields of each kind on ``grid`` and how to read their arrays."""
+
+    def stack(seed):
+        phi = trig_values(grid, seed)[None]
+        return TimePeriodicField.from_modes(grid, 2.0, [phi, (0.5 + 2j) * phi])
+
+    return {
+        "ScalarField": (trig_scalar(grid, 81), trig_scalar(grid, 82), "values"),
+        "VectorField": (trig_vector(grid, 83), trig_vector(grid, 84), "components"),
+        "TimePeriodicField": (stack(85), stack(86), "modes"),
+    }
+
+
+@pytest.mark.parametrize("kind", ["ScalarField", "VectorField", "TimePeriodicField"])
+def test_field_algebra_is_the_array_algebra(grid2, kind):
+    a, b, name = _operand_pairs(grid2)[kind]
+    x, y = getattr(a, name), getattr(b, name)
+    for result, expected in (
+        (a + b, x + y),
+        (a - b, x - y),
+        (-a, -x),
+        (a * 2.5, x * 2.5),
+        (2.5 * a, x * 2.5),
+    ):
+        assert type(result) is type(a) and result.grid == grid2
+        assert getattr(result, "period", None) == getattr(a, "period", None)
+        assert np.array_equal(getattr(result, name), expected)
+
+
+def test_mixing_field_kinds_raises_type_error(grid2):
+    scalar = trig_scalar(grid2, 81)
+    vector = trig_vector(grid2, 83)
+    stack = TimePeriodicField.from_steady(vector, 2.0)
+    with pytest.raises(TypeError, match="combine ScalarField with VectorField"):
+        scalar + vector
+    with pytest.raises(TypeError, match="combine TimePeriodicField with VectorField"):
+        stack - vector
+
+
+def test_mismatched_operands_keep_their_messages(grid2):
+    coarse = GridSpec(2, np.pi, 16)
+    for kind, (a, _, _) in _operand_pairs(grid2).items():
+        b = _operand_pairs(coarse)[kind][0]
+        with pytest.raises(ValueError, match="fields live on different grids"):
+            a + b
+    vector = trig_vector(grid2, 83)
+    stack = TimePeriodicField.from_steady(vector, 2.0, max_mode=1)
+    for period, max_mode in ((3.0, 1), (2.0, 2)):
+        other = TimePeriodicField.from_steady(vector, period, max_mode)
+        with pytest.raises(ValueError, match="mismatched period or modes"):
+            stack - other
+
+
 def test_field_shape_validation(grid2):
     with pytest.raises(ValueError):
         ScalarField(grid2, np.zeros((3, 3)))

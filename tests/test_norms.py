@@ -102,6 +102,30 @@ def test_exponent_validation(grid2):
         lq_norm(field, 0.5)
 
 
+@pytest.mark.parametrize("exponent", [np.inf, -np.inf, np.nan])
+def test_non_finite_exponents_are_rejected_by_name(grid2, exponent):
+    # q = inf used to pass and give mean(|v|^inf)^(1/inf), that is 0.0 or
+    # 1.0, instead of a norm.
+    field = trig_vector(grid2, 9)
+    stack = TimePeriodicField.from_steady(field, 1.0, max_mode=1)
+    evaluations = {
+        "q": (
+            lambda q: lq_norm(field, q),
+            lambda q: sobolev_seminorm(field, 1, q),
+            lambda q: sobolev_full_norm(field, 2, q),
+            lambda q: lambda_norm(field, 1.0, q, 2.0),
+            lambda q: maxreg_norm(stack, q),
+        ),
+        "r": (lambda r: negative_norm_surrogate(field, r),),
+    }
+    for name, calls in evaluations.items():
+        for evaluate in calls:
+            with pytest.raises(
+                ValueError, match=f"{name} must be finite and exceed 1, got {exponent}"
+            ):
+                evaluate(exponent)
+
+
 # ---------------------------------------------------------------------------
 # Sobolev seminorms
 

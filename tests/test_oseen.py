@@ -10,6 +10,8 @@ from oseenlab.fields import (
     ScalarField,
     TimePeriodicField,
     VectorField,
+    _fftn,
+    _ifftn,
     divergence,
     gradient,
 )
@@ -19,6 +21,7 @@ from oseenlab.norms import lq_norm
 from oseenlab.oseen import (
     OseenParams,
     StokesPair,
+    _mode_solution_coeff,
     contraction_rate_from_updates,
     leray_project,
     project_oscillatory,
@@ -142,6 +145,55 @@ def test_solver_linearity(grid2):
     expected = 2.0 * pa.velocity.components - 0.5 * pb.velocity.components
     scale = np.max(np.abs(expected)) + 1.0
     assert np.max(np.abs(combo.velocity.components - expected)) <= 1e-12 * scale
+
+
+def _standalone_solve_steady(f: VectorField, params: OseenParams):
+    """The steady solve as it stood before it became the k = 0 block."""
+    grid = f.grid
+    coeff = _fftn(f.components, grid.dim)
+    u_coeff, p_coeff = _mode_solution_coeff(grid, coeff, params.lam, 0.0)
+    velocity = _ifftn(u_coeff, grid.dim).real
+    return velocity, _ifftn(p_coeff[None], grid.dim).real[0]
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.3])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_steady_solve_is_bitwise_the_real_k0_block(dim, lam):
+    # Real samples keep the real-input transform, so the steady solve is
+    # bit for bit what it was as a standalone transform-solve-transform.
+    grid = GridSpec(dim, np.pi, 16)
+    f = trig_vector(grid, 45) + gradient(trig_scalar(grid, 46))
+    params = OseenParams(lam)
+    pair = solve_steady(f, params)
+    u_mode, p_mode = solve_mode(grid, f.components, 0, 1.0, params)
+    for velocity, pressure in (
+        _standalone_solve_steady(f, params),
+        (u_mode.real, p_mode.real[0]),
+    ):
+        assert np.array_equal(pair.velocity.components, velocity)
+        assert np.array_equal(pair.pressure.values, pressure)
+
+
+def test_stokes_pair_unpacks_and_holds_either_kind(grid2):
+    params = OseenParams(1.0)
+    forcing = random_timeperiodic_forcing(grid2, 2.0, 1, (26,))
+    stacks = solve_timeperiodic(forcing, params)
+    steady = solve_steady(trig_vector(grid2, 47), params)
+    for pair in (stacks, steady):
+        assert isinstance(pair, StokesPair)
+        velocity, pressure = pair
+        assert velocity is pair.velocity and pressure is pair.pressure
+    assert residual(stacks, forcing, params) == residual_timeperiodic(
+        *stacks, forcing, params
+    )
+    other = GridSpec(2, np.pi, 16)
+    with pytest.raises(ValueError, match="live on different grids"):
+        StokesPair(steady.velocity, ScalarField.zeros(other))
+    with pytest.raises(ValueError, match="live on different grids"):
+        StokesPair(
+            stacks.velocity,
+            TimePeriodicField.from_steady(ScalarField.zeros(other), 2.0, 1),
+        )
 
 
 # ---------------------------------------------------------------------------

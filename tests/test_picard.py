@@ -16,13 +16,20 @@ from oseenlab.fields import (
 )
 from oseenlab.harness import random_divergence_free, random_oscillatory
 from oseenlab.lifting import build_lifting, default_cutoff
+from oseenlab.nonlinear import nonlinearity
 from oseenlab.norms import (
     lambda_norm,
     lq_norm,
     maxreg_norm,
     negative_norm_surrogate,
 )
-from oseenlab.oseen import OseenParams, solve_steady
+from oseenlab.oseen import (
+    OseenParams,
+    StokesPair,
+    residual,
+    solve_steady,
+    solve_timeperiodic,
+)
 from oseenlab.picard import (
     GateError,
     PicardConfig,
@@ -282,6 +289,30 @@ def test_norm_roundoff_leaves_the_iterates_bit_for_bit(
     assert perturbed_counts == counts and min(counts) > 1
     for before, after in zip(fields, perturbed):
         assert np.array_equal(before, after)
+
+
+@pytest.mark.parametrize("steady", [True, False], ids=["steady", "timeperiodic"])
+def test_drivers_return_the_certificate_solves_pressure(
+    grid, config, free_lifting, steady
+):
+    # The pressure that pairs with the returned velocity is the one of a
+    # solve at that velocity, that is of the certificate solve; the residuals
+    # are those of the returned pair.
+    f = _scaled_forcing(grid, config)
+    if steady:
+        driver, solve, data = picard_steady, solve_steady, "values"
+    else:
+        f = TimePeriodicField.from_steady(f, PERIOD, max_mode=1)
+        driver, solve, data = picard_timeperiodic, solve_timeperiodic, "modes"
+    pair, report = driver(f, config, lifting=free_lifting)
+    assert isinstance(pair, StokesPair) and report.iterations > 1
+    params = OseenParams(config.lam)
+    forcing = f + nonlinearity(pair.velocity, free_lifting, config.lam)
+    pressure = solve(forcing, params).pressure
+    assert np.array_equal(getattr(pair.pressure, data), getattr(pressure, data))
+    assert (report.residual_momentum, report.residual_div) == residual(
+        pair, forcing, params
+    )
 
 
 # --- gates and escapes -------------------------------------------------------

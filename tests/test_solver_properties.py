@@ -3,6 +3,9 @@
 The Leray projection is a projection onto divergence-free fields, and the
 steady problem is the k = 0 block of the time-periodic one: the steady solve,
 the single-frequency solve at k = 0 and a K = 0 time-periodic solve agree.
+Applying the drift operator to a steady solution gives back band-limited,
+mean-free forcing, and the dealiased convective product of band-limited
+fields keeps its Fourier coefficients when the grid is refined.
 """
 
 from __future__ import annotations
@@ -11,7 +14,20 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oseenlab.fields import GridSpec, TimePeriodicField, VectorField, divergence
+from oseenlab.fields import (
+    GridSpec,
+    TimePeriodicField,
+    VectorField,
+    _fftn,
+    divergence,
+    gradient,
+)
+from oseenlab.harness import (
+    oseen_apply,
+    random_divergence_free,
+    random_scalar_field,
+)
+from oseenlab.nonlinear import convective_product
 from oseenlab.oseen import (
     OseenParams,
     leray_project,
@@ -63,3 +79,58 @@ def test_steady_solve_is_the_k0_block(f, lam, period):
     for u, p in ((u_mode, p_mode), (velocity.modes[0], pressure.modes[0])):
         assert np.max(np.abs(u - pair.velocity.components)) <= 1e-12 * scale
         assert np.max(np.abs(p[0] - pair.pressure.values)) <= 1e-12 * scale
+
+
+@st.composite
+def band_limited_draws(draw):
+    """A grid of at most 16^3, a mode cap it resolves and two seeds."""
+    dim = draw(st.sampled_from((2, 3)))
+    half_period = draw(st.sampled_from((1.0, np.pi)))
+    grid = GridSpec(dim, half_period, draw(st.sampled_from((8, 16))))
+    cap = draw(st.integers(1, grid.dealias_cutoff))
+    return grid, cap, draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 2**32 - 1))
+
+
+@PROPERTY_SETTINGS
+@given(band_limited_draws(), st.floats(0.0, 16.0, allow_nan=False))
+def test_operator_of_the_steady_solution_gives_back_the_forcing(draws, lam):
+    grid, cap, seed_u, seed_p = draws
+    f = random_divergence_free(grid, [seed_u], mode_cap=cap) + gradient(
+        random_scalar_field(grid, [seed_p], mode_cap=cap)
+    )
+    pair = solve_steady(f, OseenParams(lam))
+    back = oseen_apply(pair.velocity, lam) + gradient(pair.pressure)
+    scale = np.max(np.abs(f.components))
+    assert np.max(np.abs(back.components - f.components)) <= 1e-12 * scale
+
+
+def _shared_coefficients(field: VectorField, cutoff: int) -> np.ndarray:
+    """Forward-normalized coefficients of the modes |m_i| <= cutoff."""
+    n = field.grid.points_per_axis
+    index = np.arange(-cutoff, cutoff + 1) % n
+    coeff = _fftn(field.components, field.grid.dim)
+    return coeff[(slice(None),) + np.ix_(*([index] * field.grid.dim))]
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.sampled_from((2, 3)),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 2**32 - 1),
+)
+def test_convective_product_is_unchanged_by_grid_refinement(
+    dim, cap, seed_a, seed_b
+):
+    # Factors of band cap have a product of band 2 cap <= 6, which 16 points
+    # per axis hold without aliasing; the coarse grid keeps |m| <= 5 of it.
+    coarse, fine = (GridSpec(dim, 1.0, n) for n in (16, 24))
+    products = []
+    for grid in (coarse, fine):
+        a = random_divergence_free(grid, [seed_a], mode_cap=cap)
+        b = random_divergence_free(grid, [seed_b], mode_cap=cap)
+        products.append(
+            _shared_coefficients(convective_product(a, b), coarse.dealias_cutoff)
+        )
+    scale = np.max(np.abs(products[1]))
+    assert np.max(np.abs(products[0] - products[1])) <= 1e-12 * scale
