@@ -171,9 +171,7 @@ class ExponentProfile:
     n: int
     q: float
     r: float
-    s: float
     m_exponent: int
-    delta: int
     theta: float
     eta: float
     zeta: float
@@ -181,17 +179,14 @@ class ExponentProfile:
 
     @classmethod
     def build(cls, n: int, q: float, r: float) -> "ExponentProfile":
-        s = s_exponent(n, r)
-        m_exponent, delta = exponents_Mdelta(n, r)
+        m_exponent = exponents_Mdelta(n, r)[0]
         theta = theta_exponent(n, q, r)
         interval = gamma_interval(n, m_exponent, theta, ZETA_FALLBACK, ETA_FALLBACK)
         return cls(
             n=n,
             q=float(q),
             r=float(r),
-            s=s,
             m_exponent=m_exponent,
-            delta=delta,
             theta=theta,
             eta=ETA_FALLBACK,
             zeta=ZETA_FALLBACK,

@@ -124,14 +124,9 @@ class GridSpec:
     def center(self) -> tuple[float, ...]:
         return (np.pi * self.half_period,) * self.dim
 
-    def axis_coordinates(self) -> np.ndarray:
-        """Grid coordinates along one axis, shape (N,)."""
-        n = self.points_per_axis
-        return np.arange(n) * self.spacing
-
     def coordinates(self) -> list[np.ndarray]:
         """Sparse broadcastable coordinate arrays, one per axis."""
-        x = self.axis_coordinates()
+        x = np.arange(self.points_per_axis) * self.spacing
         return list(np.meshgrid(*([x] * self.dim), indexing="ij", sparse=True))
 
     @cached_property
@@ -493,17 +488,6 @@ class TimePeriodicField(_FieldAlgebra):
                 acc = acc + 2.0 * (phases[j, idx] * self.mode(k)).real
             out[j] = acc
         return out
-
-    def steady_part(self) -> ScalarField | VectorField:
-        """The k = 0 (time-average) mode as a real field."""
-        return _from_component_array(self.grid, self.mode(0).real)
-
-    def time_derivative(self) -> "TimePeriodicField":
-        """d/dt through i*omega_k multipliers on the mode stack."""
-        nonneg = [
-            1j * self.omega(k) * self.mode(k) for k in range(self.max_mode + 1)
-        ]
-        return TimePeriodicField.from_modes(self.grid, self.period, nonneg)
 
     _data = property(lambda self: self.modes)
 

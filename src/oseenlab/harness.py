@@ -199,6 +199,9 @@ class ExperimentConfig:
                 raise ValueError(
                     f"forcing_shell must satisfy 0 < lo <= hi, got {self.forcing_shell}"
                 )
+        for name in ("q", "r"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         n, windows = self.grid.dim, _EXPONENT_WINDOWS.get(self.experiment, ())
         violated = [v for w in windows for v in admissibility(n, self.q, self.r, w)[1]]
         if violated:
@@ -561,6 +564,10 @@ def fit_smallness_constant(
     result feeds the radius schedule; the fixed-point runs then verify the
     scheduled contraction empirically rather than trusting the fit.
     """
+    if profile.n != grid.dim:
+        raise ValueError(
+            f"profile is for n = {profile.n}, but the grid has dim {grid.dim}"
+        )
     key = (grid, profile, seed)
     cached = _FIT_CACHE.get(key)
     if cached is not None:
@@ -759,47 +766,58 @@ _STEADY_COLUMNS = (
 )
 
 
-def _steady_line_values(velocity, pressure, lam, cfg, m_exp, delta, f_lq, f_neg):
-    """Both estimate lines for one steady solve, as a column-ordered tuple."""
+def _estimate_sweep(cfg, forcing, solve, extra_columns, extra_row, finish):
+    """The drift sweep of both scaling runners, steady (K = 0) or not.
+
+    Solves at every drift and measures both steady estimate lines on the
+    time averages (:func:`project_steady`) of the solution and the forcing;
+    ``extra_row(lam, pair, line)`` appends the runner's own columns, with
+    ``line`` the dict of the steady columns.  The lines' constants, checks
+    and flags come first, then those ``finish(values, slopes)`` returns.
+    """
     n = cfg.grid.dim
     weight = 1.0 / (n + 1)
     s = s_exponent(n, cfg.r)
-    drift_derivative = derivative(velocity, 1)
-    seminorm_1r = sobolev_seminorm(velocity, 1, cfg.r)
-    lq_s = lq_norm(velocity, s)
-    weighted_lq_s = lam ** ((1.0 + delta) * weight) * lq_s
-    drift_neg = lam * negative_norm_surrogate(drift_derivative, cfg.r)
-    pressure_lq_r = lq_norm(pressure, cfg.r)
-    rhs_line1 = lam ** (-m_exp * weight) * f_neg
-    lhs_line1 = seminorm_1r + weighted_lq_s + drift_neg + pressure_lq_r
-    seminorm_2q = sobolev_seminorm(velocity, 2, cfg.q)
-    drift_lq_q = lam * lq_norm(drift_derivative, cfg.q)
-    pressure_grad = sobolev_seminorm(pressure, 1, cfg.q)
-    rhs_line2 = f_lq + rhs_line1
-    lhs_line2 = seminorm_2q + drift_lq_q + pressure_grad
-    return (
-        lam,
-        seminorm_1r,
-        lq_s,
-        weighted_lq_s,
-        drift_neg,
-        pressure_lq_r,
-        rhs_line1,
-        lhs_line1 / rhs_line1,
-        seminorm_2q,
-        drift_lq_q,
-        pressure_grad,
-        rhs_line2,
-        lhs_line2 / rhs_line2,
-    )
-
-
-def _steady_lines(values, slopes, m_exp, delta):
-    """Constants, checks and flags of the two steady estimate lines.
-
-    ``values`` and ``slopes`` are the column values and the log-log slopes
-    of a sweep table from :func:`_sweep_table`.
-    """
+    m_exp, delta = exponents_Mdelta(n, cfg.r)
+    f_mean = project_steady(forcing)
+    f_lq = lq_norm(f_mean, cfg.q)
+    f_neg = negative_norm_surrogate(f_mean, cfg.r)
+    columns = _STEADY_COLUMNS + extra_columns
+    rows = []
+    for lam in cfg.lambda_grid:
+        pair = solve(forcing, OseenParams(lam))
+        velocity = project_steady(pair.velocity)
+        pressure = project_steady(pair.pressure)
+        drift_derivative = derivative(velocity, 1)
+        seminorm_1r = sobolev_seminorm(velocity, 1, cfg.r)
+        lq_s = lq_norm(velocity, s)
+        weighted_lq_s = lam ** ((1.0 + delta) * weight) * lq_s
+        drift_neg = lam * negative_norm_surrogate(drift_derivative, cfg.r)
+        pressure_lq_r = lq_norm(pressure, cfg.r)
+        rhs_line1 = lam ** (-m_exp * weight) * f_neg
+        lhs_line1 = seminorm_1r + weighted_lq_s + drift_neg + pressure_lq_r
+        seminorm_2q = sobolev_seminorm(velocity, 2, cfg.q)
+        drift_lq_q = lam * lq_norm(drift_derivative, cfg.q)
+        pressure_grad = sobolev_seminorm(pressure, 1, cfg.q)
+        rhs_line2 = f_lq + rhs_line1
+        lhs_line2 = seminorm_2q + drift_lq_q + pressure_grad
+        line = (
+            lam,
+            seminorm_1r,
+            lq_s,
+            weighted_lq_s,
+            drift_neg,
+            pressure_lq_r,
+            rhs_line1,
+            lhs_line1 / rhs_line1,
+            seminorm_2q,
+            drift_lq_q,
+            pressure_grad,
+            rhs_line2,
+            lhs_line2 / rhs_line2,
+        )
+        rows.append(line + extra_row(lam, pair, dict(zip(_STEADY_COLUMNS, line))))
+    table, values, slopes = _sweep_table(columns, rows, columns[1:])
     constants = {
         "constant_line1": max(values["ratio_line1"]),
         "constant_line2": max(values["ratio_line2"]),
@@ -811,12 +829,12 @@ def _steady_lines(values, slopes, m_exp, delta):
     ]
     flags = []
     if m_exp == 0:
-        for line in ("ratio_line1", "ratio_line2"):
-            checks.append(_check_le(line + "_slope", slopes[line], 0.15))
+        for name in ("ratio_line1", "ratio_line2"):
+            checks.append(_check_le(name + "_slope", slopes[name], 0.15))
             checks.append(
                 _check_le(
-                    line + "_leverage",
-                    leave_one_out_shift(values["lambda"], values[line]),
+                    name + "_leverage",
+                    leave_one_out_shift(values["lambda"], values[name]),
                     0.05,
                 )
             )
@@ -826,7 +844,16 @@ def _steady_lines(values, slopes, m_exp, delta):
             "scale with a positive drift power, so flatness is reported, "
             "not asserted"
         )
-    return constants, checks, flags
+    own_constants, own_checks, own_flags = finish(values, slopes)
+    return ScalingResult(
+        experiment=cfg.experiment,
+        columns=columns,
+        rows=table,
+        slopes=slopes,
+        constants={**constants, **own_constants},
+        checks=tuple(checks + own_checks),
+        flags=tuple(flags + own_flags),
+    )
 
 
 def run_scaling_steady(cfg: ExperimentConfig) -> ScalingResult:
@@ -854,66 +881,50 @@ def run_scaling_steady(cfg: ExperimentConfig) -> ScalingResult:
     )
     g_scalar = random_scalar_field(grid, [cfg.seed, 12], mode_cap=cfg.mode_cap)
     forcing = f_free + gradient(g_scalar)
-    f_lq = lq_norm(forcing, cfg.q)
-    f_neg = negative_norm_surrogate(forcing, cfg.r)
-
     weight = 1.0 / (n + 1)
-    columns = _STEADY_COLUMNS + ("lq_q", "seminorm_1q", "ratio_fullnorm")
-    rows = []
-    for lam in cfg.lambda_grid:
-        params = OseenParams(lam)
-        pair = solve_steady(forcing, params)
-        base = _steady_line_values(
-            pair.velocity, pair.pressure, lam, cfg, m_exp, delta, f_lq, f_neg
-        )
+
+    def extra_row(lam, pair, line):
         lq_q = lq_norm(pair.velocity, cfg.q)
         seminorm_1q = sobolev_seminorm(pair.velocity, 1, cfg.q)
         if theta is None:
-            ratio_full = math.nan
-        else:
-            lhs_full = (
-                lam ** ((1.0 + delta) * theta * weight) * lq_q
-                + lam ** ((1.0 + delta) * theta * weight / 2.0) * seminorm_1q
-                + base[columns.index("seminorm_2q")]
-            )
-            ratio_full = lhs_full / base[columns.index("rhs_line2")]
-        rows.append(base + (lq_q, seminorm_1q, ratio_full))
-    table, values, slopes = _sweep_table(columns, rows, columns[1:])
-    constants, checks, flags = _steady_lines(values, slopes, m_exp, delta)
-    if theta is None:
-        flags.append(
-            "full-norm line skipped: the interpolation exponent needs "
-            "1/q <= 1/r - 1/(n+1)"
+            return (lq_q, seminorm_1q, math.nan)
+        lhs_full = (
+            lam ** ((1.0 + delta) * theta * weight) * lq_q
+            + lam ** ((1.0 + delta) * theta * weight / 2.0) * seminorm_1q
+            + line["seminorm_2q"]
         )
-    else:
-        constants["constant_fullnorm"] = max(values["ratio_fullnorm"])
-        if m_exp == 0:
-            checks.append(
-                _check_le(
-                    "ratio_fullnorm_slope", slopes["ratio_fullnorm"], 0.15
-                )
+        return (lq_q, seminorm_1q, lhs_full / line["rhs_line2"])
+
+    def finish(values, slopes):
+        constants, checks, flags = {}, [], []
+        if theta is None:
+            flags.append(
+                "full-norm line skipped: the interpolation exponent needs "
+                "1/q <= 1/r - 1/(n+1)"
             )
+        else:
+            constants["constant_fullnorm"] = max(values["ratio_fullnorm"])
+            if m_exp == 0:
+                checks.append(
+                    _check_le(
+                        "ratio_fullnorm_slope", slopes["ratio_fullnorm"], 0.15
+                    )
+                )
+        # A pure-gradient perturbation of the data must not move the velocity.
+        params = OseenParams(cfg.lambda_grid[len(cfg.lambda_grid) // 2])
+        base_pair = solve_steady(forcing, params)
+        extra = random_scalar_field(grid, [cfg.seed, 13], mode_cap=cfg.mode_cap)
+        shifted_pair = solve_steady(forcing + gradient(extra), params)
+        invariance = _relative_l2(
+            shifted_pair.velocity - base_pair.velocity, base_pair.velocity
+        )
+        checks.append(
+            _check_le("gradient_part_velocity_invariance", invariance, 1e-12)
+        )
+        return constants, checks, flags
 
-    # A pure-gradient perturbation of the data must not move the velocity.
-    lam_mid = cfg.lambda_grid[len(cfg.lambda_grid) // 2]
-    params = OseenParams(lam_mid)
-    base_pair = solve_steady(forcing, params)
-    extra = random_scalar_field(grid, [cfg.seed, 13], mode_cap=cfg.mode_cap)
-    shifted_pair = solve_steady(forcing + gradient(extra), params)
-    invariance = _relative_l2(
-        shifted_pair.velocity - base_pair.velocity, base_pair.velocity
-    )
-    checks.append(_check_le("gradient_part_velocity_invariance", invariance, 1e-12))
-
-    return ScalingResult(
-        experiment=cfg.experiment,
-        columns=columns,
-        rows=table,
-        slopes=slopes,
-        constants=constants,
-        checks=tuple(checks),
-        flags=tuple(flags),
-    )
+    columns = ("lq_q", "seminorm_1q", "ratio_fullnorm")
+    return _estimate_sweep(cfg, forcing, solve_steady, columns, extra_row, finish)
 
 
 def _bochner_gradient_norm(pressure: TimePeriodicField, q: float) -> float:
@@ -966,8 +977,6 @@ def run_scaling_tp(cfg: ExperimentConfig) -> ScalingResult:
     _require_experiment(cfg, EXPERIMENT_SCALING_TP)
     _require_sweep(cfg)
     grid = cfg.grid
-    n = grid.dim
-    m_exp, delta = exponents_Mdelta(n, cfg.r)
     forcing_free = random_timeperiodic_forcing(
         grid,
         cfg.period,
@@ -990,83 +999,59 @@ def run_scaling_tp(cfg: ExperimentConfig) -> ScalingResult:
             0.5 * (gradient(g_re).components + 1j * gradient(g_im).components)
         )
     forcing = forcing_free + TimePeriodicField.from_modes(grid, cfg.period, grad_modes)
-
-    f_steady = project_steady(forcing)
-    f_osc = project_oscillatory(forcing)
-    f_steady_lq = lq_norm(f_steady, cfg.q)
-    f_steady_neg = negative_norm_surrogate(f_steady, cfg.r)
-    f_osc_lq = lq_norm(f_osc, cfg.q)
+    f_osc_lq = lq_norm(project_oscillatory(forcing), cfg.q)
     osc_trivial = f_osc_lq <= 1e-13 * lq_norm(forcing, cfg.q)
-
-    columns = _STEADY_COLUMNS + (
-        "maxreg_12q_oscillatory",
-        "oscillatory_pressure_gradient_lq_q",
-        "oscillatory_forcing_lq_q",
-        "ratio_oscillatory",
-        "ratio_oscillatory_full",
-    )
-    rows = []
     plancherel_worst = 0.0
-    for lam in cfg.lambda_grid:
-        params = OseenParams(lam)
-        velocity, pressure = solve_timeperiodic(forcing, params)
-        v_mean = project_steady(velocity)
-        p_mean = project_steady(pressure)
-        base = _steady_line_values(
-            v_mean, p_mean, lam, cfg, m_exp, delta, f_steady_lq, f_steady_neg
-        )
-        w_osc = project_oscillatory(velocity)
-        p_osc = project_oscillatory(pressure)
+
+    def extra_row(lam, pair, line):
+        nonlocal plancherel_worst
         if osc_trivial:
-            rows.append(base + (math.nan,) * 5)
-            continue
+            return (math.nan,) * 5
+        w_osc = project_oscillatory(pair.velocity)
         maxreg = maxreg_norm(w_osc, cfg.q)
-        p_grad = _bochner_gradient_norm(p_osc, cfg.q)
-        ratio = maxreg / f_osc_lq
-        ratio_full = (maxreg + p_grad) / f_osc_lq
-        rows.append(base + (maxreg, p_grad, f_osc_lq, ratio, ratio_full))
+        p_grad = _bochner_gradient_norm(project_oscillatory(pair.pressure), cfg.q)
         if cfg.q == 2.0:
             cross = maxreg_norm_mode_sum(w_osc)
             plancherel_worst = max(
                 plancherel_worst, abs(cross - maxreg) / maxreg
             )
-    table, values, slopes = _sweep_table(columns, rows, columns[1:])
-    constants, checks, flags = _steady_lines(values, slopes, m_exp, delta)
-    if osc_trivial:
-        flags.append(
-            "oscillatory ratio skipped: the forcing has no oscillatory part"
-        )
-    else:
-        constants["constant_oscillatory"] = max(values["ratio_oscillatory"])
-        checks.append(
+        ratio_full = (maxreg + p_grad) / f_osc_lq
+        return (maxreg, p_grad, f_osc_lq, maxreg / f_osc_lq, ratio_full)
+
+    def finish(values, slopes):
+        if osc_trivial:
+            return {}, [], [
+                "oscillatory ratio skipped: the forcing has no oscillatory part"
+            ]
+        constants = {"constant_oscillatory": max(values["ratio_oscillatory"])}
+        checks = [
             _check_le(
                 "oscillatory_ratio_slope_magnitude",
                 abs(slopes["ratio_oscillatory"]),
                 0.1,
-            )
-        )
-        checks.append(
+            ),
             _check_le(
                 "oscillatory_ratio_leverage",
                 leave_one_out_shift(values["lambda"], values["ratio_oscillatory"]),
                 0.05,
-            )
-        )
+            ),
+        ]
         if cfg.q == 2.0:
             checks.append(
                 _check_le(
                     "maxreg_plancherel_crosscheck", plancherel_worst, 1e-10
                 )
             )
-    return ScalingResult(
-        experiment=cfg.experiment,
-        columns=columns,
-        rows=table,
-        slopes=slopes,
-        constants=constants,
-        checks=tuple(checks),
-        flags=tuple(flags),
+        return constants, checks, []
+
+    columns = (
+        "maxreg_12q_oscillatory",
+        "oscillatory_pressure_gradient_lq_q",
+        "oscillatory_forcing_lq_q",
+        "ratio_oscillatory",
+        "ratio_oscillatory_full",
     )
+    return _estimate_sweep(cfg, forcing, solve_timeperiodic, columns, extra_row, finish)
 
 
 # ---------------------------------------------------------------------------

@@ -124,7 +124,6 @@ class LiftingField:
     lambda_used: float
     jacobian: np.ndarray
     laplacian: np.ndarray
-    cutoff: CutoffSpec
 
     def __post_init__(self) -> None:
         grid = self.velocity.grid
@@ -262,32 +261,23 @@ def build_lifting(lam: float, spec: CutoffSpec, grid: GridSpec) -> LiftingField:
         lambda_used=float(lam),
         jacobian=jacobian,
         laplacian=laplacian,
-        cutoff=spec,
     )
 
 
-def default_cutoff(
-    grid: GridSpec, inner_fraction: float = 0.2, outer_fraction: float = 0.6
-) -> CutoffSpec:
-    """Cut-off radii as fractions of the box half-width."""
-    if not 0 < inner_fraction < outer_fraction < 1:
-        raise ValueError("fractions must satisfy 0 < inner < outer < 1")
+def default_cutoff(grid: GridSpec) -> CutoffSpec:
+    """Cut-off radii at 0.2 and 0.6 of the box half-width."""
     half_width = np.pi * grid.half_period
-    return CutoffSpec(inner_fraction * half_width, outer_fraction * half_width)
+    return CutoffSpec(0.2 * half_width, 0.6 * half_width)
 
 
-def lifting_load(
-    lifting: LiftingField, q: float, r: float, lam: float | None = None
-) -> tuple[float, float]:
+def lifting_load(lifting: LiftingField, q: float, r: float) -> tuple[float, float]:
     """Norms of the forcing the lifting injects into the momentum balance.
 
     Returns the L^q norm and the negative-norm surrogate of
-    -laplacian(V) + lam * d1(V), evaluated from the exact derivative arrays.
-    ``lam`` defaults to the drift the lifting was built with.
+    -laplacian(V) + lam * d1(V) at the drift lam the lifting was built with,
+    evaluated from the exact derivative arrays.
     """
-    if lam is None:
-        lam = lifting.lambda_used
     load = VectorField(
-        lifting.grid, -lifting.laplacian + lam * lifting.jacobian[:, 0]
+        lifting.grid, -lifting.laplacian + lifting.lambda_used * lifting.jacobian[:, 0]
     )
     return lq_norm(load, q), negative_norm_surrogate(load, r)

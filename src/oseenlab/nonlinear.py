@@ -120,16 +120,13 @@ def _quadratic_samples(
 
 
 def nonlinearity(
-    u: VectorField | TimePeriodicField,
-    lifting: LiftingField,
-    lam: float | None = None,
+    u: VectorField | TimePeriodicField, lifting: LiftingField, lam: float
 ) -> VectorField | TimePeriodicField:
     """Evaluate the nonlinearity; output matches the shape of ``u``.
 
-    ``lam`` defaults to the drift coefficient the lifting was built with.
+    ``lam`` is the drift coefficient of the -lam * d1(V) term; every caller
+    passes the drift of its own problem, so it has no default.
     """
-    if lam is None:
-        lam = lifting.lambda_used
     if isinstance(u, VectorField):
         _check_inputs(u.grid, lifting, lam)
         grid = u.grid

@@ -173,9 +173,17 @@ def solve_timeperiodic(
     )
 
 
-def project_steady(field: TimePeriodicField) -> ScalarField | VectorField:
-    """Time average over one period: the k = 0 mode as a real field."""
-    return field.steady_part()
+def project_steady(
+    field: ScalarField | VectorField | TimePeriodicField,
+) -> ScalarField | VectorField:
+    """Time average over one period: the k = 0 mode as a real field.
+
+    A steady field is its own time average (the K = 0 view), so it comes
+    back unchanged.
+    """
+    if isinstance(field, TimePeriodicField):
+        return _from_component_array(field.grid, field.mode(0).real)
+    return field
 
 
 def project_oscillatory(field: TimePeriodicField) -> TimePeriodicField:

@@ -36,6 +36,7 @@ from .oseen import (
     StokesPair,
     contraction_rate_from_updates,
     project_oscillatory,
+    project_steady,
     residual,
     solve_steady,
     solve_timeperiodic,
@@ -183,7 +184,7 @@ def driver_norm_timeperiodic(
 ) -> float:
     """Wake-weighted norm of the time average plus maximal-regularity norm
     of the oscillation; the metric the time-periodic driver contracts in."""
-    return lambda_norm(u.steady_part(), lam, q, r) + maxreg_norm(
+    return lambda_norm(project_steady(u), lam, q, r) + maxreg_norm(
         project_oscillatory(u), q
     )
 
@@ -191,8 +192,7 @@ def driver_norm_timeperiodic(
 def data_size(f: VectorField | TimePeriodicField, q: float, r: float) -> float:
     """The size the small-data gate bounds by epsilon: the L^q norm of the
     forcing plus the negative-norm surrogate of its time average."""
-    average = f.steady_part() if isinstance(f, TimePeriodicField) else f
-    return lq_norm(f, q) + negative_norm_surrogate(average, r)
+    return lq_norm(f, q) + negative_norm_surrogate(project_steady(f), r)
 
 
 def _resolve_lifting(

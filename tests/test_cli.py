@@ -177,6 +177,26 @@ def test_inadmissible_default_exponents_rejected_with_the_config(
     assert "theta undefined" not in err
 
 
+@pytest.mark.parametrize(
+    "experiment, key, value",
+    [
+        ("picard-steady", "q", "inf"),
+        ("lifting-check", "q", "inf"),
+        ("lifting-check", "r", "nan"),
+    ],
+)
+def test_non_finite_exponent_rejected_with_the_config(
+    experiment, key, value, tmp_path, capsys
+):
+    ini = tmp_path / "non_finite.ini"
+    ini.write_text(
+        f"[experiment]\nname = {experiment}\nlambda_grid = 1.0\n{key} = {value}\n"
+    )
+    assert main([experiment, "--config", str(ini)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {key} must be finite, got {value}" in err
+
+
 def test_unknown_subcommand_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["no-such-experiment"])

@@ -239,9 +239,7 @@ def test_gamma_interval_errors():
 
 def test_profile_build_reference_configuration():
     profile = ExponentProfile.build(3, 4.0, 2.0)
-    assert profile.s == 4.0
     assert profile.m_exponent == 0
-    assert profile.delta == 0
     assert profile.theta == 1.0
     assert profile.eta == ETA_FALLBACK == 2.0
     assert profile.zeta == ZETA_FALLBACK
@@ -282,6 +280,41 @@ def test_smallness_terms_vanish_superlinearly():
         ratios.append(first / rho)
         assert second < 1.0 or rho == 1e-2
     assert ratios[0] > ratios[1] > ratios[2]
+
+
+def test_smallness_terms_carry_the_m_terms_in_six_dimensions():
+    # n = 6, r = 1.2 <= n/(n-1) gives M = 2, and build() accepts the steady
+    # profile: the M terms are live maths, only unreachable on a 2-D or 3-D
+    # grid.  theta = (n+1) q r / (n (n+1) (q - r) + q r) = 14/51.
+    profile = ExponentProfile.build(6, 4.0, 1.2)
+    assert profile.m_exponent == 2
+    assert profile.gamma_range == pytest.approx((1.4, 1.75), rel=1e-14)
+    theta = 7 * 4.0 * 1.2 / (6 * 7 * (4.0 - 1.2) + 4.0 * 1.2)
+    zeta, eta = 1.0 - 1e-6, 2.0
+    rho, gamma, constant = 0.05, 1.575, 1.3
+    exps = (
+        gamma - 2 * gamma / 7,
+        2.0 - gamma * theta / 7,
+        2.0 - gamma * zeta / 7,
+        2.0 - gamma * (2 + eta) / 7,
+    )
+    first, second = smallness_terms(profile, rho, gamma, constant)
+    assert first == pytest.approx(constant * sum(rho**e for e in exps), rel=1e-14)
+    assert second == pytest.approx(
+        constant * sum(rho ** (e - 1.0) for e in exps[1:]), rel=1e-14
+    )
+    assert radius_schedule(0.05, 1.575, profile, 1.0).rho == 7.8125e-4
+
+
+def test_contraction_condition_can_decide_the_radius():
+    # Near the top of gamma's interval (1, 2) the rho^(2 - gamma/2) term
+    # dominates both sums.  With constant 0.45 the self-map holds from the
+    # start, and only the contraction condition forces the two halvings.
+    profile = _profile()
+    for rho in (0.05, 0.025):
+        first, second = smallness_terms(profile, rho, 1.9, 0.45)
+        assert first <= rho and second > 0.5
+    assert radius_schedule(0.05, 1.9, profile, 0.45).rho == 0.0125
 
 
 def test_smallness_terms_reject_gamma_outside_interval():

@@ -14,6 +14,8 @@ from oseenlab.config import log_spaced
 from oseenlab.exponents import ExponentProfile, s_exponent
 from oseenlab.fields import (
     GridSpec,
+    ScalarField,
+    TimePeriodicField,
     _fftn,
     derivative,
     gradient,
@@ -37,9 +39,21 @@ from oseenlab.harness import (
     run_bilinear_ensemble,
     run_mms,
     run_scaling_steady,
+    run_scaling_tp,
 )
-from oseenlab.norms import lq_norm, negative_norm_surrogate, sobolev_seminorm
-from oseenlab.oseen import OseenParams, solve_steady
+from oseenlab.norms import (
+    lq_norm,
+    maxreg_norm,
+    negative_norm_surrogate,
+    sobolev_seminorm,
+)
+from oseenlab.oseen import (
+    OseenParams,
+    project_oscillatory,
+    project_steady,
+    solve_steady,
+    solve_timeperiodic,
+)
 
 
 # --- slope fitting ---------------------------------------------------------
@@ -121,6 +135,14 @@ def test_config_rejects_malformed_inputs():
         ExperimentConfig("mms", grid, (1.0,), forcing_shell=(3.0, 2.0))
     with pytest.raises(ValueError, match="time_modes must be >= 1"):
         ExperimentConfig("mms", grid, (1.0,), time_modes=0)
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+@pytest.mark.parametrize("name", ["q", "r"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_config_rejects_non_finite_exponents(experiment, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got"):
+        ExperimentConfig(experiment, GridSpec(3, np.pi, 16), (2.0,), **{name: value})
 
 
 def test_wake_floor_guards_the_solving_sweeps():
@@ -307,6 +329,90 @@ def test_steady_sweep_rows_are_re_derivable_from_module_calls():
     )
 
 
+def test_timeperiodic_sweep_rows_are_re_derivable_from_module_calls():
+    # Every entry of every row, exactly: the scaling-tp table is the steady
+    # estimate lines on the time averages plus the oscillatory columns.
+    cfg = ExperimentConfig(
+        "scaling-tp",
+        GridSpec(3, np.pi, 16),
+        tuple(log_spaced(4 / np.pi, 40 / np.pi, 5)),
+        period=1.0,
+        forcing_shell=(3.0, 4.0),
+        drift_mode_cap=1,
+    )
+    result = run_scaling_tp(cfg)
+    grid, q, r, n = cfg.grid, cfg.q, cfg.r, cfg.grid.dim
+
+    grad_modes = []
+    for k in range(cfg.time_modes + 1):
+        g_re = random_scalar_field(grid, [cfg.seed, 62, k, 0])
+        g_im = (
+            ScalarField.zeros(grid)
+            if k == 0
+            else random_scalar_field(grid, [cfg.seed, 62, k, 1])
+        )
+        grad_modes.append(
+            0.5 * (gradient(g_re).components + 1j * gradient(g_im).components)
+        )
+    forcing = random_timeperiodic_forcing(
+        grid,
+        cfg.period,
+        cfg.time_modes,
+        [cfg.seed, 61],
+        shell=cfg.forcing_shell,
+        drift_mode_cap=cfg.drift_mode_cap,
+    ) + TimePeriodicField.from_modes(grid, cfg.period, grad_modes)
+    f_mean = project_steady(forcing)
+    f_lq, f_neg = lq_norm(f_mean, q), negative_norm_surrogate(f_mean, r)
+    f_osc_lq = lq_norm(project_oscillatory(forcing), q)
+    s = s_exponent(n, r)
+
+    assert len(result.rows) == len(cfg.lambda_grid)
+    for row in result.rows:
+        lam = row[0]
+        velocity, pressure = solve_timeperiodic(forcing, OseenParams(lam=lam))
+        v_mean, p_mean = project_steady(velocity), project_steady(pressure)
+        drift = derivative(v_mean, 1)
+        seminorm_1r = sobolev_seminorm(v_mean, 1, r)
+        lq_s = lq_norm(v_mean, s)
+        # M = 0 and delta = 0 for (n, r) = (3, 2): no data weight, and the
+        # wake weight is lam^(1/(n+1))
+        weighted_lq_s = lam ** (1.0 / (n + 1)) * lq_s
+        drift_neg = lam * negative_norm_surrogate(drift, r)
+        pressure_lq_r = lq_norm(p_mean, r)
+        seminorm_2q = sobolev_seminorm(v_mean, 2, q)
+        drift_lq_q = lam * lq_norm(drift, q)
+        pressure_grad = sobolev_seminorm(p_mean, 1, q)
+        maxreg = maxreg_norm(project_oscillatory(velocity), q)
+        p_osc_grad = harness._bochner_gradient_norm(
+            project_oscillatory(pressure), q
+        )
+        expected = (
+            lam,
+            seminorm_1r,
+            lq_s,
+            weighted_lq_s,
+            drift_neg,
+            pressure_lq_r,
+            f_neg,
+            (seminorm_1r + weighted_lq_s + drift_neg + pressure_lq_r) / f_neg,
+            seminorm_2q,
+            drift_lq_q,
+            pressure_grad,
+            f_lq + f_neg,
+            (seminorm_2q + drift_lq_q + pressure_grad) / (f_lq + f_neg),
+            maxreg,
+            p_osc_grad,
+            f_osc_lq,
+            maxreg / f_osc_lq,
+            (maxreg + p_osc_grad) / f_osc_lq,
+        )
+        assert row == tuple(map(float, expected))
+    assert result.constants["constant_oscillatory"] == max(
+        result.column("ratio_oscillatory")
+    )
+
+
 def test_steady_sweep_slopes_and_constants_match_the_table():
     result = run_scaling_steady(_steady_config())
     lams = result.column("lambda")
@@ -361,6 +467,14 @@ def test_smallness_constant_cache_keys_on_the_whole_grid(monkeypatch):
     assert len(harness._FIT_CACHE) == 2
     harness._FIT_CACHE.clear()
     assert fit_smallness_constant(full, profile) == cached_full
+
+
+def test_smallness_constant_rejects_a_profile_of_another_dimension(monkeypatch):
+    monkeypatch.setattr(harness, "_FIT_CACHE", OrderedDict())
+    profile = ExponentProfile.build(4, 4.0, 2.0)
+    with pytest.raises(ValueError, match="profile is for n = 4, but the grid has dim 3"):
+        fit_smallness_constant(GridSpec(3, np.pi, 8), profile)
+    assert not harness._FIT_CACHE
 
 
 def test_smallness_constant_cache_is_bounded(monkeypatch):

@@ -14,6 +14,7 @@ from oseenlab.lifting import (
     default_cutoff,
     lifting_load,
 )
+from oseenlab.norms import lq_norm, negative_norm_surrogate
 
 
 # ---------------------------------------------------------------------------
@@ -68,8 +69,6 @@ def test_cutoff_validation():
         CutoffSpec(2.0, 1.0)
     with pytest.raises(ValueError):
         CutoffSpec(-1.0, 2.0)
-    with pytest.raises(ValueError, match="fractions"):
-        default_cutoff(GridSpec(2, np.pi, 16), 0.7, 0.6)
 
 
 def test_cutoff_field_support_check():
@@ -95,11 +94,10 @@ def test_fft_derivative_consistent_at_expected_truncation_order():
     # The profile is C^2 but not C^3 at the transition edges, so the FFT
     # second derivative converges at a finite algebraic rate; agreement with
     # the closed form must be modest at N = 128 and improve under doubling.
-    spec_fractions = (0.2, 0.6)
     errors = {}
     for n in (128, 256):
         grid = GridSpec(2, np.pi, n)
-        spec = default_cutoff(grid, *spec_fractions)
+        spec = default_cutoff(grid)
         field = build_cutoff(spec, grid)
         fft_d2 = derivative(derivative(field, 1), 1).values
         center = grid.center
@@ -271,14 +269,14 @@ def test_load_magnitude_tracks_drift_times_one_plus_drift():
     assert np.std(normalized) / np.mean(normalized) <= 0.05
 
 
-def test_load_with_explicit_drift_override():
+def test_load_is_taken_at_the_lifting_drift():
     grid = GridSpec(2, np.pi, 32)
-    lift = build_lifting(1.0, default_cutoff(grid), grid)
-    default_lq, _ = lifting_load(lift, 2.0, 2.0)
-    override_lq, _ = lifting_load(lift, 2.0, 2.0, lam=1.0)
-    assert default_lq == override_lq
-    zero_drift_lq, _ = lifting_load(lift, 2.0, 2.0, lam=0.0)
-    assert zero_drift_lq != default_lq
+    lift = build_lifting(1.3, default_cutoff(grid), grid)
+    load = VectorField(grid, -lift.laplacian + 1.3 * lift.jacobian[:, 0])
+    assert lifting_load(lift, 4.0, 2.0) == (
+        lq_norm(load, 4.0),
+        negative_norm_surrogate(load, 2.0),
+    )
 
 
 def test_self_advection_is_cached_and_read_only():
@@ -306,6 +304,5 @@ def test_is_zero_reads_the_velocity_and_jacobian():
         lambda_used=0.0,
         jacobian=jacobian,
         laplacian=np.zeros((grid.dim,) + grid.shape),
-        cutoff=spec,
     )
     assert not hand.is_zero

@@ -134,14 +134,6 @@ def test_drift_term_is_linear_in_drift_speed(grid2):
     assert np.max(np.abs(diff - expected)) <= 1e-12 * scale
 
 
-def test_default_drift_speed_is_the_lifting_value(grid2):
-    lifting = build_lifting(0.7, default_cutoff(grid2), grid2)
-    u = trig_vector(grid2, 5, max_mode=3, terms=8)
-    implicit = nonlinearity(u, lifting)
-    explicit = nonlinearity(u, lifting, lifting.lambda_used)
-    assert np.array_equal(implicit.components, explicit.components)
-
-
 def test_energy_orthogonality_without_lifting(grid2):
     lifting = _zero_lifting(grid2)
     u = _stream_curl(grid2, 31)

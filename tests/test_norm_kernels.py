@@ -88,11 +88,17 @@ def _ref_lambda_norm(grid, components, lam, q, r) -> float:
     )
 
 
+def _ref_time_derivative(field: TimePeriodicField) -> TimePeriodicField:
+    """d/dt through i*omega_k multipliers on the mode stack."""
+    nonneg = [1j * field.omega(k) * field.mode(k) for k in range(field.max_mode + 1)]
+    return TimePeriodicField.from_modes(field.grid, field.period, nonneg)
+
+
 def _ref_maxreg(field: TimePeriodicField, q: float, nt: int) -> float:
     grid = field.grid
     samples = field.sample_times(nt)
     bochner = np.mean([_ref_full_norm(grid, s, 2, q) ** q for s in samples])
-    dt_samples = field.time_derivative().sample_times(nt)
+    dt_samples = _ref_time_derivative(field).sample_times(nt)
     dt = np.mean([_ref_lq(grid, s, q) ** q for s in dt_samples])
     return bochner ** (1.0 / q) + dt ** (1.0 / q)
 
@@ -159,6 +165,17 @@ def test_maxreg_matches_per_sample_reference(dim, max_mode, kind):
             assert maxreg_norm(field, q, num_time_samples=nt) == pytest.approx(
                 _ref_maxreg(field, q, nt), rel=REL
             )
+
+
+def test_time_derivative_reference_multiplies_by_frequency():
+    grid, period = GRIDS[2], 5.0
+    phi = np.random.default_rng(65).standard_normal(grid.shape)
+    modes = np.zeros((2, 1) + grid.shape, dtype=np.complex128)
+    modes[1] = 0.5 * phi
+    dt = _ref_time_derivative(TimePeriodicField(grid, period, modes))
+    omega = 2.0 * np.pi / period
+    assert np.max(np.abs(dt.mode(1) - 1j * omega * 0.5 * phi)) <= 1e-13
+    assert np.max(np.abs(dt.mode(0))) == 0.0
 
 
 # ---------------------------------------------------------------------------
