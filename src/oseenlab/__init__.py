@@ -60,6 +60,7 @@ from .oseen import (
     OseenParams,
     SolveReport,
     StokesPair,
+    apply_oseen,
     leray_project,
     project_oscillatory,
     project_steady,

@@ -30,6 +30,8 @@ import numpy as np
 from scipy import fft as _sfft
 
 _fft_workers = 1
+# Fraction of the Nyquist range that dealiasing keeps (the 2/3 rule).
+_DEALIAS_FRACTION = 2.0 / 3.0
 
 
 def set_fft_workers(count: int) -> None:
@@ -85,15 +87,11 @@ class GridSpec:
         The length scale L; the box edge is 2*pi*L.
     points_per_axis : int
         Even number of grid points per axis.
-    dealias_fraction : float
-        Fraction of the Nyquist range retained by dealiasing; the retained
-        cutoff is floor(dealias_fraction * N / 2) in integer mode units.
     """
 
     dim: int
     half_period: float
     points_per_axis: int
-    dealias_fraction: float = 2.0 / 3.0
 
     def __post_init__(self) -> None:
         if self.dim not in (2, 3):
@@ -103,10 +101,6 @@ class GridSpec:
             raise ValueError(f"points_per_axis must be a positive even integer, got {n}")
         if not self.half_period > 0:
             raise ValueError(f"half_period must be positive, got {self.half_period}")
-        if not 0.0 < self.dealias_fraction <= 1.0:
-            raise ValueError(
-                f"dealias_fraction must lie in (0, 1], got {self.dealias_fraction}"
-            )
 
     @cached_property
     def shape(self) -> tuple[int, ...]:
@@ -194,7 +188,7 @@ class GridSpec:
 
     @cached_property
     def dealias_cutoff(self) -> int:
-        return int(np.floor(self.dealias_fraction * self.points_per_axis / 2.0))
+        return int(np.floor(_DEALIAS_FRACTION * self.points_per_axis / 2.0))
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:

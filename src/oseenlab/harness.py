@@ -37,6 +37,7 @@ from .fields import (
     ScalarField,
     TimePeriodicField,
     VectorField,
+    _component_array,
     _ifftn,
     _lock,
     derivative,
@@ -63,6 +64,8 @@ from .norms import (
 )
 from .oseen import (
     OseenParams,
+    StokesPair,
+    apply_oseen,
     project_oscillatory,
     project_steady,
     solve_steady,
@@ -209,6 +212,8 @@ class ExperimentConfig:
                 f"{self.experiment} needs (q, r) = ({self.q}, {self.r}) to meet the "
                 f"{' and '.join(windows)} conditions; violated: " + "; ".join(violated)
             )
+        if self.output_path is not None:
+            _dat_twin(self.output_path)
         object.__setattr__(self, "lambda_grid", lams)
 
     @property
@@ -403,11 +408,8 @@ def _coefficients_from_draws(
     """Hermitian coefficient array with Gaussian weights on the given modes."""
     coeff = np.zeros(grid.shape, dtype=np.complex128)
     value = 0.5 * (draws[:, 0] + 1j * draws[:, 1])
-    # m and -m alternate, so where two slots coincide (a mode cap of N/2) the
-    # later one wins, as in a loop over the modes.
-    slots = np.stack([modes, -modes], axis=1).reshape(-1, grid.dim)
-    slots = tuple((slots % grid.points_per_axis).T)
-    coeff[slots] = np.stack([value, np.conj(value)], axis=1).ravel()
+    coeff[tuple((modes % grid.points_per_axis).T)] = value
+    coeff[tuple((-modes % grid.points_per_axis).T)] = np.conj(value)
     return coeff
 
 
@@ -466,25 +468,14 @@ def random_divergence_free(
     return _normalized(field)
 
 
-def _random_stack(
-    grid: GridSpec,
-    period: float,
-    time_modes: int,
-    key: list,
-    mode_zero: np.ndarray,
-    weight: float,
-    mode_kwargs: dict,
-) -> TimePeriodicField:
-    """``mode_zero`` plus seeded draws weight * (re + i im) at k = 1..K.
-
-    The stack is scaled to unit space-time L^2 size.
-    """
-    nonneg = [mode_zero]
+def _seeded_stack(grid, period, time_modes, draw, key, mode_zero):
+    """Stack of the samples ``mode_zero`` and, at k = 1..K, the seeded fields
+    draw(key + [k, 0]) + i draw(key + [k, 1])."""
+    modes = [mode_zero]
     for k in range(1, time_modes + 1):
-        re = random_divergence_free(grid, key + [k, 0], **mode_kwargs)
-        im = random_divergence_free(grid, key + [k, 1], **mode_kwargs)
-        nonneg.append(weight * (re.components + 1j * im.components))
-    return _normalized(TimePeriodicField.from_modes(grid, period, nonneg))
+        re, im = (_component_array(draw(key + [k, j])) for j in (0, 1))
+        modes.append(re + 1j * im)
+    return TimePeriodicField.from_modes(grid, period, modes)
 
 
 def random_oscillatory(
@@ -498,11 +489,11 @@ def random_oscillatory(
     drift_mode_cap: int | None = None,
 ) -> TimePeriodicField:
     """Seeded divergence-free time-periodic field with zero time average."""
-    mode_zero = np.zeros((grid.dim,) + grid.shape, dtype=np.complex128)
     mode_kwargs = dict(mode_cap=mode_cap, shell=shell, drift_mode_cap=drift_mode_cap)
-    return _random_stack(
-        grid, period, time_modes, list(seed_key), mode_zero, 1.0, mode_kwargs
-    )
+    draw = functools.partial(random_divergence_free, grid, **mode_kwargs)
+    zero = np.zeros((grid.dim,) + grid.shape)
+    stack = _seeded_stack(grid, period, time_modes, draw, list(seed_key), zero)
+    return _normalized(stack)
 
 
 def random_timeperiodic_forcing(
@@ -518,28 +509,11 @@ def random_timeperiodic_forcing(
     """Divergence-free forcing with both a steady part and oscillation."""
     key = list(seed_key)
     mode_kwargs = dict(mode_cap=mode_cap, shell=shell, drift_mode_cap=drift_mode_cap)
-    steady = random_divergence_free(grid, key + [0], **mode_kwargs)
-    return _random_stack(
-        grid, period, time_modes, key, steady.components.astype(np.complex128),
-        0.5, mode_kwargs,
-    )
-
-
-# ---------------------------------------------------------------------------
-# differential helpers for manufactured solutions
-
-
-def vector_laplacian(field: VectorField) -> VectorField:
-    total = None
-    for axis in range(1, field.grid.dim + 1):
-        second = derivative(derivative(field, axis), axis)
-        total = second if total is None else total + second
-    return total
-
-
-def oseen_apply(field: VectorField, lam: float) -> VectorField:
-    """The steady drift operator -Laplacian + lam * d/dx_1 applied spectrally."""
-    return -vector_laplacian(field) + derivative(field, 1) * lam
+    draw = functools.partial(random_divergence_free, grid, **mode_kwargs)
+    steady = TimePeriodicField.from_steady(draw(key + [0]), period, time_modes)
+    zero = np.zeros((grid.dim,) + grid.shape)
+    oscillation = _seeded_stack(grid, period, time_modes, draw, key, zero)
+    return _normalized(steady + 0.5 * oscillation)
 
 
 # ---------------------------------------------------------------------------
@@ -623,53 +597,34 @@ def _relative_spacetime(diff_field, reference_field) -> float:
     )
 
 
-def _manufactured_timeperiodic(grid, lam, period, time_modes, seed):
-    """Manufactured time-periodic solution, pressure, and matching forcing."""
-    u_modes, p_modes, f_modes = [], [], []
-    for k in range(time_modes + 1):
-        omega = 2.0 * math.pi * k / period
-        u_re = random_divergence_free(grid, [seed, 21, k, 0])
-        p_re = random_scalar_field(grid, [seed, 22, k, 0])
-        if k == 0:
-            u_im = VectorField.zeros(grid)
-            p_im = ScalarField.zeros(grid)
-        else:
-            u_im = random_divergence_free(grid, [seed, 21, k, 1])
-            p_im = random_scalar_field(grid, [seed, 22, k, 1])
-        f_re = oseen_apply(u_re, lam) + gradient(p_re) - u_im * omega
-        f_im = oseen_apply(u_im, lam) + gradient(p_im) + u_re * omega
-        u_modes.append(u_re.components + 1j * u_im.components)
-        p_modes.append((p_re.values + 1j * p_im.values)[None])
-        f_modes.append(f_re.components + 1j * f_im.components)
-    u_star = TimePeriodicField.from_modes(grid, period, u_modes)
-    p_star = TimePeriodicField.from_modes(grid, period, p_modes)
-    forcing = TimePeriodicField.from_modes(grid, period, f_modes)
-    return u_star, p_star, forcing
-
-
 def run_mms(cfg: ExperimentConfig) -> ScalingResult:
     """Recover manufactured solutions through every solver path.
 
-    Linear steady and time-periodic solves must match to near machine
-    accuracy; the nonlinear steady fixed point, run at its scheduled drift
-    with an amplitude below the data gate, must recover the manufactured
+    One seeded time-periodic pair is drawn per run and its forcing formed at
+    each drift; the linear time-periodic solve must recover the pair, and the
+    steady solve of the time-averaged forcing its time average, both to near
+    machine accuracy.  The nonlinear steady fixed point, run at its scheduled
+    drift with an amplitude below the data gate, must recover the manufactured
     velocity and pressure to 1e-7.
     """
     _require_experiment(cfg, EXPERIMENT_MMS)
     grid = cfg.grid
+    stacks = []
+    for random_field, tag in ((random_divergence_free, 21), (random_scalar_field, 22)):
+        draw = functools.partial(random_field, grid, mode_cap=cfg.mode_cap)
+        key = [cfg.seed, tag]
+        zero = _component_array(draw(key + [0, 0]))
+        stacks.append(_seeded_stack(grid, cfg.period, cfg.time_modes, draw, key, zero))
+    manufactured = StokesPair(*stacks)
+    u_tp, p_tp = manufactured
+    u_star, p_star = project_steady(u_tp), project_steady(p_tp)
     rows = []
     for lam in cfg.lambda_grid:
         params = OseenParams(lam)
-        u_star = random_divergence_free(grid, [cfg.seed, 1], mode_cap=cfg.mode_cap)
-        p_star = random_scalar_field(grid, [cfg.seed, 2], mode_cap=cfg.mode_cap)
-        forcing = oseen_apply(u_star, lam) + gradient(p_star)
-        pair = solve_steady(forcing, params)
+        f_tp = apply_oseen(manufactured, params)
+        pair = solve_steady(project_steady(f_tp), params)
         steady_u_err = _relative_l2(pair.velocity - u_star, u_star)
         steady_p_err = _relative_l2(pair.pressure - p_star, p_star)
-
-        u_tp, p_tp, f_tp = _manufactured_timeperiodic(
-            grid, lam, cfg.period, cfg.time_modes, cfg.seed
-        )
         velocity, pressure = solve_timeperiodic(f_tp, params)
         tp_u_err = _relative_spacetime(velocity - u_tp, u_tp)
         tp_p_err = _relative_spacetime(pressure - p_tp, p_tp)
@@ -705,7 +660,7 @@ def _mms_nonlinear(cfg: ExperimentConfig):
     _profile, _gamma, constant, pcfg = _picard_schedule(cfg)
     u_unit = random_divergence_free(grid, [cfg.seed, 31], mode_cap=cfg.mode_cap)
     p_unit = random_scalar_field(grid, [cfg.seed, 32], mode_cap=cfg.mode_cap)
-    linear_part = oseen_apply(u_unit, pcfg.lam) + gradient(p_unit)
+    linear_part = apply_oseen(StokesPair(u_unit, p_unit), OseenParams(pcfg.lam))
     quadratic_part = convective_product(u_unit, u_unit)
     linear_size = data_size(linear_part, cfg.q, cfg.r)
     quadratic_size = data_size(quadratic_part, cfg.q, cfg.r)
@@ -882,8 +837,12 @@ def run_scaling_steady(cfg: ExperimentConfig) -> ScalingResult:
     g_scalar = random_scalar_field(grid, [cfg.seed, 12], mode_cap=cfg.mode_cap)
     forcing = f_free + gradient(g_scalar)
     weight = 1.0 / (n + 1)
+    middle = cfg.lambda_grid[len(cfg.lambda_grid) // 2]
+    middle_pair = []
 
     def extra_row(lam, pair, line):
+        if lam == middle:
+            middle_pair.append(pair)
         lq_q = lq_norm(pair.velocity, cfg.q)
         seminorm_1q = sobolev_seminorm(pair.velocity, 1, cfg.q)
         if theta is None:
@@ -911,13 +870,10 @@ def run_scaling_steady(cfg: ExperimentConfig) -> ScalingResult:
                     )
                 )
         # A pure-gradient perturbation of the data must not move the velocity.
-        params = OseenParams(cfg.lambda_grid[len(cfg.lambda_grid) // 2])
-        base_pair = solve_steady(forcing, params)
+        base = middle_pair[0].velocity
         extra = random_scalar_field(grid, [cfg.seed, 13], mode_cap=cfg.mode_cap)
-        shifted_pair = solve_steady(forcing + gradient(extra), params)
-        invariance = _relative_l2(
-            shifted_pair.velocity - base_pair.velocity, base_pair.velocity
-        )
+        shifted = solve_steady(forcing + gradient(extra), OseenParams(middle)).velocity
+        invariance = _relative_l2(shifted - base, base)
         checks.append(
             _check_le("gradient_part_velocity_invariance", invariance, 1e-12)
         )
@@ -930,6 +886,7 @@ def run_scaling_steady(cfg: ExperimentConfig) -> ScalingResult:
 def _bochner_gradient_norm(pressure: TimePeriodicField, q: float) -> float:
     """Space-time L^q norm of the spatial gradient of a scalar stack."""
     grid = pressure.grid
+    # Not maxreg_norm's exact count: (sum of per-index norms)^q is no trig polynomial.
     nt = max(4 * pressure.max_mode + 8, 8)
     samples = pressure.sample_times(nt)
     powers = []
@@ -987,18 +944,13 @@ def run_scaling_tp(cfg: ExperimentConfig) -> ScalingResult:
         drift_mode_cap=cfg.drift_mode_cap,
     )
     # Gradient parts per time mode keep every pressure column nontrivial.
-    grad_modes = []
-    for k in range(cfg.time_modes + 1):
-        g_re = random_scalar_field(grid, [cfg.seed, 62, k, 0], mode_cap=cfg.mode_cap)
-        g_im = (
-            ScalarField.zeros(grid)
-            if k == 0
-            else random_scalar_field(grid, [cfg.seed, 62, k, 1], mode_cap=cfg.mode_cap)
-        )
-        grad_modes.append(
-            0.5 * (gradient(g_re).components + 1j * gradient(g_im).components)
-        )
-    forcing = forcing_free + TimePeriodicField.from_modes(grid, cfg.period, grad_modes)
+    def draw(key):
+        return gradient(random_scalar_field(grid, key, mode_cap=cfg.mode_cap))
+
+    key = [cfg.seed, 62]
+    zero = draw(key + [0, 0]).components
+    gradients = _seeded_stack(grid, cfg.period, cfg.time_modes, draw, key, zero)
+    forcing = forcing_free + gradients * 0.5
     f_osc_lq = lq_norm(project_oscillatory(forcing), cfg.q)
     osc_trivial = f_osc_lq <= 1e-13 * lq_norm(forcing, cfg.q)
     plancherel_worst = 0.0
@@ -1448,6 +1400,14 @@ def _format_value(value: float) -> str:
     return f"{float(value):.17g}"
 
 
+def _dat_twin(path: str) -> str:
+    """The plotting twin of a CSV path, refused where it is the path itself."""
+    twin = os.path.splitext(path)[0] + ".dat"
+    if twin == path:
+        raise ValueError(f"output path {path!r} would be overwritten by its .dat twin")
+    return twin
+
+
 def emit_csv(result: ScalingResult, path) -> None:
     """Write the result table as CSV plus a plotting-tool twin.
 
@@ -1457,10 +1417,10 @@ def emit_csv(result: ScalingResult, path) -> None:
     columns lands next to the CSV for plotting pipelines.
     """
     path = os.fspath(path)
+    dat_path = _dat_twin(path)
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    dat_path = os.path.splitext(path)[0] + ".dat"
     for target, sep, head in ((path, ",", ""), (dat_path, " ", "# ")):
         lines = [head + sep.join(result.columns)]
         lines.extend(

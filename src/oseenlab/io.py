@@ -13,8 +13,7 @@ offset     type      meaning
                      row-major (C order), component-major
 =========  ========  =======================================
 
-The dealias fraction is not serialized; loading accepts an optional value and
-otherwise restores the default.
+The dealias fraction is a package constant and is not serialized.
 """
 
 from __future__ import annotations
@@ -46,9 +45,7 @@ def save_field(path, field: ScalarField | VectorField) -> None:
         handle.write(np.ascontiguousarray(payload, dtype="<f8").tobytes())
 
 
-def load_field(
-    path, dealias_fraction: float = 2.0 / 3.0
-) -> ScalarField | VectorField:
+def load_field(path) -> ScalarField | VectorField:
     """Read a field written by :func:`save_field`."""
     with open(path, "rb") as handle:
         raw = handle.read(_HEADER.size)
@@ -59,7 +56,6 @@ def load_field(
             dim=int(dim),
             half_period=float(half_period),
             points_per_axis=int(n),
-            dealias_fraction=dealias_fraction,
         )
         if ncomp not in (1, grid.dim):
             raise ValueError(f"{path}: invalid component count {ncomp}")

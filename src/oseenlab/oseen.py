@@ -1,6 +1,6 @@
 """Linear flow solvers: steady drift solve, per-frequency and time-periodic
-solves, steady/oscillatory projections, residuals, and the iteration record
-of the fixed-point drivers.
+solves, the forward operator, steady/oscillatory projections, residuals, and
+the iteration record of the fixed-point drivers.
 
 Every solve works coefficientwise on the shared zeroed-Nyquist wavenumbers,
 so applying the differential operator to a solution reproduces the forcing
@@ -233,6 +233,44 @@ def contraction_rate_from_updates(updates) -> float:
     return max(ratios) if ratios else float("nan")
 
 
+def _block_momentum(velocity, pressure, k, f_coeff, lam):
+    """Velocity coefficients and those of d_t u - Lap u + lam d_1 u + grad p - f
+    in time block k of two stacks.
+
+    The forward symbol |xi|^2 + i(lam*xi_1 + omega_k) acts on the velocity,
+    the forcing is subtracted, and i*xi*p is added last, axis by axis.
+    """
+    grid = velocity.grid
+    u_coeff = _fftn(velocity.modes[k], grid.dim)
+    p_coeff = _fftn(pressure.modes[k], grid.dim)[0]
+    symbol = grid.ksq + 1j * (lam * grid.wavenumber(0) + velocity.omega(k))
+    momentum = symbol * u_coeff - f_coeff
+    for axis in range(grid.dim):
+        momentum[axis] = momentum[axis] + 1j * grid.wavenumber(axis) * p_coeff
+    return u_coeff, momentum
+
+
+def apply_oseen(
+    pair: StokesPair, params: OseenParams
+) -> VectorField | TimePeriodicField:
+    """The forcing that ``pair`` solves: d_t u - Lap u + lam d_1 u + grad p.
+
+    Applied block by block on the solvers' zeroed-Nyquist wavenumbers.  A
+    steady pair is the K = 0 case and gives back a steady field.
+    """
+    velocity, pressure = pair
+    if not isinstance(velocity, TimePeriodicField):
+        stacks = [TimePeriodicField.from_steady(field, 1.0) for field in pair]
+        return project_steady(apply_oseen(StokesPair(*stacks), params))
+    if (pressure.period, pressure.max_mode) != (velocity.period, velocity.max_mode):
+        raise ValueError("velocity and pressure stacks differ in period or modes")
+    modes = []
+    for k in range(velocity.max_mode + 1):
+        momentum = _block_momentum(velocity, pressure, k, 0.0, params.lam)[1]
+        modes.append(_ifftn(momentum, velocity.grid.dim))
+    return TimePeriodicField.from_modes(velocity.grid, velocity.period, modes)
+
+
 def residual(
     pair: StokesPair, f: VectorField | TimePeriodicField, params: OseenParams
 ) -> tuple[float, float]:
@@ -280,20 +318,14 @@ def residual_timeperiodic(
     mom_total = 0.0
     div_total = 0.0
     for k in range(velocity.max_mode + 1):
-        u_coeff = _fftn(velocity.modes[k], grid.dim)
-        p_coeff = _fftn(pressure.modes[k], grid.dim)[0]
         f_coeff = _fftn(forcing.modes[k], grid.dim)
         if k == 0:
             zero = (slice(None),) + (0,) * grid.dim
             f_coeff[zero] = 0.0
-        omega = velocity.omega(k)
-        symbol = grid.ksq + 1j * (params.lam * grid.wavenumber(0) + omega)
-        momentum = symbol * u_coeff - f_coeff
+        u_coeff, momentum = _block_momentum(velocity, pressure, k, f_coeff, params.lam)
         div = np.zeros(grid.shape, dtype=np.complex128)
         for axis in range(grid.dim):
-            xi = grid.wavenumber(axis)
-            momentum[axis] = momentum[axis] + 1j * xi * p_coeff
-            div = div + 1j * xi * u_coeff[axis]
+            div = div + 1j * grid.wavenumber(axis) * u_coeff[axis]
         weight = 1.0 if k == 0 else 2.0
         mom_total += weight * float(np.sum(np.abs(momentum) ** 2))
         div_total += weight * float(np.sum(np.abs(div) ** 2))

@@ -197,6 +197,15 @@ def test_non_finite_exponent_rejected_with_the_config(
     assert f"error: {key} must be finite, got {value}" in err
 
 
+def test_out_path_that_is_its_own_twin_rejected_before_the_run(tmp_path, capsys):
+    target = tmp_path / "table.dat"
+    assert main(["lifting-check", "--out", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert f"error: output path '{target}' would be overwritten" in captured.err
+    assert captured.out == ""
+    assert not any(tmp_path.iterdir())
+
+
 def test_unknown_subcommand_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["no-such-experiment"])

@@ -42,13 +42,6 @@ def test_header_preserves_grid_metadata(tmp_path):
     assert back.grid.half_period == 2.75
 
 
-def test_load_respects_requested_dealias_fraction(tmp_path, grid2):
-    path = tmp_path / "frac.field"
-    save_field(path, trig_scalar(grid2, 4))
-    back = load_field(path, dealias_fraction=0.5)
-    assert back.grid.dealias_fraction == 0.5
-
-
 def test_truncated_header_raises(tmp_path):
     path = tmp_path / "short.field"
     path.write_bytes(b"\x02\x00\x00")

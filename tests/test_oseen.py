@@ -17,11 +17,12 @@ from oseenlab.fields import (
 )
 from oseenlab.harness import random_timeperiodic_forcing
 from oseenlab.lifting import build_lifting, default_cutoff
-from oseenlab.norms import lq_norm
+from oseenlab.norms import lq_norm, spacetime_l2_plancherel
 from oseenlab.oseen import (
     OseenParams,
     StokesPair,
     _mode_solution_coeff,
+    apply_oseen,
     contraction_rate_from_updates,
     leray_project,
     project_oscillatory,
@@ -459,6 +460,54 @@ def test_steady_residual_is_the_k0_case():
         for field in (pair.velocity, pair.pressure, f)
     ]
     assert residual(pair, f, params) == residual_timeperiodic(*stacks, params)
+
+
+def _trig_stack(grid, period, max_mode, seed, ncomp):
+    """A stack of cosine sums, FFT-free; mode 0 is real."""
+    def samples(shift):
+        values = [trig_values(grid, seed + shift + 101 * c) for c in range(ncomp)]
+        return np.stack(values)
+
+    modes = [samples(0)] + [
+        samples(7 * k) + 1j * samples(7 * k + 3) for k in range(1, max_mode + 1)
+    ]
+    return TimePeriodicField.from_modes(grid, period, modes)
+
+
+@pytest.mark.parametrize("max_mode", [0, 2])
+def test_residual_is_the_plancherel_norm_of_the_operator_defect(max_mode):
+    # A pair that solves nothing: the momentum residual is the space-time L^2
+    # norm of apply_oseen(pair) - f once the k = 0 box mean of f is removed.
+    grid = GridSpec(3, np.pi, 12)
+    params = OseenParams(0.9)
+    pair = StokesPair(
+        _trig_stack(grid, 2.0, max_mode, 50, grid.dim),
+        _trig_stack(grid, 2.0, max_mode, 60, 1),
+    )
+    forcing = _trig_stack(grid, 2.0, max_mode, 70, grid.dim)
+    forcing = forcing + TimePeriodicField.from_steady(
+        VectorField(grid, np.full((grid.dim,) + grid.shape, 0.3)), 2.0, max_mode
+    )
+    modes = forcing.modes.copy()
+    modes[0] -= modes[0].mean(axis=(1, 2, 3), keepdims=True)
+    mean_free = TimePeriodicField(grid, 2.0, modes)
+    defect = apply_oseen(pair, params) - mean_free
+    momentum, _ = residual_timeperiodic(*pair, forcing, params)
+    expected = spacetime_l2_plancherel(defect)
+    assert abs(momentum - expected) <= 1e-12 * expected
+    if max_mode == 0:
+        steady = StokesPair(*(project_steady(field) for field in pair))
+        momentum, _ = residual(steady, project_steady(forcing), params)
+        expected = lq_norm(project_steady(defect), 2.0)
+        assert abs(momentum - expected) <= 1e-12 * expected
+
+
+def test_apply_oseen_rejects_stacks_of_different_modes():
+    grid = GridSpec(2, np.pi, 12)
+    velocity = _trig_stack(grid, 2.0, 1, 50, grid.dim)
+    pair = StokesPair(velocity, _trig_stack(grid, 2.0, 2, 60, 1))
+    with pytest.raises(ValueError, match="differ in period or modes"):
+        apply_oseen(pair, OseenParams(1.0))
 
 
 def _solved_stacks(grid, period=2.0, max_mode=1):

@@ -3,9 +3,10 @@
 The Leray projection is a projection onto divergence-free fields, and the
 steady problem is the k = 0 block of the time-periodic one: the steady solve,
 the single-frequency solve at k = 0 and a K = 0 time-periodic solve agree.
-Applying the drift operator to a steady solution gives back band-limited,
-mean-free forcing, and the dealiased convective product of band-limited
-fields keeps its Fourier coefficients when the grid is refined.
+Applying the drift operator to a steady or time-periodic solution gives back
+band-limited forcing, mean-free at k = 0, and the dealiased convective
+product of band-limited fields keeps its Fourier coefficients when the grid
+is refined.
 """
 
 from __future__ import annotations
@@ -23,13 +24,14 @@ from oseenlab.fields import (
     gradient,
 )
 from oseenlab.harness import (
-    oseen_apply,
     random_divergence_free,
     random_scalar_field,
+    random_timeperiodic_forcing,
 )
 from oseenlab.nonlinear import convective_product
 from oseenlab.oseen import (
     OseenParams,
+    apply_oseen,
     leray_project,
     solve_mode,
     solve_steady,
@@ -99,9 +101,38 @@ def test_operator_of_the_steady_solution_gives_back_the_forcing(draws, lam):
         random_scalar_field(grid, [seed_p], mode_cap=cap)
     )
     pair = solve_steady(f, OseenParams(lam))
-    back = oseen_apply(pair.velocity, lam) + gradient(pair.pressure)
+    back = apply_oseen(pair, OseenParams(lam))
     scale = np.max(np.abs(f.components))
     assert np.max(np.abs(back.components - f.components)) <= 1e-12 * scale
+
+
+@PROPERTY_SETTINGS
+@given(
+    band_limited_draws(),
+    st.integers(0, 2),
+    st.floats(0.0, 16.0, allow_nan=False),
+    st.floats(0.1, 10.0, allow_nan=False),
+)
+def test_operator_of_the_timeperiodic_solution_gives_back_the_forcing(
+    draws, max_mode, lam, period
+):
+    # The stack counterpart: gradient parts and box means ride along, and
+    # only the k = 0 mean, which no periodic solution reaches, is lost.
+    grid, cap, seed_u, seed_p = draws
+    modes = random_timeperiodic_forcing(
+        grid, period, max_mode, [seed_u], mode_cap=cap
+    ).modes.copy()
+    rng = np.random.default_rng(seed_p)
+    for k in range(max_mode + 1):
+        g = random_scalar_field(grid, [seed_p, k], mode_cap=cap)
+        modes[k] += gradient(g).components * (1.0 if k == 0 else 1.0 - 0.5j)
+        mean = rng.standard_normal(grid.dim) + 1j * rng.standard_normal(grid.dim)
+        modes[k] += (mean.real if k == 0 else mean).reshape((-1,) + (1,) * grid.dim)
+    f = TimePeriodicField(grid, period, modes)
+    back = apply_oseen(solve_timeperiodic(f, OseenParams(lam)), OseenParams(lam))
+    modes[0] -= modes[0].mean(axis=tuple(range(1, grid.dim + 1)), keepdims=True)
+    scale = np.max(np.abs(modes))
+    assert np.max(np.abs(back.modes - modes)) <= 1e-12 * scale
 
 
 def _shared_coefficients(field: VectorField, cutoff: int) -> np.ndarray:
