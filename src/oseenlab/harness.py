@@ -52,6 +52,8 @@ from .lifting import (
 )
 from .nonlinear import convective_product
 from .norms import (
+    _exact_grid,
+    _seminorm_samples,
     lambda_norm,
     lambda_norm_from_pieces,
     lambda_norm_pieces,
@@ -537,6 +539,13 @@ def fit_smallness_constant(
     bilinear ratios of convective products, across the probe drifts.  The
     result feeds the radius schedule; the fixed-point runs then verify the
     scheduled contraction empirically rather than trusting the fit.
+
+    The random forcings are band-limited to ``_default_mode_cap(grid)``, so
+    the linear ratios and the wake norms of the forcings are taken on the
+    probe grid :func:`oseenlab.norms._exact_grid`, the coarsest grid that
+    integrates their even powers exactly (18^3 for a 32^3 grid at q = 4,
+    r = 2); they are the same continuum fields as on ``grid``.  The
+    convective products have twice the band and stay on ``grid``.
     """
     if profile.n != grid.dim:
         raise ValueError(
@@ -549,12 +558,19 @@ def fit_smallness_constant(
         return cached
     n, q, r = profile.n, profile.q, profile.r
     weight = 1.0 / (n + 1)
-    samples = [
-        random_divergence_free(grid, [seed, 101, i])
-        for i in range(_FIT_SAMPLES)
-    ]
+    mode_cap = _default_mode_cap(grid)
+    probe_grid = _exact_grid(grid, mode_cap, (q, r, s_exponent(n, r)))
+
+    def draw(on_grid):
+        return [
+            random_divergence_free(on_grid, [seed, 101, i], mode_cap=mode_cap)
+            for i in range(_FIT_SAMPLES)
+        ]
+
+    samples = draw(grid)
+    probes = samples if probe_grid == grid else draw(probe_grid)
     best = 0.0
-    for g in samples:
+    for g in probes:
         g_data = lq_norm(g, q)
         g_neg = negative_norm_surrogate(g, r)
         for lam in _FIT_DRIFTS:
@@ -562,7 +578,7 @@ def fit_smallness_constant(
             numerator = lambda_norm(pair.velocity, lam, q, r)
             denominator = g_data + lam ** (-profile.m_exponent * weight) * g_neg
             best = max(best, numerator / denominator)
-    pieces = [lambda_norm_pieces(v, q, r) for v in samples]
+    pieces = [lambda_norm_pieces(v, q, r) for v in probes]
     for i, v_one in enumerate(samples):
         j = (i + 1) % len(samples)
         product = convective_product(v_one, samples[j])
@@ -884,16 +900,34 @@ def run_scaling_steady(cfg: ExperimentConfig) -> ScalingResult:
 
 
 def _bochner_gradient_norm(pressure: TimePeriodicField, q: float) -> float:
-    """Space-time L^q norm of the spatial gradient of a scalar stack."""
-    grid = pressure.grid
-    # Not maxreg_norm's exact count: (sum of per-index norms)^q is no trig polynomial.
-    nt = max(4 * pressure.max_mode + 8, 8)
-    samples = pressure.sample_times(nt)
-    powers = []
-    for j in range(nt):
-        field = ScalarField(grid, samples[j, 0])
-        powers.append(sobolev_seminorm(field, 1, q) ** q)
-    return float(np.mean(powers)) ** (1.0 / q)
+    """Space-time L^q norm of the spatial gradient of a scalar stack.
+
+    The integrand, (sum over |alpha| = 1 of ||D^alpha p(t)||_q)^q, is no
+    trigonometric polynomial in t, so no instant count is exact for it.  The
+    count starts at 4K + 8 and doubles until two successive values agree to
+    1e-12 relative; past 64K + 128 instants it raises ``ValueError``.
+    """
+    first = 4 * pressure.max_mode + 8
+    nt, powers = first, _seminorm_samples(pressure, 1, q, first) ** q
+    value = float(np.mean(powers)) ** (1.0 / q)
+    while nt < 16 * first:
+        # The instants the doubling adds are the current ones half a step
+        # later: those of the stack with mode k turned by omega_k * T / (2 nt).
+        turn = np.exp(1j * np.pi * np.arange(pressure.max_mode + 1) / nt)
+        turn = turn.reshape((-1,) + (1,) * (pressure.modes.ndim - 1))
+        later = TimePeriodicField(
+            pressure.grid, pressure.period, pressure.modes * turn
+        )
+        powers = np.concatenate([powers, _seminorm_samples(later, 1, q, nt) ** q])
+        nt *= 2
+        previous, value = value, float(np.mean(powers)) ** (1.0 / q)
+        change = abs(value - previous)
+        if change <= 1e-12 * value:
+            return value
+    raise ValueError(
+        f"space-time gradient norm not converged at {nt} time instants: "
+        f"last relative change {change / value:.3e}"
+    )
 
 
 def maxreg_norm_mode_sum(field: TimePeriodicField) -> float:

@@ -11,8 +11,11 @@ l^q sense, which makes every q = 2 quantity Plancherel-exact.
 Derivative norms are evaluated from real-FFT coefficients: each field takes
 one forward ``rfftn``, and each derivative block D^alpha u comes back through
 one ``irfftn`` after a multiply by the grid's cached half-layout symbol
-(:attr:`GridSpec.derivative_symbols`).  ``lambda_norm`` shares that one
-transform between its two seminorms.  ``maxreg_norm`` writes the K+1 stored
+(:attr:`GridSpec.derivative_symbols`).  At q = 2 a seminorm needs no inverse
+transform: Parseval sums |symbol|^2 |u_m|^2 over the half layout, counting
+the last-axis planes 0 and N/2 once and every other plane twice for its
+conjugate mirror.  ``lambda_norm`` shares the one forward transform between
+its two seminorms.  ``maxreg_norm`` writes the K+1 stored
 time modes as 2K+1 real fields B_b, with u(t) = sum_b W_b(t) B_b for cosine
 and sine weights W_b.  It transforms each derivative block of those fields
 once and forms every time sample by a small (nt x (2K+1)) weight matrix, so
@@ -23,8 +26,18 @@ part) is left out, which only drops exact zeros from each sample.  The
 rectangle rule on nt instants integrates exp(imt) exactly for |m| < nt; for an
 even integer q, |u(t)|^q and |du/dt|^q have degree qK in t, so by default
 ``maxreg_norm`` samples min(qK + 1, 4K + 8) instants, exact either way.  Other
-q, and ``lq_norm`` always, keep 4K + 8: ``lq_norm`` feeds the Picard data
-size, which scales the forcing and so must not move by roundoff.
+q keep 4K + 8.
+
+The same rule holds in space.  For u band-limited to |m_i| <= B and an even
+integer e, |D^alpha u|^e has degree eB per axis, so the rectangle rule on
+N > eB points per axis is exact; :func:`_exact_grid` picks the coarsest such
+grid whose dealias cutoff still holds the band, and callers that draw
+band-limited fields may evaluate their norms there.
+
+``lq_norm`` keeps its 4K + 8 instants and ``negative_norm_surrogate`` its
+inverse transform at r = 2, both on the full grid: through
+``picard.data_size`` they scale the Picard forcing, so a roundoff-level
+change in them would move every iterate.
 
 The negative-order functional is a surrogate: |f|_{-1,r} is computed as
 ||grad (-Delta)^{-1} f||_r with the zero mode projected out.  At r = 2 this
@@ -95,9 +108,27 @@ def _derivative_blocks(grid: GridSpec, coeff: np.ndarray, order: int):
 def _seminorm_from_coefficients(
     grid: GridSpec, coeff: np.ndarray, k: int, q: float
 ) -> float:
+    if q == 2.0:
+        return sum(
+            _l2_from_coefficients(grid, coeff * symbol)
+            for symbol in grid.derivative_symbols[k]
+        )
     return sum(
         _lq_of_array(grid, block, q) for block in _derivative_blocks(grid, coeff, k)
     )
+
+
+def _l2_from_coefficients(grid: GridSpec, coeff: np.ndarray) -> float:
+    """L^2 norm by Parseval from real-FFT (half layout) coefficients.
+
+    The last-axis planes 0 and N/2 stand for themselves; every other plane
+    also stands for its conjugate mirror, so it counts twice.
+    """
+    power = np.square(coeff.real) + np.square(coeff.imag)
+    mean_pow = float(
+        2.0 * np.sum(power) - np.sum(power[..., 0]) - np.sum(power[..., -1])
+    )
+    return (mean_pow * grid.volume) ** 0.5 if mean_pow > 0 else 0.0
 
 
 def _check_order(k: int) -> None:
@@ -201,12 +232,34 @@ def lambda_norm(field: VectorField, lam: float, q: float, r: float) -> float:
     )
 
 
+def _is_even_integer(value: float) -> bool:
+    return float(value).is_integer() and int(value) % 2 == 0
+
+
 def _default_time_samples(max_mode: int, q: float | None = None) -> int:
     # 4K + 8 integrates the degree-4K content of squared norms exactly and
     # resolves fractional powers comfortably.  For an even integer q the
     # integrand has degree qK, so qK + 1 instants are already exact.
-    even = q is not None and float(q).is_integer() and int(q) % 2 == 0
+    even = q is not None and _is_even_integer(q)
     return min(int(q) * max_mode + 1, 4 * max_mode + 8) if even else 4 * max_mode + 8
+
+
+def _exact_grid(grid: GridSpec, band: int, exponents) -> GridSpec:
+    """Coarsest grid whose rectangle rule is exact for fields of the given band.
+
+    For u band-limited to |m_i| <= ``band``, |D^alpha u|^e is a trigonometric
+    polynomial of degree e * band per axis, integrated exactly by N > e * band
+    points.  This returns the smallest even such N (for the largest e) whose
+    dealias cutoff still holds the band, or ``grid`` itself when an exponent
+    is not an even integer or the exact grid would not be coarser.
+    """
+    if not all(_is_even_integer(e) for e in exponents):
+        return grid
+    points = int(max(exponents)) * band + 1
+    coarse = GridSpec(grid.dim, grid.half_period, points + points % 2)
+    while coarse.dealias_cutoff < band:
+        coarse = GridSpec(grid.dim, grid.half_period, coarse.points_per_axis + 2)
+    return coarse if coarse.points_per_axis < grid.points_per_axis else grid
 
 
 def maxreg_norm(
@@ -240,6 +293,23 @@ def maxreg_norm(
     bochner = (float(np.mean(powers)) * grid.volume) ** (1.0 / q)
     dt_power = float(np.mean(_sample_powers(dt_weights, basis, q)))
     return bochner + (dt_power * grid.volume) ** (1.0 / q)
+
+
+def _seminorm_samples(
+    field: TimePeriodicField, k: int, q: float, nt: int
+) -> np.ndarray:
+    """The seminorms |u(t_j)|_{k,q} at t_j = j * period / nt, j = 0..nt-1.
+
+    Formed from the real time basis as in :func:`maxreg_norm`, so the
+    spatial transforms do not grow with ``nt``.
+    """
+    grid = field.grid
+    basis, weights, _ = _real_time_basis(field, nt)
+    coeff = _rfftn(basis, grid.dim)
+    total = np.zeros(nt)
+    for block in _derivative_blocks(grid, coeff, k):
+        total += (_sample_powers(weights, block, q) * grid.volume) ** (1.0 / q)
+    return total
 
 
 def _real_time_basis(

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from oseenlab import harness
+from oseenlab.cli import default_config
 from oseenlab.config import log_spaced
 from oseenlab.exponents import ExponentProfile, s_exponent
 from oseenlab.fields import (
@@ -42,7 +43,11 @@ from oseenlab.harness import (
     run_scaling_steady,
     run_scaling_tp,
 )
+from oseenlab.nonlinear import convective_product
 from oseenlab.norms import (
+    lambda_norm,
+    lambda_norm_from_pieces,
+    lambda_norm_pieces,
     lq_norm,
     maxreg_norm,
     negative_norm_surrogate,
@@ -57,6 +62,7 @@ from oseenlab.oseen import (
     solve_steady,
     solve_timeperiodic,
 )
+from oseenlab.picard import radius_schedule
 
 
 # --- slope fitting ---------------------------------------------------------
@@ -423,22 +429,52 @@ def test_steady_sweep_rows_are_re_derivable_from_module_calls():
     )
 
 
+def _seeded_pressure(points: int, max_mode: int) -> TimePeriodicField:
+    grid = GridSpec(3, np.pi, points)
+    draw = functools.partial(random_scalar_field, grid)
+    zero = np.zeros((1,) + grid.shape)
+    return harness._seeded_stack(grid, 1.0, max_mode, draw, [0, 62], zero)
+
+
+def _dense_gradient_norm(pressure: TimePeriodicField, count: int) -> float:
+    grid = pressure.grid
+    return np.mean(
+        [
+            sobolev_seminorm(ScalarField(grid, sample[0]), 1, 2.0) ** 2
+            for sample in pressure.sample_times(count)
+        ]
+    ) ** 0.5
+
+
 def test_bochner_gradient_norm_is_converged_in_time():
     # The oscillatory pressure of the default scaling-tp run, up to a factor.
     # Its integrand, (sum of per-index norms)^q, is no trigonometric
     # polynomial in t: 3 or 8 instants miss the dense value by 2.4e-6 or
-    # 2.5e-8, the 12 in use by 4.1e-11.
-    grid = GridSpec(3, np.pi, 32)
-    draw = functools.partial(random_scalar_field, grid)
-    zero = np.zeros((1,) + grid.shape)
-    pressure = harness._seeded_stack(grid, 1.0, 1, draw, [0, 62], zero)
-    dense = np.mean(
-        [
-            sobolev_seminorm(ScalarField(grid, sample[0]), 1, 2.0) ** 2
-            for sample in pressure.sample_times(48)
-        ]
-    ) ** 0.5
-    assert abs(harness._bochner_gradient_norm(pressure, 2.0) - dense) <= 1e-9 * dense
+    # 2.5e-8, the first 4K + 8 = 12 by 4.1e-11.
+    pressure = _seeded_pressure(32, 1)
+    dense = _dense_gradient_norm(pressure, 48)
+    assert abs(harness._bochner_gradient_norm(pressure, 2.0) - dense) <= 1e-11 * dense
+
+
+def test_bochner_gradient_norm_keeps_doubling_at_two_time_modes():
+    # At 16^3, K = 2 the first 4K + 8 = 16 instants miss by 2.7e-7.
+    pressure = _seeded_pressure(16, 2)
+    dense = _dense_gradient_norm(pressure, 96)
+    assert abs(harness._bochner_gradient_norm(pressure, 2.0) - dense) <= 1e-11 * dense
+
+
+def test_bochner_gradient_norm_raises_past_its_instant_cap(monkeypatch):
+    # A stand-in whose value keeps moving with the count never settles.
+    calls = []
+
+    def drifting(field, k, q, nt):
+        calls.append(nt)
+        return np.full(nt, 1.0 + 1.0 / len(calls))
+
+    monkeypatch.setattr(harness, "_seminorm_samples", drifting)
+    with pytest.raises(ValueError, match=r"not converged at 192 time instants: last"):
+        harness._bochner_gradient_norm(_seeded_pressure(8, 1), 2.0)
+    assert calls == [12, 12, 24, 48, 96]
 
 
 def test_timeperiodic_sweep_rows_are_re_derivable_from_module_calls():
@@ -568,6 +604,63 @@ def test_smallness_constant_is_stable_under_refinement():
     assert 0.8 <= coarse / fine <= 1.2
     # memoized: the repeat call returns the identical value
     assert fit_smallness_constant(GridSpec(3, np.pi, 16), profile, seed=0) == coarse
+
+
+def _full_grid_fit(grid, profile, seed):
+    """The fit with every probe on ``grid``, as before the probe grid."""
+    n, q, r = profile.n, profile.q, profile.r
+    weight = 1.0 / (n + 1)
+    samples = [random_divergence_free(grid, [seed, 101, i]) for i in range(8)]
+    best = 0.0
+    for g in samples:
+        g_data = lq_norm(g, q)
+        g_neg = negative_norm_surrogate(g, r)
+        for lam in (0.25, 1.0, 4.0):
+            pair = solve_steady(g, OseenParams(lam))
+            numerator = lambda_norm(pair.velocity, lam, q, r)
+            denominator = g_data + lam ** (-profile.m_exponent * weight) * g_neg
+            best = max(best, numerator / denominator)
+    pieces = [lambda_norm_pieces(v, q, r) for v in samples]
+    for i, v_one in enumerate(samples):
+        j = (i + 1) % len(samples)
+        product = convective_product(v_one, samples[j])
+        strong = lq_norm(product, q)
+        weak = negative_norm_surrogate(product, r)
+        for lam in (0.25, 1.0, 4.0):
+            denominator = lambda_norm_from_pieces(
+                pieces[i], lam, n
+            ) * lambda_norm_from_pieces(pieces[j], lam, n)
+            best = max(
+                best,
+                strong * lam ** (profile.theta * weight) / denominator,
+                weak * lam ** (profile.eta * weight) / denominator,
+            )
+    return best
+
+
+@pytest.mark.parametrize("points", [8, 16, 24, 32])
+def test_smallness_constant_on_the_probe_grid_matches_the_full_grid(
+    monkeypatch, points
+):
+    # The probes are band-limited, so the coarse probe grid integrates their
+    # even-power norms exactly: the fit moves by roundoff only.
+    monkeypatch.setattr(harness, "_FIT_CACHE", OrderedDict())
+    profile = ExponentProfile.build(3, 4.0, 2.0)
+    grid = GridSpec(3, np.pi, points)
+    assert fit_smallness_constant(grid, profile, seed=0) == pytest.approx(
+        _full_grid_fit(grid, profile, 0), rel=1e-13
+    )
+
+
+@pytest.mark.parametrize("experiment", ["picard-steady", "picard-tp"])
+def test_fit_roundoff_cannot_move_the_scheduled_radius(experiment):
+    # The fit reaches the iterate only through the halving radius schedule,
+    # and the default schedules sit far from a threshold.
+    cfg = default_config(experiment)
+    profile, gamma, constant, base = harness._picard_schedule(cfg)
+    for scale in (1.0 - 1e-12, 1.0 + 1e-12):
+        moved = radius_schedule(cfg.rho, gamma, profile, constant * scale, tol=cfg.tol)
+        assert moved.rho == base.rho
 
 
 def test_smallness_constant_cache_keys_on_the_whole_grid(monkeypatch):

@@ -28,8 +28,10 @@ from oseenlab.fields import (
     _irfftn,
     _rfftn,
 )
+from oseenlab.harness import maxreg_norm_mode_sum
 from oseenlab.norms import (
     _default_time_samples,
+    _exact_grid,
     lambda_norm,
     maxreg_norm,
     sobolev_full_norm,
@@ -148,6 +150,63 @@ def test_spatial_kernels_match_reference(dim, kind):
             assert lambda_norm(field, lam, q, r) == pytest.approx(
                 _ref_lambda_norm(grid, values, lam, q, r), rel=REL
             )
+
+
+@pytest.mark.parametrize("kind", ["scalar", "vector"])
+@pytest.mark.parametrize("points", [6, 8, 16])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_q2_seminorm_by_parseval_matches_the_inverse_transforms(dim, points, kind):
+    # White noise fills every Nyquist plane, the last axis's 0 and N/2 ones
+    # included, where the half layout counts a plane once instead of twice.
+    grid = GridSpec(dim, 0.9, points)
+    _, values = _spatial(grid, _ncomp(grid, kind), seed=100 * dim + points)
+    coeff = _rfftn(values, dim)
+    for k in (1, 2):
+        by_blocks = sum(
+            norms._lq_of_array(grid, block, 2.0)
+            for block in norms._derivative_blocks(grid, coeff, k)
+        )
+        assert norms._seminorm_from_coefficients(
+            grid, coeff, k, 2.0
+        ) == pytest.approx(by_blocks, rel=1e-13)
+
+
+def test_mode_sum_cross_check_does_not_use_the_parseval_seminorm(monkeypatch):
+    # maxreg_norm_mode_sum checks the q = 2 norms through the derivative
+    # blocks of sobolev_full_norm, independently of the Parseval branch.
+    field = _time_periodic(GRIDS[3], 3, max_mode=1, seed=12)
+    expected = maxreg_norm_mode_sum(field)
+
+    def refuse(*args):
+        raise AssertionError("the cross-check took the Parseval seminorm")
+
+    monkeypatch.setattr(norms, "_seminorm_from_coefficients", refuse)
+    assert maxreg_norm_mode_sum(field) == expected
+
+
+def test_exact_grid_is_the_coarsest_exact_grid():
+    # |D^alpha u|^e of a field of band B has degree e * B: the rectangle rule
+    # on N > e * B points is exact, and the 2/3 rule must keep the band.
+    fine = GridSpec(3, np.pi, 64)
+    for band in range(1, 6):
+        for e in (2.0, 4.0, 6.0):
+            expected = min(
+                n for n in range(2, 64, 2) if n > e * band and n // 3 >= band
+            )
+            coarse = _exact_grid(fine, band, (2.0, e))
+            assert coarse.points_per_axis == expected
+            assert (coarse.dim, coarse.half_period) == (3, np.pi)
+    # the default picard-steady and picard-tp grids at q = 4, r = 2, s = 4
+    assert _exact_grid(GridSpec(3, np.pi, 32), 4, (4.0, 2.0, 4.0)).points_per_axis == 18
+    assert _exact_grid(GridSpec(3, np.pi, 24), 3, (4.0, 2.0, 4.0)).points_per_axis == 14
+    # not coarser than the grid, or an exponent that is not an even integer
+    grid = GridSpec(3, np.pi, 32)
+    assert _exact_grid(grid, 4, (8.0,)) is grid
+    assert _exact_grid(grid, 4, (3.0, 2.0, 4.0)) is grid
+    s = s_exponent(3, 1.5)
+    assert s == pytest.approx(2.4)
+    assert _exact_grid(grid, 4, (4.0, 1.5, s)) is grid
+    assert _exact_grid(grid, 4, (4.0, 2.0, np.inf)) is grid
 
 
 @pytest.mark.parametrize("kind", ["scalar", "vector"])
@@ -301,6 +360,18 @@ def test_lambda_norm_makes_one_forward_transform(transform_calls):
     field, _ = _spatial(GRIDS[3], 3, seed=5)
     lambda_norm(field, 0.7, 4.0, 2.0)
     assert sum(transform_calls[name] for name in FORWARD) == 1
+
+
+def test_lambda_norm_at_r_2_needs_only_the_second_order_inverse_transforms(
+    transform_calls,
+):
+    # The |v|_{1,2} seminorm comes from the coefficients by Parseval.
+    field, _ = _spatial(GRIDS[3], 3, seed=5)
+    lambda_norm(field, 0.7, 4.0, 2.0)
+    assert transform_calls["irfftn"] == 6
+    transform_calls.clear()
+    lambda_norm(field, 0.7, 4.0, 1.5)
+    assert transform_calls["irfftn"] == 9
 
 
 def test_maxreg_transform_count_is_independent_of_time_samples(transform_calls):
