@@ -1,74 +1,29 @@
 """Command-line front end: one subcommand per experiment.
 
-Every experiment ships a built-in default configuration so each subcommand
-runs out of the box.  ``--config`` replaces it with an INI file whose unset
-keys take the :class:`~oseenlab.harness.ExperimentConfig` defaults (not the
-built-in values); ``--seed`` and ``--out`` override the two most common
-knobs, and ``--threads`` sets the FFT worker count (the sweeps themselves
-stay sequential for reproducibility).
+Every experiment ships a built-in default configuration in the experiment
+table at the end of :mod:`oseenlab.harness`, so each subcommand runs out of
+the box.  ``--config`` replaces it with an INI file whose unset keys take the
+:class:`~oseenlab.harness.ExperimentConfig` defaults (not the built-in
+values); ``--seed`` and ``--out`` override the two most common knobs, and
+``--threads`` sets the FFT worker count (the sweeps themselves stay
+sequential for reproducibility).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import sys
 
-from .config import log_spaced, parse_config
-from .fields import GridSpec, set_fft_workers
+from .config import parse_config
+from .fields import set_fft_workers
 from .harness import (
-    EXPERIMENT_BILINEAR,
-    EXPERIMENT_LIFTING,
-    EXPERIMENT_MMS,
-    EXPERIMENT_PICARD_STEADY,
-    EXPERIMENT_PICARD_TP,
-    EXPERIMENT_SCALING_STEADY,
-    EXPERIMENT_SCALING_TP,
     EXPERIMENTS,
-    ExperimentConfig,
+    default_config,
     emit_csv,
     exponent_report,
     run_experiment,
 )
-
-
-_BOX_SWEEP = log_spaced(4.0 / math.pi, 40.0 / math.pi, 7)
-# Each experiment's departures from the ExperimentConfig defaults.
-_BUILT_IN = {
-    EXPERIMENT_MMS: dict(
-        grid=GridSpec(3, math.pi, 32), lambda_grid=(0.5, 2.0), q=4.0, time_modes=2
-    ),
-    EXPERIMENT_SCALING_STEADY: dict(
-        grid=GridSpec(3, math.pi, 64), lambda_grid=_BOX_SWEEP, q=4.0,
-        forcing_shell=(14.0, 18.0), drift_mode_cap=1,
-    ),
-    EXPERIMENT_SCALING_TP: dict(
-        grid=GridSpec(3, math.pi, 32), lambda_grid=_BOX_SWEEP, period=1.0,
-        forcing_shell=(7.0, 9.0), drift_mode_cap=1,
-    ),
-    EXPERIMENT_BILINEAR: dict(
-        grid=GridSpec(3, 1.0e7, 16), lambda_grid=log_spaced(10.0, 100.0, 7), q=4.0,
-        lambda_ceiling=100.0, forcing_shell=(1.0, 1.8),
-    ),
-    EXPERIMENT_PICARD_STEADY: dict(
-        grid=GridSpec(3, math.pi, 32), lambda_grid=(1.0,), q=4.0, gamma=1.1
-    ),
-    EXPERIMENT_PICARD_TP: dict(
-        grid=GridSpec(3, math.pi, 24), lambda_grid=(1.0,), q=4.0, time_modes=2,
-        gamma=1.1,
-    ),
-    EXPERIMENT_LIFTING: dict(
-        grid=GridSpec(3, math.pi, 32), lambda_grid=log_spaced(1e-3, 1e-1, 7)
-    ),
-}
-
-
-def default_config(experiment: str) -> ExperimentConfig:
-    """The built-in configuration for one experiment subcommand."""
-    if experiment not in _BUILT_IN:
-        raise ValueError(f"no default configuration for {experiment!r}")
-    return ExperimentConfig(experiment=experiment, **_BUILT_IN[experiment])
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -1,12 +1,14 @@
 """INI-file experiment configuration.
 
 One ``[experiment]`` section describes a run.  It replaces the built-in
-configuration of a CLI subcommand as a whole: every key it leaves unset takes
-the :class:`~oseenlab.harness.ExperimentConfig` default.  Keys are the field
-names, except ``name``, ``samples`` and ``out`` and the grid keys ``dim``,
-``points`` and ``half_period``.  The drift sweep comes either from an
-explicit comma-separated ``lambda_grid`` (which wins when both are present)
-or from log-spaced ``lambda_min`` / ``lambda_max`` / ``lambda_points``.
+configuration of a CLI subcommand (declared in the experiment table at the
+end of :mod:`oseenlab.harness`) as a whole: every key it leaves unset takes
+the :class:`~oseenlab.harness.ExperimentConfig` default, and building the
+config applies that table's checks.  Keys are the field names, except
+``name``, ``samples`` and ``out`` and the grid keys ``dim``, ``points`` and
+``half_period``.  The drift sweep comes either from an explicit
+comma-separated ``lambda_grid`` (which wins when both are present) or from
+log-spaced ``lambda_min`` / ``lambda_max`` / ``lambda_points``.
 """
 
 from __future__ import annotations
@@ -15,10 +17,8 @@ import configparser
 import dataclasses
 import math
 
-import numpy as np
-
 from .fields import GridSpec
-from .harness import ExperimentConfig
+from .harness import ExperimentConfig, log_spaced
 
 _SECTION = "experiment"
 
@@ -64,17 +64,6 @@ def _read(section, key: str, kind: str, fallback=None):
         return reader(raw)
     except ValueError:
         raise ValueError(f"{key} needs {wanted}, got {raw!r}") from None
-
-
-def log_spaced(lo: float, hi: float, count: int) -> tuple[float, ...]:
-    """Logarithmically spaced sweep, endpoints exact."""
-    if count < 2:
-        raise ValueError(f"a sweep needs at least 2 points, got {count}")
-    if not 0 < lo < hi:
-        raise ValueError(f"need 0 < lambda_min < lambda_max, got [{lo}, {hi}]")
-    values = np.exp(np.linspace(math.log(lo), math.log(hi), count))
-    values[0], values[-1] = lo, hi
-    return tuple(float(v) for v in values)
 
 
 def _parse_lambda_grid(section) -> tuple[float, ...]:

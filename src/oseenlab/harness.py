@@ -17,6 +17,7 @@ import itertools
 import math
 import os
 from collections import OrderedDict
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,40 +83,6 @@ from .picard import (
     radius_schedule,
 )
 
-EXPERIMENT_MMS = "mms"
-EXPERIMENT_SCALING_STEADY = "scaling-steady"
-EXPERIMENT_SCALING_TP = "scaling-tp"
-EXPERIMENT_BILINEAR = "bilinear"
-EXPERIMENT_PICARD_STEADY = "picard-steady"
-EXPERIMENT_PICARD_TP = "picard-tp"
-EXPERIMENT_LIFTING = "lifting-check"
-
-EXPERIMENTS = (
-    EXPERIMENT_MMS,
-    EXPERIMENT_SCALING_STEADY,
-    EXPERIMENT_SCALING_TP,
-    EXPERIMENT_BILINEAR,
-    EXPERIMENT_PICARD_STEADY,
-    EXPERIMENT_PICARD_TP,
-    EXPERIMENT_LIFTING,
-)
-
-# Experiments that solve on the box at sweep drifts need the wake scale c/lam
-# to fit inside the box, hence the floor lam >= c_wake / half_period.  The
-# other experiments either solve at schedule-determined drifts (fixed-point
-# runs), compare against exact manufactured solutions, or never solve at all,
-# so their floor is off by default.
-_BOX_SOLVING_SWEEPS = (EXPERIMENT_SCALING_STEADY, EXPERIMENT_SCALING_TP)
-
-# The (q, r) windows each fixed-point or bilinear experiment needs; the linear
-# one holds the condition 1/q <= 1/r - 1/(n+1) that theta needs.
-_EXPONENT_WINDOWS = {
-    EXPERIMENT_MMS: (PROBLEM_STEADY, PROBLEM_LINEAR),
-    EXPERIMENT_PICARD_STEADY: (PROBLEM_STEADY, PROBLEM_LINEAR),
-    EXPERIMENT_PICARD_TP: (PROBLEM_TP,),
-    EXPERIMENT_BILINEAR: (PROBLEM_TP,),
-}
-
 
 class WakeConstraintError(ValueError):
     """A requested drift lies below the wake-resolution floor of the box."""
@@ -124,15 +91,15 @@ class WakeConstraintError(ValueError):
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Inputs for one experiment run; its field defaults are the only ones (the
-    INI loader and the CLI's built-in configs state departures from them).
+    INI loader and the experiment table's built-in configs state departures).
 
     ``lambda_grid`` must be strictly increasing and confined to
-    (0, lambda_ceiling]; for box-solving sweeps it must also respect the wake
-    floor c_wake / half_period.  ``forcing_shell`` restricts random forcing
-    to Euclidean mode radii inside the closed interval, ``drift_mode_cap``
-    caps the |m_1| content, and ``mode_cap`` bounds the default cube of mode
-    indices; all three exist so a field is the same continuum object on every
-    grid that can hold it.
+    (0, lambda_ceiling]; the experiment's table entry adds its wake floor
+    c_wake / half_period, (q, r) windows and sweep rule.  ``forcing_shell``
+    restricts random forcing to Euclidean mode radii inside the closed
+    interval, ``drift_mode_cap`` caps the |m_1| content, and ``mode_cap``
+    bounds the default cube of mode indices; all three exist so a field is
+    the same continuum object on every grid that can hold it.
     """
 
     experiment: str
@@ -157,10 +124,11 @@ class ExperimentConfig:
     output_path: str | None = None
 
     def __post_init__(self) -> None:
-        if self.experiment not in EXPERIMENTS:
+        if self.experiment not in _TABLE:
             raise ValueError(
                 f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}"
             )
+        spec = _TABLE[self.experiment]
         lams = tuple(float(x) for x in self.lambda_grid)
         if not lams:
             raise ValueError("lambda_grid must not be empty")
@@ -207,13 +175,29 @@ class ExperimentConfig:
         for name in ("q", "r"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        n, windows = self.grid.dim, _EXPONENT_WINDOWS.get(self.experiment, ())
+        n, windows = self.grid.dim, spec.windows
         violated = [v for w in windows for v in admissibility(n, self.q, self.r, w)[1]]
         if violated:
             raise ValueError(
                 f"{self.experiment} needs (q, r) = ({self.q}, {self.r}) to meet the "
                 f"{' and '.join(windows)} conditions; violated: " + "; ".join(violated)
             )
+        if spec.sweep and len(lams) < 5:
+            raise ValueError(
+                f"{self.experiment} needs at least 5 sweep points, got {len(lams)}"
+            )
+        span = math.log10(lams[-1] / lams[0])
+        if spec.sweep and span < 1.0 - 1e-9:
+            raise ValueError(
+                f"{self.experiment} needs a sweep spanning >= 1 decade, got {span:.3g}"
+            )
+        # Build (and memoise) the mode sets the draws use: the mode_cap cube
+        # and the shell/drift-capped set, so a bad cap fails here.
+        shell = self.forcing_shell and tuple(self.forcing_shell)
+        if self.mode_cap is not None:
+            _mode_list(self.grid, self.mode_cap, None, None)
+        if shell or self.drift_mode_cap is not None:
+            _mode_list(self.grid, self.mode_cap, shell, self.drift_mode_cap)
         if self.output_path is not None:
             _dat_twin(self.output_path)
         object.__setattr__(self, "lambda_grid", lams)
@@ -222,7 +206,7 @@ class ExperimentConfig:
     def resolved_c_wake(self) -> float:
         if self.c_wake is not None:
             return float(self.c_wake)
-        return 4.0 if self.experiment in _BOX_SOLVING_SWEEPS else 0.0
+        return 4.0 if _TABLE[self.experiment].box_sweep else 0.0
 
     @property
     def wake_floor(self) -> float:
@@ -332,26 +316,6 @@ def _sweep_table(columns, rows, fitted):
     values = {name: [row[i] for row in table] for i, name in enumerate(columns)}
     slopes = {name: loglog_slope(values["lambda"], values[name]) for name in fitted}
     return table, values, slopes
-
-
-def _require_sweep(cfg: ExperimentConfig, min_points: int = 5, decades: float = 1.0) -> None:
-    lams = cfg.lambda_grid
-    if len(lams) < min_points:
-        raise ValueError(
-            f"{cfg.experiment} needs at least {min_points} sweep points, got {len(lams)}"
-        )
-    span = math.log10(lams[-1] / lams[0])
-    if span < decades * (1.0 - 1e-9):
-        raise ValueError(
-            f"{cfg.experiment} needs a sweep spanning >= {decades} decades, got {span:.3g}"
-        )
-
-
-def _require_experiment(cfg: ExperimentConfig, expected: str) -> None:
-    if cfg.experiment != expected:
-        raise ValueError(
-            f"config names experiment {cfg.experiment!r}, runner expects {expected!r}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +577,7 @@ def _relative_spacetime(diff_field, reference_field) -> float:
     )
 
 
-def run_mms(cfg: ExperimentConfig) -> ScalingResult:
+def _run_mms(cfg: ExperimentConfig) -> ScalingResult:
     """Recover manufactured solutions through every solver path.
 
     One seeded time-periodic pair is drawn per run and its forcing formed at
@@ -623,7 +587,6 @@ def run_mms(cfg: ExperimentConfig) -> ScalingResult:
     drift with an amplitude below the data gate, must recover the manufactured
     velocity and pressure to 1e-7.
     """
-    _require_experiment(cfg, EXPERIMENT_MMS)
     grid = cfg.grid
     stacks = []
     for random_field, tag in ((random_divergence_free, 21), (random_scalar_field, 22)):
@@ -827,15 +790,13 @@ def _estimate_sweep(cfg, forcing, solve, extra_columns, extra_row, finish):
     )
 
 
-def run_scaling_steady(cfg: ExperimentConfig) -> ScalingResult:
+def _run_scaling_steady(cfg: ExperimentConfig) -> ScalingResult:
     """Sweep the steady solver and test both a-priori estimate lines.
 
     The forcing is a fixed random divergence-free field plus a gradient
     part; the gradient part must leave the velocity untouched (checked at
     one sweep point) while making the pressure columns nontrivial.
     """
-    _require_experiment(cfg, EXPERIMENT_SCALING_STEADY)
-    _require_sweep(cfg)
     grid = cfg.grid
     n = grid.dim
     m_exp, delta = exponents_Mdelta(n, cfg.r)
@@ -957,7 +918,7 @@ def maxreg_norm_mode_sum(field: TimePeriodicField) -> float:
     return math.sqrt(spatial_total) + math.sqrt(dt_total)
 
 
-def run_scaling_tp(cfg: ExperimentConfig) -> ScalingResult:
+def _run_scaling_tp(cfg: ExperimentConfig) -> ScalingResult:
     """Sweep the time-periodic solver: steady lines plus the oscillatory ratio.
 
     The time-averaged part of the solution must obey the steady estimate
@@ -965,8 +926,6 @@ def run_scaling_tp(cfg: ExperimentConfig) -> ScalingResult:
     maximal-regularity norm over its forcing norm must stay flat in the
     drift (fitted slope within +-0.1).
     """
-    _require_experiment(cfg, EXPERIMENT_SCALING_TP)
-    _require_sweep(cfg)
     grid = cfg.grid
     forcing_free = random_timeperiodic_forcing(
         grid,
@@ -1053,7 +1012,7 @@ _BILINEAR_NAMES = (
 )
 
 
-def run_bilinear_ensemble(cfg: ExperimentConfig) -> ScalingResult:
+def _run_bilinear_ensemble(cfg: ExperimentConfig) -> ScalingResult:
     """Fit the convective-estimate constants and drift exponents.
 
     A fixed ensemble of divergence-free pairs is reused across the whole
@@ -1062,8 +1021,6 @@ def run_bilinear_ensemble(cfg: ExperimentConfig) -> ScalingResult:
     Steady denominators use the wake norm; oscillatory denominators use the
     maximal-regularity norm and carry no drift weight.
     """
-    _require_experiment(cfg, EXPERIMENT_BILINEAR)
-    _require_sweep(cfg)
     grid = cfg.grid
     n = grid.dim
     theta_formula = theta_exponent(n, cfg.q, cfg.r)
@@ -1185,7 +1142,7 @@ def run_bilinear_ensemble(cfg: ExperimentConfig) -> ScalingResult:
 # boundary lifting diagnostics
 
 
-def run_lifting_check(cfg: ExperimentConfig) -> ScalingResult:
+def _run_lifting_check(cfg: ExperimentConfig) -> ScalingResult:
     """Verify the boundary lifting: trace value, solenoidality, load scaling.
 
     On the inner ball the lifting must equal the uniform counterflow
@@ -1193,7 +1150,6 @@ def run_lifting_check(cfg: ExperimentConfig) -> ScalingResult:
     injects, divided by lam * (1 + lam), must stay constant across the drift
     range (coefficient of variation at most 5%).
     """
-    _require_experiment(cfg, EXPERIMENT_LIFTING)
     grid = cfg.grid
     spec = cfg.cutoff_spec()
     interior = center_distance(grid) <= spec.inner_radius * (1.0 + 1e-12)
@@ -1271,7 +1227,7 @@ def _picard_schedule(cfg: ExperimentConfig):
     return profile, gamma, constant, base
 
 
-def run_picard(cfg: ExperimentConfig) -> ScalingResult:
+def _run_picard(cfg: ExperimentConfig) -> ScalingResult:
     """Run the fixed-point construction on a shrinking radius ladder.
 
     Serves both picard-steady and picard-tp; they differ only in the forcing
@@ -1282,9 +1238,7 @@ def run_picard(cfg: ExperimentConfig) -> ScalingResult:
     solution map must reproduce the fixed point within twice the stopping
     tolerance.
     """
-    steady = cfg.experiment == EXPERIMENT_PICARD_STEADY
-    if not steady:
-        _require_experiment(cfg, EXPERIMENT_PICARD_TP)
+    steady = cfg.experiment == "picard-steady"
     grid = cfg.grid
     profile, gamma, constant, base = _picard_schedule(cfg)
     lifting = build_lifting(0.0, cfg.cutoff_spec(), grid)
@@ -1412,22 +1366,7 @@ def exponent_report(n: int, q: float, r: float) -> dict[str, object]:
 
 
 # ---------------------------------------------------------------------------
-# dispatch and serialization
-
-RUNNERS = {
-    EXPERIMENT_MMS: run_mms,
-    EXPERIMENT_SCALING_STEADY: run_scaling_steady,
-    EXPERIMENT_SCALING_TP: run_scaling_tp,
-    EXPERIMENT_BILINEAR: run_bilinear_ensemble,
-    EXPERIMENT_PICARD_STEADY: run_picard,
-    EXPERIMENT_PICARD_TP: run_picard,
-    EXPERIMENT_LIFTING: run_lifting_check,
-}
-
-
-def run_experiment(cfg: ExperimentConfig) -> ScalingResult:
-    """Dispatch a config to its runner."""
-    return RUNNERS[cfg.experiment](cfg)
+# serialization
 
 
 def _format_value(value: float) -> str:
@@ -1462,3 +1401,80 @@ def emit_csv(result: ScalingResult, path) -> None:
         )
         with open(target, "w", encoding="utf-8", newline="\n") as handle:
             handle.write("\n".join(lines) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# the experiment table
+
+
+@dataclass(frozen=True)
+class _Experiment:
+    """One experiment: its runner, its built-in config's departures from the
+    ExperimentConfig defaults, the (q, r) windows it needs (the linear one
+    holds 1/q <= 1/r - 1/(n+1), which theta needs), and whether it fits
+    slopes to a drift sweep (at least 5 drifts spanning a decade)."""
+
+    runner: Callable[[ExperimentConfig], ScalingResult]
+    built_in: dict
+    windows: tuple[str, ...] = ()
+    # Experiments that solve on the box at sweep drifts need the wake scale
+    # c/lam to fit inside the box, hence the floor lam >= c_wake / half_period.
+    # The other experiments either solve at schedule-determined drifts
+    # (fixed-point runs), compare against exact manufactured solutions, or
+    # never solve at all, so their floor is off by default.
+    box_sweep: bool = False
+    sweep: bool = False
+
+
+def default_config(experiment: str) -> ExperimentConfig:
+    """The built-in configuration of one experiment."""
+    if experiment not in _TABLE:
+        raise ValueError(f"no default configuration for {experiment!r}")
+    return ExperimentConfig(experiment=experiment, **_TABLE[experiment].built_in)
+
+
+def run_experiment(cfg: ExperimentConfig) -> ScalingResult:
+    """Run a config through its experiment's runner."""
+    return _TABLE[cfg.experiment].runner(cfg)
+
+
+def log_spaced(lo: float, hi: float, count: int) -> tuple[float, ...]:
+    """Logarithmically spaced sweep, endpoints exact."""
+    if count < 2:
+        raise ValueError(f"a sweep needs at least 2 points, got {count}")
+    if not 0 < lo < hi:
+        raise ValueError(f"need 0 < lambda_min < lambda_max, got [{lo}, {hi}]")
+    values = np.exp(np.linspace(math.log(lo), math.log(hi), count))
+    values[0], values[-1] = lo, hi
+    return tuple(float(v) for v in values)
+
+
+_BOX_SWEEP = log_spaced(4.0 / math.pi, 40.0 / math.pi, 7)
+_TABLE = {
+    "mms": _Experiment(_run_mms, dict(
+        grid=GridSpec(3, math.pi, 32), lambda_grid=(0.5, 2.0), q=4.0, time_modes=2
+    ), windows=(PROBLEM_STEADY, PROBLEM_LINEAR)),
+    "scaling-steady": _Experiment(_run_scaling_steady, dict(
+        grid=GridSpec(3, math.pi, 64), lambda_grid=_BOX_SWEEP, q=4.0,
+        forcing_shell=(14.0, 18.0), drift_mode_cap=1,
+    ), box_sweep=True, sweep=True),
+    "scaling-tp": _Experiment(_run_scaling_tp, dict(
+        grid=GridSpec(3, math.pi, 32), lambda_grid=_BOX_SWEEP, period=1.0,
+        forcing_shell=(7.0, 9.0), drift_mode_cap=1,
+    ), box_sweep=True, sweep=True),
+    "bilinear": _Experiment(_run_bilinear_ensemble, dict(
+        grid=GridSpec(3, 1.0e7, 16), lambda_grid=log_spaced(10.0, 100.0, 7), q=4.0,
+        lambda_ceiling=100.0, forcing_shell=(1.0, 1.8),
+    ), windows=(PROBLEM_TP,), sweep=True),
+    "picard-steady": _Experiment(_run_picard, dict(
+        grid=GridSpec(3, math.pi, 32), lambda_grid=(1.0,), q=4.0, gamma=1.1
+    ), windows=(PROBLEM_STEADY, PROBLEM_LINEAR)),
+    "picard-tp": _Experiment(_run_picard, dict(
+        grid=GridSpec(3, math.pi, 24), lambda_grid=(1.0,), q=4.0, time_modes=2,
+        gamma=1.1,
+    ), windows=(PROBLEM_TP,)),
+    "lifting-check": _Experiment(_run_lifting_check, dict(
+        grid=GridSpec(3, math.pi, 32), lambda_grid=log_spaced(1e-3, 1e-1, 7)
+    )),
+}
+EXPERIMENTS = tuple(_TABLE)

@@ -349,7 +349,9 @@ def _sample_powers(weights: np.ndarray, fields: np.ndarray, q: float) -> np.ndar
     # threads that busy-wait on the other cores, so CPU time far exceeds wall
     # time (the package otherwise runs on one core unless FFT workers are set).
     samples = np.einsum("jb,b...->j...", weights, fields)
-    magnitude_sq = np.sum(np.square(samples, out=samples), axis=1)
+    np.square(samples, out=samples)
+    # Over a single component the sum would only copy.
+    magnitude_sq = samples[:, 0] if samples.shape[1] == 1 else np.sum(samples, axis=1)
     if q != 2.0:
         np.power(magnitude_sq, q / 2.0, out=magnitude_sq)
     return np.mean(magnitude_sq.reshape(len(weights), -1), axis=1)

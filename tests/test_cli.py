@@ -2,6 +2,7 @@
 
 import pytest
 
+from oseenlab import cli
 from oseenlab.cli import default_config, main
 from oseenlab.fields import set_fft_workers
 from oseenlab.harness import EXPERIMENTS
@@ -195,6 +196,60 @@ def test_non_finite_exponent_rejected_with_the_config(
     assert main([experiment, "--config", str(ini)]) == 1
     err = capsys.readouterr().err
     assert f"error: {key} must be finite, got {value}" in err
+
+
+def test_error_inside_the_runner_reported_on_stderr(monkeypatch, capsys):
+    def failing(cfg):
+        raise RuntimeError(f"{cfg.experiment} failed mid-run")
+
+    monkeypatch.setattr(cli, "run_experiment", failing)
+    assert main(["lifting-check"]) == 1
+    captured = capsys.readouterr()
+    assert "error: lifting-check failed mid-run" in captured.err
+    assert captured.out == ""
+
+
+def _must_not_run(cfg):
+    raise AssertionError(f"{cfg.experiment} reached its runner")
+
+
+@pytest.mark.parametrize(
+    "mode_cap, message",
+    [
+        (11, "mode cap 11 exceeds the grid's dealias cutoff 10"),
+        (0, "mode cap must be >= 1, got 0"),
+    ],
+)
+def test_mode_cap_rejected_with_the_config(
+    mode_cap, message, tmp_path, capsys, monkeypatch
+):
+    # The fit runs before the first draw, so a check in the runner would cost
+    # the whole fit before reporting the cap.
+    monkeypatch.setattr(cli, "run_experiment", _must_not_run)
+    ini = tmp_path / "cap.ini"
+    ini.write_text(
+        "[experiment]\nname = picard-steady\npoints = 32\nlambda_grid = 1.0\n"
+        f"q = 4\ngamma = 1.1\nmode_cap = {mode_cap}\n"
+    )
+    assert main(["picard-steady", "--config", str(ini)]) == 1
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert "experiment:" not in captured.out
+
+
+def test_short_bilinear_sweep_rejected_before_any_run_output(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(cli, "run_experiment", _must_not_run)
+    ini = tmp_path / "short.ini"
+    ini.write_text(
+        "[experiment]\nname = bilinear\npoints = 16\nhalf_period = 1e7\nq = 4\n"
+        "lambda_ceiling = 100\nlambda_grid = 10, 30, 100\nforcing_shell = 1.0, 1.8\n"
+    )
+    assert main(["bilinear", "--config", str(ini)]) == 1
+    captured = capsys.readouterr()
+    assert "error: bilinear needs at least 5 sweep points, got 3" in captured.err
+    assert captured.out == ""
 
 
 def test_out_path_that_is_its_own_twin_rejected_before_the_run(tmp_path, capsys):

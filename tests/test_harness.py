@@ -24,7 +24,6 @@ from oseenlab.fields import (
 )
 from oseenlab.harness import (
     EXPERIMENTS,
-    RUNNERS,
     CheckRecord,
     ExperimentConfig,
     ScalingResult,
@@ -38,10 +37,7 @@ from oseenlab.harness import (
     random_oscillatory,
     random_scalar_field,
     random_timeperiodic_forcing,
-    run_bilinear_ensemble,
-    run_mms,
-    run_scaling_steady,
-    run_scaling_tp,
+    run_experiment,
 )
 from oseenlab.nonlinear import convective_product
 from oseenlab.norms import (
@@ -159,7 +155,7 @@ def test_wake_floor_guards_the_solving_sweeps():
     floor = 4.0 / np.pi
     with pytest.raises(WakeConstraintError, match="below the wake floor"):
         ExperimentConfig("scaling-steady", grid, (0.5, 13.0))
-    cfg = ExperimentConfig("scaling-steady", grid, (floor, 13.0))
+    cfg = ExperimentConfig("scaling-steady", grid, log_spaced(floor, 13.0, 5))
     assert cfg.resolved_c_wake == 4.0
     assert cfg.wake_floor == pytest.approx(floor)
     # non-solving experiments default to no floor
@@ -185,19 +181,14 @@ def test_cutoff_spec_uses_explicit_radii_when_given():
 
 def test_sweep_requirements_are_enforced():
     grid = GridSpec(3, np.pi, 16)
-    short = ExperimentConfig(
-        "scaling-steady", grid, tuple(log_spaced(4 / np.pi, 40 / np.pi, 3))
-    )
     with pytest.raises(ValueError, match="at least 5 sweep points"):
-        run_scaling_steady(short)
-    narrow = ExperimentConfig(
-        "scaling-steady", grid, tuple(log_spaced(4 / np.pi, 8 / np.pi, 5))
-    )
+        ExperimentConfig(
+            "scaling-steady", grid, tuple(log_spaced(4 / np.pi, 40 / np.pi, 3))
+        )
     with pytest.raises(ValueError, match="spanning >= 1"):
-        run_scaling_steady(narrow)
-    mismatched = ExperimentConfig("lifting-check", grid, (0.5, 2.0))
-    with pytest.raises(ValueError, match="runner expects"):
-        run_scaling_steady(mismatched)
+        ExperimentConfig(
+            "scaling-steady", grid, tuple(log_spaced(4 / np.pi, 8 / np.pi, 5))
+        )
 
 
 # --- seeded ensembles ----------------------------------------------------------
@@ -336,7 +327,7 @@ def test_manufactured_solutions_recover_through_every_path():
         time_modes=2,
         mode_cap=2,
     )
-    result = run_mms(cfg)
+    result = run_experiment(cfg)
     assert result.columns == (
         "lambda",
         "steady_velocity_error",
@@ -367,7 +358,7 @@ def test_mms_passes_the_mode_cap_to_every_draw(monkeypatch):
             return _draw(grid, key, **kwargs)
 
         monkeypatch.setattr(harness, name, recording)
-    assert run_mms(cfg).all_passed
+    assert run_experiment(cfg).all_passed
     # Once per run, not per drift: two time-periodic stacks of 2K + 1 draws
     # each, then the nonlinear pair.
     assert caps == [2] * (2 * (2 * cfg.time_modes + 1) + 2)
@@ -387,7 +378,7 @@ def _steady_config():
 
 def test_steady_sweep_rows_are_re_derivable_from_module_calls():
     cfg = _steady_config()
-    result = run_scaling_steady(cfg)
+    result = run_experiment(cfg)
     assert result.all_passed
 
     grid = cfg.grid
@@ -488,7 +479,7 @@ def test_timeperiodic_sweep_rows_are_re_derivable_from_module_calls():
         forcing_shell=(3.0, 4.0),
         drift_mode_cap=1,
     )
-    result = run_scaling_tp(cfg)
+    result = run_experiment(cfg)
     grid, q, r, n = cfg.grid, cfg.q, cfg.r, cfg.grid.dim
 
     grad_modes = []
@@ -562,7 +553,7 @@ def test_timeperiodic_sweep_rows_are_re_derivable_from_module_calls():
 
 
 def test_steady_sweep_slopes_and_constants_match_the_table():
-    result = run_scaling_steady(_steady_config())
+    result = run_experiment(_steady_config())
     lams = result.column("lambda")
     for name in ("ratio_line1", "ratio_line2", "weighted_lq_s"):
         recomputed = loglog_slope(lams, result.column(name))
@@ -585,7 +576,7 @@ def test_planar_drift_weight_is_flagged_not_asserted():
         forcing_shell=(14.0, 18.0),
         drift_mode_cap=1,
     )
-    result = run_scaling_steady(cfg)
+    result = run_experiment(cfg)
     assert result.all_passed
     assert result.constants["m_exponent"] == 2.0
     assert result.constants["delta"] == 1.0
@@ -703,10 +694,10 @@ def test_bilinear_constants_are_stable_under_resampling():
         lambda_ceiling=100.0,
         forcing_shell=(1.0, 1.8),
     )
-    small = run_bilinear_ensemble(
+    small = run_experiment(
         ExperimentConfig("bilinear", sample_count=40, **base)
     )
-    large = run_bilinear_ensemble(
+    large = run_experiment(
         ExperimentConfig("bilinear", sample_count=80, **base)
     )
     assert small.all_passed and large.all_passed
@@ -811,7 +802,10 @@ def test_mode_set_is_cached_read_only_and_still_validated():
 
 
 def test_every_experiment_has_a_runner():
-    assert set(RUNNERS) == set(EXPERIMENTS)
+    assert EXPERIMENTS == tuple(harness._TABLE)
+    for experiment, spec in harness._TABLE.items():
+        assert default_config(experiment).experiment == experiment
+        assert callable(spec.runner)
 
 
 def test_exponent_report_contents():

@@ -261,21 +261,38 @@ def _previous_maxreg(field: TimePeriodicField, q: float, nt: int) -> float:
         dt_weights[:, 2 * k - 1] = -omega * sin
         dt_weights[:, 2 * k] = omega * cos
 
-    def sample_powers(w, fields):
-        samples = np.einsum("jb,b...->j...", w, fields)
-        magnitude_sq = np.sum(np.square(samples, out=samples), axis=1)
-        if q != 2.0:
-            np.power(magnitude_sq, q / 2.0, out=magnitude_sq)
-        return np.mean(magnitude_sq.reshape(len(w), -1), axis=1)
-
-    powers = sample_powers(weights, basis)
+    powers = _summing_sample_powers(weights, basis, q)
     coeff = _rfftn(basis, grid.dim)
     for order in (1, 2):
         for symbol in grid.derivative_symbols[order]:
-            powers += sample_powers(weights, _irfftn(coeff * symbol, grid.shape))
+            block = _irfftn(coeff * symbol, grid.shape)
+            powers += _summing_sample_powers(weights, block, q)
     bochner = (float(np.mean(powers)) * grid.volume) ** (1.0 / q)
-    dt_power = float(np.mean(sample_powers(dt_weights, basis)))
+    dt_power = float(np.mean(_summing_sample_powers(dt_weights, basis, q)))
     return bochner + (dt_power * grid.volume) ** (1.0 / q)
+
+
+def _summing_sample_powers(weights, fields, q):
+    """The sample-power kernel that sums over the component axis at any width."""
+    samples = np.einsum("jb,b...->j...", weights, fields)
+    magnitude_sq = np.sum(np.square(samples, out=samples), axis=1)
+    if q != 2.0:
+        np.power(magnitude_sq, q / 2.0, out=magnitude_sq)
+    return np.mean(magnitude_sq.reshape(len(weights), -1), axis=1)
+
+
+@pytest.mark.parametrize("kind", ["scalar", "vector"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_sample_powers_skip_the_one_component_sum_bit_for_bit(dim, kind):
+    grid = GRIDS[dim]
+    rng = np.random.default_rng(5 * dim)
+    fields = rng.standard_normal((5, _ncomp(grid, kind)) + grid.shape)
+    weights = rng.standard_normal((9, 5))
+    for q in (2.0, 2.5, 3.0, 4.0):
+        assert np.array_equal(
+            norms._sample_powers(weights, fields, q),
+            _summing_sample_powers(weights, fields, q),
+        )
 
 
 @pytest.mark.parametrize("kind", ["scalar", "vector"])
