@@ -161,37 +161,37 @@ def gamma_interval(
 
 @dataclass(frozen=True)
 class ExponentProfile:
-    """All exponent data for one (n, q, r) configuration.
+    """The exponent data of one (n, q, r) configuration.
 
-    ``theta`` is the interpolation formula value; ``eta`` and ``zeta`` are the
-    conservative bilinear-estimate exponents ``ETA_FALLBACK`` and
-    ``ZETA_FALLBACK``.  ``gamma_range`` is the open schedule interval.
+    Only n, q and r are stored; ``m_exponent``, ``theta`` and the open
+    schedule interval ``gamma_range`` follow from them, and an inadmissible
+    triple raises at construction.  ``eta`` and ``zeta`` are the conservative
+    bilinear-estimate exponents ``ETA_FALLBACK`` and ``ZETA_FALLBACK``.
     """
 
     n: int
     q: float
     r: float
-    m_exponent: int
-    theta: float
-    eta: float
-    zeta: float
-    gamma_range: tuple[float, float]
 
-    @classmethod
-    def build(cls, n: int, q: float, r: float) -> "ExponentProfile":
-        m_exponent = exponents_Mdelta(n, r)[0]
-        theta = theta_exponent(n, q, r)
-        interval = gamma_interval(n, m_exponent, theta, ZETA_FALLBACK, ETA_FALLBACK)
-        return cls(
-            n=n,
-            q=float(q),
-            r=float(r),
-            m_exponent=m_exponent,
-            theta=theta,
-            eta=ETA_FALLBACK,
-            zeta=ZETA_FALLBACK,
-            gamma_range=interval,
-        )
+    eta = ETA_FALLBACK
+    zeta = ZETA_FALLBACK
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "q", float(self.q))
+        object.__setattr__(self, "r", float(self.r))
+        _ = self.gamma_range  # an inadmissible triple raises here
+
+    @property
+    def m_exponent(self) -> int:
+        return exponents_Mdelta(self.n, self.r)[0]
+
+    @property
+    def theta(self) -> float:
+        return theta_exponent(self.n, self.q, self.r)
+
+    @property
+    def gamma_range(self) -> tuple[float, float]:
+        return gamma_interval(self.n, self.m_exponent, self.theta, self.zeta, self.eta)
 
     def gamma_midpoint(self) -> float:
         lower, upper = self.gamma_range

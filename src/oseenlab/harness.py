@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import os
 from collections import OrderedDict
 from collections.abc import Callable
@@ -158,8 +159,10 @@ class ExperimentConfig:
             raise ValueError(
                 f"sample_count must be >= 1, got {self.sample_count}"
             )
-        if not self.rho > 0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
+        if not 0 < self.rho < math.inf:
+            raise ValueError(f"rho must be positive and finite, got {self.rho}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.gamma is not None and not self.gamma > 1:
             raise ValueError(f"gamma must exceed 1, got {self.gamma}")
         if not self.tol > 0:
@@ -218,32 +221,40 @@ class ExperimentConfig:
         return default_cutoff(self.grid)
 
 
+_RELATIONS = {  # check kind: its symbol and its test
+    "le": ("<=", operator.le), "ge": (">=", operator.ge), "lt": ("<", operator.lt)
+}
+
+
 @dataclass(frozen=True)
 class CheckRecord:
-    """One asserted inequality: value versus bound, with the verdict."""
+    """One asserted inequality: value versus bound; the verdict follows."""
 
     name: str
     value: float
     bound: float
     kind: str  # "le", "ge", or "lt"
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return _RELATIONS[self.kind][1](self.value, self.bound)
 
     def describe(self) -> str:
-        op = {"le": "<=", "ge": ">=", "lt": "<"}[self.kind]
+        op = _RELATIONS[self.kind][0]
         verdict = "PASS" if self.passed else "FAIL"
         return f"{verdict} {self.name}: {self.value:.6g} {op} {self.bound:.6g}"
 
 
 def _check_le(name: str, value: float, bound: float) -> CheckRecord:
-    return CheckRecord(name, float(value), float(bound), "le", bool(value <= bound))
+    return CheckRecord(name, float(value), float(bound), "le")
 
 
 def _check_lt(name: str, value: float, bound: float) -> CheckRecord:
-    return CheckRecord(name, float(value), float(bound), "lt", bool(value < bound))
+    return CheckRecord(name, float(value), float(bound), "lt")
 
 
 def _check_ge(name: str, value: float, bound: float) -> CheckRecord:
-    return CheckRecord(name, float(value), float(bound), "ge", bool(value >= bound))
+    return CheckRecord(name, float(value), float(bound), "ge")
 
 
 @dataclass(frozen=True)
@@ -945,13 +956,10 @@ def _run_scaling_tp(cfg: ExperimentConfig) -> ScalingResult:
     gradients = _seeded_stack(grid, cfg.period, cfg.time_modes, draw, key, zero)
     forcing = forcing_free + gradients * 0.5
     f_osc_lq = lq_norm(project_oscillatory(forcing), cfg.q)
-    osc_trivial = f_osc_lq <= 1e-13 * lq_norm(forcing, cfg.q)
     plancherel_worst = 0.0
 
     def extra_row(lam, pair, line):
         nonlocal plancherel_worst
-        if osc_trivial:
-            return (math.nan,) * 5
         w_osc = project_oscillatory(pair.velocity)
         maxreg = maxreg_norm(w_osc, cfg.q)
         p_grad = _bochner_gradient_norm(project_oscillatory(pair.pressure), cfg.q)
@@ -964,10 +972,6 @@ def _run_scaling_tp(cfg: ExperimentConfig) -> ScalingResult:
         return (maxreg, p_grad, f_osc_lq, maxreg / f_osc_lq, ratio_full)
 
     def finish(values, slopes):
-        if osc_trivial:
-            return {}, [], [
-                "oscillatory ratio skipped: the forcing has no oscillatory part"
-            ]
         constants = {"constant_oscillatory": max(values["ratio_oscillatory"])}
         checks = [
             _check_le(
@@ -1220,7 +1224,7 @@ _PICARD_COLUMNS = (
 
 
 def _picard_schedule(cfg: ExperimentConfig):
-    profile = ExponentProfile.build(cfg.grid.dim, cfg.q, cfg.r)
+    profile = ExponentProfile(cfg.grid.dim, cfg.q, cfg.r)
     gamma = cfg.gamma if cfg.gamma is not None else profile.gamma_midpoint()
     constant = fit_smallness_constant(cfg.grid, profile, seed=cfg.seed)
     base = radius_schedule(cfg.rho, gamma, profile, constant, tol=cfg.tol)

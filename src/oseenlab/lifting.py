@@ -7,18 +7,24 @@ operator identity and equals -lam * e1 wherever the cut-off is identically
 one, which hands the obstacle velocity to the periodic-box solver without
 any boundary mesh.
 
-V, its jacobian, and its laplacian are evaluated from the analytically
-differentiated closed forms rather than by spectral differentiation of the
-sampled generator: the cut-off is only C^2, so sampled-then-spectral
-derivatives would be truncation limited, while the closed forms keep both
-defining properties exact at every grid point.  The generator is compactly
+V, its jacobian, and its laplacian are exact derivatives of g up to order
+four, built by one rule rather than by spectral differentiation of the
+sampled generator.  Each derivative of g is a sum of c x^beta (D^m phi)(rho)
+in centred coordinates x, with D = (1/rho) d/drho, and differentiates term
+by term: d_i(x^beta D^m phi) = beta_i x^(beta - e_i) D^m phi +
+x^(beta + e_i) D^(m+1) phi.  The cut-off is only C^2, so sampled-then-spectral
+derivatives would be truncation limited, while the exact derivatives keep
+both defining properties at every grid point.  The generator is compactly
 supported inside the box, so periodization is exact.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -115,9 +121,10 @@ class LiftingField:
     """The lifting velocity together with its exact first derivatives.
 
     ``jacobian[i, k]`` holds the derivative of component i along axis k+1;
-    ``laplacian`` stacks the componentwise Laplacian.  Both come from the
-    closed forms, so trace(jacobian) vanishes identically and the values
-    feed the nonlinearity without further differentiation.
+    ``laplacian`` stacks the componentwise Laplacian.  Both are exact
+    derivatives of the generator, built by the module's differentiation
+    rule, so trace(jacobian) vanishes to roundoff and the values feed the
+    nonlinearity without further differentiation.
     """
 
     velocity: VectorField
@@ -160,6 +167,42 @@ class LiftingField:
         return np.trace(self.jacobian, axis1=0, axis2=1)
 
 
+def _radial_derivatives(spec: CutoffSpec, rho: np.ndarray) -> list:
+    """D^m phi for m = 0..4 (all a fourth derivative of g needs), D = (1/rho) d/drho.
+
+    D^m phi is a sum of c phi^(k) rho^p, and D(phi^(k) rho^p) =
+    phi^(k+1) rho^(p-1) + p phi^(k) rho^(p-2).  For m >= 1 every term has
+    k >= 1 and vanishes on the inner plateau, so the stand-in radius 1 at
+    rho = 0 never counts.
+    """
+    safe = np.where(rho > 0, rho, 1.0)
+    profile = [spec.value(rho)] + [spec.derivative(rho, k) for k in range(1, 5)]
+    terms, out = Counter({(0, 0): 1}), []
+    for _ in range(5):
+        out.append(sum(c * profile[k] * safe**p for (k, p), c in terms.items()))
+        step = Counter()
+        for (k, p), c in terms.items():
+            step[k + 1, p - 1] += c
+            if p:
+                step[k, p - 2] += c * p
+        terms = step
+    return out
+
+
+@lru_cache(maxsize=None)
+def _g_terms(alpha: tuple[int, ...], dim: int) -> tuple:
+    """d^alpha g for a sorted tuple of axes, as items ((beta, m), c) standing for
+    the sum of c x^beta (D^m phi)(rho); built by the rule of the module docstring."""
+    if not alpha:
+        return (((tuple(2 * (j == 1) for j in range(dim)), 0), 1),)
+    i, terms = alpha[-1], Counter()
+    for (beta, m), c in _g_terms(alpha[:-1], dim):
+        if beta[i]:
+            terms[beta[:i] + (beta[i] - 1,) + beta[i + 1 :], m] += c * beta[i]
+        terms[beta[:i] + (beta[i] + 1,) + beta[i + 1 :], m + 1] += c
+    return tuple(terms.items())
+
+
 def build_lifting(lam: float, spec: CutoffSpec, grid: GridSpec) -> LiftingField:
     """Construct the lifting field for drift coefficient ``lam`` >= 0.
 
@@ -168,99 +211,36 @@ def build_lifting(lam: float, spec: CutoffSpec, grid: GridSpec) -> LiftingField:
     if lam < 0:
         raise ValueError(f"lam must be nonnegative, got {lam}")
     _check_support(spec, grid)
-    dim = grid.dim
-    centered = [np.broadcast_to(x, grid.shape) for x in _centered_coordinates(grid)]
-    rho = center_distance(grid)
-    safe = np.where(rho > 0, rho, 1.0)
-    unit = [x / safe for x in centered]
-    y = centered[1]
-    y2 = y * y
+    dim, half_lam = grid.dim, 0.5 * lam
+    x = _centered_coordinates(grid)
+    radial = _radial_derivatives(spec, center_distance(grid))
 
-    phi = spec.value(rho)
-    d1 = spec.derivative(rho, 1)
-    d2 = spec.derivative(rho, 2)
-    d3 = spec.derivative(rho, 3)
-    d4 = spec.derivative(rho, 4)
-
-    # Radial combinations; all vanish outside the transition zone because
-    # the profile derivatives do.
-    c = d1 / safe
-    b = d2 - c
-    c_p = d2 / safe - d1 / safe**2
-    b_p = d3 - c_p
-    a = d2 + (dim + 3) * c
-    a_p = d3 + (dim + 3) * c_p
-    c_pp = d3 / safe - 2.0 * d2 / safe**2 + 2.0 * d1 / safe**3
-    a_pp = d4 + (dim + 3) * c_pp
-    b_pp = d4 - c_pp
-    h = b / safe**2
-    h_p = b_p / safe**2 - 2.0 * b / safe**3
-    h_pp = b_pp / safe**2 - 4.0 * b_p / safe**3 + 6.0 * b / safe**4
-
-    lap_g = a * y2 + 2.0 * phi
-    half_lam = 0.5 * lam
-
-    velocity = np.zeros((dim,) + grid.shape)
-    jacobian = np.zeros((dim, dim) + grid.shape)
-    laplacian = np.zeros((dim,) + grid.shape)
-
-    grad_lap_g = [a_p * unit[k] * y2 + 2.0 * d1 * unit[k] for k in range(dim)]
-    grad_lap_g[1] = grad_lap_g[1] + 2.0 * a * y
-
-    lap_lap_g = (
-        (a_pp + (dim + 3) * a_p / safe) * y2
-        + 2.0 * a
-        + 2.0 * d2
-        + 2.0 * (dim - 1) * c
-    )
-    radial_c2 = c_pp + (dim + 3) * c_p / safe
-
-    for i in range(dim):
-        hess_i1 = b * unit[i] * unit[0] * y2
-        if i == 0:
-            hess_i1 = hess_i1 + c * y2
-        if i == 1:
-            hess_i1 = hess_i1 + 2.0 * d1 * unit[0] * y
-        velocity[i] = half_lam * (-(lap_g if i == 0 else 0.0) + hess_i1)
-
-        lap_hess = h_pp + (dim + 7) * h_p / safe
-        lap_hess = lap_hess * centered[i] * centered[0] * y2
-        lap_hess = lap_hess + h * 2.0 * centered[i] * centered[0]
-        if i == 0:
-            lap_hess = lap_hess + h * 2.0 * y2 + radial_c2 * y2 + 2.0 * c
-        if i == 1:
-            lap_hess = lap_hess + h * 4.0 * centered[0] * y
-            lap_hess = lap_hess + 2.0 * radial_c2 * centered[0] * y
-        laplacian[i] = half_lam * (-(lap_lap_g if i == 0 else 0.0) + lap_hess)
-
-        for k in range(dim):
-            grad_hess = b_p * unit[k] * unit[i] * unit[0] * y2
-            grad_hess = grad_hess + (b / safe) * (
-                ((1.0 if k == i else 0.0) - unit[k] * unit[i]) * unit[0]
-                + unit[i] * ((1.0 if k == 0 else 0.0) - unit[k] * unit[0])
-            ) * y2
-            if k == 1:
-                grad_hess = grad_hess + 2.0 * b * unit[i] * unit[0] * y
-            if i == 0:
-                grad_hess = grad_hess + c_p * unit[k] * y2
-                if k == 1:
-                    grad_hess = grad_hess + 2.0 * c * y
-            if i == 1:
-                grad_hess = grad_hess + 2.0 * d2 * unit[k] * unit[0] * y
-                if k == 1:
-                    grad_hess = grad_hess + 2.0 * d1 * unit[0]
-                grad_hess = grad_hess + 2.0 * d1 * y * (
-                    (1.0 if k == 0 else 0.0) - unit[k] * unit[0]
-                ) / safe
-            jacobian[i, k] = half_lam * (
-                -(grad_lap_g[k] if i == 0 else 0.0) + grad_hess
+    def evaluate(i: int, axes: tuple[int, ...], n_lap: int) -> np.ndarray:
+        """(lam/2) d^axes Delta^n_lap (d_i d_1 g - delta_i1 Delta g)."""
+        terms = Counter()
+        parts = [(1, axes + (i, 0), n_lap)] + [(-1, axes, n_lap + 1)] * (i == 0)
+        for sign, base, count in parts:
+            for pairs in itertools.product(range(dim), repeat=count):
+                for key, c in _g_terms(tuple(sorted(base + 2 * pairs)), dim):
+                    terms[key] += sign * c
+        out = np.zeros(grid.shape)
+        for m in sorted({m for _, m in terms}):
+            poly = sum(
+                c * math.prod(x[j] ** p for j, p in enumerate(beta) if p)
+                for (beta, mm), c in terms.items()
+                if mm == m and c
             )
+            out += poly * radial[m]
+        return half_lam * out
 
+    velocity = [evaluate(i, (), 0) for i in range(dim)]
+    jacobian = [[evaluate(i, (k,), 0) for k in range(dim)] for i in range(dim)]
+    laplacian = [evaluate(i, (), 1) for i in range(dim)]
     return LiftingField(
-        velocity=VectorField(grid, velocity),
-        lambda_used=float(lam),
-        jacobian=jacobian,
-        laplacian=laplacian,
+        VectorField(grid, np.array(velocity)),
+        float(lam),
+        np.array(jacobian),
+        np.array(laplacian),
     )
 
 

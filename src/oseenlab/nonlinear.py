@@ -7,7 +7,7 @@ The nonlinearity of the perturbation u around the lifting field is
     + laplacian(V) - lam * d1(V).
 
 Band-limited factors follow the truncate-multiply-truncate dealiasing
-pattern.  The lifting V and its derivative arrays are exact closed-form
+pattern.  The lifting V and its derivative arrays are exact pointwise
 samples (not band-limited), so they enter products at full resolution and
 only the product is re-truncated; the V-only terms are added raw, and the
 truncated (V . grad)V is formed once per lifting

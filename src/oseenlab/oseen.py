@@ -14,6 +14,7 @@ box mean.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,21 +198,28 @@ def project_oscillatory(field: TimePeriodicField) -> TimePeriodicField:
 class SolveReport:
     """Iteration record of the steady and time-periodic fixed-point drivers.
 
-    ``iterates`` holds the update norms per iteration; ``contraction_rate``
-    is the maximum consecutive-update ratio after the second update,
-    NaN when fewer than three updates exist.
+    ``iterates`` holds the update norms per iteration, ``final_residual`` the
+    certificate and the last two fields the residuals of the certificate
+    solve.  The partial report of a failed run leaves all three NaN.  The
+    contraction rate and the verdict ``converged`` follow from these fields.
     """
 
     iterates: tuple[float, ...]
-    contraction_rate: float
-    final_residual: float
-    converged: bool
-    residual_momentum: float
-    residual_div: float
+    final_residual: float = math.nan
+    residual_momentum: float = math.nan
+    residual_div: float = math.nan
 
     @property
     def iterations(self) -> int:
         return len(self.iterates)
+
+    @property
+    def contraction_rate(self) -> float:
+        return contraction_rate_from_updates(self.iterates)
+
+    @property
+    def converged(self) -> bool:
+        return not math.isnan(self.final_residual)
 
 
 def contraction_rate_from_updates(updates) -> float:

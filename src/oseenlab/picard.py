@@ -18,6 +18,7 @@ smallness inequalities hold for the supplied fitted constant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .exponents import (
@@ -34,7 +35,6 @@ from .oseen import (
     OseenParams,
     SolveReport,
     StokesPair,
-    contraction_rate_from_updates,
     project_oscillatory,
     project_steady,
     residual,
@@ -166,8 +166,8 @@ def radius_schedule(
         )
     if not constant > 0:
         raise ValueError(f"constant must be positive, got {constant}")
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    if not 0 < rho < math.inf:
+        raise ValueError(f"rho must be positive and finite, got {rho}")
     while rho >= _RADIUS_FLOOR:
         first, second = smallness_terms(profile, rho, gamma, constant)
         if first <= rho and second <= 0.5:
@@ -228,23 +228,6 @@ def _check_admissible(profile: ExponentProfile, grid: GridSpec, problem: str) ->
         )
 
 
-def _report(
-    cfg: PicardConfig,
-    updates: list[float],
-    certificate: float | None = None,
-    residuals: tuple[float, float] = (float("nan"), float("nan")),
-) -> SolveReport:
-    """Run record; without a certificate it is the partial report of a failure."""
-    return SolveReport(
-        iterates=tuple(updates),
-        contraction_rate=contraction_rate_from_updates(updates),
-        final_residual=float("nan") if certificate is None else certificate,
-        converged=certificate is not None,
-        residual_momentum=residuals[0],
-        residual_div=residuals[1],
-    )
-
-
 def _fixed_point(
     f,
     cfg: PicardConfig,
@@ -291,7 +274,7 @@ def _fixed_point(
     if norm_u > cfg.rho * (1.0 + 1e-9):
         raise RadiusEscapeError(
             f"initial iterate norm {norm_u:.6e} exceeds rho {cfg.rho:.6e}",
-            _report(cfg, updates),
+            SolveReport(tuple(updates)),
         )
     for _ in range(cfg.max_iter):
         u_new = solve(f + nonlinearity(u, lifting, cfg.lam), params).velocity
@@ -302,7 +285,7 @@ def _fixed_point(
         if scale > cfg.rho * (1.0 + 1e-9):
             raise RadiusEscapeError(
                 f"iterate norm {scale:.6e} left the ball of radius {cfg.rho:.6e}",
-                _report(cfg, updates),
+                SolveReport(tuple(updates)),
             )
         if delta <= cfg.tol * scale:
             break
@@ -311,14 +294,14 @@ def _fixed_point(
             if grow_streak >= 3:
                 raise PicardDivergenceError(
                     "update norms grew three times in a row",
-                    _report(cfg, updates),
+                    SolveReport(tuple(updates)),
                 )
         else:
             grow_streak = 0
     else:
         raise PicardConvergenceError(
             f"no convergence within {cfg.max_iter} iterations",
-            _report(cfg, updates),
+            SolveReport(tuple(updates)),
         )
 
     forcing_star = f + nonlinearity(u, lifting, cfg.lam)
@@ -326,7 +309,7 @@ def _fixed_point(
     certificate = norm(u_check - u, cfg.lam, q, r)
     pair = StokesPair(u, p_check)
     residuals = residual(pair, forcing_star, params)
-    return pair, _report(cfg, updates, certificate, residuals)
+    return pair, SolveReport(tuple(updates), certificate, *residuals)
 
 
 def picard_steady(

@@ -237,6 +237,28 @@ def test_mode_cap_rejected_with_the_config(
     assert "experiment:" not in captured.out
 
 
+def test_infinite_radius_rejected_before_the_run(tmp_path, capsys, monkeypatch):
+    # The radius schedule would halve rho = inf forever, so the run never ends.
+    monkeypatch.setattr(cli, "run_experiment", _must_not_run)
+    ini = tmp_path / "inf.ini"
+    ini.write_text(
+        "[experiment]\nname = picard-steady\npoints = 16\nlambda_grid = 1.0\n"
+        "q = 4\ngamma = 1.1\nrho = inf\n"
+    )
+    assert main(["picard-steady", "--config", str(ini)]) == 1
+    captured = capsys.readouterr()
+    assert "error: rho must be positive and finite, got inf" in captured.err
+    assert captured.out == ""
+
+
+def test_negative_seed_rejected_before_the_run(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_experiment", _must_not_run)
+    assert main(["bilinear", "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert "error: seed must be nonnegative, got -1" in captured.err
+    assert captured.out == ""
+
+
 def test_short_bilinear_sweep_rejected_before_any_run_output(
     tmp_path, capsys, monkeypatch
 ):

@@ -1,0 +1,59 @@
+"""The output comparison of ``tools/default_runs.py`` on toy run directories."""
+
+from __future__ import annotations
+
+import importlib.util
+import math
+import pathlib
+
+import pytest
+
+_TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "default_runs.py"
+_SPEC = importlib.util.spec_from_file_location("default_runs", _TOOL)
+default_runs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(default_runs)
+
+
+def _write(directory: pathlib.Path, files: dict[str, str]) -> pathlib.Path:
+    directory.mkdir()
+    for name, text in files.items():
+        (directory / name).write_text(text)
+    return directory
+
+
+def test_relative_difference_of_cells():
+    assert default_runs.relative_difference("1.5", "1.5") == 0.0
+    assert default_runs.relative_difference("1.0", "1.00") == 0.0
+    assert default_runs.relative_difference("nan", "NaN") == 0.0
+    assert default_runs.relative_difference("1.1", "1.0") == pytest.approx(0.1)
+    assert default_runs.relative_difference("1e-300", "0") == math.inf
+    assert default_runs.relative_difference("PASS", "FAIL") == math.inf
+
+
+def test_compare_reports_each_file(tmp_path):
+    table = "lambda,value,flag\n1,2.0,x\n2,4.0,y\n"
+    moved = "lambda,value,flag\n1,2.0,x\n2,4.000000000001,y\n"
+    dat = "# lambda value\n1 2.0\n2 4.0\n"
+    ref = _write(tmp_path / "ref", {
+        "a.csv": table, "b.csv": table, "b.dat": dat, "a.stdout": "ok\n",
+        "c.stdout": "gone\n",
+    })
+    out = _write(tmp_path / "out", {
+        "a.csv": table, "b.csv": moved, "b.dat": dat.replace("4.0", "5.0"),
+        "a.stdout": "ok!\n", "d.csv": table,
+    })
+    report = default_runs.compare(out, ref)
+    assert report[0] == "a.csv: byte-identical"
+    assert report[1] == "a.stdout: differs"
+    assert report[2].startswith("b.csv: largest relative difference value 2.5")
+    assert "lambda" not in report[2] and "flag" not in report[2]
+    assert report[3] == "b.dat: largest relative difference value 0.25"
+    assert report[4] == f"c.stdout: missing in {out}"
+    assert report[5] == f"d.csv: missing in {ref}"
+    assert len(report) == 6
+
+
+def test_compare_flags_a_changed_header(tmp_path):
+    ref = _write(tmp_path / "ref", {"t.csv": "a,b\n1,2\n"})
+    out = _write(tmp_path / "out", {"t.csv": "a,c\n1,2\n"})
+    assert default_runs.compare(out, ref) == ["t.csv: header or row count differs"]

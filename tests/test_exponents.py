@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -238,7 +239,7 @@ def test_gamma_interval_errors():
 
 
 def test_profile_build_reference_configuration():
-    profile = ExponentProfile.build(3, 4.0, 2.0)
+    profile = ExponentProfile(3, 4.0, 2.0)
     assert profile.m_exponent == 0
     assert profile.theta == 1.0
     assert profile.eta == ETA_FALLBACK == 2.0
@@ -249,11 +250,26 @@ def test_profile_build_reference_configuration():
     assert abs(profile.gamma_midpoint() - 0.5 * (lower + upper)) <= 1e-15
 
 
+def test_profile_stores_only_n_q_r_and_derives_the_rest():
+    profile = ExponentProfile(6, 4, 1.2)
+    assert [f.name for f in dataclasses.fields(profile)] == ["n", "q", "r"]
+    assert type(profile.q) is float and profile.q == 4.0
+    assert profile.m_exponent == 2
+    assert profile.theta == theta_exponent(6, 4.0, 1.2)
+    assert profile.gamma_range == gamma_interval(
+        6, 2, profile.theta, ZETA_FALLBACK, ETA_FALLBACK
+    )
+    assert profile == ExponentProfile(6, 4.0, 1.2)
+    # An inadmissible triple fails when the profile is built, not when read.
+    with pytest.raises(ValueError, match="theta undefined"):
+        ExponentProfile(3, 2.0, 2.0)
+
+
 # --- radius schedule ------------------------------------------------------
 
 
 def _profile():
-    return ExponentProfile.build(3, 4.0, 2.0)
+    return ExponentProfile(3, 4.0, 2.0)
 
 
 def test_schedule_exponents_exceed_one_inside_the_interval():
@@ -286,7 +302,7 @@ def test_smallness_terms_carry_the_m_terms_in_six_dimensions():
     # n = 6, r = 1.2 <= n/(n-1) gives M = 2, and build() accepts the steady
     # profile: the M terms are live maths, only unreachable on a 2-D or 3-D
     # grid.  theta = (n+1) q r / (n (n+1) (q - r) + q r) = 14/51.
-    profile = ExponentProfile.build(6, 4.0, 1.2)
+    profile = ExponentProfile(6, 4.0, 1.2)
     assert profile.m_exponent == 2
     assert profile.gamma_range == pytest.approx((1.4, 1.75), rel=1e-14)
     theta = 7 * 4.0 * 1.2 / (6 * 7 * (4.0 - 1.2) + 4.0 * 1.2)
@@ -360,6 +376,13 @@ def test_radius_schedule_errors():
     with pytest.raises(RadiusFloorError, match="no radius above the floor"):
         radius_schedule(0.1, 1.5, profile, 1e12)
     assert issubclass(RadiusFloorError, ValueError)
+
+
+@pytest.mark.parametrize("rho", [math.inf, math.nan])
+def test_radius_schedule_rejects_a_non_finite_radius(rho):
+    # Halving infinity never reaches the floor, so this call used to hang.
+    with pytest.raises(ValueError, match="rho must be positive and finite"):
+        radius_schedule(rho, 1.1, ExponentProfile(3, 4.0, 2.0), 1.0)
 
 
 def test_picard_config_validation():

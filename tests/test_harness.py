@@ -90,9 +90,20 @@ def test_leverage_is_zero_for_a_clean_power_law():
 # --- result containers -------------------------------------------------------
 
 
+# Verdicts at values 1, 2 and 3 against the bound 2.
+_VERDICTS = {"le": (True, True, False), "lt": (True, False, False), "ge": (False, True, True)}
+
+
+@pytest.mark.parametrize("kind", _VERDICTS)
+def test_check_record_verdict_follows_value_bound_and_kind(kind):
+    verdicts = tuple(CheckRecord("x", v, 2.0, kind).passed for v in (1.0, 2.0, 3.0))
+    assert verdicts == _VERDICTS[kind]
+    assert not CheckRecord("x", math.nan, 2.0, kind).passed
+
+
 def test_check_record_describes_the_verdict():
-    passing = CheckRecord("demo", 1.0, 2.0, "le", True)
-    failing = CheckRecord("demo", 3.0, 2.0, "lt", False)
+    passing = CheckRecord("demo", 1.0, 2.0, "le")
+    failing = CheckRecord("demo", 3.0, 2.0, "lt")
     assert passing.describe() == "PASS demo: 1 <= 2"
     assert failing.describe() == "FAIL demo: 3 < 2"
 
@@ -113,7 +124,7 @@ def test_scaling_result_validates_row_width_and_reads_columns():
     result = _toy_result()
     assert np.array_equal(result.column("value"), [2.0, 4.0])
     assert result.all_passed  # vacuous without checks
-    failed = _toy_result(checks=(CheckRecord("x", 3.0, 2.0, "le", False),))
+    failed = _toy_result(checks=(CheckRecord("x", 3.0, 2.0, "le"),))
     assert not failed.all_passed
     with pytest.raises(ValueError, match="row width"):
         _toy_result(rows=((1.0,),))
@@ -148,6 +159,18 @@ def test_config_rejects_malformed_inputs():
 def test_config_rejects_non_finite_exponents(experiment, name, value):
     with pytest.raises(ValueError, match=f"^{name} must be finite, got"):
         ExperimentConfig(experiment, GridSpec(3, np.pi, 16), (2.0,), **{name: value})
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan, 0.0])
+def test_config_rejects_a_radius_that_is_not_positive_and_finite(value):
+    # At rho = inf the radius schedule would halve forever.
+    with pytest.raises(ValueError, match="^rho must be positive and finite, got"):
+        ExperimentConfig("picard-steady", GridSpec(3, np.pi, 16), (2.0,), rho=value)
+
+
+def test_config_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="^seed must be nonnegative, got -1"):
+        ExperimentConfig("mms", GridSpec(3, np.pi, 16), (2.0,), seed=-1)
 
 
 def test_wake_floor_guards_the_solving_sweeps():
@@ -588,7 +611,7 @@ def test_planar_drift_weight_is_flagged_not_asserted():
 
 
 def test_smallness_constant_is_stable_under_refinement():
-    profile = ExponentProfile.build(3, 4.0, 2.0)
+    profile = ExponentProfile(3, 4.0, 2.0)
     coarse = fit_smallness_constant(GridSpec(3, np.pi, 16), profile, seed=0)
     fine = fit_smallness_constant(GridSpec(3, np.pi, 24), profile, seed=0)
     assert coarse > 0
@@ -636,7 +659,7 @@ def test_smallness_constant_on_the_probe_grid_matches_the_full_grid(
     # The probes are band-limited, so the coarse probe grid integrates their
     # even-power norms exactly: the fit moves by roundoff only.
     monkeypatch.setattr(harness, "_FIT_CACHE", OrderedDict())
-    profile = ExponentProfile.build(3, 4.0, 2.0)
+    profile = ExponentProfile(3, 4.0, 2.0)
     grid = GridSpec(3, np.pi, points)
     assert fit_smallness_constant(grid, profile, seed=0) == pytest.approx(
         _full_grid_fit(grid, profile, 0), rel=1e-13
@@ -656,7 +679,7 @@ def test_fit_roundoff_cannot_move_the_scheduled_radius(experiment):
 
 def test_smallness_constant_cache_keys_on_the_whole_grid(monkeypatch):
     monkeypatch.setattr(harness, "_FIT_CACHE", OrderedDict())
-    profile = ExponentProfile.build(3, 4.0, 2.0)
+    profile = ExponentProfile(3, 4.0, 2.0)
     # Same dim and points, another box: a cache keyed on the shape alone
     # would hand back the first grid's constant.
     other = GridSpec(3, 1.0, 8)
@@ -669,7 +692,7 @@ def test_smallness_constant_cache_keys_on_the_whole_grid(monkeypatch):
 
 def test_smallness_constant_rejects_a_profile_of_another_dimension(monkeypatch):
     monkeypatch.setattr(harness, "_FIT_CACHE", OrderedDict())
-    profile = ExponentProfile.build(4, 4.0, 2.0)
+    profile = ExponentProfile(4, 4.0, 2.0)
     with pytest.raises(ValueError, match="profile is for n = 4, but the grid has dim 3"):
         fit_smallness_constant(GridSpec(3, np.pi, 8), profile)
     assert not harness._FIT_CACHE
@@ -678,7 +701,7 @@ def test_smallness_constant_rejects_a_profile_of_another_dimension(monkeypatch):
 def test_smallness_constant_cache_is_bounded(monkeypatch):
     monkeypatch.setattr(harness, "_FIT_CACHE", OrderedDict())
     monkeypatch.setattr(harness, "_FIT_CACHE_SIZE", 2)
-    profile = ExponentProfile.build(3, 4.0, 2.0)
+    profile = ExponentProfile(3, 4.0, 2.0)
     grid = GridSpec(3, np.pi, 8)
     for seed in (0, 1, 2):
         fit_smallness_constant(grid, profile, seed=seed)

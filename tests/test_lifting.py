@@ -11,6 +11,7 @@ from oseenlab.lifting import (
     LiftingField,
     build_cutoff,
     build_lifting,
+    center_distance,
     default_cutoff,
     lifting_load,
 )
@@ -306,3 +307,124 @@ def test_is_zero_reads_the_velocity_and_jacobian():
         laplacian=np.zeros((grid.dim,) + grid.shape),
     )
     assert not hand.is_zero
+
+
+# ---------------------------------------------------------------------------
+# the rule-built lifting against the hand-derived closed forms it replaced
+
+
+def _closed_form_lifting(lam, spec, grid):
+    """Reference copy of the former kernel: V, jacobian and laplacian from
+    hand-derived radial combinations of the profile derivatives."""
+    dim = grid.dim
+    sparse = [x - c for x, c in zip(grid.coordinates(), grid.center)]
+    centered = [np.broadcast_to(x, grid.shape) for x in sparse]
+    rho = center_distance(grid)
+    safe = np.where(rho > 0, rho, 1.0)
+    unit = [x / safe for x in centered]
+    y = centered[1]
+    y2 = y * y
+
+    phi = spec.value(rho)
+    d1 = spec.derivative(rho, 1)
+    d2 = spec.derivative(rho, 2)
+    d3 = spec.derivative(rho, 3)
+    d4 = spec.derivative(rho, 4)
+
+    # Radial combinations; all vanish outside the transition zone because
+    # the profile derivatives do.
+    c = d1 / safe
+    b = d2 - c
+    c_p = d2 / safe - d1 / safe**2
+    b_p = d3 - c_p
+    a = d2 + (dim + 3) * c
+    a_p = d3 + (dim + 3) * c_p
+    c_pp = d3 / safe - 2.0 * d2 / safe**2 + 2.0 * d1 / safe**3
+    a_pp = d4 + (dim + 3) * c_pp
+    b_pp = d4 - c_pp
+    h = b / safe**2
+    h_p = b_p / safe**2 - 2.0 * b / safe**3
+    h_pp = b_pp / safe**2 - 4.0 * b_p / safe**3 + 6.0 * b / safe**4
+
+    lap_g = a * y2 + 2.0 * phi
+    half_lam = 0.5 * lam
+
+    velocity = np.zeros((dim,) + grid.shape)
+    jacobian = np.zeros((dim, dim) + grid.shape)
+    laplacian = np.zeros((dim,) + grid.shape)
+
+    grad_lap_g = [a_p * unit[k] * y2 + 2.0 * d1 * unit[k] for k in range(dim)]
+    grad_lap_g[1] = grad_lap_g[1] + 2.0 * a * y
+
+    lap_lap_g = (
+        (a_pp + (dim + 3) * a_p / safe) * y2
+        + 2.0 * a
+        + 2.0 * d2
+        + 2.0 * (dim - 1) * c
+    )
+    radial_c2 = c_pp + (dim + 3) * c_p / safe
+
+    for i in range(dim):
+        hess_i1 = b * unit[i] * unit[0] * y2
+        if i == 0:
+            hess_i1 = hess_i1 + c * y2
+        if i == 1:
+            hess_i1 = hess_i1 + 2.0 * d1 * unit[0] * y
+        velocity[i] = half_lam * (-(lap_g if i == 0 else 0.0) + hess_i1)
+
+        lap_hess = h_pp + (dim + 7) * h_p / safe
+        lap_hess = lap_hess * centered[i] * centered[0] * y2
+        lap_hess = lap_hess + h * 2.0 * centered[i] * centered[0]
+        if i == 0:
+            lap_hess = lap_hess + h * 2.0 * y2 + radial_c2 * y2 + 2.0 * c
+        if i == 1:
+            lap_hess = lap_hess + h * 4.0 * centered[0] * y
+            lap_hess = lap_hess + 2.0 * radial_c2 * centered[0] * y
+        laplacian[i] = half_lam * (-(lap_lap_g if i == 0 else 0.0) + lap_hess)
+
+        for k in range(dim):
+            grad_hess = b_p * unit[k] * unit[i] * unit[0] * y2
+            grad_hess = grad_hess + (b / safe) * (
+                ((1.0 if k == i else 0.0) - unit[k] * unit[i]) * unit[0]
+                + unit[i] * ((1.0 if k == 0 else 0.0) - unit[k] * unit[0])
+            ) * y2
+            if k == 1:
+                grad_hess = grad_hess + 2.0 * b * unit[i] * unit[0] * y
+            if i == 0:
+                grad_hess = grad_hess + c_p * unit[k] * y2
+                if k == 1:
+                    grad_hess = grad_hess + 2.0 * c * y
+            if i == 1:
+                grad_hess = grad_hess + 2.0 * d2 * unit[k] * unit[0] * y
+                if k == 1:
+                    grad_hess = grad_hess + 2.0 * d1 * unit[0]
+                grad_hess = grad_hess + 2.0 * d1 * y * (
+                    (1.0 if k == 0 else 0.0) - unit[k] * unit[0]
+                ) / safe
+            jacobian[i, k] = half_lam * (
+                -(grad_lap_g[k] if i == 0 else 0.0) + grad_hess
+            )
+
+    return velocity, jacobian, laplacian
+
+
+@pytest.mark.parametrize("dim, n", [(2, 64), (3, 24), (3, 32)])
+@pytest.mark.parametrize("lam", [0.7, 1.3])
+def test_rule_built_lifting_matches_the_closed_forms(dim, n, lam):
+    grid = GridSpec(dim, np.pi, n)
+    spec = default_cutoff(grid)
+    lifting = build_lifting(lam, spec, grid)
+    produced = (lifting.velocity.components, lifting.jacobian, lifting.laplacian)
+    for new, old in zip(produced, _closed_form_lifting(lam, spec, grid)):
+        scale = np.max(np.abs(old))
+        assert scale > 0.0
+        assert np.max(np.abs(new - old)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("dim, n", [(2, 64), (3, 24)])
+def test_zero_drift_lifting_is_exactly_zero(dim, n):
+    grid = GridSpec(dim, np.pi, n)
+    lifting = build_lifting(0.0, default_cutoff(grid), grid)
+    assert lifting.is_zero
+    for values in (lifting.velocity.components, lifting.jacobian, lifting.laplacian):
+        assert np.all(values == 0)

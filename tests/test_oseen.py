@@ -20,6 +20,7 @@ from oseenlab.lifting import build_lifting, default_cutoff
 from oseenlab.norms import lq_norm, spacetime_l2_plancherel
 from oseenlab.oseen import (
     OseenParams,
+    SolveReport,
     StokesPair,
     _mode_solution_coeff,
     apply_oseen,
@@ -609,3 +610,13 @@ def test_contraction_rate_from_updates():
     assert np.isnan(contraction_rate_from_updates((0.5,)))
     assert contraction_rate_from_updates((1.0, 0.5, 0.2)) == pytest.approx(0.5)
     assert contraction_rate_from_updates((1.0, 0.25, 0.2)) == pytest.approx(0.8)
+
+
+def test_solve_report_derives_its_rate_and_verdict():
+    partial = SolveReport((1.0, 0.5, 0.2))
+    assert partial.contraction_rate == contraction_rate_from_updates((1.0, 0.5, 0.2))
+    assert not partial.converged
+    assert np.isnan(partial.residual_momentum) and np.isnan(partial.residual_div)
+    done = SolveReport((1.0, 0.5), 1e-12, 2e-13, 0.0)
+    assert done.converged and done.iterations == 2
+    assert done.contraction_rate == 0.5

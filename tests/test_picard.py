@@ -54,7 +54,7 @@ def grid():
 
 @pytest.fixture(scope="module")
 def profile():
-    return ExponentProfile.build(3, Q, R)
+    return ExponentProfile(3, Q, R)
 
 
 @pytest.fixture(scope="module")
@@ -430,7 +430,7 @@ def test_time_periodic_initial_must_match_the_forcing_modes(
 
 
 def test_inadmissible_exponent_pairs_are_rejected(grid, free_lifting):
-    profile = ExponentProfile.build(3, 5.0, 2.1)
+    profile = ExponentProfile(3, 5.0, 2.1)
     cfg = PicardConfig.from_schedule(profile, 0.05, 1.5)
     f = VectorField.zeros(grid)
     with pytest.raises(ValueError, match="inadmissible for steady-nonlinear"):
