@@ -165,8 +165,8 @@ class ExperimentConfig:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.gamma is not None and not self.gamma > 1:
             raise ValueError(f"gamma must exceed 1, got {self.gamma}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if (self.inner_radius is None) != (self.outer_radius is None):
             raise ValueError("inner_radius and outer_radius must be set together")
         if self.forcing_shell is not None:
@@ -504,6 +504,12 @@ _FIT_SAMPLES = 8
 _FIT_DRIFTS = (0.25, 1.0, 4.0)
 
 
+def _integrand_exponents(n: int, q: float, r: float) -> tuple[float, ...]:
+    """The Lebesgue exponents of the norms the fit and the ensemble evaluate:
+    q, r and the wake exponent s (``_exact_grid`` needs each even)."""
+    return (q, r, s_exponent(n, r))
+
+
 def fit_smallness_constant(
     grid: GridSpec, profile: ExponentProfile, *, seed: int = 0
 ) -> float:
@@ -534,7 +540,7 @@ def fit_smallness_constant(
     n, q, r = profile.n, profile.q, profile.r
     weight = 1.0 / (n + 1)
     mode_cap = _default_mode_cap(grid)
-    probe_grid = _exact_grid(grid, mode_cap, (q, r, s_exponent(n, r)))
+    probe_grid = _exact_grid(grid, mode_cap, _integrand_exponents(n, q, r))
 
     def draw(on_grid):
         return [
@@ -1016,6 +1022,21 @@ _BILINEAR_NAMES = (
 )
 
 
+def _ensemble_grid(cfg: ExperimentConfig) -> GridSpec:
+    """The coarsest grid that integrates the bilinear ensemble exactly.
+
+    The draws keep modes with |m_i| <= B (B = 1 for the built-in shell
+    (1.0, 1.8), whose cap is 2), so the convective products have band 2B;
+    :func:`oseenlab.norms._exact_grid` gives 10^3 for the built-in 16^3
+    config, and ``cfg.grid`` itself where no coarser grid is exact.
+    """
+    shell = cfg.forcing_shell and tuple(cfg.forcing_shell)
+    modes = _mode_list(cfg.grid, cfg.mode_cap, shell, cfg.drift_mode_cap)
+    band = 2 * int(np.max(np.abs(modes)))
+    exponents = _integrand_exponents(cfg.grid.dim, cfg.q, cfg.r)
+    return _exact_grid(cfg.grid, band, exponents)
+
+
 def _run_bilinear_ensemble(cfg: ExperimentConfig) -> ScalingResult:
     """Fit the convective-estimate constants and drift exponents.
 
@@ -1024,8 +1045,13 @@ def _run_bilinear_ensemble(cfg: ExperimentConfig) -> ScalingResult:
     and the fitted exponents are minus (n+1) times its log-log slope.
     Steady denominators use the wake norm; oscillatory denominators use the
     maximal-regularity norm and carry no drift weight.
+
+    The ensemble is drawn and evaluated on :func:`_ensemble_grid`, where
+    every norm it takes is exact.  The draws attach to mode indices in an
+    order set by the caps alone, so each seed gives the same continuum
+    fields there as on ``cfg.grid``, and the table moves by roundoff only.
     """
-    grid = cfg.grid
+    grid = _ensemble_grid(cfg)
     n = grid.dim
     theta_formula = theta_exponent(n, cfg.q, cfg.r)
     weight = 1.0 / (n + 1)

@@ -31,8 +31,11 @@ q keep 4K + 8.
 The same rule holds in space.  For u band-limited to |m_i| <= B and an even
 integer e, |D^alpha u|^e has degree eB per axis, so the rectangle rule on
 N > eB points per axis is exact; :func:`_exact_grid` picks the coarsest such
-grid whose dealias cutoff still holds the band, and callers that draw
-band-limited fields may evaluate their norms there.
+grid whose dealias cutoff still holds the band.  Two callers evaluate there:
+``harness.fit_smallness_constant`` takes its linear probes on it (band: the
+default mode cap), and ``harness._run_bilinear_ensemble`` draws and
+evaluates its whole ensemble on it (band: twice the draws' largest |m_i|,
+which the convective products reach).
 
 ``lq_norm`` keeps its 4K + 8 instants and ``negative_norm_surrogate`` its
 inverse transform at r = 2, both on the full grid: through

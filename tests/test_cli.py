@@ -251,6 +251,20 @@ def test_infinite_radius_rejected_before_the_run(tmp_path, capsys, monkeypatch):
     assert captured.out == ""
 
 
+def test_infinite_tolerance_rejected_before_the_run(tmp_path, capsys, monkeypatch):
+    # At tol = inf the certificate checks would print PASS against inf.
+    monkeypatch.setattr(cli, "run_experiment", _must_not_run)
+    ini = tmp_path / "tol.ini"
+    ini.write_text(
+        "[experiment]\nname = picard-steady\npoints = 16\nlambda_grid = 1.0\n"
+        "q = 4\ngamma = 1.1\ntol = inf\n"
+    )
+    assert main(["picard-steady", "--config", str(ini)]) == 1
+    captured = capsys.readouterr()
+    assert "error: tol must be positive and finite, got inf" in captured.err
+    assert captured.out == ""
+
+
 def test_negative_seed_rejected_before_the_run(capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_experiment", _must_not_run)
     assert main(["bilinear", "--seed", "-1"]) == 1

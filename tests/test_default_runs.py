@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.util
 import math
 import pathlib
+import re
 
 import pytest
 
@@ -57,3 +58,31 @@ def test_compare_flags_a_changed_header(tmp_path):
     ref = _write(tmp_path / "ref", {"t.csv": "a,b\n1,2\n"})
     out = _write(tmp_path / "out", {"t.csv": "a,c\n1,2\n"})
     assert default_runs.compare(out, ref) == ["t.csv: header or row count differs"]
+
+
+def test_runs_report_time_and_fail_on_a_failing_experiment(
+    tmp_path, capsys, monkeypatch
+):
+    from oseenlab import cli, harness
+
+    def fake_main(argv):
+        name = argv[0]
+        print(f"ran {name}")
+        pathlib.Path(argv[2]).write_text("a\n1\n")
+        return 1 if name == "broken" else 0
+
+    monkeypatch.setattr(cli, "main", fake_main)
+    monkeypatch.setattr(harness, "EXPERIMENTS", ("fine", "broken"))
+    out = tmp_path / "runs"
+    assert default_runs.main([str(out)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert re.fullmatch(r"fine: exit 0 in \d+\.\d\d s", lines[0])
+    assert re.fullmatch(r"broken: exit 1 in \d+\.\d\d s", lines[1])
+    # The wall time reaches the console only, so --against stays meaningful.
+    assert (out / "fine.stdout").read_text() == "ran fine\n"
+    assert sorted(p.name for p in out.iterdir()) == [
+        "broken.csv", "broken.stdout", "fine.csv", "fine.stdout",
+    ]
+    monkeypatch.setattr(harness, "EXPERIMENTS", ("fine",))
+    assert default_runs.main([str(tmp_path / "ok")]) == 0

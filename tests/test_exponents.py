@@ -395,3 +395,21 @@ def test_picard_config_validation():
         PicardConfig(profile, 0.1, 1.5, 0.01, 0.0)
     with pytest.raises(ValueError, match="max_iter must be at least 1"):
         PicardConfig(profile, 0.1, 1.5, 0.01, 0.01, max_iter=0)
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ("rho", "rho must be positive and finite"),
+        ("lam", "lam must be nonnegative and finite"),
+        ("epsilon", "epsilon must be positive and finite"),
+        ("tol", "tol must be positive and finite"),
+    ],
+)
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_picard_config_rejects_a_non_finite_value(field, message, value):
+    # At tol = inf the driver would stop after one update, and the checks
+    # whose bounds scale with tol would pass vacuously.
+    settings = dict(rho=0.1, gamma=1.5, lam=0.01, epsilon=0.01, tol=1e-10)
+    with pytest.raises(ValueError, match=f"^{message}, got {value}$"):
+        PicardConfig(_profile(), **{**settings, field: value})

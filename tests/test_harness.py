@@ -168,6 +168,14 @@ def test_config_rejects_a_radius_that_is_not_positive_and_finite(value):
         ExperimentConfig("picard-steady", GridSpec(3, np.pi, 16), (2.0,), rho=value)
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan, 0.0])
+def test_config_rejects_a_tolerance_that_is_not_positive_and_finite(value):
+    # At tol = inf every tol-scaled check bound would pass vacuously.
+    message = f"^tol must be positive and finite, got {value}$"
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig("picard-steady", GridSpec(3, np.pi, 16), (2.0,), tol=value)
+
+
 def test_config_rejects_a_negative_seed():
     with pytest.raises(ValueError, match="^seed must be nonnegative, got -1"):
         ExperimentConfig("mms", GridSpec(3, np.pi, 16), (2.0,), seed=-1)
@@ -733,6 +741,82 @@ def test_bilinear_constants_are_stable_under_resampling():
     # r = (n+1)/2 pins the weak-estimate drift exponent near two
     assert abs(small.constants["fitted_eta"] - 2.0) <= 0.25
     assert any("below the 100-pair reporting floor" in flag for flag in small.flags)
+
+
+def _bilinear_config(points, **overrides):
+    """A reduced bilinear ensemble: 20 pairs, 5 drifts spanning one decade."""
+    settings = dict(
+        grid=GridSpec(3, 1.0e7, points),
+        lambda_grid=tuple(log_spaced(10.0, 100.0, 5)),
+        q=4.0,
+        r=2.0,
+        lambda_ceiling=100.0,
+        forcing_shell=(1.0, 1.8),
+        sample_count=20,
+    )
+    return ExperimentConfig("bilinear", **{**settings, **overrides})
+
+
+def _on_the_config_grid(monkeypatch, cfg):
+    """The ensemble with every draw and norm on ``cfg.grid``."""
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "_ensemble_grid", lambda c: c.grid)
+        return run_experiment(cfg)
+
+
+def test_bilinear_default_config_evaluates_on_its_exact_grid():
+    # The shell (1.0, 1.8) caps the draws at 2, but it keeps only modes with
+    # |m_i| <= 1: the products have band 2, and q = s = 4 needs N > 8.
+    cfg = default_config("bilinear")
+    modes = harness._mode_list(cfg.grid, None, cfg.forcing_shell, None)
+    assert math.ceil(cfg.forcing_shell[1]) == 2
+    assert np.max(np.abs(modes)) == 1
+    assert harness._ensemble_grid(cfg) == GridSpec(3, cfg.grid.half_period, 10)
+    assert cfg.grid.points_per_axis == 16
+
+
+def test_bilinear_ensemble_falls_back_to_the_config_grid():
+    # No coarser grid is exact: 10 points would not be fewer than 8.
+    coarse = _bilinear_config(8)
+    assert harness._ensemble_grid(coarse) is coarse.grid
+    # q = 3 and r = 1.6 are not even integers, so no grid is exact.
+    odd = _bilinear_config(16, q=3.0, r=1.6, sample_count=10)
+    assert harness._ensemble_grid(odd) is odd.grid
+
+
+def test_bilinear_ensemble_off_the_rule_equals_the_config_grid_run(monkeypatch):
+    cfg = _bilinear_config(16, q=3.0, r=1.6, sample_count=10)
+    result = run_experiment(cfg)
+    reference = _on_the_config_grid(monkeypatch, cfg)
+    assert result.rows == reference.rows
+    assert result.constants == reference.constants
+    assert result.slopes == reference.slopes
+    assert result.checks == reference.checks
+    assert result.flags == reference.flags
+
+
+@pytest.mark.parametrize("points", [16, 24])
+def test_bilinear_ensemble_on_its_exact_grid_matches_the_config_grid(
+    monkeypatch, points
+):
+    # The draws are band-limited, so the 10^3 grid integrates every norm of
+    # the ensemble exactly: the table moves by roundoff only.  The reference
+    # runs on the config grid itself, so a bug that depends on N (say, a
+    # wrong volume factor) shows here.
+    cfg = _bilinear_config(points)
+    assert harness._ensemble_grid(cfg).points_per_axis == 10
+    result = run_experiment(cfg)
+    reference = _on_the_config_grid(monkeypatch, cfg)
+    np.testing.assert_allclose(result.rows, reference.rows, rtol=1e-13, atol=0)
+    assert result.constants.keys() == reference.constants.keys()
+    for key, value in reference.constants.items():
+        assert result.constants[key] == pytest.approx(value, rel=1e-13, abs=0), key
+    assert result.slopes.keys() == reference.slopes.keys()
+    for key, slope in reference.slopes.items():
+        assert abs(result.slopes[key] - slope) <= 1e-13 * max(abs(slope), 1.0), key
+    assert [c.passed for c in result.checks] == [c.passed for c in reference.checks]
+    assert [c.name for c in result.checks] == [c.name for c in reference.checks]
+    assert result.flags == reference.flags
 
 
 # --- the draw set-up against the loops it replaced ----------------------------

@@ -391,6 +391,48 @@ def test_exhausted_iteration_budget_raises(grid, profile, free_lifting):
         assert _partial_report(excinfo).iterations == 1
 
 
+def _scripted_run(grid, profile, free_lifting, updates):
+    """The steady contraction loop with a zero solve and a scripted norm.
+
+    The norm reads 0 at the start, then each update in turn with iterate
+    norm 1, then 0 for the certificate; a final update of 0 converges.
+    """
+    values = iter([0.0] + [v for delta in updates for v in (delta, 1.0)])
+    cfg = PicardConfig(profile, rho=10.0, gamma=1.5, lam=0.0, epsilon=1.0)
+    zero = VectorField.zeros(grid)
+
+    def solve(forcing, params):
+        return StokesPair(zero, ScalarField.zeros(grid))
+
+    def norm(field, lam, q, r):
+        return next(values, 0.0)
+
+    return picard._fixed_point(
+        zero, cfg, free_lifting, zero, picard.PROBLEM_STEADY, solve, norm
+    )
+
+
+def test_three_growing_updates_in_a_row_diverge(grid, profile, free_lifting):
+    updates = (1.0, 2.0, 3.0, 4.0, 0.0)
+    with pytest.raises(PicardDivergenceError, match="grew three times") as excinfo:
+        _scripted_run(grid, profile, free_lifting, updates)
+    assert _partial_report(excinfo).iterates == updates[:4]
+
+
+def test_an_update_equal_to_the_last_counts_as_growth(grid, profile, free_lifting):
+    updates = (1.0, 1.0, 1.0, 1.0, 0.0)
+    with pytest.raises(PicardDivergenceError, match="grew three times") as excinfo:
+        _scripted_run(grid, profile, free_lifting, updates)
+    assert _partial_report(excinfo).iterates == updates[:4]
+
+
+def test_a_shrinking_update_resets_the_growth_streak(grid, profile, free_lifting):
+    updates = (1.0, 2.0, 3.0, 2.5, 3.0, 4.0, 0.0)
+    _, report = _scripted_run(grid, profile, free_lifting, updates)
+    assert report.converged
+    assert report.iterates == updates
+
+
 # --- input validation --------------------------------------------------------
 
 

@@ -7,12 +7,14 @@ Run from the repository root with the package importable::
 Each experiment in ``oseenlab.harness.EXPERIMENTS`` runs through
 ``oseenlab.cli.main`` at its built-in configuration, with OUT as the working
 directory, so OUT receives ``NAME.csv``, its ``NAME.dat`` twin and the
-captured ``NAME.stdout``.  With ``--against REF`` (a directory an earlier
-run wrote) every file of either directory is reported as "byte-identical",
-as missing on one side, or, for a table (``.csv`` or ``.dat``), with the
-largest relative difference of each column that moved.  Other files that
-differ are reported as "differs".  The exit status is 1 when any file is
-not byte-identical, else 0.  Standard library and the package only.
+captured ``NAME.stdout``; the console gets one line ``NAME: exit S in T.TT s``
+per experiment (the wall time stays out of the files).  With ``--against
+REF`` (a directory an earlier run wrote) every file of either directory is
+reported as "byte-identical", as missing on one side, or, for a table
+(``.csv`` or ``.dat``), with the largest relative difference of each column
+that moved.  Other files that differ are reported as "differs".  The exit
+status is 1 when any experiment exits non-zero or, with ``--against``, any
+file is not byte-identical, else 0.  Standard library and the package only.
 """
 
 from __future__ import annotations
@@ -23,21 +25,27 @@ import io
 import math
 import pathlib
 import sys
+import time
 
 
-def run_all(out: pathlib.Path) -> None:
-    """Write every experiment's CSV, ``.dat`` and stdout into ``out``."""
-    from oseenlab import cli
-    from oseenlab.harness import EXPERIMENTS
+def run_all(out: pathlib.Path) -> bool:
+    """Write every experiment's CSV, ``.dat`` and stdout into ``out``; True
+    when every experiment exits 0."""
+    from oseenlab import cli, harness
 
     out.mkdir(parents=True, exist_ok=True)
+    all_ok = True
     with contextlib.chdir(out):
-        for name in EXPERIMENTS:
+        for name in harness.EXPERIMENTS:
             captured = io.StringIO()
+            start = time.perf_counter()
             with contextlib.redirect_stdout(captured):
                 status = cli.main([name, "--out", f"{name}.csv"])
+            elapsed = time.perf_counter() - start
             pathlib.Path(f"{name}.stdout").write_text(captured.getvalue())
-            print(f"{name}: exit {status}")
+            print(f"{name}: exit {status} in {elapsed:.2f} s")
+            all_ok = all_ok and status == 0
+    return all_ok
 
 
 def read_table(path: pathlib.Path) -> tuple[list[str], list[list[str]]]:
@@ -97,12 +105,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("out", type=pathlib.Path)
     parser.add_argument("--against", type=pathlib.Path)
     args = parser.parse_args(argv)
-    run_all(args.out)
+    failed = not run_all(args.out)
     if args.against is None:
-        return 0
+        return int(failed)
     report = compare(args.out, args.against)
     print("\n".join(report))
-    return int(any(not line.endswith("byte-identical") for line in report))
+    return int(failed or any(not line.endswith("byte-identical") for line in report))
 
 
 if __name__ == "__main__":
