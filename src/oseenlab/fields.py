@@ -99,8 +99,10 @@ class GridSpec:
         n = self.points_per_axis
         if not isinstance(n, (int, np.integer)) or n <= 0 or n % 2 != 0:
             raise ValueError(f"points_per_axis must be a positive even integer, got {n}")
-        if not self.half_period > 0:
-            raise ValueError(f"half_period must be positive, got {self.half_period}")
+        if not 0 < self.half_period < np.inf:
+            raise ValueError(
+                f"half_period must be positive and finite, got {self.half_period}"
+            )
 
     @cached_property
     def shape(self) -> tuple[int, ...]:
@@ -382,8 +384,8 @@ class TimePeriodicField(_FieldAlgebra):
         return field
 
     def _take(self, grid: GridSpec, period: float, modes: np.ndarray) -> None:
-        if not period > 0:
-            raise ValueError(f"period must be positive, got {period}")
+        if not 0 < period < np.inf:
+            raise ValueError(f"period must be positive and finite, got {period}")
         if (
             modes.ndim != grid.dim + 2
             or modes.shape[2:] != grid.shape

@@ -24,9 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exponents import (
+    ETA_FALLBACK,
     PROBLEM_LINEAR,
     PROBLEM_STEADY,
     PROBLEM_TP,
+    ZETA_FALLBACK,
     ExponentProfile,
     admissibility,
     exponents_Mdelta,
@@ -96,7 +98,7 @@ class ExperimentConfig:
 
     ``lambda_grid`` must be strictly increasing and confined to
     (0, lambda_ceiling]; the experiment's table entry adds its wake floor
-    c_wake / half_period, (q, r) windows and sweep rule.  ``forcing_shell``
+    (:attr:`wake_floor`), (q, r) windows and sweep rule.  ``forcing_shell``
     restricts random forcing to Euclidean mode radii inside the closed
     interval, ``drift_mode_cap`` caps the |m_1| content, and ``mode_cap``
     bounds the default cube of mode indices; all three exist so a field is
@@ -116,7 +118,6 @@ class ExperimentConfig:
     gamma: float | None = None
     tol: float = 1e-10
     lambda_ceiling: float = 16.0
-    c_wake: float | None = None
     inner_radius: float | None = None
     outer_radius: float | None = None
     mode_cap: int | None = None
@@ -148,11 +149,15 @@ class ExperimentConfig:
         if lams[0] < floor * (1.0 - 1e-12):
             raise WakeConstraintError(
                 f"smallest drift {lams[0]} is below the wake floor "
-                f"{floor} = c_wake / half_period; enlarge the box or raise "
+                f"{floor} = 4 / half_period; enlarge the box or raise "
                 "the sweep"
             )
-        if not self.period > 0:
-            raise ValueError(f"period must be positive, got {self.period}")
+        if not 0 < self.period < math.inf:
+            raise ValueError(f"period must be positive and finite, got {self.period}")
+        for name in ("seed", "time_modes", "sample_count"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value}")
         if self.time_modes < 1:
             raise ValueError(f"time_modes must be >= 1, got {self.time_modes}")
         if self.sample_count < 1:
@@ -163,17 +168,18 @@ class ExperimentConfig:
             raise ValueError(f"rho must be positive and finite, got {self.rho}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.gamma is not None and not self.gamma > 1:
-            raise ValueError(f"gamma must exceed 1, got {self.gamma}")
+        if self.gamma is not None and not 1 < self.gamma < math.inf:
+            raise ValueError(f"gamma must exceed 1 and be finite, got {self.gamma}")
         if not 0 < self.tol < math.inf:
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if (self.inner_radius is None) != (self.outer_radius is None):
             raise ValueError("inner_radius and outer_radius must be set together")
         if self.forcing_shell is not None:
             lo, hi = self.forcing_shell
-            if not 0 < lo <= hi:
+            if not 0 < lo <= hi < math.inf:
                 raise ValueError(
-                    f"forcing_shell must satisfy 0 < lo <= hi, got {self.forcing_shell}"
+                    f"forcing_shell must satisfy 0 < lo <= hi < inf, got "
+                    f"{self.forcing_shell}"
                 )
         for name in ("q", "r"):
             if not math.isfinite(getattr(self, name)):
@@ -206,14 +212,10 @@ class ExperimentConfig:
         object.__setattr__(self, "lambda_grid", lams)
 
     @property
-    def resolved_c_wake(self) -> float:
-        if self.c_wake is not None:
-            return float(self.c_wake)
-        return 4.0 if _TABLE[self.experiment].box_sweep else 0.0
-
-    @property
     def wake_floor(self) -> float:
-        return self.resolved_c_wake / self.grid.half_period
+        """4 / half_period for the box-sweep experiments, else 0."""
+        box_sweep = _TABLE[self.experiment].box_sweep
+        return 4.0 / self.grid.half_period if box_sweep else 0.0
 
     def cutoff_spec(self) -> CutoffSpec:
         if self.inner_radius is not None:
@@ -673,8 +675,7 @@ def _mms_nonlinear(cfg: ExperimentConfig):
         amplitude *= 0.5
     else:
         raise RuntimeError("could not scale the manufactured data under the gate")
-    lifting = build_lifting(0.0, cfg.cutoff_spec(), grid)
-    pair, report = picard_steady(forcing, pcfg, lifting=lifting)
+    pair, report = picard_steady(forcing, pcfg)
     u_star = u_unit * amplitude
     p_star = p_unit * amplitude
     velocity_error = _relative_l2(pair.velocity - u_star, u_star)
@@ -1271,7 +1272,6 @@ def _run_picard(cfg: ExperimentConfig) -> ScalingResult:
     steady = cfg.experiment == "picard-steady"
     grid = cfg.grid
     profile, gamma, constant, base = _picard_schedule(cfg)
-    lifting = build_lifting(0.0, cfg.cutoff_spec(), grid)
     driver = picard_steady if steady else picard_timeperiodic
     norm = lambda_norm if steady else driver_norm_timeperiodic
     forcing_seed, start_seed = (41, 42) if steady else (51, 52)
@@ -1294,7 +1294,7 @@ def _run_picard(cfg: ExperimentConfig) -> ScalingResult:
         pcfg = PicardConfig.from_schedule(profile, rho, gamma, tol=cfg.tol)
         forcing = direction * (0.5 * pcfg.epsilon / unit_size)
         forcing_size = data_size(forcing, cfg.q, cfg.r)
-        solution, report = driver(forcing, pcfg, lifting=lifting)
+        solution, report = driver(forcing, pcfg)
         velocity = solution.velocity
         solution_norm = norm(velocity, pcfg.lam, cfg.q, cfg.r)
         rows.append(
@@ -1326,7 +1326,7 @@ def _run_picard(cfg: ExperimentConfig) -> ScalingResult:
             # A start elsewhere in the ball must reach the same fixed point.
             alt = draw(start_seed)
             alt = alt * (0.5 * rho / norm(alt, pcfg.lam, cfg.q, cfg.r))
-            other, _ = driver(forcing, pcfg, lifting=lifting, initial=alt)
+            other, _ = driver(forcing, pcfg, initial=alt)
             distance = norm(other.velocity - velocity, pcfg.lam, cfg.q, cfg.r)
             checks.append(
                 _check_le(
@@ -1387,7 +1387,7 @@ def exponent_report(n: int, q: float, r: float) -> dict[str, object]:
     if theta is not None:
         try:
             report["gamma_interval"] = gamma_interval(
-                n, m_exp, theta, 1.0 - 1e-6, 2.0
+                n, m_exp, theta, ZETA_FALLBACK, ETA_FALLBACK
             )
         except ValueError as error:
             report["gamma_interval"] = None
@@ -1448,10 +1448,10 @@ class _Experiment:
     built_in: dict
     windows: tuple[str, ...] = ()
     # Experiments that solve on the box at sweep drifts need the wake scale
-    # c/lam to fit inside the box, hence the floor lam >= c_wake / half_period.
+    # c/lam to fit inside the box, hence the floor lam >= 4 / half_period.
     # The other experiments either solve at schedule-determined drifts
     # (fixed-point runs), compare against exact manufactured solutions, or
-    # never solve at all, so their floor is off by default.
+    # never solve at all, so they have no floor.
     box_sweep: bool = False
     sweep: bool = False
 

@@ -148,11 +148,6 @@ class LiftingField:
         return self.velocity.grid
 
     @cached_property
-    def is_zero(self) -> bool:
-        """Whether V and its jacobian, the arrays products read, vanish."""
-        return not (self.velocity.components.any() or self.jacobian.any())
-
-    @cached_property
     def self_advection(self) -> np.ndarray:
         """Dealiased (V . grad)V from the exact jacobian, formed once per lifting."""
         values = self.velocity.components
@@ -206,7 +201,10 @@ def _g_terms(alpha: tuple[int, ...], dim: int) -> tuple:
 def build_lifting(lam: float, spec: CutoffSpec, grid: GridSpec) -> LiftingField:
     """Construct the lifting field for drift coefficient ``lam`` >= 0.
 
-    ``lam = 0`` yields the zero field (the lifting is linear in the drift).
+    The field records ``lam`` as its drift, which the nonlinearity and the
+    Picard drivers read, so build it at the drift of the problem it enters.
+    ``lam = 0`` yields the zero field (the lifting is linear in the drift);
+    the obstacle-free problem passes no lifting at all.
     """
     if lam < 0:
         raise ValueError(f"lam must be nonnegative, got {lam}")

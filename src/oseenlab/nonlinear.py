@@ -1,10 +1,14 @@
 """Quadratic momentum nonlinearity around the lifting, and the dealiased
 convective product.
 
-The nonlinearity of the perturbation u around the lifting field is
+The nonlinearity of the perturbation u around the lifting field V is
 
     -(u . grad)u - (u . grad)V - (V . grad)u - (V . grad)V
-    + laplacian(V) - lam * d1(V).
+    + laplacian(V) - lam * d1(V),
+
+where lam is the lifting's own drift (:attr:`LiftingField.lambda_used`).
+Without an obstacle there is no lifting (V = 0) and only -(u . grad)u is
+formed: 21 instead of 33 single-component transforms per instant at dim 3.
 
 Band-limited factors follow the truncate-multiply-truncate dealiasing
 pattern.  The lifting V and its derivative arrays are exact pointwise
@@ -19,9 +23,6 @@ axis, and forms (u . grad)u, (u . grad)V and (V . grad)u pointwise from
 them.  The three products are still truncated one by one and summed in a
 fixed order: merging the truncations would be the same map in exact
 arithmetic but would not reproduce the separate truncations bit for bit.
-A zero lifting (:attr:`LiftingField.is_zero`, as in every Picard run) makes
-the V products exact zeros, so only (u . grad)u is formed, with the same
-bits: 21 instead of 33 single-component transforms per instant at dim 3.
 The bilinear kernel ``_convective`` takes sample arrays whose leading axes
 broadcast, so a steady factor against many time instants is transformed
 once, not once per instant.
@@ -71,48 +72,40 @@ def _convective(grid: GridSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _irfftn(_rfftn(acc, grid.dim) * mask, grid.shape)
 
 
-def _lifting_only_terms(lifting: LiftingField, lam: float) -> np.ndarray:
+def _lifting_only_terms(lifting: LiftingField) -> np.ndarray:
     """-(V . grad)V + laplacian(V) - lam * d1(V), the u-independent forcing."""
     return (
         -lifting.self_advection
         + lifting.laplacian
-        - lam * lifting.jacobian[:, 0]
+        - lifting.lambda_used * lifting.jacobian[:, 0]
     )
 
 
-def _check_inputs(u_grid: GridSpec, lifting: LiftingField, lam: float) -> None:
-    if u_grid != lifting.grid:
-        raise ValueError("field and lifting live on different grids")
-    if lam < 0:
-        raise ValueError(f"lam must be nonnegative, got {lam}")
-
-
 def _quadratic_samples(
-    grid: GridSpec, a: np.ndarray, lifting: LiftingField
+    grid: GridSpec, a: np.ndarray, lifting: LiftingField | None
 ) -> np.ndarray:
     """(a . grad)a + (a . grad)V + (V . grad)a for one physical sample.
 
     One forward transform of ``a`` feeds the truncated samples and every
     gradient axis; each product is accumulated axis by axis, truncated on
-    its own, and the three are summed in this order.  A zero lifting forms
-    (a . grad)a alone.
+    its own, and the three are summed in this order.  Without a lifting
+    only (a . grad)a is formed.
     """
     a_hat = _fftn(a, grid.dim) * grid.dealias_mask
     a_t = _ifftn(a_hat, grid.dim).real
-    values = lifting.velocity.components
     conv = np.zeros(a.shape)
     adv = np.zeros(a.shape)
     ladv = np.zeros(a.shape)
     for k in range(grid.dim):
         da = _ifftn(a_hat * (1j * grid.wavenumber(k)), grid.dim).real
         conv = conv + a_t[k] * da
-        if not lifting.is_zero:
+        if lifting is not None:
             adv = adv + a_t[k] * lifting.jacobian[:, k]
-            ladv = ladv + values[k] * da
+            ladv = ladv + lifting.velocity.components[k] * da
     # Drop the spectra first so the truncations do not raise peak memory.
     del a_hat, a_t, da
     conv = _truncate_samples(grid, conv)
-    if lifting.is_zero:
+    if lifting is None:
         return conv
     adv = _truncate_samples(grid, adv)
     ladv = _truncate_samples(grid, ladv)
@@ -120,35 +113,35 @@ def _quadratic_samples(
 
 
 def nonlinearity(
-    u: VectorField | TimePeriodicField, lifting: LiftingField, lam: float
+    u: VectorField | TimePeriodicField, lifting: LiftingField | None
 ) -> VectorField | TimePeriodicField:
     """Evaluate the nonlinearity; output matches the shape of ``u``.
 
-    ``lam`` is the drift coefficient of the -lam * d1(V) term; every caller
-    passes the drift of its own problem, so it has no default.
+    ``lifting`` is None for the obstacle-free problem (V = 0); a lifting
+    brings its own drift into the -lam * d1(V) term.
     """
+    if not isinstance(u, (VectorField, TimePeriodicField)):
+        raise TypeError(f"cannot evaluate the nonlinearity of {type(u).__name__}")
+    grid = u.grid
+    if lifting is not None and lifting.grid != grid:
+        raise ValueError("field and lifting live on different grids")
     if isinstance(u, VectorField):
-        _check_inputs(u.grid, lifting, lam)
-        grid = u.grid
-        quad = _quadratic_samples(grid, u.components, lifting)
-        return VectorField(grid, -quad + _lifting_only_terms(lifting, lam))
-    if isinstance(u, TimePeriodicField):
-        _check_inputs(u.grid, lifting, lam)
-        grid = u.grid
-        if u.ncomp != grid.dim:
-            raise ValueError("time-periodic input must be vector-valued")
-        num_samples = 4 * u.max_mode + 1
-        samples = u.sample_times(num_samples)
-        conv = np.empty_like(samples)
-        for j in range(num_samples):
-            conv[j] = _quadratic_samples(grid, samples[j], lifting)
-        quad_tp = TimePeriodicField.from_time_samples(
-            grid, u.period, conv, u.max_mode
-        )
-        modes = -quad_tp.modes
-        modes[0] = modes[0] + _lifting_only_terms(lifting, lam)
-        return TimePeriodicField._adopt(grid, u.period, modes)
-    raise TypeError(f"cannot evaluate the nonlinearity of {type(u).__name__}")
+        out = -_quadratic_samples(grid, u.components, lifting)
+        if lifting is not None:
+            out = out + _lifting_only_terms(lifting)
+        return VectorField(grid, out)
+    if u.ncomp != grid.dim:
+        raise ValueError("time-periodic input must be vector-valued")
+    num_samples = 4 * u.max_mode + 1
+    samples = u.sample_times(num_samples)
+    conv = np.empty_like(samples)
+    for j in range(num_samples):
+        conv[j] = _quadratic_samples(grid, samples[j], lifting)
+    quad_tp = TimePeriodicField.from_time_samples(grid, u.period, conv, u.max_mode)
+    modes = -quad_tp.modes
+    if lifting is not None:
+        modes[0] = modes[0] + _lifting_only_terms(lifting)
+    return TimePeriodicField._adopt(grid, u.period, modes)
 
 
 def convective_product(

@@ -341,20 +341,18 @@ def residual_timeperiodic(
     return float(np.sqrt(mom_total * vol)), float(np.sqrt(div_total * vol))
 
 
-def wake_asymmetry(velocity: VectorField, axis: int = 1) -> float:
-    """Mirror-asymmetry of the speed field about the box center along ``axis``.
+def wake_asymmetry(velocity: VectorField) -> float:
+    """Mirror-asymmetry of the speed field about the box center along the drift.
 
-    Sums |u| over the downstream and upstream half-slabs (excluding the two
-    mirror-fixed planes) and returns (down - up) / (down + up); exactly
-    mirror-symmetric fields give zero up to round-off.  ``axis`` is 1-based.
+    Sums |u| over the downstream and upstream half-slabs along axis 1
+    (excluding the two mirror-fixed planes) and returns
+    (down - up) / (down + up); exactly mirror-symmetric fields give zero up
+    to round-off.
     """
-    grid = velocity.grid
-    if not 1 <= axis <= grid.dim:
-        raise ValueError(f"axis must lie in 1..{grid.dim}, got {axis}")
     speed = velocity.magnitude()
-    n = grid.points_per_axis
+    n = velocity.grid.points_per_axis
     half = n // 2
-    down = float(np.sum(np.take(speed, range(half + 1, n), axis=axis - 1)))
-    up = float(np.sum(np.take(speed, range(1, half), axis=axis - 1)))
+    down = float(np.sum(speed[half + 1 :]))
+    up = float(np.sum(speed[1:half]))
     total = down + up
     return (down - up) / total if total > 0 else 0.0

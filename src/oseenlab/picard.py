@@ -11,6 +11,10 @@ three growing updates in a row, and re-derives a fixed-point certificate
 from scratch after convergence.  Every failure after the start raises a
 :class:`PicardRunError` carrying the partial report.
 
+A lifting of None is the obstacle-free problem (V = 0).  A given lifting
+must live on the forcing's grid and be built at the config's drift: the
+nonlinearity takes the drift of its -lam * d1(V) term from the lifting.
+
 The radius schedule ties the drift coefficient and the data budget to one
 small parameter: lam = epsilon = rho^gamma, with rho halved until the two
 smallness inequalities hold for the supplied fitted constant.
@@ -28,7 +32,7 @@ from .exponents import (
     admissibility,
 )
 from .fields import GridSpec, TimePeriodicField, VectorField
-from .lifting import LiftingField, build_lifting, default_cutoff
+from .lifting import LiftingField
 from .nonlinear import nonlinearity
 from .norms import lambda_norm, lq_norm, maxreg_norm, negative_norm_surrogate
 from .oseen import (
@@ -86,7 +90,6 @@ class PicardConfig:
     lam: float
     epsilon: float
     tol: float = 1e-10
-    max_iter: int = 60
 
     def __post_init__(self) -> None:
         if not 0 < self.rho < math.inf:
@@ -101,8 +104,6 @@ class PicardConfig:
             )
         if not 0 < self.tol < math.inf:
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
     @classmethod
     def from_schedule(
@@ -146,6 +147,7 @@ def smallness_terms(
 
 
 _RADIUS_FLOOR = 1e-8
+_MAX_ITER = 60  # iteration budget of the fixed-point loop
 
 
 def radius_schedule(
@@ -197,24 +199,16 @@ def data_size(f: VectorField | TimePeriodicField, q: float, r: float) -> float:
     return lq_norm(f, q) + negative_norm_surrogate(project_steady(f), r)
 
 
-def _resolve_lifting(
-    lifting: LiftingField | None, grid: GridSpec, lam: float
-) -> LiftingField:
+def _check_lifting(lifting: LiftingField | None, grid: GridSpec, lam: float) -> None:
     if lifting is None:
-        return build_lifting(lam, default_cutoff(grid), grid)
+        return
     if lifting.grid != grid:
         raise ValueError("lifting lives on a different grid")
-    # A lifting built at drift 0 is identically zero and encodes the
-    # obstacle-free problem; it is valid at any drift.  Any other value
-    # must match the config.
-    if lifting.lambda_used != 0.0 and abs(lifting.lambda_used - lam) > 1e-12 * max(
-        lam, 1.0
-    ):
+    if abs(lifting.lambda_used - lam) > 1e-12 * max(lam, 1.0):
         raise ValueError(
             f"lifting was built for drift {lifting.lambda_used}, "
             f"config wants {lam}"
         )
-    return lifting
 
 
 def _check_admissible(profile: ExponentProfile, grid: GridSpec, problem: str) -> None:
@@ -253,11 +247,11 @@ def _fixed_point(
         raise GateError(
             f"forcing size {size:.6e} exceeds the budget {cfg.epsilon:.6e}"
         )
-    lifting = _resolve_lifting(lifting, grid, cfg.lam)
+    _check_lifting(lifting, grid, cfg.lam)
     params = OseenParams(cfg.lam)
 
     if initial is None:
-        u = solve(f + nonlinearity(f * 0.0, lifting, cfg.lam), params).velocity
+        u = solve(f + nonlinearity(f * 0.0, lifting), params).velocity
     elif initial.grid != grid:
         raise ValueError("initial iterate lives on a different grid")
     elif getattr(initial, "period", None) != getattr(f, "period", None):
@@ -278,8 +272,8 @@ def _fixed_point(
             f"initial iterate norm {norm_u:.6e} exceeds rho {cfg.rho:.6e}",
             SolveReport(tuple(updates)),
         )
-    for _ in range(cfg.max_iter):
-        u_new = solve(f + nonlinearity(u, lifting, cfg.lam), params).velocity
+    for _ in range(_MAX_ITER):
+        u_new = solve(f + nonlinearity(u, lifting), params).velocity
         delta = norm(u_new - u, cfg.lam, q, r)
         scale = norm(u_new, cfg.lam, q, r)
         updates.append(delta)
@@ -302,11 +296,11 @@ def _fixed_point(
             grow_streak = 0
     else:
         raise PicardConvergenceError(
-            f"no convergence within {cfg.max_iter} iterations",
+            f"no convergence within {_MAX_ITER} iterations",
             SolveReport(tuple(updates)),
         )
 
-    forcing_star = f + nonlinearity(u, lifting, cfg.lam)
+    forcing_star = f + nonlinearity(u, lifting)
     u_check, p_check = solve(forcing_star, params)
     certificate = norm(u_check - u, cfg.lam, q, r)
     pair = StokesPair(u, p_check)
@@ -322,10 +316,12 @@ def picard_steady(
 ) -> tuple[StokesPair, SolveReport]:
     """Fixed point of u = solve(f + nonlinearity(u)) for steady forcing.
 
-    The default initial iterate is one linear solve of the forcing plus the
-    u-independent part of the nonlinearity; any start inside the radius ball
-    converges to the same fixed point at small data.  The pressure and the
-    residuals come from the certificate solve of the returned velocity.
+    ``lifting`` None (the default) is the obstacle-free problem; a lifting
+    must be built at ``cfg.lam``.  The default initial iterate is one linear
+    solve of the forcing plus the u-independent part of the nonlinearity; any
+    start inside the radius ball converges to the same fixed point at small
+    data.  The pressure and the residuals come from the certificate solve of
+    the returned velocity.
     """
     return _fixed_point(
         f, cfg, lifting, initial, PROBLEM_STEADY, solve_steady, lambda_norm
@@ -341,8 +337,8 @@ def picard_timeperiodic(
     """Fixed point of the time-periodic problem; returns the stack pair.
 
     Stopping, the radius ball, and the certificate all use the decomposed
-    norm from :func:`driver_norm_timeperiodic`.  The pressure comes from the
-    certificate solve, as in :func:`picard_steady`.
+    norm from :func:`driver_norm_timeperiodic`.  The lifting, the initial
+    iterate and the pressure follow :func:`picard_steady`.
     """
     return _fixed_point(
         f, cfg, lifting, initial, PROBLEM_TP, solve_timeperiodic,

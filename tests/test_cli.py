@@ -265,6 +265,33 @@ def test_infinite_tolerance_rejected_before_the_run(tmp_path, capsys, monkeypatc
     assert captured.out == ""
 
 
+def test_infinite_period_rejected_before_the_run(tmp_path, capsys, monkeypatch):
+    # At period = inf every frequency is 0 and the stack is K + 1 steady copies.
+    monkeypatch.setattr(cli, "run_experiment", _must_not_run)
+    ini = tmp_path / "period.ini"
+    ini.write_text(
+        "[experiment]\nname = picard-tp\npoints = 16\nlambda_grid = 1.0\n"
+        "q = 4\ngamma = 1.1\nperiod = inf\n"
+    )
+    assert main(["picard-tp", "--config", str(ini)]) == 1
+    captured = capsys.readouterr()
+    assert "error: period must be positive and finite, got inf" in captured.err
+    assert captured.out == ""
+
+
+def test_retired_wake_constant_rejected_before_the_run(tmp_path, capsys, monkeypatch):
+    # The wake floor is 4 / half_period for the box sweeps; no key moves it.
+    monkeypatch.setattr(cli, "run_experiment", _must_not_run)
+    ini = tmp_path / "wake.ini"
+    ini.write_text(
+        "[experiment]\nname = lifting-check\nlambda_grid = 1.0\nc_wake = 0\n"
+    )
+    assert main(["lifting-check", "--config", str(ini)]) == 1
+    captured = capsys.readouterr()
+    assert "error: unknown config keys: c_wake" in captured.err
+    assert captured.out == ""
+
+
 def test_negative_seed_rejected_before_the_run(capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_experiment", _must_not_run)
     assert main(["bilinear", "--seed", "-1"]) == 1

@@ -73,7 +73,6 @@ rho = 0.01
 gamma = 1.5
 tol = 1e-9
 lambda_ceiling = 8.0
-c_wake = 0.0
 inner_radius = 1.0
 outer_radius = 2.0
 mode_cap = 2
@@ -101,7 +100,6 @@ def test_parse_full_config(tmp_path):
     assert cfg.gamma == 1.5
     assert cfg.tol == 1e-9
     assert cfg.lambda_ceiling == 8.0
-    assert cfg.c_wake == 0.0
     assert cfg.inner_radius == 1.0
     assert cfg.outer_radius == 2.0
     assert cfg.mode_cap == 2
@@ -129,7 +127,6 @@ def test_parse_minimal_config_defaults(tmp_path):
     assert cfg.gamma is None
     assert cfg.tol == 1e-10
     assert cfg.lambda_ceiling == 16.0
-    assert cfg.c_wake is None
     assert cfg.inner_radius is None
     assert cfg.outer_radius is None
     assert cfg.mode_cap is None

@@ -1,7 +1,7 @@
 """The INI loader and the built-in configs against fixed references.
 
 ``_reference_parse_config`` and ``_REFERENCE_KEYS`` are a copy of the loader
-that spelled out its 25 keys and restated every fallback by hand.  The loader
+that spelled out its 24 keys and restated every fallback by hand.  The loader
 now derives its keys, conversions and fallbacks from the fields of
 :class:`ExperimentConfig`; a random subset of the keys with valid values must
 give the same config, or the same error, as the copy.  The seven built-in
@@ -43,7 +43,6 @@ _REFERENCE_KEYS = {
     "rho",
     "gamma",
     "tol",
-    "c_wake",
     "inner_radius",
     "outer_radius",
     "mode_cap",
@@ -118,7 +117,6 @@ def _reference_parse_config(path) -> ExperimentConfig:
         gamma=optfloat("gamma"),
         tol=section.getfloat("tol", fallback=1e-10),
         lambda_ceiling=section.getfloat("lambda_ceiling", fallback=16.0),
-        c_wake=optfloat("c_wake"),
         inner_radius=optfloat("inner_radius"),
         outer_radius=optfloat("outer_radius"),
         mode_cap=optint("mode_cap"),
@@ -145,7 +143,7 @@ def _list(values):
 
 
 # Valid text for every key but ``name``.  Drifts stay above the largest wake
-# floor the other values allow (c_wake 4 over half_period 2).
+# floor the other values allow (4 over half_period 2).
 _VALUES = {
     "dim": st.sampled_from(("2", "3")),
     "points": st.sampled_from(("8", "16", "32")),
@@ -166,7 +164,6 @@ _VALUES = {
     "rho": _number(0.01, 0.1),
     "gamma": _number(1.05, 2.0),
     "tol": _number(1e-12, 1e-6),
-    "c_wake": _number(0.0, 4.0),
     "inner_radius": _number(0.5, 1.0),
     "outer_radius": _number(1.5, 2.5),
     "mode_cap": _integer(1, 4),
@@ -193,7 +190,7 @@ _GROUPS = [_RADII] + [
 
 
 def test_the_draws_cover_every_reference_key():
-    assert len(_REFERENCE_KEYS) == 25
+    assert len(_REFERENCE_KEYS) == 24
     drawn = {key for group in _GROUPS + _SWEEPS for key in group}
     assert drawn | {"name"} == set(_VALUES) | {"name"} == _REFERENCE_KEYS
 
@@ -257,7 +254,6 @@ _COMMON = dict(
     gamma=None,
     tol=1e-10,
     lambda_ceiling=16.0,
-    c_wake=None,
     inner_radius=None,
     outer_radius=None,
     mode_cap=None,

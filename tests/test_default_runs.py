@@ -45,13 +45,31 @@ def test_compare_reports_each_file(tmp_path):
     })
     report = default_runs.compare(out, ref)
     assert report[0] == "a.csv: byte-identical"
-    assert report[1] == "a.stdout: differs"
+    assert report[1] == "a.stdout: line 1 differs: 'ok!' vs 'ok'"
     assert report[2].startswith("b.csv: largest relative difference value 2.5")
     assert "lambda" not in report[2] and "flag" not in report[2]
     assert report[3] == "b.dat: largest relative difference value 0.25"
     assert report[4] == f"c.stdout: missing in {out}"
     assert report[5] == f"d.csv: missing in {ref}"
     assert len(report) == 6
+
+
+def test_compare_shows_the_first_moved_line_of_a_text_file(tmp_path):
+    head = "experiment: mms\nrows: 2  columns: 13\n"
+    moved = "constant picard_rho = " + "9" * 80 + "\n"
+    ref = _write(tmp_path / "ref", {
+        "a.stdout": head + "constant picard_rho = 0.05\nPASS\n",
+        "b.stdout": head, "c.stdout": head + "PASS\n",
+    })
+    out = _write(tmp_path / "out", {
+        "a.stdout": head + moved + "PASS\n", "b.stdout": head + "PASS\n",
+        "c.stdout": head,
+    })
+    assert default_runs.compare(out, ref) == [
+        f"a.stdout: line 3 differs: {moved[:60]!r} vs 'constant picard_rho = 0.05'",
+        "b.stdout: line 3 differs: 'PASS' vs ''",
+        "c.stdout: line 3 differs: '' vs 'PASS'",
+    ]
 
 
 def test_compare_flags_a_changed_header(tmp_path):

@@ -393,8 +393,6 @@ def test_picard_config_validation():
         PicardConfig(profile, 0.0, 1.5, 0.01, 0.01)
     with pytest.raises(ValueError, match="epsilon must be positive"):
         PicardConfig(profile, 0.1, 1.5, 0.01, 0.0)
-    with pytest.raises(ValueError, match="max_iter must be at least 1"):
-        PicardConfig(profile, 0.1, 1.5, 0.01, 0.01, max_iter=0)
 
 
 @pytest.mark.parametrize(

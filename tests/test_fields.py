@@ -49,6 +49,23 @@ def test_grid_validation():
         GridSpec(2, -1.0, 8)
 
 
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_grid_rejects_a_half_period_that_is_not_finite(value):
+    # At half_period = inf the volume is inf and the coordinates are NaN.
+    message = f"^half_period must be positive and finite, got {value}$"
+    with pytest.raises(ValueError, match=message):
+        GridSpec(3, value, 8)
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_stack_rejects_a_period_that_is_not_finite(grid2, value):
+    # At period = inf every frequency would be 0.
+    modes = np.zeros((2, 1) + grid2.shape, complex)
+    message = f"^period must be positive and finite, got {value}$"
+    with pytest.raises(ValueError, match=message):
+        TimePeriodicField(grid2, value, modes)
+
+
 def test_dealias_cutoff_is_two_thirds():
     assert GridSpec(2, 1.0, 32).dealias_cutoff == 10  # floor(2/3 * 16)
     assert GridSpec(3, 1.0, 16).dealias_cutoff == 5

@@ -176,6 +176,31 @@ def test_config_rejects_a_tolerance_that_is_not_positive_and_finite(value):
         ExperimentConfig("picard-steady", GridSpec(3, np.pi, 16), (2.0,), tol=value)
 
 
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("period", math.inf, "period must be positive and finite, got inf"),
+        ("gamma", math.inf, "gamma must exceed 1 and be finite, got inf"),
+        (
+            "forcing_shell",
+            (1.0, math.inf),
+            r"forcing_shell must satisfy 0 < lo <= hi < inf, got \(1.0, inf\)",
+        ),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("time_modes", 1.5, "time_modes must be an integer, got 1.5"),
+        ("sample_count", 2.5, "sample_count must be an integer, got 2.5"),
+    ],
+    ids=["period", "gamma", "forcing_shell", "seed", "time_modes", "sample_count"],
+)
+def test_config_rejects_non_finite_and_non_integer_inputs(name, value, message):
+    # Each was accepted once and failed only later, if at all: period = inf
+    # makes every frequency 0, gamma = inf fails inside the radius schedule,
+    # an infinite shell overflows the mode cap, and a fractional count fails
+    # inside numpy or range.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ExperimentConfig("picard-tp", GridSpec(3, np.pi, 16), (1.0,), **{name: value})
+
+
 def test_config_rejects_a_negative_seed():
     with pytest.raises(ValueError, match="^seed must be nonnegative, got -1"):
         ExperimentConfig("mms", GridSpec(3, np.pi, 16), (2.0,), seed=-1)
@@ -187,14 +212,13 @@ def test_wake_floor_guards_the_solving_sweeps():
     with pytest.raises(WakeConstraintError, match="below the wake floor"):
         ExperimentConfig("scaling-steady", grid, (0.5, 13.0))
     cfg = ExperimentConfig("scaling-steady", grid, log_spaced(floor, 13.0, 5))
-    assert cfg.resolved_c_wake == 4.0
     assert cfg.wake_floor == pytest.approx(floor)
-    # non-solving experiments default to no floor
+    # non-solving experiments have no floor
     low = ExperimentConfig("lifting-check", grid, (0.001, 1.0))
-    assert low.resolved_c_wake == 0.0
-    # an explicit c_wake overrides the default
-    with pytest.raises(WakeConstraintError):
-        ExperimentConfig("lifting-check", grid, (0.5, 13.0), c_wake=8.0)
+    assert low.wake_floor == 0.0
+    # and no config can move the floor of the solving ones
+    with pytest.raises(TypeError, match="c_wake"):
+        ExperimentConfig("scaling-tp", grid, log_spaced(0.1, 1.0, 5), c_wake=math.nan)
 
 
 def test_cutoff_spec_uses_explicit_radii_when_given():
@@ -926,6 +950,14 @@ def test_exponent_report_contents():
     assert blocked["theta"] is None
     assert "theta undefined" in blocked["theta_reason"]
     assert "violated[linear-full]" in blocked
+
+
+@pytest.mark.parametrize(
+    "n, q, r", [(3, 3.0, 1.6), (3, 4.0, 2.0), (3, 8.0, 2.5), (3, 20.0, 2.8)]
+)
+def test_exponent_report_states_the_profile_interval(n, q, r):
+    profile = ExponentProfile(n, q, r)
+    assert exponent_report(n, q, r)["gamma_interval"] == profile.gamma_range
 
 
 def _read_csv(path):

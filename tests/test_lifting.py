@@ -8,7 +8,6 @@ import pytest
 from oseenlab.fields import GridSpec, VectorField, derivative, divergence
 from oseenlab.lifting import (
     CutoffSpec,
-    LiftingField,
     build_cutoff,
     build_lifting,
     center_distance,
@@ -290,25 +289,6 @@ def test_self_advection_is_cached_and_read_only():
     assert np.max(np.abs(first)) > 0.0
 
 
-def test_is_zero_reads_the_velocity_and_jacobian():
-    grid = GridSpec(2, np.pi, 16)
-    spec = default_cutoff(grid)
-    zero = build_lifting(0.0, spec, grid)
-    assert zero.is_zero
-    assert not build_lifting(0.4, spec, grid).is_zero
-    # One nonzero jacobian entry is enough, whatever the velocity and the
-    # drift it was labelled with.
-    jacobian = np.zeros((grid.dim, grid.dim) + grid.shape)
-    jacobian[1, 0, 3, 5] = 1e-300
-    hand = LiftingField(
-        velocity=VectorField.zeros(grid),
-        lambda_used=0.0,
-        jacobian=jacobian,
-        laplacian=np.zeros((grid.dim,) + grid.shape),
-    )
-    assert not hand.is_zero
-
-
 # ---------------------------------------------------------------------------
 # the rule-built lifting against the hand-derived closed forms it replaced
 
@@ -425,6 +405,5 @@ def test_rule_built_lifting_matches_the_closed_forms(dim, n, lam):
 def test_zero_drift_lifting_is_exactly_zero(dim, n):
     grid = GridSpec(dim, np.pi, n)
     lifting = build_lifting(0.0, default_cutoff(grid), grid)
-    assert lifting.is_zero
     for values in (lifting.velocity.components, lifting.jacobian, lifting.laplacian):
         assert np.all(values == 0)

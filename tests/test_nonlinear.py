@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -59,7 +61,7 @@ def _mirror_convective(grid: GridSpec, a: np.ndarray, b: np.ndarray) -> np.ndarr
     return _truncate(grid, out)
 
 
-def _mirror_nonlinearity(grid, u_values, lifting, lam) -> np.ndarray:
+def _mirror_nonlinearity(grid, u_values, lifting) -> np.ndarray:
     """Re-derive the steady nonlinearity with independent numpy FFT calls."""
     v_vals = lifting.velocity.components
     jac = lifting.jacobian
@@ -81,7 +83,7 @@ def _mirror_nonlinearity(grid, u_values, lifting, lam) -> np.ndarray:
         - _truncate(grid, lift_adv)
         - _truncate(grid, self_adv)
         + lifting.laplacian
-        - lam * jac[:, 0]
+        - lifting.lambda_used * jac[:, 0]
     )
 
 
@@ -103,15 +105,14 @@ def _stream_curl(grid: GridSpec, seed: int) -> VectorField:
 
 
 def test_zero_velocity_with_zero_lifting_gives_exact_zero(grid2):
-    lifting = _zero_lifting(grid2)
-    out = nonlinearity(VectorField.zeros(grid2), lifting, 0.0)
+    out = nonlinearity(VectorField.zeros(grid2), None)
     assert np.max(np.abs(out.components)) == 0.0
 
 
 def test_zero_velocity_reduces_to_lifting_forcing(grid2):
     lifting = build_lifting(0.9, default_cutoff(grid2), grid2)
-    lam = 1.3
-    out = nonlinearity(VectorField.zeros(grid2), lifting, lam)
+    lam = lifting.lambda_used
+    out = nonlinearity(VectorField.zeros(grid2), lifting)
     jac = lifting.jacobian
     v_vals = lifting.velocity.components
     self_adv = np.zeros_like(v_vals)
@@ -123,11 +124,16 @@ def test_zero_velocity_reduces_to_lifting_forcing(grid2):
     assert np.max(np.abs(out.components - expected)) <= 1e-13 * scale
 
 
+def _with_drift(lifting, lam: float):
+    """The same V arrays, carrying drift ``lam`` into the -lam * d1(V) term."""
+    return dataclasses.replace(lifting, lambda_used=lam)
+
+
 def test_drift_term_is_linear_in_drift_speed(grid2):
     lifting = build_lifting(0.9, default_cutoff(grid2), grid2)
     lam_a, lam_b = 2.0, 0.5
-    out_a = nonlinearity(VectorField.zeros(grid2), lifting, lam_a)
-    out_b = nonlinearity(VectorField.zeros(grid2), lifting, lam_b)
+    out_a = nonlinearity(VectorField.zeros(grid2), _with_drift(lifting, lam_a))
+    out_b = nonlinearity(VectorField.zeros(grid2), _with_drift(lifting, lam_b))
     diff = out_a.components - out_b.components
     expected = -(lam_a - lam_b) * lifting.jacobian[:, 0]
     scale = max(np.max(np.abs(expected)), 1.0)
@@ -135,9 +141,8 @@ def test_drift_term_is_linear_in_drift_speed(grid2):
 
 
 def test_energy_orthogonality_without_lifting(grid2):
-    lifting = _zero_lifting(grid2)
     u = _stream_curl(grid2, 31)
-    out = nonlinearity(u, lifting, 0.0)
+    out = nonlinearity(u, None)
     volume = (2.0 * grid2.half_period) ** grid2.dim
     integral = np.mean(np.sum(u.components * out.components, axis=0)) * volume
     bound = lq_norm(u, 2.0) * lq_norm(out, 2.0)
@@ -148,14 +153,9 @@ def test_velocity_differences_do_not_see_the_drift_speed(grid2):
     lifting = build_lifting(0.6, default_cutoff(grid2), grid2)
     u1 = trig_vector(grid2, 7, max_mode=3, terms=8)
     u2 = trig_vector(grid2, 8, max_mode=3, terms=8)
-    diff_a = (
-        nonlinearity(u1, lifting, 1.7).components
-        - nonlinearity(u2, lifting, 1.7).components
-    )
-    diff_b = (
-        nonlinearity(u1, lifting, 0.2).components
-        - nonlinearity(u2, lifting, 0.2).components
-    )
+    fast, slow = _with_drift(lifting, 1.7), _with_drift(lifting, 0.2)
+    diff_a = nonlinearity(u1, fast).components - nonlinearity(u2, fast).components
+    diff_b = nonlinearity(u1, slow).components - nonlinearity(u2, slow).components
     scale = max(np.max(np.abs(diff_a)), 1.0)
     assert np.max(np.abs(diff_a - diff_b)) <= 1e-12 * scale
 
@@ -164,21 +164,19 @@ def test_velocity_differences_do_not_see_the_drift_speed(grid2):
 def test_steady_nonlinearity_matches_independent_mirror(request, fixture_name):
     grid = request.getfixturevalue(fixture_name)
     lifting = build_lifting(0.8, default_cutoff(grid), grid)
-    lam = 1.1
     u = trig_vector(grid, 23, max_mode=3, terms=8)
-    out = nonlinearity(u, lifting, lam)
-    expected = _mirror_nonlinearity(grid, u.components, lifting, lam)
+    out = nonlinearity(u, lifting)
+    expected = _mirror_nonlinearity(grid, u.components, lifting)
     scale = np.max(np.abs(expected))
     assert np.max(np.abs(out.components - expected)) <= 1e-12 * scale
 
 
 def test_time_constant_embedding_matches_steady_operator(grid2):
     lifting = build_lifting(0.5, default_cutoff(grid2), grid2)
-    lam = 0.9
     u = trig_vector(grid2, 11, max_mode=3, terms=8)
     u_tp = TimePeriodicField.from_steady(u, 2.0, max_mode=2)
-    out_tp = nonlinearity(u_tp, lifting, lam)
-    out_steady = nonlinearity(u, lifting, lam)
+    out_tp = nonlinearity(u_tp, lifting)
+    out_steady = nonlinearity(u, lifting)
     scale = np.max(np.abs(out_steady.components))
     assert np.max(np.abs(out_tp.mode(0).real - out_steady.components)) <= 1e-13 * scale
     for k in (1, 2):
@@ -199,13 +197,12 @@ def _oscillating_velocity(grid: GridSpec, period: float, seed: int, max_mode=2):
 def test_zero_mean_oscillation_drives_a_time_average(grid2):
     # Without lifting, a velocity with no time average still feeds the k = 0
     # mode through the product of its oscillation with itself.
-    lifting = _zero_lifting(grid2)
     zero_mode = np.zeros((grid2.dim,) + grid2.shape, complex)
     m1 = trig_vector(grid2, 61, max_mode=2, terms=6).components + 1j * trig_vector(
         grid2, 62, max_mode=2, terms=6
     ).components
     u = TimePeriodicField.from_modes(grid2, 2.0, [zero_mode, 0.4 * m1])
-    out = nonlinearity(u, lifting, 1.0)
+    out = nonlinearity(u, None)
     scale = np.max(np.abs(out.modes))
     assert np.max(np.abs(out.mode(0))) > 1e-13 * scale
 
@@ -300,21 +297,17 @@ def test_grid_and_period_mismatches_are_rejected(grid2):
         convective_product(a_tp, b_tp)
     lifting_small = _zero_lifting(other)
     with pytest.raises(ValueError, match="different grids"):
-        nonlinearity(a, lifting_small, 0.0)
+        nonlinearity(a, lifting_small)
 
 
 def test_nonlinearity_input_validation(grid2):
-    lifting = _zero_lifting(grid2)
-    u = trig_vector(grid2, 4, max_mode=2, terms=4)
-    with pytest.raises(ValueError, match="lam must be nonnegative"):
-        nonlinearity(u, lifting, -0.5)
     scalar_tp = TimePeriodicField.from_steady(
         trig_scalar(grid2, 6, max_mode=2, terms=4), 2.0, max_mode=1
     )
     with pytest.raises(ValueError, match="vector-valued"):
-        nonlinearity(scalar_tp, lifting, 0.0)
+        nonlinearity(scalar_tp, None)
     with pytest.raises(TypeError, match="cannot evaluate the nonlinearity"):
-        nonlinearity(trig_scalar(grid2, 6), lifting, 0.0)
+        nonlinearity(trig_scalar(grid2, 6), None)
 
 
 # ---------------------------------------------------------------------------
@@ -370,11 +363,11 @@ def _ref_self_advection(lifting):
     return _ref_truncate(grid, acc)
 
 
-def _ref_lifting_only_terms(lifting, lam):
+def _ref_lifting_only_terms(lifting):
     return (
         -_ref_self_advection(lifting)
         + lifting.laplacian
-        - lam * lifting.jacobian[:, 0]
+        - lifting.lambda_used * lifting.jacobian[:, 0]
     )
 
 
@@ -386,11 +379,11 @@ def _ref_quadratic_samples(grid, a, lifting):
     )
 
 
-def _ref_nonlinearity(u, lifting, lam):
+def _ref_nonlinearity(u, lifting):
     grid = u.grid
     if isinstance(u, VectorField):
         quad = _ref_quadratic_samples(grid, u.components, lifting)
-        return -quad + _ref_lifting_only_terms(lifting, lam)
+        return -quad + _ref_lifting_only_terms(lifting)
     num_samples = 4 * u.max_mode + 1
     samples = u.sample_times(num_samples)
     conv = np.empty_like(samples)
@@ -398,7 +391,7 @@ def _ref_nonlinearity(u, lifting, lam):
         conv[j] = _ref_quadratic_samples(grid, samples[j], lifting)
     quad_tp = TimePeriodicField.from_time_samples(grid, u.period, conv, u.max_mode)
     modes = {k: -quad_tp.mode(k) for k in range(-u.max_mode, u.max_mode + 1)}
-    modes[0] = modes[0] + _ref_lifting_only_terms(lifting, lam)
+    modes[0] = modes[0] + _ref_lifting_only_terms(lifting)
     return modes
 
 
@@ -428,15 +421,19 @@ def _nonzero_lifting(grid: GridSpec):
     return build_lifting(0.3, default_cutoff(grid), grid)
 
 
-# A zero lifting takes the kernel's short path, which skips the two V
-# products; the reference still forms all three.
+def _no_lifting(grid: GridSpec):
+    return None
+
+
+# No lifting takes the kernel's short path, which skips the two V products;
+# the reference forms all three with the zero lifting.
 _GRIDS_AND_LIFTINGS = pytest.mark.parametrize(
     "fixture_name, make_lifting",
     [
         ("grid2", _nonzero_lifting),
         ("grid3", _nonzero_lifting),
-        ("grid2", _zero_lifting),
-        ("grid3", _zero_lifting),
+        ("grid2", _no_lifting),
+        ("grid3", _no_lifting),
     ],
     ids=["grid2", "grid3", "grid2-zero-lifting", "grid3-zero-lifting"],
 )
@@ -449,10 +446,10 @@ def test_steady_nonlinearity_is_bitwise_the_reference(
     grid = request.getfixturevalue(fixture_name)
     lifting = make_lifting(grid)
     u = trig_vector(grid, 41, max_mode=3, terms=8)
-    expected = _ref_nonlinearity(u, lifting, 0.7)
-    assert np.array_equal(nonlinearity(u, lifting, 0.7).components, expected)
+    expected = _ref_nonlinearity(u, lifting or _zero_lifting(grid))
+    assert np.array_equal(nonlinearity(u, lifting).components, expected)
     # The second call reads the cached lifting self-advection.
-    assert np.array_equal(nonlinearity(u, lifting, 0.7).components, expected)
+    assert np.array_equal(nonlinearity(u, lifting).components, expected)
 
 
 @_GRIDS_AND_LIFTINGS
@@ -462,9 +459,23 @@ def test_time_periodic_nonlinearity_is_bitwise_the_reference(
     grid = request.getfixturevalue(fixture_name)
     lifting = make_lifting(grid)
     u = _oscillating_velocity(grid, 2.5, 43, max_mode=2)
-    out = nonlinearity(u, lifting, 0.7)
-    for k, expected in _ref_nonlinearity(u, lifting, 0.7).items():
+    out = nonlinearity(u, lifting)
+    for k, expected in _ref_nonlinearity(u, lifting or _zero_lifting(grid)).items():
         assert np.array_equal(out.mode(k), expected)
+
+
+@pytest.mark.parametrize("fixture_name", ["grid2", "grid3"])
+def test_no_lifting_is_bitwise_the_zero_lifting(request, fixture_name):
+    grid = request.getfixturevalue(fixture_name)
+    zero = _zero_lifting(grid)
+    steady = trig_vector(grid, 45, max_mode=3, terms=8)
+    stack = _oscillating_velocity(grid, 2.5, 47, max_mode=2)
+    assert np.array_equal(
+        nonlinearity(steady, None).components, nonlinearity(steady, zero).components
+    )
+    assert np.array_equal(
+        nonlinearity(stack, None).modes, nonlinearity(stack, zero).modes
+    )
 
 
 @pytest.mark.parametrize("fixture_name", ["grid2", "grid3"])
@@ -508,14 +519,13 @@ def transform_inputs(monkeypatch) -> list:
     return inputs
 
 
-def _single_component_transforms(transform_inputs, lifting) -> list[int]:
+def _single_component_transforms(transform_inputs, grid, lifting) -> list[int]:
     """Transforms of two steady nonlinearity calls, in single-component units."""
-    grid = lifting.grid
     u = trig_vector(grid, 61, max_mode=3, terms=8)
     counts = []
     for _ in range(2):
         transform_inputs.clear()
-        nonlinearity(u, lifting, 0.7)
+        nonlinearity(u, lifting)
         counts.append(sum(x.size for _, x in transform_inputs) // np.prod(grid.shape))
     return counts
 
@@ -524,7 +534,9 @@ def test_steady_nonlinearity_makes_33_single_component_transforms(
     grid3, transform_inputs
 ):
     # The first call also truncates the lifting self-advection once (3 + 3).
-    counts = _single_component_transforms(transform_inputs, _nonzero_lifting(grid3))
+    counts = _single_component_transforms(
+        transform_inputs, grid3, _nonzero_lifting(grid3)
+    )
     assert counts == [33 + 6, 33]
 
 
@@ -532,9 +544,10 @@ def test_steady_nonlinearity_with_zero_lifting_makes_21_transforms(
     grid3, transform_inputs
 ):
     # u: one forward, one inverse, three gradient inverses (3 + 3 + 9), and
-    # the truncation of (u . grad)u alone (3 + 3).
-    counts = _single_component_transforms(transform_inputs, _zero_lifting(grid3))
-    assert counts == [21 + 6, 21]
+    # the truncation of (u . grad)u alone (3 + 3); no lifting has no
+    # self-advection to truncate on the first call.
+    counts = _single_component_transforms(transform_inputs, grid3, None)
+    assert counts == [21, 21]
 
 
 def test_convective_product_uses_real_transforms_only(grid3, transform_inputs):

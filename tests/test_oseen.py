@@ -597,8 +597,6 @@ def test_wake_asymmetry_sign_convention():
     assert wake_asymmetry(downstream) > 0.5
     mirrored = VectorField(grid, downstream.components[:, ::-1, :])
     assert wake_asymmetry(mirrored) < -0.5
-    with pytest.raises(ValueError, match="axis"):
-        wake_asymmetry(downstream, axis=3)
 
 
 # ---------------------------------------------------------------------------

@@ -63,9 +63,13 @@ def config(profile):
 
 
 @pytest.fixture(scope="module")
-def free_lifting(grid):
-    """Zero lifting: the obstacle-free problem, valid at any drift."""
-    return build_lifting(0.0, default_cutoff(grid), grid)
+def free_lifting():
+    """No lifting: the obstacle-free problem."""
+    return None
+
+
+def _obstacle_lifting(grid, config):
+    return build_lifting(config.lam, default_cutoff(grid), grid)
 
 
 def _scaled_forcing(grid, config, seed=(7,), fraction=0.5):
@@ -158,13 +162,8 @@ def test_fixed_point_satisfies_the_momentum_balance(config, profile, free_liftin
     residuals = {}
     for n in (16, 32):
         grid_n = GridSpec(3, np.pi, n)
-        lifting_n = (
-            free_lifting
-            if n == 16
-            else build_lifting(0.0, default_cutoff(grid_n), grid_n)
-        )
         f = _scaled_forcing(grid_n, config)
-        pair, _ = picard_steady(f, config, lifting=lifting_n)
+        pair, _ = picard_steady(f, config, lifting=free_lifting)
         residuals[n] = fd_residual(
             grid_n, pair.velocity, pair.pressure, f, config.lam
         )
@@ -308,7 +307,7 @@ def test_drivers_return_the_certificate_solves_pressure(
     pair, report = driver(f, config, lifting=free_lifting)
     assert isinstance(pair, StokesPair) and report.iterations > 1
     params = OseenParams(config.lam)
-    forcing = f + nonlinearity(pair.velocity, free_lifting, config.lam)
+    forcing = f + nonlinearity(pair.velocity, free_lifting)
     pressure = solve(forcing, params).pressure
     assert np.array_equal(getattr(pair.pressure, data), getattr(pressure, data))
     assert (report.residual_momentum, report.residual_div) == residual(
@@ -348,24 +347,31 @@ def test_oversized_forcing_is_gated(grid, config, free_lifting):
 
 def test_obstacle_lifting_at_desk_radius_escapes_immediately(grid, config):
     f = _scaled_forcing(grid, config)
+    lifting = _obstacle_lifting(grid, config)
     for driver, forcing in _both_drivers(f):
         with pytest.raises(RadiusEscapeError, match="exceeds rho") as excinfo:
-            driver(forcing, config)  # default lifting carries the obstacle terms
+            driver(forcing, config, lifting=lifting)
         assert _partial_report(excinfo).iterations == 0
 
 
 def test_iterate_leaving_the_ball_escapes_with_partial_report(grid, config):
     # Zero forcing started at zero: the first step picks up the lifting load.
+    lifting = _obstacle_lifting(grid, config)
     for driver, forcing in _both_drivers(VectorField.zeros(grid)):
         with pytest.raises(RadiusEscapeError, match="left the ball") as excinfo:
-            driver(forcing, config, initial=forcing)
+            driver(forcing, config, lifting=lifting, initial=forcing)
         assert _partial_report(excinfo).iterations == 1
 
 
+def test_drivers_default_to_the_obstacle_free_problem(grid, config):
+    f = _scaled_forcing(grid, config)
+    for driver, forcing in _both_drivers(f):
+        _, report = driver(forcing, config)
+        assert report.converged and report.contraction_rate < 0.5
+
+
 def test_large_data_divergence_is_detected(grid, profile, free_lifting):
-    cfg = PicardConfig(
-        profile, rho=1e9, gamma=1.5, lam=0.5, epsilon=1e9, tol=1e-12, max_iter=60
-    )
+    cfg = PicardConfig(profile, rho=1e9, gamma=1.5, lam=0.5, epsilon=1e9, tol=1e-12)
     raw = random_divergence_free(grid, (7,), mode_cap=2)
     f = VectorField(grid, raw.components * 50.0)
     for driver, forcing in _both_drivers(f):
@@ -374,15 +380,10 @@ def test_large_data_divergence_is_detected(grid, profile, free_lifting):
         assert _partial_report(excinfo).iterations >= 3
 
 
-def test_exhausted_iteration_budget_raises(grid, profile, free_lifting):
+def test_exhausted_iteration_budget_raises(grid, profile, free_lifting, monkeypatch):
+    monkeypatch.setattr(picard, "_MAX_ITER", 1)
     cfg = PicardConfig(
-        profile,
-        rho=0.05,
-        gamma=1.5,
-        lam=0.05**1.5,
-        epsilon=0.05**1.5,
-        tol=1e-15,
-        max_iter=1,
+        profile, rho=0.05, gamma=1.5, lam=0.05**1.5, epsilon=0.05**1.5, tol=1e-15
     )
     f = _scaled_forcing(grid, cfg)
     for driver, forcing in _both_drivers(f):
@@ -446,6 +447,11 @@ def test_lifting_and_initial_compatibility_checks(grid, config, free_lifting):
     mismatched = build_lifting(0.9, default_cutoff(grid), grid)
     with pytest.raises(ValueError, match="lifting was built for drift"):
         picard_steady(f, config, lifting=mismatched)
+    # The zero lifting is the lifting of drift 0, not of every drift.
+    zero = build_lifting(0.0, default_cutoff(grid), grid)
+    for driver, forcing in _both_drivers(f):
+        with pytest.raises(ValueError, match="built for drift 0.0, config wants"):
+            driver(forcing, config, lifting=zero)
     with pytest.raises(ValueError, match="initial iterate lives on a different"):
         picard_steady(
             f, config, lifting=free_lifting, initial=VectorField.zeros(other)

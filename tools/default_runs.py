@@ -12,7 +12,8 @@ per experiment (the wall time stays out of the files).  With ``--against
 REF`` (a directory an earlier run wrote) every file of either directory is
 reported as "byte-identical", as missing on one side, or, for a table
 (``.csv`` or ``.dat``), with the largest relative difference of each column
-that moved.  Other files that differ are reported as "differs".  The exit
+that moved.  Any other file that differs is reported by its first differing
+line: the line number and both lines, each cut to 60 characters.  The exit
 status is 1 when any experiment exits non-zero or, with ``--against``, any
 file is not byte-identical, else 0.  Standard library and the package only.
 """
@@ -71,6 +72,19 @@ def relative_difference(a: str, b: str) -> float:
     return abs(x - y) / abs(y) if y != 0 else math.inf
 
 
+def first_difference(new: pathlib.Path, old: pathlib.Path) -> str:
+    """The first line where two files part, numbered from 1, with both lines
+    cut to 60 characters; a line past the end of a file shows as
+    ``<end of file>``."""
+    a, b = (p.read_bytes().decode(errors="replace").split("\n") for p in (new, old))
+    i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+
+    def show(lines: list[str]) -> str:
+        return repr(lines[i][:60]) if i < len(lines) else "<end of file>"
+
+    return f"line {i + 1} differs: {show(a)} vs {show(b)}"
+
+
 def compare(out: pathlib.Path, ref: pathlib.Path) -> list[str]:
     """One report line per file of either directory; see the module docstring."""
     lines = []
@@ -96,7 +110,7 @@ def compare(out: pathlib.Path, ref: pathlib.Path) -> list[str]:
             moved = ", ".join(f"{h} {w:.3g}" for h, w in zip(head, worst) if w > 0)
             lines.append(f"{name}: largest relative difference {moved or 'none'}")
         else:
-            lines.append(f"{name}: differs")
+            lines.append(f"{name}: {first_difference(new, old)}")
     return lines
 
 
