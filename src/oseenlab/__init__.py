@@ -65,7 +65,6 @@ from .oseen import (
     project_oscillatory,
     project_steady,
     residual,
-    residual_timeperiodic,
     solve_mode,
     solve_steady,
     solve_timeperiodic,

@@ -9,7 +9,9 @@ Nyquist modes (|m| = N/2) carry no usable derivative information on a real
 grid; first-derivative multipliers are zeroed there, and every composite
 operator downstream (Laplacian, Leray projector, Oseen symbols) is built from
 the same zeroed wavenumbers so that operator compositions are exact
-coefficientwise.
+coefficientwise.  :func:`derivative`, :func:`gradient` and :func:`divergence`
+multiply the real-FFT (half layout) coefficients by the cached symbols of
+:attr:`GridSpec.derivative_symbols`, which are those wavenumbers times i.
 
 Spatial fields are stored as real samples only; spectral coefficients are
 plain arrays from the forward-normalized transforms here.  A time-periodic
@@ -160,15 +162,11 @@ class GridSpec:
 
         Maps each derivative order 1 and 2 to one broadcastable multiplier per
         multi-index |alpha| = order, in ``combinations_with_replacement``
-        order.  The last axis holds modes 0..N/2 only; the Nyquist mode is
-        zeroed on every axis, as in :meth:`wavenumber`.
+        order, built from the wavenumbers of :meth:`wavenumber` with the last
+        axis cut to modes 0..N/2.
         """
-        n = self.points_per_axis
-        factors = []
-        for axis in range(self.dim):
-            m = self.mode_numbers if axis < self.dim - 1 else np.arange(n // 2 + 1)
-            xi = np.where(np.abs(m) == n // 2, 0.0, m.astype(np.float64))
-            factors.append(1j * self._axis_profile(xi / self.half_period, axis))
+        factors = [1j * xi for xi in self._wavenumbers]
+        factors[-1] = factors[-1][..., : self.points_per_axis // 2 + 1]
         symbols = {}
         for order in (1, 2):
             products = []
@@ -325,33 +323,40 @@ def derivative(field: ScalarField | VectorField, axis: int) -> ScalarField | Vec
     grid = field.grid
     if not 1 <= axis <= grid.dim:
         raise ValueError(f"axis must lie in 1..{grid.dim}, got {axis}")
-    xi = grid.wavenumber(axis - 1)
-    coeff = _fftn(_component_array(field), grid.dim) * (1j * xi)
-    return _from_component_array(grid, _ifftn(coeff, grid.dim).real)
+    coeff = _rfftn(_component_array(field), grid.dim)
+    symbol = grid.derivative_symbols[1][axis - 1]
+    return _from_component_array(grid, _irfftn(coeff * symbol, grid.shape))
 
 
 def gradient(field: ScalarField) -> VectorField:
     """Spectral gradient of a scalar field."""
     grid = field.grid
-    coeff = _fftn(field.values[None], grid.dim)[0]
-    parts = [coeff * (1j * grid.wavenumber(axis)) for axis in range(grid.dim)]
-    values = _ifftn(np.stack(parts), grid.dim).real
-    return VectorField(grid, values)
+    coeff = _rfftn(field.values, grid.dim)
+    parts = [coeff * symbol for symbol in grid.derivative_symbols[1]]
+    return VectorField(grid, _irfftn(np.stack(parts), grid.shape))
 
 
 def divergence(field: VectorField) -> ScalarField:
     """Spectral divergence of a vector field."""
     grid = field.grid
-    coeff = _fftn(field.components, grid.dim)
-    out = np.zeros(grid.shape, dtype=np.complex128)
-    for axis in range(grid.dim):
-        out = out + coeff[axis] * (1j * grid.wavenumber(axis))
-    return ScalarField(grid, _ifftn(out[None], grid.dim).real[0])
+    coeff = _rfftn(field.components, grid.dim)
+    out = sum(c * symbol for c, symbol in zip(coeff, grid.derivative_symbols[1]))
+    return ScalarField(grid, _irfftn(out, grid.shape))
 
 
 def _truncate_samples(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     """Physical samples projected onto the retained modes, any leading axes."""
     return _ifftn(_fftn(values, grid.dim) * grid.dealias_mask, grid.dim).real
+
+
+def _fold_modes(terms):
+    """Sum over the time modes k = -K..K of terms (numbers or arrays) given for
+    k = 0..K in order: the mode at -k of a real signal, the conjugate of the mode
+    at k, adds the same amount, so mode 0 counts once and modes 1..K twice."""
+    total = 0.0
+    for k, term in enumerate(terms):
+        total += term if k == 0 else 2.0 * term
+    return total
 
 
 class TimePeriodicField(_FieldAlgebra):

@@ -42,6 +42,7 @@ from .fields import (
     TimePeriodicField,
     VectorField,
     _component_array,
+    _fold_modes,
     _ifftn,
     _lock,
     derivative,
@@ -154,9 +155,11 @@ class ExperimentConfig:
             )
         if not 0 < self.period < math.inf:
             raise ValueError(f"period must be positive and finite, got {self.period}")
-        for name in ("seed", "time_modes", "sample_count"):
+        counts = ("seed", "time_modes", "sample_count", "mode_cap", "drift_mode_cap")
+        for name in counts:
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
+            unset_cap = value is None and name.endswith("mode_cap")
+            if not (unset_cap or isinstance(value, (int, np.integer))):
                 raise ValueError(f"{name} must be an integer, got {value}")
         if self.time_modes < 1:
             raise ValueError(f"time_modes must be >= 1, got {self.time_modes}")
@@ -913,27 +916,21 @@ def maxreg_norm_mode_sum(field: TimePeriodicField) -> float:
     """Plancherel evaluation of the maximal-regularity norm, q = 2 only.
 
     Parseval in time converts period averages into sums over the time modes
-    k = -K..K, and the mode at -k, the conjugate of the mode at k, adds the
-    same amount, so the sums are mode 0 plus twice the modes k = 1..K.  The
+    k = -K..K, folded onto the stored modes by :func:`_fold_modes`.  The
     spatial pieces go through the same full-Sobolev code path on the real and
     imaginary parts of each mode, so this is an independent quadrature-free
     cross-check of :func:`oseenlab.norms.maxreg_norm`.
     """
-    grid = field.grid
-    spatial_total = 0.0
-    dt_total = 0.0
-    for k in range(field.max_mode + 1):
+
+    def mode_terms(k):
         mode = field.modes[k]
-        re = VectorField(grid, mode.real)
-        im = VectorField(grid, mode.imag)
-        weight = 1.0 if k == 0 else 2.0
-        spatial_total += weight * (
-            sobolev_full_norm(re, 2, 2.0) ** 2 + sobolev_full_norm(im, 2, 2.0) ** 2
-        )
-        dt_total += weight * field.omega(k) ** 2 * (
-            lq_norm(re, 2.0) ** 2 + lq_norm(im, 2.0) ** 2
-        )
-    return math.sqrt(spatial_total) + math.sqrt(dt_total)
+        parts = [VectorField(field.grid, mode.real), VectorField(field.grid, mode.imag)]
+        spatial = sum(sobolev_full_norm(part, 2, 2.0) ** 2 for part in parts)
+        dt = field.omega(k) ** 2 * sum(lq_norm(part, 2.0) ** 2 for part in parts)
+        return np.array([spatial, dt])
+
+    totals = _fold_modes(mode_terms(k) for k in range(field.max_mode + 1))
+    return math.sqrt(totals[0]) + math.sqrt(totals[1])
 
 
 def _run_scaling_tp(cfg: ExperimentConfig) -> ScalingResult:

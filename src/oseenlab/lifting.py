@@ -12,10 +12,12 @@ four, built by one rule rather than by spectral differentiation of the
 sampled generator.  Each derivative of g is a sum of c x^beta (D^m phi)(rho)
 in centred coordinates x, with D = (1/rho) d/drho, and differentiates term
 by term: d_i(x^beta D^m phi) = beta_i x^(beta - e_i) D^m phi +
-x^(beta + e_i) D^(m+1) phi.  The cut-off is only C^2, so sampled-then-spectral
-derivatives would be truncation limited, while the exact derivatives keep
-both defining properties at every grid point.  The generator is compactly
-supported inside the box, so periodization is exact.
+x^(beta + e_i) D^(m+1) phi.  The profile phi is one quintic in the radius,
+and ``numpy.polynomial`` evaluates it and its derivatives from one tuple of
+coefficients.  The cut-off is only C^2, so sampled-then-spectral derivatives
+would be truncation limited, while the exact derivatives keep both defining
+properties at every grid point.  The generator is compactly supported inside
+the box, so periodization is exact.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.polynomial import polynomial
 
 from .fields import (
     GridSpec,
@@ -37,6 +40,10 @@ from .fields import (
     _truncate_samples,
 )
 from .norms import lq_norm, negative_norm_surrogate
+
+
+# Coefficients of t^0..t^5 in the profile of CutoffSpec.
+_PROFILE = (1.0, 0.0, 0.0, -10.0, 15.0, -6.0)
 
 
 @dataclass(frozen=True)
@@ -66,7 +73,7 @@ class CutoffSpec:
         """Profile value at radius rho (vectorized)."""
         rho = np.asarray(rho, dtype=np.float64)
         t = np.clip((rho - self.inner_radius) / self.width, 0.0, 1.0)
-        return 1.0 - t * t * t * (10.0 - 15.0 * t + 6.0 * t * t)
+        return polynomial.polyval(t, _PROFILE)
 
     def derivative(self, rho, order: int) -> np.ndarray:
         """Radial derivative of the profile, order 1 through 4.
@@ -77,18 +84,10 @@ class CutoffSpec:
         if order not in (1, 2, 3, 4):
             raise ValueError(f"order must be in 1..4, got {order}")
         rho = np.asarray(rho, dtype=np.float64)
-        w = self.width
         inside = (rho > self.inner_radius) & (rho < self.outer_radius)
-        t = np.where(inside, (rho - self.inner_radius) / w, 0.0)
-        if order == 1:
-            raw = -30.0 * t * t * (1.0 - t) ** 2 / w
-        elif order == 2:
-            raw = -60.0 * t * (1.0 - t) * (1.0 - 2.0 * t) / w**2
-        elif order == 3:
-            raw = -60.0 * (1.0 - 6.0 * t + 6.0 * t * t) / w**3
-        else:
-            raw = 360.0 * (1.0 - 2.0 * t) / w**4
-        return np.where(inside, raw, 0.0)
+        t = np.where(inside, (rho - self.inner_radius) / self.width, 0.0)
+        raw = polynomial.polyval(t, polynomial.polyder(_PROFILE, order))
+        return np.where(inside, raw / self.width**order, 0.0)
 
 
 def _centered_coordinates(grid: GridSpec) -> list[np.ndarray]:

@@ -42,6 +42,10 @@ inverse transform at r = 2, both on the full grid: through
 ``picard.data_size`` they scale the Picard forcing, so a roundoff-level
 change in them would move every iterate.
 
+Parseval sums over the time modes k = -K..K (``spacetime_l2_plancherel``, the
+residual, the maximal-regularity mode sum) take one fold, ``fields._fold_modes``:
+mode 0 counts once and the stored modes 1..K twice, for their conjugates.
+
 The negative-order functional is a surrogate: |f|_{-1,r} is computed as
 ||grad (-Delta)^{-1} f||_r with the zero mode projected out.  At r = 2 this
 equals the exact dual norm of the homogeneous H^1 space on the box.
@@ -58,6 +62,7 @@ from .fields import (
     VectorField,
     _component_array,
     _fftn,
+    _fold_modes,
     _ifftn,
     _irfftn,
     _rfftn,
@@ -364,12 +369,10 @@ def spacetime_l2_plancherel(field: TimePeriodicField) -> float:
     """Space-time L^2 norm evaluated directly from the time-mode stack.
 
     Parseval in time turns the period average into a sum over the modes
-    k = -K..K; the mode at -k is the conjugate of the mode at k, so the sum
-    is mode 0 plus twice the modes k = 1..K.  This is an exact cross-check
-    for quadrature-based L^2 quantities.
+    k = -K..K (:func:`_fold_modes`).  This is an exact cross-check for
+    quadrature-based L^2 quantities.
     """
-    total = 0.0
-    for k in range(field.max_mode + 1):
-        energy = float(np.mean(np.sum(np.abs(field.modes[k]) ** 2, axis=0)))
-        total += energy if k == 0 else 2.0 * energy
+    total = _fold_modes(
+        float(np.mean(np.sum(np.abs(mode) ** 2, axis=0))) for mode in field.modes
+    )
     return float(np.sqrt(total * field.grid.volume))

@@ -25,6 +25,7 @@ from .fields import (
     TimePeriodicField,
     VectorField,
     _fftn,
+    _fold_modes,
     _from_component_array,
     _ifftn,
 )
@@ -215,30 +216,28 @@ class SolveReport:
 
     @property
     def contraction_rate(self) -> float:
-        return contraction_rate_from_updates(self.iterates)
+        """Max ratio of consecutive update norms.
+
+        Every consecutive ratio is a genuine contraction quotient of the
+        fixed-point map (the first update alone is not, being tied to the
+        choice of initial iterate, so no ratio uses it as anything but a
+        denominator).  With no ratio to take the rate is NaN.
+        """
+        pairs = zip(self.iterates, self.iterates[1:])
+        ratios = [after / before for before, after in pairs if before > 0]
+        return max(ratios) if ratios else float("nan")
 
     @property
     def converged(self) -> bool:
         return not math.isnan(self.final_residual)
 
 
-def contraction_rate_from_updates(updates) -> float:
-    """Max ratio of consecutive update norms.
-
-    Every consecutive ratio is a genuine contraction quotient of the
-    fixed-point map (the first update alone is not, being tied to the choice
-    of initial iterate, so no ratio uses it as anything but a denominator).
-    The first ratio exists once the second iteration has produced its
-    update; with fewer than two updates the rate is NaN.
-    """
-    if len(updates) < 2:
-        return float("nan")
-    ratios = [
-        updates[m + 1] / updates[m]
-        for m in range(len(updates) - 1)
-        if updates[m] > 0
+def _k0_stacks(fields) -> list[TimePeriodicField]:
+    """Stacks as they are, steady fields as K = 0 stacks (any period: omega_0 = 0)."""
+    return [
+        f if isinstance(f, TimePeriodicField) else TimePeriodicField.from_steady(f, 1.0)
+        for f in fields
     ]
-    return max(ratios) if ratios else float("nan")
 
 
 def _block_momentum(velocity, pressure, k, f_coeff, lam):
@@ -266,52 +265,32 @@ def apply_oseen(
     Applied block by block on the solvers' zeroed-Nyquist wavenumbers.  A
     steady pair is the K = 0 case and gives back a steady field.
     """
-    velocity, pressure = pair
-    if not isinstance(velocity, TimePeriodicField):
-        stacks = [TimePeriodicField.from_steady(field, 1.0) for field in pair]
-        return project_steady(apply_oseen(StokesPair(*stacks), params))
+    velocity, pressure = _k0_stacks(pair)
     if (pressure.period, pressure.max_mode) != (velocity.period, velocity.max_mode):
         raise ValueError("velocity and pressure stacks differ in period or modes")
     modes = []
     for k in range(velocity.max_mode + 1):
         momentum = _block_momentum(velocity, pressure, k, 0.0, params.lam)[1]
         modes.append(_ifftn(momentum, velocity.grid.dim))
-    return TimePeriodicField.from_modes(velocity.grid, velocity.period, modes)
+    out = TimePeriodicField.from_modes(velocity.grid, velocity.period, modes)
+    return out if isinstance(pair.velocity, TimePeriodicField) else project_steady(out)
 
 
 def residual(
     pair: StokesPair, f: VectorField | TimePeriodicField, params: OseenParams
 ) -> tuple[float, float]:
-    """L^2 norms of the momentum defect and of div(velocity).
-
-    A stack pair goes to :func:`residual_timeperiodic` as it is; a steady pair
-    and its forcing enter as the K = 0 stacks of
-    :meth:`TimePeriodicField.from_steady`, which rejects a foreign grid.
-    """
-    fields = (pair.velocity, pair.pressure, f)
-    if not isinstance(pair.velocity, TimePeriodicField):
-        # Any period will do: the lone block k = 0 has omega = 0.
-        fields = [TimePeriodicField.from_steady(field, 1.0) for field in fields]
-    return residual_timeperiodic(*fields, params)
-
-
-def residual_timeperiodic(
-    velocity: TimePeriodicField,
-    pressure: TimePeriodicField,
-    forcing: TimePeriodicField,
-    params: OseenParams,
-) -> tuple[float, float]:
     """Space-time L^2 norms of the momentum defect and of div(velocity).
 
     Parseval in time turns the period-averaged space-time L^2 norm into a
-    sum over the frequency blocks k = -K..K.  The block at -k is the
-    conjugate mirror of the block at k and has the same norm, so the sum is
-    block 0 plus twice the blocks k = 1..K, three transforms per block.  The
+    sum over the frequency blocks k = -K..K, which :func:`_fold_modes` forms
+    from the blocks k = 0..K, three transforms per block.  A steady pair and
+    its forcing are the K = 0 case and give the spatial L^2 norms.  The
     defect at k = 0 is measured against the mean-free part of the forcing:
     the solvers pin the box mean of velocity and pressure to zero, so a
     forcing mean is unreachable by construction.  The three stacks must
     share grid, period and ``max_mode``.
     """
+    velocity, pressure, forcing = _k0_stacks((*pair, f))
     grid = velocity.grid
     if pressure.ncomp != 1:
         raise ValueError("pressure stack must be scalar-valued")
@@ -323,22 +302,17 @@ def residual_timeperiodic(
                 f"{name} has period {other.period} and max_mode {other.max_mode}, "
                 f"the velocity {velocity.period} and {velocity.max_mode}"
             )
-    mom_total = 0.0
-    div_total = 0.0
-    for k in range(velocity.max_mode + 1):
+
+    def block_norms(k):
         f_coeff = _fftn(forcing.modes[k], grid.dim)
         if k == 0:
-            zero = (slice(None),) + (0,) * grid.dim
-            f_coeff[zero] = 0.0
+            f_coeff[(slice(None),) + (0,) * grid.dim] = 0.0
         u_coeff, momentum = _block_momentum(velocity, pressure, k, f_coeff, params.lam)
-        div = np.zeros(grid.shape, dtype=np.complex128)
-        for axis in range(grid.dim):
-            div = div + 1j * grid.wavenumber(axis) * u_coeff[axis]
-        weight = 1.0 if k == 0 else 2.0
-        mom_total += weight * float(np.sum(np.abs(momentum) ** 2))
-        div_total += weight * float(np.sum(np.abs(div) ** 2))
-    vol = grid.volume
-    return float(np.sqrt(mom_total * vol)), float(np.sqrt(div_total * vol))
+        div = sum(1j * grid.wavenumber(a) * u_coeff[a] for a in range(grid.dim))
+        return np.array([np.sum(np.abs(momentum) ** 2), np.sum(np.abs(div) ** 2)])
+
+    totals = _fold_modes(block_norms(k) for k in range(velocity.max_mode + 1))
+    return tuple(float(np.sqrt(float(total) * grid.volume)) for total in totals)
 
 
 def wake_asymmetry(velocity: VectorField) -> float:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from oseenlab.fields import (
     ScalarField,
     TimePeriodicField,
     VectorField,
+    _component_array,
     _fftn,
     _ifftn,
     _truncate_samples,
@@ -191,6 +194,89 @@ def test_gradient_and_divergence_shapes(grid2):
     assert np.allclose(grad.component(1).values, derivative(scalar, 2).values)
     div = divergence(grad)
     assert isinstance(div, ScalarField)
+
+
+# The former complex-transform derivatives and symbol construction, kept as
+# references for the half-layout code that replaced them.
+
+
+def _former_derivative(field, axis):
+    grid = field.grid
+    xi = grid.wavenumber(axis - 1)
+    coeff = _fftn(_component_array(field), grid.dim) * (1j * xi)
+    return _ifftn(coeff, grid.dim).real
+
+
+def _former_gradient(field):
+    grid = field.grid
+    coeff = _fftn(field.values[None], grid.dim)[0]
+    parts = [coeff * (1j * grid.wavenumber(axis)) for axis in range(grid.dim)]
+    return _ifftn(np.stack(parts), grid.dim).real
+
+
+def _former_divergence(field):
+    grid = field.grid
+    coeff = _fftn(field.components, grid.dim)
+    out = np.zeros(grid.shape, dtype=np.complex128)
+    for axis in range(grid.dim):
+        out = out + coeff[axis] * (1j * grid.wavenumber(axis))
+    return _ifftn(out[None], grid.dim).real[0]
+
+
+def _former_derivative_symbols(grid):
+    n = grid.points_per_axis
+    factors = []
+    for axis in range(grid.dim):
+        m = grid.mode_numbers if axis < grid.dim - 1 else np.arange(n // 2 + 1)
+        xi = np.where(np.abs(m) == n // 2, 0.0, m.astype(np.float64))
+        shape = [1] * grid.dim
+        shape[axis] = xi.size
+        factors.append(1j * (xi / grid.half_period).reshape(shape))
+    symbols = {}
+    for order in (1, 2):
+        products = []
+        for alpha in combinations_with_replacement(range(grid.dim), order):
+            multiplier = factors[alpha[0]]
+            for axis in alpha[1:]:
+                multiplier = multiplier * factors[axis]
+            products.append(multiplier)
+        symbols[order] = tuple(products)
+    return symbols
+
+
+def _assert_close(produced, reference, rtol=1e-13):
+    # Relative to the largest entry, so entries near zero do not count.
+    assert produced.shape == reference.shape
+    assert np.max(np.abs(produced - reference)) <= rtol * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("points", [10, 16])
+def test_half_layout_derivatives_match_the_former_complex_code(dim, points):
+    # Unfiltered random samples fill every mode, Nyquist planes included.
+    grid = GridSpec(dim, 1.3, points)
+    rng = np.random.default_rng(100 * dim + points)
+    scalar = ScalarField(grid, rng.standard_normal(grid.shape))
+    vector = VectorField(grid, rng.standard_normal((dim,) + grid.shape))
+    for field in (scalar, vector):
+        for axis in range(1, dim + 1):
+            produced = _component_array(derivative(field, axis))
+            _assert_close(produced, _former_derivative(field, axis))
+    _assert_close(gradient(scalar).components, _former_gradient(scalar))
+    _assert_close(divergence(vector).values, _former_divergence(vector))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("points, half_period", [(8, 2.0), (10, 1.3), (16, np.pi)])
+def test_derivative_symbols_equal_the_former_construction(dim, points, half_period):
+    grid = GridSpec(dim, half_period, points)
+    former = _former_derivative_symbols(grid)
+    assert set(grid.derivative_symbols) == set(former) == {1, 2}
+    for order, symbols in grid.derivative_symbols.items():
+        assert len(symbols) == len(former[order])
+        for symbol, reference in zip(symbols, former[order]):
+            assert np.array_equal(symbol, reference)
+            assert not symbol.flags.writeable
 
 
 def test_stream_function_curl_is_divergence_free():

@@ -189,14 +189,26 @@ def test_config_rejects_a_tolerance_that_is_not_positive_and_finite(value):
         ("seed", 1.5, "seed must be an integer, got 1.5"),
         ("time_modes", 1.5, "time_modes must be an integer, got 1.5"),
         ("sample_count", 2.5, "sample_count must be an integer, got 2.5"),
+        ("mode_cap", 2.5, "mode_cap must be an integer, got 2.5"),
+        ("drift_mode_cap", 1.5, "drift_mode_cap must be an integer, got 1.5"),
     ],
-    ids=["period", "gamma", "forcing_shell", "seed", "time_modes", "sample_count"],
+    ids=[
+        "period",
+        "gamma",
+        "forcing_shell",
+        "seed",
+        "time_modes",
+        "sample_count",
+        "mode_cap",
+        "drift_mode_cap",
+    ],
 )
 def test_config_rejects_non_finite_and_non_integer_inputs(name, value, message):
     # Each was accepted once and failed only later, if at all: period = inf
     # makes every frequency 0, gamma = inf fails inside the radius schedule,
-    # an infinite shell overflows the mode cap, and a fractional count fails
-    # inside numpy or range.
+    # an infinite shell overflows the mode cap, a fractional count fails
+    # inside numpy or range, a fractional mode cap fails in the mode list and
+    # a fractional drift mode cap acted as its floor.
     with pytest.raises(ValueError, match=f"^{message}$"):
         ExperimentConfig("picard-tp", GridSpec(3, np.pi, 16), (1.0,), **{name: value})
 

@@ -55,6 +55,40 @@ def test_cutoff_derivatives_match_polynomial_oracle():
         assert np.max(np.abs(produced - expected)) <= 1e-12 * scale
 
 
+def _former_cutoff(spec, rho, order):
+    """Reference copy of the former hand-written profile and its derivatives."""
+    w = spec.width
+    if order == 0:
+        t = np.clip((rho - spec.inner_radius) / w, 0.0, 1.0)
+        return 1.0 - t * t * t * (10.0 - 15.0 * t + 6.0 * t * t)
+    inside = (rho > spec.inner_radius) & (rho < spec.outer_radius)
+    t = np.where(inside, (rho - spec.inner_radius) / w, 0.0)
+    raw = {
+        1: -30.0 * t * t * (1.0 - t) ** 2 / w,
+        2: -60.0 * t * (1.0 - t) * (1.0 - 2.0 * t) / w**2,
+        3: -60.0 * (1.0 - 6.0 * t + 6.0 * t * t) / w**3,
+        4: 360.0 * (1.0 - 2.0 * t) / w**4,
+    }[order]
+    return np.where(inside, raw, 0.0)
+
+
+@pytest.mark.parametrize(
+    "inner, outer", [(1.0, 2.0), (0.7, 2.1), (0.2 * np.pi, 0.6 * np.pi)]
+)
+def test_cutoff_matches_the_former_closed_forms(inner, outer):
+    # Both radii, the plateaus and the transition zone on one sample line.
+    spec = CutoffSpec(inner, outer)
+    rho = np.concatenate([np.linspace(0.0, outer + 0.5, 401), [inner, outer]])
+    for order in range(5):
+        produced = spec.value(rho) if order == 0 else spec.derivative(rho, order)
+        reference = _former_cutoff(spec, rho, order)
+        scale = np.max(np.abs(reference))
+        assert np.max(np.abs(produced - reference)) <= 1e-13 * scale
+        # Where the former forms were exactly 0 or 1, so is the polynomial.
+        exact = (rho <= inner) | (rho >= outer)
+        assert np.array_equal(produced[exact], reference[exact])
+
+
 def test_cutoff_derivatives_vanish_outside_transition():
     spec = CutoffSpec(1.0, 2.0)
     outside = np.array([0.0, 0.5, 1.0, 2.0, 2.5])

@@ -24,12 +24,10 @@ from oseenlab.oseen import (
     StokesPair,
     _mode_solution_coeff,
     apply_oseen,
-    contraction_rate_from_updates,
     leray_project,
     project_oscillatory,
     project_steady,
     residual,
-    residual_timeperiodic,
     solve_mode,
     solve_steady,
     solve_timeperiodic,
@@ -185,9 +183,8 @@ def test_stokes_pair_unpacks_and_holds_either_kind(grid2):
         assert isinstance(pair, StokesPair)
         velocity, pressure = pair
         assert velocity is pair.velocity and pressure is pair.pressure
-    assert residual(stacks, forcing, params) == residual_timeperiodic(
-        *stacks, forcing, params
-    )
+    momentum, div = residual(stacks, forcing, params)
+    assert momentum <= 1e-10 * lq_norm(forcing, 2.0) and div <= 1e-12
     other = GridSpec(2, np.pi, 16)
     with pytest.raises(ValueError, match="live on different grids"):
         StokesPair(steady.velocity, ScalarField.zeros(other))
@@ -441,8 +438,7 @@ def test_residual_scales_linearly_with_perturbation():
 def test_timeperiodic_residual_of_exact_solution(grid2):
     forcing = random_timeperiodic_forcing(grid2, 2.0, 2, (24,))
     params = OseenParams(1.5)
-    velocity, pressure = solve_timeperiodic(forcing, params)
-    momentum, div = residual_timeperiodic(velocity, pressure, forcing, params)
+    momentum, div = residual(solve_timeperiodic(forcing, params), forcing, params)
     assert momentum <= 1e-10 * lq_norm(forcing, 2.0)
     assert div <= 1e-12
 
@@ -460,7 +456,8 @@ def test_steady_residual_is_the_k0_case():
         TimePeriodicField.from_steady(field, 3.0)
         for field in (pair.velocity, pair.pressure, f)
     ]
-    assert residual(pair, f, params) == residual_timeperiodic(*stacks, params)
+    stack_pair = StokesPair(*stacks[:2])
+    assert residual(pair, f, params) == residual(stack_pair, stacks[2], params)
 
 
 def _trig_stack(grid, period, max_mode, seed, ncomp):
@@ -493,7 +490,7 @@ def test_residual_is_the_plancherel_norm_of_the_operator_defect(max_mode):
     modes[0] -= modes[0].mean(axis=(1, 2, 3), keepdims=True)
     mean_free = TimePeriodicField(grid, 2.0, modes)
     defect = apply_oseen(pair, params) - mean_free
-    momentum, _ = residual_timeperiodic(*pair, forcing, params)
+    momentum, _ = residual(pair, forcing, params)
     expected = spacetime_l2_plancherel(defect)
     assert abs(momentum - expected) <= 1e-12 * expected
     if max_mode == 0:
@@ -535,8 +532,11 @@ def test_timeperiodic_residual_rejects_mismatched_stacks(kind, name):
     slot = 1 if name == "pressure" else 2
     stacks = list(_solved_stacks(grid))
     stacks[slot] = _solved_stacks(**{"grid": grid, **keywords})[slot]
+    if (kind, name) == ("grid", "pressure"):
+        # A pair's own check comes first.
+        message, name = "live on different grids", "velocity and pressure"
     with pytest.raises(ValueError, match=f"{name} {message}"):
-        residual_timeperiodic(*stacks, OseenParams(1.0))
+        residual(StokesPair(*stacks[:2]), stacks[2], OseenParams(1.0))
 
 
 def test_steady_residual_rejects_forcing_on_another_grid(grid2):
@@ -563,7 +563,7 @@ def test_timeperiodic_residual_transforms_each_stored_block_once(monkeypatch):
     monkeypatch.setattr(oseen, "_fftn", counting)
     for max_mode, stacks in cases:
         calls.clear()
-        residual_timeperiodic(*stacks, OseenParams(1.0))
+        residual(StokesPair(*stacks[:2]), stacks[2], OseenParams(1.0))
         assert len(calls) == 3 * (max_mode + 1)
 
 
@@ -604,15 +604,17 @@ def test_wake_asymmetry_sign_convention():
 
 
 def test_contraction_rate_from_updates():
-    assert np.isnan(contraction_rate_from_updates(()))
-    assert np.isnan(contraction_rate_from_updates((0.5,)))
-    assert contraction_rate_from_updates((1.0, 0.5, 0.2)) == pytest.approx(0.5)
-    assert contraction_rate_from_updates((1.0, 0.25, 0.2)) == pytest.approx(0.8)
+    assert np.isnan(SolveReport(()).contraction_rate)
+    assert np.isnan(SolveReport((0.5,)).contraction_rate)
+    assert SolveReport((1.0, 0.5, 0.2)).contraction_rate == pytest.approx(0.5)
+    assert SolveReport((1.0, 0.25, 0.2)).contraction_rate == pytest.approx(0.8)
+    # A zero update is no denominator.
+    assert SolveReport((1.0, 0.0, 0.0)).contraction_rate == 0.0
 
 
 def test_solve_report_derives_its_rate_and_verdict():
     partial = SolveReport((1.0, 0.5, 0.2))
-    assert partial.contraction_rate == contraction_rate_from_updates((1.0, 0.5, 0.2))
+    assert partial.contraction_rate == 0.5
     assert not partial.converged
     assert np.isnan(partial.residual_momentum) and np.isnan(partial.residual_div)
     done = SolveReport((1.0, 0.5), 1e-12, 2e-13, 0.0)
