@@ -286,10 +286,6 @@ class ScalingResult:
     def all_passed(self) -> bool:
         return all(check.passed for check in self.checks)
 
-    def column(self, name: str) -> np.ndarray:
-        index = self.columns.index(name)
-        return np.array([row[index] for row in self.rows])
-
 
 # ---------------------------------------------------------------------------
 # slope fitting

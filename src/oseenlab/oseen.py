@@ -201,8 +201,8 @@ class SolveReport:
 
     ``iterates`` holds the update norms per iteration, ``final_residual`` the
     certificate and the last two fields the residuals of the certificate
-    solve.  The partial report of a failed run leaves all three NaN.  The
-    contraction rate and the verdict ``converged`` follow from these fields.
+    solve.  The partial report of a failed run leaves all three NaN; a
+    converged run has a finite ``final_residual``.
     """
 
     iterates: tuple[float, ...]
@@ -226,10 +226,6 @@ class SolveReport:
         pairs = zip(self.iterates, self.iterates[1:])
         ratios = [after / before for before, after in pairs if before > 0]
         return max(ratios) if ratios else float("nan")
-
-    @property
-    def converged(self) -> bool:
-        return not math.isnan(self.final_residual)
 
 
 def _k0_stacks(fields) -> list[TimePeriodicField]:
@@ -294,9 +290,9 @@ def residual(
     grid = velocity.grid
     if pressure.ncomp != 1:
         raise ValueError("pressure stack must be scalar-valued")
+    if forcing.grid != grid:
+        raise ValueError("forcing lives on a different grid")
     for name, other in (("pressure", pressure), ("forcing", forcing)):
-        if other.grid != grid:
-            raise ValueError(f"{name} lives on a different grid")
         if (other.period, other.max_mode) != (velocity.period, velocity.max_mode):
             raise ValueError(
                 f"{name} has period {other.period} and max_mode {other.max_mode}, "

@@ -533,7 +533,7 @@ def test_timeperiodic_residual_rejects_mismatched_stacks(kind, name):
     stacks = list(_solved_stacks(grid))
     stacks[slot] = _solved_stacks(**{"grid": grid, **keywords})[slot]
     if (kind, name) == ("grid", "pressure"):
-        # A pair's own check comes first.
+        # The pair itself rejects a pressure on another grid.
         message, name = "live on different grids", "velocity and pressure"
     with pytest.raises(ValueError, match=f"{name} {message}"):
         residual(StokesPair(*stacks[:2]), stacks[2], OseenParams(1.0))
@@ -615,8 +615,8 @@ def test_contraction_rate_from_updates():
 def test_solve_report_derives_its_rate_and_verdict():
     partial = SolveReport((1.0, 0.5, 0.2))
     assert partial.contraction_rate == 0.5
-    assert not partial.converged
+    assert np.isnan(partial.final_residual)
     assert np.isnan(partial.residual_momentum) and np.isnan(partial.residual_div)
     done = SolveReport((1.0, 0.5), 1e-12, 2e-13, 0.0)
-    assert done.converged and done.iterations == 2
+    assert np.isfinite(done.final_residual) and done.iterations == 2
     assert done.contraction_rate == 0.5

@@ -67,16 +67,29 @@ value = property(lambda self: 0)
 
 
 def test_collects_public_functions_and_methods_by_qualified_name():
+    # Each with its first line: the first decorator's when it has one.
     assert traffic.public_names(ast.parse(TOY)) == [
-        "function",
-        "coroutine",
-        "Public.__post_init__",
-        "Public.derived",
-        "Public.build",
-        "Public.Inner.method",
-        "_Base.__neg__",
-        "_Base.shared",
+        ("function", 5),
+        ("coroutine", 14),
+        ("Public.__post_init__", 22),
+        ("Public.derived", 25),
+        ("Public.build", 29),
+        ("Public.Inner.method", 37),
+        ("_Base.__neg__", 42),
+        ("_Base.shared", 45),
     ]
+
+
+def test_first_lines_are_those_of_the_code_objects():
+    code = compile(TOY, "toy", "exec")
+    stack, seen = [code], set()
+    while stack:
+        for const in stack.pop().co_consts:
+            if hasattr(const, "co_firstlineno"):
+                seen.add((const.co_name, const.co_firstlineno))
+                stack.append(const)
+    for name, first in traffic.public_names(ast.parse(TOY)):
+        assert (name.rpartition(".")[2], first) in seen
 
 
 def test_dunders_are_public_and_other_underscored_names_are_not():

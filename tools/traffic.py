@@ -13,9 +13,11 @@ It then prints, one per line as ``module.qualname``, every public function
 or method defined in the imported package's source files that none of them
 called, and a count last.  A function or method is public when its name has
 no leading underscore or is a dunder; methods of private base classes count
-too, since public classes inherit them.  Nested functions do not count.  The
-runs write into a temporary directory and their output is discarded.
-Standard library and the package only; run from the repository root::
+too, since public classes inherit them.  Nested functions do not count.  A
+call is matched to its definition by file, name and first line (that of the
+first decorator, if any).  The runs write into a temporary directory and
+their output is discarded.  Standard library and the package only; run from
+the repository root::
 
     PYTHONPATH=src python3 tools/traffic.py
 """
@@ -49,8 +51,10 @@ def _is_public(name: str) -> bool:
     return not name.startswith("_") or (name.startswith("__") and name.endswith("__"))
 
 
-def public_names(tree: ast.Module) -> list[str]:
-    """Qualified names of the module-level functions and class methods."""
+def public_names(tree: ast.Module) -> list[tuple[str, int]]:
+    """(qualified name, first line) of the public module-level functions and
+    class methods; the first line is that of the first decorator, if any, as
+    in the function's code object."""
     names = []
 
     def visit(body, prefix: str) -> None:
@@ -59,7 +63,8 @@ def public_names(tree: ast.Module) -> list[str]:
                 visit(node.body, f"{prefix}{node.name}.")
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if _is_public(node.name):
-                    names.append(prefix + node.name)
+                    first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                    names.append((prefix + node.name, first))
 
     visit(tree.body, "")
     return names
@@ -72,23 +77,30 @@ def _workload(scratch: pathlib.Path) -> list[str]:
     runs = [[name, "--out", f"{name}.csv"] for name in harness.EXPERIMENTS]
     runs.append(["exponents"])
     runs.append(["mms", "--config", "config.ini", "--out", "c.csv", "--threads", "1"])
-    with contextlib.chdir(scratch):
+    home = os.getcwd()
+    os.chdir(scratch)
+    try:
         pathlib.Path("config.ini").write_text(CONFIG_INI)
         failed = [" ".join(args) for args in runs if cli.main(args) != 0]
         for demo in sorted(DEMOS.glob("*.py")):
             runpy.run_path(str(demo), run_name="__main__")
+    finally:
+        os.chdir(home)
     return failed
 
 
-def called_names(source: pathlib.Path) -> tuple[set[tuple[str, str]], list[str]]:
-    """(file, qualname) of every code object in ``source`` the runs enter, and
-    the CLI runs that exited non-zero."""
+def called_names(
+    source: pathlib.Path,
+) -> tuple[set[tuple[str, str, int]], list[str]]:
+    """(file, name, first line) of every code object in ``source`` the runs
+    enter, and the CLI runs that exited non-zero."""
     seen = set()
     prefix = os.path.join(source, "")
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code.co_filename.startswith(prefix):
-            seen.add((frame.f_code.co_filename, frame.f_code.co_qualname))
+            code = frame.f_code
+            seen.add((code.co_filename, code.co_name, code.co_firstlineno))
 
     sink = io.StringIO()
     with tempfile.TemporaryDirectory() as scratch, contextlib.redirect_stdout(
@@ -114,8 +126,8 @@ def main() -> int:
     for path in sorted(source.glob("*.py")):
         names = public_names(ast.parse(path.read_text(), filename=str(path)))
         total += len(names)
-        for name in names:
-            if (str(path), name) not in called:
+        for name, first in names:
+            if (str(path), name.rpartition(".")[2], first) not in called:
                 uncalled += 1
                 print(f"{path.stem}.{name}")
     print(f"{uncalled} of {total} public functions and methods uncalled")
