@@ -4,9 +4,9 @@ Every experiment ships a built-in default configuration in the experiment
 table at the end of :mod:`oseenlab.harness`, so each subcommand runs out of
 the box.  ``--config`` replaces it with an INI file whose unset keys take the
 :class:`~oseenlab.harness.ExperimentConfig` defaults (not the built-in
-values); ``--seed`` and ``--out`` override the two most common knobs, and
-``--threads`` sets the FFT worker count (the sweeps themselves stay
-sequential for reproducibility).
+values); ``--seed`` overrides the ensemble seed, ``--out`` names the CSV
+table (its ``.dat`` twin lands beside it), and ``--threads`` sets the FFT
+worker count (the sweeps themselves stay sequential for reproducibility).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .config import parse_config
 from .fields import set_fft_workers
 from .harness import (
     EXPERIMENTS,
+    _dat_twin,
     default_config,
     emit_csv,
     exponent_report,
@@ -43,7 +44,10 @@ def _build_parser() -> argparse.ArgumentParser:
             help="INI file replacing the built-in configuration; unset keys "
             "take the ExperimentConfig defaults",
         )
-        each.add_argument("--out", help="write the sweep table to this CSV path")
+        each.add_argument(
+            "--out",
+            help="write the sweep table to this CSV path and its .dat twin",
+        )
         each.add_argument("--seed", type=int, help="override the ensemble seed")
         each.add_argument(
             "--threads", type=int, help="FFT worker count (default 1)"
@@ -98,14 +102,14 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg = dataclasses.replace(cfg, seed=args.seed)
         if args.out:
-            cfg = dataclasses.replace(cfg, output_path=args.out)
+            _dat_twin(args.out)
         result = run_experiment(cfg)
     except Exception as error:  # noqa: BLE001 - the CLI reports, tests raise
         print(f"error: {error}", file=sys.stderr)
         return 1
-    if cfg.output_path:
-        emit_csv(result, cfg.output_path)
-        print(f"wrote {cfg.output_path}")
+    if args.out:
+        emit_csv(result, args.out)
+        print(f"wrote {args.out}")
     _print_result(result)
     return 0 if result.all_passed else 1
 

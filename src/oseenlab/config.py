@@ -4,11 +4,13 @@ One ``[experiment]`` section describes a run.  It replaces the built-in
 configuration of a CLI subcommand (declared in the experiment table at the
 end of :mod:`oseenlab.harness`) as a whole: every key it leaves unset takes
 the :class:`~oseenlab.harness.ExperimentConfig` default, and building the
-config applies that table's checks.  Keys are the field names, except
-``name``, ``samples`` and ``out`` and the grid keys ``dim``, ``points`` and
-``half_period``.  The drift sweep comes either from an explicit
-comma-separated ``lambda_grid`` (which wins when both are present) or from
-log-spaced ``lambda_min`` / ``lambda_max`` / ``lambda_points``.
+config applies that table's checks.  Keys are the field names (``q``,
+``r``, ``period``, ``time_modes``, ``seed``, ``rho``, ``gamma``, ``tol``,
+``mode_cap``, ``forcing_shell``, ``drift_mode_cap``), ``name`` and
+``samples`` for ``experiment`` and ``sample_count``, and the grid keys
+``dim``, ``points`` and ``half_period``; the CSV path is the CLI's ``--out``.  The drift sweep comes either from an
+explicit comma-separated ``lambda_grid`` (which wins when both are present)
+or from log-spaced ``lambda_min`` / ``lambda_max`` / ``lambda_points``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .harness import ExperimentConfig, log_spaced
 _SECTION = "experiment"
 
 # INI keys of the config fields whose names differ from the field's.
-_KEY_OF_FIELD = {"experiment": "name", "sample_count": "samples", "output_path": "out"}
+_KEY_OF_FIELD = {"experiment": "name", "sample_count": "samples"}
 _SWEEP_KEYS = {"lambda_grid", "lambda_min", "lambda_max", "lambda_points"}
 
 

@@ -96,8 +96,9 @@ class GridSpec:
     points_per_axis: int
 
     def __post_init__(self) -> None:
-        if self.dim not in (2, 3):
-            raise ValueError(f"dim must be 2 or 3, got {self.dim}")
+        if not isinstance(self.dim, (int, np.integer)) or self.dim not in (2, 3):
+            raise ValueError(f"dim must be the integer 2 or 3, got {self.dim!r}")
+        object.__setattr__(self, "dim", int(self.dim))
         n = self.points_per_axis
         if not isinstance(n, (int, np.integer)) or n <= 0 or n % 2 != 0:
             raise ValueError(f"points_per_axis must be a positive even integer, got {n}")

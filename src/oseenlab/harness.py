@@ -49,7 +49,6 @@ from .fields import (
     gradient,
 )
 from .lifting import (
-    CutoffSpec,
     build_lifting,
     center_distance,
     default_cutoff,
@@ -97,8 +96,8 @@ class ExperimentConfig:
     """Inputs for one experiment run; its field defaults are the only ones (the
     INI loader and the experiment table's built-in configs state departures).
 
-    ``lambda_grid`` must be strictly increasing and confined to
-    (0, lambda_ceiling]; the experiment's table entry adds its wake floor
+    ``lambda_grid`` must be strictly increasing and positive; the
+    experiment's table entry adds its drift ceiling, wake floor
     (:attr:`wake_floor`), (q, r) windows and sweep rule.  ``forcing_shell``
     restricts random forcing to Euclidean mode radii inside the closed
     interval, ``drift_mode_cap`` caps the |m_1| content, and ``mode_cap``
@@ -118,13 +117,9 @@ class ExperimentConfig:
     rho: float = 0.05
     gamma: float | None = None
     tol: float = 1e-10
-    lambda_ceiling: float = 16.0
-    inner_radius: float | None = None
-    outer_radius: float | None = None
     mode_cap: int | None = None
     forcing_shell: tuple[float, float] | None = None
     drift_mode_cap: int | None = None
-    output_path: str | None = None
 
     def __post_init__(self) -> None:
         if self.experiment not in _TABLE:
@@ -137,13 +132,9 @@ class ExperimentConfig:
             raise ValueError("lambda_grid must not be empty")
         if any(b <= a for a, b in zip(lams, lams[1:])):
             raise ValueError("lambda_grid must be strictly increasing")
-        if not self.lambda_ceiling > 0:
+        if lams[0] <= 0 or lams[-1] > spec.lambda_ceiling * (1.0 + 1e-12):
             raise ValueError(
-                f"lambda_ceiling must be positive, got {self.lambda_ceiling}"
-            )
-        if lams[0] <= 0 or lams[-1] > self.lambda_ceiling * (1.0 + 1e-12):
-            raise ValueError(
-                f"lambda_grid must lie in (0, {self.lambda_ceiling}], got "
+                f"lambda_grid must lie in (0, {spec.lambda_ceiling}], got "
                 f"[{lams[0]}, {lams[-1]}]"
             )
         floor = self.wake_floor
@@ -175,8 +166,6 @@ class ExperimentConfig:
             raise ValueError(f"gamma must exceed 1 and be finite, got {self.gamma}")
         if not 0 < self.tol < math.inf:
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        if (self.inner_radius is None) != (self.outer_radius is None):
-            raise ValueError("inner_radius and outer_radius must be set together")
         if self.forcing_shell is not None:
             lo, hi = self.forcing_shell
             if not 0 < lo <= hi < math.inf:
@@ -210,8 +199,6 @@ class ExperimentConfig:
             _mode_list(self.grid, self.mode_cap, None, None)
         if shell or self.drift_mode_cap is not None:
             _mode_list(self.grid, self.mode_cap, shell, self.drift_mode_cap)
-        if self.output_path is not None:
-            _dat_twin(self.output_path)
         object.__setattr__(self, "lambda_grid", lams)
 
     @property
@@ -219,11 +206,6 @@ class ExperimentConfig:
         """4 / half_period for the box-sweep experiments, else 0."""
         box_sweep = _TABLE[self.experiment].box_sweep
         return 4.0 / self.grid.half_period if box_sweep else 0.0
-
-    def cutoff_spec(self) -> CutoffSpec:
-        if self.inner_radius is not None:
-            return CutoffSpec(self.inner_radius, self.outer_radius)
-        return default_cutoff(self.grid)
 
 
 _RELATIONS = {  # check kind: its symbol and its test
@@ -512,7 +494,7 @@ def _integrand_exponents(n: int, q: float, r: float) -> tuple[float, ...]:
 
 
 def fit_smallness_constant(
-    grid: GridSpec, profile: ExponentProfile, *, seed: int = 0
+    grid: GridSpec, profile: ExponentProfile, *, seed: int
 ) -> float:
     """Empirical constant shared by the linear and bilinear inequalities.
 
@@ -1094,9 +1076,8 @@ def _run_bilinear_ensemble(cfg: ExperimentConfig) -> ScalingResult:
 
     rows = []
     for lam in cfg.lambda_grid:
-        lam_w = lam**weight
-        den_one = v_one_pieces[:, 0] + lam_w * v_one_pieces[:, 1]
-        den_two = v_two_pieces[:, 0] + lam_w * v_two_pieces[:, 1]
+        den_one = lambda_norm_from_pieces(v_one_pieces.T, lam, n)
+        den_two = lambda_norm_from_pieces(v_two_pieces.T, lam, n)
         vv, ww = den_one * den_two, w_one_arr * w_two_arr
         denominators = np.column_stack(
             (vv, vv, ww, ww, den_one * w_two_arr, w_one_arr * den_two)
@@ -1175,7 +1156,7 @@ def _run_lifting_check(cfg: ExperimentConfig) -> ScalingResult:
     range (coefficient of variation at most 5%).
     """
     grid = cfg.grid
-    spec = cfg.cutoff_spec()
+    spec = default_cutoff(grid)
     interior = center_distance(grid) <= spec.inner_radius * (1.0 + 1e-12)
     rows = []
     for lam in cfg.lambda_grid:
@@ -1434,12 +1415,14 @@ def emit_csv(result: ScalingResult, path) -> None:
 class _Experiment:
     """One experiment: its runner, its built-in config's departures from the
     ExperimentConfig defaults, the (q, r) windows it needs (the linear one
-    holds 1/q <= 1/r - 1/(n+1), which theta needs), and whether it fits
-    slopes to a drift sweep (at least 5 drifts spanning a decade)."""
+    holds 1/q <= 1/r - 1/(n+1), which theta needs), the largest drift its
+    ``lambda_grid`` may reach, and whether it fits slopes to a drift sweep
+    (at least 5 drifts spanning a decade)."""
 
     runner: Callable[[ExperimentConfig], ScalingResult]
     built_in: dict
     windows: tuple[str, ...] = ()
+    lambda_ceiling: float = 16.0
     # Experiments that solve on the box at sweep drifts need the wake scale
     # c/lam to fit inside the box, hence the floor lam >= 4 / half_period.
     # The other experiments either solve at schedule-determined drifts
@@ -1487,8 +1470,8 @@ _TABLE = {
     ), box_sweep=True, sweep=True),
     "bilinear": _Experiment(_run_bilinear_ensemble, dict(
         grid=GridSpec(3, 1.0e7, 16), lambda_grid=log_spaced(10.0, 100.0, 7), q=4.0,
-        lambda_ceiling=100.0, forcing_shell=(1.0, 1.8),
-    ), windows=(PROBLEM_TP,), sweep=True),
+        forcing_shell=(1.0, 1.8),
+    ), windows=(PROBLEM_TP,), lambda_ceiling=100.0, sweep=True),
     "picard-steady": _Experiment(_run_picard, dict(
         grid=GridSpec(3, math.pi, 32), lambda_grid=(1.0,), q=4.0, gamma=1.1
     ), windows=(PROBLEM_STEADY, PROBLEM_LINEAR)),

@@ -57,7 +57,7 @@ class RadiusFloorError(ValueError):
 
 class PicardRunError(RuntimeError):
     """A fixed-point run that failed after it started; carries its partial
-    report (``converged`` is False)."""
+    report (its ``final_residual`` is NaN)."""
 
     def __init__(self, message: str, report: SolveReport) -> None:
         super().__init__(message)
@@ -78,24 +78,21 @@ class PicardConvergenceError(PicardRunError):
 
 @dataclass(frozen=True)
 class PicardConfig:
-    """Radius, schedule exponent, drift, data budget, and stopping control.
+    """Radius, drift, data budget, and stopping control.
 
-    Under the active schedule lam = epsilon = rho**gamma; configs built by
+    :meth:`from_schedule` sets lam = epsilon = rho**gamma; configs built by
     hand may deviate.
     """
 
     profile: ExponentProfile
     rho: float
-    gamma: float
     lam: float
     epsilon: float
-    tol: float = 1e-10
+    tol: float
 
     def __post_init__(self) -> None:
         if not 0 < self.rho < math.inf:
             raise ValueError(f"rho must be positive and finite, got {self.rho}")
-        if not self.gamma > 1:
-            raise ValueError(f"gamma must exceed 1, got {self.gamma}")
         if not 0 <= self.lam < math.inf:
             raise ValueError(f"lam must be nonnegative and finite, got {self.lam}")
         if not 0 < self.epsilon < math.inf:
@@ -107,13 +104,14 @@ class PicardConfig:
 
     @classmethod
     def from_schedule(
-        cls, profile: ExponentProfile, rho: float, gamma: float, tol: float = 1e-10
+        cls, profile: ExponentProfile, rho: float, gamma: float, tol: float
     ) -> "PicardConfig":
+        if not gamma > 1:
+            raise ValueError(f"gamma must exceed 1, got {gamma}")
         target = rho**gamma
         return cls(
             profile=profile,
             rho=rho,
-            gamma=gamma,
             lam=target,
             epsilon=target,
             tol=tol,
@@ -155,7 +153,7 @@ def radius_schedule(
     gamma: float,
     profile: ExponentProfile,
     constant: float,
-    tol: float = 1e-10,
+    tol: float,
 ) -> PicardConfig:
     """Halve rho until both smallness inequalities hold, then build a config.
 

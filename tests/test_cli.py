@@ -292,6 +292,31 @@ def test_retired_wake_constant_rejected_before_the_run(tmp_path, capsys, monkeyp
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("out", "table.csv"),
+        ("lambda_ceiling", "100"),
+        ("inner_radius", "1.0"),
+        ("outer_radius", "2.0"),
+    ],
+)
+def test_retired_config_key_rejected_before_the_run(
+    key, value, tmp_path, capsys, monkeypatch
+):
+    # The CSV path is --out alone, the drift ceiling is the experiment's and
+    # the cut-off radii are the grid's default.
+    monkeypatch.setattr(cli, "run_experiment", _must_not_run)
+    ini = tmp_path / "retired.ini"
+    ini.write_text(
+        f"[experiment]\nname = lifting-check\nlambda_grid = 1.0\n{key} = {value}\n"
+    )
+    assert main(["lifting-check", "--config", str(ini)]) == 1
+    captured = capsys.readouterr()
+    assert f"error: unknown config keys: {key}" in captured.err
+    assert captured.out == ""
+
+
 def test_negative_seed_rejected_before_the_run(capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_experiment", _must_not_run)
     assert main(["bilinear", "--seed", "-1"]) == 1
@@ -307,7 +332,7 @@ def test_short_bilinear_sweep_rejected_before_any_run_output(
     ini = tmp_path / "short.ini"
     ini.write_text(
         "[experiment]\nname = bilinear\npoints = 16\nhalf_period = 1e7\nq = 4\n"
-        "lambda_ceiling = 100\nlambda_grid = 10, 30, 100\nforcing_shell = 1.0, 1.8\n"
+        "lambda_grid = 10, 30, 100\nforcing_shell = 1.0, 1.8\n"
     )
     assert main(["bilinear", "--config", str(ini)]) == 1
     captured = capsys.readouterr()

@@ -72,13 +72,9 @@ samples = 5
 rho = 0.01
 gamma = 1.5
 tol = 1e-9
-lambda_ceiling = 8.0
-inner_radius = 1.0
-outer_radius = 2.0
 mode_cap = 2
 forcing_shell = 1.0, 1.8
 drift_mode_cap = 1
-out = table.csv
 """
 
 
@@ -99,13 +95,9 @@ def test_parse_full_config(tmp_path):
     assert cfg.rho == 0.01
     assert cfg.gamma == 1.5
     assert cfg.tol == 1e-9
-    assert cfg.lambda_ceiling == 8.0
-    assert cfg.inner_radius == 1.0
-    assert cfg.outer_radius == 2.0
     assert cfg.mode_cap == 2
     assert cfg.forcing_shell == (1.0, 1.8)
     assert cfg.drift_mode_cap == 1
-    assert cfg.output_path == "table.csv"
 
 
 def test_parse_minimal_config_defaults(tmp_path):
@@ -126,13 +118,9 @@ def test_parse_minimal_config_defaults(tmp_path):
     assert cfg.rho == 0.05
     assert cfg.gamma is None
     assert cfg.tol == 1e-10
-    assert cfg.lambda_ceiling == 16.0
-    assert cfg.inner_radius is None
-    assert cfg.outer_radius is None
     assert cfg.mode_cap is None
     assert cfg.forcing_shell is None
     assert cfg.drift_mode_cap is None
-    assert cfg.output_path is None
 
 
 def test_explicit_lambda_grid_wins_over_range(tmp_path):

@@ -1,7 +1,7 @@
 """The INI loader and the built-in configs against fixed references.
 
 ``_reference_parse_config`` and ``_REFERENCE_KEYS`` are a copy of the loader
-that spelled out its 24 keys and restated every fallback by hand.  The loader
+that spelled out its 20 keys and restated every fallback by hand.  The loader
 now derives its keys, conversions and fallbacks from the fields of
 :class:`ExperimentConfig`; a random subset of the keys with valid values must
 give the same config, or the same error, as the copy.  The seven built-in
@@ -35,7 +35,6 @@ _REFERENCE_KEYS = {
     "lambda_min",
     "lambda_max",
     "lambda_points",
-    "lambda_ceiling",
     "period",
     "time_modes",
     "seed",
@@ -43,12 +42,9 @@ _REFERENCE_KEYS = {
     "rho",
     "gamma",
     "tol",
-    "inner_radius",
-    "outer_radius",
     "mode_cap",
     "forcing_shell",
     "drift_mode_cap",
-    "out",
 }
 
 
@@ -116,13 +112,9 @@ def _reference_parse_config(path) -> ExperimentConfig:
         rho=section.getfloat("rho", fallback=0.05),
         gamma=optfloat("gamma"),
         tol=section.getfloat("tol", fallback=1e-10),
-        lambda_ceiling=section.getfloat("lambda_ceiling", fallback=16.0),
-        inner_radius=optfloat("inner_radius"),
-        outer_radius=optfloat("outer_radius"),
         mode_cap=optint("mode_cap"),
         forcing_shell=shell,
         drift_mode_cap=optint("drift_mode_cap"),
-        output_path=section.get("out", fallback=None),
     )
 
 
@@ -156,7 +148,6 @@ _VALUES = {
     "lambda_min": _number(2.0, 3.0),
     "lambda_max": _number(4.0, 8.0),
     "lambda_points": _integer(2, 9),
-    "lambda_ceiling": _number(8.0, 32.0),
     "period": _number(0.5, 10.0),
     "time_modes": _integer(1, 4),
     "seed": _integer(0, 1000),
@@ -164,33 +155,27 @@ _VALUES = {
     "rho": _number(0.01, 0.1),
     "gamma": _number(1.05, 2.0),
     "tol": _number(1e-12, 1e-6),
-    "inner_radius": _number(0.5, 1.0),
-    "outer_radius": _number(1.5, 2.5),
     "mode_cap": _integer(1, 4),
     "forcing_shell": st.one_of(
         st.just(""),
         st.tuples(st.floats(0.5, 1.0), st.floats(1.0, 2.0)).map(_list),
     ),
     "drift_mode_cap": _integer(1, 3),
-    "out": st.sampled_from(("table.csv", "runs/out.csv", "")),
 }
 
 
-# Every section sets a drift sweep; the radii are drawn together or not at all.
+# Every section sets a drift sweep.
 _SWEEPS = [
     ("lambda_grid",),
     ("lambda_min", "lambda_max"),
     ("lambda_min", "lambda_max", "lambda_points"),
     ("lambda_grid", "lambda_min", "lambda_max", "lambda_points"),
 ]
-_RADII = ("inner_radius", "outer_radius")
-_GROUPS = [_RADII] + [
-    (key,) for key in sorted(_VALUES) if key not in _RADII + _SWEEPS[-1]
-]
+_GROUPS = [(key,) for key in sorted(_VALUES) if key not in _SWEEPS[-1]]
 
 
 def test_the_draws_cover_every_reference_key():
-    assert len(_REFERENCE_KEYS) == 24
+    assert len(_REFERENCE_KEYS) == 20
     drawn = {key for group in _GROUPS + _SWEEPS for key in group}
     assert drawn | {"name"} == set(_VALUES) | {"name"} == _REFERENCE_KEYS
 
@@ -220,6 +205,7 @@ def test_parse_config_matches_the_reference(tmp_path_factory, text):
     assert _outcome(parse_config, path) == _outcome(_reference_parse_config, path)
 
 
+# ``output_path`` names no field either: the CSV path is the CLI's --out.
 @pytest.mark.parametrize(
     "key", ["experiment", "grid", "sample_count", "output_path", "points_per_axis"]
 )
@@ -253,13 +239,9 @@ _COMMON = dict(
     rho=0.05,
     gamma=None,
     tol=1e-10,
-    lambda_ceiling=16.0,
-    inner_radius=None,
-    outer_radius=None,
     mode_cap=None,
     forcing_shell=None,
     drift_mode_cap=None,
-    output_path=None,
 )
 _PINNED = {
     "mms": dict(grid=_BOX, lambda_grid=(0.5, 2.0), q=4.0, time_modes=2),
@@ -289,7 +271,6 @@ _PINNED = {
             100.0,
         ),
         q=4.0,
-        lambda_ceiling=100.0,
         forcing_shell=(1.0, 1.8),
     ),
     "picard-steady": dict(grid=_BOX, lambda_grid=(1.0,), q=4.0, gamma=1.1),

@@ -68,3 +68,34 @@ def test_counts_public_fields_defaults_and_flags():
         "defaulted parameters": 5,
         "cli flags": 2,
     }
+
+
+def test_options_name_each_counted_option():
+    assert count_options.options(ast.parse(TOY), "toy") == [
+        ("dataclass fields", "toy.Public.a"),
+        ("dataclass fields", "toy.Public.b"),
+        ("defaulted parameters", "toy.Public.method(y)"),
+        ("defaulted parameters", "toy.Public.method(z)"),
+        ("dataclass fields", "toy.AlsoPublic.c"),
+        ("defaulted parameters", "toy.Plain.method(x)"),
+        ("defaulted parameters", "toy.function(b)"),
+        ("defaulted parameters", "toy.function(d)"),
+        ("cli flags", "--flag"),
+        ("cli flags", "--short"),
+    ]
+
+
+def test_list_prints_each_option_then_the_counts(tmp_path, capsys):
+    (tmp_path / "toy.py").write_text(TOY)
+    assert count_options.main(["count_options.py", "--list", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == ["toy.Public.a", "toy.Public.b", "toy.Public.method(y)"]
+    assert "toy.function(d)" in lines and "--short" in lines
+    assert lines[-4:] == [
+        "dataclass fields: 3",
+        "defaulted parameters: 5",
+        "cli flags: 2",
+        "public options: 10",
+    ]
+    assert count_options.main(["count_options.py", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == lines[-4:]

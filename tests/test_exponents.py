@@ -319,7 +319,7 @@ def test_smallness_terms_carry_the_m_terms_in_six_dimensions():
     assert second == pytest.approx(
         constant * sum(rho ** (e - 1.0) for e in exps[1:]), rel=1e-14
     )
-    assert radius_schedule(0.05, 1.575, profile, 1.0).rho == 7.8125e-4
+    assert radius_schedule(0.05, 1.575, profile, 1.0, 1e-10).rho == 7.8125e-4
 
 
 def test_contraction_condition_can_decide_the_radius():
@@ -330,7 +330,7 @@ def test_contraction_condition_can_decide_the_radius():
     for rho in (0.05, 0.025):
         first, second = smallness_terms(profile, rho, 1.9, 0.45)
         assert first <= rho and second > 0.5
-    assert radius_schedule(0.05, 1.9, profile, 0.45).rho == 0.0125
+    assert radius_schedule(0.05, 1.9, profile, 0.45, 1e-10).rho == 0.0125
 
 
 def test_smallness_terms_reject_gamma_outside_interval():
@@ -343,7 +343,7 @@ def test_radius_schedule_halves_until_both_inequalities_hold():
     profile = _profile()
     gamma = 1.5
     constant = 5.0
-    cfg = radius_schedule(0.4, gamma, profile, constant)
+    cfg = radius_schedule(0.4, gamma, profile, constant, 1e-10)
     # re-derive the halving loop
     rho = 0.4
     while True:
@@ -352,15 +352,14 @@ def test_radius_schedule_halves_until_both_inequalities_hold():
             break
         rho *= 0.5
     assert cfg.rho == rho
-    assert cfg.gamma == gamma
     assert cfg.lam == cfg.epsilon == rho**gamma
 
 
 def test_halving_the_radius_scales_the_drift_geometrically():
     profile = _profile()
     gamma = 1.5
-    cfg_a = PicardConfig.from_schedule(profile, 0.05, gamma)
-    cfg_b = PicardConfig.from_schedule(profile, 0.025, gamma)
+    cfg_a = PicardConfig.from_schedule(profile, 0.05, gamma, 1e-10)
+    cfg_b = PicardConfig.from_schedule(profile, 0.025, gamma, 1e-10)
     expected = cfg_a.lam * 2.0 ** (-gamma)
     assert abs(cfg_b.lam - expected) <= 1e-12 * expected
 
@@ -368,13 +367,13 @@ def test_halving_the_radius_scales_the_drift_geometrically():
 def test_radius_schedule_errors():
     profile = _profile()
     with pytest.raises(ValueError, match="outside the open interval"):
-        radius_schedule(0.1, 3.0, profile, 1.0)
+        radius_schedule(0.1, 3.0, profile, 1.0, 1e-10)
     with pytest.raises(ValueError, match="constant must be positive"):
-        radius_schedule(0.1, 1.5, profile, 0.0)
+        radius_schedule(0.1, 1.5, profile, 0.0, 1e-10)
     with pytest.raises(ValueError, match="rho must be positive"):
-        radius_schedule(0.0, 1.5, profile, 1.0)
+        radius_schedule(0.0, 1.5, profile, 1.0, 1e-10)
     with pytest.raises(RadiusFloorError, match="no radius above the floor"):
-        radius_schedule(0.1, 1.5, profile, 1e12)
+        radius_schedule(0.1, 1.5, profile, 1e12, 1e-10)
     assert issubclass(RadiusFloorError, ValueError)
 
 
@@ -382,17 +381,17 @@ def test_radius_schedule_errors():
 def test_radius_schedule_rejects_a_non_finite_radius(rho):
     # Halving infinity never reaches the floor, so this call used to hang.
     with pytest.raises(ValueError, match="rho must be positive and finite"):
-        radius_schedule(rho, 1.1, ExponentProfile(3, 4.0, 2.0), 1.0)
+        radius_schedule(rho, 1.1, ExponentProfile(3, 4.0, 2.0), 1.0, 1e-10)
 
 
 def test_picard_config_validation():
     profile = _profile()
     with pytest.raises(ValueError, match="gamma must exceed 1"):
-        PicardConfig(profile, 0.1, 1.0, 0.01, 0.01)
+        PicardConfig.from_schedule(profile, 0.1, 1.0, 1e-10)
     with pytest.raises(ValueError, match="rho must be positive"):
-        PicardConfig(profile, 0.0, 1.5, 0.01, 0.01)
+        PicardConfig(profile, 0.0, 0.01, 0.01, 1e-10)
     with pytest.raises(ValueError, match="epsilon must be positive"):
-        PicardConfig(profile, 0.1, 1.5, 0.01, 0.0)
+        PicardConfig(profile, 0.1, 0.01, 0.0, 1e-10)
 
 
 @pytest.mark.parametrize(
@@ -408,6 +407,6 @@ def test_picard_config_validation():
 def test_picard_config_rejects_a_non_finite_value(field, message, value):
     # At tol = inf the driver would stop after one update, and the checks
     # whose bounds scale with tol would pass vacuously.
-    settings = dict(rho=0.1, gamma=1.5, lam=0.01, epsilon=0.01, tol=1e-10)
+    settings = dict(rho=0.1, lam=0.01, epsilon=0.01, tol=1e-10)
     with pytest.raises(ValueError, match=f"^{message}, got {value}$"):
         PicardConfig(_profile(), **{**settings, field: value})

@@ -7,6 +7,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 import pytest
 
+from oseenlab.exponents import s_exponent
 from oseenlab.fields import (
     GridSpec,
     ScalarField,
@@ -50,6 +51,22 @@ def test_grid_validation():
         GridSpec(2, 1.0, 0)
     with pytest.raises(ValueError, match="half_period"):
         GridSpec(2, -1.0, 8)
+
+
+def test_grid_rejects_a_dimension_that_is_not_an_integer():
+    # 3.0 == 3, but a float cannot size the sample array.
+    message = r"^dim must be the integer 2 or 3, got 3\.0$"
+    with pytest.raises(ValueError, match=message):
+        GridSpec(3.0, np.pi, 16)
+
+
+def test_grid_stores_a_numpy_integer_dimension_as_int():
+    # The exponent checks take a Python int only.
+    grid = GridSpec(np.int64(3), np.pi, 16)
+    assert type(grid.dim) is int and grid.dim == 3
+    assert grid == GridSpec(3, np.pi, 16)
+    assert grid.shape == (16, 16, 16)
+    assert s_exponent(grid.dim, 2.0) == 4.0
 
 
 @pytest.mark.parametrize("value", [np.inf, np.nan])

@@ -113,7 +113,11 @@ def test_cutoff_field_support_check():
 
 def test_cutoff_field_center_and_mirror_symmetry():
     grid = GridSpec(2, np.pi, 64)
-    field = build_cutoff(default_cutoff(grid), grid)
+    spec = default_cutoff(grid)
+    half_width = np.pi * grid.half_period
+    assert spec.inner_radius == pytest.approx(0.2 * half_width)
+    assert spec.outer_radius == pytest.approx(0.6 * half_width)
+    field = build_cutoff(spec, grid)
     n = grid.points_per_axis
     assert field.values[n // 2, n // 2] == 1.0
     assert field.values[0, 0] == 0.0  # the corner is outside the support

@@ -59,7 +59,7 @@ def profile():
 
 @pytest.fixture(scope="module")
 def config(profile):
-    return PicardConfig.from_schedule(profile, 0.05, 1.5)
+    return PicardConfig.from_schedule(profile, 0.05, 1.5, 1e-10)
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +84,7 @@ def _scaled_forcing(grid, config, seed=(7,), fraction=0.5):
 
 
 def test_zero_forcing_yields_the_zero_solution(grid, profile, free_lifting):
-    cfg = PicardConfig(profile, rho=0.05, gamma=1.5, lam=0.0, epsilon=0.01)
+    cfg = PicardConfig(profile, rho=0.05, lam=0.0, epsilon=0.01, tol=1e-10)
     pair, report = picard_steady(VectorField.zeros(grid), cfg, lifting=free_lifting)
     assert np.isfinite(report.final_residual)
     assert report.iterates == (0.0,)
@@ -178,7 +178,7 @@ def test_shrinking_the_radius_shrinks_the_contraction_rate(
 ):
     rates = []
     for rho in (0.05, 0.025):
-        cfg = PicardConfig.from_schedule(profile, rho, 1.5)
+        cfg = PicardConfig.from_schedule(profile, rho, 1.5, 1e-10)
         f = _scaled_forcing(grid, cfg)
         _, report = picard_steady(f, cfg, lifting=free_lifting)
         assert np.isfinite(report.final_residual)
@@ -371,7 +371,7 @@ def test_drivers_default_to_the_obstacle_free_problem(grid, config):
 
 
 def test_large_data_divergence_is_detected(grid, profile, free_lifting):
-    cfg = PicardConfig(profile, rho=1e9, gamma=1.5, lam=0.5, epsilon=1e9, tol=1e-12)
+    cfg = PicardConfig(profile, rho=1e9, lam=0.5, epsilon=1e9, tol=1e-12)
     raw = random_divergence_free(grid, (7,), mode_cap=2)
     f = VectorField(grid, raw.components * 50.0)
     for driver, forcing in _both_drivers(f):
@@ -383,7 +383,7 @@ def test_large_data_divergence_is_detected(grid, profile, free_lifting):
 def test_exhausted_iteration_budget_raises(grid, profile, free_lifting, monkeypatch):
     monkeypatch.setattr(picard, "_MAX_ITER", 1)
     cfg = PicardConfig(
-        profile, rho=0.05, gamma=1.5, lam=0.05**1.5, epsilon=0.05**1.5, tol=1e-15
+        profile, rho=0.05, lam=0.05**1.5, epsilon=0.05**1.5, tol=1e-15
     )
     f = _scaled_forcing(grid, cfg)
     for driver, forcing in _both_drivers(f):
@@ -399,7 +399,7 @@ def _scripted_run(grid, profile, free_lifting, updates):
     norm 1, then 0 for the certificate; a final update of 0 converges.
     """
     values = iter([0.0] + [v for delta in updates for v in (delta, 1.0)])
-    cfg = PicardConfig(profile, rho=10.0, gamma=1.5, lam=0.0, epsilon=1.0)
+    cfg = PicardConfig(profile, rho=10.0, lam=0.0, epsilon=1.0, tol=1e-10)
     zero = VectorField.zeros(grid)
 
     def solve(forcing, params):
@@ -479,7 +479,7 @@ def test_time_periodic_initial_must_match_the_forcing_modes(
 
 def test_inadmissible_exponent_pairs_are_rejected(grid, free_lifting):
     profile = ExponentProfile(3, 5.0, 2.1)
-    cfg = PicardConfig.from_schedule(profile, 0.05, 1.5)
+    cfg = PicardConfig.from_schedule(profile, 0.05, 1.5, 1e-10)
     f = VectorField.zeros(grid)
     with pytest.raises(ValueError, match="inadmissible for steady-nonlinear"):
         picard_steady(f, cfg, lifting=free_lifting)
@@ -490,6 +490,6 @@ def test_inadmissible_exponent_pairs_are_rejected(grid, free_lifting):
 
 def test_profile_dimension_must_match_the_grid(profile):
     plane = GridSpec(2, np.pi, 16)
-    cfg = PicardConfig.from_schedule(profile, 0.05, 1.5)
+    cfg = PicardConfig.from_schedule(profile, 0.05, 1.5, 1e-10)
     with pytest.raises(ValueError, match="profile dimension"):
         picard_steady(VectorField.zeros(plane), cfg)

@@ -10,16 +10,21 @@ An option is one of:
 A name is public when neither it nor its enclosing class starts with an
 underscore.  Standard library only; run from the repository root::
 
-    python3 tools/count_options.py [SOURCE_DIR]
+    python3 tools/count_options.py [--list] [SOURCE_DIR]
 
-It prints the three counts and their total.
+It prints the three counts and their total; ``--list`` first prints each
+option by name, one a line (``harness.ExperimentConfig.rho``,
+``picard.radius_schedule(tol)``, ``--out``).
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import pathlib
 import sys
+
+KINDS = ("dataclass fields", "defaulted parameters", "cli flags")
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -32,52 +37,79 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return False
 
 
-def _defaulted(node: ast.FunctionDef | ast.AsyncFunctionDef) -> int:
+def _defaulted(node: ast.FunctionDef | ast.AsyncFunctionDef) -> list[str]:
+    """Names of the parameters of ``node`` that carry a default."""
     args = node.args
-    return len(args.defaults) + sum(d is not None for d in args.kw_defaults)
+    positional = args.posonlyargs + args.args
+    named = positional[len(positional) - len(args.defaults):]
+    named += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return [arg.arg for arg in named]
 
 
-def count(tree: ast.Module) -> dict[str, int]:
-    counts = {"dataclass fields": 0, "defaulted parameters": 0, "cli flags": 0}
+def options(tree: ast.Module, module: str) -> list[tuple[str, str]]:
+    """(kind, name) of every public option of ``tree``, in source order; a
+    name reads ``module.Class.field``, ``module.function(param)`` or
+    ``--flag``."""
+    found: list[tuple[str, str]] = []
 
-    def visit(body, public: bool) -> None:
+    def visit(body, prefix: str, public: bool) -> None:
         for node in body:
             if isinstance(node, ast.ClassDef):
                 visible = public and not node.name.startswith("_")
+                qualified = f"{prefix}.{node.name}"
                 if visible and _is_dataclass(node):
-                    counts["dataclass fields"] += sum(
-                        isinstance(item, ast.AnnAssign) for item in node.body
+                    found.extend(
+                        ("dataclass fields", f"{qualified}.{item.target.id}")
+                        for item in node.body
+                        if isinstance(item, ast.AnnAssign)
                     )
-                visit(node.body, visible)
+                visit(node.body, qualified, visible)
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if public and not node.name.startswith("_"):
-                    counts["defaulted parameters"] += _defaulted(node)
+                    found.extend(
+                        ("defaulted parameters", f"{prefix}.{node.name}({arg})")
+                        for arg in _defaulted(node)
+                    )
 
-    visit(tree.body, True)
+    visit(tree.body, module, True)
     for node in ast.walk(tree):
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
             and node.func.attr == "add_argument"
         ):
-            counts["cli flags"] += sum(
-                isinstance(arg, ast.Constant)
+            found.extend(
+                ("cli flags", arg.value)
+                for arg in node.args
+                if isinstance(arg, ast.Constant)
                 and isinstance(arg.value, str)
                 and arg.value.startswith("--")
-                for arg in node.args
             )
-    return counts
+    return found
+
+
+def count(tree: ast.Module) -> dict[str, int]:
+    kinds = [kind for kind, _name in options(tree, "")]
+    return {kind: kinds.count(kind) for kind in KINDS}
 
 
 def main(argv: list[str]) -> int:
-    root = pathlib.Path(argv[1] if len(argv) > 1 else "src/oseenlab")
-    totals: dict[str, int] = {}
-    for path in sorted(root.glob("*.py")):
-        for name, value in count(ast.parse(path.read_text(encoding="utf-8"))).items():
-            totals[name] = totals.get(name, 0) + value
-    for name, value in totals.items():
-        print(f"{name}: {value}")
-    print(f"public options: {sum(totals.values())}")
+    parser = argparse.ArgumentParser(description="Count the public options.")
+    parser.add_argument("source", nargs="?", default="src/oseenlab")
+    parser.add_argument(
+        "--list", action="store_true", help="print each option by name first"
+    )
+    args = parser.parse_args(argv[1:])
+    found: list[tuple[str, str]] = []
+    for path in sorted(pathlib.Path(args.source).glob("*.py")):
+        found += options(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    if args.list:
+        for _kind, name in found:
+            print(name)
+    kinds = [kind for kind, _name in found]
+    for kind in KINDS:
+        print(f"{kind}: {kinds.count(kind)}")
+    print(f"public options: {len(found)}")
     return 0
 
 
