@@ -10,6 +10,7 @@ radius-to-data schedule lambda = epsilon = rho**gamma.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 PROBLEM_LINEAR = "linear-full"
@@ -177,6 +178,8 @@ class ExponentProfile:
     zeta = ZETA_FALLBACK
 
     def __post_init__(self) -> None:
+        _check_dim(self.n)
+        object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "q", float(self.q))
         object.__setattr__(self, "r", float(self.r))
         _ = self.gamma_range  # an inadmissible triple raises here
@@ -201,5 +204,5 @@ class ExponentProfile:
 
 
 def _check_dim(n: int) -> None:
-    if not isinstance(n, (int,)) or n < 2:
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 2:
         raise ValueError(f"dimension n must be an integer >= 2, got {n}")

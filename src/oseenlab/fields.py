@@ -409,9 +409,10 @@ class TimePeriodicField(_FieldAlgebra):
             raise ValueError("modes contain non-finite values")
         # Mode 0 of a real signal is real; roundoff-level imaginary parts are
         # snapped away so that differences of nearly equal stacks stay valid.
-        scale = np.max(np.abs(modes)) or 1.0
+        # A zero defect passes against any positive scale, so the scan of the
+        # whole stack for its scale runs only when the defect is nonzero.
         defect = 2.0 * np.max(np.abs(modes[0].imag))
-        if defect > 1e-12 * scale:
+        if defect > 0.0 and defect > 1e-12 * (np.max(np.abs(modes)) or 1.0):
             raise ValueError(
                 f"mode 0 is not real: defect {defect:.3e}, "
                 "stack does not represent a real signal"

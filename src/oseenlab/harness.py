@@ -1267,16 +1267,15 @@ def _run_picard(cfg: ExperimentConfig) -> ScalingResult:
     for j, rho in enumerate((base.rho, base.rho / 2.0, base.rho / 4.0)):
         pcfg = PicardConfig.from_schedule(profile, rho, gamma, tol=cfg.tol)
         forcing = direction * (0.5 * pcfg.epsilon / unit_size)
-        forcing_size = data_size(forcing, cfg.q, cfg.r)
         solution, report = driver(forcing, pcfg)
         velocity = solution.velocity
-        solution_norm = norm(velocity, pcfg.lam, cfg.q, cfg.r)
+        solution_norm = report.solution_norm
         rows.append(
             (
                 rho,
                 pcfg.lam,
                 pcfg.epsilon,
-                forcing_size,
+                report.forcing_size,
                 float(report.iterations),
                 report.contraction_rate,
                 report.final_residual,

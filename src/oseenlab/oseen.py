@@ -200,8 +200,10 @@ class SolveReport:
     """Iteration record of the steady and time-periodic fixed-point drivers.
 
     ``iterates`` holds the update norms per iteration, ``final_residual`` the
-    certificate and the last two fields the residuals of the certificate
-    solve.  The partial report of a failed run leaves all three NaN; a
+    certificate, the next two fields the residuals of the certificate solve,
+    ``solution_norm`` the driver norm of the returned velocity and
+    ``forcing_size`` the forcing's size that the small-data gate measured.
+    The partial report of a failed run leaves all but ``iterates`` NaN; a
     converged run has a finite ``final_residual``.
     """
 
@@ -209,6 +211,8 @@ class SolveReport:
     final_residual: float = math.nan
     residual_momentum: float = math.nan
     residual_div: float = math.nan
+    solution_norm: float = math.nan
+    forcing_size: float = math.nan
 
     @property
     def iterations(self) -> int:

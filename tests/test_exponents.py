@@ -265,6 +265,16 @@ def test_profile_stores_only_n_q_r_and_derives_the_rest():
         ExponentProfile(3, 2.0, 2.0)
 
 
+def test_dimension_accepts_any_integer_type_but_bool():
+    profile = ExponentProfile(np.int64(3), 4.0, 2.0)
+    assert profile == ExponentProfile(3, 4.0, 2.0)
+    assert type(profile.n) is int
+    assert s_exponent(np.int32(3), 2.0) == s_exponent(3, 2.0)
+    for bad in (3.0, True, np.float64(3.0), 1):
+        with pytest.raises(ValueError, match="must be an integer >= 2"):
+            ExponentProfile(bad, 4.0, 2.0)
+
+
 # --- radius schedule ------------------------------------------------------
 
 

@@ -315,6 +315,105 @@ def test_drivers_return_the_certificate_solves_pressure(
     )
 
 
+# --- the start and the evaluation counts -------------------------------------
+
+
+def _oscillating_forcing(grid, config):
+    """A time-periodic forcing at half the budget: a quarter in the steady
+    part and a quarter in a K = 1 oscillation."""
+    f = _scaled_forcing(grid, config, fraction=0.25)
+    raw = random_oscillatory(grid, PERIOD, 1, (13,), mode_cap=2)
+    data = lq_norm(raw, Q) + negative_norm_surrogate(project_steady(raw), R)
+    modes = raw.modes * (0.25 * config.epsilon / data)
+    modes[0] = modes[0] + f.components
+    return TimePeriodicField(grid, PERIOD, modes)
+
+
+def _bits(field):
+    data = field.components if isinstance(field, VectorField) else field.modes
+    return data.view(np.uint64)
+
+
+def test_the_obstacle_free_start_adds_nothing_to_the_forcing(grid, config):
+    # With no lifting the nonlinearity of 0 is -0.0 everywhere, so the start
+    # forcing f + nonlinearity(f * 0.0) is f bit for bit, signed zeros too;
+    # the drivers therefore start from solve(f).
+    components = _scaled_forcing(grid, config).components.copy()
+    components[0, 0] = 0.0
+    components[1, 0] = -0.0
+    modes = _oscillating_forcing(grid, config).modes.copy()
+    modes[1, 0, 0] = complex(-0.0, -0.0)
+    forcings = (
+        VectorField(grid, components),
+        TimePeriodicField(grid, PERIOD, modes),
+    )
+    for forcing in forcings:
+        data = _bits(forcing)
+        assert np.any(data == np.float64(-0.0).view(np.uint64))
+        start = forcing + nonlinearity(forcing * 0.0, None)
+        assert np.array_equal(_bits(start), data)
+
+
+@pytest.mark.parametrize("steady", [True, False], ids=["steady", "timeperiodic"])
+def test_a_lifting_start_solves_the_forcing_plus_the_lifting_terms(
+    grid, config, monkeypatch, steady
+):
+    if steady:
+        f, driver, name = _scaled_forcing(grid, config), picard_steady, "solve_steady"
+    else:
+        f, driver = _oscillating_forcing(grid, config), picard_timeperiodic
+        name = "solve_timeperiodic"
+    lifting = _obstacle_lifting(grid, config)
+    received = []
+    exact = getattr(picard, name)
+
+    def capture(forcing, params):
+        received.append(forcing)
+        return exact(forcing, params)
+
+    monkeypatch.setattr(picard, name, capture)
+    with pytest.raises(RadiusEscapeError, match="exceeds rho"):
+        driver(f, config, lifting=lifting)
+    expected = f + nonlinearity(f * 0.0, lifting)
+    assert not np.array_equal(_bits(expected), _bits(f))
+    assert len(received) == 1
+    assert np.array_equal(_bits(received[0]), _bits(expected))
+
+
+@pytest.mark.parametrize("steady", [True, False], ids=["steady", "timeperiodic"])
+def test_a_converged_run_evaluates_nothing_it_already_knows(
+    grid, config, free_lifting, monkeypatch, steady
+):
+    if steady:
+        f, driver, name = _scaled_forcing(grid, config), picard_steady, "lambda_norm"
+    else:
+        f, driver = _oscillating_forcing(grid, config), picard_timeperiodic
+        name = "driver_norm_timeperiodic"
+    exact_norm = getattr(picard, name)
+    calls = {name: 0, "nonlinearity": 0}
+
+    def counted(key):
+        exact = getattr(picard, key)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return exact(*args, **kwargs)
+
+        return wrapper
+
+    for key in calls:
+        monkeypatch.setattr(picard, key, counted(key))
+    pair, report = driver(f, config, lifting=free_lifting)
+    iterations = report.iterations
+    assert iterations > 1
+    # The start, each update, the iterate at the stop and the certificate;
+    # the nonlinearity once per update and once for the certificate.
+    assert calls[name] == 1 + iterations + 1 + 1
+    assert calls["nonlinearity"] == iterations + 1
+    assert report.solution_norm == exact_norm(pair.velocity, config.lam, Q, R)
+    assert report.forcing_size == picard.data_size(f, Q, R)
+
+
 # --- gates and escapes -------------------------------------------------------
 #
 # Each failure is checked on both drivers: the steady one on a steady forcing
@@ -392,24 +491,44 @@ def test_exhausted_iteration_budget_raises(grid, profile, free_lifting, monkeypa
         assert _partial_report(excinfo).iterations == 1
 
 
-def _scripted_run(grid, profile, free_lifting, updates):
-    """The steady contraction loop with a zero solve and a scripted norm.
+def _marked(grid, j, iterate):
+    """A field the scripted norm can read back: 2**j in the first component,
+    and 1 (an iterate) or 0 (an update) in the second."""
+    components = np.zeros((grid.dim,) + grid.shape)
+    components[0] = 2.0**j
+    components[1] = 1.0 if iterate else 0.0
+    return VectorField(grid, components)
 
-    The norm reads 0 at the start, then each update in turn with iterate
-    norm 1, then 0 for the certificate; a final update of 0 converges.
+
+def _scripted_run(grid, profile, free_lifting, updates, iterate_norms=None):
+    """The steady contraction loop with a marking solve and a scripted norm.
+
+    The start is iterate 0 and the j-th solve returns iterate j, marked by
+    :func:`_marked`, so the update from iterate j - 1 to j carries 2**(j - 1)
+    and 0.  The norm answers by its argument, never by call order: update j
+    reads ``updates[j - 1]`` (0 past the end, which converges, and for the
+    certificate), and iterate j reads ``iterate_norms[j]`` (default 0 for the
+    start and 1 for every later iterate).
     """
-    values = iter([0.0] + [v for delta in updates for v in (delta, 1.0)])
     cfg = PicardConfig(profile, rho=10.0, lam=0.0, epsilon=1.0, tol=1e-10)
     zero = VectorField.zeros(grid)
+    solves = []
+    iterate_norms = {0: 0.0} if iterate_norms is None else iterate_norms
 
     def solve(forcing, params):
-        return StokesPair(zero, ScalarField.zeros(grid))
+        solves.append(forcing)
+        return StokesPair(_marked(grid, len(solves), True), ScalarField.zeros(grid))
 
     def norm(field, lam, q, r):
-        return next(values, 0.0)
+        first, second = field.components[0].flat[0], field.components[1].flat[0]
+        j = int(np.log2(first))
+        if second == 1.0:
+            return iterate_norms.get(j, 1.0)
+        return updates[j] if j < len(updates) else 0.0
 
     return picard._fixed_point(
-        zero, cfg, free_lifting, zero, picard.PROBLEM_STEADY, solve, norm
+        zero, cfg, free_lifting, _marked(grid, 0, True), picard.PROBLEM_STEADY,
+        solve, norm,
     )
 
 
@@ -432,6 +551,42 @@ def test_a_shrinking_update_resets_the_growth_streak(grid, profile, free_lifting
     _, report = _scripted_run(grid, profile, free_lifting, updates)
     assert np.isfinite(report.final_residual)
     assert report.iterates == updates
+
+
+def test_a_bound_that_straddles_rho_takes_the_exact_norm(grid, profile, free_lifting):
+    # After updates 6 and 6 the triangle bound is 12 > rho = 10, so the
+    # driver measures iterate 2 exactly: at 10.5 it escapes with that value
+    # in the message, and at 1 it carries on to convergence.
+    updates = (6.0, 6.0)
+    with pytest.raises(RadiusEscapeError, match="iterate norm 1.050000e[+]01 left") as excinfo:
+        _scripted_run(grid, profile, free_lifting, updates, {0: 0.0, 2: 10.5})
+    assert _partial_report(excinfo).iterates == updates
+    assert np.isnan(excinfo.value.report.solution_norm)
+    _, report = _scripted_run(grid, profile, free_lifting, updates)
+    assert report.iterates == updates + (0.0,) and report.solution_norm == 1.0
+
+
+def test_a_bound_that_meets_the_stop_test_takes_the_exact_norm(
+    grid, profile, free_lifting
+):
+    # From a start of norm 1 an update of 1.00000000005e-10 misses the stop
+    # test against the last norm but meets it against the bound; the exact
+    # norm of the iterate, 1.0000000005, then stops the loop there.
+    updates = (1.00000000005e-10,)
+    iterate_norms = {0: 1.0, 1: 1.0000000005}
+    _, report = _scripted_run(grid, profile, free_lifting, updates, iterate_norms)
+    assert report.iterates == updates and report.solution_norm == 1.0000000005
+
+
+def test_a_bound_inside_the_ball_stands_in_for_the_iterate_norm(
+    grid, profile, free_lifting
+):
+    # Iterates 1 and 2 would escape if measured, but their triangle bounds
+    # (1, then 3) stay inside the ball and far from the stop test, so the
+    # driver never measures them; iterate 3 is measured at the stop.
+    iterate_norms = {0: 0.0, 1: 50.0, 2: 50.0, 3: 2.0}
+    _, report = _scripted_run(grid, profile, free_lifting, (1.0, 2.0), iterate_norms)
+    assert report.iterates == (1.0, 2.0, 0.0) and report.solution_norm == 2.0
 
 
 # --- input validation --------------------------------------------------------
