@@ -212,6 +212,15 @@ def _owned_copy(values, dtype) -> np.ndarray:
     return np.array(values, dtype=dtype, order="C")
 
 
+def _check_count(value, name: str, least: int) -> int:
+    """``value`` as an int; refused unless it is an integer >= ``least``."""
+    if not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return int(value)
+
+
 def _as_field_array(values, expected_shape: tuple[int, ...], name: str) -> np.ndarray:
     array = _owned_copy(values, np.float64)
     if array.shape != expected_shape:
@@ -452,6 +461,7 @@ class TimePeriodicField(_FieldAlgebra):
         cls, field: ScalarField | VectorField, period: float, max_mode: int = 0
     ) -> "TimePeriodicField":
         """Embed a steady field as the k = 0 mode of a stack with K+1 slots."""
+        max_mode = _check_count(max_mode, "max_mode", 0)
         data = _component_array(field)
         modes = np.zeros((max_mode + 1,) + data.shape, dtype=np.complex128)
         modes[0] = data
@@ -466,6 +476,7 @@ class TimePeriodicField(_FieldAlgebra):
         ``samples`` has shape (nt, ncomp) + grid.shape with nt >= 2K+1;
         sample j sits at time j * period / nt.
         """
+        max_mode = _check_count(max_mode, "max_mode", 0)
         samples = np.asarray(samples, dtype=np.float64)
         nt = samples.shape[0]
         if nt < 2 * max_mode + 1:
@@ -478,8 +489,7 @@ class TimePeriodicField(_FieldAlgebra):
 
     def sample_times(self, num_samples: int) -> np.ndarray:
         """Real samples at t_j = j * period / num_samples, shape (nt, ncomp, ...)."""
-        if num_samples < 1:
-            raise ValueError("num_samples must be positive")
+        num_samples = _check_count(num_samples, "num_samples", 1)
         t = np.arange(num_samples) * (self.period / num_samples)
         out = np.empty((num_samples,) + self.modes.shape[1:], dtype=np.float64)
         k_range = np.arange(1, self.max_mode + 1)

@@ -17,7 +17,6 @@ import itertools
 import math
 import operator
 import os
-from collections import OrderedDict
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -479,9 +478,6 @@ def random_timeperiodic_forcing(
 # ---------------------------------------------------------------------------
 # fitted smallness constant
 
-# Least-recently-used memo of fitted constants, at most _FIT_CACHE_SIZE entries.
-_FIT_CACHE: OrderedDict[tuple, float] = OrderedDict()
-_FIT_CACHE_SIZE = 16
 # The fit draws _FIT_SAMPLES random forcings and probes each at _FIT_DRIFTS.
 _FIT_SAMPLES = 8
 _FIT_DRIFTS = (0.25, 1.0, 4.0)
@@ -515,11 +511,6 @@ def fit_smallness_constant(
         raise ValueError(
             f"profile is for n = {profile.n}, but the grid has dim {grid.dim}"
         )
-    key = (grid, profile, seed)
-    cached = _FIT_CACHE.get(key)
-    if cached is not None:
-        _FIT_CACHE.move_to_end(key)
-        return cached
     n, q, r = profile.n, profile.q, profile.r
     weight = 1.0 / (n + 1)
     mode_cap = _default_mode_cap(grid)
@@ -557,9 +548,6 @@ def fit_smallness_constant(
                 strong * lam ** (profile.theta * weight) / denominator,
                 weak * lam ** (profile.eta * weight) / denominator,
             )
-    _FIT_CACHE[key] = best
-    if len(_FIT_CACHE) > _FIT_CACHE_SIZE:
-        _FIT_CACHE.popitem(last=False)
     return best
 
 

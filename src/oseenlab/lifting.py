@@ -26,7 +26,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial
@@ -37,7 +37,6 @@ from .fields import (
     VectorField,
     _lock,
     _owned_copy,
-    _truncate_samples,
 )
 from .norms import lq_norm, negative_norm_surrogate
 
@@ -145,16 +144,6 @@ class LiftingField:
     @property
     def grid(self) -> GridSpec:
         return self.velocity.grid
-
-    @cached_property
-    def self_advection(self) -> np.ndarray:
-        """Dealiased (V . grad)V from the exact jacobian, formed once per lifting."""
-        values = self.velocity.components
-        acc = np.zeros(values.shape)
-        for k in range(self.grid.dim):
-            acc = acc + values[k] * self.jacobian[:, k]
-        # A contiguous copy, so the cache does not pin the complex transform.
-        return _lock(np.ascontiguousarray(_truncate_samples(self.grid, acc)))
 
     def divergence_values(self) -> np.ndarray:
         """Pointwise divergence as the trace of the exact jacobian."""

@@ -3,27 +3,22 @@ convective product.
 
 The nonlinearity of the perturbation u around the lifting field V is
 
-    -(u . grad)u - (u . grad)V - (V . grad)u - (V . grad)V
-    + laplacian(V) - lam * d1(V),
+    -((u + V) . grad)(u + V) + laplacian(V) - lam * d1(V),
 
 where lam is the lifting's own drift (:attr:`LiftingField.lambda_used`).
 Without an obstacle there is no lifting (V = 0) and only -(u . grad)u is
-formed: 21 instead of 33 single-component transforms per instant at dim 3.
+formed.
 
-Band-limited factors follow the truncate-multiply-truncate dealiasing
-pattern.  The lifting V and its derivative arrays are exact pointwise
-samples (not band-limited), so they enter products at full resolution and
-only the product is re-truncated; the V-only terms are added raw, and the
-truncated (V . grad)V is formed once per lifting
-(:attr:`LiftingField.self_advection`).
+The band-limited factor u is truncated before the product.  The lifting V
+and its jacobian are exact pointwise samples (not band-limited), so they are
+added at full resolution to the truncated u and its gradient; the sum is
+multiplied out and truncated once.  The linear lifting terms are added raw.
 
 Each operand is transformed once.  The quadratic kernel takes one forward
 transform of u, one inverse for the truncated u and one inverse per gradient
-axis, and forms (u . grad)u, (u . grad)V and (V . grad)u pointwise from
-them.  The three products are still truncated one by one and summed in a
-fixed order: merging the truncations would be the same map in exact
-arithmetic but would not reproduce the separate truncations bit for bit.
-The bilinear kernel ``_convective`` takes sample arrays whose leading axes
+axis, and one forward and one inverse to truncate the product: 21
+single-component transforms per instant at dim 3, with or without V.  The
+bilinear kernel ``_convective`` takes sample arrays whose leading axes
 broadcast, so a steady factor against many time instants is transformed
 once, not once per instant.
 
@@ -72,44 +67,28 @@ def _convective(grid: GridSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _irfftn(_rfftn(acc, grid.dim) * mask, grid.shape)
 
 
-def _lifting_only_terms(lifting: LiftingField) -> np.ndarray:
-    """-(V . grad)V + laplacian(V) - lam * d1(V), the u-independent forcing."""
-    return (
-        -lifting.self_advection
-        + lifting.laplacian
-        - lifting.lambda_used * lifting.jacobian[:, 0]
-    )
-
-
 def _quadratic_samples(
     grid: GridSpec, a: np.ndarray, lifting: LiftingField | None
 ) -> np.ndarray:
-    """(a . grad)a + (a . grad)V + (V . grad)a for one physical sample.
+    """((a + V) . grad)(a + V) for one physical sample, truncated once.
 
     One forward transform of ``a`` feeds the truncated samples and every
-    gradient axis; each product is accumulated axis by axis, truncated on
-    its own, and the three are summed in this order.  Without a lifting
-    only (a . grad)a is formed.
+    gradient axis; V and its exact jacobian are added to them, and the
+    product is accumulated axis by axis.  Without a lifting V = 0.
     """
     a_hat = _fftn(a, grid.dim) * grid.dealias_mask
     a_t = _ifftn(a_hat, grid.dim).real
-    conv = np.zeros(a.shape)
-    adv = np.zeros(a.shape)
-    ladv = np.zeros(a.shape)
+    if lifting is not None:
+        a_t = a_t + lifting.velocity.components
+    acc = np.zeros(a.shape)
     for k in range(grid.dim):
         da = _ifftn(a_hat * (1j * grid.wavenumber(k)), grid.dim).real
-        conv = conv + a_t[k] * da
         if lifting is not None:
-            adv = adv + a_t[k] * lifting.jacobian[:, k]
-            ladv = ladv + lifting.velocity.components[k] * da
-    # Drop the spectra first so the truncations do not raise peak memory.
+            da = da + lifting.jacobian[:, k]
+        acc = acc + a_t[k] * da
+    # Drop the spectra first so the truncation does not raise peak memory.
     del a_hat, a_t, da
-    conv = _truncate_samples(grid, conv)
-    if lifting is None:
-        return conv
-    adv = _truncate_samples(grid, adv)
-    ladv = _truncate_samples(grid, ladv)
-    return conv + adv + ladv
+    return _truncate_samples(grid, acc)
 
 
 def nonlinearity(
@@ -127,21 +106,21 @@ def nonlinearity(
         raise ValueError("field and lifting live on different grids")
     if isinstance(u, VectorField):
         out = -_quadratic_samples(grid, u.components, lifting)
-        if lifting is not None:
-            out = out + _lifting_only_terms(lifting)
-        return VectorField(grid, out)
-    if u.ncomp != grid.dim:
-        raise ValueError("time-periodic input must be vector-valued")
-    num_samples = 4 * u.max_mode + 1
-    samples = u.sample_times(num_samples)
-    conv = np.empty_like(samples)
-    for j in range(num_samples):
-        conv[j] = _quadratic_samples(grid, samples[j], lifting)
-    quad_tp = TimePeriodicField.from_time_samples(grid, u.period, conv, u.max_mode)
-    modes = -quad_tp.modes
+        average = out
+    else:
+        if u.ncomp != grid.dim:
+            raise ValueError("time-periodic input must be vector-valued")
+        num_samples = 4 * u.max_mode + 1
+        samples = u.sample_times(num_samples)
+        conv = np.empty_like(samples)
+        for j in range(num_samples):
+            conv[j] = _quadratic_samples(grid, samples[j], lifting)
+        quad = TimePeriodicField.from_time_samples(grid, u.period, conv, u.max_mode)
+        out = -quad.modes
+        average = out[0]
     if lifting is not None:
-        modes[0] = modes[0] + _lifting_only_terms(lifting)
-    return TimePeriodicField._adopt(grid, u.period, modes)
+        average += lifting.laplacian - lifting.lambda_used * lifting.jacobian[:, 0]
+    return u._like(out)
 
 
 def convective_product(

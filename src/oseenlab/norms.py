@@ -270,23 +270,23 @@ def _exact_grid(grid: GridSpec, band: int, exponents) -> GridSpec:
     return coarse if coarse.points_per_axis < grid.points_per_axis else grid
 
 
-def maxreg_norm(
-    field: TimePeriodicField, q: float, num_time_samples: int | None = None
-) -> float:
+def maxreg_norm(field: TimePeriodicField, q: float) -> float:
     """Maximal-regularity norm: Bochner L^q of W^{2,q} plus L^q of d/dt.
 
     Time integrals are period-averaged rectangle-rule sums over a uniform
     grid; the time derivative acts through i*omega_k multipliers.  A field
-    with only the k = 0 mode reduces to its steady W^{2,q} norm.  By default
-    an even integer q takes min(qK + 1, 4K + 8) instants, which integrate its
+    with only the k = 0 mode reduces to its steady W^{2,q} norm.  An even
+    integer q takes min(qK + 1, 4K + 8) instants, which integrate its
     degree-qK integrands exactly; any other q takes 4K + 8.
     """
+    if not isinstance(field, TimePeriodicField):
+        raise TypeError(f"field must be time-periodic, not {type(field).__name__}")
     q = _check_exponent(q, "q")
-    nt = (
-        _default_time_samples(field.max_mode, q)
-        if num_time_samples is None
-        else num_time_samples
-    )
+    return _maxreg_norm(field, q, _default_time_samples(field.max_mode, q))
+
+
+def _maxreg_norm(field: TimePeriodicField, q: float, nt: int) -> float:
+    """:func:`maxreg_norm` on ``nt`` uniform instants, at least 2K + 1."""
     if nt < 2 * field.max_mode + 1:
         raise ValueError(
             f"need at least {2 * field.max_mode + 1} time samples, got {nt}"

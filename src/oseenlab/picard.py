@@ -245,6 +245,9 @@ def _fixed_point(
     signature of :func:`lambda_norm`.  The returned pair holds the last
     iterate and the certificate solve's pressure, which pairs with it.
     """
+    kind = VectorField if problem == PROBLEM_STEADY else TimePeriodicField
+    if not isinstance(f, kind):
+        raise TypeError(f"f must be a {kind.__name__}, not {type(f).__name__}")
     grid = f.grid
     _check_admissible(cfg.profile, grid, problem)
     q, r = cfg.profile.q, cfg.profile.r

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import importlib.util
 import math
+import os
 import pathlib
 import re
 
@@ -104,3 +106,20 @@ def test_runs_report_time_and_fail_on_a_failing_experiment(
     ]
     monkeypatch.setattr(harness, "EXPERIMENTS", ("fine",))
     assert default_runs.main([str(tmp_path / "ok")]) == 0
+
+
+def test_runs_need_no_contextlib_chdir(tmp_path, monkeypatch):
+    # contextlib.chdir is Python 3.11+, and the package supports 3.10.
+    from oseenlab import cli, harness
+
+    def fake_main(argv):
+        pathlib.Path(argv[2]).write_text("a\n1\n")
+        return 0
+
+    monkeypatch.delattr(contextlib, "chdir", raising=False)
+    monkeypatch.setattr(cli, "main", fake_main)
+    monkeypatch.setattr(harness, "EXPERIMENTS", ("fine",))
+    home = os.getcwd()
+    assert default_runs.main([str(tmp_path / "runs")]) == 0
+    assert os.getcwd() == home
+    assert (tmp_path / "runs" / "fine.csv").read_text() == "a\n1\n"

@@ -520,6 +520,23 @@ def test_sample_times_reconstructs_signal(grid2):
         assert np.max(np.abs(samples[j, 0] - expected)) <= 1e-12
 
 
+def test_from_steady_refuses_a_negative_max_mode(grid2):
+    with pytest.raises(ValueError, match="max_mode must be at least 0, got -1"):
+        TimePeriodicField.from_steady(trig_vector(grid2, 65), 1.0, max_mode=-1)
+
+
+def test_from_time_samples_refuses_a_negative_max_mode(grid2):
+    samples = np.zeros((3, 1) + grid2.shape)
+    with pytest.raises(ValueError, match="max_mode must be at least 0, got -1"):
+        TimePeriodicField.from_time_samples(grid2, 1.0, samples, max_mode=-1)
+
+
+def test_sample_times_refuses_a_count_that_is_not_an_integer(grid2):
+    stack = TimePeriodicField.from_steady(trig_scalar(grid2, 66), 1.0, max_mode=1)
+    with pytest.raises(TypeError, match="num_samples must be an integer, got 2.5"):
+        stack.sample_times(2.5)
+
+
 def test_reality_validator_rejects_unpaired_stack(grid2):
     modes = np.zeros((2, 1) + grid2.shape, dtype=np.complex128)
     modes[0] = 0.25j  # the time average of a real signal is real

@@ -317,16 +317,6 @@ def test_load_is_taken_at_the_lifting_drift():
     )
 
 
-def test_self_advection_is_cached_and_read_only():
-    grid = GridSpec(2, np.pi, 16)
-    lifting = build_lifting(0.4, default_cutoff(grid), grid)
-    first = lifting.self_advection
-    assert first is lifting.self_advection
-    assert first.shape == (grid.dim,) + grid.shape
-    assert not first.flags.writeable
-    assert np.max(np.abs(first)) > 0.0
-
-
 # ---------------------------------------------------------------------------
 # the rule-built lifting against the hand-derived closed forms it replaced
 

@@ -61,30 +61,43 @@ def _mirror_convective(grid: GridSpec, a: np.ndarray, b: np.ndarray) -> np.ndarr
     return _truncate(grid, out)
 
 
-def _mirror_nonlinearity(grid, u_values, lifting) -> np.ndarray:
-    """Re-derive the steady nonlinearity with independent numpy FFT calls."""
+def _mirror_quadratic(grid, u_values, lifting) -> np.ndarray:
+    """((u + V) . grad)(u + V) as four products, three truncated on their own."""
     v_vals = lifting.velocity.components
     jac = lifting.jacobian
     quad = _mirror_convective(grid, u_values, u_values)
     u_t = _truncate(grid, u_values)
     adv_lift = np.zeros_like(u_values)
     lift_adv = np.zeros_like(u_values)
+    self_adv = np.zeros_like(u_values)
     for i in range(grid.dim):
         for k in range(grid.dim):
             adv_lift[i] = adv_lift[i] + u_t[k] * jac[i, k]
             lift_adv[i] = lift_adv[i] + v_vals[k] * _partial(grid, u_values[i], k)
-    self_adv = np.zeros_like(v_vals)
-    for i in range(grid.dim):
-        for k in range(grid.dim):
             self_adv[i] = self_adv[i] + v_vals[k] * jac[i, k]
     return (
-        -quad
-        - _truncate(grid, adv_lift)
-        - _truncate(grid, lift_adv)
-        - _truncate(grid, self_adv)
-        + lifting.laplacian
-        - lifting.lambda_used * jac[:, 0]
+        quad
+        + _truncate(grid, adv_lift)
+        + _truncate(grid, lift_adv)
+        + _truncate(grid, self_adv)
     )
+
+
+def _mirror_nonlinearity(u, lifting) -> np.ndarray:
+    """Re-derive the nonlinearity with independent numpy FFT calls in space;
+    a stack comes back as its modes.  It truncates three products on their
+    own, so it matches the kernel's single truncation up to roundoff."""
+    grid = u.grid
+    linear = lifting.laplacian - lifting.lambda_used * lifting.jacobian[:, 0]
+    if isinstance(u, VectorField):
+        return -_mirror_quadratic(grid, u.components, lifting) + linear
+    samples = u.sample_times(4 * u.max_mode + 1)
+    quad = np.stack([_mirror_quadratic(grid, x, lifting) for x in samples])
+    modes = -TimePeriodicField.from_time_samples(
+        grid, u.period, quad, u.max_mode
+    ).modes
+    modes[0] = modes[0] + linear
+    return modes
 
 
 def _zero_lifting(grid: GridSpec):
@@ -166,9 +179,9 @@ def test_steady_nonlinearity_matches_independent_mirror(request, fixture_name):
     lifting = build_lifting(0.8, default_cutoff(grid), grid)
     u = trig_vector(grid, 23, max_mode=3, terms=8)
     out = nonlinearity(u, lifting)
-    expected = _mirror_nonlinearity(grid, u.components, lifting)
+    expected = _mirror_nonlinearity(u, lifting)
     scale = np.max(np.abs(expected))
-    assert np.max(np.abs(out.components - expected)) <= 1e-12 * scale
+    assert np.max(np.abs(out.components - expected)) <= 1e-15 * scale
 
 
 def test_time_constant_embedding_matches_steady_operator(grid2):
@@ -192,6 +205,17 @@ def _oscillating_velocity(grid: GridSpec, period: float, seed: int, max_mode=2):
         imag = trig_vector(grid, seed + 10 * k + 5, max_mode=2, terms=6).components
         modes.append(0.3 ** k * (real + 1j * imag))
     return TimePeriodicField.from_modes(grid, period, modes)
+
+
+@pytest.mark.parametrize("fixture_name", ["grid2", "grid3"])
+def test_time_periodic_nonlinearity_matches_independent_mirror(request, fixture_name):
+    grid = request.getfixturevalue(fixture_name)
+    lifting = build_lifting(0.8, default_cutoff(grid), grid)
+    u = _oscillating_velocity(grid, 2.5, 25, max_mode=2)
+    out = nonlinearity(u, lifting)
+    expected = _mirror_nonlinearity(u, lifting)
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(out.modes - expected)) <= 1e-15 * scale
 
 
 def test_zero_mean_oscillation_drives_a_time_average(grid2):
@@ -311,79 +335,48 @@ def test_nonlinearity_input_validation(grid2):
 
 
 # ---------------------------------------------------------------------------
-# bit-for-bit equivalence with the three-helper reference
+# bit-for-bit equivalence with the straightforward reference
 #
 # The helpers below are the straightforward evaluation the kernels replace:
-# u is transformed separately for (u . grad)u, (u . grad)V and (V . grad)u,
-# the lifting self-advection is recomputed on every call, and a steady
-# operand of convective_product is broadcast to every time instant and
-# transformed once per instant.  The package kernels share those transforms
-# but keep every floating-point operation and its order, so the outputs must
-# be equal, not merely close.
+# u is transformed separately for its truncated samples and for its gradient,
+# and a steady operand of convective_product is broadcast to every time
+# instant and transformed once per instant.  The package kernels share those
+# transforms but keep every floating-point operation and its order, so the
+# outputs must be equal, not merely close.
 
 
 def _ref_truncate(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     return _ifftn(_fftn(values, grid.dim) * grid.dealias_mask, grid.dim).real
 
 
+def _ref_gradient(grid: GridSpec, values: np.ndarray, k: int) -> np.ndarray:
+    spectrum = _fftn(values, grid.dim) * grid.dealias_mask
+    return _ifftn(spectrum * (1j * grid.wavenumber(k)), grid.dim).real
+
+
 def _ref_convective(grid: GridSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    mask = grid.dealias_mask
-    a_t = _ifftn(_fftn(a, grid.dim) * mask, grid.dim).real
-    b_hat = _fftn(b, grid.dim) * mask
-    acc = np.zeros(a.shape)
-    for k in range(grid.dim):
-        db = _ifftn(b_hat * (1j * grid.wavenumber(k)), grid.dim).real
-        acc = acc + a_t[k] * db
-    return _ref_truncate(grid, acc)
-
-
-def _ref_advect_lifting(grid, a, jacobian):
     a_t = _ref_truncate(grid, a)
     acc = np.zeros(a.shape)
     for k in range(grid.dim):
-        acc = acc + a_t[k] * jacobian[:, k]
+        acc = acc + a_t[k] * _ref_gradient(grid, b, k)
     return _ref_truncate(grid, acc)
-
-
-def _ref_lifting_advect(grid, lifting_values, b):
-    b_hat = _fftn(b, grid.dim) * grid.dealias_mask
-    acc = np.zeros(b.shape)
-    for k in range(grid.dim):
-        db = _ifftn(b_hat * (1j * grid.wavenumber(k)), grid.dim).real
-        acc = acc + lifting_values[k] * db
-    return _ref_truncate(grid, acc)
-
-
-def _ref_self_advection(lifting):
-    grid = lifting.grid
-    values = lifting.velocity.components
-    acc = np.zeros(values.shape)
-    for k in range(grid.dim):
-        acc = acc + values[k] * lifting.jacobian[:, k]
-    return _ref_truncate(grid, acc)
-
-
-def _ref_lifting_only_terms(lifting):
-    return (
-        -_ref_self_advection(lifting)
-        + lifting.laplacian
-        - lifting.lambda_used * lifting.jacobian[:, 0]
-    )
 
 
 def _ref_quadratic_samples(grid, a, lifting):
-    return (
-        _ref_convective(grid, a, a)
-        + _ref_advect_lifting(grid, a, lifting.jacobian)
-        + _ref_lifting_advect(grid, lifting.velocity.components, a)
-    )
+    """((a + V) . grad)(a + V), truncated once."""
+    a_t = _ref_truncate(grid, a) + lifting.velocity.components
+    acc = np.zeros(a.shape)
+    for k in range(grid.dim):
+        da = _ref_gradient(grid, a, k) + lifting.jacobian[:, k]
+        acc = acc + a_t[k] * da
+    return _ref_truncate(grid, acc)
 
 
 def _ref_nonlinearity(u, lifting):
     grid = u.grid
+    linear = lifting.laplacian - lifting.lambda_used * lifting.jacobian[:, 0]
     if isinstance(u, VectorField):
-        quad = _ref_quadratic_samples(grid, u.components, lifting)
-        return -quad + _ref_lifting_only_terms(lifting)
+        return -_ref_quadratic_samples(grid, u.components, lifting) + linear
     num_samples = 4 * u.max_mode + 1
     samples = u.sample_times(num_samples)
     conv = np.empty_like(samples)
@@ -391,7 +384,7 @@ def _ref_nonlinearity(u, lifting):
         conv[j] = _ref_quadratic_samples(grid, samples[j], lifting)
     quad_tp = TimePeriodicField.from_time_samples(grid, u.period, conv, u.max_mode)
     modes = {k: -quad_tp.mode(k) for k in range(-u.max_mode, u.max_mode + 1)}
-    modes[0] = modes[0] + _ref_lifting_only_terms(lifting)
+    modes[0] = modes[0] + linear
     return modes
 
 
@@ -425,8 +418,8 @@ def _no_lifting(grid: GridSpec):
     return None
 
 
-# No lifting takes the kernel's short path, which skips the two V products;
-# the reference forms all three with the zero lifting.
+# No lifting takes the kernel's short path, which adds no V; the reference
+# adds the zero lifting.
 _GRIDS_AND_LIFTINGS = pytest.mark.parametrize(
     "fixture_name, make_lifting",
     [
@@ -447,8 +440,6 @@ def test_steady_nonlinearity_is_bitwise_the_reference(
     lifting = make_lifting(grid)
     u = trig_vector(grid, 41, max_mode=3, terms=8)
     expected = _ref_nonlinearity(u, lifting or _zero_lifting(grid))
-    assert np.array_equal(nonlinearity(u, lifting).components, expected)
-    # The second call reads the cached lifting self-advection.
     assert np.array_equal(nonlinearity(u, lifting).components, expected)
 
 
@@ -530,22 +521,21 @@ def _single_component_transforms(transform_inputs, grid, lifting) -> list[int]:
     return counts
 
 
-def test_steady_nonlinearity_makes_33_single_component_transforms(
+def test_steady_nonlinearity_with_a_lifting_makes_21_transforms(
     grid3, transform_inputs
 ):
-    # The first call also truncates the lifting self-advection once (3 + 3).
+    # V enters the samples and gradients of u, not the transforms.
     counts = _single_component_transforms(
         transform_inputs, grid3, _nonzero_lifting(grid3)
     )
-    assert counts == [33 + 6, 33]
+    assert counts == [21, 21]
 
 
 def test_steady_nonlinearity_with_zero_lifting_makes_21_transforms(
     grid3, transform_inputs
 ):
     # u: one forward, one inverse, three gradient inverses (3 + 3 + 9), and
-    # the truncation of (u . grad)u alone (3 + 3); no lifting has no
-    # self-advection to truncate on the first call.
+    # the truncation of the product (3 + 3).
     counts = _single_component_transforms(transform_inputs, grid3, None)
     assert counts == [21, 21]
 

@@ -32,6 +32,7 @@ from oseenlab.harness import maxreg_norm_mode_sum
 from oseenlab.norms import (
     _default_time_samples,
     _exact_grid,
+    _maxreg_norm,
     lambda_norm,
     maxreg_norm,
     sobolev_full_norm,
@@ -221,7 +222,7 @@ def test_maxreg_matches_per_sample_reference(dim, max_mode, kind):
             _ref_maxreg(field, q, default), rel=REL
         )
         for nt in (2 * max_mode + 1, default + 5):
-            assert maxreg_norm(field, q, num_time_samples=nt) == pytest.approx(
+            assert _maxreg_norm(field, q, nt) == pytest.approx(
                 _ref_maxreg(field, q, nt), rel=REL
             )
 
@@ -306,7 +307,7 @@ def test_zero_time_average_is_left_out_bit_for_bit(dim, max_mode, kind):
     oscillation = TimePeriodicField(grid, field.period, modes)
     for q in (2.0, 2.5, 3.0, 4.0):
         for nt in (2 * max_mode + 1, 4 * max_mode + 8):
-            assert maxreg_norm(oscillation, q, num_time_samples=nt) == (
+            assert _maxreg_norm(oscillation, q, nt) == (
                 _previous_maxreg(oscillation, q, nt)
             )
 
@@ -325,13 +326,11 @@ def test_default_time_samples_are_exact_for_even_q(dim):
                 int(q) * max_mode + 1, full
             )
             assert maxreg_norm(field, q) == pytest.approx(
-                maxreg_norm(field, q, num_time_samples=full), rel=1e-13
+                _maxreg_norm(field, q, full), rel=1e-13
             )
         for q in (3.0, 2.5):
             assert _default_time_samples(max_mode, q) == full
-            assert maxreg_norm(field, q) == maxreg_norm(
-                field, q, num_time_samples=full
-            )
+            assert maxreg_norm(field, q) == _maxreg_norm(field, q, full)
     assert _default_time_samples(2, 4.0) == 9
     assert _default_time_samples(2, np.inf) == _default_time_samples(2) == 16
 
@@ -396,6 +395,6 @@ def test_maxreg_transform_count_is_independent_of_time_samples(transform_calls):
     counts = {}
     for nt in (12, 48):
         transform_calls.clear()
-        maxreg_norm(field, 4.0, num_time_samples=nt)
+        _maxreg_norm(field, 4.0, nt)
         counts[nt] = sum(transform_calls.values())
     assert counts[12] == counts[48] > 0

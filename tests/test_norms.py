@@ -14,6 +14,7 @@ from oseenlab.fields import (
     gradient,
 )
 from oseenlab.norms import (
+    _maxreg_norm,
     lambda_norm,
     lambda_norm_from_pieces,
     lambda_norm_pieces,
@@ -322,13 +323,18 @@ def test_maxreg_homogeneity_and_sample_floor(grid2):
     base = maxreg_norm(stack, 3.0)
     assert maxreg_norm(stack * 2.0, 3.0) == pytest.approx(2.0 * base, rel=1e-13)
     with pytest.raises(ValueError, match="time samples"):
-        maxreg_norm(stack, 3.0, num_time_samples=2)
+        _maxreg_norm(stack, 3.0, 2)
 
 
 def test_maxreg_rejects_zero_time_samples(grid2):
     stack = TimePeriodicField.from_steady(trig_vector(grid2, 27), period=1.0, max_mode=1)
     with pytest.raises(ValueError, match="need at least 3 time samples, got 0"):
-        maxreg_norm(stack, 3.0, num_time_samples=0)
+        _maxreg_norm(stack, 3.0, 0)
+
+
+def test_maxreg_refuses_a_spatial_field(grid2):
+    with pytest.raises(TypeError, match="must be time-periodic, not VectorField"):
+        maxreg_norm(trig_vector(grid2, 28), 2.0)
 
 
 def test_spacetime_plancherel_matches_quadrature(grid2):

@@ -632,6 +632,20 @@ def test_time_periodic_initial_must_match_the_forcing_modes(
         picard_timeperiodic(f_tp, config, lifting=free_lifting, initial=too_many)
 
 
+def test_steady_driver_refuses_a_stack_before_the_gate(grid, config, monkeypatch):
+    measured = []
+    monkeypatch.setattr(picard, "data_size", lambda *a: measured.append(a) or 0.0)
+    f_tp = TimePeriodicField.from_steady(VectorField.zeros(grid), PERIOD, 1)
+    with pytest.raises(TypeError, match="f must be a VectorField, not TimePeriodic"):
+        picard_steady(f_tp, config)
+    assert not measured
+
+
+def test_time_periodic_driver_refuses_a_steady_forcing(grid, config):
+    with pytest.raises(TypeError, match="f must be a TimePeriodicField, not Vector"):
+        picard_timeperiodic(VectorField.zeros(grid), config)
+
+
 def test_inadmissible_exponent_pairs_are_rejected(grid, free_lifting):
     profile = ExponentProfile(3, 5.0, 2.1)
     cfg = PicardConfig.from_schedule(profile, 0.05, 1.5, 1e-10)

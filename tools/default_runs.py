@@ -24,6 +24,7 @@ import argparse
 import contextlib
 import io
 import math
+import os
 import pathlib
 import sys
 import time
@@ -36,7 +37,9 @@ def run_all(out: pathlib.Path) -> bool:
 
     out.mkdir(parents=True, exist_ok=True)
     all_ok = True
-    with contextlib.chdir(out):
+    home = os.getcwd()
+    os.chdir(out)
+    try:
         for name in harness.EXPERIMENTS:
             captured = io.StringIO()
             start = time.perf_counter()
@@ -46,6 +49,8 @@ def run_all(out: pathlib.Path) -> bool:
             pathlib.Path(f"{name}.stdout").write_text(captured.getvalue())
             print(f"{name}: exit {status} in {elapsed:.2f} s")
             all_ok = all_ok and status == 0
+    finally:
+        os.chdir(home)
     return all_ok
 
 
