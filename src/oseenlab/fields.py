@@ -55,9 +55,9 @@ def _fftn(values: np.ndarray, dim: int) -> np.ndarray:
     return _sfft.fftn(values, axes=axes, norm="forward", workers=_fft_workers)
 
 
-def _ifftn(coefficients: np.ndarray, dim: int) -> np.ndarray:
-    axes = tuple(range(-dim, 0))
-    return _sfft.ifftn(coefficients, axes=axes, norm="forward", workers=_fft_workers)
+def _ifftn(coefficients: np.ndarray, dim: int, overwrite_x: bool = False) -> np.ndarray:
+    options = dict(axes=tuple(range(-dim, 0)), norm="forward", workers=_fft_workers)
+    return _sfft.ifftn(coefficients, overwrite_x=overwrite_x, **options)
 
 
 def _rfftn(values: np.ndarray, dim: int) -> np.ndarray:
@@ -454,6 +454,8 @@ class TimePeriodicField(_FieldAlgebra):
         cls, grid: GridSpec, period: float, nonneg_modes: list[np.ndarray]
     ) -> "TimePeriodicField":
         """Build from modes k = 0..K; :meth:`mode` derives the negative ones."""
+        if len(nonneg_modes) == 0:
+            raise ValueError("nonneg_modes must hold at least mode 0, got none")
         return cls._adopt(grid, period, np.stack(nonneg_modes))
 
     @classmethod
@@ -473,19 +475,21 @@ class TimePeriodicField(_FieldAlgebra):
     ) -> "TimePeriodicField":
         """Collocation in time: DFT of uniform samples, truncated to |k| <= K.
 
-        ``samples`` has shape (nt, ncomp) + grid.shape with nt >= 2K+1;
-        sample j sits at time j * period / nt.
+        ``samples`` is real, of shape (nt, ncomp) + grid.shape with nt >= 2K+1;
+        sample j sits at time j * period / nt.  Only modes 0..K of the
+        transform are scaled by 1/nt, and the stack adopts that array.
         """
         max_mode = _check_count(max_mode, "max_mode", 0)
+        if np.iscomplexobj(samples):
+            raise TypeError("samples must be real, got a complex array")
         samples = np.asarray(samples, dtype=np.float64)
         nt = samples.shape[0]
         if nt < 2 * max_mode + 1:
             raise ValueError(
                 f"need at least {2 * max_mode + 1} time samples, got {nt}"
             )
-        transformed = np.fft.fft(samples, axis=0) / nt
-        nonneg = [transformed[k] for k in range(max_mode + 1)]
-        return cls.from_modes(grid, period, nonneg)
+        modes = np.fft.fft(samples, axis=0)[: max_mode + 1] / nt
+        return cls._adopt(grid, period, modes)
 
     def sample_times(self, num_samples: int) -> np.ndarray:
         """Real samples at t_j = j * period / num_samples, shape (nt, ncomp, ...)."""

@@ -505,7 +505,10 @@ def fit_smallness_constant(
     probe grid :func:`oseenlab.norms._exact_grid`, the coarsest grid that
     integrates their even powers exactly (18^3 for a 32^3 grid at q = 4,
     r = 2); they are the same continuum fields as on ``grid``.  The
-    convective products have twice the band and stay on ``grid``.
+    convective products have twice the band and stay on ``grid``.  Each
+    pairs sample i with sample i + 1 (the last with sample 0), so a sample
+    is drawn there as the loop reaches it, and only sample 0 is kept; on a
+    probe grid that is ``grid`` itself the probes are the samples.
     """
     if profile.n != grid.dim:
         raise ValueError(
@@ -516,14 +519,10 @@ def fit_smallness_constant(
     mode_cap = _default_mode_cap(grid)
     probe_grid = _exact_grid(grid, mode_cap, _integrand_exponents(n, q, r))
 
-    def draw(on_grid):
-        return [
-            random_divergence_free(on_grid, [seed, 101, i], mode_cap=mode_cap)
-            for i in range(_FIT_SAMPLES)
-        ]
+    def draw(on_grid, i):
+        return random_divergence_free(on_grid, [seed, 101, i], mode_cap=mode_cap)
 
-    samples = draw(grid)
-    probes = samples if probe_grid == grid else draw(probe_grid)
+    probes = [draw(probe_grid, i) for i in range(_FIT_SAMPLES)]
     best = 0.0
     for g in probes:
         g_data = lq_norm(g, q)
@@ -534,9 +533,12 @@ def fit_smallness_constant(
             denominator = g_data + lam ** (-profile.m_exponent * weight) * g_neg
             best = max(best, numerator / denominator)
     pieces = [lambda_norm_pieces(v, q, r) for v in probes]
-    for i, v_one in enumerate(samples):
-        j = (i + 1) % len(samples)
-        product = convective_product(v_one, samples[j])
+    sample = probes.__getitem__ if probe_grid == grid else functools.partial(draw, grid)
+    first = v_one = sample(0)
+    for i in range(_FIT_SAMPLES):
+        j = (i + 1) % _FIT_SAMPLES
+        v_two = sample(j) if j else first
+        product = convective_product(v_one, v_two)
         strong = lq_norm(product, q)
         weak = negative_norm_surrogate(product, r)
         for lam in _FIT_DRIFTS:
@@ -548,6 +550,7 @@ def fit_smallness_constant(
                 strong * lam ** (profile.theta * weight) / denominator,
                 weak * lam ** (profile.eta * weight) / denominator,
             )
+        v_one = v_two
     return best
 
 
@@ -1014,6 +1017,9 @@ def _run_bilinear_ensemble(cfg: ExperimentConfig) -> ScalingResult:
     every norm it takes is exact.  The draws attach to mode indices in an
     order set by the caps alone, so each seed gives the same continuum
     fields there as on ``cfg.grid``, and the table moves by roundoff only.
+    Pair i draws its four fields from the keys [seed, tag, i], fills row i
+    of the norms and numerators and is dropped, so the working set does not
+    grow with ``sample_count``.
     """
     grid = _ensemble_grid(cfg)
     n = grid.dim
@@ -1025,34 +1031,30 @@ def _run_bilinear_ensemble(cfg: ExperimentConfig) -> ScalingResult:
         flags.append(
             f"ensemble has {count} pairs, below the 100-pair reporting floor"
         )
-    mode_kwargs = dict(
-        mode_cap=cfg.mode_cap,
-        shell=cfg.forcing_shell,
-        drift_mode_cap=cfg.drift_mode_cap,
-    )
 
-    def ensemble(draw, tag, *time_args):
-        return [
-            draw(grid, *time_args, [cfg.seed, tag, i], **mode_kwargs)
-            for i in range(count)
-        ]
+    def draw(random_field, tag, i, *time_args):
+        return random_field(
+            grid, *time_args, [cfg.seed, tag, i], mode_cap=cfg.mode_cap,
+            shell=cfg.forcing_shell, drift_mode_cap=cfg.drift_mode_cap,
+        )
 
-    v_one, v_two = (ensemble(random_divergence_free, tag) for tag in (201, 202))
-    w_one, w_two = (
-        ensemble(random_oscillatory, tag, cfg.period, cfg.time_modes)
-        for tag in (203, 204)
-    )
-    v_one_pieces = np.array([lambda_norm_pieces(v, cfg.q, cfg.r) for v in v_one])
-    v_two_pieces = np.array([lambda_norm_pieces(v, cfg.q, cfg.r) for v in v_two])
-    w_one_arr = np.array([maxreg_norm(w, cfg.q) for w in w_one])
-    w_two_arr = np.array([maxreg_norm(w, cfg.q) for w in w_two])
-
+    v_one_pieces, v_two_pieces = np.empty((count, 2)), np.empty((count, 2))
+    w_one_arr, w_two_arr = np.empty(count), np.empty(count)
     numerators = np.empty((count, 6))
     for i in range(count):
-        vv = convective_product(v_one[i], v_two[i])
-        ww = convective_product(w_one[i], w_two[i])
-        vw = convective_product(v_one[i], w_two[i])
-        wv = convective_product(w_one[i], v_two[i])
+        v_one, v_two = (draw(random_divergence_free, tag, i) for tag in (201, 202))
+        w_one, w_two = (
+            draw(random_oscillatory, tag, i, cfg.period, cfg.time_modes)
+            for tag in (203, 204)
+        )
+        v_one_pieces[i] = lambda_norm_pieces(v_one, cfg.q, cfg.r)
+        v_two_pieces[i] = lambda_norm_pieces(v_two, cfg.q, cfg.r)
+        w_one_arr[i] = maxreg_norm(w_one, cfg.q)
+        w_two_arr[i] = maxreg_norm(w_two, cfg.q)
+        vv = convective_product(v_one, v_two)
+        ww = convective_product(w_one, w_two)
+        vw = convective_product(v_one, w_two)
+        wv = convective_product(w_one, v_two)
         numerators[i] = (
             lq_norm(vv, cfg.q),
             negative_norm_surrogate(vv, cfg.r),
@@ -1289,6 +1291,7 @@ def _run_picard(cfg: ExperimentConfig) -> ScalingResult:
             alt = alt * (0.5 * rho / norm(alt, pcfg.lam, cfg.q, cfg.r))
             other, _ = driver(forcing, pcfg, initial=alt)
             distance = norm(other.velocity - velocity, pcfg.lam, cfg.q, cfg.r)
+            del alt, other
             checks.append(
                 _check_le(
                     "initial_iterate_independence",

@@ -29,8 +29,9 @@ contraction rate the gate holds to rtol 1e-8, tighter than roundoff allows.
 
 Time-periodic input is multiplied in physical time: the field is sampled
 on 4K+1 uniform instants (enough to hold the full quadratic band), the
-pointwise nonlinearity is formed per instant, and the result is projected
-back to |k| <= K.
+pointwise nonlinearity of each instant is written over that instant's
+sample, and the result is projected back to |k| <= K.  One stack of
+samples is the whole working set of the time loop.
 """
 
 from __future__ import annotations
@@ -112,10 +113,9 @@ def nonlinearity(
             raise ValueError("time-periodic input must be vector-valued")
         num_samples = 4 * u.max_mode + 1
         samples = u.sample_times(num_samples)
-        conv = np.empty_like(samples)
         for j in range(num_samples):
-            conv[j] = _quadratic_samples(grid, samples[j], lifting)
-        quad = TimePeriodicField.from_time_samples(grid, u.period, conv, u.max_mode)
+            samples[j] = _quadratic_samples(grid, samples[j], lifting)
+        quad = TimePeriodicField.from_time_samples(grid, u.period, samples, u.max_mode)
         out = -quad.modes
         average = out[0]
     if lifting is not None:

@@ -197,7 +197,9 @@ def negative_norm_surrogate(field: ScalarField | VectorField, r: float) -> float
     grid = field.grid
     coeff = _fftn(_component_array(field), grid.dim)
     tensor = _riesz_gradient_inverse_laplacian(grid, coeff)
-    samples = _ifftn(tensor.reshape((-1,) + grid.shape), grid.dim).real
+    # The fresh tensor is read nowhere else, so it is transformed in place.
+    flat = tensor.reshape((-1,) + grid.shape)
+    samples = _ifftn(flat, grid.dim, overwrite_x=True).real
     return _lq_of_array(grid, samples, r)
 
 

@@ -531,6 +531,25 @@ def test_from_time_samples_refuses_a_negative_max_mode(grid2):
         TimePeriodicField.from_time_samples(grid2, 1.0, samples, max_mode=-1)
 
 
+def test_from_time_samples_refuses_complex_samples(grid2):
+    samples = np.zeros((3, 1) + grid2.shape, dtype=np.complex128)
+    with pytest.raises(TypeError, match="samples must be real"):
+        TimePeriodicField.from_time_samples(grid2, 1.0, samples, max_mode=1)
+
+
+def test_from_time_samples_keeps_the_scaled_transform_bit_for_bit(grid2):
+    samples = np.stack([trig_values(grid2, 70 + j)[None] for j in range(5)])
+    stack = TimePeriodicField.from_time_samples(grid2, 1.0, samples, max_mode=2)
+    reference = np.fft.fft(samples, axis=0) / 5
+    assert np.array_equal(stack.modes[1:], reference[1:3])
+    assert np.array_equal(stack.modes[0], reference[0].real)
+
+
+def test_from_modes_refuses_an_empty_mode_list(grid2):
+    with pytest.raises(ValueError, match="nonneg_modes must hold at least mode 0"):
+        TimePeriodicField.from_modes(grid2, 1.0, [])
+
+
 def test_sample_times_refuses_a_count_that_is_not_an_integer(grid2):
     stack = TimePeriodicField.from_steady(trig_scalar(grid2, 66), 1.0, max_mode=1)
     with pytest.raises(TypeError, match="num_samples must be an integer, got 2.5"):
