@@ -39,10 +39,11 @@ _DEALIAS_FRACTION = 2.0 / 3.0
 def set_fft_workers(count: int) -> None:
     """Set the worker count used by all FFT calls in this package."""
     global _fft_workers
-    count = int(count)
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+        raise TypeError(f"fft worker count must be an integer, got {count!r}")
     if count < 1:
         raise ValueError("fft worker count must be a positive integer")
-    _fft_workers = count
+    _fft_workers = int(count)
 
 
 def get_fft_workers() -> int:
@@ -214,7 +215,7 @@ def _owned_copy(values, dtype) -> np.ndarray:
 
 def _check_count(value, name: str, least: int) -> int:
     """``value`` as an int; refused unless it is an integer >= ``least``."""
-    if not isinstance(value, (int, np.integer)):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise TypeError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be at least {least}, got {value}")
@@ -369,6 +370,20 @@ def _fold_modes(terms):
     return total
 
 
+_SLAB_COLUMNS = 4096
+
+
+def _time_modes(samples: np.ndarray, max_mode: int) -> np.ndarray:
+    """Modes 0..K of the time DFT (axis 0) of real samples, divided by nt; the
+    transform runs slab by slab over the spatial columns, never the grid."""
+    flat = samples.reshape(len(samples), -1)
+    modes = np.empty((max_mode + 1, flat.shape[1]), dtype=np.complex128)
+    for start in range(0, flat.shape[1], _SLAB_COLUMNS):
+        cols = slice(start, start + _SLAB_COLUMNS)
+        modes[:, cols] = np.fft.fft(flat[:, cols], axis=0)[: max_mode + 1] / len(flat)
+    return modes.reshape((max_mode + 1,) + samples.shape[1:])
+
+
 class TimePeriodicField(_FieldAlgebra):
     """Finite Fourier stack in time over spatial fields.
 
@@ -476,8 +491,8 @@ class TimePeriodicField(_FieldAlgebra):
         """Collocation in time: DFT of uniform samples, truncated to |k| <= K.
 
         ``samples`` is real, of shape (nt, ncomp) + grid.shape with nt >= 2K+1;
-        sample j sits at time j * period / nt.  Only modes 0..K of the
-        transform are scaled by 1/nt, and the stack adopts that array.
+        sample j sits at time j * period / nt.  The stack adopts the array of
+        :func:`_time_modes`: modes 0..K of the transform, scaled by 1/nt.
         """
         max_mode = _check_count(max_mode, "max_mode", 0)
         if np.iscomplexobj(samples):
@@ -488,14 +503,19 @@ class TimePeriodicField(_FieldAlgebra):
             raise ValueError(
                 f"need at least {2 * max_mode + 1} time samples, got {nt}"
             )
-        modes = np.fft.fft(samples, axis=0)[: max_mode + 1] / nt
-        return cls._adopt(grid, period, modes)
+        return cls._adopt(grid, period, _time_modes(samples, max_mode))
 
     def sample_times(self, num_samples: int) -> np.ndarray:
         """Real samples at t_j = j * period / num_samples, shape (nt, ncomp, ...)."""
         num_samples = _check_count(num_samples, "num_samples", 1)
-        t = np.arange(num_samples) * (self.period / num_samples)
         out = np.empty((num_samples,) + self.modes.shape[1:], dtype=np.float64)
+        for j, sample in enumerate(self._instants(num_samples)):
+            out[j] = sample
+        return out
+
+    def _instants(self, num_samples: int):
+        """Yield the samples of :meth:`sample_times` one instant at a time."""
+        t = np.arange(num_samples) * (self.period / num_samples)
         k_range = np.arange(1, self.max_mode + 1)
         phases = np.exp(1j * 2.0 * np.pi * np.outer(t, k_range) / self.period)
         mode0 = self.mode(0).real
@@ -503,8 +523,7 @@ class TimePeriodicField(_FieldAlgebra):
             acc = mode0.copy()
             for idx, k in enumerate(k_range):
                 acc = acc + 2.0 * (phases[j, idx] * self.mode(k)).real
-            out[j] = acc
-        return out
+            yield acc
 
     _data = property(lambda self: self.modes)
 

@@ -30,8 +30,9 @@ contraction rate the gate holds to rtol 1e-8, tighter than roundoff allows.
 Time-periodic input is multiplied in physical time: the field is sampled
 on 4K+1 uniform instants (enough to hold the full quadratic band), the
 pointwise nonlinearity of each instant is written over that instant's
-sample, and the result is projected back to |k| <= K.  One stack of
-samples is the whole working set of the time loop.
+sample, and only modes 0..K of the time transform are formed
+(``fields._time_modes``) and negated in place: one stack of samples and
+those K+1 modes are the working set of the time loop.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .fields import (
     _ifftn,
     _irfftn,
     _rfftn,
+    _time_modes,
     _truncate_samples,
 )
 from .lifting import LiftingField
@@ -115,8 +117,8 @@ def nonlinearity(
         samples = u.sample_times(num_samples)
         for j in range(num_samples):
             samples[j] = _quadratic_samples(grid, samples[j], lifting)
-        quad = TimePeriodicField.from_time_samples(grid, u.period, samples, u.max_mode)
-        out = -quad.modes
+        out = _time_modes(samples, u.max_mode)
+        np.negative(out, out=out)
         average = out[0]
     if lifting is not None:
         average += lifting.laplacian - lifting.lambda_used * lifting.jacobian[:, 0]

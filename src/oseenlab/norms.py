@@ -37,10 +37,10 @@ default mode cap), and ``harness._run_bilinear_ensemble`` draws and
 evaluates its whole ensemble on it (band: twice the draws' largest |m_i|,
 which the convective products reach).
 
-``lq_norm`` keeps its 4K + 8 instants and ``negative_norm_surrogate`` its
-inverse transform at r = 2, both on the full grid: through
-``picard.data_size`` they scale the Picard forcing, so a roundoff-level
-change in them would move every iterate.
+``lq_norm`` keeps its 4K + 8 instants, synthesized one at a time, and
+``negative_norm_surrogate`` its inverse transform at r = 2, both on the full
+grid: through ``picard.data_size`` they scale the Picard forcing, so a
+roundoff-level change in them would move every iterate.
 
 Parseval sums over the time modes k = -K..K (``spacetime_l2_plancherel``, the
 residual, the maximal-regularity mode sum) take one fold, ``fields._fold_modes``:
@@ -94,11 +94,8 @@ def lq_norm(field, q: float) -> float:
     """
     q = _check_exponent(q, "q")
     if isinstance(field, TimePeriodicField):
-        num_samples = _default_time_samples(field.max_mode)
-        samples = field.sample_times(num_samples)
-        powers = [
-            _lq_of_array(field.grid, samples[j], q) ** q for j in range(num_samples)
-        ]
+        instants = field._instants(_default_time_samples(field.max_mode))
+        powers = [_lq_of_array(field.grid, sample, q) ** q for sample in instants]
         return float(np.mean(powers)) ** (1.0 / q)
     return _lq_of_array(field.grid, _component_array(field), q)
 
@@ -295,13 +292,15 @@ def _maxreg_norm(field: TimePeriodicField, q: float, nt: int) -> float:
         )
     grid = field.grid
     basis, weights, dt_weights = _real_time_basis(field, nt)
-    powers = _sample_powers(weights, basis, q)
-    coeff = _rfftn(basis, grid.dim)
+    powers = _sample_powers(weights, basis.swapaxes(0, 1), q)
+    dt_power = float(np.mean(_sample_powers(dt_weights, basis.swapaxes(0, 1), q)))
+    coeff = _rfftn(basis, grid.dim).swapaxes(0, 1)
+    del basis
     for order in (1, 2):
-        for block in _derivative_blocks(grid, coeff, order):
-            powers += _sample_powers(weights, block, q)
+        for symbol in grid.derivative_symbols[order]:
+            blocks = (_irfftn(part * symbol, grid.shape) for part in coeff)
+            powers += _sample_powers(weights, blocks, q)
     bochner = (float(np.mean(powers)) * grid.volume) ** (1.0 / q)
-    dt_power = float(np.mean(_sample_powers(dt_weights, basis, q)))
     return bochner + (dt_power * grid.volume) ** (1.0 / q)
 
 
@@ -318,7 +317,8 @@ def _seminorm_samples(
     coeff = _rfftn(basis, grid.dim)
     total = np.zeros(nt)
     for block in _derivative_blocks(grid, coeff, k):
-        total += (_sample_powers(weights, block, q) * grid.volume) ** (1.0 / q)
+        powers = _sample_powers(weights, block.swapaxes(0, 1), q)
+        total += (powers * grid.volume) ** (1.0 / q)
     return total
 
 
@@ -353,18 +353,21 @@ def _real_time_basis(
     return basis, weights, dt_weights
 
 
-def _sample_powers(weights: np.ndarray, fields: np.ndarray, q: float) -> np.ndarray:
-    """Grid means of |v_j|^q for the samples v_j = sum_b weights[j, b] fields[b]."""
+def _sample_powers(weights: np.ndarray, components, q: float) -> np.ndarray:
+    """Grid means of |v_j|^q for v_j = sum_b weights[j, b] B_b, where
+    ``components`` yields the (nb, ...) fields B_b one component at a time."""
     # einsum rather than a BLAS product: at these sizes BLAS wakes worker
     # threads that busy-wait on the other cores, so CPU time far exceeds wall
     # time (the package otherwise runs on one core unless FFT workers are set).
-    samples = np.einsum("jb,b...->j...", weights, fields)
-    np.square(samples, out=samples)
-    # Over a single component the sum would only copy.
-    magnitude_sq = samples[:, 0] if samples.shape[1] == 1 else np.sum(samples, axis=1)
+    mag_sq = None
+    for fields in components:
+        samples = np.einsum("jb,b...->j...", weights, fields)
+        np.square(samples, out=samples)
+        mag_sq = samples if mag_sq is None else np.add(mag_sq, samples, out=mag_sq)
+        del samples
     if q != 2.0:
-        np.power(magnitude_sq, q / 2.0, out=magnitude_sq)
-    return np.mean(magnitude_sq.reshape(len(weights), -1), axis=1)
+        np.power(mag_sq, q / 2.0, out=mag_sq)
+    return np.mean(mag_sq.reshape(len(weights), -1), axis=1)
 
 
 def spacetime_l2_plancherel(field: TimePeriodicField) -> float:

@@ -19,7 +19,9 @@ from oseenlab.fields import (
     _truncate_samples,
     derivative,
     divergence,
+    get_fft_workers,
     gradient,
+    set_fft_workers,
 )
 from oseenlab.lifting import LiftingField
 from oseenlab.nonlinear import convective_product
@@ -537,17 +539,40 @@ def test_from_time_samples_refuses_complex_samples(grid2):
         TimePeriodicField.from_time_samples(grid2, 1.0, samples, max_mode=1)
 
 
-def test_from_time_samples_keeps_the_scaled_transform_bit_for_bit(grid2):
-    samples = np.stack([trig_values(grid2, 70 + j)[None] for j in range(5)])
-    stack = TimePeriodicField.from_time_samples(grid2, 1.0, samples, max_mode=2)
-    reference = np.fft.fft(samples, axis=0) / 5
-    assert np.array_equal(stack.modes[1:], reference[1:3])
-    assert np.array_equal(stack.modes[0], reference[0].real)
+def test_from_time_samples_keeps_the_scaled_transform_bit_for_bit(grid2, grid3):
+    # The transform runs slab by slab over the spatial axes; the whole
+    # spectrum, cut to modes 0..K and scaled by 1/nt, must give the same bits.
+    # At 24^3 a vector stack spans several slabs.
+    for grid in (grid2, grid3, GridSpec(3, np.pi, 24)):
+        rng = np.random.default_rng(grid.points_per_axis + grid.dim)
+        for ncomp in (1, grid.dim):
+            for max_mode in (0, 1, 3):
+                for nt in (2 * max_mode + 1, 4 * max_mode + 1, 4 * max_mode + 8):
+                    samples = rng.standard_normal((nt, ncomp) + grid.shape)
+                    stack = TimePeriodicField.from_time_samples(
+                        grid, 1.0, samples, max_mode
+                    )
+                    reference = np.fft.fft(samples, axis=0)[: max_mode + 1] / nt
+                    assert np.array_equal(stack.modes[1:], reference[1:])
+                    assert np.array_equal(stack.modes[0], reference[0].real)
 
 
 def test_from_modes_refuses_an_empty_mode_list(grid2):
     with pytest.raises(ValueError, match="nonneg_modes must hold at least mode 0"):
         TimePeriodicField.from_modes(grid2, 1.0, [])
+
+
+def test_from_steady_refuses_a_bool_max_mode(grid2):
+    with pytest.raises(TypeError, match="max_mode must be an integer, got True"):
+        TimePeriodicField.from_steady(trig_vector(grid2, 65), 1.0, True)
+
+
+@pytest.mark.parametrize("count", [2.7, "3", True])
+def test_set_fft_workers_refuses_a_non_integer(count):
+    message = f"fft worker count must be an integer, got {count!r}"
+    with pytest.raises(TypeError, match=message):
+        set_fft_workers(count)
+    assert get_fft_workers() == 1
 
 
 def test_sample_times_refuses_a_count_that_is_not_an_integer(grid2):

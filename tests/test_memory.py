@@ -1,8 +1,9 @@
 """Working-set bounds: traced peaks that must not grow with the sample count.
 
 Each test runs its workload once untraced, so that the mode-list, grid and
-transform-plan caches are warm, and then compares the ``tracemalloc`` peaks
-of a small and a large sample count.
+transform-plan caches are warm.  The first tests compare the ``tracemalloc``
+peaks of a small and a large sample count; the kernel tests at 24^3 bound
+one call's peak in units of one real 24^3 field.
 """
 
 from __future__ import annotations
@@ -13,8 +14,10 @@ import numpy as np
 
 from oseenlab import harness
 from oseenlab.exponents import ExponentProfile
-from oseenlab.fields import GridSpec
+from oseenlab.fields import GridSpec, TimePeriodicField
 from oseenlab.harness import fit_smallness_constant, run_experiment
+from oseenlab.nonlinear import nonlinearity
+from oseenlab.norms import lq_norm
 
 from test_harness import _bilinear_config
 
@@ -49,3 +52,43 @@ def test_fit_peak_grows_by_less_than_one_full_grid_field(monkeypatch):
     fit(4)()
     few, many = _traced_peak(fit(4)), _traced_peak(fit(8))
     assert many - few < 3 * 32**3 * 8
+
+
+# Kernel peaks at 24^3, in units of one real 24^3 field.
+_GRID24 = GridSpec(3, np.pi, 24)
+_FIELD24 = 8 * 24**3
+
+
+def _stack24(max_mode: int) -> TimePeriodicField:
+    rng = np.random.default_rng(max_mode)
+    shape = (max_mode + 1, 3) + _GRID24.shape
+    modes = 0.01 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    modes[0] = modes[0].real
+    return TimePeriodicField(_GRID24, 2.5, modes)
+
+
+def _warm_peak(run) -> float:
+    """Traced peak of ``run()`` after one untraced call, in 24^3 fields."""
+    run()
+    return _traced_peak(run) / _FIELD24
+
+
+def test_lq_norm_peak_does_not_grow_with_the_mode_count():
+    one, three = _stack24(1), _stack24(3)
+    few = _warm_peak(lambda: lq_norm(one, 4.0))
+    many = _warm_peak(lambda: lq_norm(three, 4.0))
+    assert many - few <= 1.0
+
+
+def test_from_time_samples_holds_only_the_kept_modes():
+    samples = _stack24(2).sample_times(9)
+    peak = _warm_peak(
+        lambda: TimePeriodicField.from_time_samples(_GRID24, 2.5, samples, 2)
+    )
+    assert peak <= 40.0
+
+
+def test_time_periodic_nonlinearity_peak_is_bounded():
+    u = _stack24(2)
+    assert _warm_peak(lambda: nonlinearity(u, None)) <= 80.0
+

@@ -291,9 +291,50 @@ def test_sample_powers_skip_the_one_component_sum_bit_for_bit(dim, kind):
     weights = rng.standard_normal((9, 5))
     for q in (2.0, 2.5, 3.0, 4.0):
         assert np.array_equal(
-            norms._sample_powers(weights, fields, q),
+            norms._sample_powers(weights, fields.swapaxes(0, 1), q),
             _summing_sample_powers(weights, fields, q),
         )
+
+
+def _whole_stack_sample_powers(weights, fields, q):
+    """The sample-power kernel that forms every component's instants at once."""
+    samples = np.einsum("jb,b...->j...", weights, fields)
+    np.square(samples, out=samples)
+    magnitude_sq = samples[:, 0] if samples.shape[1] == 1 else np.sum(samples, axis=1)
+    if q != 2.0:
+        np.power(magnitude_sq, q / 2.0, out=magnitude_sq)
+    return np.mean(magnitude_sq.reshape(len(weights), -1), axis=1)
+
+
+def _whole_stack_lq_norm(field: TimePeriodicField, q: float) -> float:
+    """The space-time L^q norm from one array of all 4K + 8 samples."""
+    num_samples = _default_time_samples(field.max_mode)
+    samples = field.sample_times(num_samples)
+    powers = [
+        norms._lq_of_array(field.grid, samples[j], q) ** q for j in range(num_samples)
+    ]
+    return float(np.mean(powers)) ** (1.0 / q)
+
+
+@pytest.mark.parametrize("kind", ["scalar", "vector"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_streamed_time_kernels_match_the_whole_stack_bit_for_bit(dim, kind):
+    # lq_norm takes its instants one at a time and _sample_powers one
+    # component at a time; the whole-stack kernels must give the same bits.
+    grid = GRIDS[dim]
+    for max_mode in (0, 1, 3):
+        ncomp = _ncomp(grid, kind)
+        field = _time_periodic(grid, ncomp, max_mode, seed=7 * dim + max_mode)
+        nt = 4 * max_mode + 8
+        basis, weights, dt_weights = norms._real_time_basis(field, nt)
+        for q in (1.5, 2.0, 3.0, 4.0):
+            assert norms.lq_norm(field, q) == _whole_stack_lq_norm(field, q)
+            for w in (weights, dt_weights):
+                assert np.array_equal(
+                    norms._sample_powers(w, basis.swapaxes(0, 1), q),
+                    _whole_stack_sample_powers(w, basis, q),
+                )
+            assert _maxreg_norm(field, q, nt) == _previous_maxreg(field, q, nt)
 
 
 @pytest.mark.parametrize("kind", ["scalar", "vector"])
