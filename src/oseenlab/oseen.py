@@ -24,6 +24,7 @@ from .fields import (
     ScalarField,
     TimePeriodicField,
     VectorField,
+    _component_array,
     _fftn,
     _fold_modes,
     _from_component_array,
@@ -101,9 +102,9 @@ def _mode_solution_coeff(
     active = ksq > 0
     safe = np.where(active, ksq, 1.0)
     denom = np.where(active, ksq + 1j * (lam * grid.wavenumber(0) + omega), 1.0)
-    u_coeff = np.where(active, _apply_leray(grid, coeff) / denom, 0.0)
-    if omega != 0.0:
-        u_coeff = np.where(active, u_coeff, coeff / (1j * omega))
+    u_coeff = _apply_leray(grid, coeff)
+    u_coeff /= denom
+    u_coeff[:, ~active] = coeff[:, ~active] / (1j * omega) if omega else 0.0
     dotted = np.zeros(grid.shape, dtype=np.complex128)
     for axis in range(grid.dim):
         dotted = dotted + grid.wavenumber(axis) * coeff[axis]
@@ -158,20 +159,16 @@ def solve_timeperiodic(
     grid = forcing.grid
     if forcing.ncomp != grid.dim:
         raise ValueError("forcing must be a vector-valued time-periodic field")
-    u_modes = []
-    p_modes = []
+    velocity = np.empty_like(forcing.modes)
+    pressure = np.empty_like(forcing.modes[:, :1])
     for k in range(forcing.max_mode + 1):
         u_k, p_k = solve_mode(grid, forcing.mode(k), k, forcing.period, params)
-        if k == 0:
-            # The zero-frequency problem with real data has a real solution;
-            # drop the imaginary roundoff so the stack is exactly real there.
-            u_k = u_k.real.astype(np.complex128)
-            p_k = p_k.real.astype(np.complex128)
-        u_modes.append(u_k)
-        p_modes.append(p_k)
+        # The zero-frequency problem with real data has a real solution; its
+        # imaginary roundoff is dropped so the stack is exactly real there.
+        velocity[k], pressure[k] = (u_k.real, p_k.real) if k == 0 else (u_k, p_k)
     return StokesPair(
-        TimePeriodicField.from_modes(grid, forcing.period, u_modes),
-        TimePeriodicField.from_modes(grid, forcing.period, p_modes),
+        TimePeriodicField._adopt(grid, forcing.period, velocity),
+        TimePeriodicField._adopt(grid, forcing.period, pressure),
     )
 
 
@@ -232,29 +229,32 @@ class SolveReport:
         return max(ratios) if ratios else float("nan")
 
 
-def _k0_stacks(fields) -> list[TimePeriodicField]:
-    """Stacks as they are, steady fields as K = 0 stacks (any period: omega_0 = 0)."""
-    return [
-        f if isinstance(f, TimePeriodicField) else TimePeriodicField.from_steady(f, 1.0)
-        for f in fields
-    ]
+def _time_blocks(field) -> tuple[float, np.ndarray]:
+    """Period and modes of a stack; a steady field, uncopied, is K = 0 of period 1."""
+    if isinstance(field, TimePeriodicField):
+        return field.period, field.modes
+    return 1.0, _component_array(field)[None]
 
 
-def _block_momentum(velocity, pressure, k, f_coeff, lam):
-    """Velocity coefficients and those of d_t u - Lap u + lam d_1 u + grad p - f
-    in time block k of two stacks.
+def _axis_momenta(grid, period, velocity, pressure, forcing, k, lam):
+    """Per axis, the velocity coefficients and those of d_t u - Lap u + lam d_1 u
+    + grad p - f (None: f = 0; mean-free at k = 0) in block k of
+    :func:`_time_blocks` arrays, each component transformed alone."""
 
-    The forward symbol |xi|^2 + i(lam*xi_1 + omega_k) acts on the velocity,
-    the forcing is subtracted, and i*xi*p is added last, axis by axis.
-    """
-    grid = velocity.grid
-    u_coeff = _fftn(velocity.modes[k], grid.dim)
-    p_coeff = _fftn(pressure.modes[k], grid.dim)[0]
-    symbol = grid.ksq + 1j * (lam * grid.wavenumber(0) + velocity.omega(k))
-    momentum = symbol * u_coeff - f_coeff
+    def coeff(blocks, index):
+        return _fftn(blocks[k, index].astype(np.complex128, copy=False), grid.dim)
+
+    p_coeff = coeff(pressure, 0)
+    symbol = grid.ksq + 1j * (lam * grid.wavenumber(0) + 2.0 * np.pi * k / period)
     for axis in range(grid.dim):
-        momentum[axis] = momentum[axis] + 1j * grid.wavenumber(axis) * p_coeff
-    return u_coeff, momentum
+        u_coeff = coeff(velocity, axis)
+        momentum = symbol * u_coeff
+        if forcing is not None:
+            f_coeff = coeff(forcing, axis)
+            if k == 0:
+                f_coeff[(0,) * grid.dim] = 0.0
+            momentum -= f_coeff
+        yield u_coeff, momentum + 1j * grid.wavenumber(axis) * p_coeff
 
 
 def apply_oseen(
@@ -265,14 +265,16 @@ def apply_oseen(
     Applied block by block on the solvers' zeroed-Nyquist wavenumbers.  A
     steady pair is the K = 0 case and gives back a steady field.
     """
-    velocity, pressure = _k0_stacks(pair)
-    if (pressure.period, pressure.max_mode) != (velocity.period, velocity.max_mode):
+    (period, velocity), (p_period, pressure) = map(_time_blocks, pair)
+    if (p_period, len(pressure)) != (period, len(velocity)):
         raise ValueError("velocity and pressure stacks differ in period or modes")
-    modes = []
-    for k in range(velocity.max_mode + 1):
-        momentum = _block_momentum(velocity, pressure, k, 0.0, params.lam)[1]
-        modes.append(_ifftn(momentum, velocity.grid.dim))
-    out = TimePeriodicField.from_modes(velocity.grid, velocity.period, modes)
+    grid = pair.velocity.grid
+    modes = np.empty(velocity.shape, dtype=np.complex128)
+    for k in range(len(velocity)):
+        blocks = _axis_momenta(grid, period, velocity, pressure, None, k, params.lam)
+        for axis, (_, momentum) in enumerate(blocks):
+            modes[k, axis] = _ifftn(momentum, grid.dim)
+    out = TimePeriodicField._adopt(grid, period, modes)
     return out if isinstance(pair.velocity, TimePeriodicField) else project_steady(out)
 
 
@@ -283,35 +285,37 @@ def residual(
 
     Parseval in time turns the period-averaged space-time L^2 norm into a
     sum over the frequency blocks k = -K..K, which :func:`_fold_modes` forms
-    from the blocks k = 0..K, three transforms per block.  A steady pair and
-    its forcing are the K = 0 case and give the spatial L^2 norms.  The
-    defect at k = 0 is measured against the mean-free part of the forcing:
-    the solvers pin the box mean of velocity and pressure to zero, so a
-    forcing mean is unreachable by construction.  The three stacks must
+    from the blocks k = 0..K, one transform per component of each block.  A
+    steady pair and its forcing are the K = 0 case and give the spatial L^2
+    norms.  The defect at k = 0 is measured against the mean-free part of the
+    forcing: the solvers pin the box mean of velocity and pressure to zero, so
+    a forcing mean is unreachable by construction.  The three stacks must
     share grid, period and ``max_mode``.
     """
-    velocity, pressure, forcing = _k0_stacks((*pair, f))
-    grid = velocity.grid
-    if pressure.ncomp != 1:
+    grid = pair.velocity.grid
+    (period, velocity), *others = map(_time_blocks, (*pair, f))
+    if others[0][1].shape[1] != 1:
         raise ValueError("pressure stack must be scalar-valued")
-    if forcing.grid != grid:
+    if f.grid != grid:
         raise ValueError("forcing lives on a different grid")
-    for name, other in (("pressure", pressure), ("forcing", forcing)):
-        if (other.period, other.max_mode) != (velocity.period, velocity.max_mode):
+    for name, (other_period, other) in zip(("pressure", "forcing"), others):
+        if (other_period, len(other)) != (period, len(velocity)):
             raise ValueError(
-                f"{name} has period {other.period} and max_mode {other.max_mode}, "
-                f"the velocity {velocity.period} and {velocity.max_mode}"
+                f"{name} has period {other_period} and max_mode {len(other) - 1}, "
+                f"the velocity {period} and {len(velocity) - 1}"
             )
+    (_, pressure), (_, forcing) = others
 
     def block_norms(k):
-        f_coeff = _fftn(forcing.modes[k], grid.dim)
-        if k == 0:
-            f_coeff[(slice(None),) + (0,) * grid.dim] = 0.0
-        u_coeff, momentum = _block_momentum(velocity, pressure, k, f_coeff, params.lam)
-        div = sum(1j * grid.wavenumber(a) * u_coeff[a] for a in range(grid.dim))
-        return np.array([np.sum(np.abs(momentum) ** 2), np.sum(np.abs(div) ** 2)])
+        # |momentum|^2 of all axes in one array: one pairwise sum per block.
+        squares, div = np.empty(velocity.shape[1:]), 0.0
+        blocks = _axis_momenta(grid, period, velocity, pressure, forcing, k, params.lam)
+        for axis, (u_coeff, momentum) in enumerate(blocks):
+            squares[axis] = np.abs(momentum) ** 2
+            div = div + 1j * grid.wavenumber(axis) * u_coeff
+        return np.array([np.sum(squares), np.sum(np.abs(div) ** 2)])
 
-    totals = _fold_modes(block_norms(k) for k in range(velocity.max_mode + 1))
+    totals = _fold_modes(block_norms(k) for k in range(len(velocity)))
     return tuple(float(np.sqrt(float(total) * grid.volume)) for total in totals)
 
 

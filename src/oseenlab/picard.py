@@ -1,15 +1,16 @@
 """Contraction-driven fixed-point solvers for the nonlinear problem.
 
-Both drivers run one loop, u <- solve(f + nonlinearity(u)).  The steady
-driver solves with the drift solve and measures progress in the
-wake-weighted norm; the time-periodic driver solves mode by mode and
-measures progress in the decomposed norm (wake-weighted norm of the time
-average plus maximal-regularity norm of the oscillation).  The loop enforces
-the small-data gate on the forcing, keeps every iterate inside the ball of
-radius rho, stops on a relative update below the tolerance, gives up after
-three growing updates in a row, and re-derives a fixed-point certificate
-from scratch after convergence.  Every failure after the start raises a
-:class:`PicardRunError` carrying the partial report.
+Both drivers hold the forcing to the small-data gate, then take two steps.
+The contraction loop, u <- solve(f + nonlinearity(u)), keeps every iterate
+inside the ball of radius rho, stops on a relative update below the
+tolerance and gives up after three growing updates in a row; every failure
+raises a :class:`PicardRunError` carrying the partial report.  The
+certificate solves once more at the last iterate and measures the change.
+The steady driver contracts in the wake-weighted norm; the time-periodic
+driver solves mode by mode and contracts in the decomposed norm
+(wake-weighted norm of the time average plus maximal-regularity norm of the
+oscillation).  The harness's second start runs the loop alone, on a forcing
+that already passed the gate: no forcing size, no certificate.
 
 The loop evaluates nothing it already knows.  The default start is
 solve(f + nonlinearity(0)), which is solve(f) bit for bit when there is no
@@ -17,7 +18,7 @@ lifting, so that run skips the nonlinearity of zero.  The driver norm is a
 norm, so the last iterate norm plus the update norm bounds the new one; the
 new norm is measured only when that bound could leave the ball or meet the
 stop test, so every decision, and the solution norm the report carries, is
-the one the exact norms give.
+the one the exact norms give, and no stack outlives its last read.
 
 A lifting of None is the obstacle-free problem (V = 0).  A given lifting
 must live on the forcing's grid and be built at the config's drift: the
@@ -239,7 +240,7 @@ def _fixed_point(
     solve,
     norm,
 ) -> tuple[StokesPair, SolveReport]:
-    """The contraction loop behind both drivers.
+    """Both drivers: the gate, :func:`_contraction_loop`, :func:`_certificate`.
 
     ``solve(forcing, params)`` gives a :class:`StokesPair`; ``norm`` has the
     signature of :func:`lambda_norm`.  The returned pair holds the last
@@ -248,21 +249,30 @@ def _fixed_point(
     kind = VectorField if problem == PROBLEM_STEADY else TimePeriodicField
     if not isinstance(f, kind):
         raise TypeError(f"f must be a {kind.__name__}, not {type(f).__name__}")
-    grid = f.grid
-    _check_admissible(cfg.profile, grid, problem)
-    q, r = cfg.profile.q, cfg.profile.r
-    size = data_size(f, q, r)
+    _check_admissible(cfg.profile, f.grid, problem)
+    size = data_size(f, cfg.profile.q, cfg.profile.r)
     if size > cfg.epsilon * (1.0 + 1e-12):
         raise GateError(
             f"forcing size {size:.6e} exceeds the budget {cfg.epsilon:.6e}"
         )
-    _check_lifting(lifting, grid, cfg.lam)
-    params = OseenParams(cfg.lam)
+    _check_lifting(lifting, f.grid, cfg.lam)
+    u, updates, scale = _contraction_loop(f, cfg, lifting, initial, solve, norm)
+    pair, certificate, residuals = _certificate(f, u, cfg, lifting, solve, norm)
+    return pair, SolveReport(
+        updates, certificate, *residuals, solution_norm=scale, forcing_size=size
+    )
 
+
+def _contraction_loop(f, cfg, lifting, initial, solve, norm) -> tuple:
+    """The loop from ``initial`` (None: the default start), held only until taken;
+    returns the last iterate, the update norms and its exact driver norm."""
+    q, r = cfg.profile.q, cfg.profile.r
+    params = OseenParams(cfg.lam)
     if initial is None:
-        start = f if lifting is None else f + nonlinearity(f * 0.0, lifting)
-        u = solve(start, params).velocity
-    elif initial.grid != grid:
+        u = solve(
+            f if lifting is None else f + nonlinearity(f * 0.0, lifting), params
+        ).velocity
+    elif initial.grid != f.grid:
         raise ValueError("initial iterate lives on a different grid")
     elif getattr(initial, "period", None) != getattr(f, "period", None):
         raise ValueError("initial iterate is incompatible with the forcing")
@@ -273,6 +283,7 @@ def _fixed_point(
         )
     else:
         u = initial
+    del initial
 
     updates: list[float] = []
     grow_streak = 0
@@ -285,9 +296,10 @@ def _fixed_point(
         )
     for _ in range(_MAX_ITER):
         u_new = solve(f + nonlinearity(u, lifting), params).velocity
-        delta = norm(u_new - u, cfg.lam, q, r)
+        step, u = u_new - u, u_new  # the old iterate goes before the norm
+        delta = norm(step, cfg.lam, q, r)
+        del step
         updates.append(delta)
-        u = u_new
         # The triangle inequality, with slack for roundoff, bounds the new
         # norm by the last one (or its bound) plus the update's.
         bound = (scale + delta) * (1.0 + 1e-9)
@@ -317,17 +329,20 @@ def _fixed_point(
             f"no convergence within {_MAX_ITER} iterations",
             SolveReport(tuple(updates)),
         )
+    return u, tuple(updates), scale
 
+
+def _certificate(f, u, cfg, lifting, solve, norm) -> tuple:
+    """One more solve at ``u``: the pair of ``u`` and that solve's pressure,
+    the driver norm of the change, and the pair's residuals."""
+    params = OseenParams(cfg.lam)
     forcing_star = f + nonlinearity(u, lifting)
     change, p_check = solve(forcing_star, params)
-    change -= u  # rebinding drops the certificate solve's velocity
-    certificate = norm(change, cfg.lam, q, r)
     pair = StokesPair(u, p_check)
     residuals = residual(pair, forcing_star, params)
-    return pair, SolveReport(
-        tuple(updates), certificate, *residuals, solution_norm=scale,
-        forcing_size=size,
-    )
+    del forcing_star
+    change -= u  # rebinding drops the certificate solve's velocity
+    return pair, norm(change, cfg.lam, cfg.profile.q, cfg.profile.r), residuals
 
 
 def picard_steady(

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from oseenlab import harness
+from oseenlab import harness, picard
 from oseenlab.cli import default_config
 from oseenlab.config import log_spaced
 from oseenlab.exponents import ExponentProfile, s_exponent
@@ -720,6 +720,54 @@ def test_fit_roundoff_cannot_move_the_scheduled_radius(experiment):
     for scale in (1.0 - 1e-12, 1.0 + 1e-12):
         moved = radius_schedule(cfg.rho, gamma, profile, constant * scale, tol=cfg.tol)
         assert moved.rho == base.rho
+
+
+def _small_picard_config(experiment):
+    return dataclasses.replace(
+        default_config(experiment), grid=GridSpec(3, np.pi, 16), time_modes=2
+    )
+
+
+def _counting(calls, function):
+    def wrapped(*args, **kwargs):
+        calls.append(function.__name__)
+        return function(*args, **kwargs)
+
+    return wrapped
+
+
+@pytest.mark.parametrize("experiment", ["picard-steady", "picard-tp"])
+def test_picard_ladder_certifies_each_rung_once_and_sizes_four_forcings(
+    monkeypatch, experiment
+):
+    # The unit forcing and the three rung gates are sized; the second start
+    # runs the loop alone, so it adds neither a gate nor a certificate.
+    calls = []
+    monkeypatch.setattr(picard, "_certificate", _counting(calls, picard._certificate))
+    for module in (harness, picard):
+        monkeypatch.setattr(module, "data_size", _counting(calls, picard.data_size))
+    result = run_experiment(_small_picard_config(experiment))
+    assert result.all_passed
+    assert calls.count("_certificate") == 3
+    assert calls.count("data_size") == 1 + 3
+
+
+@pytest.mark.parametrize("experiment", ["picard-steady", "picard-tp"])
+def test_initial_iterate_independence_fails_when_the_loop_keeps_its_start(
+    monkeypatch, experiment
+):
+    # A loop that hands back the second start unchanged never reaches the
+    # fixed point, so the check must read FAIL while the rungs still pass.
+    def stuck(f, cfg, lifting, initial, solve, norm):
+        return initial, (), norm(initial, cfg.lam, cfg.profile.q, cfg.profile.r)
+
+    monkeypatch.setattr(harness, "_contraction_loop", stuck)
+    result = run_experiment(_small_picard_config(experiment))
+    checks = {check.name: check for check in result.checks}
+    independence = checks.pop("initial_iterate_independence")
+    assert not independence.passed
+    assert independence.value > 1e3 * independence.bound
+    assert all(check.passed for check in checks.values())
 
 
 def test_smallness_constant_rejects_a_profile_of_another_dimension():

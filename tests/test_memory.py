@@ -3,11 +3,13 @@
 Each test runs its workload once untraced, so that the mode-list, grid and
 transform-plan caches are warm.  The first tests compare the ``tracemalloc``
 peaks of a small and a large sample count; the kernel tests at 24^3 bound
-one call's peak in units of one real 24^3 field.
+one call's peak in units of one real 24^3 field, and the Picard ladder test
+bounds a whole run's peak in units of one of its time stacks.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -15,9 +17,15 @@ import numpy as np
 from oseenlab import harness
 from oseenlab.exponents import ExponentProfile
 from oseenlab.fields import GridSpec, TimePeriodicField
-from oseenlab.harness import fit_smallness_constant, run_experiment
+from oseenlab.harness import (
+    default_config,
+    fit_smallness_constant,
+    random_divergence_free,
+    run_experiment,
+)
 from oseenlab.nonlinear import nonlinearity
 from oseenlab.norms import lq_norm
+from oseenlab.oseen import OseenParams, residual, solve_steady
 
 from test_harness import _bilinear_config
 
@@ -92,3 +100,22 @@ def test_time_periodic_nonlinearity_peak_is_bounded():
     u = _stack24(2)
     assert _warm_peak(lambda: nonlinearity(u, None)) <= 80.0
 
+
+
+def test_steady_residual_copies_no_whole_stack():
+    # Each component is copied to complex only for its own transform.
+    f = random_divergence_free(_GRID24, [7, 1])
+    params = OseenParams(0.5)
+    pair = solve_steady(f, params)
+    assert _warm_peak(lambda: residual(pair, f, params)) <= 26.0
+
+
+def test_time_periodic_picard_ladder_holds_no_stack_past_its_last_read():
+    # Three rungs and the second-start loop at 16^3 with K = 2; the old
+    # iterate, the certificate's forcing and each rung's pressure go as soon
+    # as nothing reads them again.
+    grid = GridSpec(3, np.pi, 16)
+    cfg = dataclasses.replace(default_config("picard-tp"), grid=grid, time_modes=2)
+    stack = 8 * 2 * 3 * 3 * 16**3  # one complex vector stack with K + 1 = 3 modes
+    run_experiment(cfg)
+    assert _traced_peak(lambda: run_experiment(cfg)) / stack <= 9.5

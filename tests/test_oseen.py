@@ -547,8 +547,9 @@ def test_steady_residual_rejects_forcing_on_another_grid(grid2):
 
 
 def test_timeperiodic_residual_transforms_each_stored_block_once(monkeypatch):
-    # Three forward transforms per stored block k = 0..K; the conjugate
-    # blocks k < 0 are folded in, not transformed.
+    # One forward transform per component of each stored block k = 0..K of
+    # velocity, pressure and forcing; the conjugate blocks k < 0 are folded
+    # in, not transformed.
     import oseenlab.oseen as oseen
 
     grid = GridSpec(2, np.pi, 16)
@@ -564,7 +565,7 @@ def test_timeperiodic_residual_transforms_each_stored_block_once(monkeypatch):
     for max_mode, stacks in cases:
         calls.clear()
         residual(StokesPair(*stacks[:2]), stacks[2], OseenParams(1.0))
-        assert len(calls) == 3 * (max_mode + 1)
+        assert calls == [grid.shape] * (2 * grid.dim + 1) * (max_mode + 1)
 
 
 # ---------------------------------------------------------------------------

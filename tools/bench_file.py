@@ -9,16 +9,17 @@ Each experiment in ``oseenlab.harness.EXPERIMENTS`` runs N times (default
 is a fresh interpreter that imports ``oseenlab`` from DIR (default: the
 ``src`` directory beside this tool), works in a temporary directory, and
 times only the ``oseenlab.cli.main`` call; its console output is discarded.
-Its peak resident memory is ``ru_maxrss`` at the end, so it includes the
-imports.
+Its peak resident memory is ``ru_maxrss`` at the end, and its allocator
+counters are ``ru_minflt`` (minor page faults) and ``ru_stime`` (system CPU
+seconds) at the end, so all three include the imports.
 
 OUT receives one JSON object: the Python, numpy and scipy versions, the CPU
 count, the FFT worker count, ``git rev-parse HEAD`` of DIR's checkout (null
-outside one), and per experiment every wall time with its median, every
-peak RSS with its median, and the exit codes.  The console gets one line
-``NAME: median T s, peak R MB, exit codes [..]`` per experiment.  The exit
-status is 1 when any run exits non-zero, else 0.  Standard library and the
-package only.
+outside one), and per experiment every wall time, peak RSS, ``ru_minflt``
+and ``ru_stime`` with their medians, and the exit codes.  The console gets
+one line ``NAME: median T s, peak R MB, F minor faults, exit codes [..]``
+per experiment.  The exit status is 1 when any run exits non-zero, else 0.
+Standard library and the package only.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ import tempfile
 
 DEFAULT_SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
-# The child prints one JSON line: its environment, exit code, wall time and
-# peak RSS (ru_maxrss is in KiB on Linux).
+# The child prints one JSON line: its environment, exit code, wall time, peak
+# RSS (ru_maxrss is in KiB on Linux), minor faults and system CPU seconds.
 CHILD = """
 import contextlib, io, json, resource, sys, time
 sys.path.insert(0, sys.argv[1])
@@ -46,6 +47,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     start = time.perf_counter()
     status = cli.main([name, "--out", name + ".csv"])
     wall = time.perf_counter() - start
+usage = resource.getrusage(resource.RUSAGE_SELF)
 print(json.dumps({
     "python": platform.python_version(),
     "numpy": numpy.__version__,
@@ -53,15 +55,21 @@ print(json.dumps({
     "fft_workers": fields.get_fft_workers(),
     "exit_code": status,
     "wall_s": wall,
-    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+    "peak_rss_mb": usage.ru_maxrss / 1024.0,
+    "ru_minflt": usage.ru_minflt,
+    "ru_stime": usage.ru_stime,
 }))
 """
+
+
+# The per-run measures, each summarized with its median.
+_MEASURES = ("wall_s", "peak_rss_mb", "ru_minflt", "ru_stime")
 
 
 def record(src: pathlib.Path, name: str) -> dict:
     """One run of experiment ``name`` in a fresh interpreter importing from
     ``src``.  A child that dies before reporting gives its return code and
-    null timings."""
+    null timings and counters."""
     with tempfile.TemporaryDirectory() as work:
         child = subprocess.run(
             [sys.executable, "-c", CHILD, str(src.resolve()), name],
@@ -72,7 +80,7 @@ def record(src: pathlib.Path, name: str) -> dict:
         return json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         sys.stderr.write(child.stderr)
-        return {"exit_code": child.returncode, "wall_s": None, "peak_rss_mb": None}
+        return {"exit_code": child.returncode, **dict.fromkeys(_MEASURES)}
 
 
 def _median(values: list) -> float | None:
@@ -81,17 +89,14 @@ def _median(values: list) -> float | None:
 
 
 def summarize(records: list[dict]) -> dict:
-    """Every wall time and peak RSS of one experiment's runs, their medians,
-    and the exit codes."""
-    wall = [r["wall_s"] for r in records]
-    rss = [r["peak_rss_mb"] for r in records]
-    return {
-        "median_wall_s": _median(wall),
-        "wall_s": wall,
-        "median_peak_rss_mb": _median(rss),
-        "peak_rss_mb": rss,
-        "exit_codes": [r["exit_code"] for r in records],
-    }
+    """Every measure of one experiment's runs with its median, and the exit
+    codes."""
+    summary = {}
+    for key in _MEASURES:
+        values = [r[key] for r in records]
+        summary["median_" + key], summary[key] = _median(values), values
+    summary["exit_codes"] = [r["exit_code"] for r in records]
+    return summary
 
 
 def git_head(src: pathlib.Path) -> str | None:
@@ -141,12 +146,15 @@ def main(argv: list[str] | None = None) -> int:
     args.out.write_text(json.dumps(result, indent=2) + "\n")
     failed = False
     for name, run in result["runs"].items():
-        wall, rss = run["median_wall_s"], run["median_peak_rss_mb"]
+        wall, rss, faults = (
+            run["median_" + key] for key in ("wall_s", "peak_rss_mb", "ru_minflt")
+        )
         shown_wall = "n/a" if wall is None else f"{wall:.2f}"
         shown_rss = "n/a" if rss is None else f"{rss:.1f}"
+        shown_faults = "n/a" if faults is None else f"{faults:.0f}"
         print(
             f"{name}: median {shown_wall} s, peak {shown_rss} MB, "
-            f"exit codes {run['exit_codes']}"
+            f"{shown_faults} minor faults, exit codes {run['exit_codes']}"
         )
         failed = failed or any(code != 0 for code in run["exit_codes"])
     return int(failed)
