@@ -183,10 +183,24 @@ class GridSpec:
     @cached_property
     def ksq(self) -> np.ndarray:
         """|xi|^2 built from the zeroed-Nyquist wavenumbers, shape ``shape``."""
-        out = np.zeros(self.shape)
-        for axis in range(self.dim):
-            out = out + self.wavenumber(axis) ** 2
-        return _lock(out)
+        return _lock(sum(xi**2 for xi in self._wavenumbers))
+
+    @cached_property
+    def active(self) -> np.ndarray:
+        """Where :attr:`ksq` > 0: the modes that derivatives can see."""
+        return _lock(self.ksq > 0)
+
+    @cached_property
+    def safe(self) -> np.ndarray:
+        """:attr:`ksq` with its zeros replaced by one, a safe divisor."""
+        return _lock(np.where(self.active, self.ksq, 1.0))
+
+    @cached_property
+    def half_inverse_wavenumber(self) -> np.ndarray:
+        """1/|xi| in the half layout of :attr:`derivative_symbols`; 0 at xi = 0."""
+        ksq = sum(np.square(symbol.imag) for symbol in self.derivative_symbols[1])
+        out = np.zeros(ksq.shape)
+        return _lock(np.divide(1.0, np.sqrt(ksq), out=out, where=ksq > 0))
 
     @cached_property
     def dealias_cutoff(self) -> int:
@@ -357,7 +371,9 @@ def divergence(field: VectorField) -> ScalarField:
 
 def _truncate_samples(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     """Physical samples projected onto the retained modes, any leading axes."""
-    return _ifftn(_fftn(values, grid.dim) * grid.dealias_mask, grid.dim).real
+    coeff = _fftn(values, grid.dim)
+    coeff *= grid.dealias_mask
+    return _ifftn(coeff, grid.dim, overwrite_x=True).real
 
 
 def _fold_modes(terms):

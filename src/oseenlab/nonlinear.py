@@ -79,16 +79,18 @@ def _quadratic_samples(
     gradient axis; V and its exact jacobian are added to them, and the
     product is accumulated axis by axis.  Without a lifting V = 0.
     """
-    a_hat = _fftn(a, grid.dim) * grid.dealias_mask
+    a_hat = _fftn(a, grid.dim)
+    a_hat *= grid.dealias_mask
     a_t = _ifftn(a_hat, grid.dim).real
     if lifting is not None:
         a_t = a_t + lifting.velocity.components
     acc = np.zeros(a.shape)
     for k in range(grid.dim):
-        da = _ifftn(a_hat * (1j * grid.wavenumber(k)), grid.dim).real
+        # Each axis's product is fresh, so it is transformed in place.
+        da = _ifftn(a_hat * (1j * grid.wavenumber(k)), grid.dim, overwrite_x=True).real
         if lifting is not None:
             da = da + lifting.jacobian[:, k]
-        acc = acc + a_t[k] * da
+        acc += a_t[k] * da
     # Drop the spectra first so the truncation does not raise peak memory.
     del a_hat, a_t, da
     return _truncate_samples(grid, acc)

@@ -37,10 +37,12 @@ default mode cap), and ``harness._run_bilinear_ensemble`` draws and
 evaluates its whole ensemble on it (band: twice the draws' largest |m_i|,
 which the convective products reach).
 
-``lq_norm`` keeps its 4K + 8 instants, synthesized one at a time, and
-``negative_norm_surrogate`` its inverse transform at r = 2, both on the full
-grid: through ``picard.data_size`` they scale the Picard forcing, so a
-roundoff-level change in them would move every iterate.
+At r = 2 ``negative_norm_surrogate`` is a Parseval sum as well, of the
+half-layout coefficients times the grid's cached 1/|xi|; any other r inverts
+the (ncomp, dim) Riesz tensor (:func:`_negative_norm_by_transforms`).
+``picard.data_size`` keeps that path at r = 2 too, and ``lq_norm`` its 4K + 8
+instants, synthesized one at a time, on the full grid: they scale the Picard
+forcing, so a roundoff-level change in them would move every iterate.
 
 Parseval sums over the time modes k = -K..K (``spacetime_l2_plancherel``, the
 residual, the maximal-regularity mode sum) take one fold, ``fields._fold_modes``:
@@ -78,7 +80,10 @@ def _check_exponent(value: float, name: str) -> float:
 
 def _lq_of_array(grid: GridSpec, components: np.ndarray, q: float) -> float:
     """L^q norm of a (ncomp, ...) sample array via grid averaging."""
-    magnitude_sq = np.sum(components * components, axis=0)
+    # Row by row in np.sum(axis=0)'s order, with no (ncomp, ...) temporary.
+    magnitude_sq = np.square(components[0])
+    for row in components[1:]:
+        magnitude_sq += row * row
     if q == 2.0:
         mean_pow = float(np.mean(magnitude_sq))
     else:
@@ -180,20 +185,32 @@ def _riesz_gradient_inverse_laplacian(
     mean mode, pure Nyquist combinations) are projected out.
     """
     ncomp = coeff.shape[0]
-    safe = np.where(grid.ksq > 0, grid.ksq, 1.0)
     out = np.empty((ncomp, grid.dim) + grid.shape, dtype=np.complex128)
     for axis in range(grid.dim):
-        multiplier = np.where(grid.ksq > 0, 1j * grid.wavenumber(axis) / safe, 0.0)
+        multiplier = np.where(grid.active, 1j * grid.wavenumber(axis) / grid.safe, 0.0)
         out[:, axis] = coeff * multiplier
     return out
 
 
 def negative_norm_surrogate(field: ScalarField | VectorField, r: float) -> float:
-    """Surrogate |f|_{-1,r} = ||grad (-Delta)^{-1} f||_r, mean projected out."""
+    """Surrogate |f|_{-1,r} = ||grad (-Delta)^{-1} f||_r, mean projected out;
+    at r = 2 by Parseval, the half-layout sum of |f_m|^2 / |xi|^2."""
+    r = _check_exponent(r, "r")
+    if r != 2.0:
+        return _negative_norm_by_transforms(field, r)
+    grid = field.grid
+    coeff = _rfftn(_component_array(field), grid.dim)
+    coeff *= grid.half_inverse_wavenumber
+    return _l2_from_coefficients(grid, coeff)
+
+
+def _negative_norm_by_transforms(field: ScalarField | VectorField, r: float) -> float:
+    """The surrogate from the physical samples of the (ncomp, dim) Riesz tensor."""
     r = _check_exponent(r, "r")
     grid = field.grid
     coeff = _fftn(_component_array(field), grid.dim)
     tensor = _riesz_gradient_inverse_laplacian(grid, coeff)
+    del coeff
     # The fresh tensor is read nowhere else, so it is transformed in place.
     flat = tensor.reshape((-1,) + grid.shape)
     samples = _ifftn(flat, grid.dim, overwrite_x=True).real

@@ -64,29 +64,24 @@ class StokesPair:
         return iter((self.velocity, self.pressure))
 
 
-def _apply_leray(grid: GridSpec, coeff: np.ndarray) -> np.ndarray:
-    """Divergence-free projection of (dim, ...) coefficients.
-
-    Modes with vanishing wavenumber (mean, pure Nyquist) pass through
-    unchanged.
-    """
-    safe = np.where(grid.ksq > 0, grid.ksq, 1.0)
+def _apply_leray(grid: GridSpec, coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Divergence-free projection of (dim, ...) coefficients, and sum_a xi_a
+    coeff[a]; modes with vanishing wavenumber (mean, pure Nyquist) pass."""
     dotted = np.zeros(grid.shape, dtype=np.complex128)
     for axis in range(grid.dim):
-        dotted = dotted + grid.wavenumber(axis) * coeff[axis]
-    dotted = np.where(grid.ksq > 0, dotted / safe, 0.0)
+        dotted += grid.wavenumber(axis) * coeff[axis]
+    scaled = np.where(grid.active, dotted / grid.safe, 0.0)
     out = np.empty_like(coeff)
     for axis in range(grid.dim):
-        out[axis] = coeff[axis] - grid.wavenumber(axis) * dotted
-    return out
+        out[axis] = coeff[axis] - grid.wavenumber(axis) * scaled
+    return out, dotted
 
 
 def leray_project(field: VectorField) -> VectorField:
     """Project a vector field onto its divergence-free part."""
     coeff = _fftn(field.components, field.grid.dim)
-    return VectorField(
-        field.grid, _ifftn(_apply_leray(field.grid, coeff), field.grid.dim).real
-    )
+    projected, _ = _apply_leray(field.grid, coeff)
+    return VectorField(field.grid, _ifftn(projected, field.grid.dim).real)
 
 
 def _mode_solution_coeff(
@@ -98,17 +93,12 @@ def _mode_solution_coeff(
     forcing; pressure comes from the forcing divergence.  Zero-symbol modes
     get zero velocity when omega = 0 and forcing/(i*omega) otherwise.
     """
-    ksq = grid.ksq
-    active = ksq > 0
-    safe = np.where(active, ksq, 1.0)
-    denom = np.where(active, ksq + 1j * (lam * grid.wavenumber(0) + omega), 1.0)
-    u_coeff = _apply_leray(grid, coeff)
+    active = grid.active
+    denom = np.where(active, grid.ksq + 1j * (lam * grid.wavenumber(0) + omega), 1.0)
+    u_coeff, dotted = _apply_leray(grid, coeff)
     u_coeff /= denom
     u_coeff[:, ~active] = coeff[:, ~active] / (1j * omega) if omega else 0.0
-    dotted = np.zeros(grid.shape, dtype=np.complex128)
-    for axis in range(grid.dim):
-        dotted = dotted + grid.wavenumber(axis) * coeff[axis]
-    p_coeff = np.where(active, -1j * dotted / safe, 0.0)
+    p_coeff = np.where(active, -1j * dotted / grid.safe, 0.0)
     return u_coeff, p_coeff
 
 
@@ -145,7 +135,9 @@ def solve_mode(
     omega = 2.0 * np.pi * k / period
     coeff = _fftn(f_mode, grid.dim)
     u_coeff, p_coeff = _mode_solution_coeff(grid, coeff, params.lam, omega)
-    return _ifftn(u_coeff, grid.dim), _ifftn(p_coeff[None], grid.dim)
+    # Both coefficient arrays are fresh, so they are transformed in place.
+    u_mode = _ifftn(u_coeff, grid.dim, overwrite_x=True)
+    return u_mode, _ifftn(p_coeff[None], grid.dim, overwrite_x=True)
 
 
 def solve_timeperiodic(

@@ -43,7 +43,7 @@ from .exponents import (
 from .fields import GridSpec, TimePeriodicField, VectorField
 from .lifting import LiftingField
 from .nonlinear import nonlinearity
-from .norms import lambda_norm, lq_norm, maxreg_norm, negative_norm_surrogate
+from .norms import _negative_norm_by_transforms, lambda_norm, lq_norm, maxreg_norm
 from .oseen import (
     OseenParams,
     SolveReport,
@@ -202,8 +202,11 @@ def driver_norm_timeperiodic(
 
 def data_size(f: VectorField | TimePeriodicField, q: float, r: float) -> float:
     """The size the small-data gate bounds by epsilon: the L^q norm of the
-    forcing plus the negative-norm surrogate of its time average."""
-    return lq_norm(f, q) + negative_norm_surrogate(project_steady(f), r)
+    forcing plus the negative-norm surrogate of its time average, kept on the
+    transform path even at r = 2: this size scales the Picard forcing, whose
+    bits reach ``contraction_rate``, which the benchmark's golden gate holds to
+    rtol 1e-8.  The pin goes with ROADMAP item 2's recalibrated gate."""
+    return lq_norm(f, q) + _negative_norm_by_transforms(project_steady(f), r)
 
 
 def _check_lifting(lifting: LiftingField | None, grid: GridSpec, lam: float) -> None:

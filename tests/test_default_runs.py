@@ -123,3 +123,44 @@ def test_runs_need_no_contextlib_chdir(tmp_path, monkeypatch):
     assert default_runs.main([str(tmp_path / "runs")]) == 0
     assert os.getcwd() == home
     assert (tmp_path / "runs" / "fine.csv").read_text() == "a\n1\n"
+
+
+def test_rtol_passes_roundoff_moves_and_fails_the_rest(tmp_path, capsys, monkeypatch):
+    from oseenlab import cli, harness
+
+    ref = _write(tmp_path / "ref", {
+        "t.csv": "lambda,value\n1,2.0\n2,0.0\n", "t.stdout": "slope s = 4.8e-17\nPASS\n",
+    })
+    runs = {
+        "fine": {"t.csv": "lambda,value\n1,2.0000000000002\n2,0.0\n",
+                 "t.stdout": "slope s = -6.3e-17\nPASS\n"},
+        "table": {"t.csv": "lambda,value\n1,2.00001\n2,0.0\n",
+                  "t.stdout": "slope s = 4.8e-17\nPASS\n"},
+        "zero": {"t.csv": "lambda,value\n1,2.0\n2,1e-300\n",
+                 "t.stdout": "slope s = 4.8e-17\nPASS\n"},
+        "slope": {"t.csv": "lambda,value\n1,2.0\n2,0.0\n",
+                  "t.stdout": "slope s = 1e-11\nPASS\n"},
+        "verdict": {"t.csv": "lambda,value\n1,2.0\n2,0.0\n",
+                    "t.stdout": "slope s = 4.8e-17\nFAIL\n"},
+    }
+
+    def fake_main(argv):
+        # run_all writes the captured console output as t.stdout.
+        pathlib.Path(argv[2]).write_text(runs[current]["t.csv"])
+        print(runs[current]["t.stdout"], end="")
+        return 0
+
+    monkeypatch.setattr(cli, "main", fake_main)
+    monkeypatch.setattr(harness, "EXPERIMENTS", ("t",))
+    for current, beyond in [
+        ("fine", "none"), ("table", "t.csv"), ("zero", "t.csv"),
+        ("slope", "t.stdout"), ("verdict", "t.stdout"),
+    ]:
+        args = [str(tmp_path / current), "--against", str(ref)]
+        status = default_runs.main(args + ["--rtol", "1e-12"])
+        assert status == (beyond != "none"), current
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last == f"beyond --rtol 1e-12: {beyond}"
+        # Without --rtol any moved file fails, as before.
+        assert default_runs.main(args) == 1
+        capsys.readouterr()

@@ -172,6 +172,22 @@ def test_q2_seminorm_by_parseval_matches_the_inverse_transforms(dim, points, kin
         ) == pytest.approx(by_blocks, rel=1e-13)
 
 
+@pytest.mark.parametrize("kind", ["scalar", "vector"])
+@pytest.mark.parametrize("points", [8, 14, 32])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_r2_negative_norm_by_parseval_matches_the_transform_path(dim, points, kind):
+    # White noise fills the Nyquist planes, which the Riesz multiplier zeroes.
+    grid = GridSpec(dim, 0.9, points)
+    field, _ = _spatial(grid, _ncomp(grid, kind), seed=10 * dim + points)
+    by_transforms = norms._negative_norm_by_transforms(field, 2.0)
+    assert norms.negative_norm_surrogate(field, 2.0) == pytest.approx(
+        by_transforms, rel=1e-13
+    )
+    for r in (1.5, 3.0, 4.0):
+        expected = norms._negative_norm_by_transforms(field, r)
+        assert norms.negative_norm_surrogate(field, r) == expected
+
+
 def test_mode_sum_cross_check_does_not_use_the_parseval_seminorm(monkeypatch):
     # maxreg_norm_mode_sum checks the q = 2 norms through the derivative
     # blocks of sobolev_full_norm, independently of the Parseval branch.
@@ -439,3 +455,9 @@ def test_maxreg_transform_count_is_independent_of_time_samples(transform_calls):
         _maxreg_norm(field, 4.0, nt)
         counts[nt] = sum(transform_calls.values())
     assert counts[12] == counts[48] > 0
+
+
+def test_r2_negative_norm_makes_one_forward_real_transform(transform_calls):
+    field, _ = _spatial(GRIDS[3], 3, seed=7)
+    norms.negative_norm_surrogate(field, 2.0)
+    assert dict(transform_calls) == {"rfftn": 1}

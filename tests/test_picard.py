@@ -18,6 +18,7 @@ from oseenlab.harness import random_divergence_free, random_oscillatory
 from oseenlab.lifting import build_lifting, default_cutoff
 from oseenlab.nonlinear import nonlinearity
 from oseenlab.norms import (
+    _negative_norm_by_transforms,
     lambda_norm,
     lq_norm,
     maxreg_norm,
@@ -412,6 +413,17 @@ def test_a_converged_run_evaluates_nothing_it_already_knows(
     assert calls["nonlinearity"] == iterations + 1
     assert report.solution_norm == exact_norm(pair.velocity, config.lam, Q, R)
     assert report.forcing_size == picard.data_size(f, Q, R)
+
+
+def test_data_size_keeps_the_transform_path_surrogate(grid):
+    # The gate's size scales the Picard forcing, so it keeps the transform
+    # path's bits rather than taking the r = 2 Parseval sum.
+    steady = random_divergence_free(grid, (7,), mode_cap=2)
+    stack = random_oscillatory(grid, PERIOD, 1, (13,), mode_cap=2)
+    stack = stack + TimePeriodicField.from_steady(steady, PERIOD, 1)
+    for f in (steady, stack):
+        expected = lq_norm(f, Q) + _negative_norm_by_transforms(project_steady(f), R)
+        assert picard.data_size(f, Q, R) == expected
 
 
 # --- gates and escapes -------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Run from the repository root with the package importable::
 
-    PYTHONPATH=src python3 tools/default_runs.py OUT [--against REF]
+    PYTHONPATH=src python3 tools/default_runs.py OUT [--against REF [--rtol X]]
 
 Each experiment in ``oseenlab.harness.EXPERIMENTS`` runs through
 ``oseenlab.cli.main`` at its built-in configuration, with OUT as the working
@@ -15,7 +15,11 @@ reported as "byte-identical", as missing on one side, or, for a table
 that moved.  Any other file that differs is reported by its first differing
 line: the line number and both lines, each cut to 60 characters.  The exit
 status is 1 when any experiment exits non-zero or, with ``--against``, any
-file is not byte-identical, else 0.  Standard library and the package only.
+file is not byte-identical, else 0.  ``--rtol X`` relaxes the last part: a
+table may move by at most X relative in every cell, and any other file may
+differ only in numbers b -> a with |a - b| <= X * max(|b|, 1), the scale of
+the benchmark's golden slopes; a last line names the files beyond that, if
+any.  Standard library and the package only.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import io
 import math
 import os
 import pathlib
+import re
 import sys
 import time
 
@@ -90,11 +95,40 @@ def first_difference(new: pathlib.Path, old: pathlib.Path) -> str:
     return f"line {i + 1} differs: {show(a)} vs {show(b)}"
 
 
+# A decimal number in running text; split() with it keeps the numbers at odd
+# positions of the result.
+_NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
+
+
+def within(new: pathlib.Path, old: pathlib.Path, rtol: float) -> bool:
+    """Whether ``new`` matches ``old`` to ``rtol``; see the module docstring."""
+    if not new.exists() or not old.exists():
+        return False
+    if new.suffix in (".csv", ".dat"):
+        (head, rows), (old_head, old_rows) = read_table(new), read_table(old)
+        shapes = [len(row) for row in rows] == [len(row) for row in old_rows]
+        cells = (cell for pair in zip(rows, old_rows) for cell in zip(*pair))
+        return head == old_head and shapes and all(
+            relative_difference(a, b) <= rtol for a, b in cells
+        )
+    a, b = (_NUMBER.split(path.read_text()) for path in (new, old))
+
+    def close(x: str, y: str) -> bool:
+        return abs(float(x) - float(y)) <= rtol * max(abs(float(y)), 1.0)
+
+    return len(a) == len(b) and all(
+        x == y if i % 2 == 0 else close(x, y) for i, (x, y) in enumerate(zip(a, b))
+    )
+
+
+def _names(out: pathlib.Path, ref: pathlib.Path) -> list[str]:
+    return sorted({p.name for p in out.iterdir()} | {p.name for p in ref.iterdir()})
+
+
 def compare(out: pathlib.Path, ref: pathlib.Path) -> list[str]:
     """One report line per file of either directory; see the module docstring."""
     lines = []
-    names = sorted({p.name for p in out.iterdir()} | {p.name for p in ref.iterdir()})
-    for name in names:
+    for name in _names(out, ref):
         new, old = out / name, ref / name
         if not new.exists() or not old.exists():
             lines.append(f"{name}: missing in {out if not new.exists() else ref}")
@@ -123,13 +157,25 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", type=pathlib.Path)
     parser.add_argument("--against", type=pathlib.Path)
+    parser.add_argument("--rtol", type=float)
     args = parser.parse_args(argv)
+    if args.rtol is not None and args.against is None:
+        parser.error("--rtol needs --against")
     failed = not run_all(args.out)
     if args.against is None:
         return int(failed)
     report = compare(args.out, args.against)
     print("\n".join(report))
-    return int(failed or any(not line.endswith("byte-identical") for line in report))
+    if args.rtol is None:
+        moved = any(not line.endswith("byte-identical") for line in report)
+        return int(failed or moved)
+    beyond = [
+        name
+        for name in _names(args.out, args.against)
+        if not within(args.out / name, args.against / name, args.rtol)
+    ]
+    print(f"beyond --rtol {args.rtol:g}: {', '.join(beyond) or 'none'}")
+    return int(failed or bool(beyond))
 
 
 if __name__ == "__main__":
