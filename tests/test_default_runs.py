@@ -129,7 +129,8 @@ def test_rtol_passes_roundoff_moves_and_fails_the_rest(tmp_path, capsys, monkeyp
     from oseenlab import cli, harness
 
     ref = _write(tmp_path / "ref", {
-        "t.csv": "lambda,value\n1,2.0\n2,0.0\n", "t.stdout": "slope s = 4.8e-17\nPASS\n",
+        "t.csv": "lambda,value\n1,2.0\n2,0.0\n",
+        "t.stdout": "slope s = 4.8e-17\nPASS\n",
     })
     runs = {
         "fine": {"t.csv": "lambda,value\n1,2.0000000000002\n2,0.0\n",
