@@ -108,7 +108,11 @@ def main(argv=None) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 1
     if args.out:
-        emit_csv(result, args.out)
+        try:
+            emit_csv(result, args.out)
+        except OSError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 1
         print(f"wrote {args.out}")
     _print_result(result)
     return 0 if result.all_passed else 1

@@ -128,6 +128,9 @@ class ExperimentConfig:
             )
         spec = _TABLE[self.experiment]
         lams = tuple(float(x) for x in self.lambda_grid)
+        # NaN fails every comparison below, so it is refused by name here.
+        if not all(math.isfinite(x) for x in lams):
+            raise ValueError(f"lambda_grid must be finite, got {lams}")
         if not lams:
             raise ValueError("lambda_grid must not be empty")
         if any(b <= a for a, b in zip(lams, lams[1:])):

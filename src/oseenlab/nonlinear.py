@@ -133,12 +133,18 @@ def convective_product(
 ) -> VectorField | TimePeriodicField:
     """Dealiased (a . grad) b for steady or time-periodic operands.
 
-    Steady operands give a VectorField.  With a time-periodic operand the
+    Both operands must be vector-valued.  Steady operands give a VectorField.  With a time-periodic operand the
     product is formed in physical time on exactly enough uniform instants to
     hold the combined band and returned with the summed mode count, so no
     time truncation happens here (unlike the nonlinearity operator, which
     projects back to the input band).
     """
+    for name, operand in (("a", a), ("b", b)):
+        vector = isinstance(operand, VectorField) or (
+            isinstance(operand, TimePeriodicField) and operand.ncomp == operand.grid.dim
+        )
+        if not vector:
+            raise ValueError(f"convective_product operand {name} must be vector-valued")
     if a.grid != b.grid:
         raise ValueError("operands live on different grids")
     grid = a.grid

@@ -340,6 +340,30 @@ def test_short_bilinear_sweep_rejected_before_any_run_output(
     assert captured.out == ""
 
 
+def test_not_a_number_drift_in_the_ini_rejected_before_the_run(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(cli, "run_experiment", _must_not_run)
+    ini = tmp_path / "nan.ini"
+    ini.write_text(
+        "[experiment]\nname = picard-steady\npoints = 16\n"
+        "lambda_grid = 0.5, nan, 2.0\nq = 4\ngamma = 1.1\n"
+    )
+    assert main(["picard-steady", "--config", str(ini)]) == 1
+    captured = capsys.readouterr()
+    assert "error: lambda_grid must be finite, got (0.5, nan, 2.0)" in captured.err
+    assert captured.out == ""
+
+
+def test_csv_that_cannot_be_written_reported_on_stderr(tmp_path, capsys):
+    target = tmp_path / "adir"
+    target.mkdir()
+    assert main(["lifting-check", "--out", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and str(target) in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_out_path_that_is_its_own_twin_rejected_before_the_run(tmp_path, capsys):
     target = tmp_path / "table.dat"
     assert main(["lifting-check", "--out", str(target)]) == 1

@@ -1,11 +1,12 @@
-"""The output comparison of ``tools/default_runs.py`` on toy run directories."""
+"""``tools/default_runs.py``: its output comparison on toy run directories,
+its runs against a throwaway package, and one run record of the real
+``lifting-check``: wall time, peak RSS and the allocator counters."""
 
 from __future__ import annotations
 
-import contextlib
 import importlib.util
+import json
 import math
-import os
 import pathlib
 import re
 
@@ -15,6 +16,7 @@ _TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "default_runs.py
 _SPEC = importlib.util.spec_from_file_location("default_runs", _TOOL)
 default_runs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(default_runs)
+_BENCH_27 = pathlib.Path(__file__).resolve().parents[1] / "BENCH_27.json"
 
 
 def _write(directory: pathlib.Path, files: dict[str, str]) -> pathlib.Path:
@@ -80,88 +82,127 @@ def test_compare_flags_a_changed_header(tmp_path):
     assert default_runs.compare(out, ref) == ["t.csv: header or row count differs"]
 
 
-def test_runs_report_time_and_fail_on_a_failing_experiment(
-    tmp_path, capsys, monkeypatch
-):
-    from oseenlab import cli, harness
+def _package(root: pathlib.Path, outputs: dict[str, tuple[str, str]]) -> pathlib.Path:
+    """A throwaway ``oseenlab`` under ``root`` whose experiments are the keys
+    of ``outputs``: each writes its CSV text, prints its console text and
+    exits 0, except one named ``broken``, which exits 1."""
+    package = root / "oseenlab"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "fields.py").write_text("def get_fft_workers():\n    return 1\n")
+    (package / "harness.py").write_text(f"EXPERIMENTS = {tuple(outputs)!r}\n")
+    (package / "cli.py").write_text(
+        f"OUTPUTS = {outputs!r}\n"
+        "def main(argv):\n"
+        "    table, console = OUTPUTS[argv[0]]\n"
+        "    with open(argv[2], 'w') as handle:\n"
+        "        handle.write(table)\n"
+        "    print(console, end='')\n"
+        "    return int(argv[0] == 'broken')\n"
+    )
+    return root
 
-    def fake_main(argv):
-        name = argv[0]
-        print(f"ran {name}")
-        pathlib.Path(argv[2]).write_text("a\n1\n")
-        return 1 if name == "broken" else 0
 
-    monkeypatch.setattr(cli, "main", fake_main)
-    monkeypatch.setattr(harness, "EXPERIMENTS", ("fine", "broken"))
+def test_runs_report_time_and_fail_on_a_failing_experiment(tmp_path, capsys):
+    src = _package(tmp_path / "src", {
+        "fine": ("a\n1\n", "ran fine\n"), "broken": ("a\n1\n", "ran broken\n"),
+    })
     out = tmp_path / "runs"
-    assert default_runs.main([str(out)]) == 1
+    assert default_runs.main([str(out), "--src", str(src), "--repeat", "2"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2
-    assert re.fullmatch(r"fine: exit 0 in \d+\.\d\d s", lines[0])
-    assert re.fullmatch(r"broken: exit 1 in \d+\.\d\d s", lines[1])
-    # The wall time reaches the console only, so --against stays meaningful.
+    line = r"median \d+\.\d\d s, peak \d+\.\d MB, \d+ minor faults, exit codes"
+    assert re.fullmatch(rf"fine: {line} \[0, 0\]", lines[0])
+    assert re.fullmatch(rf"broken: {line} \[1, 1\]", lines[1])
+    # Only the first round works in OUT; the wall time stays out of the
+    # outputs, so --against stays meaningful.
     assert (out / "fine.stdout").read_text() == "ran fine\n"
     assert sorted(p.name for p in out.iterdir()) == [
-        "broken.csv", "broken.stdout", "fine.csv", "fine.stdout",
+        "bench.json", "broken.csv", "broken.stdout", "fine.csv", "fine.stdout",
     ]
-    monkeypatch.setattr(harness, "EXPERIMENTS", ("fine",))
-    assert default_runs.main([str(tmp_path / "ok")]) == 0
+    bench = json.loads((out / "bench.json").read_text())
+    reference = json.loads(_BENCH_27.read_text())
+    assert list(bench) == list(reference)
+    run_keys = list(next(iter(reference["runs"].values())))
+    assert all(list(run) == run_keys for run in bench["runs"].values())
+    assert bench["repeat"] == 2 and bench["fft_workers"] == 1
+    assert len(bench["runs"]["fine"]["wall_s"]) == 2
+    assert bench["runs"]["broken"]["exit_codes"] == [1, 1]
 
 
-def test_runs_need_no_contextlib_chdir(tmp_path, monkeypatch):
-    # contextlib.chdir is Python 3.11+, and the package supports 3.10.
-    from oseenlab import cli, harness
-
-    def fake_main(argv):
-        pathlib.Path(argv[2]).write_text("a\n1\n")
-        return 0
-
-    monkeypatch.delattr(contextlib, "chdir", raising=False)
-    monkeypatch.setattr(cli, "main", fake_main)
-    monkeypatch.setattr(harness, "EXPERIMENTS", ("fine",))
-    home = os.getcwd()
-    assert default_runs.main([str(tmp_path / "runs")]) == 0
-    assert os.getcwd() == home
-    assert (tmp_path / "runs" / "fine.csv").read_text() == "a\n1\n"
+def test_against_a_missing_directory_fails_before_any_run(tmp_path, capsys):
+    out = tmp_path / "runs"
+    with pytest.raises(SystemExit) as exit_:
+        default_runs.main([str(out), "--against", str(tmp_path / "absent")])
+    assert exit_.value.code == 2
+    assert "is not a directory" in capsys.readouterr().err
+    assert not out.exists()
 
 
-def test_rtol_passes_roundoff_moves_and_fails_the_rest(tmp_path, capsys, monkeypatch):
-    from oseenlab import cli, harness
-
-    ref = _write(tmp_path / "ref", {
-        "t.csv": "lambda,value\n1,2.0\n2,0.0\n",
-        "t.stdout": "slope s = 4.8e-17\nPASS\n",
-    })
+def test_rtol_passes_roundoff_moves_and_fails_the_rest(tmp_path, capsys):
+    table, console = "lambda,value\n1,2.0\n2,0.0\n", "slope s = 4.8e-17\nPASS\n"
     runs = {
-        "fine": {"t.csv": "lambda,value\n1,2.0000000000002\n2,0.0\n",
-                 "t.stdout": "slope s = -6.3e-17\nPASS\n"},
-        "table": {"t.csv": "lambda,value\n1,2.00001\n2,0.0\n",
-                  "t.stdout": "slope s = 4.8e-17\nPASS\n"},
-        "zero": {"t.csv": "lambda,value\n1,2.0\n2,1e-300\n",
-                 "t.stdout": "slope s = 4.8e-17\nPASS\n"},
-        "slope": {"t.csv": "lambda,value\n1,2.0\n2,0.0\n",
-                  "t.stdout": "slope s = 1e-11\nPASS\n"},
-        "verdict": {"t.csv": "lambda,value\n1,2.0\n2,0.0\n",
-                    "t.stdout": "slope s = 4.8e-17\nFAIL\n"},
+        "fine": (
+            "lambda,value\n1,2.0000000000002\n2,0.0\n", "slope s = -6.3e-17\nPASS\n"
+        ),
+        # A cell beyond rtol and a slope beyond it.
+        "table": ("lambda,value\n1,2.00001\n2,0.0\n", "slope s = 1e-11\nPASS\n"),
+        # A cell that leaves zero and a changed verdict.
+        "zero": ("lambda,value\n1,2.0\n2,1e-300\n", "slope s = 4.8e-17\nFAIL\n"),
     }
+    ref = _write(tmp_path / "ref", {
+        name + suffix: text for name in runs
+        for suffix, text in ((".csv", table), (".stdout", console))
+    })
+    src = _package(tmp_path / "src", runs)
+    args = [str(tmp_path / "all"), "--src", str(src), "--against", str(ref)]
+    assert default_runs.main(args + ["--rtol", "1e-12"]) == 1
+    last = capsys.readouterr().out.splitlines()[-1]
+    beyond = "table.csv, table.stdout, zero.csv, zero.stdout"
+    assert last == f"beyond --rtol 1e-12: {beyond}"
 
-    def fake_main(argv):
-        # run_all writes the captured console output as t.stdout.
-        pathlib.Path(argv[2]).write_text(runs[current]["t.csv"])
-        print(runs[current]["t.stdout"], end="")
-        return 0
+    # A roundoff move alone passes --rtol; without --rtol any moved file fails.
+    fine_ref = _write(
+        tmp_path / "fine-ref", {"fine.csv": table, "fine.stdout": console}
+    )
+    fine_src = _package(tmp_path / "fine-src", {"fine": runs["fine"]})
+    args = ["--src", str(fine_src), "--against", str(fine_ref)]
+    assert default_runs.main([str(tmp_path / "fine")] + args + ["--rtol", "1e-12"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "beyond --rtol 1e-12: none"
+    assert default_runs.main([str(tmp_path / "strict")] + args) == 1
 
-    monkeypatch.setattr(cli, "main", fake_main)
-    monkeypatch.setattr(harness, "EXPERIMENTS", ("t",))
-    for current, beyond in [
-        ("fine", "none"), ("table", "t.csv"), ("zero", "t.csv"),
-        ("slope", "t.stdout"), ("verdict", "t.stdout"),
-    ]:
-        args = [str(tmp_path / current), "--against", str(ref)]
-        status = default_runs.main(args + ["--rtol", "1e-12"])
-        assert status == (beyond != "none"), current
-        last = capsys.readouterr().out.splitlines()[-1]
-        assert last == f"beyond --rtol 1e-12: {beyond}"
-        # Without --rtol any moved file fails, as before.
-        assert default_runs.main(args) == 1
-        capsys.readouterr()
+
+def test_one_record_of_the_lifting_check(tmp_path):
+    run = default_runs.record(default_runs.DEFAULT_SRC, "lifting-check", tmp_path)
+    assert run["exit_code"] == 0
+    assert 0.0 < run["wall_s"] < 60.0
+    assert run["peak_rss_mb"] > 10.0
+    assert isinstance(run["ru_minflt"], int) and run["ru_minflt"] > 1000
+    assert isinstance(run["ru_stime"], float) and 0.0 <= run["ru_stime"] < 60.0
+    assert run["fft_workers"] == 1
+    assert all(isinstance(run[key], str) for key in ("python", "numpy", "scipy"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "lifting-check.csv", "lifting-check.dat", "lifting-check.stdout",
+    ]
+    assert "ALL CHECKS PASSED" in (tmp_path / "lifting-check.stdout").read_text()
+
+    summary = default_runs.summarize([run, run])
+    assert summary["wall_s"] == [run["wall_s"]] * 2
+    assert summary["median_wall_s"] == run["wall_s"]
+    assert summary["median_peak_rss_mb"] == run["peak_rss_mb"]
+    assert summary["ru_minflt"] == [run["ru_minflt"]] * 2
+    assert summary["median_ru_minflt"] == run["ru_minflt"]
+    assert summary["ru_stime"] == [run["ru_stime"]] * 2
+    assert summary["median_ru_stime"] == run["ru_stime"]
+    assert summary["exit_codes"] == [0, 0]
+
+
+def test_a_child_that_dies_before_reporting_gives_no_timings(tmp_path, capsys):
+    # An unknown experiment name makes the command line parser exit the child.
+    run = default_runs.record(default_runs.DEFAULT_SRC, "no-such-experiment", tmp_path)
+    assert run["exit_code"] == 2
+    assert run["wall_s"] is None and run["peak_rss_mb"] is None
+    assert run["ru_minflt"] is None and run["ru_stime"] is None
+    summary = default_runs.summarize([run])
+    assert summary["median_wall_s"] is None and summary["median_ru_minflt"] is None
+    assert "invalid choice" in capsys.readouterr().err

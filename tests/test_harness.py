@@ -251,6 +251,18 @@ def test_each_experiment_keeps_its_drift_ceiling(experiment, ceiling):
         dataclasses.replace(cfg, lambda_grid=over)
 
 
+@pytest.mark.parametrize("experiment", ["picard-steady", "scaling-steady", "bilinear"])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_a_non_finite_drift_is_refused(experiment, where):
+    # NaN fails every ordering test, so only the finiteness check stops it
+    # from failing late in a sweep or dropping bilinear's wake weight.
+    cfg = default_config(experiment)
+    lams = list(cfg.lambda_grid if len(cfg.lambda_grid) >= 3 else (0.5, 1.0, 2.0))
+    lams[{"first": 0, "middle": len(lams) // 2, "last": -1}[where]] = math.nan
+    with pytest.raises(ValueError, match="^lambda_grid must be finite, got "):
+        dataclasses.replace(cfg, lambda_grid=tuple(lams))
+
+
 def test_sweep_requirements_are_enforced():
     grid = GridSpec(3, np.pi, 16)
     with pytest.raises(ValueError, match="at least 5 sweep points"):

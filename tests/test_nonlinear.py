@@ -334,6 +334,22 @@ def test_nonlinearity_input_validation(grid2):
         nonlinearity(trig_scalar(grid2, 6), None)
 
 
+def test_convective_product_refuses_an_operand_that_is_not_vector_valued(grid2):
+    # numpy broadcasting accepts a one-component stack against a vector one,
+    # so only the operand check stops a wrong 2-component product.
+    vector = trig_vector(grid2, 1, max_mode=2, terms=4)
+    vector_tp = TimePeriodicField.from_steady(vector, 2.0, max_mode=1)
+    scalar = trig_scalar(grid2, 6, max_mode=2, terms=4)
+    scalar_tp = TimePeriodicField.from_steady(scalar, 2.0, max_mode=1)
+    for a, b, name in [
+        (vector_tp, scalar_tp, "b"), (vector, scalar_tp, "b"),
+        (scalar_tp, vector_tp, "a"), (scalar, vector, "a"),
+    ]:
+        message = f"convective_product operand {name} must be vector-valued"
+        with pytest.raises(ValueError, match=message):
+            convective_product(a, b)
+
+
 # ---------------------------------------------------------------------------
 # bit-for-bit equivalence with the straightforward reference
 #

@@ -1,62 +1,173 @@
-"""Run the built-in experiments and compare their outputs with an earlier run.
+"""Run the built-in experiments, each in a fresh interpreter, record their
+times and compare their outputs with an earlier run.
 
-Run from the repository root with the package importable::
+Run from the repository root::
 
-    PYTHONPATH=src python3 tools/default_runs.py OUT [--against REF [--rtol X]]
+    python3 tools/default_runs.py OUT [--repeat N] [--src DIR]
+        [--against REF [--rtol X]]
 
-Each experiment in ``oseenlab.harness.EXPERIMENTS`` runs through
-``oseenlab.cli.main`` at its built-in configuration, with OUT as the working
-directory, so OUT receives ``NAME.csv``, its ``NAME.dat`` twin and the
-captured ``NAME.stdout``; the console gets one line ``NAME: exit S in T.TT s``
-per experiment (the wall time stays out of the files).  With ``--against
-REF`` (a directory an earlier run wrote) every file of either directory is
-reported as "byte-identical", as missing on one side, or, for a table
-(``.csv`` or ``.dat``), with the largest relative difference of each column
-that moved.  Any other file that differs is reported by its first differing
-line: the line number and both lines, each cut to 60 characters.  The exit
-status is 1 when any experiment exits non-zero or, with ``--against``, any
-file is not byte-identical, else 0.  ``--rtol X`` relaxes the last part: a
-table may move by at most X relative in every cell, and any other file may
-differ only in numbers b -> a with |a - b| <= X * max(|b|, 1), the scale of
-the benchmark's golden slopes; a last line names the files beyond that, if
-any.  Standard library and the package only.
+Each experiment in ``oseenlab.harness.EXPERIMENTS`` runs N times (default 1)
+at its built-in configuration, in rounds through all of them.  Every run is a
+fresh interpreter that imports ``oseenlab`` from DIR (default: the ``src``
+directory beside this tool) and calls ``oseenlab.cli.main``.  The first round
+works in OUT, so OUT receives ``NAME.csv``, its ``NAME.dat`` twin and the
+captured console output ``NAME.stdout``; later rounds work in a temporary
+directory.  A run's standard error is passed on, and it times only the
+``cli.main`` call.  Its peak resident memory is ``ru_maxrss`` at the end,
+and its allocator counters are ``ru_minflt`` (minor page faults) and
+``ru_stime`` (system CPU seconds) at the end, so all three include the
+imports.
+
+OUT also receives ``bench.json``: the Python, numpy and scipy versions, the
+CPU count, the FFT worker count, ``git rev-parse HEAD`` of DIR's checkout
+(null outside one), N, and per experiment every wall time, peak RSS,
+``ru_minflt`` and ``ru_stime`` with their medians, and the exit codes.  The
+console gets one line ``NAME: median T s, peak R MB, F minor faults, exit
+codes [..]`` per experiment.
+
+With ``--against REF`` (a directory an earlier run wrote) every file of
+either directory but ``bench.json`` is reported as "byte-identical", as
+missing on one side, or, for a table (``.csv`` or ``.dat``), with the largest
+relative difference of each column that moved.  Any other file that differs
+is reported by its first differing line: the line number and both lines, each
+cut to 60 characters.  ``--rtol X`` relaxes the verdict: a table may move by
+at most X relative in every cell, and any other file may differ only in
+numbers b -> a with |a - b| <= X * max(|b|, 1), the scale of the benchmark's
+golden slopes; a last line names the files beyond that, if any.
+
+The exit status is 1 when any run exits non-zero or, with ``--against``, any
+file is not byte-identical (with ``--rtol``: any file is beyond X), else 0.
+Standard library and the package only.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import io
+import json
 import math
 import os
 import pathlib
 import re
+import statistics
+import subprocess
 import sys
-import time
+import tempfile
+
+DEFAULT_SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+BENCH = "bench.json"
+
+# Prints the experiment names of the package in the directory argv[1].
+NAMES = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from oseenlab import harness
+print(json.dumps(list(harness.EXPERIMENTS)))
+"""
+
+# Runs experiment argv[2], writes its console output to NAME.stdout, and
+# prints one JSON line: its environment, exit code, wall time, peak RSS
+# (ru_maxrss is in KiB on Linux), minor faults and system CPU seconds.
+CHILD = """
+import contextlib, io, json, resource, sys, time
+sys.path.insert(0, sys.argv[1])
+import numpy, scipy, platform
+from oseenlab import cli, fields
+name = sys.argv[2]
+captured = io.StringIO()
+with contextlib.redirect_stdout(captured):
+    start = time.perf_counter()
+    status = cli.main([name, "--out", name + ".csv"])
+    wall = time.perf_counter() - start
+with open(name + ".stdout", "w") as handle:
+    handle.write(captured.getvalue())
+usage = resource.getrusage(resource.RUSAGE_SELF)
+print(json.dumps({
+    "python": platform.python_version(),
+    "numpy": numpy.__version__,
+    "scipy": scipy.__version__,
+    "fft_workers": fields.get_fft_workers(),
+    "exit_code": status,
+    "wall_s": wall,
+    "peak_rss_mb": usage.ru_maxrss / 1024.0,
+    "ru_minflt": usage.ru_minflt,
+    "ru_stime": usage.ru_stime,
+}))
+"""
+
+# The per-run measures, each summarized with its median.
+_MEASURES = ("wall_s", "peak_rss_mb", "ru_minflt", "ru_stime")
 
 
-def run_all(out: pathlib.Path) -> bool:
-    """Write every experiment's CSV, ``.dat`` and stdout into ``out``; True
-    when every experiment exits 0."""
-    from oseenlab import cli, harness
-
-    out.mkdir(parents=True, exist_ok=True)
-    all_ok = True
-    home = os.getcwd()
-    os.chdir(out)
+def record(src: pathlib.Path, name: str, work: pathlib.Path) -> dict:
+    """One run of experiment ``name`` in a fresh interpreter importing from
+    ``src`` and working in ``work``.  A child that dies before reporting
+    gives its return code and null timings and counters."""
+    child = subprocess.run(
+        [sys.executable, "-c", CHILD, str(src.resolve()), name],
+        cwd=work, capture_output=True, text=True,
+    )
+    sys.stderr.write(child.stderr)
+    lines = child.stdout.strip().splitlines()
     try:
-        for name in harness.EXPERIMENTS:
-            captured = io.StringIO()
-            start = time.perf_counter()
-            with contextlib.redirect_stdout(captured):
-                status = cli.main([name, "--out", f"{name}.csv"])
-            elapsed = time.perf_counter() - start
-            pathlib.Path(f"{name}.stdout").write_text(captured.getvalue())
-            print(f"{name}: exit {status} in {elapsed:.2f} s")
-            all_ok = all_ok and status == 0
-    finally:
-        os.chdir(home)
-    return all_ok
+        return json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        return {"exit_code": child.returncode, **dict.fromkeys(_MEASURES)}
+
+
+def _median(values: list) -> float | None:
+    values = [v for v in values if v is not None]
+    return statistics.median(values) if values else None
+
+
+def summarize(records: list[dict]) -> dict:
+    """Every measure of one experiment's runs with its median, and the exit
+    codes."""
+    summary = {}
+    for key in _MEASURES:
+        values = [r[key] for r in records]
+        summary["median_" + key], summary[key] = _median(values), values
+    summary["exit_codes"] = [r["exit_code"] for r in records]
+    return summary
+
+
+def git_head(src: pathlib.Path) -> str | None:
+    """``git rev-parse HEAD`` of the checkout holding ``src``, or None."""
+    try:
+        head = subprocess.run(
+            ["git", "-C", str(src), "rev-parse", "HEAD"],
+            capture_output=True, text=True,
+        )
+    except OSError:
+        return None
+    return head.stdout.strip() if head.returncode == 0 else None
+
+
+def run_all(src: pathlib.Path, out: pathlib.Path, repeat: int) -> dict:
+    """Run every experiment ``repeat`` times, the first round in ``out``, and
+    return the ``bench.json`` object of the module docstring."""
+    listing = subprocess.run(
+        [sys.executable, "-c", NAMES, str(src.resolve())],
+        stdout=subprocess.PIPE, text=True, check=True,
+    )
+    names = json.loads(listing.stdout)
+    out.mkdir(parents=True, exist_ok=True)
+    records: dict[str, list[dict]] = {name: [] for name in names}
+    with tempfile.TemporaryDirectory() as scratch:
+        for work in [out] + [pathlib.Path(scratch)] * (repeat - 1):
+            for name in names:
+                records[name].append(record(src, name, work))
+    first = next((r for runs in records.values() for r in runs if "numpy" in r), {})
+    return {
+        "python": first.get("python"),
+        "numpy": first.get("numpy"),
+        "scipy": first.get("scipy"),
+        "cpu_count": os.cpu_count(),
+        "fft_workers": first.get("fft_workers"),
+        "commit": git_head(src),
+        "repeat": repeat,
+        "runs": {name: summarize(runs) for name, runs in records.items()},
+    }
 
 
 def read_table(path: pathlib.Path) -> tuple[list[str], list[list[str]]]:
@@ -122,7 +233,8 @@ def within(new: pathlib.Path, old: pathlib.Path, rtol: float) -> bool:
 
 
 def _names(out: pathlib.Path, ref: pathlib.Path) -> list[str]:
-    return sorted({p.name for p in out.iterdir()} | {p.name for p in ref.iterdir()})
+    names = {p.name for p in out.iterdir()} | {p.name for p in ref.iterdir()}
+    return sorted(names - {BENCH})
 
 
 def compare(out: pathlib.Path, ref: pathlib.Path) -> list[str]:
@@ -153,15 +265,35 @@ def compare(out: pathlib.Path, ref: pathlib.Path) -> list[str]:
     return lines
 
 
+def _show(value: float | None, spec: str) -> str:
+    return "n/a" if value is None else format(value, spec)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", type=pathlib.Path)
+    parser.add_argument("--repeat", type=int, default=1)
+    parser.add_argument("--src", type=pathlib.Path, default=DEFAULT_SRC)
     parser.add_argument("--against", type=pathlib.Path)
     parser.add_argument("--rtol", type=float)
     args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error(f"--repeat must be at least 1, got {args.repeat}")
     if args.rtol is not None and args.against is None:
         parser.error("--rtol needs --against")
-    failed = not run_all(args.out)
+    if args.against is not None and not args.against.is_dir():
+        parser.error(f"--against {args.against} is not a directory")
+    result = run_all(args.src, args.out, args.repeat)
+    (args.out / BENCH).write_text(json.dumps(result, indent=2) + "\n")
+    failed = False
+    for name, run in result["runs"].items():
+        print(
+            f"{name}: median {_show(run['median_wall_s'], '.2f')} s, "
+            f"peak {_show(run['median_peak_rss_mb'], '.1f')} MB, "
+            f"{_show(run['median_ru_minflt'], '.0f')} minor faults, "
+            f"exit codes {run['exit_codes']}"
+        )
+        failed = failed or any(code != 0 for code in run["exit_codes"])
     if args.against is None:
         return int(failed)
     report = compare(args.out, args.against)
