@@ -62,7 +62,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_exponents(args) -> int:
-    report = exponent_report(args.dim, args.q, args.r)
+    try:
+        report = exponent_report(args.dim, args.q, args.r)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
     for key, value in report.items():
         print(f"{key} = {value}")
     return 0

@@ -55,8 +55,8 @@ from .lifting import (
 )
 from .nonlinear import convective_product
 from .norms import (
+    _bochner_gradient_norm,
     _exact_grid,
-    _seminorm_samples,
     lambda_norm,
     lambda_norm_from_pieces,
     lambda_norm_pieces,
@@ -852,37 +852,6 @@ def _run_scaling_steady(cfg: ExperimentConfig) -> ScalingResult:
 
     columns = ("lq_q", "seminorm_1q", "ratio_fullnorm")
     return _estimate_sweep(cfg, forcing, solve_steady, columns, extra_row, finish)
-
-
-def _bochner_gradient_norm(pressure: TimePeriodicField, q: float) -> float:
-    """Space-time L^q norm of the spatial gradient of a scalar stack.
-
-    The integrand, (sum over |alpha| = 1 of ||D^alpha p(t)||_q)^q, is no
-    trigonometric polynomial in t, so no instant count is exact for it.  The
-    count starts at 4K + 8 and doubles until two successive values agree to
-    1e-12 relative; past 64K + 128 instants it raises ``ValueError``.
-    """
-    first = 4 * pressure.max_mode + 8
-    nt, powers = first, _seminorm_samples(pressure, 1, q, first) ** q
-    value = float(np.mean(powers)) ** (1.0 / q)
-    while nt < 16 * first:
-        # The instants the doubling adds are the current ones half a step
-        # later: those of the stack with mode k turned by omega_k * T / (2 nt).
-        turn = np.exp(1j * np.pi * np.arange(pressure.max_mode + 1) / nt)
-        turn = turn.reshape((-1,) + (1,) * (pressure.modes.ndim - 1))
-        later = TimePeriodicField(
-            pressure.grid, pressure.period, pressure.modes * turn
-        )
-        powers = np.concatenate([powers, _seminorm_samples(later, 1, q, nt) ** q])
-        nt *= 2
-        previous, value = value, float(np.mean(powers)) ** (1.0 / q)
-        change = abs(value - previous)
-        if change <= 1e-12 * value:
-            return value
-    raise ValueError(
-        f"space-time gradient norm not converged at {nt} time instants: "
-        f"last relative change {change / value:.3e}"
-    )
 
 
 def maxreg_norm_mode_sum(field: TimePeriodicField) -> float:

@@ -26,7 +26,10 @@ part) is left out, which only drops exact zeros from each sample.  The
 rectangle rule on nt instants integrates exp(imt) exactly for |m| < nt; for an
 even integer q, |u(t)|^q and |du/dt|^q have degree qK in t, so by default
 ``maxreg_norm`` samples min(qK + 1, 4K + 8) instants, exact either way.  Other
-q keep 4K + 8.
+q keep 4K + 8.  The space-time gradient norm of a scalar stack
+(:func:`_bochner_gradient_norm`) has no exact count; it transforms the same
+basis once and, each time it doubles its instants, forms only the weights of
+the new ones, half a step after the old.
 
 The same rule holds in space.  For u band-limited to |m_i| <= B and an even
 integer e, |D^alpha u|^e has degree eB per axis, so the rectangle rule on
@@ -175,23 +178,6 @@ def sobolev_full_norm(field: ScalarField | VectorField, k: int, q: float) -> flo
     return total ** (1.0 / q)
 
 
-def _riesz_gradient_inverse_laplacian(
-    grid: GridSpec, coeff: np.ndarray
-) -> np.ndarray:
-    """Coefficients of grad (-Delta)^{-1} f with the zero mode dropped.
-
-    The output stacks the derivative axis after the component axis, giving a
-    (ncomp, dim, ...) coefficient array.  Modes blind to derivatives (the
-    mean mode, pure Nyquist combinations) are projected out.
-    """
-    ncomp = coeff.shape[0]
-    out = np.empty((ncomp, grid.dim) + grid.shape, dtype=np.complex128)
-    for axis in range(grid.dim):
-        multiplier = np.where(grid.active, 1j * grid.wavenumber(axis) / grid.safe, 0.0)
-        out[:, axis] = coeff * multiplier
-    return out
-
-
 def negative_norm_surrogate(field: ScalarField | VectorField, r: float) -> float:
     """Surrogate |f|_{-1,r} = ||grad (-Delta)^{-1} f||_r, mean projected out;
     at r = 2 by Parseval, the half-layout sum of |f_m|^2 / |xi|^2."""
@@ -209,7 +195,12 @@ def _negative_norm_by_transforms(field: ScalarField | VectorField, r: float) -> 
     r = _check_exponent(r, "r")
     grid = field.grid
     coeff = _fftn(_component_array(field), grid.dim)
-    tensor = _riesz_gradient_inverse_laplacian(grid, coeff)
+    # The (ncomp, dim) coefficients of grad (-Delta)^{-1} f; the modes blind
+    # to derivatives (the mean, pure Nyquist combinations) are projected out.
+    tensor = np.empty((len(coeff), grid.dim) + grid.shape, dtype=np.complex128)
+    for axis in range(grid.dim):
+        multiplier = np.where(grid.active, 1j * grid.wavenumber(axis) / grid.safe, 0.0)
+        tensor[:, axis] = coeff * multiplier
     del coeff
     # The fresh tensor is read nowhere else, so it is transformed in place.
     flat = tensor.reshape((-1,) + grid.shape)
@@ -321,22 +312,47 @@ def _maxreg_norm(field: TimePeriodicField, q: float, nt: int) -> float:
     return bochner + (dt_power * grid.volume) ** (1.0 / q)
 
 
-def _seminorm_samples(
-    field: TimePeriodicField, k: int, q: float, nt: int
-) -> np.ndarray:
-    """The seminorms |u(t_j)|_{k,q} at t_j = j * period / nt, j = 0..nt-1.
+def _bochner_gradient_norm(field: TimePeriodicField, q: float) -> float:
+    """Space-time L^q norm of the spatial gradient of a scalar stack.
 
-    Formed from the real time basis as in :func:`maxreg_norm`, so the
-    spatial transforms do not grow with ``nt``.
+    The integrand, (sum over |alpha| = 1 of ||D^alpha p(t)||_q)^q, is no
+    trigonometric polynomial in t, so no instant count is exact for it.  The
+    count starts at 4K + 8 and doubles until two successive values agree to
+    1e-12 relative; past 64K + 128 instants it raises ``ValueError``.  The
+    real time basis is transformed once and its gradient blocks kept; a
+    doubling forms only the weights of the instants it adds.
     """
     grid = field.grid
-    basis, weights, _ = _real_time_basis(field, nt)
+    first = _default_time_samples(field.max_mode)
+    basis, weights, _ = _real_time_basis(field, first)
+    columns = weights.shape[1]
     coeff = _rfftn(basis, grid.dim)
-    total = np.zeros(nt)
-    for block in _derivative_blocks(grid, coeff, k):
-        powers = _sample_powers(weights, block.swapaxes(0, 1), q)
-        total += (powers * grid.volume) ** (1.0 / q)
-    return total
+    del basis
+    blocks = [block.swapaxes(0, 1) for block in _derivative_blocks(grid, coeff, 1)]
+    del coeff
+
+    def powers(weights: np.ndarray) -> np.ndarray:
+        total = np.zeros(len(weights))
+        for block in blocks:
+            total += (_sample_powers(weights, block, q) * grid.volume) ** (1.0 / q)
+        return total ** q
+
+    nt, samples = first, powers(weights)
+    value = float(np.mean(samples)) ** (1.0 / q)
+    while nt < 16 * first:
+        # The instants the doubling adds are the current ones half a step
+        # later; the last columns are those _real_time_basis kept.
+        later = _time_weights(field, nt, 0.5)[0][:, -columns:]
+        samples = np.concatenate([samples, powers(later)])
+        nt *= 2
+        previous, value = value, float(np.mean(samples)) ** (1.0 / q)
+        change = abs(value - previous)
+        if change <= 1e-12 * value:
+            return value
+    raise ValueError(
+        f"space-time gradient norm not converged at {nt} time instants: "
+        f"last relative change {change / value:.3e}"
+    )
 
 
 def _real_time_basis(
@@ -350,24 +366,35 @@ def _real_time_basis(
     """
     size = 2 * field.max_mode + 1
     basis = np.empty((size,) + field.modes.shape[1:])
-    weights = np.zeros((nt, size))
-    dt_weights = np.zeros((nt, size))
     basis[0] = field.mode(0).real
-    weights[:, 0] = 1.0
-    phase = 2.0 * np.pi * np.arange(nt) / nt
     for k in range(1, field.max_mode + 1):
         mode = field.mode(k)
         basis[2 * k - 1] = 2.0 * mode.real
         basis[2 * k] = -2.0 * mode.imag
+    weights, dt_weights = _time_weights(field, nt, 0.0)
+    if size > 1 and not basis[0].any():
+        return basis[1:], weights[:, 1:], dt_weights[:, 1:]
+    return basis, weights, dt_weights
+
+
+def _time_weights(
+    field: TimePeriodicField, nt: int, offset: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The weights of :func:`_real_time_basis`, all 2K + 1 columns, at the
+    instants t_j = (j + offset) * period / nt."""
+    size = 2 * field.max_mode + 1
+    weights = np.zeros((nt, size))
+    dt_weights = np.zeros((nt, size))
+    weights[:, 0] = 1.0
+    phase = 2.0 * np.pi * (np.arange(nt) + offset) / nt
+    for k in range(1, field.max_mode + 1):
         cos, sin = np.cos(k * phase), np.sin(k * phase)
         omega = field.omega(k)
         weights[:, 2 * k - 1] = cos
         weights[:, 2 * k] = sin
         dt_weights[:, 2 * k - 1] = -omega * sin
         dt_weights[:, 2 * k] = omega * cos
-    if size > 1 and not basis[0].any():
-        return basis[1:], weights[:, 1:], dt_weights[:, 1:]
-    return basis, weights, dt_weights
+    return weights, dt_weights
 
 
 def _sample_powers(weights: np.ndarray, components, q: float) -> np.ndarray:

@@ -108,31 +108,29 @@ def solve_steady(f: VectorField, params: OseenParams) -> StokesPair:
     Gradient parts of the forcing go entirely into the pressure, so the
     velocity depends only on the divergence-free part of ``f``.
     """
-    modes = solve_mode(f.grid, f.components, 0, 1.0, params)
+    modes = solve_mode(f.grid, f.components, 0.0, params)
     return StokesPair(*(_from_component_array(f.grid, m.real) for m in modes))
 
 
 def solve_mode(
     grid: GridSpec,
     f_mode: np.ndarray,
-    k: int,
-    period: float,
+    omega: float,
     params: OseenParams,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Solve one time-frequency block; returns complex physical-space modes.
+    """Solve the block at angular frequency ``omega``; returns complex
+    physical-space modes.
 
-    ``f_mode`` is the spatial sample array of the k-th time mode, shape
+    ``f_mode`` is the spatial sample array of one time mode, shape
     (dim,) + grid.shape, transformed as given (real samples, as in
-    :func:`solve_steady`, by the real-input transform).  The returned
+    :func:`solve_steady`, by the real-input transform).  The k-th mode of a
+    stack takes ``omega`` from :meth:`TimePeriodicField.omega`.  The returned
     pressure mode has the stack layout (1,) + grid.shape.
     """
-    if not period > 0:
-        raise ValueError(f"period must be positive, got {period}")
     f_mode = np.ascontiguousarray(f_mode)
     expected = (grid.dim,) + grid.shape
     if f_mode.shape != expected:
         raise ValueError(f"f_mode has shape {f_mode.shape}, expected {expected}")
-    omega = 2.0 * np.pi * k / period
     coeff = _fftn(f_mode, grid.dim)
     u_coeff, p_coeff = _mode_solution_coeff(grid, coeff, params.lam, omega)
     # Both coefficient arrays are fresh, so they are transformed in place.
@@ -154,7 +152,7 @@ def solve_timeperiodic(
     velocity = np.empty_like(forcing.modes)
     pressure = np.empty_like(forcing.modes[:, :1])
     for k in range(forcing.max_mode + 1):
-        u_k, p_k = solve_mode(grid, forcing.mode(k), k, forcing.period, params)
+        u_k, p_k = solve_mode(grid, forcing.mode(k), forcing.omega(k), params)
         # The zero-frequency problem with real data has a real solution; its
         # imaginary roundoff is dropped so the stack is exactly real there.
         velocity[k], pressure[k] = (u_k.real, p_k.real) if k == 0 else (u_k, p_k)

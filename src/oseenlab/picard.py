@@ -238,7 +238,6 @@ def _fixed_point(
     f,
     cfg: PicardConfig,
     lifting: LiftingField | None,
-    initial,
     problem: str,
     solve,
     norm,
@@ -259,7 +258,7 @@ def _fixed_point(
             f"forcing size {size:.6e} exceeds the budget {cfg.epsilon:.6e}"
         )
     _check_lifting(lifting, f.grid, cfg.lam)
-    u, updates, scale = _contraction_loop(f, cfg, lifting, initial, solve, norm)
+    u, updates, scale = _contraction_loop(f, cfg, lifting, None, solve, norm)
     pair, certificate, residuals = _certificate(f, u, cfg, lifting, solve, norm)
     return pair, SolveReport(
         updates, certificate, *residuals, solution_norm=scale, forcing_size=size
@@ -275,15 +274,6 @@ def _contraction_loop(f, cfg, lifting, initial, solve, norm) -> tuple:
         u = solve(
             f if lifting is None else f + nonlinearity(f * 0.0, lifting), params
         ).velocity
-    elif initial.grid != f.grid:
-        raise ValueError("initial iterate lives on a different grid")
-    elif getattr(initial, "period", None) != getattr(f, "period", None):
-        raise ValueError("initial iterate is incompatible with the forcing")
-    elif getattr(initial, "max_mode", None) != getattr(f, "max_mode", None):
-        raise ValueError(
-            f"initial iterate has max_mode {initial.max_mode}, "
-            f"the forcing {f.max_mode}"
-        )
     else:
         u = initial
     del initial
@@ -352,12 +342,11 @@ def picard_steady(
     f: VectorField,
     cfg: PicardConfig,
     lifting: LiftingField | None = None,
-    initial: VectorField | None = None,
 ) -> tuple[StokesPair, SolveReport]:
     """Fixed point of u = solve(f + nonlinearity(u)) for steady forcing.
 
     ``lifting`` None (the default) is the obstacle-free problem; a lifting
-    must be built at ``cfg.lam``.  The default initial iterate is one linear
+    must be built at ``cfg.lam``.  The initial iterate is one linear
     solve of the forcing plus the u-independent part of the nonlinearity,
     which is -0.0 everywhere with no lifting, so that start is solve(f).  Any
     start inside the radius ball converges to the same fixed point at small
@@ -368,7 +357,7 @@ def picard_steady(
     driver norm and the forcing size the gate measured.
     """
     return _fixed_point(
-        f, cfg, lifting, initial, PROBLEM_STEADY, solve_steady, lambda_norm
+        f, cfg, lifting, PROBLEM_STEADY, solve_steady, lambda_norm
     )
 
 
@@ -376,7 +365,6 @@ def picard_timeperiodic(
     f: TimePeriodicField,
     cfg: PicardConfig,
     lifting: LiftingField | None = None,
-    initial: TimePeriodicField | None = None,
 ) -> tuple[StokesPair, SolveReport]:
     """Fixed point of the time-periodic problem; returns the stack pair.
 
@@ -385,6 +373,6 @@ def picard_timeperiodic(
     iterate and the pressure follow :func:`picard_steady`.
     """
     return _fixed_point(
-        f, cfg, lifting, initial, PROBLEM_TP, solve_timeperiodic,
+        f, cfg, lifting, PROBLEM_TP, solve_timeperiodic,
         driver_norm_timeperiodic,
     )

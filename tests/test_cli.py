@@ -58,6 +58,23 @@ def test_exponents_inadmissible_pair(capsys):
     assert "admissible[timeperiodic-nonlinear] = False" in out
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["--dim", "3", "--r", "5"],
+            "r must lie in ((n+1)/n, n+1) = (1.3333333333333333, 4), got 5.0",
+        ),
+        (["--dim", "1"], "dimension n must be an integer >= 2, got 1"),
+    ],
+)
+def test_exponents_outside_the_window_reported_on_stderr(argv, message, capsys):
+    assert main(["exponents", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # experiment subcommands
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from oseenlab import harness, picard
+from oseenlab import harness, norms, picard
 from oseenlab.cli import default_config
 from oseenlab.config import log_spaced
 from oseenlab.exponents import ExponentProfile, s_exponent
@@ -527,28 +527,44 @@ def test_bochner_gradient_norm_is_converged_in_time():
     # 2.5e-8, the first 4K + 8 = 12 by 4.1e-11.
     pressure = _seeded_pressure(32, 1)
     dense = _dense_gradient_norm(pressure, 48)
-    assert abs(harness._bochner_gradient_norm(pressure, 2.0) - dense) <= 1e-11 * dense
+    assert abs(norms._bochner_gradient_norm(pressure, 2.0) - dense) <= 1e-11 * dense
 
 
 def test_bochner_gradient_norm_keeps_doubling_at_two_time_modes():
     # At 16^3, K = 2 the first 4K + 8 = 16 instants miss by 2.7e-7.
     pressure = _seeded_pressure(16, 2)
     dense = _dense_gradient_norm(pressure, 96)
-    assert abs(harness._bochner_gradient_norm(pressure, 2.0) - dense) <= 1e-11 * dense
+    assert abs(norms._bochner_gradient_norm(pressure, 2.0) - dense) <= 1e-11 * dense
+
+
+def test_bochner_gradient_norm_transforms_its_stack_once(monkeypatch):
+    # The 16^3, K = 2 seed doubles three times; each doubling forms only
+    # the weights of its new instants.
+    shapes = []
+    original = norms._rfftn
+
+    def recording(values, dim):
+        shapes.append(values.shape)
+        return original(values, dim)
+
+    monkeypatch.setattr(norms, "_rfftn", recording)
+    norms._bochner_gradient_norm(_seeded_pressure(16, 2), 2.0)
+    assert shapes == [(4, 1, 16, 16, 16)]
 
 
 def test_bochner_gradient_norm_raises_past_its_instant_cap(monkeypatch):
     # A stand-in whose value keeps moving with the count never settles.
     calls = []
 
-    def drifting(field, k, q, nt):
-        calls.append(nt)
-        return np.full(nt, 1.0 + 1.0 / len(calls))
+    def drifting(weights, components, q):
+        calls.append(len(weights))
+        return np.full(len(weights), 1.0 + 1.0 / len(calls))
 
-    monkeypatch.setattr(harness, "_seminorm_samples", drifting)
+    monkeypatch.setattr(norms, "_sample_powers", drifting)
     with pytest.raises(ValueError, match=r"not converged at 192 time instants: last"):
-        harness._bochner_gradient_norm(_seeded_pressure(8, 1), 2.0)
-    assert calls == [12, 12, 24, 48, 96]
+        norms._bochner_gradient_norm(_seeded_pressure(8, 1), 2.0)
+    # One call per gradient block of each instant set.
+    assert calls == [nt for nt in (12, 12, 24, 48, 96) for _ in range(3)]
 
 
 def test_timeperiodic_sweep_rows_are_re_derivable_from_module_calls():
@@ -606,9 +622,7 @@ def test_timeperiodic_sweep_rows_are_re_derivable_from_module_calls():
         drift_lq_q = lam * lq_norm(drift, q)
         pressure_grad = sobolev_seminorm(p_mean, 1, q)
         maxreg = maxreg_norm(project_oscillatory(velocity), q)
-        p_osc_grad = harness._bochner_gradient_norm(
-            project_oscillatory(pressure), q
-        )
+        p_osc_grad = norms._bochner_gradient_norm(project_oscillatory(pressure), q)
         expected = (
             lam,
             seminorm_1r,

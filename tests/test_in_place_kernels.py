@@ -117,9 +117,10 @@ def test_mode_solve_forms_the_divergence_once_bit_for_bit(dim, lam, omega):
 def test_solve_mode_inverts_in_place_bit_for_bit(dim, k):
     grid = GRIDS[dim]
     f_mode = _noise(grid, (dim,), seed=6, complex_=k > 0)
-    velocity, pressure = solve_mode(grid, f_mode, k, 1.7, OseenParams(0.7))
+    omega = 2.0 * np.pi * k / 1.7
+    velocity, pressure = solve_mode(grid, f_mode, omega, OseenParams(0.7))
     coeff = _fftn(f_mode, dim)
-    u_coeff, p_coeff = _copy_mode_solution_coeff(grid, coeff, 0.7, 2 * np.pi * k / 1.7)
+    u_coeff, p_coeff = _copy_mode_solution_coeff(grid, coeff, 0.7, omega)
     assert np.array_equal(velocity, _ifftn(u_coeff, dim))
     assert np.array_equal(pressure, _ifftn(p_coeff[None], dim))
 

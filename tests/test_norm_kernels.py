@@ -392,6 +392,30 @@ def test_default_time_samples_are_exact_for_even_q(dim):
     assert _default_time_samples(2, np.inf) == _default_time_samples(2) == 16
 
 
+@pytest.mark.parametrize("zero_mean", [False, True])
+@pytest.mark.parametrize("max_mode", [1, 2, 3])
+def test_half_step_weights_give_the_odd_instants_of_twice_the_count(
+    max_mode, zero_mean
+):
+    # Offset 1/2 on nt instants is every other instant of 2 nt; the last
+    # columns of the weights are those of the basis kept for the stack.
+    grid = GRIDS[3]
+    field = _time_periodic(grid, 1, max_mode, seed=60 + max_mode)
+    if zero_mean:
+        modes = field.modes.copy()
+        modes[0] = 0.0
+        field = TimePeriodicField(grid, field.period, modes)
+    for nt in (2 * max_mode + 1, 4 * max_mode + 8):
+        basis, weights, _ = norms._real_time_basis(field, nt)
+        assert len(basis) == 2 * max_mode + 1 - zero_mean
+        start = norms._time_weights(field, nt, 0.0)[0]
+        assert np.array_equal(start[:, -len(basis):], weights)
+        later = norms._time_weights(field, nt, 0.5)[0][:, -len(basis):]
+        samples = np.einsum("jb,b...->j...", later, basis)
+        expected = field.sample_times(2 * nt)[1::2]
+        assert np.max(np.abs(samples - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
 def test_zero_time_average_is_not_transformed(monkeypatch):
     grid = GRIDS[3]
     modes = _time_periodic(grid, 3, max_mode=2, seed=8).modes.copy()

@@ -110,20 +110,15 @@ def test_steady_iteration_contracts_and_certifies(grid, config, free_lifting):
 def test_steady_fixed_point_ignores_the_starting_point(grid, config, free_lifting):
     f = _scaled_forcing(grid, config)
     pair_default, _ = picard_steady(f, config, lifting=free_lifting)
-    pair_zero, _ = picard_steady(
-        f, config, lifting=free_lifting, initial=VectorField.zeros(grid)
-    )
     params = OseenParams(lam=config.lam)
     half_linear = VectorField(
         grid, 0.5 * solve_steady(f, params).velocity.components
     )
-    pair_half, _ = picard_steady(
-        f, config, lifting=free_lifting, initial=half_linear
-    )
-    for other in (pair_zero, pair_half):
-        gap = lambda_norm(
-            other.velocity - pair_default.velocity, config.lam, Q, R
+    for start in (VectorField.zeros(grid), half_linear):
+        u, _, _ = picard._contraction_loop(
+            f, config, free_lifting, start, solve_steady, lambda_norm
         )
+        gap = lambda_norm(u - pair_default.velocity, config.lam, Q, R)
         assert gap <= 10.0 * config.tol
 
 
@@ -231,8 +226,9 @@ def test_oscillatory_forcing_contracts_and_certifies(grid, config, free_lifting)
     assert report.final_residual <= 2.0 * config.tol * fixed_norm
 
     zero_start = TimePeriodicField(grid, PERIOD, np.zeros_like(f.modes))
-    (u_again, _), _ = picard_timeperiodic(
-        f, config, lifting=free_lifting, initial=zero_start
+    u_again, _, _ = picard._contraction_loop(
+        f, config, free_lifting, zero_start, solve_timeperiodic,
+        driver_norm_timeperiodic,
     )
     gap = driver_norm_timeperiodic(u_again - u, config.lam, Q, R)
     assert gap <= 10.0 * config.tol
@@ -468,9 +464,17 @@ def test_obstacle_lifting_at_desk_radius_escapes_immediately(grid, config):
 def test_iterate_leaving_the_ball_escapes_with_partial_report(grid, config):
     # Zero forcing started at zero: the first step picks up the lifting load.
     lifting = _obstacle_lifting(grid, config)
-    for driver, forcing in _both_drivers(VectorField.zeros(grid)):
+    zero = VectorField.zeros(grid)
+    for forcing, solve, norm in (
+        (zero, solve_steady, lambda_norm),
+        (
+            TimePeriodicField.from_steady(zero, PERIOD, max_mode=1),
+            solve_timeperiodic,
+            driver_norm_timeperiodic,
+        ),
+    ):
         with pytest.raises(RadiusEscapeError, match="left the ball") as excinfo:
-            driver(forcing, config, lifting=lifting, initial=forcing)
+            picard._contraction_loop(forcing, config, lifting, forcing, solve, norm)
         assert _partial_report(excinfo).iterations == 1
 
 
@@ -515,12 +519,13 @@ def _marked(grid, j, iterate):
 def _scripted_run(grid, profile, free_lifting, updates, iterate_norms=None):
     """The steady contraction loop with a marking solve and a scripted norm.
 
-    The start is iterate 0 and the j-th solve returns iterate j, marked by
-    :func:`_marked`, so the update from iterate j - 1 to j carries 2**(j - 1)
-    and 0.  The norm answers by its argument, never by call order: update j
-    reads ``updates[j - 1]`` (0 past the end, which converges, and for the
-    certificate), and iterate j reads ``iterate_norms[j]`` (default 0 for the
-    start and 1 for every later iterate).
+    The first solve, the start, returns iterate 0 and each later one the
+    next iterate, marked by :func:`_marked`, so the update from iterate j - 1
+    to j carries 2**(j - 1) and 0.  The norm answers by its argument, never
+    by call order: update j reads ``updates[j - 1]`` (0 past the end, which
+    converges, and for the certificate), and iterate j reads
+    ``iterate_norms[j]`` (default 0 for the start and 1 for every later
+    iterate).
     """
     cfg = PicardConfig(profile, rho=10.0, lam=0.0, epsilon=1.0, tol=1e-10)
     zero = VectorField.zeros(grid)
@@ -529,7 +534,8 @@ def _scripted_run(grid, profile, free_lifting, updates, iterate_norms=None):
 
     def solve(forcing, params):
         solves.append(forcing)
-        return StokesPair(_marked(grid, len(solves), True), ScalarField.zeros(grid))
+        marked = _marked(grid, len(solves) - 1, True)
+        return StokesPair(marked, ScalarField.zeros(grid))
 
     def norm(field, lam, q, r):
         first, second = field.components[0].flat[0], field.components[1].flat[0]
@@ -539,8 +545,7 @@ def _scripted_run(grid, profile, free_lifting, updates, iterate_norms=None):
         return updates[j] if j < len(updates) else 0.0
 
     return picard._fixed_point(
-        zero, cfg, free_lifting, _marked(grid, 0, True), picard.PROBLEM_STEADY,
-        solve, norm,
+        zero, cfg, free_lifting, picard.PROBLEM_STEADY, solve, norm
     )
 
 
@@ -604,7 +609,7 @@ def test_a_bound_inside_the_ball_stands_in_for_the_iterate_norm(
 # --- input validation --------------------------------------------------------
 
 
-def test_lifting_and_initial_compatibility_checks(grid, config, free_lifting):
+def test_lifting_compatibility_checks(grid, config, free_lifting):
     f = _scaled_forcing(grid, config)
     other = GridSpec(3, np.pi, 8)
     with pytest.raises(ValueError, match="lifting lives on a different grid"):
@@ -619,29 +624,6 @@ def test_lifting_and_initial_compatibility_checks(grid, config, free_lifting):
     for driver, forcing in _both_drivers(f):
         with pytest.raises(ValueError, match="built for drift 0.0, config wants"):
             driver(forcing, config, lifting=zero)
-    with pytest.raises(ValueError, match="initial iterate lives on a different"):
-        picard_steady(
-            f, config, lifting=free_lifting, initial=VectorField.zeros(other)
-        )
-    f_tp = TimePeriodicField.from_steady(f, PERIOD, max_mode=1)
-    wrong_period = TimePeriodicField(
-        grid, PERIOD + 1.0, np.zeros_like(f_tp.modes)
-    )
-    with pytest.raises(ValueError, match="incompatible with the forcing"):
-        picard_timeperiodic(
-            f_tp, config, lifting=free_lifting, initial=wrong_period
-        )
-
-
-def test_time_periodic_initial_must_match_the_forcing_modes(
-    grid, config, free_lifting
-):
-    f_tp = TimePeriodicField.from_steady(_scaled_forcing(grid, config), PERIOD, 1)
-    too_many = TimePeriodicField.from_steady(VectorField.zeros(grid), PERIOD, 2)
-    with pytest.raises(
-        ValueError, match="initial iterate has max_mode 2, the forcing 1"
-    ):
-        picard_timeperiodic(f_tp, config, lifting=free_lifting, initial=too_many)
 
 
 def test_steady_driver_refuses_a_stack_before_the_gate(grid, config, monkeypatch):

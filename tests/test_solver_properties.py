@@ -71,7 +71,7 @@ def test_steady_solve_is_the_k0_block(f, lam, period):
     grid = f.grid
     params = OseenParams(lam)
     pair = solve_steady(f, params)
-    u_mode, p_mode = solve_mode(grid, f.components, 0, period, params)
+    u_mode, p_mode = solve_mode(grid, f.components, 0.0, params)
     velocity, pressure = solve_timeperiodic(
         TimePeriodicField.from_steady(f, period), params
     )
