@@ -74,7 +74,7 @@ print(
 )
 
 # --- gradient forcing goes into the pressure --------------------------------
-potential = random_scalar_field(grid, seed_key=[2026, 2], mode_cap=4)
+potential = random_scalar_field(grid, seed_key=[2026, 2])
 grad_only = solve_steady(gradient(potential), OseenParams(lam=2.0))
 print()
 print(
@@ -88,9 +88,7 @@ print(
 print("-> gradients are absorbed by the pressure, as the projector demands.")
 
 # --- binary round trip -------------------------------------------------------
-forcing = random_divergence_free(grid, seed_key=[2026, 1], mode_cap=4) + gradient(
-    potential
-)
+forcing = random_divergence_free(grid, seed_key=[2026, 1]) + gradient(potential)
 pair = solve_steady(forcing, OseenParams(lam=2.0))
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "velocity.field"

@@ -37,9 +37,7 @@ period = 1.0
 print(f"grid: {grid.points_per_axis}^3, period {period}")
 
 # --- a time-constant forcing stays steady ------------------------------------
-steady_forcing = random_timeperiodic_forcing(
-    grid, period, 0, seed_key=[7, 1], mode_cap=3
-)
+steady_forcing = random_timeperiodic_forcing(grid, period, 0, seed_key=[7, 1])
 velocity, _pressure = solve_timeperiodic(steady_forcing, OseenParams(lam=1.5))
 pair = solve_steady(project_steady(steady_forcing), OseenParams(lam=1.5))
 gap = np.abs(
@@ -52,7 +50,7 @@ print(f"  mode-0 velocity matches the steady solver to {gap:.3e}")
 print(f"  oscillatory remainder |w|_2 = {osc_norm:.3e}")
 
 # --- splitting a genuinely periodic flow --------------------------------------
-forcing = random_timeperiodic_forcing(grid, period, 2, seed_key=[7, 2], mode_cap=3)
+forcing = random_timeperiodic_forcing(grid, period, 2, seed_key=[7, 2])
 velocity, pressure = solve_timeperiodic(forcing, OseenParams(lam=1.5))
 v_mean = project_steady(velocity)
 w_osc = project_oscillatory(velocity)

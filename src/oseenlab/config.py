@@ -8,9 +8,13 @@ config applies that table's checks.  Keys are the field names (``q``,
 ``r``, ``period``, ``time_modes``, ``seed``, ``rho``, ``gamma``, ``tol``,
 ``mode_cap``, ``forcing_shell``, ``drift_mode_cap``), ``name`` and
 ``samples`` for ``experiment`` and ``sample_count``, and the grid keys
-``dim``, ``points`` and ``half_period``; the CSV path is the CLI's ``--out``.  The drift sweep comes either from an
-explicit comma-separated ``lambda_grid`` (which wins when both are present)
-or from log-spaced ``lambda_min`` / ``lambda_max`` / ``lambda_points``.
+``dim``, ``points`` and ``half_period``; the CSV path is the CLI's ``--out``.
+The drift sweep comes either from an explicit comma-separated ``lambda_grid``
+(which wins when both are present) or from log-spaced ``lambda_min`` /
+``lambda_max`` / ``lambda_points``; without them the default single drift
+stands, which only the fixed-point runs accept.  ``mode_cap`` fixes the
+draws' mode cube under refinement; with ``forcing_shell`` set the forcing's
+cap is ceil(shell high), and ``mode_cap`` shapes only the other draws.
 """
 
 from __future__ import annotations
@@ -68,7 +72,10 @@ def _read(section, key: str, kind: str, fallback=None):
         raise ValueError(f"{key} needs {wanted}, got {raw!r}") from None
 
 
-def _parse_lambda_grid(section) -> tuple[float, ...]:
+def _parse_lambda_grid(section) -> tuple[float, ...] | None:
+    """The section's drift sweep, or None when it sets no sweep key."""
+    if not _SWEEP_KEYS & set(section):
+        return None
     if section.get("lambda_grid", fallback=None):
         return _read(section, "lambda_grid", "tuple[float, ...]")
     if "lambda_min" not in section or "lambda_max" not in section:
@@ -111,6 +118,6 @@ def parse_config(path) -> ExperimentConfig:
         half_period=_read(section, "half_period", "float", math.pi),
         points_per_axis=_read(section, "points", "int", 32),
     )
-    return ExperimentConfig(
-        grid=grid, lambda_grid=_parse_lambda_grid(section), **values
-    )
+    if (sweep := _parse_lambda_grid(section)) is not None:
+        values["lambda_grid"] = sweep
+    return ExperimentConfig(grid=grid, **values)

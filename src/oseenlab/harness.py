@@ -98,16 +98,18 @@ class ExperimentConfig:
 
     ``lambda_grid`` must be strictly increasing and positive; the
     experiment's table entry adds its drift ceiling, wake floor
-    (:attr:`wake_floor`), (q, r) windows and sweep rule.  ``forcing_shell``
-    restricts random forcing to Euclidean mode radii inside the closed
-    interval, ``drift_mode_cap`` caps the |m_1| content, and ``mode_cap``
-    bounds the default cube of mode indices; all three exist so a field is
-    the same continuum object on every grid that can hold it.
+    (:attr:`wake_floor`), (q, r) windows and sweep rule; the fixed-point
+    runs schedule their own drift and ignore it.  The seeded draws take
+    :attr:`draw_modes`, the cube |m_i| <= ``mode_cap`` (default: the grid's),
+    and the random forcing :attr:`forcing_modes`: with ``forcing_shell`` set
+    its cap is ceil(shell high), it keeps the Euclidean radii in the closed
+    interval and ``mode_cap`` shapes only the other draws; ``drift_mode_cap``
+    caps its |m_1|.  So a field is the same on every grid that holds it.
     """
 
     experiment: str
     grid: GridSpec
-    lambda_grid: tuple[float, ...]
+    lambda_grid: tuple[float, ...] = (1.0,)
     q: float = 2.0
     r: float = 2.0
     period: float = 2.0 * math.pi
@@ -195,20 +197,30 @@ class ExperimentConfig:
             raise ValueError(
                 f"{self.experiment} needs a sweep spanning >= 1 decade, got {span:.3g}"
             )
-        # Build (and memoise) the mode sets the draws use: the mode_cap cube
-        # and the shell/drift-capped set, so a bad cap fails here.
-        shell = self.forcing_shell and tuple(self.forcing_shell)
-        if self.mode_cap is not None:
-            _mode_list(self.grid, self.mode_cap, None, None)
-        if shell or self.drift_mode_cap is not None:
-            _mode_list(self.grid, self.mode_cap, shell, self.drift_mode_cap)
         object.__setattr__(self, "lambda_grid", lams)
+        if self.forcing_shell is not None:  # a hashable mode-set key
+            object.__setattr__(self, "forcing_shell", tuple(self.forcing_shell))
+        # Build (and memoise) the draws' mode sets, so a bad cap fails here.
+        if (self.mode_cap, self.forcing_shell, self.drift_mode_cap) != (None,) * 3:
+            self.draw_modes, self.forcing_modes
 
     @property
     def wake_floor(self) -> float:
         """4 / half_period for the box-sweep experiments, else 0."""
         box_sweep = _TABLE[self.experiment].box_sweep
         return 4.0 / self.grid.half_period if box_sweep else 0.0
+
+    @property
+    def draw_modes(self) -> np.ndarray:
+        """The ``mode_cap`` cube: the ``modes`` of every draw but the forcing's."""
+        return _mode_list(self.grid, self.mode_cap, None, None)
+
+    @property
+    def forcing_modes(self) -> np.ndarray:
+        """The random forcing's ``modes`` (the memoised :attr:`draw_modes`
+        object when neither a shell nor a drift cap is set)."""
+        shell, drift = self.forcing_shell, self.drift_mode_cap
+        return _mode_list(self.grid, self.mode_cap, shell, drift)
 
 
 _RELATIONS = {  # check kind: its symbol and its test
@@ -319,8 +331,14 @@ def _sweep_table(columns, rows, fitted):
 # seeded random fields, stable across grid refinement
 
 
-def _default_mode_cap(grid: GridSpec) -> int:
-    return min(4, max(1, grid.points_per_axis // 8))
+def _check_mode_cap(grid: GridSpec, cap: int) -> None:
+    if cap < 1:
+        raise ValueError(f"mode cap must be >= 1, got {cap}")
+    if cap > grid.dealias_cutoff:
+        raise ValueError(
+            f"mode cap {cap} exceeds the grid's dealias cutoff "
+            f"{grid.dealias_cutoff}; refine the grid"
+        )
 
 
 @functools.lru_cache(maxsize=64)
@@ -336,16 +354,11 @@ def _mode_list(
     coordinate positive) as a memoised, read-only (count, dim) integer array,
     in an order that depends only on the requested caps, never on the grid.
     """
+    default = min(4, max(1, grid.points_per_axis // 8))
     cap = int(math.ceil(shell[1])) if shell is not None else (
-        mode_cap if mode_cap is not None else _default_mode_cap(grid)
+        mode_cap if mode_cap is not None else default
     )
-    if cap < 1:
-        raise ValueError(f"mode cap must be >= 1, got {cap}")
-    if cap > grid.dealias_cutoff:
-        raise ValueError(
-            f"mode cap {cap} exceeds the grid's dealias cutoff "
-            f"{grid.dealias_cutoff}; refine the grid"
-        )
+    _check_mode_cap(grid, cap)
     modes: list[tuple[int, ...]] = []
     for m in itertools.product(range(-cap, cap + 1), repeat=grid.dim):
         if all(v == 0 for v in m):
@@ -363,6 +376,20 @@ def _mode_list(
     if not modes:
         raise ValueError("the requested mode set is empty")
     return _lock(np.array(modes, dtype=np.int64))
+
+
+def _draw_modes(grid: GridSpec, modes) -> np.ndarray:
+    """A draw's ``modes`` checked against ``grid``; None: the default cube."""
+    if modes is None:
+        return _mode_list(grid, None, None, None)
+    modes = np.asarray(modes)
+    if modes.dtype.kind not in "iu" or modes.shape[1:] != (grid.dim,) or not len(modes):
+        raise ValueError(
+            f"modes must be a nonempty (count, {grid.dim}) integer array, got "
+            f"shape {modes.shape} of {modes.dtype}"
+        )
+    _check_mode_cap(grid, int(np.max(np.abs(modes))))
+    return modes
 
 
 def _coefficients_from_draws(
@@ -383,28 +410,23 @@ def _normalized(field):
     return field * (1.0 / size)
 
 
-def random_scalar_field(
-    grid: GridSpec, seed_key, *, mode_cap: int | None = None
-) -> ScalarField:
-    """Seeded zero-mean scalar field of unit L^2 norm."""
-    modes = _mode_list(grid, mode_cap, None, None)
+def random_scalar_field(grid: GridSpec, seed_key, *, modes=None) -> ScalarField:
+    """Seeded zero-mean scalar field of unit L^2 norm.
+
+    Every seeded draw takes ``modes``, a (count, dim) integer array of
+    half-lattice representatives such as :attr:`ExperimentConfig.draw_modes`
+    (None: the grid's default cube).
+    """
+    modes = _draw_modes(grid, modes)
     rng = np.random.default_rng(seed_key)
     coeff = _coefficients_from_draws(grid, modes, rng.standard_normal((len(modes), 2)))
     values = _ifftn(coeff[None], grid.dim).real[0]
     return _normalized(ScalarField(grid, values))
 
 
-def random_divergence_free(
-    grid: GridSpec,
-    seed_key,
-    *,
-    mode_cap: int | None = None,
-    shell: tuple[float, float] | None = None,
-    drift_mode_cap: int | None = None,
-) -> VectorField:
+def random_divergence_free(grid: GridSpec, seed_key, *, modes=None) -> VectorField:
     """Seeded divergence-free velocity (stream function in 2-D, curl in 3-D)."""
-    shell = None if shell is None else tuple(shell)  # a hashable cache key
-    modes = _mode_list(grid, mode_cap, shell, drift_mode_cap)
+    modes = _draw_modes(grid, modes)
     rng = np.random.default_rng(seed_key)
     if grid.dim == 2:
         psi = _coefficients_from_draws(
@@ -442,37 +464,21 @@ def _seeded_stack(grid, period, time_modes, draw, key, mode_zero):
 
 
 def random_oscillatory(
-    grid: GridSpec,
-    period: float,
-    time_modes: int,
-    seed_key,
-    *,
-    mode_cap: int | None = None,
-    shell: tuple[float, float] | None = None,
-    drift_mode_cap: int | None = None,
+    grid: GridSpec, period: float, time_modes: int, seed_key, *, modes=None
 ) -> TimePeriodicField:
     """Seeded divergence-free time-periodic field with zero time average."""
-    mode_kwargs = dict(mode_cap=mode_cap, shell=shell, drift_mode_cap=drift_mode_cap)
-    draw = functools.partial(random_divergence_free, grid, **mode_kwargs)
+    draw = functools.partial(random_divergence_free, grid, modes=modes)
     zero = np.zeros((grid.dim,) + grid.shape)
     stack = _seeded_stack(grid, period, time_modes, draw, list(seed_key), zero)
     return _normalized(stack)
 
 
 def random_timeperiodic_forcing(
-    grid: GridSpec,
-    period: float,
-    time_modes: int,
-    seed_key,
-    *,
-    mode_cap: int | None = None,
-    shell: tuple[float, float] | None = None,
-    drift_mode_cap: int | None = None,
+    grid: GridSpec, period: float, time_modes: int, seed_key, *, modes=None
 ) -> TimePeriodicField:
     """Divergence-free forcing with both a steady part and oscillation."""
     key = list(seed_key)
-    mode_kwargs = dict(mode_cap=mode_cap, shell=shell, drift_mode_cap=drift_mode_cap)
-    draw = functools.partial(random_divergence_free, grid, **mode_kwargs)
+    draw = functools.partial(random_divergence_free, grid, modes=modes)
     steady = TimePeriodicField.from_steady(draw(key + [0]), period, time_modes)
     zero = np.zeros((grid.dim,) + grid.shape)
     oscillation = _seeded_stack(grid, period, time_modes, draw, key, zero)
@@ -504,7 +510,7 @@ def fit_smallness_constant(
     result feeds the radius schedule; the fixed-point runs then verify the
     scheduled contraction empirically rather than trusting the fit.
 
-    The random forcings are band-limited to ``_default_mode_cap(grid)``, so
+    The random forcings are drawn on the default mode cube of ``grid``, so
     the linear ratios and the wake norms of the forcings are taken on the
     probe grid :func:`oseenlab.norms._exact_grid`, the coarsest grid that
     integrates their even powers exactly (18^3 for a 32^3 grid at q = 4,
@@ -520,11 +526,12 @@ def fit_smallness_constant(
         )
     n, q, r = profile.n, profile.q, profile.r
     weight = 1.0 / (n + 1)
-    mode_cap = _default_mode_cap(grid)
-    probe_grid = _exact_grid(grid, mode_cap, _integrand_exponents(n, q, r))
+    modes = _mode_list(grid, None, None, None)
+    band = int(np.max(np.abs(modes)))
+    probe_grid = _exact_grid(grid, band, _integrand_exponents(n, q, r))
 
     def draw(on_grid, i):
-        return random_divergence_free(on_grid, [seed, 101, i], mode_cap=mode_cap)
+        return random_divergence_free(on_grid, [seed, 101, i], modes=modes)
 
     probes = [draw(probe_grid, i) for i in range(_FIT_SAMPLES)]
     best = 0.0
@@ -585,7 +592,7 @@ def _run_mms(cfg: ExperimentConfig) -> ScalingResult:
     grid = cfg.grid
     stacks = []
     for random_field, tag in ((random_divergence_free, 21), (random_scalar_field, 22)):
-        draw = functools.partial(random_field, grid, mode_cap=cfg.mode_cap)
+        draw = functools.partial(random_field, grid, modes=cfg.draw_modes)
         key = [cfg.seed, tag]
         zero = _component_array(draw(key + [0, 0]))
         stacks.append(_seeded_stack(grid, cfg.period, cfg.time_modes, draw, key, zero))
@@ -632,8 +639,8 @@ def _mms_nonlinear(cfg: ExperimentConfig):
     """Manufactured recovery through the steady fixed-point driver."""
     grid = cfg.grid
     _profile, _gamma, constant, pcfg = _picard_schedule(cfg)
-    u_unit = random_divergence_free(grid, [cfg.seed, 31], mode_cap=cfg.mode_cap)
-    p_unit = random_scalar_field(grid, [cfg.seed, 32], mode_cap=cfg.mode_cap)
+    u_unit = random_divergence_free(grid, [cfg.seed, 31], modes=cfg.draw_modes)
+    p_unit = random_scalar_field(grid, [cfg.seed, 32], modes=cfg.draw_modes)
     linear_part = apply_oseen(StokesPair(u_unit, p_unit), OseenParams(pcfg.lam))
     quadratic_part = convective_product(u_unit, u_unit)
     linear_size = data_size(linear_part, cfg.q, cfg.r)
@@ -798,14 +805,8 @@ def _run_scaling_steady(cfg: ExperimentConfig) -> ScalingResult:
         theta = theta_exponent(n, cfg.q, cfg.r)
     except ValueError:
         theta = None
-    f_free = random_divergence_free(
-        grid,
-        [cfg.seed, 11],
-        mode_cap=cfg.mode_cap,
-        shell=cfg.forcing_shell,
-        drift_mode_cap=cfg.drift_mode_cap,
-    )
-    g_scalar = random_scalar_field(grid, [cfg.seed, 12], mode_cap=cfg.mode_cap)
+    f_free = random_divergence_free(grid, [cfg.seed, 11], modes=cfg.forcing_modes)
+    g_scalar = random_scalar_field(grid, [cfg.seed, 12], modes=cfg.draw_modes)
     forcing = f_free + gradient(g_scalar)
     weight = 1.0 / (n + 1)
     middle = cfg.lambda_grid[len(cfg.lambda_grid) // 2]
@@ -842,7 +843,7 @@ def _run_scaling_steady(cfg: ExperimentConfig) -> ScalingResult:
                 )
         # A pure-gradient perturbation of the data must not move the velocity.
         base = middle_pair[0].velocity
-        extra = random_scalar_field(grid, [cfg.seed, 13], mode_cap=cfg.mode_cap)
+        extra = random_scalar_field(grid, [cfg.seed, 13], modes=cfg.draw_modes)
         shifted = solve_steady(forcing + gradient(extra), OseenParams(middle)).velocity
         invariance = _relative_l2(shifted - base, base)
         checks.append(
@@ -885,17 +886,11 @@ def _run_scaling_tp(cfg: ExperimentConfig) -> ScalingResult:
     """
     grid = cfg.grid
     forcing_free = random_timeperiodic_forcing(
-        grid,
-        cfg.period,
-        cfg.time_modes,
-        [cfg.seed, 61],
-        mode_cap=cfg.mode_cap,
-        shell=cfg.forcing_shell,
-        drift_mode_cap=cfg.drift_mode_cap,
+        grid, cfg.period, cfg.time_modes, [cfg.seed, 61], modes=cfg.forcing_modes
     )
     # Gradient parts per time mode keep every pressure column nontrivial.
     def draw(key):
-        return gradient(random_scalar_field(grid, key, mode_cap=cfg.mode_cap))
+        return gradient(random_scalar_field(grid, key, modes=cfg.draw_modes))
 
     key = [cfg.seed, 62]
     zero = draw(key + [0, 0]).components
@@ -965,14 +960,13 @@ _BILINEAR_NAMES = (
 def _ensemble_grid(cfg: ExperimentConfig) -> GridSpec:
     """The coarsest grid that integrates the bilinear ensemble exactly.
 
-    The draws keep modes with |m_i| <= B (B = 1 for the built-in shell
-    (1.0, 1.8), whose cap is 2), so the convective products have band 2B;
-    :func:`oseenlab.norms._exact_grid` gives 10^3 for the built-in 16^3
-    config, and ``cfg.grid`` itself where no coarser grid is exact.
+    The draws take :attr:`ExperimentConfig.forcing_modes`, whose modes have
+    |m_i| <= B (B = 1 for the built-in shell (1.0, 1.8), whose cap is 2), so
+    the convective products have band 2B; :func:`oseenlab.norms._exact_grid`
+    gives 10^3 for the built-in 16^3 config, and ``cfg.grid`` itself where
+    no coarser grid is exact.
     """
-    shell = cfg.forcing_shell and tuple(cfg.forcing_shell)
-    modes = _mode_list(cfg.grid, cfg.mode_cap, shell, cfg.drift_mode_cap)
-    band = 2 * int(np.max(np.abs(modes)))
+    band = 2 * int(np.max(np.abs(cfg.forcing_modes)))
     exponents = _integrand_exponents(cfg.grid.dim, cfg.q, cfg.r)
     return _exact_grid(cfg.grid, band, exponents)
 
@@ -987,9 +981,9 @@ def _run_bilinear_ensemble(cfg: ExperimentConfig) -> ScalingResult:
     maximal-regularity norm and carry no drift weight.
 
     The ensemble is drawn and evaluated on :func:`_ensemble_grid`, where
-    every norm it takes is exact.  The draws attach to mode indices in an
-    order set by the caps alone, so each seed gives the same continuum
-    fields there as on ``cfg.grid``, and the table moves by roundoff only.
+    every norm it takes is exact.  The draws take the mode set built for
+    ``cfg.grid``, so each seed gives the same continuum fields there as on
+    ``cfg.grid``, and the table moves by roundoff only.
     Pair i draws its four fields from the keys [seed, tag, i], fills row i
     of the norms and numerators and is dropped, so the working set does not
     grow with ``sample_count``.
@@ -1005,11 +999,10 @@ def _run_bilinear_ensemble(cfg: ExperimentConfig) -> ScalingResult:
             f"ensemble has {count} pairs, below the 100-pair reporting floor"
         )
 
+    modes = cfg.forcing_modes
+
     def draw(random_field, tag, i, *time_args):
-        return random_field(
-            grid, *time_args, [cfg.seed, tag, i], mode_cap=cfg.mode_cap,
-            shell=cfg.forcing_shell, drift_mode_cap=cfg.drift_mode_cap,
-        )
+        return random_field(grid, *time_args, [cfg.seed, tag, i], modes=modes)
 
     v_one_pieces, v_two_pieces = np.empty((count, 2)), np.empty((count, 2))
     w_one_arr, w_two_arr = np.empty(count), np.empty(count)
@@ -1218,11 +1211,11 @@ def _run_picard(cfg: ExperimentConfig) -> ScalingResult:
     def draw(seed_tail: int):
         if steady:
             return random_divergence_free(
-                grid, [cfg.seed, seed_tail], mode_cap=cfg.mode_cap
+                grid, [cfg.seed, seed_tail], modes=cfg.draw_modes
             )
         return random_timeperiodic_forcing(
             grid, cfg.period, cfg.time_modes, [cfg.seed, seed_tail],
-            mode_cap=cfg.mode_cap,
+            modes=cfg.draw_modes,
         )
 
     def start_in_ball(pcfg: PicardConfig):
@@ -1446,11 +1439,10 @@ _TABLE = {
         forcing_shell=(1.0, 1.8),
     ), windows=(PROBLEM_TP,), lambda_ceiling=100.0, sweep=True),
     "picard-steady": _Experiment(_run_picard, dict(
-        grid=GridSpec(3, math.pi, 32), lambda_grid=(1.0,), q=4.0, gamma=1.1
+        grid=GridSpec(3, math.pi, 32), q=4.0, gamma=1.1
     ), windows=(PROBLEM_STEADY, PROBLEM_LINEAR)),
     "picard-tp": _Experiment(_run_picard, dict(
-        grid=GridSpec(3, math.pi, 24), lambda_grid=(1.0,), q=4.0, time_modes=2,
-        gamma=1.1,
+        grid=GridSpec(3, math.pi, 24), q=4.0, time_modes=2, gamma=1.1
     ), windows=(PROBLEM_TP,)),
     "lifting-check": _Experiment(_run_lifting_check, dict(
         grid=GridSpec(3, math.pi, 32), lambda_grid=log_spaced(1e-3, 1e-1, 7)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oseenlab.config import log_spaced, parse_config
-from oseenlab.harness import ExperimentConfig
+from oseenlab.harness import ExperimentConfig, default_config
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +200,42 @@ def test_missing_name_key(tmp_path):
 
 
 def test_missing_lambda_specification(tmp_path):
+    # Without drift keys the default single drift stands, and a sweep refuses
+    # it; the box is wide enough that the wake floor (4 / half_period) does not.
+    with pytest.raises(
+        ValueError, match="^scaling-steady needs at least 5 sweep points, got 1$"
+    ):
+        parse_config(
+            _write(tmp_path, "[experiment]\nname = scaling-steady\nhalf_period = 8\n")
+        )
+    # A log-spaced sweep still needs both ends.
     with pytest.raises(
         ValueError, match="set either lambda_grid or lambda_min/lambda_max"
     ):
-        parse_config(_write(tmp_path, "[experiment]\nname = mms\n"))
+        parse_config(_write(tmp_path, "[experiment]\nname = mms\nlambda_min = 1\n"))
+
+
+def test_a_picard_ini_needs_no_drift_keys(tmp_path):
+    # The fixed-point runs schedule their own drift.
+    ini = "[experiment]\nname = picard-steady\nq = 4\nr = 2\ngamma = 1.1\n"
+    cfg = parse_config(_write(tmp_path, ini))
+    assert cfg == default_config("picard-steady")
+
+
+def test_mode_cap_beside_a_shell_shapes_only_the_other_draws(tmp_path):
+    ini = (
+        "[experiment]\nname = scaling-tp\nlambda_min = 1.5\nlambda_max = 15\n"
+        "forcing_shell = 7, 9\n"
+    )
+    cfg = parse_config(_write(tmp_path, ini + "mode_cap = 2\n"))
+    assert np.abs(cfg.draw_modes).max() == 2
+    assert np.abs(cfg.forcing_modes).max() == 9
+    radii = np.linalg.norm(cfg.forcing_modes, axis=1)
+    assert radii.min() >= 7.0 and radii.max() <= 9.0
+    # The shell sets the forcing's cap, but a cap the grid cannot hold still
+    # fails when the config is built.
+    with pytest.raises(ValueError, match="^mode cap 99 exceeds the grid's dealias"):
+        parse_config(_write(tmp_path, ini + "mode_cap = 99\n"))
 
 
 def test_forcing_shell_needs_two_radii(tmp_path):

@@ -49,6 +49,9 @@ _REFERENCE_KEYS = {
 
 
 def _reference_lambda_grid(section) -> tuple[float, ...]:
+    sweep_keys = ("lambda_grid", "lambda_min", "lambda_max", "lambda_points")
+    if not any(key in section for key in sweep_keys):
+        return (1.0,)
     raw = section.get("lambda_grid", fallback=None)
     if raw:
         return tuple(float(token) for token in raw.split(",") if token.strip())
@@ -164,8 +167,9 @@ _VALUES = {
 }
 
 
-# Every section sets a drift sweep.
+# A section sets a drift sweep or none.
 _SWEEPS = [
+    (),
     ("lambda_grid",),
     ("lambda_min", "lambda_max"),
     ("lambda_min", "lambda_max", "lambda_points"),

@@ -139,6 +139,36 @@ def test_against_a_missing_directory_fails_before_any_run(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_src_without_the_package_fails_before_any_run(tmp_path, capsys):
+    out = tmp_path / "runs"
+    for src in (tmp_path / "absent", tmp_path):
+        with pytest.raises(SystemExit) as exit_:
+            default_runs.main([str(out), "--src", str(src)])
+        assert exit_.value.code == 2
+        assert f"--src {src} holds no oseenlab/__init__.py" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rtol_must_be_finite_and_nonnegative(tmp_path, capsys):
+    runs = {"same": ("a\n1.0\n", "PASS\n"), "moved": ("a\n1.0000001\n", "PASS\n")}
+    ref = _write(tmp_path / "ref", {
+        name + suffix: text for name in runs
+        for suffix, text in ((".csv", "a\n1.0\n"), (".stdout", "PASS\n"))
+    })
+    src = _package(tmp_path / "src", runs)
+    out = tmp_path / "out"
+    args = [str(out), "--src", str(src), "--against", str(ref)]
+    for rtol in ("-1e-12", "nan", "inf"):
+        with pytest.raises(SystemExit) as exit_:
+            default_runs.main(args + [f"--rtol={rtol}"])
+        assert exit_.value.code == 2
+        assert "--rtol must be finite and nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+    # --rtol 0 stays valid: only byte-identical files pass.
+    assert default_runs.main(args + ["--rtol", "0"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "beyond --rtol 0: moved.csv"
+
+
 def test_rtol_passes_roundoff_moves_and_fails_the_rest(tmp_path, capsys):
     table, console = "lambda,value\n1,2.0\n2,0.0\n", "slope s = 4.8e-17\nPASS\n"
     runs = {

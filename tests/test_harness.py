@@ -280,8 +280,8 @@ def test_sweep_requirements_are_enforced():
 
 def test_random_fields_are_deterministic_and_divergence_free():
     grid = GridSpec(3, np.pi, 16)
-    a = random_divergence_free(grid, (5,), mode_cap=2)
-    b = random_divergence_free(grid, (5,), mode_cap=2)
+    a = random_divergence_free(grid, (5,))
+    b = random_divergence_free(grid, (5,))
     assert np.array_equal(a.components, b.components)
     assert abs(lq_norm(a, 2.0) - 1.0) <= 1e-12
     from oseenlab.fields import divergence
@@ -290,15 +290,19 @@ def test_random_fields_are_deterministic_and_divergence_free():
 
 
 def test_random_fields_are_the_same_continuum_object_across_grids():
-    coarse = random_divergence_free(GridSpec(3, np.pi, 16), (5,), mode_cap=2)
-    fine = random_divergence_free(GridSpec(3, np.pi, 32), (5,), mode_cap=2)
+    # One mode set, drawn for the coarse grid, serves both grids.
+    coarse_grid = GridSpec(3, np.pi, 16)
+    modes = harness._mode_list(coarse_grid, None, None, None)
+    coarse = random_divergence_free(coarse_grid, (5,), modes=modes)
+    fine = random_divergence_free(GridSpec(3, np.pi, 32), (5,), modes=modes)
     subsampled = fine.components[:, ::2, ::2, ::2]
     assert np.max(np.abs(subsampled - coarse.components)) <= 1e-12
 
 
 def test_forcing_shell_and_drift_cap_shape_the_spectrum():
     grid = GridSpec(3, np.pi, 32)
-    field = random_divergence_free(grid, (11,), shell=(7.0, 9.0), drift_mode_cap=1)
+    shell_modes = harness._mode_list(grid, None, (7.0, 9.0), 1)
+    field = random_divergence_free(grid, (11,), modes=shell_modes)
     coeffs = np.abs(_fftn(field.components, grid.dim))
     m = np.fft.fftfreq(32, d=1.0 / 32)
     m1, m2, m3 = np.meshgrid(m, m, m, indexing="ij")
@@ -308,7 +312,8 @@ def test_forcing_shell_and_drift_cap_shape_the_spectrum():
     assert radius[live].max() <= 9.0 + 1e-9
     assert np.abs(m1)[live].max() <= 1
 
-    capped = random_divergence_free(grid, (12,), mode_cap=2)
+    cube = harness._mode_list(grid, 2, None, None)
+    capped = random_divergence_free(grid, (12,), modes=cube)
     spectrum = np.abs(_fftn(capped.components, grid.dim)).max(axis=0)
     live = spectrum > 1e-14 * spectrum.max()
     infinity_norm = np.maximum(np.abs(m1), np.maximum(np.abs(m2), np.abs(m3)))
@@ -326,8 +331,8 @@ def _steady_oseen_reference(u, p, lam):
 def test_oseen_apply_matches_explicit_derivatives():
     grid = GridSpec(3, np.pi, 16)
     lam, period, time_modes = 0.7, 2.0, 2
-    velocity = [random_divergence_free(grid, (3, j), mode_cap=2) for j in range(5)]
-    pressure = [random_scalar_field(grid, (4, j), mode_cap=2) for j in range(5)]
+    velocity = [random_divergence_free(grid, (3, j)) for j in range(5)]
+    pressure = [random_scalar_field(grid, (4, j)) for j in range(5)]
     steady = apply_oseen(StokesPair(velocity[0], pressure[0]), OseenParams(lam))
     expected = [_steady_oseen_reference(velocity[0], pressure[0], lam)]
     assert np.max(np.abs(steady.components - expected[0])) <= 1e-12 * np.max(
@@ -355,12 +360,21 @@ def test_oseen_apply_matches_explicit_derivatives():
     assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
-def _ref_random_stack(grid, period, time_modes, key, mode_zero, weight, mode_kwargs):
+def _modes(mode_list, grid, kwargs):
+    """``mode_list(grid, ...)`` of the caps ``kwargs`` as an array, or None
+    (the draws' default cube) for no caps."""
+    if not kwargs:
+        return None
+    caps = {"mode_cap": None, "shell": None, "drift_mode_cap": None, **kwargs}
+    return np.asarray(mode_list(grid, **caps))
+
+
+def _ref_random_stack(grid, period, time_modes, key, mode_zero, weight, modes):
     """The stack assembly the seeded stacks replaced, kept as their reference."""
     nonneg = [mode_zero]
     for k in range(1, time_modes + 1):
-        re = random_divergence_free(grid, key + [k, 0], **mode_kwargs)
-        im = random_divergence_free(grid, key + [k, 1], **mode_kwargs)
+        re = random_divergence_free(grid, key + [k, 0], modes=modes)
+        im = random_divergence_free(grid, key + [k, 1], modes=modes)
         nonneg.append(weight * (re.components + 1j * im.components))
     return harness._normalized(TimePeriodicField.from_modes(grid, period, nonneg))
 
@@ -378,19 +392,19 @@ def _ref_random_stack(grid, period, time_modes, key, mode_zero, weight, mode_kwa
 def test_seeded_stacks_are_bitwise_the_assembly_reference(
     grid, kwargs, time_modes, seed
 ):
-    mode_kwargs = {"mode_cap": None, "shell": None, "drift_mode_cap": None, **kwargs}
+    modes = _modes(harness._mode_list, grid, kwargs)
     zero = np.zeros((grid.dim,) + grid.shape, dtype=np.complex128)
-    steady = random_divergence_free(grid, [seed, 0], **mode_kwargs).components
+    steady = random_divergence_free(grid, [seed, 0], modes=modes).components
     cases = [
         (
-            random_oscillatory(grid, 2.0, time_modes, (seed,), **kwargs),
-            _ref_random_stack(grid, 2.0, time_modes, [seed], zero, 1.0, mode_kwargs),
+            random_oscillatory(grid, 2.0, time_modes, (seed,), modes=modes),
+            _ref_random_stack(grid, 2.0, time_modes, [seed], zero, 1.0, modes),
         ),
         (
-            random_timeperiodic_forcing(grid, 2.0, time_modes, (seed,), **kwargs),
+            random_timeperiodic_forcing(grid, 2.0, time_modes, (seed,), modes=modes),
             _ref_random_stack(
                 grid, 2.0, time_modes, [seed], steady.astype(np.complex128), 0.5,
-                mode_kwargs,
+                modes,
             ),
         ),
     ]
@@ -409,7 +423,6 @@ def test_manufactured_solutions_recover_through_every_path():
         q=4.0,
         r=2.0,
         time_modes=2,
-        mode_cap=2,
     )
     result = run_experiment(cfg)
     assert result.columns == (
@@ -429,22 +442,22 @@ def test_manufactured_solutions_recover_through_every_path():
 
 def test_mms_passes_the_mode_cap_to_every_draw(monkeypatch):
     cfg = ExperimentConfig(
-        "mms", GridSpec(3, np.pi, 16), (0.5, 2.0), q=4.0, r=2.0, time_modes=2,
-        mode_cap=2,
+        "mms", GridSpec(3, np.pi, 16), (0.5, 2.0), q=4.0, r=2.0, time_modes=2
     )
-    caps = []
+    passed = []
     for name in ("random_divergence_free", "random_scalar_field"):
         def recording(grid, key, _draw=getattr(harness, name), **kwargs):
             # The smallness fit draws on its own mode set, under tag 101.
             if key[1] != 101:
-                caps.append(kwargs.get("mode_cap"))
+                passed.append(kwargs.get("modes"))
             return _draw(grid, key, **kwargs)
 
         monkeypatch.setattr(harness, name, recording)
     assert run_experiment(cfg).all_passed
     # Once per run, not per drift: two time-periodic stacks of 2K + 1 draws
     # each, then the nonlinear pair.
-    assert caps == [2] * (2 * (2 * cfg.time_modes + 1) + 2)
+    assert len(passed) == 2 * (2 * cfg.time_modes + 1) + 2
+    assert all(modes is cfg.draw_modes for modes in passed)
 
 
 def _steady_config():
@@ -466,12 +479,8 @@ def test_steady_sweep_rows_are_re_derivable_from_module_calls():
 
     grid = cfg.grid
     forcing = random_divergence_free(
-        grid,
-        [cfg.seed, 11],
-        mode_cap=cfg.mode_cap,
-        shell=cfg.forcing_shell,
-        drift_mode_cap=cfg.drift_mode_cap,
-    ) + gradient(random_scalar_field(grid, [cfg.seed, 12], mode_cap=cfg.mode_cap))
+        grid, [cfg.seed, 11], modes=cfg.forcing_modes
+    ) + gradient(random_scalar_field(grid, [cfg.seed, 12], modes=cfg.draw_modes))
     f_lq = lq_norm(forcing, cfg.q)
     f_neg = negative_norm_surrogate(forcing, cfg.r)
 
@@ -597,8 +606,7 @@ def test_timeperiodic_sweep_rows_are_re_derivable_from_module_calls():
         cfg.period,
         cfg.time_modes,
         [cfg.seed, 61],
-        shell=cfg.forcing_shell,
-        drift_mode_cap=cfg.drift_mode_cap,
+        modes=cfg.forcing_modes,
     ) + TimePeriodicField.from_modes(grid, cfg.period, grad_modes)
     f_mean = project_steady(forcing)
     f_lq, f_neg = lq_norm(f_mean, q), negative_norm_surrogate(f_mean, r)
@@ -852,9 +860,8 @@ def test_bilinear_default_config_evaluates_on_its_exact_grid():
     # The shell (1.0, 1.8) caps the draws at 2, but it keeps only modes with
     # |m_i| <= 1: the products have band 2, and q = s = 4 needs N > 8.
     cfg = default_config("bilinear")
-    modes = harness._mode_list(cfg.grid, None, cfg.forcing_shell, None)
     assert math.ceil(cfg.forcing_shell[1]) == 2
-    assert np.max(np.abs(modes)) == 1
+    assert np.max(np.abs(cfg.forcing_modes)) == 1
     assert harness._ensemble_grid(cfg) == GridSpec(3, cfg.grid.half_period, 10)
     assert cfg.grid.points_per_axis == 16
 
@@ -908,7 +915,7 @@ def test_bilinear_ensemble_on_its_exact_grid_matches_the_config_grid(
 
 def _ref_mode_list(grid, mode_cap, shell, drift_mode_cap):
     cap = int(math.ceil(shell[1])) if shell is not None else (
-        mode_cap if mode_cap is not None else harness._default_mode_cap(grid)
+        mode_cap if mode_cap is not None else min(4, max(1, grid.points_per_axis // 8))
     )
     if cap < 1:
         raise ValueError(f"mode cap must be >= 1, got {cap}")
@@ -955,11 +962,11 @@ _DRAW_CASES = [
 ]
 
 
-def _draws(grid, kwargs):
+def _draws(grid, modes):
     return [
-        random_scalar_field(grid, [7, 1], mode_cap=kwargs.get("mode_cap")).values,
-        random_divergence_free(grid, [7, 2], **kwargs).components,
-        random_timeperiodic_forcing(grid, 2.0, 2, [7, 3], **kwargs).modes,
+        random_scalar_field(grid, [7, 1], modes=modes).values,
+        random_divergence_free(grid, [7, 2], modes=modes).components,
+        random_timeperiodic_forcing(grid, 2.0, 2, [7, 3], modes=modes).modes,
     ]
 
 
@@ -968,8 +975,9 @@ def test_random_draws_are_bitwise_the_loop_reference(monkeypatch, grid, kwargs):
     with monkeypatch.context() as patch:
         patch.setattr(harness, "_mode_list", _ref_mode_list)
         patch.setattr(harness, "_coefficients_from_draws", _ref_coefficients_from_draws)
-        expected = _draws(grid, kwargs)
-    for out, ref in zip(_draws(grid, kwargs), expected):
+        expected = _draws(grid, _modes(_ref_mode_list, grid, kwargs))
+    modes = _modes(harness._mode_list, grid, kwargs)
+    for out, ref in zip(_draws(grid, modes), expected):
         assert np.array_equal(out.view(np.int64), ref.view(np.int64))
 
 
@@ -981,12 +989,43 @@ def test_mode_set_is_cached_read_only_and_still_validated():
     assert np.array_equal(modes, _ref_mode_list(grid, None, (1.0, 1.8), None))
     with pytest.raises(ValueError, match="read-only"):
         modes[0, 0] = 0
-    listed = random_divergence_free(grid, [3], shell=[1.0, 1.8])
-    paired = random_divergence_free(grid, [3], shell=(1.0, 1.8))
-    assert np.array_equal(listed.components, paired.components)
+    listed = random_divergence_free(grid, [3], modes=modes.tolist())
+    assert np.array_equal(
+        listed.components, random_divergence_free(grid, [3], modes=modes).components
+    )
+    # A 16^3 draw refuses the cap-6 cube of a 32^3 grid, with the mode list's
+    # message, every time.
+    wide = harness._mode_list(GridSpec(3, 1.0e7, 32), 6, None, None)
     for _ in range(2):
-        with pytest.raises(ValueError, match="exceeds the grid's dealias cutoff"):
-            random_divergence_free(grid, [3], mode_cap=6)
+        with pytest.raises(ValueError, match="mode cap 6 exceeds the grid's dealias"):
+            random_divergence_free(grid, [3], modes=wide)
+    # A 3-D draw refuses planar modes, and every draw refuses non-integer or
+    # empty sets.
+    planar = harness._mode_list(GridSpec(2, np.pi, 16), None, None, None)
+    bad_sets = [planar, modes.astype(float), modes[:0], modes[0]]
+    refused = r"modes must be a nonempty \(count, 3\) integer array"
+    for draw in (random_scalar_field, random_divergence_free):
+        for bad in bad_sets:
+            with pytest.raises(ValueError, match=refused):
+                draw(grid, [3], modes=bad)
+    with pytest.raises(ValueError, match=refused):
+        random_oscillatory(grid, 2.0, 1, [3], modes=planar)
+
+
+def test_forcing_modes_are_the_draw_modes_unless_a_shell_or_drift_cap_is_set():
+    cfg = default_config("picard-steady")
+    assert cfg.forcing_modes is cfg.draw_modes
+    assert np.array_equal(cfg.draw_modes, _ref_mode_list(cfg.grid, None, None, None))
+    # A shell sets the forcing's cap (ceil 9.0 = 9), and mode_cap = 2 shapes
+    # only the other draws.
+    shelled = dataclasses.replace(
+        cfg, mode_cap=2, forcing_shell=[7.0, 9.0], drift_mode_cap=1
+    )
+    assert shelled.forcing_shell == (7.0, 9.0)
+    assert np.array_equal(
+        shelled.forcing_modes, _ref_mode_list(cfg.grid, None, (7.0, 9.0), 1)
+    )
+    assert np.array_equal(shelled.draw_modes, _ref_mode_list(cfg.grid, 2, None, None))
 
 
 # --- dispatch and serialization ---------------------------------------------

@@ -14,7 +14,7 @@ from oseenlab.fields import (
     VectorField,
     gradient,
 )
-from oseenlab.harness import random_divergence_free, random_oscillatory
+from oseenlab.harness import _mode_list, random_divergence_free, random_oscillatory
 from oseenlab.lifting import build_lifting, default_cutoff
 from oseenlab.nonlinear import nonlinearity
 from oseenlab.norms import (
@@ -73,8 +73,8 @@ def _obstacle_lifting(grid, config):
     return build_lifting(config.lam, default_cutoff(grid), grid)
 
 
-def _scaled_forcing(grid, config, seed=(7,), fraction=0.5):
-    raw = random_divergence_free(grid, seed, mode_cap=2)
+def _scaled_forcing(grid, config, seed=(7,), fraction=0.5, modes=None):
+    raw = random_divergence_free(grid, seed, modes=modes)
     data = lq_norm(raw, Q) + negative_norm_surrogate(raw, R)
     return VectorField(
         grid, raw.components * (fraction * config.epsilon / data)
@@ -155,10 +155,12 @@ def test_fixed_point_satisfies_the_momentum_balance(config, profile, free_liftin
             total += np.mean(res**2)
         return np.sqrt(total * vol)
 
+    # Both grids draw on the 16^3 grid's mode cube: one continuum forcing.
+    modes = _mode_list(GridSpec(3, np.pi, 16), None, None, None)
     residuals = {}
     for n in (16, 32):
         grid_n = GridSpec(3, np.pi, n)
-        f = _scaled_forcing(grid_n, config)
+        f = _scaled_forcing(grid_n, config, modes=modes)
         pair, _ = picard_steady(f, config, lifting=free_lifting)
         residuals[n] = fd_residual(
             grid_n, pair.velocity, pair.pressure, f, config.lam
@@ -216,7 +218,7 @@ def test_time_constant_forcing_reproduces_the_steady_fixed_point(
 
 
 def test_oscillatory_forcing_contracts_and_certifies(grid, config, free_lifting):
-    raw = random_oscillatory(grid, PERIOD, 1, (13,), mode_cap=2)
+    raw = random_oscillatory(grid, PERIOD, 1, (13,))
     data = lq_norm(raw, Q) + negative_norm_surrogate(project_steady(raw), R)
     f = TimePeriodicField(grid, PERIOD, raw.modes * (0.4 * config.epsilon / data))
     (u, _), report = picard_timeperiodic(f, config, lifting=free_lifting)
@@ -235,8 +237,8 @@ def test_oscillatory_forcing_contracts_and_certifies(grid, config, free_lifting)
 
 
 def test_driver_norm_splits_average_and_oscillation(grid):
-    steady = random_divergence_free(grid, (9,), mode_cap=2)
-    osc = random_oscillatory(grid, PERIOD, 1, (13,), mode_cap=2)
+    steady = random_divergence_free(grid, (9,))
+    osc = random_oscillatory(grid, PERIOD, 1, (13,))
     base = TimePeriodicField.from_steady(steady, PERIOD, max_mode=1)
     u = TimePeriodicField(grid, PERIOD, base.modes + osc.modes)
     lam = 0.3
@@ -257,7 +259,7 @@ def test_norm_roundoff_leaves_the_iterates_bit_for_bit(
     # never feed the next one.  So a norm that moves by roundoff leaves
     # every iterate, and the iteration count, exactly as they were.
     f = _scaled_forcing(grid, config, fraction=0.25)
-    raw = random_oscillatory(grid, PERIOD, 1, (13,), mode_cap=2)
+    raw = random_oscillatory(grid, PERIOD, 1, (13,))
     data = lq_norm(raw, Q) + negative_norm_surrogate(project_steady(raw), R)
     modes = raw.modes * (0.25 * config.epsilon / data)
     modes[0] = modes[0] + f.components
@@ -319,7 +321,7 @@ def _oscillating_forcing(grid, config):
     """A time-periodic forcing at half the budget: a quarter in the steady
     part and a quarter in a K = 1 oscillation."""
     f = _scaled_forcing(grid, config, fraction=0.25)
-    raw = random_oscillatory(grid, PERIOD, 1, (13,), mode_cap=2)
+    raw = random_oscillatory(grid, PERIOD, 1, (13,))
     data = lq_norm(raw, Q) + negative_norm_surrogate(project_steady(raw), R)
     modes = raw.modes * (0.25 * config.epsilon / data)
     modes[0] = modes[0] + f.components
@@ -414,8 +416,8 @@ def test_a_converged_run_evaluates_nothing_it_already_knows(
 def test_data_size_keeps_the_transform_path_surrogate(grid):
     # The gate's size scales the Picard forcing, so it keeps the transform
     # path's bits rather than taking the r = 2 Parseval sum.
-    steady = random_divergence_free(grid, (7,), mode_cap=2)
-    stack = random_oscillatory(grid, PERIOD, 1, (13,), mode_cap=2)
+    steady = random_divergence_free(grid, (7,))
+    stack = random_oscillatory(grid, PERIOD, 1, (13,))
     stack = stack + TimePeriodicField.from_steady(steady, PERIOD, 1)
     for f in (steady, stack):
         expected = lq_norm(f, Q) + _negative_norm_by_transforms(project_steady(f), R)
@@ -487,7 +489,7 @@ def test_drivers_default_to_the_obstacle_free_problem(grid, config):
 
 def test_large_data_divergence_is_detected(grid, profile, free_lifting):
     cfg = PicardConfig(profile, rho=1e9, lam=0.5, epsilon=1e9, tol=1e-12)
-    raw = random_divergence_free(grid, (7,), mode_cap=2)
+    raw = random_divergence_free(grid, (7,))
     f = VectorField(grid, raw.components * 50.0)
     for driver, forcing in _both_drivers(f):
         with pytest.raises(PicardDivergenceError, match="grew three times") as excinfo:

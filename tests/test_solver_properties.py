@@ -24,6 +24,7 @@ from oseenlab.fields import (
     gradient,
 )
 from oseenlab.harness import (
+    _mode_list,
     random_divergence_free,
     random_scalar_field,
     random_timeperiodic_forcing,
@@ -85,20 +86,21 @@ def test_steady_solve_is_the_k0_block(f, lam, period):
 
 @st.composite
 def band_limited_draws(draw):
-    """A grid of at most 16^3, a mode cap it resolves and two seeds."""
+    """A grid of at most 16^3, the mode cube of a cap it resolves and two
+    seeds."""
     dim = draw(st.sampled_from((2, 3)))
     half_period = draw(st.sampled_from((1.0, np.pi)))
     grid = GridSpec(dim, half_period, draw(st.sampled_from((8, 16))))
-    cap = draw(st.integers(1, grid.dealias_cutoff))
-    return grid, cap, draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 2**32 - 1))
+    modes = _mode_list(grid, draw(st.integers(1, grid.dealias_cutoff)), None, None)
+    return grid, modes, draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 2**32 - 1))
 
 
 @PROPERTY_SETTINGS
 @given(band_limited_draws(), st.floats(0.0, 16.0, allow_nan=False))
 def test_operator_of_the_steady_solution_gives_back_the_forcing(draws, lam):
-    grid, cap, seed_u, seed_p = draws
-    f = random_divergence_free(grid, [seed_u], mode_cap=cap) + gradient(
-        random_scalar_field(grid, [seed_p], mode_cap=cap)
+    grid, modes, seed_u, seed_p = draws
+    f = random_divergence_free(grid, [seed_u], modes=modes) + gradient(
+        random_scalar_field(grid, [seed_p], modes=modes)
     )
     pair = solve_steady(f, OseenParams(lam))
     back = apply_oseen(pair, OseenParams(lam))
@@ -118,13 +120,13 @@ def test_operator_of_the_timeperiodic_solution_gives_back_the_forcing(
 ):
     # The stack counterpart: gradient parts and box means ride along, and
     # only the k = 0 mean, which no periodic solution reaches, is lost.
-    grid, cap, seed_u, seed_p = draws
+    grid, draw_modes, seed_u, seed_p = draws
     modes = random_timeperiodic_forcing(
-        grid, period, max_mode, [seed_u], mode_cap=cap
+        grid, period, max_mode, [seed_u], modes=draw_modes
     ).modes.copy()
     rng = np.random.default_rng(seed_p)
     for k in range(max_mode + 1):
-        g = random_scalar_field(grid, [seed_p, k], mode_cap=cap)
+        g = random_scalar_field(grid, [seed_p, k], modes=draw_modes)
         modes[k] += gradient(g).components * (1.0 if k == 0 else 1.0 - 0.5j)
         mean = rng.standard_normal(grid.dim) + 1j * rng.standard_normal(grid.dim)
         modes[k] += (mean.real if k == 0 else mean).reshape((-1,) + (1,) * grid.dim)
@@ -155,11 +157,13 @@ def test_convective_product_is_unchanged_by_grid_refinement(
 ):
     # Factors of band cap have a product of band 2 cap <= 6, which 16 points
     # per axis hold without aliasing; the coarse grid keeps |m| <= 5 of it.
+    # Both grids draw on the one mode set built for the coarse grid.
     coarse, fine = (GridSpec(dim, 1.0, n) for n in (16, 24))
+    modes = _mode_list(coarse, cap, None, None)
     products = []
     for grid in (coarse, fine):
-        a = random_divergence_free(grid, [seed_a], mode_cap=cap)
-        b = random_divergence_free(grid, [seed_b], mode_cap=cap)
+        a = random_divergence_free(grid, [seed_a], modes=modes)
+        b = random_divergence_free(grid, [seed_b], modes=modes)
         products.append(
             _shared_coefficients(convective_product(a, b), coarse.dealias_cutoff)
         )

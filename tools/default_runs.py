@@ -37,6 +37,8 @@ golden slopes; a last line names the files beyond that, if any.
 
 The exit status is 1 when any run exits non-zero or, with ``--against``, any
 file is not byte-identical (with ``--rtol``: any file is beyond X), else 0.
+A DIR without ``oseenlab/__init__.py``, a REF that is not a directory, or an X
+that is negative, NaN or infinite exits 2 before any run.
 Standard library and the package only.
 """
 
@@ -281,6 +283,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--repeat must be at least 1, got {args.repeat}")
     if args.rtol is not None and args.against is None:
         parser.error("--rtol needs --against")
+    if args.rtol is not None and not 0.0 <= args.rtol < math.inf:
+        parser.error(f"--rtol must be finite and nonnegative, got {args.rtol:g}")
+    if not (args.src / "oseenlab" / "__init__.py").is_file():
+        parser.error(f"--src {args.src} holds no oseenlab/__init__.py")
     if args.against is not None and not args.against.is_dir():
         parser.error(f"--against {args.against} is not a directory")
     result = run_all(args.src, args.out, args.repeat)
