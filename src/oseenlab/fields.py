@@ -20,24 +20,49 @@ is the conjugate of the mode at k, and :meth:`TimePeriodicField.mode` derives
 it on request.  All three kinds share one arithmetic: sums and differences of
 two fields of one kind on one grid (stacks also share period and ``max_mode``),
 negation, and scaling by a real number.
+
+The spatial transforms call scipy's ``pypocketfft`` extension, loaded by file
+without importing ``scipy.fft`` (or through it where the file is not found),
+with the arguments of ``scipy.fft``'s n-d functions, so the bits equal theirs.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations_with_replacement
 
 import numpy as np
-from scipy import fft as _sfft
 
+
+def _load_pocketfft():
+    """scipy's pocketfft extension, by file location, else through scipy.fft."""
+    name = "scipy.fft._pocketfft.pypocketfft"
+    scipy = importlib.util.find_spec("scipy")
+    for folder in scipy.submodule_search_locations if scipy else ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(folder, "fft", "_pocketfft", "pypocketfft" + suffix)
+            if os.path.isfile(path):
+                spec = importlib.util.spec_from_file_location(name, path)
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+                return module
+    from scipy.fft._pocketfft import pypocketfft
+    return pypocketfft
+
+
+_pocketfft = _load_pocketfft()
 _fft_workers = 1
 # Fraction of the Nyquist range that dealiasing keeps (the 2/3 rule).
 _DEALIAS_FRACTION = 2.0 / 3.0
 
 
 def set_fft_workers(count: int) -> None:
-    """Set the worker count used by all FFT calls in this package."""
+    """Set the thread count of the package's pocketfft calls (scipy.fft's
+    ``workers``); the ``numpy.fft`` time DFT of :func:`_time_modes` has one."""
     global _fft_workers
     if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
         raise TypeError(f"fft worker count must be an integer, got {count!r}")
@@ -51,26 +76,26 @@ def get_fft_workers() -> int:
     return _fft_workers
 
 
+# The pocketfft calls of scipy.fft's c2cn, r2cn and c2rn at norm="forward".
 def _fftn(values: np.ndarray, dim: int) -> np.ndarray:
-    axes = tuple(range(-dim, 0))
-    return _sfft.fftn(values, axes=axes, norm="forward", workers=_fft_workers)
+    axes = range(values.ndim - dim, values.ndim)
+    return _pocketfft.c2c(values, axes, True, 2, None, _fft_workers)
 
 
 def _ifftn(coefficients: np.ndarray, dim: int, overwrite_x: bool = False) -> np.ndarray:
-    options = dict(axes=tuple(range(-dim, 0)), norm="forward", workers=_fft_workers)
-    return _sfft.ifftn(coefficients, overwrite_x=overwrite_x, **options)
+    axes = range(coefficients.ndim - dim, coefficients.ndim)
+    out = coefficients if overwrite_x and coefficients.dtype.kind == "c" else None
+    return _pocketfft.c2c(coefficients, axes, False, 0, out, _fft_workers)
 
 
 def _rfftn(values: np.ndarray, dim: int) -> np.ndarray:
-    axes = tuple(range(-dim, 0))
-    return _sfft.rfftn(values, axes=axes, norm="forward", workers=_fft_workers)
+    axes = range(values.ndim - dim, values.ndim)
+    return _pocketfft.r2c(values, axes, True, 2, None, _fft_workers)
 
 
 def _irfftn(coefficients: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    axes = tuple(range(-len(shape), 0))
-    return _sfft.irfftn(
-        coefficients, s=shape, axes=axes, norm="forward", workers=_fft_workers
-    )
+    axes = range(coefficients.ndim - len(shape), coefficients.ndim)
+    return _pocketfft.c2r(coefficients, axes, shape[-1], False, 0, None, _fft_workers)
 
 
 def _lock(array: np.ndarray) -> np.ndarray:
@@ -133,7 +158,7 @@ class GridSpec:
     def mode_numbers(self) -> np.ndarray:
         """Integer mode indices per axis in FFT layout, shape (N,)."""
         n = self.points_per_axis
-        return _lock(np.rint(_sfft.fftfreq(n) * n).astype(np.int64))
+        return _lock((np.arange(n, dtype=np.int64) + n // 2) % n - n // 2)
 
     def _axis_profile(self, values: np.ndarray, axis: int) -> np.ndarray:
         shape = [1] * self.dim

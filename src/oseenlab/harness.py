@@ -142,13 +142,6 @@ class ExperimentConfig:
                 f"lambda_grid must lie in (0, {spec.lambda_ceiling}], got "
                 f"[{lams[0]}, {lams[-1]}]"
             )
-        floor = self.wake_floor
-        if lams[0] < floor * (1.0 - 1e-12):
-            raise WakeConstraintError(
-                f"smallest drift {lams[0]} is below the wake floor "
-                f"{floor} = 4 / half_period; enlarge the box or raise "
-                "the sweep"
-            )
         if not 0 < self.period < math.inf:
             raise ValueError(f"period must be positive and finite, got {self.period}")
         counts = ("seed", "time_modes", "sample_count", "mode_cap", "drift_mode_cap")
@@ -196,6 +189,13 @@ class ExperimentConfig:
         if spec.sweep and span < 1.0 - 1e-9:
             raise ValueError(
                 f"{self.experiment} needs a sweep spanning >= 1 decade, got {span:.3g}"
+            )
+        floor = self.wake_floor
+        if lams[0] < floor * (1.0 - 1e-12):
+            raise WakeConstraintError(
+                f"smallest drift {lams[0]} is below the wake floor "
+                f"{floor} = 4 / half_period; enlarge the box or raise "
+                "the sweep"
             )
         object.__setattr__(self, "lambda_grid", lams)
         if self.forcing_shell is not None:  # a hashable mode-set key

@@ -6,9 +6,12 @@ that test inputs never depend on the transform code under test.
 
 from __future__ import annotations
 
+import types
+
 import numpy as np
 import pytest
 
+from oseenlab import fields
 from oseenlab.fields import GridSpec, ScalarField, VectorField
 
 
@@ -48,3 +51,33 @@ def grid2() -> GridSpec:
 @pytest.fixture
 def grid3() -> GridSpec:
     return GridSpec(3, np.pi, 16)
+
+
+@pytest.fixture
+def transform_log(monkeypatch) -> list:
+    """(name, input) of every transform call, named as in ``scipy.fft``.
+
+    The package's pocketfft handle is wrapped: ``c2c`` is logged as ``fftn``
+    or ``ifftn`` by its forward flag, ``r2c`` as ``rfftn`` and ``c2r`` as
+    ``irfftn``.  The ``numpy.fft`` functions (the time DFT) keep their names.
+    """
+    log: list = []
+
+    def recording(original, name_of):
+        def wrapper(x, *args, **kwargs):
+            log.append((name_of(args), np.asarray(x)))
+            return original(x, *args, **kwargs)
+
+        return wrapper
+
+    extension = fields._pocketfft
+    handle = types.SimpleNamespace(
+        c2c=recording(extension.c2c, lambda args: "fftn" if args[1] else "ifftn"),
+        r2c=recording(extension.r2c, lambda args: "rfftn"),
+        c2r=recording(extension.c2r, lambda args: "irfftn"),
+    )
+    monkeypatch.setattr(fields, "_pocketfft", handle)
+    for name in ("fftn", "ifftn", "rfftn", "irfftn", "fft", "ifft", "rfft", "irfft"):
+        original = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, recording(original, lambda args, n=name: n))
+    return log

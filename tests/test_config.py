@@ -215,6 +215,21 @@ def test_missing_lambda_specification(tmp_path):
         parse_config(_write(tmp_path, "[experiment]\nname = mms\nlambda_min = 1\n"))
 
 
+@pytest.mark.parametrize(
+    "drift_keys, message",
+    [
+        ("", "needs at least 5 sweep points, got 1"),
+        ("lambda_grid = 0.5, 0.6, 0.7, 0.8, 0.9\n", "needs a sweep spanning >= 1"),
+    ],
+)
+def test_a_short_sweep_is_refused_before_the_wake_floor(tmp_path, drift_keys, message):
+    # On the default box every drift here lies below the wake floor; the
+    # missing sweep is what the message names.
+    ini = "[experiment]\nname = scaling-steady\n" + drift_keys
+    with pytest.raises(ValueError, match=f"^scaling-steady {message}"):
+        parse_config(_write(tmp_path, ini))
+
+
 def test_a_picard_ini_needs_no_drift_keys(tmp_path):
     # The fixed-point runs schedule their own drift.
     ini = "[experiment]\nname = picard-steady\nq = 4\nr = 2\ngamma = 1.1\n"

@@ -1,6 +1,7 @@
 """``tools/default_runs.py``: its output comparison on toy run directories,
 its runs against a throwaway package, and one run record of the real
-``lifting-check``: wall time, peak RSS and the allocator counters."""
+``lifting-check``: wall time, import time, peak RSS and the allocator
+counters."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ _TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "default_runs.py
 _SPEC = importlib.util.spec_from_file_location("default_runs", _TOOL)
 default_runs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(default_runs)
-_BENCH_27 = pathlib.Path(__file__).resolve().parents[1] / "BENCH_27.json"
+_BENCH_31 = pathlib.Path(__file__).resolve().parents[1] / "BENCH_31.json"
 
 
 def _write(directory: pathlib.Path, files: dict[str, str]) -> pathlib.Path:
@@ -111,7 +112,10 @@ def test_runs_report_time_and_fail_on_a_failing_experiment(tmp_path, capsys):
     assert default_runs.main([str(out), "--src", str(src), "--repeat", "2"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2
-    line = r"median \d+\.\d\d s, peak \d+\.\d MB, \d+ minor faults, exit codes"
+    line = (
+        r"median \d+\.\d\d s, import \d+\.\d\d s, peak \d+\.\d MB, "
+        r"\d+ minor faults, exit codes"
+    )
     assert re.fullmatch(rf"fine: {line} \[0, 0\]", lines[0])
     assert re.fullmatch(rf"broken: {line} \[1, 1\]", lines[1])
     # Only the first round works in OUT; the wall time stays out of the
@@ -121,12 +125,13 @@ def test_runs_report_time_and_fail_on_a_failing_experiment(tmp_path, capsys):
         "bench.json", "broken.csv", "broken.stdout", "fine.csv", "fine.stdout",
     ]
     bench = json.loads((out / "bench.json").read_text())
-    reference = json.loads(_BENCH_27.read_text())
+    reference = json.loads(_BENCH_31.read_text())
     assert list(bench) == list(reference)
     run_keys = list(next(iter(reference["runs"].values())))
     assert all(list(run) == run_keys for run in bench["runs"].values())
     assert bench["repeat"] == 2 and bench["fft_workers"] == 1
     assert len(bench["runs"]["fine"]["wall_s"]) == 2
+    assert len(bench["runs"]["fine"]["import_s"]) == 2
     assert bench["runs"]["broken"]["exit_codes"] == [1, 1]
 
 
@@ -206,6 +211,7 @@ def test_one_record_of_the_lifting_check(tmp_path):
     run = default_runs.record(default_runs.DEFAULT_SRC, "lifting-check", tmp_path)
     assert run["exit_code"] == 0
     assert 0.0 < run["wall_s"] < 60.0
+    assert 0.0 < run["import_s"] < 60.0
     assert run["peak_rss_mb"] > 10.0
     assert isinstance(run["ru_minflt"], int) and run["ru_minflt"] > 1000
     assert isinstance(run["ru_stime"], float) and 0.0 <= run["ru_stime"] < 60.0
@@ -219,6 +225,8 @@ def test_one_record_of_the_lifting_check(tmp_path):
     summary = default_runs.summarize([run, run])
     assert summary["wall_s"] == [run["wall_s"]] * 2
     assert summary["median_wall_s"] == run["wall_s"]
+    assert summary["import_s"] == [run["import_s"]] * 2
+    assert summary["median_import_s"] == run["import_s"]
     assert summary["median_peak_rss_mb"] == run["peak_rss_mb"]
     assert summary["ru_minflt"] == [run["ru_minflt"]] * 2
     assert summary["median_ru_minflt"] == run["ru_minflt"]
@@ -232,6 +240,7 @@ def test_a_child_that_dies_before_reporting_gives_no_timings(tmp_path, capsys):
     run = default_runs.record(default_runs.DEFAULT_SRC, "no-such-experiment", tmp_path)
     assert run["exit_code"] == 2
     assert run["wall_s"] is None and run["peak_rss_mb"] is None
+    assert run["import_s"] is None
     assert run["ru_minflt"] is None and run["ru_stime"] is None
     summary = default_runs.summarize([run])
     assert summary["median_wall_s"] is None and summary["median_ru_minflt"] is None

@@ -226,7 +226,7 @@ def test_wake_floor_guards_the_solving_sweeps():
     grid = GridSpec(3, np.pi, 16)
     floor = 4.0 / np.pi
     with pytest.raises(WakeConstraintError, match="below the wake floor"):
-        ExperimentConfig("scaling-steady", grid, (0.5, 13.0))
+        ExperimentConfig("scaling-steady", grid, log_spaced(0.5, 13.0, 5))
     cfg = ExperimentConfig("scaling-steady", grid, log_spaced(floor, 13.0, 5))
     assert cfg.wake_floor == pytest.approx(floor)
     # non-solving experiments have no floor

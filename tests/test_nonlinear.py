@@ -6,7 +6,6 @@ import dataclasses
 
 import numpy as np
 import pytest
-import scipy.fft
 
 from conftest import trig_scalar, trig_values, trig_vector
 from oseenlab.fields import (
@@ -514,76 +513,58 @@ def test_convective_product_matches_the_complex_reference(request, fixture_name)
 # transform counts
 
 
-@pytest.fixture
-def transform_inputs(monkeypatch) -> list:
-    """Record the input of every scipy.fft / numpy.fft transform call."""
-    inputs: list = []
-
-    def recording(name, original):
-        def wrapper(x, *args, **kwargs):
-            inputs.append((name, np.asarray(x)))
-            return original(x, *args, **kwargs)
-
-        return wrapper
-
-    for module in (scipy.fft, np.fft):
-        for name in ("fftn", "ifftn", "rfftn", "irfftn", "fft", "ifft", "rfft", "irfft"):
-            monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
-    return inputs
-
-
-def _single_component_transforms(transform_inputs, grid, lifting) -> list[int]:
+def _single_component_transforms(transform_log, grid, lifting) -> list[int]:
     """Transforms of two steady nonlinearity calls, in single-component units."""
     u = trig_vector(grid, 61, max_mode=3, terms=8)
     counts = []
     for _ in range(2):
-        transform_inputs.clear()
+        transform_log.clear()
         nonlinearity(u, lifting)
-        counts.append(sum(x.size for _, x in transform_inputs) // np.prod(grid.shape))
+        counts.append(sum(x.size for _, x in transform_log) // np.prod(grid.shape))
     return counts
 
 
 def test_steady_nonlinearity_with_a_lifting_makes_21_transforms(
-    grid3, transform_inputs
+    grid3, transform_log
 ):
     # V enters the samples and gradients of u, not the transforms.
     counts = _single_component_transforms(
-        transform_inputs, grid3, _nonzero_lifting(grid3)
+        transform_log, grid3, _nonzero_lifting(grid3)
     )
     assert counts == [21, 21]
 
 
 def test_steady_nonlinearity_with_zero_lifting_makes_21_transforms(
-    grid3, transform_inputs
+    grid3, transform_log
 ):
     # u: one forward, one inverse, three gradient inverses (3 + 3 + 9), and
     # the truncation of the product (3 + 3).
-    counts = _single_component_transforms(transform_inputs, grid3, None)
+    counts = _single_component_transforms(transform_log, grid3, None)
     assert counts == [21, 21]
 
 
-def test_convective_product_uses_real_transforms_only(grid3, transform_inputs):
+def test_convective_product_uses_real_transforms_only(grid3, transform_log):
     a = trig_vector(grid3, 64, max_mode=3, terms=8)
     b_tp = _oscillating_velocity(grid3, 2.0, 65, max_mode=1)
     for left, right in ((a, a), (a, b_tp), (b_tp, a), (b_tp, b_tp)):
-        transform_inputs.clear()
+        transform_log.clear()
         convective_product(left, right)
-        names = {name for name, _ in transform_inputs}
+        names = {name for name, _ in transform_log}
         assert "rfftn" in names and "irfftn" in names
         assert not names & {"fftn", "ifftn"}
 
 
-def test_steady_operand_is_transformed_once_per_product(grid3, transform_inputs):
+def test_steady_operand_is_transformed_once_per_product(grid3, transform_log):
     a = trig_vector(grid3, 62, max_mode=3, terms=8)
     forward = {"fftn", "rfftn", "fft", "rfft"}
     counts = {}
     for k_out in (1, 3):
         b = _oscillating_velocity(grid3, 2.0, 63, max_mode=k_out)
-        transform_inputs.clear()
+        transform_log.clear()
         convective_product(a, b)
         counts[k_out] = sum(
             1
-            for name, x in transform_inputs
+            for name, x in transform_log
             if name in forward
             and x.shape == a.components.shape
             and np.array_equal(x, a.components)

@@ -16,7 +16,6 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
-import scipy.fft
 
 from oseenlab import norms
 from oseenlab.exponents import s_exponent
@@ -41,7 +40,6 @@ from oseenlab.norms import (
 
 REL = 1e-12
 GRIDS = {2: GridSpec(2, 1.3, 16), 3: GridSpec(3, 0.8, 8)}
-TRANSFORMS = ("fftn", "ifftn", "rfftn", "irfftn", "fft", "ifft", "rfft", "irfft")
 FORWARD = ("fftn", "rfftn", "fft", "rfft")
 
 
@@ -436,52 +434,40 @@ def test_zero_time_average_is_not_transformed(monkeypatch):
 # transform counts
 
 
-@pytest.fixture
-def transform_calls(monkeypatch) -> Counter:
-    calls: Counter = Counter()
-
-    def counting(name, original):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        return wrapper
-
-    for module in (scipy.fft, np.fft):
-        for name in TRANSFORMS:
-            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-    return calls
+def _calls(transform_log) -> Counter:
+    """Transform calls by name, from the shared ``transform_log`` fixture."""
+    return Counter(name for name, _ in transform_log)
 
 
-def test_lambda_norm_makes_one_forward_transform(transform_calls):
+def test_lambda_norm_makes_one_forward_transform(transform_log):
     field, _ = _spatial(GRIDS[3], 3, seed=5)
     lambda_norm(field, 0.7, 4.0, 2.0)
-    assert sum(transform_calls[name] for name in FORWARD) == 1
+    assert sum(_calls(transform_log)[name] for name in FORWARD) == 1
 
 
 def test_lambda_norm_at_r_2_needs_only_the_second_order_inverse_transforms(
-    transform_calls,
+    transform_log,
 ):
     # The |v|_{1,2} seminorm comes from the coefficients by Parseval.
     field, _ = _spatial(GRIDS[3], 3, seed=5)
     lambda_norm(field, 0.7, 4.0, 2.0)
-    assert transform_calls["irfftn"] == 6
-    transform_calls.clear()
+    assert _calls(transform_log)["irfftn"] == 6
+    transform_log.clear()
     lambda_norm(field, 0.7, 4.0, 1.5)
-    assert transform_calls["irfftn"] == 9
+    assert _calls(transform_log)["irfftn"] == 9
 
 
-def test_maxreg_transform_count_is_independent_of_time_samples(transform_calls):
+def test_maxreg_transform_count_is_independent_of_time_samples(transform_log):
     field = _time_periodic(GRIDS[3], 3, max_mode=2, seed=6)
     counts = {}
     for nt in (12, 48):
-        transform_calls.clear()
+        transform_log.clear()
         _maxreg_norm(field, 4.0, nt)
-        counts[nt] = sum(transform_calls.values())
+        counts[nt] = sum(_calls(transform_log).values())
     assert counts[12] == counts[48] > 0
 
 
-def test_r2_negative_norm_makes_one_forward_real_transform(transform_calls):
+def test_r2_negative_norm_makes_one_forward_real_transform(transform_log):
     field, _ = _spatial(GRIDS[3], 3, seed=7)
     norms.negative_norm_surrogate(field, 2.0)
-    assert dict(transform_calls) == {"rfftn": 1}
+    assert dict(_calls(transform_log)) == {"rfftn": 1}

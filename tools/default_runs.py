@@ -12,18 +12,20 @@ fresh interpreter that imports ``oseenlab`` from DIR (default: the ``src``
 directory beside this tool) and calls ``oseenlab.cli.main``.  The first round
 works in OUT, so OUT receives ``NAME.csv``, its ``NAME.dat`` twin and the
 captured console output ``NAME.stdout``; later rounds work in a temporary
-directory.  A run's standard error is passed on, and it times only the
-``cli.main`` call.  Its peak resident memory is ``ru_maxrss`` at the end,
-and its allocator counters are ``ru_minflt`` (minor page faults) and
-``ru_stime`` (system CPU seconds) at the end, so all three include the
-imports.
+directory.  A run's standard error is passed on.  It times the ``cli.main``
+call as its wall time and ``from oseenlab import cli, fields`` as its import
+time; numpy and the top-level ``scipy`` package are imported before that, so
+the import time holds the package's own imports only.  Its peak resident
+memory is ``ru_maxrss`` at the end, and its allocator counters are
+``ru_minflt`` (minor page faults) and ``ru_stime`` (system CPU seconds) at the
+end, so all three include the imports.
 
 OUT also receives ``bench.json``: the Python, numpy and scipy versions, the
 CPU count, the FFT worker count, ``git rev-parse HEAD`` of DIR's checkout
-(null outside one), N, and per experiment every wall time, peak RSS,
-``ru_minflt`` and ``ru_stime`` with their medians, and the exit codes.  The
-console gets one line ``NAME: median T s, peak R MB, F minor faults, exit
-codes [..]`` per experiment.
+(null outside one), N, and per experiment every wall time, import time, peak
+RSS, ``ru_minflt`` and ``ru_stime`` with their medians, and the exit codes.
+The console gets one line ``NAME: median T s, import I s, peak R MB, F minor
+faults, exit codes [..]`` per experiment.
 
 With ``--against REF`` (a directory an earlier run wrote) every file of
 either directory but ``bench.json`` is reported as "byte-identical", as
@@ -68,13 +70,15 @@ print(json.dumps(list(harness.EXPERIMENTS)))
 """
 
 # Runs experiment argv[2], writes its console output to NAME.stdout, and
-# prints one JSON line: its environment, exit code, wall time, peak RSS
-# (ru_maxrss is in KiB on Linux), minor faults and system CPU seconds.
+# prints one JSON line: its environment, exit code, wall time, import time,
+# peak RSS (ru_maxrss is in KiB on Linux), minor faults and system CPU seconds.
 CHILD = """
 import contextlib, io, json, resource, sys, time
 sys.path.insert(0, sys.argv[1])
 import numpy, scipy, platform
+start = time.perf_counter()
 from oseenlab import cli, fields
+import_s = time.perf_counter() - start
 name = sys.argv[2]
 captured = io.StringIO()
 with contextlib.redirect_stdout(captured):
@@ -91,6 +95,7 @@ print(json.dumps({
     "fft_workers": fields.get_fft_workers(),
     "exit_code": status,
     "wall_s": wall,
+    "import_s": import_s,
     "peak_rss_mb": usage.ru_maxrss / 1024.0,
     "ru_minflt": usage.ru_minflt,
     "ru_stime": usage.ru_stime,
@@ -98,7 +103,7 @@ print(json.dumps({
 """
 
 # The per-run measures, each summarized with its median.
-_MEASURES = ("wall_s", "peak_rss_mb", "ru_minflt", "ru_stime")
+_MEASURES = ("wall_s", "import_s", "peak_rss_mb", "ru_minflt", "ru_stime")
 
 
 def record(src: pathlib.Path, name: str, work: pathlib.Path) -> dict:
@@ -295,6 +300,7 @@ def main(argv: list[str] | None = None) -> int:
     for name, run in result["runs"].items():
         print(
             f"{name}: median {_show(run['median_wall_s'], '.2f')} s, "
+            f"import {_show(run['median_import_s'], '.2f')} s, "
             f"peak {_show(run['median_peak_rss_mb'], '.1f')} MB, "
             f"{_show(run['median_ru_minflt'], '.0f')} minor faults, "
             f"exit codes {run['exit_codes']}"
