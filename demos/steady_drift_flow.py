@@ -30,7 +30,7 @@ from oseenlab import (
     CutoffSpec,
     GridSpec,
     OseenParams,
-    VectorField,
+    SpatialField,
     divergence,
     gradient,
     leray_project,
@@ -56,8 +56,8 @@ print(
 # the gradient part gives a solenoidal "stirring" force.
 bump = build_cutoff(CutoffSpec(0.15 * math.pi, 0.45 * math.pi), grid)
 components = np.zeros((grid.dim,) + grid.shape)
-components[0] = bump.values
-blob = leray_project(VectorField(grid, components))
+components[0] = bump.components[0]
+blob = leray_project(SpatialField(grid, components))
 print(f"\nlocalized solenoidal force, |f|_2 = {lq_norm(blob, 2.0):.4f}")
 print(f"{'drift':>8} {'|u|_2':>10} {'|div u|_2':>12} {'wake asymmetry':>15}")
 for lam in (0.0, 0.25, 1.0, 4.0, 16.0):

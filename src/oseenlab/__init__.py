@@ -19,9 +19,8 @@ from .exponents import (
 )
 from .fields import (
     GridSpec,
-    ScalarField,
+    SpatialField,
     TimePeriodicField,
-    VectorField,
     derivative,
     divergence,
     get_fft_workers,

@@ -13,13 +13,22 @@ coefficientwise.  :func:`derivative`, :func:`gradient` and :func:`divergence`
 multiply the real-FFT (half layout) coefficients by the cached symbols of
 :attr:`GridSpec.derivative_symbols`, which are those wavenumbers times i.
 
-Spatial fields are stored as real samples only; spectral coefficients are
-plain arrays from the forward-normalized transforms here.  A time-periodic
-field stores its time modes k = 0..K only: for a real signal the mode at -k
-is the conjugate of the mode at k, and :meth:`TimePeriodicField.mode` derives
-it on request.  All three kinds share one arithmetic: sums and differences of
-two fields of one kind on one grid (stacks also share period and ``max_mode``),
-negation, and scaling by a real number.
+Both kinds of field keep one layout.  A :class:`SpatialField` holds real
+samples of shape (ncomp,) + grid.shape, with ncomp 1 for a scalar and dim for
+a vector.  A :class:`TimePeriodicField` holds its time modes k = 0..K in the
+same layout, (K+1, ncomp) + grid.shape, so a spatial field is one mode of a
+stack; for a real signal the mode at -k is the conjugate of the mode at k,
+and :meth:`TimePeriodicField.mode` derives it on request.  Spectral
+coefficients are plain arrays from the forward-normalized transforms here.
+
+Both kinds share one ownership contract.  The public constructor copies its
+input, so it never locks or aliases a caller's array; the private ``_adopt``
+wraps an array the package has just built and holds nowhere else, without a
+copy.  Either way the field checks the shared layout rule
+(:func:`_check_components`) and locks the array it keeps.  Both share one
+arithmetic: sums and differences of two fields of one kind, grid and
+component count (stacks also share period and ``max_mode``), negation, and
+scaling by a real number.
 
 The spatial transforms call scipy's ``pypocketfft`` extension, loaded by file
 without importing ``scipy.fft`` (or through it where the file is not found),
@@ -261,22 +270,33 @@ def _check_count(value, name: str, least: int) -> int:
     return int(value)
 
 
-def _as_field_array(values, expected_shape: tuple[int, ...], name: str) -> np.ndarray:
-    array = _owned_copy(values, np.float64)
-    if array.shape != expected_shape:
-        raise ValueError(f"{name} has shape {array.shape}, expected {expected_shape}")
-    if not np.all(np.isfinite(array)):
-        raise ValueError(f"{name} contains non-finite values")
-    return _lock(array)
+def _check_components(grid: GridSpec, array: np.ndarray, name: str, lead: int) -> None:
+    """The layout rule of both field kinds: ``lead`` nonempty leading axes (a
+    stack's time modes; none for a spatial field), then a component axis of
+    length 1 (scalar) or dim (vector), then the grid axes; every value finite.
+    """
+    layout = "(K+1, ncomp)" if lead else "(ncomp,)"
+    if (
+        array.ndim != lead + 1 + grid.dim
+        or array.shape[lead + 1 :] != grid.shape
+        or 0 in array.shape[:lead]
+    ):
+        raise ValueError(
+            f"{name} have shape {array.shape}, expected {layout} + {grid.shape}"
+        )
+    if array.shape[lead] not in (1, grid.dim):
+        raise ValueError(
+            f"component count must be 1 or {grid.dim}, got {array.shape[lead]}"
+        )
+    if not np.all(np.isfinite(array.view(np.float64))):
+        raise ValueError(f"{name} contain non-finite values")
 
 
 class _FieldAlgebra:
-    """Arithmetic on ``_data``: ``_like`` wraps a result as a field of the same
-    kind; ``_check_compatible`` rejects another kind (``TypeError``) or grid.
+    """Arithmetic on ``_data``: ``_like`` wraps a fresh result as a field of the
+    same kind; ``_check_compatible`` rejects another kind (``TypeError``), or
+    another grid, time axis or component count (``ValueError``).
     """
-
-    def _like(self, data: np.ndarray):
-        return type(self)(self.grid, data)
 
     def _check_compatible(self, other) -> None:
         if type(other) is not type(self):
@@ -285,6 +305,16 @@ class _FieldAlgebra:
             )
         if self.grid != other.grid:
             raise ValueError("fields live on different grids")
+        self._check_time_axis(other)
+        if self.ncomp != other.ncomp:
+            raise ValueError("fields differ in component count")
+
+    def _check_time_axis(self, other) -> None:
+        """A spatial field has no time axis to compare."""
+
+    @property
+    def ncomp(self) -> int:
+        return self._data.shape[-1 - self.grid.dim]
 
     def __add__(self, other):
         self._check_compatible(other)
@@ -303,95 +333,69 @@ class _FieldAlgebra:
         return self._like(-self._data)
 
 
-@dataclass(frozen=True)
-class ScalarField(_FieldAlgebra):
-    """Real scalar samples on a GridSpec grid."""
+class SpatialField(_FieldAlgebra):
+    """Real samples of a scalar or vector field, shape (ncomp,) + grid.shape
+    with ncomp 1 or dim: the layout of one mode of a time stack.
 
-    grid: GridSpec
-    values: np.ndarray
+    The constructor keeps a real copy of ``components``, never the caller's
+    array, and refuses complex input.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "values", _as_field_array(self.values, self.grid.shape, "values")
-        )
-
-    @classmethod
-    def zeros(cls, grid: GridSpec) -> "ScalarField":
-        return cls(grid, np.zeros(grid.shape))
-
-    _data = property(lambda self: self.values)
-
-
-@dataclass(frozen=True)
-class VectorField(_FieldAlgebra):
-    """Real vector samples, components stacked on the leading axis."""
-
-    grid: GridSpec
-    components: np.ndarray
-
-    def __post_init__(self) -> None:
-        expected = (self.grid.dim,) + self.grid.shape
-        object.__setattr__(
-            self,
-            "components",
-            _as_field_array(self.components, expected, "components"),
-        )
+    def __init__(self, grid: GridSpec, components) -> None:
+        if np.iscomplexobj(components):
+            raise TypeError("components must be real, got a complex array")
+        self._take(grid, _owned_copy(components, np.float64))
 
     @classmethod
-    def zeros(cls, grid: GridSpec) -> "VectorField":
-        return cls(grid, np.zeros((grid.dim,) + grid.shape))
+    def _adopt(cls, grid: GridSpec, components: np.ndarray) -> "SpatialField":
+        """Wrap samples the package just built and holds nowhere else; they
+        are locked in place, not copied."""
+        field = cls.__new__(cls)
+        field._take(grid, np.ascontiguousarray(components, dtype=np.float64))
+        return field
 
-    def component(self, index: int) -> ScalarField:
-        return ScalarField(self.grid, self.components[index])
+    def _take(self, grid: GridSpec, components: np.ndarray) -> None:
+        _check_components(grid, components, "components", 0)
+        self.grid = grid
+        self.components = _lock(components)
 
     def magnitude(self) -> np.ndarray:
         return np.sqrt(np.sum(self.components ** 2, axis=0))
 
     _data = property(lambda self: self.components)
 
-
-def _component_array(field: ScalarField | VectorField) -> np.ndarray:
-    """Samples with a leading component axis: (1,) + shape or (dim,) + shape."""
-    if isinstance(field, ScalarField):
-        return field.values[None]
-    if isinstance(field, VectorField):
-        return field.components
-    raise TypeError(f"expected a spatial field, got {type(field).__name__}")
+    def _like(self, components: np.ndarray) -> "SpatialField":
+        return SpatialField._adopt(self.grid, components)
 
 
-def _from_component_array(
-    grid: GridSpec, values: np.ndarray
-) -> ScalarField | VectorField:
-    """Inverse of :func:`_component_array`: one component is a scalar field."""
-    if values.shape[0] == 1:
-        return ScalarField(grid, values[0])
-    return VectorField(grid, values)
-
-
-def derivative(field: ScalarField | VectorField, axis: int) -> ScalarField | VectorField:
+def derivative(field: SpatialField, axis: int) -> SpatialField:
     """Physical-space spectral derivative along ``axis`` (1-based)."""
     grid = field.grid
     if not 1 <= axis <= grid.dim:
         raise ValueError(f"axis must lie in 1..{grid.dim}, got {axis}")
-    coeff = _rfftn(_component_array(field), grid.dim)
+    coeff = _rfftn(field.components, grid.dim)
     symbol = grid.derivative_symbols[1][axis - 1]
-    return _from_component_array(grid, _irfftn(coeff * symbol, grid.shape))
+    return SpatialField._adopt(grid, _irfftn(coeff * symbol, grid.shape))
 
 
-def gradient(field: ScalarField) -> VectorField:
+def gradient(field: SpatialField) -> SpatialField:
     """Spectral gradient of a scalar field."""
+    if field.ncomp != 1:
+        raise ValueError("the gradient takes a scalar field")
     grid = field.grid
-    coeff = _rfftn(field.values, grid.dim)
+    coeff = _rfftn(field.components[0], grid.dim)
     parts = [coeff * symbol for symbol in grid.derivative_symbols[1]]
-    return VectorField(grid, _irfftn(np.stack(parts), grid.shape))
+    return SpatialField._adopt(grid, _irfftn(np.stack(parts), grid.shape))
 
 
-def divergence(field: VectorField) -> ScalarField:
+def divergence(field: SpatialField) -> SpatialField:
     """Spectral divergence of a vector field."""
     grid = field.grid
+    if field.ncomp != grid.dim:
+        raise ValueError("the divergence takes a vector field")
     coeff = _rfftn(field.components, grid.dim)
     out = sum(c * symbol for c, symbol in zip(coeff, grid.derivative_symbols[1]))
-    return ScalarField(grid, _irfftn(out, grid.shape))
+    return SpatialField._adopt(grid, _irfftn(out, grid.shape)[None])
 
 
 def _truncate_samples(grid: GridSpec, values: np.ndarray) -> np.ndarray:
@@ -444,12 +448,8 @@ class TimePeriodicField(_FieldAlgebra):
     def _adopt(
         cls, grid: GridSpec, period: float, modes: np.ndarray
     ) -> "TimePeriodicField":
-        """Wrap a stack the package just built and holds nowhere else.
-
-        The constructor copies its input so that it never locks or rewrites a
-        caller's array; a fresh stack needs no copy and is snapped and locked
-        in place.
-        """
+        """Wrap a stack the package just built and holds nowhere else; it is
+        snapped and locked in place, not copied."""
         field = cls.__new__(cls)
         field._take(grid, period, np.ascontiguousarray(modes, dtype=np.complex128))
         return field
@@ -457,21 +457,7 @@ class TimePeriodicField(_FieldAlgebra):
     def _take(self, grid: GridSpec, period: float, modes: np.ndarray) -> None:
         if not 0 < period < np.inf:
             raise ValueError(f"period must be positive and finite, got {period}")
-        if (
-            modes.ndim != grid.dim + 2
-            or modes.shape[2:] != grid.shape
-            or modes.shape[0] < 1
-        ):
-            raise ValueError(
-                f"modes have shape {modes.shape}, expected "
-                f"(K+1, ncomp) + {grid.shape}"
-            )
-        if modes.shape[1] not in (1, grid.dim):
-            raise ValueError(
-                f"component count must be 1 or {grid.dim}, got {modes.shape[1]}"
-            )
-        if not np.all(np.isfinite(modes.view(np.float64))):
-            raise ValueError("modes contain non-finite values")
+        _check_components(grid, modes, "modes", 1)
         # Mode 0 of a real signal is real; roundoff-level imaginary parts are
         # snapped away so that differences of nearly equal stacks stay valid.
         # A zero defect passes against any positive scale, so the scan of the
@@ -487,10 +473,6 @@ class TimePeriodicField(_FieldAlgebra):
         self.period = float(period)
         self.max_mode = modes.shape[0] - 1
         self.modes = _lock(modes)
-
-    @property
-    def ncomp(self) -> int:
-        return self.modes.shape[1]
 
     def mode(self, k: int) -> np.ndarray:
         """Complex spatial mode for time frequency index k in [-K, K].
@@ -516,13 +498,12 @@ class TimePeriodicField(_FieldAlgebra):
 
     @classmethod
     def from_steady(
-        cls, field: ScalarField | VectorField, period: float, max_mode: int = 0
+        cls, field: SpatialField, period: float, max_mode: int = 0
     ) -> "TimePeriodicField":
         """Embed a steady field as the k = 0 mode of a stack with K+1 slots."""
         max_mode = _check_count(max_mode, "max_mode", 0)
-        data = _component_array(field)
-        modes = np.zeros((max_mode + 1,) + data.shape, dtype=np.complex128)
-        modes[0] = data
+        modes = np.zeros((max_mode + 1,) + field.components.shape, dtype=np.complex128)
+        modes[0] = field.components
         return cls._adopt(field.grid, period, modes)
 
     @classmethod
@@ -571,7 +552,6 @@ class TimePeriodicField(_FieldAlgebra):
     def _like(self, modes: np.ndarray) -> "TimePeriodicField":
         return TimePeriodicField._adopt(self.grid, self.period, modes)
 
-    def _check_compatible(self, other) -> None:
-        super()._check_compatible(other)
+    def _check_time_axis(self, other) -> None:
         if self.period != other.period or self.max_mode != other.max_mode:
             raise ValueError("time-periodic fields have mismatched period or modes")

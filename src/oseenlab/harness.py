@@ -37,10 +37,8 @@ from .exponents import (
 )
 from .fields import (
     GridSpec,
-    ScalarField,
+    SpatialField,
     TimePeriodicField,
-    VectorField,
-    _component_array,
     _fold_modes,
     _ifftn,
     _lock,
@@ -410,7 +408,7 @@ def _normalized(field):
     return field * (1.0 / size)
 
 
-def random_scalar_field(grid: GridSpec, seed_key, *, modes=None) -> ScalarField:
+def random_scalar_field(grid: GridSpec, seed_key, *, modes=None) -> SpatialField:
     """Seeded zero-mean scalar field of unit L^2 norm.
 
     Every seeded draw takes ``modes``, a (count, dim) integer array of
@@ -420,11 +418,11 @@ def random_scalar_field(grid: GridSpec, seed_key, *, modes=None) -> ScalarField:
     modes = _draw_modes(grid, modes)
     rng = np.random.default_rng(seed_key)
     coeff = _coefficients_from_draws(grid, modes, rng.standard_normal((len(modes), 2)))
-    values = _ifftn(coeff[None], grid.dim).real[0]
-    return _normalized(ScalarField(grid, values))
+    values = _ifftn(coeff[None], grid.dim).real
+    return _normalized(SpatialField._adopt(grid, values))
 
 
-def random_divergence_free(grid: GridSpec, seed_key, *, modes=None) -> VectorField:
+def random_divergence_free(grid: GridSpec, seed_key, *, modes=None) -> SpatialField:
     """Seeded divergence-free velocity (stream function in 2-D, curl in 3-D)."""
     modes = _draw_modes(grid, modes)
     rng = np.random.default_rng(seed_key)
@@ -449,7 +447,7 @@ def random_divergence_free(grid: GridSpec, seed_key, *, modes=None) -> VectorFie
             1j * (w[2] * potential[0] - w[0] * potential[2]),
             1j * (w[0] * potential[1] - w[1] * potential[0]),
         ]
-    field = VectorField(grid, _ifftn(np.stack(parts), grid.dim).real)
+    field = SpatialField._adopt(grid, _ifftn(np.stack(parts), grid.dim).real)
     return _normalized(field)
 
 
@@ -458,7 +456,7 @@ def _seeded_stack(grid, period, time_modes, draw, key, mode_zero):
     draw(key + [k, 0]) + i draw(key + [k, 1])."""
     modes = [mode_zero]
     for k in range(1, time_modes + 1):
-        re, im = (_component_array(draw(key + [k, j])) for j in (0, 1))
+        re, im = (draw(key + [k, j]).components for j in (0, 1))
         modes.append(re + 1j * im)
     return TimePeriodicField.from_modes(grid, period, modes)
 
@@ -594,7 +592,7 @@ def _run_mms(cfg: ExperimentConfig) -> ScalingResult:
     for random_field, tag in ((random_divergence_free, 21), (random_scalar_field, 22)):
         draw = functools.partial(random_field, grid, modes=cfg.draw_modes)
         key = [cfg.seed, tag]
-        zero = _component_array(draw(key + [0, 0]))
+        zero = draw(key + [0, 0]).components
         stacks.append(_seeded_stack(grid, cfg.period, cfg.time_modes, draw, key, zero))
     manufactured = StokesPair(*stacks)
     u_tp, p_tp = manufactured
@@ -867,7 +865,7 @@ def maxreg_norm_mode_sum(field: TimePeriodicField) -> float:
 
     def mode_terms(k):
         mode = field.modes[k]
-        parts = [VectorField(field.grid, mode.real), VectorField(field.grid, mode.imag)]
+        parts = [SpatialField(field.grid, part) for part in (mode.real, mode.imag)]
         spatial = sum(sobolev_full_norm(part, 2, 2.0) ** 2 for part in parts)
         dt = field.omega(k) ** 2 * sum(lq_norm(part, 2.0) ** 2 for part in parts)
         return np.array([spatial, dt])

@@ -1,4 +1,7 @@
-"""Flat binary field container.
+"""Flat binary container for one spatial field.
+
+The payload is the field's ``components`` array as stored, (ncomp,) +
+grid.shape with ncomp 1 or dim, so a field reads back bit for bit.
 
 Binary layout (all little-endian, in file order):
 
@@ -22,21 +25,15 @@ import struct
 
 import numpy as np
 
-from .fields import (
-    GridSpec,
-    ScalarField,
-    VectorField,
-    _component_array,
-    _from_component_array,
-)
+from .fields import GridSpec, SpatialField
 
 _HEADER = struct.Struct("<qqdq")
 
 
-def save_field(path, field: ScalarField | VectorField) -> None:
+def save_field(path, field: SpatialField) -> None:
     """Write a field to ``path`` in the flat binary container format."""
     grid = field.grid
-    payload = _component_array(field)
+    payload = field.components
     header = _HEADER.pack(
         grid.dim, grid.points_per_axis, grid.half_period, payload.shape[0]
     )
@@ -45,7 +42,7 @@ def save_field(path, field: ScalarField | VectorField) -> None:
         handle.write(np.ascontiguousarray(payload, dtype="<f8").tobytes())
 
 
-def load_field(path) -> ScalarField | VectorField:
+def load_field(path) -> SpatialField:
     """Read a field written by :func:`save_field`."""
     with open(path, "rb") as handle:
         raw = handle.read(_HEADER.size)
@@ -64,4 +61,4 @@ def load_field(path) -> ScalarField | VectorField:
         if payload.size != count:
             raise ValueError(f"{path}: truncated payload")
     data = payload.reshape((int(ncomp),) + grid.shape).astype(np.float64)
-    return _from_component_array(grid, data)
+    return SpatialField._adopt(grid, data)

@@ -31,13 +31,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import polynomial
 
-from .fields import (
-    GridSpec,
-    ScalarField,
-    VectorField,
-    _lock,
-    _owned_copy,
-)
+from .fields import GridSpec, SpatialField, _lock, _owned_copy
 from .norms import lq_norm, negative_norm_surrogate
 
 
@@ -108,10 +102,10 @@ def _check_support(spec: CutoffSpec, grid: GridSpec) -> None:
         )
 
 
-def build_cutoff(spec: CutoffSpec, grid: GridSpec) -> ScalarField:
+def build_cutoff(spec: CutoffSpec, grid: GridSpec) -> SpatialField:
     """Sample the radial profile around the box center."""
     _check_support(spec, grid)
-    return ScalarField(grid, spec.value(center_distance(grid)))
+    return SpatialField._adopt(grid, spec.value(center_distance(grid))[None])
 
 
 @dataclass(frozen=True)
@@ -125,7 +119,7 @@ class LiftingField:
     nonlinearity without further differentiation.
     """
 
-    velocity: VectorField
+    velocity: SpatialField
     lambda_used: float
     jacobian: np.ndarray
     laplacian: np.ndarray
@@ -223,7 +217,7 @@ def build_lifting(lam: float, spec: CutoffSpec, grid: GridSpec) -> LiftingField:
     jacobian = [[evaluate(i, (k,), 0) for k in range(dim)] for i in range(dim)]
     laplacian = [evaluate(i, (), 1) for i in range(dim)]
     return LiftingField(
-        VectorField(grid, np.array(velocity)),
+        SpatialField._adopt(grid, np.array(velocity)),
         float(lam),
         np.array(jacobian),
         np.array(laplacian),
@@ -243,7 +237,7 @@ def lifting_load(lifting: LiftingField, q: float, r: float) -> tuple[float, floa
     -laplacian(V) + lam * d1(V) at the drift lam the lifting was built with,
     evaluated from the exact derivative arrays.
     """
-    load = VectorField(
+    load = SpatialField._adopt(
         lifting.grid, -lifting.laplacian + lifting.lambda_used * lifting.jacobian[:, 0]
     )
     return lq_norm(load, q), negative_norm_surrogate(load, r)

@@ -41,8 +41,8 @@ import numpy as np
 
 from .fields import (
     GridSpec,
+    SpatialField,
     TimePeriodicField,
-    VectorField,
     _fftn,
     _ifftn,
     _irfftn,
@@ -97,24 +97,24 @@ def _quadratic_samples(
 
 
 def nonlinearity(
-    u: VectorField | TimePeriodicField, lifting: LiftingField | None
-) -> VectorField | TimePeriodicField:
+    u: SpatialField | TimePeriodicField, lifting: LiftingField | None
+) -> SpatialField | TimePeriodicField:
     """Evaluate the nonlinearity; output matches the shape of ``u``.
 
     ``lifting`` is None for the obstacle-free problem (V = 0); a lifting
     brings its own drift into the -lam * d1(V) term.
     """
-    if not isinstance(u, (VectorField, TimePeriodicField)):
+    if not isinstance(u, (SpatialField, TimePeriodicField)):
         raise TypeError(f"cannot evaluate the nonlinearity of {type(u).__name__}")
     grid = u.grid
+    if u.ncomp != grid.dim:
+        raise ValueError("the nonlinearity's input must be vector-valued")
     if lifting is not None and lifting.grid != grid:
         raise ValueError("field and lifting live on different grids")
-    if isinstance(u, VectorField):
+    if isinstance(u, SpatialField):
         out = -_quadratic_samples(grid, u.components, lifting)
         average = out
     else:
-        if u.ncomp != grid.dim:
-            raise ValueError("time-periodic input must be vector-valued")
         num_samples = 4 * u.max_mode + 1
         samples = u.sample_times(num_samples)
         for j in range(num_samples):
@@ -128,22 +128,19 @@ def nonlinearity(
 
 
 def convective_product(
-    a: VectorField | TimePeriodicField,
-    b: VectorField | TimePeriodicField,
-) -> VectorField | TimePeriodicField:
-    """Dealiased (a . grad) b for steady or time-periodic operands.
+    a: SpatialField | TimePeriodicField,
+    b: SpatialField | TimePeriodicField,
+) -> SpatialField | TimePeriodicField:
+    """Dealiased (a . grad) b of two vector-valued operands, steady or not.
 
-    Both operands must be vector-valued.  Steady operands give a VectorField.  With a time-periodic operand the
-    product is formed in physical time on exactly enough uniform instants to
-    hold the combined band and returned with the summed mode count, so no
-    time truncation happens here (unlike the nonlinearity operator, which
-    projects back to the input band).
+    Two steady operands give a steady field.  With a time-periodic operand
+    the product is formed in physical time on exactly enough uniform
+    instants to hold the combined band and returned with the summed mode
+    count, so no time truncation happens here (unlike the nonlinearity
+    operator, which projects back to the input band).
     """
     for name, operand in (("a", a), ("b", b)):
-        vector = isinstance(operand, VectorField) or (
-            isinstance(operand, TimePeriodicField) and operand.ncomp == operand.grid.dim
-        )
-        if not vector:
+        if operand.ncomp != operand.grid.dim:
             raise ValueError(f"convective_product operand {name} must be vector-valued")
     if a.grid != b.grid:
         raise ValueError("operands live on different grids")
@@ -151,7 +148,7 @@ def convective_product(
     a_tp = isinstance(a, TimePeriodicField)
     b_tp = isinstance(b, TimePeriodicField)
     if not a_tp and not b_tp:
-        return VectorField(grid, _convective(grid, a.components, b.components))
+        return SpatialField._adopt(grid, _convective(grid, a.components, b.components))
     if a_tp and b_tp and a.period != b.period:
         raise ValueError("operands have different periods")
     period = a.period if a_tp else b.period

@@ -62,10 +62,8 @@ import numpy as np
 from .exponents import s_exponent
 from .fields import (
     GridSpec,
-    ScalarField,
+    SpatialField,
     TimePeriodicField,
-    VectorField,
-    _component_array,
     _fftn,
     _fold_modes,
     _ifftn,
@@ -105,7 +103,7 @@ def lq_norm(field, q: float) -> float:
         instants = field._instants(_default_time_samples(field.max_mode))
         powers = [_lq_of_array(field.grid, sample, q) ** q for sample in instants]
         return float(np.mean(powers)) ** (1.0 / q)
-    return _lq_of_array(field.grid, _component_array(field), q)
+    return _lq_of_array(field.grid, field.components, q)
 
 
 def _derivative_blocks(grid: GridSpec, coeff: np.ndarray, order: int):
@@ -149,18 +147,18 @@ def _check_order(k: int) -> None:
         raise ValueError(f"derivative order k must be 0, 1, or 2, got {k}")
 
 
-def sobolev_seminorm(field: ScalarField | VectorField, k: int, q: float) -> float:
+def sobolev_seminorm(field: SpatialField, k: int, q: float) -> float:
     """Homogeneous seminorm |u|_{k,q} = sum over multi-indices |alpha| = k."""
     q = _check_exponent(q, "q")
     _check_order(k)
     grid = field.grid
-    components = _component_array(field)
+    components = field.components
     if k == 0:
         return _lq_of_array(grid, components, q)
     return _seminorm_from_coefficients(grid, _rfftn(components, grid.dim), k, q)
 
 
-def sobolev_full_norm(field: ScalarField | VectorField, k: int, q: float) -> float:
+def sobolev_full_norm(field: SpatialField, k: int, q: float) -> float:
     """Full W^{k,q} norm of a spatial field (orders 0 through k).
 
     The multi-index blocks are combined in the l^q sense.
@@ -168,7 +166,7 @@ def sobolev_full_norm(field: ScalarField | VectorField, k: int, q: float) -> flo
     q = _check_exponent(q, "q")
     _check_order(k)
     grid = field.grid
-    components = _component_array(field)
+    components = field.components
     total = _lq_of_array(grid, components, q) ** q
     if k > 0:
         coeff = _rfftn(components, grid.dim)
@@ -178,23 +176,23 @@ def sobolev_full_norm(field: ScalarField | VectorField, k: int, q: float) -> flo
     return total ** (1.0 / q)
 
 
-def negative_norm_surrogate(field: ScalarField | VectorField, r: float) -> float:
+def negative_norm_surrogate(field: SpatialField, r: float) -> float:
     """Surrogate |f|_{-1,r} = ||grad (-Delta)^{-1} f||_r, mean projected out;
     at r = 2 by Parseval, the half-layout sum of |f_m|^2 / |xi|^2."""
     r = _check_exponent(r, "r")
     if r != 2.0:
         return _negative_norm_by_transforms(field, r)
     grid = field.grid
-    coeff = _rfftn(_component_array(field), grid.dim)
+    coeff = _rfftn(field.components, grid.dim)
     coeff *= grid.half_inverse_wavenumber
     return _l2_from_coefficients(grid, coeff)
 
 
-def _negative_norm_by_transforms(field: ScalarField | VectorField, r: float) -> float:
+def _negative_norm_by_transforms(field: SpatialField, r: float) -> float:
     """The surrogate from the physical samples of the (ncomp, dim) Riesz tensor."""
     r = _check_exponent(r, "r")
     grid = field.grid
-    coeff = _fftn(_component_array(field), grid.dim)
+    coeff = _fftn(field.components, grid.dim)
     # The (ncomp, dim) coefficients of grad (-Delta)^{-1} f; the modes blind
     # to derivatives (the mean, pure Nyquist combinations) are projected out.
     tensor = np.empty((len(coeff), grid.dim) + grid.shape, dtype=np.complex128)
@@ -208,7 +206,7 @@ def _negative_norm_by_transforms(field: ScalarField | VectorField, r: float) -> 
     return _lq_of_array(grid, samples, r)
 
 
-def lambda_norm_pieces(field: VectorField, q: float, r: float) -> tuple[float, float]:
+def lambda_norm_pieces(field: SpatialField, q: float, r: float) -> tuple[float, float]:
     """The drift-free pieces (|v|_{2,q} + |v|_{1,r}, ||v||_s) of the wake norm.
 
     Both seminorms share one forward transform.  :func:`lambda_norm` at any
@@ -218,7 +216,7 @@ def lambda_norm_pieces(field: VectorField, q: float, r: float) -> tuple[float, f
     q = _check_exponent(q, "q")
     grid = field.grid
     s = s_exponent(grid.dim, r)
-    components = _component_array(field)
+    components = field.components
     coeff = _rfftn(components, grid.dim)
     smooth = _seminorm_from_coefficients(
         grid, coeff, 2, q
@@ -237,7 +235,7 @@ def lambda_norm_from_pieces(
     return smooth + weighted
 
 
-def lambda_norm(field: VectorField, lam: float, q: float, r: float) -> float:
+def lambda_norm(field: SpatialField, lam: float, q: float, r: float) -> float:
     """Wake-weighted norm |v|_{2,q} + |v|_{1,r} + lambda^{1/(n+1)} ||v||_s.
 
     ``n`` is the grid dimension; s = (n+1) r / (n+1-r) requires r < n+1.

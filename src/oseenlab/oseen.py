@@ -21,13 +21,10 @@ import numpy as np
 
 from .fields import (
     GridSpec,
-    ScalarField,
+    SpatialField,
     TimePeriodicField,
-    VectorField,
-    _component_array,
     _fftn,
     _fold_modes,
-    _from_component_array,
     _ifftn,
 )
 
@@ -51,14 +48,24 @@ class OseenParams:
 
 @dataclass(frozen=True)
 class StokesPair:
-    """Velocity and pressure on one grid: both spatial or both time stacks."""
+    """Velocity and pressure on one grid: both spatial or both time stacks.
 
-    velocity: VectorField | TimePeriodicField
-    pressure: ScalarField | TimePeriodicField
+    A spatial pair holds a vector velocity and a scalar pressure.
+    """
+
+    velocity: SpatialField | TimePeriodicField
+    pressure: SpatialField | TimePeriodicField
 
     def __post_init__(self) -> None:
-        if self.velocity.grid != self.pressure.grid:
+        grid = self.velocity.grid
+        if grid != self.pressure.grid:
             raise ValueError("velocity and pressure live on different grids")
+        counts = (self.velocity.ncomp, self.pressure.ncomp)
+        if isinstance(self.velocity, SpatialField) and counts != (grid.dim, 1):
+            raise ValueError(
+                f"a spatial pair needs {grid.dim} velocity components and 1 "
+                f"pressure component, got {counts[0]} and {counts[1]}"
+            )
 
     def __iter__(self):
         return iter((self.velocity, self.pressure))
@@ -77,11 +84,13 @@ def _apply_leray(grid: GridSpec, coeff: np.ndarray) -> tuple[np.ndarray, np.ndar
     return out, dotted
 
 
-def leray_project(field: VectorField) -> VectorField:
+def leray_project(field: SpatialField) -> SpatialField:
     """Project a vector field onto its divergence-free part."""
+    if field.ncomp != field.grid.dim:
+        raise ValueError("the Leray projection takes a vector field")
     coeff = _fftn(field.components, field.grid.dim)
     projected, _ = _apply_leray(field.grid, coeff)
-    return VectorField(field.grid, _ifftn(projected, field.grid.dim).real)
+    return SpatialField._adopt(field.grid, _ifftn(projected, field.grid.dim).real)
 
 
 def _mode_solution_coeff(
@@ -102,14 +111,14 @@ def _mode_solution_coeff(
     return u_coeff, p_coeff
 
 
-def solve_steady(f: VectorField, params: OseenParams) -> StokesPair:
+def solve_steady(f: SpatialField, params: OseenParams) -> StokesPair:
     """Solve the steady drift system: the real part of the k = 0 block.
 
     Gradient parts of the forcing go entirely into the pressure, so the
     velocity depends only on the divergence-free part of ``f``.
     """
     modes = solve_mode(f.grid, f.components, 0.0, params)
-    return StokesPair(*(_from_component_array(f.grid, m.real) for m in modes))
+    return StokesPair(*(SpatialField._adopt(f.grid, m.real) for m in modes))
 
 
 def solve_mode(
@@ -163,15 +172,15 @@ def solve_timeperiodic(
 
 
 def project_steady(
-    field: ScalarField | VectorField | TimePeriodicField,
-) -> ScalarField | VectorField:
+    field: SpatialField | TimePeriodicField,
+) -> SpatialField:
     """Time average over one period: the k = 0 mode as a real field.
 
     A steady field is its own time average (the K = 0 view), so it comes
     back unchanged.
     """
     if isinstance(field, TimePeriodicField):
-        return _from_component_array(field.grid, field.mode(0).real)
+        return SpatialField(field.grid, field.mode(0).real)
     return field
 
 
@@ -223,7 +232,7 @@ def _time_blocks(field) -> tuple[float, np.ndarray]:
     """Period and modes of a stack; a steady field, uncopied, is K = 0 of period 1."""
     if isinstance(field, TimePeriodicField):
         return field.period, field.modes
-    return 1.0, _component_array(field)[None]
+    return 1.0, field.components[None]
 
 
 def _axis_momenta(grid, period, velocity, pressure, forcing, k, lam):
@@ -249,7 +258,7 @@ def _axis_momenta(grid, period, velocity, pressure, forcing, k, lam):
 
 def apply_oseen(
     pair: StokesPair, params: OseenParams
-) -> VectorField | TimePeriodicField:
+) -> SpatialField | TimePeriodicField:
     """The forcing that ``pair`` solves: d_t u - Lap u + lam d_1 u + grad p.
 
     Applied block by block on the solvers' zeroed-Nyquist wavenumbers.  A
@@ -269,7 +278,7 @@ def apply_oseen(
 
 
 def residual(
-    pair: StokesPair, f: VectorField | TimePeriodicField, params: OseenParams
+    pair: StokesPair, f: SpatialField | TimePeriodicField, params: OseenParams
 ) -> tuple[float, float]:
     """Space-time L^2 norms of the momentum defect and of div(velocity).
 
@@ -309,7 +318,7 @@ def residual(
     return tuple(float(np.sqrt(float(total) * grid.volume)) for total in totals)
 
 
-def wake_asymmetry(velocity: VectorField) -> float:
+def wake_asymmetry(velocity: SpatialField) -> float:
     """Mirror-asymmetry of the speed field about the box center along the drift.
 
     Sums |u| over the downstream and upstream half-slabs along axis 1

@@ -40,7 +40,7 @@ from .exponents import (
     ExponentProfile,
     admissibility,
 )
-from .fields import GridSpec, TimePeriodicField, VectorField
+from .fields import GridSpec, SpatialField, TimePeriodicField
 from .lifting import LiftingField
 from .nonlinear import nonlinearity
 from .norms import _negative_norm_by_transforms, lambda_norm, lq_norm, maxreg_norm
@@ -200,7 +200,7 @@ def driver_norm_timeperiodic(
     )
 
 
-def data_size(f: VectorField | TimePeriodicField, q: float, r: float) -> float:
+def data_size(f: SpatialField | TimePeriodicField, q: float, r: float) -> float:
     """The size the small-data gate bounds by epsilon: the L^q norm of the
     forcing plus the negative-norm surrogate of its time average, kept on the
     transform path even at r = 2: this size scales the Picard forcing, whose
@@ -248,9 +248,11 @@ def _fixed_point(
     signature of :func:`lambda_norm`.  The returned pair holds the last
     iterate and the certificate solve's pressure, which pairs with it.
     """
-    kind = VectorField if problem == PROBLEM_STEADY else TimePeriodicField
+    kind = SpatialField if problem == PROBLEM_STEADY else TimePeriodicField
     if not isinstance(f, kind):
         raise TypeError(f"f must be a {kind.__name__}, not {type(f).__name__}")
+    if f.ncomp != f.grid.dim:
+        raise ValueError("f must be vector-valued")
     _check_admissible(cfg.profile, f.grid, problem)
     size = data_size(f, cfg.profile.q, cfg.profile.r)
     if size > cfg.epsilon * (1.0 + 1e-12):
@@ -339,7 +341,7 @@ def _certificate(f, u, cfg, lifting, solve, norm) -> tuple:
 
 
 def picard_steady(
-    f: VectorField,
+    f: SpatialField,
     cfg: PicardConfig,
     lifting: LiftingField | None = None,
 ) -> tuple[StokesPair, SolveReport]:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from oseenlab import fields
-from oseenlab.fields import GridSpec, ScalarField, VectorField
+from oseenlab.fields import GridSpec, SpatialField
 
 
 def trig_values(grid: GridSpec, seed: int, max_mode: int = 3, terms: int = 12) -> np.ndarray:
@@ -32,15 +32,20 @@ def trig_values(grid: GridSpec, seed: int, max_mode: int = 3, terms: int = 12) -
     return values
 
 
-def trig_scalar(grid: GridSpec, seed: int, max_mode: int = 3, terms: int = 12) -> ScalarField:
-    return ScalarField(grid, trig_values(grid, seed, max_mode, terms))
+def trig_scalar(grid: GridSpec, seed: int, max_mode: int = 3, terms: int = 12) -> SpatialField:
+    return SpatialField(grid, trig_values(grid, seed, max_mode, terms)[None])
 
 
-def trig_vector(grid: GridSpec, seed: int, max_mode: int = 3, terms: int = 12) -> VectorField:
+def trig_vector(grid: GridSpec, seed: int, max_mode: int = 3, terms: int = 12) -> SpatialField:
     values = np.stack(
         [trig_values(grid, seed + 101 * c, max_mode, terms) for c in range(grid.dim)]
     )
-    return VectorField(grid, values)
+    return SpatialField(grid, values)
+
+
+def zero_field(grid: GridSpec, ncomp: int) -> SpatialField:
+    """The zero field with ``ncomp`` components (1: scalar, dim: vector)."""
+    return SpatialField(grid, np.zeros((ncomp,) + grid.shape))
 
 
 @pytest.fixture

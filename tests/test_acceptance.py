@@ -16,7 +16,7 @@ from oseenlab.exponents import (
     exponents_Mdelta,
     theta_exponent,
 )
-from oseenlab.fields import GridSpec, TimePeriodicField, VectorField
+from oseenlab.fields import GridSpec, SpatialField, TimePeriodicField
 from oseenlab.harness import run_experiment
 from oseenlab.oseen import OseenParams, solve_steady, solve_timeperiodic
 
@@ -90,13 +90,13 @@ def test_criterion_1_mode_solver_oracle():
         rng = np.random.default_rng(dim)
         shape = (dim,) + grid.shape
 
-        steady_f = VectorField(grid, rng.standard_normal(shape))
+        steady_f = SpatialField(grid, rng.standard_normal(shape))
         pair = solve_steady(steady_f, params)
         gap, count = _saddle_gap(
             grid,
             steady_f.components.astype(np.complex128),
             pair.velocity.components.astype(np.complex128),
-            pair.pressure.values[None].astype(np.complex128),
+            pair.pressure.components.astype(np.complex128),
             lam,
             0.0,
         )

@@ -107,6 +107,27 @@ def test_swapped_axes_views_equal_scipy_fft(workers):
     _assert_same(_ifftn(spectrum, 3), _reference("ifftn", spectrum, 3, workers))
 
 
+# Grid shapes on which the transforms of a field's samples must not depend
+# on a leading unit axis, the component axis of a scalar field.
+UNIT_AXIS_SHAPES = [
+    (10,) * 3, (16,) * 3, (18,) * 3, (24,) * 3, (32,) * 3, (64,) * 3, (128,) * 2
+]
+
+
+@pytest.mark.parametrize("shape", UNIT_AXIS_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_a_leading_unit_axis_leaves_every_bit(shape, workers):
+    dim = len(shape)
+    values, coeff = _real(shape, 7), _complex(shape, 8)
+    half = _rfftn(_real(shape, 9), dim)
+    for transform, x in (
+        (lambda a: _fftn(a, dim), values),
+        (lambda a: _rfftn(a, dim), values),
+        (lambda a: _ifftn(a, dim), coeff),
+        (lambda a: _irfftn(a, shape), half),
+    ):
+        _assert_same(transform(x[None]), transform(x)[None])
+
+
 @pytest.mark.parametrize("n", range(2, 129, 2))
 def test_mode_numbers_equal_the_fftfreq_integers(n):
     expected = np.rint(scipy.fft.fftfreq(n) * n).astype(np.int64)

@@ -10,10 +10,8 @@ import pytest
 from oseenlab.exponents import s_exponent
 from oseenlab.fields import (
     GridSpec,
-    ScalarField,
+    SpatialField,
     TimePeriodicField,
-    VectorField,
-    _component_array,
     _fftn,
     _ifftn,
     _truncate_samples,
@@ -27,7 +25,7 @@ from oseenlab.lifting import LiftingField
 from oseenlab.nonlinear import convective_product
 from oseenlab.oseen import project_steady
 
-from conftest import trig_scalar, trig_values, trig_vector
+from conftest import trig_scalar, trig_values, trig_vector, zero_field
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +138,8 @@ def test_half_dealias_mask_is_the_full_mask_on_the_half_layout(dim):
 
 
 def test_constant_field_energy_sits_in_zero_mode(grid2):
-    field = ScalarField(grid2, np.full(grid2.shape, 3.25))
-    coeff = _fftn(field.values, grid2.dim)
+    field = SpatialField(grid2, np.full(grid2.shape, 3.25)[None])
+    coeff = _fftn(field.components[0], grid2.dim)
     assert coeff[0, 0] == pytest.approx(3.25)
     off = coeff.copy()
     off[0, 0] = 0.0
@@ -151,16 +149,16 @@ def test_constant_field_energy_sits_in_zero_mode(grid2):
 def test_transform_round_trip(grid2, grid3):
     for grid, seed in ((grid2, 5), (grid3, 6)):
         field = trig_scalar(grid, seed)
-        back = _ifftn(_fftn(field.values, grid.dim), grid.dim).real
-        scale = np.max(np.abs(field.values))
-        assert np.max(np.abs(back - field.values)) <= 1e-13 * scale
+        back = _ifftn(_fftn(field.components[0], grid.dim), grid.dim).real
+        scale = np.max(np.abs(field.components[0]))
+        assert np.max(np.abs(back - field.components[0])) <= 1e-13 * scale
 
 
 def test_single_harmonic_coefficients():
     grid = GridSpec(2, 1.5, 32)
     x = grid.coordinates()[0]
-    field = ScalarField(grid, np.sin(x / 1.5) * np.ones(grid.shape))
-    coeff = _fftn(field.values, grid.dim)
+    field = SpatialField(grid, (np.sin(x / 1.5) * np.ones(grid.shape))[None])
+    coeff = _fftn(field.components[0], grid.dim)
     # sin(x1/L) = -(i/2) e^{i x1/L} + (i/2) e^{-i x1/L}
     assert coeff[1, 0] == pytest.approx(-0.5j, abs=1e-14)
     assert coeff[-1, 0] == pytest.approx(0.5j, abs=1e-14)
@@ -172,8 +170,8 @@ def test_single_harmonic_coefficients():
 
 def test_parseval_identity(grid2):
     field = trig_scalar(grid2, 11)
-    spectral = _fftn(field.values, grid2.dim)
-    physical = np.mean(field.values**2) * grid2.volume
+    spectral = _fftn(field.components[0], grid2.dim)
+    physical = np.mean(field.components[0]**2) * grid2.volume
     modal = np.sum(np.abs(spectral) ** 2) * grid2.volume
     assert physical == pytest.approx(modal, rel=1e-12)
 
@@ -185,16 +183,16 @@ def test_parseval_identity(grid2):
 def test_derivative_of_single_harmonic():
     grid = GridSpec(2, 2.0, 32)
     x = grid.coordinates()[0]
-    field = ScalarField(grid, np.sin(x / 2.0) * np.ones(grid.shape))
+    field = SpatialField(grid, (np.sin(x / 2.0) * np.ones(grid.shape))[None])
     dx = derivative(field, 1)
     expected = np.cos(x / 2.0) / 2.0
-    assert np.max(np.abs(dx.values - expected)) <= 1e-13
+    assert np.max(np.abs(dx.components[0] - expected)) <= 1e-13
 
 
 def test_derivative_of_constant_is_zero(grid3):
-    field = ScalarField(grid3, np.full(grid3.shape, 2.0))
+    field = SpatialField(grid3, np.full(grid3.shape, 2.0)[None])
     for axis in (1, 2, 3):
-        assert np.max(np.abs(derivative(field, axis).values)) <= 1e-14
+        assert np.max(np.abs(derivative(field, axis).components[0])) <= 1e-14
 
 
 def test_derivative_axis_is_one_based(grid2):
@@ -208,11 +206,13 @@ def test_derivative_axis_is_one_based(grid2):
 def test_gradient_and_divergence_shapes(grid2):
     scalar = trig_scalar(grid2, 14)
     grad = gradient(scalar)
-    assert isinstance(grad, VectorField)
-    assert np.allclose(grad.component(0).values, derivative(scalar, 1).values)
-    assert np.allclose(grad.component(1).values, derivative(scalar, 2).values)
+    assert isinstance(grad, SpatialField)
+    assert grad.components.shape == (2,) + grid2.shape
+    assert np.allclose(grad.components[0], derivative(scalar, 1).components[0])
+    assert np.allclose(grad.components[1], derivative(scalar, 2).components[0])
     div = divergence(grad)
-    assert isinstance(div, ScalarField)
+    assert isinstance(div, SpatialField)
+    assert div.components.shape == (1,) + grid2.shape
 
 
 # The former complex-transform derivatives and symbol construction, kept as
@@ -222,13 +222,13 @@ def test_gradient_and_divergence_shapes(grid2):
 def _former_derivative(field, axis):
     grid = field.grid
     xi = grid.wavenumber(axis - 1)
-    coeff = _fftn(_component_array(field), grid.dim) * (1j * xi)
+    coeff = _fftn(field.components, grid.dim) * (1j * xi)
     return _ifftn(coeff, grid.dim).real
 
 
 def _former_gradient(field):
     grid = field.grid
-    coeff = _fftn(field.values[None], grid.dim)[0]
+    coeff = _fftn(field.components, grid.dim)[0]
     parts = [coeff * (1j * grid.wavenumber(axis)) for axis in range(grid.dim)]
     return _ifftn(np.stack(parts), grid.dim).real
 
@@ -275,14 +275,14 @@ def test_half_layout_derivatives_match_the_former_complex_code(dim, points):
     # Unfiltered random samples fill every mode, Nyquist planes included.
     grid = GridSpec(dim, 1.3, points)
     rng = np.random.default_rng(100 * dim + points)
-    scalar = ScalarField(grid, rng.standard_normal(grid.shape))
-    vector = VectorField(grid, rng.standard_normal((dim,) + grid.shape))
+    scalar = SpatialField(grid, rng.standard_normal(grid.shape)[None])
+    vector = SpatialField(grid, rng.standard_normal((dim,) + grid.shape))
     for field in (scalar, vector):
         for axis in range(1, dim + 1):
-            produced = _component_array(derivative(field, axis))
+            produced = derivative(field, axis).components
             _assert_close(produced, _former_derivative(field, axis))
     _assert_close(gradient(scalar).components, _former_gradient(scalar))
-    _assert_close(divergence(vector).values, _former_divergence(vector))
+    _assert_close(divergence(vector).components[0], _former_divergence(vector))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -301,11 +301,10 @@ def test_derivative_symbols_equal_the_former_construction(dim, points, half_peri
 def test_stream_function_curl_is_divergence_free():
     grid = GridSpec(2, np.pi, 64)
     psi = trig_scalar(grid, 21, max_mode=4)
-    u = VectorField(
-        grid, np.stack([derivative(psi, 2).values, -derivative(psi, 1).values])
-    )
+    d2, d1 = (derivative(psi, axis).components[0] for axis in (2, 1))
+    u = SpatialField(grid, np.stack([d2, -d1]))
     scale = np.max(np.abs(u.components))
-    assert np.max(np.abs(divergence(u).values)) <= 1e-12 * scale
+    assert np.max(np.abs(divergence(u).components[0])) <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +312,7 @@ def test_stream_function_curl_is_divergence_free():
 
 
 def test_truncate_modes_zeroes_high_shells(grid2):
-    values = trig_scalar(grid2, 31, max_mode=14, terms=30).values
+    values = trig_scalar(grid2, 31, max_mode=14, terms=30).components[0]
     spectrum = _fftn(values, grid2.dim)
     cut = _fftn(_truncate_samples(grid2, values), grid2.dim)
     inside = grid2.dealias_mask
@@ -328,8 +327,8 @@ def test_product_of_low_modes_is_exact():
     grid = GridSpec(2, 1.0, 32)
     x = grid.coordinates()[0] * np.ones(grid.shape)
     zero = np.zeros(grid.shape)
-    a = VectorField(grid, np.stack([np.sin(x), zero]))
-    b = VectorField(grid, np.stack([-np.cos(x), zero]))
+    a = SpatialField(grid, np.stack([np.sin(x), zero]))
+    b = SpatialField(grid, np.stack([-np.cos(x), zero]))
     produced = convective_product(a, b).components
     expected = 0.5 - 0.5 * np.cos(2.0 * x)
     assert np.max(np.abs(produced[0] - expected)) <= 1e-14
@@ -340,9 +339,8 @@ def test_convection_energy_orthogonality():
     # For divergence-free u, the integral of u . (u . grad)u vanishes.
     grid = GridSpec(2, np.pi, 64)
     psi = trig_scalar(grid, 41, max_mode=4)
-    u = VectorField(
-        grid, np.stack([derivative(psi, 2).values, -derivative(psi, 1).values])
-    )
+    d2, d1 = (derivative(psi, axis).components[0] for axis in (2, 1))
+    u = SpatialField(grid, np.stack([d2, -d1]))
     total = np.sum(u.components * convective_product(u, u).components, axis=0)
     integral = np.mean(total) * grid.volume
     cubic_scale = np.mean(np.abs(total)) * grid.volume
@@ -357,8 +355,8 @@ def test_field_arithmetic(grid2):
     a = trig_scalar(grid2, 51)
     b = trig_scalar(grid2, 52)
     combo = a + b * 2.0 - (-a)
-    expected = 2.0 * a.values + 2.0 * b.values
-    assert np.allclose(combo.values, expected)
+    expected = 2.0 * a.components[0] + 2.0 * b.components[0]
+    assert np.allclose(combo.components[0], expected)
     va = trig_vector(grid2, 53)
     assert np.allclose((va * 0.5 + va * 0.5).components, va.components)
 
@@ -371,13 +369,13 @@ def _operand_pairs(grid):
         return TimePeriodicField.from_modes(grid, 2.0, [phi, (0.5 + 2j) * phi])
 
     return {
-        "ScalarField": (trig_scalar(grid, 81), trig_scalar(grid, 82), "values"),
-        "VectorField": (trig_vector(grid, 83), trig_vector(grid, 84), "components"),
+        "scalar": (trig_scalar(grid, 81), trig_scalar(grid, 82), "components"),
+        "vector": (trig_vector(grid, 83), trig_vector(grid, 84), "components"),
         "TimePeriodicField": (stack(85), stack(86), "modes"),
     }
 
 
-@pytest.mark.parametrize("kind", ["ScalarField", "VectorField", "TimePeriodicField"])
+@pytest.mark.parametrize("kind", ["scalar", "vector", "TimePeriodicField"])
 def test_field_algebra_is_the_array_algebra(grid2, kind):
     a, b, name = _operand_pairs(grid2)[kind]
     x, y = getattr(a, name), getattr(b, name)
@@ -397,10 +395,20 @@ def test_mixing_field_kinds_raises_type_error(grid2):
     scalar = trig_scalar(grid2, 81)
     vector = trig_vector(grid2, 83)
     stack = TimePeriodicField.from_steady(vector, 2.0)
-    with pytest.raises(TypeError, match="combine ScalarField with VectorField"):
+    with pytest.raises(ValueError, match="fields differ in component count"):
         scalar + vector
-    with pytest.raises(TypeError, match="combine TimePeriodicField with VectorField"):
+    with pytest.raises(TypeError, match="combine TimePeriodicField with SpatialField"):
         stack - vector
+
+
+def test_stacks_of_different_component_counts_do_not_broadcast(grid3):
+    # numpy broadcasts a one-component stack against a three-component one.
+    scalar = TimePeriodicField(grid3, 1.0, np.ones((2, 1) + grid3.shape))
+    vector = TimePeriodicField(grid3, 1.0, np.zeros((2, 3) + grid3.shape))
+    for combine in (lambda a, b: a + b, lambda a, b: a - b):
+        for a, b in ((scalar, vector), (vector, scalar)):
+            with pytest.raises(ValueError, match="^fields differ in component count$"):
+                combine(a, b)
 
 
 def test_mismatched_operands_keep_their_messages(grid2):
@@ -419,22 +427,40 @@ def test_mismatched_operands_keep_their_messages(grid2):
 
 def test_field_shape_validation(grid2):
     with pytest.raises(ValueError):
-        ScalarField(grid2, np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        VectorField(grid2, np.zeros((3,) + grid2.shape))
+        SpatialField(grid2, np.zeros((3, 3))[None])
+    with pytest.raises(ValueError, match="component count must be 1 or 2, got 3"):
+        SpatialField(grid2, np.zeros((3,) + grid2.shape))
+    with pytest.raises(ValueError, match=r"expected \(ncomp,\)"):
+        SpatialField(grid2, np.zeros(grid2.shape))
+    with pytest.raises(ValueError, match="components contain non-finite values"):
+        SpatialField(grid2, np.full((1,) + grid2.shape, np.nan))
+
+
+def test_spatial_field_refuses_complex_input(grid2):
+    samples = trig_values(grid2, 55)[None]
+    for data in (samples * (1.0 + 0.5j), samples.astype(np.complex128)):
+        with pytest.raises(TypeError, match="components must be real"):
+            SpatialField(grid2, data)
+
+
+def test_gradient_and_divergence_check_the_component_count(grid2):
+    with pytest.raises(ValueError, match="gradient takes a scalar field"):
+        gradient(trig_vector(grid2, 56))
+    with pytest.raises(ValueError, match="divergence takes a vector field"):
+        divergence(trig_scalar(grid2, 57))
 
 
 def test_fields_are_immutable(grid2):
     field = trig_scalar(grid2, 54)
     with pytest.raises(ValueError):
-        field.values[0, 0] = 1.0
+        field.components[0, 0, 0] = 1.0
 
 
 def _owned_array_cases():
     """(caller array shape, dtype, constructor, stored array) per class."""
     return {
-        "ScalarField": ((), float, ScalarField, lambda f: f.values),
-        "VectorField": ((2,), float, VectorField, lambda f: f.components),
+        "scalar": ((1,), float, SpatialField, lambda f: f.components),
+        "vector": ((2,), float, SpatialField, lambda f: f.components),
         "TimePeriodicField": (
             (3, 1),
             complex,
@@ -445,7 +471,7 @@ def _owned_array_cases():
             (2, 2),
             float,
             lambda grid, a: LiftingField(
-                VectorField.zeros(grid),
+                zero_field(grid, grid.dim),
                 0.0,
                 a,
                 np.zeros((2,) + grid.shape),

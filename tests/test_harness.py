@@ -16,7 +16,7 @@ from oseenlab.config import log_spaced
 from oseenlab.exponents import ExponentProfile, s_exponent
 from oseenlab.fields import (
     GridSpec,
-    ScalarField,
+    SpatialField,
     TimePeriodicField,
     _fftn,
     derivative,
@@ -59,6 +59,8 @@ from oseenlab.oseen import (
     solve_timeperiodic,
 )
 from oseenlab.picard import radius_schedule
+
+from conftest import zero_field
 
 
 # --- slope fitting ---------------------------------------------------------
@@ -341,7 +343,7 @@ def test_oseen_apply_matches_explicit_derivatives():
     # Mode k of d_t u is i omega_k u_k: -omega u_im joins the real part and
     # +omega u_re the imaginary part.
     u_modes = [velocity[0].components]
-    p_modes = [pressure[0].values[None]]
+    p_modes = [pressure[0].components]
     for k in range(1, time_modes + 1):
         omega = 2.0 * math.pi * k / period
         u_re, u_im = velocity[2 * k - 1], velocity[2 * k]
@@ -350,7 +352,7 @@ def test_oseen_apply_matches_explicit_derivatives():
         f_im = _steady_oseen_reference(u_im, p_im, lam) + omega * u_re.components
         expected.append(f_re + 1j * f_im)
         u_modes.append(u_re.components + 1j * u_im.components)
-        p_modes.append((p_re.values + 1j * p_im.values)[None])
+        p_modes.append(p_re.components + 1j * p_im.components)
     pair = StokesPair(
         TimePeriodicField.from_modes(grid, period, u_modes),
         TimePeriodicField.from_modes(grid, period, p_modes),
@@ -523,7 +525,7 @@ def _dense_gradient_norm(pressure: TimePeriodicField, count: int) -> float:
     grid = pressure.grid
     return np.mean(
         [
-            sobolev_seminorm(ScalarField(grid, sample[0]), 1, 2.0) ** 2
+            sobolev_seminorm(SpatialField(grid, sample[:1]), 1, 2.0) ** 2
             for sample in pressure.sample_times(count)
         ]
     ) ** 0.5
@@ -594,7 +596,7 @@ def test_timeperiodic_sweep_rows_are_re_derivable_from_module_calls():
     for k in range(cfg.time_modes + 1):
         g_re = random_scalar_field(grid, [cfg.seed, 62, k, 0])
         g_im = (
-            ScalarField.zeros(grid)
+            zero_field(grid, 1)
             if k == 0
             else random_scalar_field(grid, [cfg.seed, 62, k, 1])
         )
@@ -964,7 +966,7 @@ _DRAW_CASES = [
 
 def _draws(grid, modes):
     return [
-        random_scalar_field(grid, [7, 1], modes=modes).values,
+        random_scalar_field(grid, [7, 1], modes=modes).components[0],
         random_divergence_free(grid, [7, 2], modes=modes).components,
         random_timeperiodic_forcing(grid, 2.0, 2, [7, 3], modes=modes).modes,
     ]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oseenlab.fields import GridSpec, VectorField, derivative, divergence
+from oseenlab.fields import GridSpec, SpatialField, derivative, divergence
 from oseenlab.lifting import (
     CutoffSpec,
     build_cutoff,
@@ -119,13 +119,13 @@ def test_cutoff_field_center_and_mirror_symmetry():
     assert spec.outer_radius == pytest.approx(0.6 * half_width)
     field = build_cutoff(spec, grid)
     n = grid.points_per_axis
-    assert field.values[n // 2, n // 2] == 1.0
-    assert field.values[0, 0] == 0.0  # the corner is outside the support
+    assert field.components[0][n // 2, n // 2] == 1.0
+    assert field.components[0][0, 0] == 0.0  # the corner is outside the support
     for axis in (0, 1):
         # grid point j mirrors to N - j about the center; the profile is
         # radial, so the values agree up to round-off in the radii
-        mirrored = np.roll(np.flip(field.values, axis=axis), 1, axis=axis)
-        assert np.allclose(mirrored, field.values, atol=1e-12)
+        mirrored = np.roll(np.flip(field.components[0], axis=axis), 1, axis=axis)
+        assert np.allclose(mirrored, field.components[0], atol=1e-12)
 
 
 def test_fft_derivative_consistent_at_expected_truncation_order():
@@ -137,7 +137,7 @@ def test_fft_derivative_consistent_at_expected_truncation_order():
         grid = GridSpec(2, np.pi, n)
         spec = default_cutoff(grid)
         field = build_cutoff(spec, grid)
-        fft_d2 = derivative(derivative(field, 1), 1).values
+        fft_d2 = derivative(derivative(field, 1), 1).components[0]
         center = grid.center
         x = [np.broadcast_to(c - center[a], grid.shape) for a, c in enumerate(grid.coordinates())]
         rho = np.sqrt(x[0] ** 2 + x[1] ** 2)
@@ -259,10 +259,11 @@ def test_fft_derivatives_of_lifting_converge_at_kink_rate():
         err_sq = 0.0
         for i in range(2):
             for k in range(2):
-                fftv = derivative(lift.velocity.component(i), k + 1).values
+                component = SpatialField(grid, lift.velocity.components[i : i + 1])
+                fftv = derivative(component, k + 1).components[0]
                 err_sq += np.mean((fftv - lift.jacobian[i, k]) ** 2)
         rel_jac = np.sqrt(err_sq / 4.0) / jac_scale
-        div_fft = divergence(lift.velocity).values
+        div_fft = divergence(lift.velocity).components[0]
         rel_div = np.sqrt(np.mean(div_fft**2)) / jac_scale
         measured[n] = (rel_jac, rel_div)
     assert measured[128][0] <= 0.35
@@ -310,7 +311,7 @@ def test_load_magnitude_tracks_drift_times_one_plus_drift():
 def test_load_is_taken_at_the_lifting_drift():
     grid = GridSpec(2, np.pi, 32)
     lift = build_lifting(1.3, default_cutoff(grid), grid)
-    load = VectorField(grid, -lift.laplacian + 1.3 * lift.jacobian[:, 0])
+    load = SpatialField(grid, -lift.laplacian + 1.3 * lift.jacobian[:, 0])
     assert lifting_load(lift, 4.0, 2.0) == (
         lq_norm(load, 4.0),
         negative_norm_surrogate(load, 2.0),

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oseenlab.fields import GridSpec, TimePeriodicField, VectorField, _fftn
+from oseenlab.fields import GridSpec, SpatialField, TimePeriodicField, _fftn
 from oseenlab.harness import maxreg_norm_mode_sum
 from oseenlab.norms import lq_norm, sobolev_full_norm, spacetime_l2_plancherel
 from oseenlab.oseen import OseenParams, StokesPair, residual
@@ -65,8 +65,8 @@ def _ref_maxreg_norm_mode_sum(field):
     dt_total = 0.0
     for k in range(-field.max_mode, field.max_mode + 1):
         mode = field.mode(k)
-        re = VectorField(grid, mode.real)
-        im = VectorField(grid, mode.imag)
+        re = SpatialField(grid, mode.real)
+        im = SpatialField(grid, mode.imag)
         spatial_total += (
             sobolev_full_norm(re, 2, 2.0) ** 2 + sobolev_full_norm(im, 2, 2.0) ** 2
         )

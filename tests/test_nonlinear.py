@@ -7,12 +7,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import trig_scalar, trig_values, trig_vector
+from conftest import trig_scalar, trig_values, trig_vector, zero_field
 from oseenlab.fields import (
     GridSpec,
-    ScalarField,
+    SpatialField,
     TimePeriodicField,
-    VectorField,
     _fftn,
     _ifftn,
     derivative,
@@ -88,7 +87,7 @@ def _mirror_nonlinearity(u, lifting) -> np.ndarray:
     own, so it matches the kernel's single truncation up to roundoff."""
     grid = u.grid
     linear = lifting.laplacian - lifting.lambda_used * lifting.jacobian[:, 0]
-    if isinstance(u, VectorField):
+    if isinstance(u, SpatialField):
         return -_mirror_quadratic(grid, u.components, lifting) + linear
     samples = u.sample_times(4 * u.max_mode + 1)
     quad = np.stack([_mirror_quadratic(grid, x, lifting) for x in samples])
@@ -103,28 +102,28 @@ def _zero_lifting(grid: GridSpec):
     return build_lifting(0.0, default_cutoff(grid), grid)
 
 
-def _stream_curl(grid: GridSpec, seed: int) -> VectorField:
+def _stream_curl(grid: GridSpec, seed: int) -> SpatialField:
     psi = trig_scalar(grid, seed, max_mode=3, terms=10)
-    return VectorField(
+    return SpatialField(
         grid,
         np.stack(
             [
-                derivative(psi, 2).values,
-                -derivative(psi, 1).values,
+                derivative(psi, 2).components[0],
+                -derivative(psi, 1).components[0],
             ]
         ),
     )
 
 
 def test_zero_velocity_with_zero_lifting_gives_exact_zero(grid2):
-    out = nonlinearity(VectorField.zeros(grid2), None)
+    out = nonlinearity(zero_field(grid2, grid2.dim), None)
     assert np.max(np.abs(out.components)) == 0.0
 
 
 def test_zero_velocity_reduces_to_lifting_forcing(grid2):
     lifting = build_lifting(0.9, default_cutoff(grid2), grid2)
     lam = lifting.lambda_used
-    out = nonlinearity(VectorField.zeros(grid2), lifting)
+    out = nonlinearity(zero_field(grid2, grid2.dim), lifting)
     jac = lifting.jacobian
     v_vals = lifting.velocity.components
     self_adv = np.zeros_like(v_vals)
@@ -144,8 +143,8 @@ def _with_drift(lifting, lam: float):
 def test_drift_term_is_linear_in_drift_speed(grid2):
     lifting = build_lifting(0.9, default_cutoff(grid2), grid2)
     lam_a, lam_b = 2.0, 0.5
-    out_a = nonlinearity(VectorField.zeros(grid2), _with_drift(lifting, lam_a))
-    out_b = nonlinearity(VectorField.zeros(grid2), _with_drift(lifting, lam_b))
+    out_a = nonlinearity(zero_field(grid2, grid2.dim), _with_drift(lifting, lam_a))
+    out_b = nonlinearity(zero_field(grid2, grid2.dim), _with_drift(lifting, lam_b))
     diff = out_a.components - out_b.components
     expected = -(lam_a - lam_b) * lifting.jacobian[:, 0]
     scale = max(np.max(np.abs(expected)), 1.0)
@@ -239,8 +238,8 @@ def test_convective_product_steady_hand_formula(grid2):
     s1 = _unit_phase(grid2, 0)
     s2 = _unit_phase(grid2, 1)
     inv = 1.0 / grid2.half_period
-    a = VectorField(grid2, np.stack([np.zeros(grid2.shape), np.sin(s1)]))
-    b = VectorField(grid2, np.stack([np.cos(s2), np.zeros(grid2.shape)]))
+    a = SpatialField(grid2, np.stack([np.zeros(grid2.shape), np.sin(s1)]))
+    b = SpatialField(grid2, np.stack([np.cos(s2), np.zeros(grid2.shape)]))
     out = convective_product(a, b)
     expected = np.stack([-inv * np.sin(s1) * np.sin(s2), np.zeros(grid2.shape)])
     assert np.max(np.abs(out.components - expected)) <= 1e-13
@@ -251,7 +250,7 @@ def test_convective_product_steady_transported_by_oscillation(grid2):
     s2 = _unit_phase(grid2, 1)
     inv = 1.0 / grid2.half_period
     period = 3.0
-    a = VectorField(grid2, np.stack([np.zeros(grid2.shape), np.sin(s1)]))
+    a = SpatialField(grid2, np.stack([np.zeros(grid2.shape), np.sin(s1)]))
     mode1 = np.stack([0.5 * np.cos(s2), np.zeros(grid2.shape)]).astype(complex)
     b = TimePeriodicField.from_modes(
         grid2, period, [np.zeros((2,) + grid2.shape, complex), mode1]
@@ -273,7 +272,7 @@ def test_convective_product_oscillation_transporting_steady(grid2):
     a = TimePeriodicField.from_modes(
         grid2, period, [np.zeros((2,) + grid2.shape, complex), mode1]
     )
-    b = VectorField(grid2, np.stack([np.cos(s2), np.zeros(grid2.shape)]))
+    b = SpatialField(grid2, np.stack([np.cos(s2), np.zeros(grid2.shape)]))
     out = convective_product(a, b)
     assert out.max_mode == 1
     expected_mode1 = np.stack(
@@ -327,10 +326,11 @@ def test_nonlinearity_input_validation(grid2):
     scalar_tp = TimePeriodicField.from_steady(
         trig_scalar(grid2, 6, max_mode=2, terms=4), 2.0, max_mode=1
     )
-    with pytest.raises(ValueError, match="vector-valued"):
-        nonlinearity(scalar_tp, None)
+    for scalar in (scalar_tp, trig_scalar(grid2, 6)):
+        with pytest.raises(ValueError, match="vector-valued"):
+            nonlinearity(scalar, None)
     with pytest.raises(TypeError, match="cannot evaluate the nonlinearity"):
-        nonlinearity(trig_scalar(grid2, 6), None)
+        nonlinearity(trig_vector(grid2, 6).components, None)
 
 
 def test_convective_product_refuses_an_operand_that_is_not_vector_valued(grid2):
@@ -390,7 +390,7 @@ def _ref_quadratic_samples(grid, a, lifting):
 def _ref_nonlinearity(u, lifting):
     grid = u.grid
     linear = lifting.laplacian - lifting.lambda_used * lifting.jacobian[:, 0]
-    if isinstance(u, VectorField):
+    if isinstance(u, SpatialField):
         return -_ref_quadratic_samples(grid, u.components, lifting) + linear
     # The whole time spectrum of a separate product array, cut to modes 0..K,
     # scaled by 1/nt and snapped to a real mode 0 before it is negated.

@@ -21,9 +21,8 @@ from oseenlab import norms
 from oseenlab.exponents import s_exponent
 from oseenlab.fields import (
     GridSpec,
-    ScalarField,
+    SpatialField,
     TimePeriodicField,
-    VectorField,
     _irfftn,
     _rfftn,
 )
@@ -111,8 +110,8 @@ def _ref_maxreg(field: TimePeriodicField, q: float, nt: int) -> float:
 def _spatial(grid: GridSpec, ncomp: int, seed: int):
     values = np.random.default_rng(seed).standard_normal((ncomp,) + grid.shape)
     if ncomp == 1:
-        return ScalarField(grid, values[0]), values
-    return VectorField(grid, values), values
+        return SpatialField(grid, values[:1]), values
+    return SpatialField(grid, values), values
 
 
 def _time_periodic(grid: GridSpec, ncomp: int, max_mode: int, seed: int):

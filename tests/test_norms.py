@@ -7,9 +7,8 @@ import pytest
 
 from oseenlab.fields import (
     GridSpec,
-    ScalarField,
+    SpatialField,
     TimePeriodicField,
-    VectorField,
     _fftn,
     _ifftn,
     derivative,
@@ -31,12 +30,12 @@ from oseenlab.norms import (
 )
 from oseenlab.exponents import s_exponent
 
-from conftest import trig_scalar, trig_values, trig_vector
+from conftest import trig_scalar, trig_values, trig_vector, zero_field
 
 
-def _sine_field(grid: GridSpec) -> ScalarField:
+def _sine_field(grid: GridSpec) -> SpatialField:
     x = grid.coordinates()[0]
-    return ScalarField(grid, np.sin(x / grid.half_period) * np.ones(grid.shape))
+    return SpatialField(grid, np.sin(x / grid.half_period) * np.ones((1,) + grid.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +44,7 @@ def _sine_field(grid: GridSpec) -> ScalarField:
 
 def test_constant_field_norm(grid2):
     value = -2.5
-    field = ScalarField(grid2, np.full(grid2.shape, value))
+    field = SpatialField(grid2, np.full(grid2.shape, value)[None])
     for q in (2.0, 3.0, 5.5):
         assert lq_norm(field, q) == pytest.approx(
             abs(value) * grid2.volume ** (1.0 / q), rel=1e-13
@@ -62,7 +61,7 @@ def test_sine_l2_norm():
 
 def test_vector_norm_uses_euclidean_magnitude(grid2):
     ones = np.ones(grid2.shape)
-    field = VectorField(grid2, np.stack([3.0 * ones, 4.0 * ones]))
+    field = SpatialField(grid2, np.stack([3.0 * ones, 4.0 * ones]))
     assert lq_norm(field, 3.0) == pytest.approx(
         5.0 * grid2.volume ** (1.0 / 3.0), rel=1e-13
     )
@@ -77,9 +76,8 @@ def test_quadrature_agrees_under_refinement():
             values = {}
             for n in (n_lo, n_hi):
                 grid = GridSpec(dim, np.pi, n)
-                field = ScalarField(
-                    grid, np.exp(0.3 * trig_values(grid, 77, max_mode=2, terms=10))
-                )
+                values_n = trig_values(grid, 77, max_mode=2, terms=10)
+                field = SpatialField(grid, np.exp(0.3 * values_n)[None])
                 values[n] = lq_norm(field, q)
             rel = abs(values[n_hi] - values[n_lo]) / values[n_hi]
             assert rel <= 1e-10
@@ -136,7 +134,7 @@ def test_non_finite_exponents_are_rejected_by_name(grid2, exponent):
 
 
 def test_seminorm_of_constant_vanishes(grid2):
-    field = ScalarField(grid2, np.full(grid2.shape, 4.0))
+    field = SpatialField(grid2, np.full(grid2.shape, 4.0)[None])
     assert sobolev_seminorm(field, 1, 3.0) == pytest.approx(0.0, abs=1e-13)
     assert sobolev_seminorm(field, 2, 3.0) == pytest.approx(0.0, abs=1e-13)
 
@@ -199,11 +197,11 @@ def test_negative_norm_of_single_harmonic():
     grid = GridSpec(2, 2.0, 32)
     scale = grid.half_period
     x = grid.coordinates()[0]
-    f = VectorField(
+    f = SpatialField(
         grid,
         np.stack([np.zeros(grid.shape), np.sin(x / scale) * np.ones(grid.shape)]),
     )
-    cos = ScalarField(grid, np.cos(x / scale) * np.ones(grid.shape))
+    cos = SpatialField(grid, (np.cos(x / scale) * np.ones(grid.shape))[None])
     for r in (2.0, 4.0):
         assert negative_norm_surrogate(f, r) == pytest.approx(
             scale * lq_norm(cos, r), rel=1e-12
@@ -215,7 +213,7 @@ def test_negative_norm_r2_matches_plancherel(grid2):
     value = negative_norm_surrogate(field, 2.0)
     # independent spectral evaluation with numpy's FFT
     n = grid2.points_per_axis
-    coeff = np.fft.fftn(field.values) / n**2
+    coeff = np.fft.fftn(field.components[0]) / n**2
     m = np.fft.fftfreq(n) * n
     m[np.abs(m) == n // 2] = 0.0
     xi1 = (m / grid2.half_period)[:, None]
@@ -243,10 +241,10 @@ def test_negative_norm_in_place_inverse_matches_a_copying_one(grid3):
 
 
 def test_negative_norm_ignores_the_box_mean(grid2):
-    mean_free = trig_scalar(grid2, 14) - ScalarField(
-        grid2, np.full(grid2.shape, float(np.mean(trig_values(grid2, 14))))
+    mean_free = trig_scalar(grid2, 14) - SpatialField(
+        grid2, np.full(grid2.shape, float(np.mean(trig_values(grid2, 14))))[None]
     )
-    shifted = mean_free + ScalarField(grid2, np.full(grid2.shape, 2.0))
+    shifted = mean_free + SpatialField(grid2, np.full(grid2.shape, 2.0)[None])
     value_free = negative_norm_surrogate(mean_free, 2.0)
     assert value_free > 0
     assert negative_norm_surrogate(shifted, 2.0) == pytest.approx(value_free, rel=1e-12)
@@ -263,7 +261,7 @@ def test_negative_norm_of_derivative_is_bounded_at_r2(grid2):
 
 
 def test_lambda_norm_of_zero(grid3):
-    assert lambda_norm(VectorField.zeros(grid3), 1.0, 4.0, 2.0) == 0.0
+    assert lambda_norm(zero_field(grid3, grid3.dim), 1.0, 4.0, 2.0) == 0.0
 
 
 def test_lambda_norm_composition(grid3):
@@ -353,7 +351,7 @@ def test_maxreg_rejects_zero_time_samples(grid2):
 
 
 def test_maxreg_refuses_a_spatial_field(grid2):
-    with pytest.raises(TypeError, match="must be time-periodic, not VectorField"):
+    with pytest.raises(TypeError, match="must be time-periodic, not SpatialField"):
         maxreg_norm(trig_vector(grid2, 28), 2.0)
 
 

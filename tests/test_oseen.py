@@ -7,9 +7,8 @@ import pytest
 
 from oseenlab.fields import (
     GridSpec,
-    ScalarField,
+    SpatialField,
     TimePeriodicField,
-    VectorField,
     _fftn,
     _ifftn,
     divergence,
@@ -34,22 +33,22 @@ from oseenlab.oseen import (
     wake_asymmetry,
 )
 
-from conftest import trig_scalar, trig_values, trig_vector
+from conftest import trig_scalar, trig_values, trig_vector, zero_field
 
 
-def _channel_forcing(grid: GridSpec) -> VectorField:
+def _channel_forcing(grid: GridSpec) -> SpatialField:
     """Divergence-free rightward stream modulated across the channel."""
     x = grid.coordinates()
     components = np.zeros((grid.dim,) + grid.shape)
     components[0] = np.sin(x[1] / grid.half_period) * np.ones(grid.shape)
-    return VectorField(grid, components)
+    return SpatialField(grid, components)
 
 
-def _sine_e2_forcing(grid: GridSpec) -> VectorField:
+def _sine_e2_forcing(grid: GridSpec) -> SpatialField:
     x = grid.coordinates()[0]
     components = np.zeros((grid.dim,) + grid.shape)
     components[1] = np.sin(x / grid.half_period) * np.ones(grid.shape)
-    return VectorField(grid, components)
+    return SpatialField(grid, components)
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +60,7 @@ def test_leray_output_is_divergence_free(grid2, grid3):
         field = trig_vector(grid, seed)
         projected = leray_project(field)
         scale = np.max(np.abs(projected.components)) + 1.0
-        assert np.max(np.abs(divergence(projected).values)) <= 1e-12 * scale
+        assert np.max(np.abs(divergence(projected).components[0])) <= 1e-12 * scale
 
 
 def test_leray_is_idempotent_and_kills_gradients(grid2):
@@ -71,6 +70,8 @@ def test_leray_is_idempotent_and_kills_gradients(grid2):
     assert np.max(np.abs(twice.components - once.components)) <= 1e-13
     grad = gradient(trig_scalar(grid2, 4))
     assert np.max(np.abs(leray_project(grad).components)) <= 1e-13
+    with pytest.raises(ValueError, match="Leray projection takes a vector field"):
+        leray_project(trig_scalar(grid2, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -86,8 +87,8 @@ def test_gradient_forcing_goes_into_pressure(grid2):
     g = trig_scalar(grid2, 6)
     pair = solve_steady(gradient(g), OseenParams(0.7))
     assert np.max(np.abs(pair.velocity.components)) <= 1e-13
-    centered = g.values - np.mean(g.values)
-    assert np.max(np.abs(pair.pressure.values - centered)) <= 1e-12
+    centered = g.components[0] - np.mean(g.components[0])
+    assert np.max(np.abs(pair.pressure.components[0] - centered)) <= 1e-12
 
 
 def test_steady_single_harmonic_closed_form():
@@ -101,7 +102,7 @@ def test_steady_single_harmonic_closed_form():
     expected = (np.sin(x) - lam * np.cos(x)) / (1.0 + lam**2) * np.ones(grid.shape)
     assert np.max(np.abs(pair.velocity.components[1] - expected)) <= 1e-12
     assert np.max(np.abs(pair.velocity.components[0])) <= 1e-14
-    assert np.max(np.abs(pair.pressure.values)) <= 1e-14
+    assert np.max(np.abs(pair.pressure.components[0])) <= 1e-14
 
 
 def test_driftless_limit_matches_independent_spectral_solve(grid2):
@@ -131,10 +132,10 @@ def test_driftless_limit_matches_independent_spectral_solve(grid2):
 def test_velocity_is_divergence_free_and_mean_free(grid3):
     pair = solve_steady(trig_vector(grid3, 8), OseenParams(1.3))
     scale = np.max(np.abs(pair.velocity.components)) + 1.0
-    assert np.max(np.abs(divergence(pair.velocity).values)) <= 1e-12 * scale
+    assert np.max(np.abs(divergence(pair.velocity).components[0])) <= 1e-12 * scale
     for comp in range(3):
         assert abs(np.mean(pair.velocity.components[comp])) <= 1e-13
-    assert abs(np.mean(pair.pressure.values)) <= 1e-13
+    assert abs(np.mean(pair.pressure.components[0])) <= 1e-13
 
 
 def test_solver_linearity(grid2):
@@ -147,7 +148,7 @@ def test_solver_linearity(grid2):
     assert np.max(np.abs(combo.velocity.components - expected)) <= 1e-12 * scale
 
 
-def _standalone_solve_steady(f: VectorField, params: OseenParams):
+def _standalone_solve_steady(f: SpatialField, params: OseenParams):
     """The steady solve as it stood before it became the k = 0 block."""
     grid = f.grid
     coeff = _fftn(f.components, grid.dim)
@@ -171,7 +172,7 @@ def test_steady_solve_is_bitwise_the_real_k0_block(dim, lam):
         (u_mode.real, p_mode.real[0]),
     ):
         assert np.array_equal(pair.velocity.components, velocity)
-        assert np.array_equal(pair.pressure.values, pressure)
+        assert np.array_equal(pair.pressure.components[0], pressure)
 
 
 def test_stokes_pair_unpacks_and_holds_either_kind(grid2):
@@ -187,12 +188,20 @@ def test_stokes_pair_unpacks_and_holds_either_kind(grid2):
     assert momentum <= 1e-10 * lq_norm(forcing, 2.0) and div <= 1e-12
     other = GridSpec(2, np.pi, 16)
     with pytest.raises(ValueError, match="live on different grids"):
-        StokesPair(steady.velocity, ScalarField.zeros(other))
+        StokesPair(steady.velocity, zero_field(other, 1))
     with pytest.raises(ValueError, match="live on different grids"):
         StokesPair(
             stacks.velocity,
-            TimePeriodicField.from_steady(ScalarField.zeros(other), 2.0, 1),
+            TimePeriodicField.from_steady(zero_field(other, 1), 2.0, 1),
         )
+    message = "spatial pair needs 2 velocity components and 1 pressure component"
+    for velocity, pressure in (
+        (steady.pressure, steady.pressure),
+        (steady.velocity, steady.velocity),
+        (steady.pressure, steady.velocity),
+    ):
+        with pytest.raises(ValueError, match=message):
+            StokesPair(velocity, pressure)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +216,7 @@ def test_zero_frequency_block_matches_steady_solver(grid2):
     )
     pair = solve_steady(f, params)
     assert np.max(np.abs(u_mode - pair.velocity.components)) <= 1e-14
-    assert np.max(np.abs(p_mode[0] - pair.pressure.values)) <= 1e-14
+    assert np.max(np.abs(p_mode[0] - pair.pressure.components[0])) <= 1e-14
     assert np.max(np.abs(u_mode.imag)) <= 1e-15
 
 
@@ -412,8 +421,8 @@ def test_residual_of_exact_solution_is_tiny():
 
 
 def test_residual_of_zero_pair_with_zero_forcing(grid2):
-    pair = StokesPair(VectorField.zeros(grid2), ScalarField.zeros(grid2))
-    momentum, div = residual(pair, VectorField.zeros(grid2), OseenParams(1.0))
+    pair = StokesPair(zero_field(grid2, grid2.dim), zero_field(grid2, 1))
+    momentum, div = residual(pair, zero_field(grid2, grid2.dim), OseenParams(1.0))
     assert momentum == 0.0
     assert div == 0.0
 
@@ -427,7 +436,7 @@ def test_residual_scales_linearly_with_perturbation():
     values = []
     for eps in (1e-6, 1e-5):
         bumped = StokesPair(
-            VectorField(grid, pair.velocity.components + eps * noise.components),
+            SpatialField(grid, pair.velocity.components + eps * noise.components),
             pair.pressure,
         )
         momentum, _ = residual(bumped, f, params)
@@ -449,7 +458,7 @@ def test_steady_residual_is_the_k0_case():
     params = OseenParams(1.3)
     pair = solve_steady(f, params)
     pair = StokesPair(
-        VectorField(grid, pair.velocity.components + 1e-6 * trig_values(grid, 42)),
+        SpatialField(grid, pair.velocity.components + 1e-6 * trig_values(grid, 42)),
         pair.pressure,
     )
     stacks = [
@@ -484,7 +493,7 @@ def test_residual_is_the_plancherel_norm_of_the_operator_defect(max_mode):
     )
     forcing = _trig_stack(grid, 2.0, max_mode, 70, grid.dim)
     forcing = forcing + TimePeriodicField.from_steady(
-        VectorField(grid, np.full((grid.dim,) + grid.shape, 0.3)), 2.0, max_mode
+        SpatialField(grid, np.full((grid.dim,) + grid.shape, 0.3)), 2.0, max_mode
     )
     modes = forcing.modes.copy()
     modes[0] -= modes[0].mean(axis=(1, 2, 3), keepdims=True)
@@ -579,11 +588,11 @@ def test_obstacle_flow_wake_asymmetry():
     grid = GridSpec(2, np.pi, 64)
     spec = default_cutoff(grid)
 
-    def total_flow(lam: float) -> VectorField:
+    def total_flow(lam: float) -> SpatialField:
         lift = build_lifting(lam, spec, grid)
         load = -lift.laplacian + lam * lift.jacobian[:, 0]
-        pair = solve_steady(VectorField(grid, -load), OseenParams(lam))
-        return VectorField(grid, pair.velocity.components + lift.velocity.components)
+        pair = solve_steady(SpatialField(grid, -load), OseenParams(lam))
+        return SpatialField(grid, pair.velocity.components + lift.velocity.components)
 
     assert abs(wake_asymmetry(total_flow(0.0))) <= 1e-12
     assert wake_asymmetry(total_flow(2.0)) > 0.05
@@ -594,9 +603,9 @@ def test_wake_asymmetry_sign_convention():
     x = grid.coordinates()[0] * np.ones(grid.shape)
     center = grid.center[0]
     bump = np.exp(-((x - center - 2.0) ** 2))
-    downstream = VectorField(grid, np.stack([bump, np.zeros(grid.shape)]))
+    downstream = SpatialField(grid, np.stack([bump, np.zeros(grid.shape)]))
     assert wake_asymmetry(downstream) > 0.5
-    mirrored = VectorField(grid, downstream.components[:, ::-1, :])
+    mirrored = SpatialField(grid, downstream.components[:, ::-1, :])
     assert wake_asymmetry(mirrored) < -0.5
 
 

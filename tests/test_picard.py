@@ -9,9 +9,8 @@ from oseenlab import picard
 from oseenlab.exponents import ExponentProfile
 from oseenlab.fields import (
     GridSpec,
-    ScalarField,
+    SpatialField,
     TimePeriodicField,
-    VectorField,
     gradient,
 )
 from oseenlab.harness import _mode_list, random_divergence_free, random_oscillatory
@@ -43,6 +42,7 @@ from oseenlab.picard import (
     picard_steady,
     picard_timeperiodic,
 )
+from conftest import zero_field
 
 Q, R = 4.0, 2.0
 PERIOD = 2.0
@@ -76,7 +76,7 @@ def _obstacle_lifting(grid, config):
 def _scaled_forcing(grid, config, seed=(7,), fraction=0.5, modes=None):
     raw = random_divergence_free(grid, seed, modes=modes)
     data = lq_norm(raw, Q) + negative_norm_surrogate(raw, R)
-    return VectorField(
+    return SpatialField(
         grid, raw.components * (fraction * config.epsilon / data)
     )
 
@@ -86,7 +86,7 @@ def _scaled_forcing(grid, config, seed=(7,), fraction=0.5, modes=None):
 
 def test_zero_forcing_yields_the_zero_solution(grid, profile, free_lifting):
     cfg = PicardConfig(profile, rho=0.05, lam=0.0, epsilon=0.01, tol=1e-10)
-    pair, report = picard_steady(VectorField.zeros(grid), cfg, lifting=free_lifting)
+    pair, report = picard_steady(zero_field(grid, grid.dim), cfg, lifting=free_lifting)
     assert np.isfinite(report.final_residual)
     assert report.iterates == (0.0,)
     assert np.max(np.abs(pair.velocity.components)) == 0.0
@@ -111,10 +111,10 @@ def test_steady_fixed_point_ignores_the_starting_point(grid, config, free_liftin
     f = _scaled_forcing(grid, config)
     pair_default, _ = picard_steady(f, config, lifting=free_lifting)
     params = OseenParams(lam=config.lam)
-    half_linear = VectorField(
+    half_linear = SpatialField(
         grid, 0.5 * solve_steady(f, params).velocity.components
     )
-    for start in (VectorField.zeros(grid), half_linear):
+    for start in (zero_field(grid, grid.dim), half_linear):
         u, _, _ = picard._contraction_loop(
             f, config, free_lifting, start, solve_steady, lambda_norm
         )
@@ -146,7 +146,7 @@ def test_fixed_point_satisfies_the_momentum_balance(config, profile, free_liftin
             res = (
                 -lap(velocity[i])
                 + lam * d1(velocity[i], 0)
-                + d1(p.values, i)
+                + d1(p.components[0], i)
                 - f.components[i]
             )
             for a in range(grid.dim):
@@ -187,10 +187,10 @@ def test_shrinking_the_radius_shrinks_the_contraction_rate(
 def test_projected_out_forcing_leaves_the_rest_state(grid, config, free_lifting):
     coords = grid.coordinates()
     x1 = coords[0] * np.ones(grid.shape)
-    potential = ScalarField(grid, np.sin(x1 / grid.half_period))
+    potential = SpatialField(grid, np.sin(x1 / grid.half_period)[None])
     grad = gradient(potential)
     data = lq_norm(grad, Q) + negative_norm_surrogate(grad, R)
-    f = VectorField(grid, grad.components * (0.3 * config.epsilon / data))
+    f = SpatialField(grid, grad.components * (0.3 * config.epsilon / data))
     pair, report = picard_steady(f, config, lifting=free_lifting)
     assert np.isfinite(report.final_residual)
     assert lambda_norm(pair.velocity, config.lam, Q, R) <= 1e-8
@@ -244,7 +244,8 @@ def test_driver_norm_splits_average_and_oscillation(grid):
     lam = 0.3
     osc_modes = u.modes.copy()
     osc_modes[0] = 0.0
-    expected = lambda_norm(VectorField(grid, u.modes[0].real), lam, Q, R) + maxreg_norm(
+    average = SpatialField(grid, u.modes[0].real)
+    expected = lambda_norm(average, lam, Q, R) + maxreg_norm(
         TimePeriodicField(grid, PERIOD, osc_modes), Q
     )
     assert driver_norm_timeperiodic(u, lam, Q, R) == pytest.approx(
@@ -268,7 +269,7 @@ def test_norm_roundoff_leaves_the_iterates_bit_for_bit(
     def run_both():
         pair, steady = picard_steady(f, config, lifting=free_lifting)
         (u, p), tp = picard_timeperiodic(f_tp, config, lifting=free_lifting)
-        fields = (pair.velocity.components, pair.pressure.values, u.modes, p.modes)
+        fields = (pair.velocity.components, pair.pressure.components, u.modes, p.modes)
         return fields, (len(steady.iterates), len(tp.iterates))
 
     calls = []
@@ -299,7 +300,7 @@ def test_drivers_return_the_certificate_solves_pressure(
     # are those of the returned pair.
     f = _scaled_forcing(grid, config)
     if steady:
-        driver, solve, data = picard_steady, solve_steady, "values"
+        driver, solve, data = picard_steady, solve_steady, "components"
     else:
         f = TimePeriodicField.from_steady(f, PERIOD, max_mode=1)
         driver, solve, data = picard_timeperiodic, solve_timeperiodic, "modes"
@@ -329,7 +330,7 @@ def _oscillating_forcing(grid, config):
 
 
 def _bits(field):
-    data = field.components if isinstance(field, VectorField) else field.modes
+    data = field.components if isinstance(field, SpatialField) else field.modes
     return data.view(np.uint64)
 
 
@@ -343,7 +344,7 @@ def test_the_obstacle_free_start_adds_nothing_to_the_forcing(grid, config):
     modes = _oscillating_forcing(grid, config).modes.copy()
     modes[1, 0, 0] = complex(-0.0, -0.0)
     forcings = (
-        VectorField(grid, components),
+        SpatialField(grid, components),
         TimePeriodicField(grid, PERIOD, modes),
     )
     for forcing in forcings:
@@ -466,7 +467,7 @@ def test_obstacle_lifting_at_desk_radius_escapes_immediately(grid, config):
 def test_iterate_leaving_the_ball_escapes_with_partial_report(grid, config):
     # Zero forcing started at zero: the first step picks up the lifting load.
     lifting = _obstacle_lifting(grid, config)
-    zero = VectorField.zeros(grid)
+    zero = zero_field(grid, grid.dim)
     for forcing, solve, norm in (
         (zero, solve_steady, lambda_norm),
         (
@@ -490,7 +491,7 @@ def test_drivers_default_to_the_obstacle_free_problem(grid, config):
 def test_large_data_divergence_is_detected(grid, profile, free_lifting):
     cfg = PicardConfig(profile, rho=1e9, lam=0.5, epsilon=1e9, tol=1e-12)
     raw = random_divergence_free(grid, (7,))
-    f = VectorField(grid, raw.components * 50.0)
+    f = SpatialField(grid, raw.components * 50.0)
     for driver, forcing in _both_drivers(f):
         with pytest.raises(PicardDivergenceError, match="grew three times") as excinfo:
             driver(forcing, cfg, lifting=free_lifting)
@@ -515,7 +516,7 @@ def _marked(grid, j, iterate):
     components = np.zeros((grid.dim,) + grid.shape)
     components[0] = 2.0**j
     components[1] = 1.0 if iterate else 0.0
-    return VectorField(grid, components)
+    return SpatialField(grid, components)
 
 
 def _scripted_run(grid, profile, free_lifting, updates, iterate_norms=None):
@@ -530,14 +531,14 @@ def _scripted_run(grid, profile, free_lifting, updates, iterate_norms=None):
     iterate).
     """
     cfg = PicardConfig(profile, rho=10.0, lam=0.0, epsilon=1.0, tol=1e-10)
-    zero = VectorField.zeros(grid)
+    zero = zero_field(grid, grid.dim)
     solves = []
     iterate_norms = {0: 0.0} if iterate_norms is None else iterate_norms
 
     def solve(forcing, params):
         solves.append(forcing)
         marked = _marked(grid, len(solves) - 1, True)
-        return StokesPair(marked, ScalarField.zeros(grid))
+        return StokesPair(marked, zero_field(grid, 1))
 
     def norm(field, lam, q, r):
         first, second = field.components[0].flat[0], field.components[1].flat[0]
@@ -631,21 +632,31 @@ def test_lifting_compatibility_checks(grid, config, free_lifting):
 def test_steady_driver_refuses_a_stack_before_the_gate(grid, config, monkeypatch):
     measured = []
     monkeypatch.setattr(picard, "data_size", lambda *a: measured.append(a) or 0.0)
-    f_tp = TimePeriodicField.from_steady(VectorField.zeros(grid), PERIOD, 1)
-    with pytest.raises(TypeError, match="f must be a VectorField, not TimePeriodic"):
+    f_tp = TimePeriodicField.from_steady(zero_field(grid, grid.dim), PERIOD, 1)
+    with pytest.raises(TypeError, match="f must be a SpatialField, not TimePeriodic"):
         picard_steady(f_tp, config)
     assert not measured
 
 
 def test_time_periodic_driver_refuses_a_steady_forcing(grid, config):
-    with pytest.raises(TypeError, match="f must be a TimePeriodicField, not Vector"):
-        picard_timeperiodic(VectorField.zeros(grid), config)
+    with pytest.raises(TypeError, match="f must be a TimePeriodicField, not Spatial"):
+        picard_timeperiodic(zero_field(grid, grid.dim), config)
+
+
+def test_drivers_refuse_a_scalar_forcing_before_the_gate(grid, config, monkeypatch):
+    measured = []
+    monkeypatch.setattr(picard, "data_size", lambda *a: measured.append(a) or 0.0)
+    scalar = zero_field(grid, 1)
+    for driver, forcing in _both_drivers(scalar):
+        with pytest.raises(ValueError, match="f must be vector-valued"):
+            driver(forcing, config)
+    assert not measured
 
 
 def test_inadmissible_exponent_pairs_are_rejected(grid, free_lifting):
     profile = ExponentProfile(3, 5.0, 2.1)
     cfg = PicardConfig.from_schedule(profile, 0.05, 1.5, 1e-10)
-    f = VectorField.zeros(grid)
+    f = zero_field(grid, grid.dim)
     with pytest.raises(ValueError, match="inadmissible for steady-nonlinear"):
         picard_steady(f, cfg, lifting=free_lifting)
     f_tp = TimePeriodicField.from_steady(f, PERIOD, max_mode=1)
@@ -657,4 +668,4 @@ def test_profile_dimension_must_match_the_grid(profile):
     plane = GridSpec(2, np.pi, 16)
     cfg = PicardConfig.from_schedule(profile, 0.05, 1.5, 1e-10)
     with pytest.raises(ValueError, match="profile dimension"):
-        picard_steady(VectorField.zeros(plane), cfg)
+        picard_steady(zero_field(plane, plane.dim), cfg)
