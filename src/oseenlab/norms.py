@@ -2,11 +2,13 @@
 
 All L^q integrals use plain grid averaging (the rectangle rule, which is the
 natural quadrature for periodic data); a grid-refinement oracle in the test
-suite guards its accuracy.  Homogeneous seminorms follow the sum-over-
-multi-indices convention |u|_{k,q} = sum_{|alpha|=k} ||D^alpha u||_q, with
-each multi-index counted once.  The full W^{k,q} norm used inside the
-maximal-regularity norm combines the multi-index derivative blocks in an
-l^q sense, which makes every q = 2 quantity Plancherel-exact.
+suite guards its accuracy.  Steady homogeneous seminorms follow the sum-
+over-multi-indices convention |u|_{k,q} = sum_{|alpha|=k} ||D^alpha u||_q,
+with each multi-index counted once.  The full W^{k,q} norm and the space-time
+norms (``maxreg_norm`` and the gradient norm :func:`_bochner_gradient_norm`)
+combine the multi-index derivative blocks in the l^q sense instead, which
+makes every q = 2 quantity Plancherel-exact and every integrand in t a
+trigonometric polynomial at an even integer q.
 
 Derivative norms are evaluated from real-FFT coefficients: each field takes
 one forward ``rfftn``, and each derivative block D^alpha u comes back through
@@ -21,15 +23,14 @@ and sine weights W_b.  It transforms each derivative block of those fields
 once and forms every time sample by a small (nt x (2K+1)) weight matrix, so
 its spatial transform count does not grow with the number of time samples.
 The time derivative is the same sum with the weights differentiated in t and
-needs no spatial transform.  An exactly zero time average (every oscillatory
-part) is left out, which only drops exact zeros from each sample.  The
-rectangle rule on nt instants integrates exp(imt) exactly for |m| < nt; for an
-even integer q, |u(t)|^q and |du/dt|^q have degree qK in t, so by default
-``maxreg_norm`` samples min(qK + 1, 4K + 8) instants, exact either way.  Other
-q keep 4K + 8.  The space-time gradient norm of a scalar stack
-(:func:`_bochner_gradient_norm`) has no exact count; it transforms the same
-basis once and, each time it doubles its instants, forms only the weights of
-the new ones, half a step after the old.
+needs no spatial transform; the gradient norm is the order-1 part of the same
+loop.  An exactly zero time average (every oscillatory part) is left out,
+which only drops exact zeros from each sample.
+
+One instant rule serves every space-time norm.  The rectangle rule on nt
+instants integrates exp(imt) exactly for |m| < nt; for an even integer q,
+|u(t)|^q, |D^alpha u(t)|^q and |du/dt|^q have degree qK in t, so an even q
+takes qK + 1 instants, which are exact.  Any other q takes 4K + 8.
 
 The same rule holds in space.  For u band-limited to |m_i| <= B and an even
 integer e, |D^alpha u|^e has degree eB per axis, so the rectangle rule on
@@ -43,9 +44,9 @@ which the convective products reach).
 At r = 2 ``negative_norm_surrogate`` is a Parseval sum as well, of the
 half-layout coefficients times the grid's cached 1/|xi|; any other r inverts
 the (ncomp, dim) Riesz tensor (:func:`_negative_norm_by_transforms`).
-``picard.data_size`` keeps that path at r = 2 too, and ``lq_norm`` its 4K + 8
-instants, synthesized one at a time, on the full grid: they scale the Picard
-forcing, so a roundoff-level change in them would move every iterate.
+``picard.data_size`` keeps that path at r = 2 too, and ``lq_norm`` at least
+4K + 8 instants, synthesized one at a time, on the full grid: they scale the
+Picard forcing, so a roundoff-level change in them would move every iterate.
 
 Parseval sums over the time modes k = -K..K (``spacetime_l2_plancherel``, the
 residual, the maximal-regularity mode sum) take one fold, ``fields._fold_modes``:
@@ -96,11 +97,13 @@ def lq_norm(field, q: float) -> float:
     """L^q norm; vector fields use the pointwise Euclidean magnitude.
 
     Time-periodic input is measured in the period-averaged space-time sense
-    ((1/T) int_0^T ||u(t)||_q^q dt)^(1/q).
+    ((1/T) int_0^T ||u(t)||_q^q dt)^(1/q), on the instants of
+    :func:`maxreg_norm` but never fewer than 4K + 8.
     """
     q = _check_exponent(q, "q")
     if isinstance(field, TimePeriodicField):
-        instants = field._instants(_default_time_samples(field.max_mode))
+        count = max(_default_time_samples(field.max_mode, q), 4 * field.max_mode + 8)
+        instants = field._instants(count)
         powers = [_lq_of_array(field.grid, sample, q) ** q for sample in instants]
         return float(np.mean(powers)) ** (1.0 / q)
     return _lq_of_array(field.grid, field.components, q)
@@ -249,12 +252,11 @@ def _is_even_integer(value: float) -> bool:
     return float(value).is_integer() and int(value) % 2 == 0
 
 
-def _default_time_samples(max_mode: int, q: float | None = None) -> int:
-    # 4K + 8 integrates the degree-4K content of squared norms exactly and
-    # resolves fractional powers comfortably.  For an even integer q the
-    # integrand has degree qK, so qK + 1 instants are already exact.
-    even = q is not None and _is_even_integer(q)
-    return min(int(q) * max_mode + 1, 4 * max_mode + 8) if even else 4 * max_mode + 8
+def _default_time_samples(max_mode: int, q: float) -> int:
+    # For an even integer q the integrand |v(t)|^q has degree qK in t, so
+    # qK + 1 instants are exact; any other q takes 4K + 8, which resolves
+    # fractional powers comfortably.
+    return int(q) * max_mode + 1 if _is_even_integer(q) else 4 * max_mode + 8
 
 
 def _exact_grid(grid: GridSpec, band: int, exponents) -> GridSpec:
@@ -281,8 +283,8 @@ def maxreg_norm(field: TimePeriodicField, q: float) -> float:
     Time integrals are period-averaged rectangle-rule sums over a uniform
     grid; the time derivative acts through i*omega_k multipliers.  A field
     with only the k = 0 mode reduces to its steady W^{2,q} norm.  An even
-    integer q takes min(qK + 1, 4K + 8) instants, which integrate its
-    degree-qK integrands exactly; any other q takes 4K + 8.
+    integer q takes qK + 1 instants, which integrate its degree-qK integrands
+    exactly; any other q takes 4K + 8.
     """
     if not isinstance(field, TimePeriodicField):
         raise TypeError(f"field must be time-periodic, not {type(field).__name__}")
@@ -302,55 +304,35 @@ def _maxreg_norm(field: TimePeriodicField, q: float, nt: int) -> float:
     dt_power = float(np.mean(_sample_powers(dt_weights, basis.swapaxes(0, 1), q)))
     coeff = _rfftn(basis, grid.dim).swapaxes(0, 1)
     del basis
-    for order in (1, 2):
-        for symbol in grid.derivative_symbols[order]:
-            blocks = (_irfftn(part * symbol, grid.shape) for part in coeff)
-            powers += _sample_powers(weights, blocks, q)
+    _add_block_powers(powers, grid, coeff, weights, q, (1, 2))
     bochner = (float(np.mean(powers)) * grid.volume) ** (1.0 / q)
     return bochner + (dt_power * grid.volume) ** (1.0 / q)
 
 
 def _bochner_gradient_norm(field: TimePeriodicField, q: float) -> float:
-    """Space-time L^q norm of the spatial gradient of a scalar stack.
-
-    The integrand, (sum over |alpha| = 1 of ||D^alpha p(t)||_q)^q, is no
-    trigonometric polynomial in t, so no instant count is exact for it.  The
-    count starts at 4K + 8 and doubles until two successive values agree to
-    1e-12 relative; past 64K + 128 instants it raises ``ValueError``.  The
-    real time basis is transformed once and its gradient blocks kept; a
-    doubling forms only the weights of the instants it adds.
-    """
+    """Space-time L^q norm of the gradient of a scalar stack, the order-1 part
+    of :func:`maxreg_norm`: ((1/T) int_0^T sum_i ||d_i p(t)||_q^q dt)^(1/q),
+    on the same instants."""
     grid = field.grid
-    first = _default_time_samples(field.max_mode)
-    basis, weights, _ = _real_time_basis(field, first)
-    columns = weights.shape[1]
-    coeff = _rfftn(basis, grid.dim)
+    nt = _default_time_samples(field.max_mode, q)
+    basis, weights, _ = _real_time_basis(field, nt)
+    coeff = _rfftn(basis, grid.dim).swapaxes(0, 1)
     del basis
-    blocks = [block.swapaxes(0, 1) for block in _derivative_blocks(grid, coeff, 1)]
-    del coeff
+    powers = np.zeros(nt)
+    _add_block_powers(powers, grid, coeff, weights, q, (1,))
+    return (float(np.mean(powers)) * grid.volume) ** (1.0 / q)
 
-    def powers(weights: np.ndarray) -> np.ndarray:
-        total = np.zeros(len(weights))
-        for block in blocks:
-            total += (_sample_powers(weights, block, q) * grid.volume) ** (1.0 / q)
-        return total ** q
 
-    nt, samples = first, powers(weights)
-    value = float(np.mean(samples)) ** (1.0 / q)
-    while nt < 16 * first:
-        # The instants the doubling adds are the current ones half a step
-        # later; the last columns are those _real_time_basis kept.
-        later = _time_weights(field, nt, 0.5)[0][:, -columns:]
-        samples = np.concatenate([samples, powers(later)])
-        nt *= 2
-        previous, value = value, float(np.mean(samples)) ** (1.0 / q)
-        change = abs(value - previous)
-        if change <= 1e-12 * value:
-            return value
-    raise ValueError(
-        f"space-time gradient norm not converged at {nt} time instants: "
-        f"last relative change {change / value:.3e}"
-    )
+def _add_block_powers(
+    powers: np.ndarray, grid: GridSpec, coeff: np.ndarray, weights, q: float, orders
+) -> None:
+    """Add to ``powers`` the grid means of |D^alpha v_j|^q for every |alpha| in
+    ``orders``, in symbol order, where v_j = sum_b weights[j, b] B_b and
+    ``coeff`` holds the (ncomp, nb) real-FFT coefficients of the fields B_b."""
+    for order in orders:
+        for symbol in grid.derivative_symbols[order]:
+            blocks = (_irfftn(part * symbol, grid.shape) for part in coeff)
+            powers += _sample_powers(weights, blocks, q)
 
 
 def _real_time_basis(
@@ -369,22 +351,10 @@ def _real_time_basis(
         mode = field.mode(k)
         basis[2 * k - 1] = 2.0 * mode.real
         basis[2 * k] = -2.0 * mode.imag
-    weights, dt_weights = _time_weights(field, nt, 0.0)
-    if size > 1 and not basis[0].any():
-        return basis[1:], weights[:, 1:], dt_weights[:, 1:]
-    return basis, weights, dt_weights
-
-
-def _time_weights(
-    field: TimePeriodicField, nt: int, offset: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The weights of :func:`_real_time_basis`, all 2K + 1 columns, at the
-    instants t_j = (j + offset) * period / nt."""
-    size = 2 * field.max_mode + 1
     weights = np.zeros((nt, size))
     dt_weights = np.zeros((nt, size))
     weights[:, 0] = 1.0
-    phase = 2.0 * np.pi * (np.arange(nt) + offset) / nt
+    phase = 2.0 * np.pi * np.arange(nt) / nt
     for k in range(1, field.max_mode + 1):
         cos, sin = np.cos(k * phase), np.sin(k * phase)
         omega = field.omega(k)
@@ -392,7 +362,9 @@ def _time_weights(
         weights[:, 2 * k] = sin
         dt_weights[:, 2 * k - 1] = -omega * sin
         dt_weights[:, 2 * k] = omega * cos
-    return weights, dt_weights
+    if size > 1 and not basis[0].any():
+        return basis[1:], weights[:, 1:], dt_weights[:, 1:]
+    return basis, weights, dt_weights
 
 
 def _sample_powers(weights: np.ndarray, components, q: float) -> np.ndarray:

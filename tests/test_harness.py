@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from oseenlab import harness, norms, picard
-from oseenlab.cli import default_config
+from oseenlab.cli import default_config, main
 from oseenlab.config import log_spaced
 from oseenlab.exponents import ExponentProfile, s_exponent
 from oseenlab.fields import (
@@ -19,6 +19,7 @@ from oseenlab.fields import (
     SpatialField,
     TimePeriodicField,
     _fftn,
+    _fold_modes,
     derivative,
     gradient,
 )
@@ -521,36 +522,41 @@ def _seeded_pressure(points: int, max_mode: int) -> TimePeriodicField:
     return harness._seeded_stack(grid, 1.0, max_mode, draw, [0, 62], zero)
 
 
-def _dense_gradient_norm(pressure: TimePeriodicField, count: int) -> float:
+def _dense_gradient_norm(pressure: TimePeriodicField, count: int, q: float) -> float:
+    """The l^q space-time gradient norm from ``count`` synthesized instants,
+    one spatial derivative at a time."""
     grid = pressure.grid
     return np.mean(
         [
-            sobolev_seminorm(SpatialField(grid, sample[:1]), 1, 2.0) ** 2
+            sum(
+                lq_norm(derivative(SpatialField(grid, sample), axis), q) ** q
+                for axis in range(1, grid.dim + 1)
+            )
             for sample in pressure.sample_times(count)
         ]
-    ) ** 0.5
+    ) ** (1.0 / q)
 
 
 def test_bochner_gradient_norm_is_converged_in_time():
     # The oscillatory pressure of the default scaling-tp run, up to a factor.
-    # Its integrand, (sum of per-index norms)^q, is no trigonometric
-    # polynomial in t: 3 or 8 instants miss the dense value by 2.4e-6 or
-    # 2.5e-8, the first 4K + 8 = 12 by 4.1e-11.
+    # At q = 2 its integrand has degree 2K in t: 2K + 1 instants are exact.
     pressure = _seeded_pressure(32, 1)
-    dense = _dense_gradient_norm(pressure, 48)
+    dense = _dense_gradient_norm(pressure, 48, 2.0)
     assert abs(norms._bochner_gradient_norm(pressure, 2.0) - dense) <= 1e-11 * dense
 
 
 def test_bochner_gradient_norm_keeps_doubling_at_two_time_modes():
-    # At 16^3, K = 2 the first 4K + 8 = 16 instants miss by 2.7e-7.
+    # At 16^3, K = 2 the l^q integrand is exact on 2K + 1 = 5 instants at
+    # q = 2 and on 4K + 1 = 9 at q = 4.
     pressure = _seeded_pressure(16, 2)
-    dense = _dense_gradient_norm(pressure, 96)
-    assert abs(norms._bochner_gradient_norm(pressure, 2.0) - dense) <= 1e-11 * dense
+    for q in (2.0, 4.0):
+        dense = _dense_gradient_norm(pressure, 96, q)
+        assert abs(norms._bochner_gradient_norm(pressure, q) - dense) <= 1e-11 * dense
 
 
 def test_bochner_gradient_norm_transforms_its_stack_once(monkeypatch):
-    # The 16^3, K = 2 seed doubles three times; each doubling forms only
-    # the weights of its new instants.
+    # One forward transform of the stack's 2K real time fields, whatever
+    # the instant count.
     shapes = []
     original = norms._rfftn
 
@@ -563,19 +569,50 @@ def test_bochner_gradient_norm_transforms_its_stack_once(monkeypatch):
     assert shapes == [(4, 1, 16, 16, 16)]
 
 
-def test_bochner_gradient_norm_raises_past_its_instant_cap(monkeypatch):
-    # A stand-in whose value keeps moving with the count never settles.
-    calls = []
+@pytest.mark.parametrize("max_mode", [1, 2, 3])
+def test_bochner_gradient_norm_is_exact_at_even_q(monkeypatch, max_mode):
+    # |d_i p(t)|^q has degree qK in t at an even q: qK + 1 instants give
+    # the value of eight times as many.
+    pressure = _seeded_pressure(16 if max_mode < 3 else 12, max_mode)
+    for q in (2.0, 4.0, 6.0):
+        exact = norms._bochner_gradient_norm(pressure, q)
+        count = norms._default_time_samples
+        assert count(max_mode, q) == int(q) * max_mode + 1
+        with monkeypatch.context() as patch:
+            patch.setattr(norms, "_default_time_samples", lambda k, e: 8 * count(k, e))
+            dense = norms._bochner_gradient_norm(pressure, q)
+        assert abs(exact - dense) <= 1e-14 * dense
 
-    def drifting(weights, components, q):
-        calls.append(len(weights))
-        return np.full(len(weights), 1.0 + 1.0 / len(calls))
 
-    monkeypatch.setattr(norms, "_sample_powers", drifting)
-    with pytest.raises(ValueError, match=r"not converged at 192 time instants: last"):
-        norms._bochner_gradient_norm(_seeded_pressure(8, 1), 2.0)
-    # One call per gradient block of each instant set.
-    assert calls == [nt for nt in (12, 12, 24, 48, 96) for _ in range(3)]
+@pytest.mark.parametrize("max_mode", [1, 2])
+def test_bochner_gradient_norm_at_q2_is_plancherel(max_mode):
+    # Parseval in space and time: the mean over x and t of sum_i |d_i p|^2
+    # is the folded mode sum of sum_i |xi_i|^2 |p_k|^2.
+    pressure = _seeded_pressure(16, max_mode)
+    grid = pressure.grid
+    xi_sq = sum(grid.wavenumber(axis) ** 2 for axis in range(grid.dim))
+    total = _fold_modes(
+        float(np.sum(xi_sq * np.abs(_fftn(mode, grid.dim)[0]) ** 2))
+        for mode in pressure.modes
+    )
+    plancherel = math.sqrt(total * grid.volume)
+    value = norms._bochner_gradient_norm(pressure, 2.0)
+    assert abs(value - plancherel) <= 1e-13 * plancherel
+
+
+@pytest.mark.parametrize("q", ["3", "2.5"])
+def test_scaling_tp_config_at_odd_q_passes(tmp_path, capsys, q):
+    # The built-in scaling-tp settings at a q with no exact instant count.
+    ini = tmp_path / "tp.ini"
+    ini.write_text(
+        "[experiment]\nname = scaling-tp\n"
+        f"q = {q}\n"
+        "points = 32\nperiod = 1.0\nforcing_shell = 7.0, 9.0\n"
+        "drift_mode_cap = 1\nlambda_min = 1.2732395447351628\n"
+        "lambda_max = 12.732395447351628\nlambda_points = 7\n"
+    )
+    assert main(["scaling-tp", "--config", str(ini)]) == 0
+    assert "ALL CHECKS PASSED" in capsys.readouterr().out
 
 
 def test_timeperiodic_sweep_rows_are_re_derivable_from_module_calls():

@@ -321,7 +321,7 @@ def _whole_stack_sample_powers(weights, fields, q):
 
 def _whole_stack_lq_norm(field: TimePeriodicField, q: float) -> float:
     """The space-time L^q norm from one array of all 4K + 8 samples."""
-    num_samples = _default_time_samples(field.max_mode)
+    num_samples = 4 * field.max_mode + 8
     samples = field.sample_times(num_samples)
     powers = [
         norms._lq_of_array(field.grid, samples[j], q) ** q for j in range(num_samples)
@@ -369,48 +369,44 @@ def test_zero_time_average_is_left_out_bit_for_bit(dim, max_mode, kind):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_default_time_samples_are_exact_for_even_q(dim):
     # |u|^q and |du/dt|^q have degree qK in t for an even integer q, so
-    # qK + 1 rectangle-rule instants integrate them exactly; other q keep
-    # the 4K + 8 count.
+    # qK + 1 rectangle-rule instants integrate them exactly, as eight times
+    # as many do; other q take the 4K + 8 count.
     grid = GRIDS[dim]
     for max_mode in range(4):
         field = _time_periodic(grid, dim, max_mode, seed=40 + 5 * dim + max_mode)
         full = 4 * max_mode + 8
-        for q in (2.0, 4.0):
-            assert _default_time_samples(max_mode, q) == min(
-                int(q) * max_mode + 1, full
-            )
+        for q in (2.0, 4.0, 6.0, 8.0, 12.0):
+            exact = int(q) * max_mode + 1
+            assert _default_time_samples(max_mode, q) == exact
             assert maxreg_norm(field, q) == pytest.approx(
-                _maxreg_norm(field, q, full), rel=1e-13
+                _maxreg_norm(field, q, 8 * exact), rel=1e-13
             )
         for q in (3.0, 2.5):
             assert _default_time_samples(max_mode, q) == full
             assert maxreg_norm(field, q) == _maxreg_norm(field, q, full)
     assert _default_time_samples(2, 4.0) == 9
-    assert _default_time_samples(2, np.inf) == _default_time_samples(2) == 16
+    assert _default_time_samples(2, 8.0) == 17
+    assert _default_time_samples(2, np.inf) == 16
 
 
-@pytest.mark.parametrize("zero_mean", [False, True])
-@pytest.mark.parametrize("max_mode", [1, 2, 3])
-def test_half_step_weights_give_the_odd_instants_of_twice_the_count(
-    max_mode, zero_mean
-):
-    # Offset 1/2 on nt instants is every other instant of 2 nt; the last
-    # columns of the weights are those of the basis kept for the stack.
-    grid = GRIDS[3]
-    field = _time_periodic(grid, 1, max_mode, seed=60 + max_mode)
-    if zero_mean:
-        modes = field.modes.copy()
-        modes[0] = 0.0
-        field = TimePeriodicField(grid, field.period, modes)
-    for nt in (2 * max_mode + 1, 4 * max_mode + 8):
-        basis, weights, _ = norms._real_time_basis(field, nt)
-        assert len(basis) == 2 * max_mode + 1 - zero_mean
-        start = norms._time_weights(field, nt, 0.0)[0]
-        assert np.array_equal(start[:, -len(basis):], weights)
-        later = norms._time_weights(field, nt, 0.5)[0][:, -len(basis):]
-        samples = np.einsum("jb,b...->j...", later, basis)
-        expected = field.sample_times(2 * nt)[1::2]
-        assert np.max(np.abs(samples - expected)) <= 1e-14 * np.max(np.abs(expected))
+def _dense_lq_norm(field: TimePeriodicField, q: float, count: int) -> float:
+    powers = [norms._lq_of_array(field.grid, s, q) ** q for s in field._instants(count)]
+    return float(np.mean(powers)) ** (1.0 / q)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_stack_lq_norm_is_exact_for_even_q(dim):
+    # lq_norm takes max(qK + 1, 4K + 8) instants at an even integer q: the
+    # 4K + 8 it always took at q <= 4, and the exact count above.
+    grid = GRIDS[dim]
+    for max_mode in range(4):
+        field = _time_periodic(grid, dim, max_mode, seed=70 + 5 * dim + max_mode)
+        for q in (2.0, 4.0, 6.0, 8.0, 12.0):
+            count = max(int(q) * max_mode + 1, 4 * max_mode + 8)
+            assert norms.lq_norm(field, q) == _dense_lq_norm(field, q, count)
+            assert norms.lq_norm(field, q) == pytest.approx(
+                _dense_lq_norm(field, q, 8 * count), rel=1e-13
+            )
 
 
 def test_zero_time_average_is_not_transformed(monkeypatch):
