@@ -41,7 +41,9 @@ from .fields import (
     TimePeriodicField,
     _fold_modes,
     _ifftn,
+    _irfftn,
     _lock,
+    _rfftn,
     derivative,
     gradient,
 )
@@ -51,10 +53,12 @@ from .lifting import (
     default_cutoff,
     lifting_load,
 )
-from .nonlinear import convective_product
+from .nonlinear import _convective_samples, convective_product
 from .norms import (
     _bochner_gradient_norm,
     _exact_grid,
+    _lambda_pieces,
+    _negative_l2_from_coefficients,
     lambda_norm,
     lambda_norm_from_pieces,
     lambda_norm_pieces,
@@ -68,6 +72,7 @@ from .norms import (
 from .oseen import (
     OseenParams,
     StokesPair,
+    _mode_solution_coeff,
     apply_oseen,
     project_oscillatory,
     project_steady,
@@ -497,6 +502,20 @@ def _integrand_exponents(n: int, q: float, r: float) -> tuple[float, ...]:
     return (q, r, s_exponent(n, r))
 
 
+def _padded(coeff: np.ndarray, grid: GridSpec, band: int) -> np.ndarray:
+    """Half-layout coefficients on ``grid`` of a field band-limited to
+    |m_i| <= ``band``, from its half-layout coefficients ``coeff`` on any grid
+    that holds the band: the band's modes are copied, every other mode is 0."""
+    dim = grid.dim
+    modes, last = np.r_[0 : band + 1, -band:0], np.arange(band + 1)
+    index = [modes % coeff.shape[-dim]] * (dim - 1) + [last]
+    target = [modes % grid.points_per_axis] * (dim - 1) + [last]
+    half = grid.shape[:-1] + (grid.points_per_axis // 2 + 1,)
+    out = np.zeros(coeff.shape[: coeff.ndim - dim] + half, dtype=np.complex128)
+    out[(Ellipsis,) + np.ix_(*target)] = coeff[(Ellipsis,) + np.ix_(*index)]
+    return out
+
+
 def fit_smallness_constant(
     grid: GridSpec, profile: ExponentProfile, *, seed: int
 ) -> float:
@@ -508,15 +527,23 @@ def fit_smallness_constant(
     result feeds the radius schedule; the fixed-point runs then verify the
     scheduled contraction empirically rather than trusting the fit.
 
-    The random forcings are drawn on the default mode cube of ``grid``, so
-    the linear ratios and the wake norms of the forcings are taken on the
-    probe grid :func:`oseenlab.norms._exact_grid`, the coarsest grid that
-    integrates their even powers exactly (18^3 for a 32^3 grid at q = 4,
-    r = 2); they are the same continuum fields as on ``grid``.  The
-    convective products have twice the band and stay on ``grid``.  Each
-    pairs sample i with sample i + 1 (the last with sample 0), so a sample
-    is drawn there as the loop reaches it, and only sample 0 is kept; on a
-    probe grid that is ``grid`` itself the probes are the samples.
+    The random forcings are drawn on the default mode cube of ``grid``, once
+    each, on the probe grid :func:`oseenlab.norms._exact_grid`: the coarsest
+    grid that integrates their even powers exactly (18^3 for a 32^3 grid at
+    q = 4, r = 2), where they are the same continuum fields as on ``grid``.
+    Each is transformed forward once.  Those coefficients serve its wake
+    pieces, its r = 2 surrogate and all drifts of its linear probe, whose
+    velocity coefficients come from ``oseen._mode_solution_coeff`` with no
+    pressure transform.
+
+    A grid exact for fourth powers (N > 4B for band B) also multiplies two
+    band-B fields without aliasing, so the convective products are formed
+    on the probe grid too.  Their band 2B lies inside the dealias cutoff of
+    ``grid``, so no truncation touches them: the weak norm is a Parseval sum
+    over the product's coefficients, and the strong norm is taken on
+    ``grid`` from those coefficients zero-padded there and inverted once.
+    Each product pairs sample i with sample i + 1 (the last with sample 0),
+    so only the current pair and sample 0 are held.
     """
     if profile.n != grid.dim:
         raise ValueError(
@@ -526,40 +553,65 @@ def fit_smallness_constant(
     weight = 1.0 / (n + 1)
     modes = _mode_list(grid, None, None, None)
     band = int(np.max(np.abs(modes)))
-    probe_grid = _exact_grid(grid, band, _integrand_exponents(n, q, r))
+    # A product of two band-B fields is unaliased where |u|^4 is exact (N > 4B).
+    exponents = _integrand_exponents(n, q, r) + (4.0,)
+    probe_grid = _exact_grid(grid, band, exponents)
 
-    def draw(on_grid, i):
-        return random_divergence_free(on_grid, [seed, 101, i], modes=modes)
+    def weak_norm(field, coeff):
+        """The surrogate of ``field``; at r = 2 by Parseval from ``coeff``,
+        its half-layout coefficients on the probe grid, which it overwrites."""
+        if r == 2.0:
+            return _negative_l2_from_coefficients(probe_grid, coeff)
+        return negative_norm_surrogate(field, r)
 
-    probes = [draw(probe_grid, i) for i in range(_FIT_SAMPLES)]
-    best = 0.0
-    for g in probes:
-        g_data = lq_norm(g, q)
-        g_neg = negative_norm_surrogate(g, r)
+    def probe(i):
+        """Sample i's largest linear ratio, its wake pieces, and its samples
+        and half-layout coefficients on the probe grid."""
+        g = random_divergence_free(probe_grid, [seed, 101, i], modes=modes)
+        coeff = _rfftn(g.components, n)
+        numerators = []
         for lam in _FIT_DRIFTS:
-            pair = solve_steady(g, OseenParams(lam))
-            numerator = lambda_norm(pair.velocity, lam, q, r)
-            denominator = g_data + lam ** (-profile.m_exponent * weight) * g_neg
-            best = max(best, numerator / denominator)
-    pieces = [lambda_norm_pieces(v, q, r) for v in probes]
-    sample = probes.__getitem__ if probe_grid == grid else functools.partial(draw, grid)
-    first = v_one = sample(0)
-    for i in range(_FIT_SAMPLES):
-        j = (i + 1) % _FIT_SAMPLES
-        v_two = sample(j) if j else first
-        product = convective_product(v_one, v_two)
+            u_coeff, _ = _mode_solution_coeff(probe_grid, coeff, lam, 0.0)
+            u = _irfftn(u_coeff, probe_grid.shape)
+            u_pieces = _lambda_pieces(probe_grid, u, u_coeff, q, r)
+            numerators.append(lambda_norm_from_pieces(u_pieces, lam, n))
+        g_data = lq_norm(g, q)
+        g_neg = weak_norm(g, coeff.copy())
+        linear = max(
+            numerator / (g_data + lam ** (-profile.m_exponent * weight) * g_neg)
+            for lam, numerator in zip(_FIT_DRIFTS, numerators)
+        )
+        pieces = _lambda_pieces(probe_grid, g.components, coeff, q, r)
+        return linear, pieces, g.components, coeff
+
+    def bilinear(one, two):
+        """The largest bilinear ratio of the product (one . grad) two."""
+        _, pieces_one, samples, _ = one
+        _, pieces_two, _, coeff = two
+        acc = _convective_samples(probe_grid, samples, coeff)
+        product_coeff = _rfftn(acc, n)
+        padded = _padded(product_coeff, grid, 2 * band)
+        product = SpatialField._adopt(grid, _irfftn(padded, grid.shape))
         strong = lq_norm(product, q)
-        weak = negative_norm_surrogate(product, r)
+        weak = weak_norm(product, product_coeff)
+        best = 0.0
         for lam in _FIT_DRIFTS:
             denominator = lambda_norm_from_pieces(
-                pieces[i], lam, grid.dim
-            ) * lambda_norm_from_pieces(pieces[j], lam, grid.dim)
+                pieces_one, lam, n
+            ) * lambda_norm_from_pieces(pieces_two, lam, n)
             best = max(
                 best,
                 strong * lam ** (profile.theta * weight) / denominator,
                 weak * lam ** (profile.eta * weight) / denominator,
             )
-        v_one = v_two
+        return best
+
+    probes = map(probe, range(_FIT_SAMPLES))
+    first = one = next(probes)
+    best = 0.0
+    for two in itertools.chain(probes, [first]):
+        best = max(best, one[0], bilinear(one, two))
+        one = two
     return best
 
 

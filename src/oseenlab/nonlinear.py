@@ -20,7 +20,9 @@ axis, and one forward and one inverse to truncate the product: 21
 single-component transforms per instant at dim 3, with or without V.  The
 bilinear kernel ``_convective`` takes sample arrays whose leading axes
 broadcast, so a steady factor against many time instants is transformed
-once, not once per instant.
+once, not once per instant.  Its untruncated middle, ``_convective_samples``,
+takes the first factor's samples and the second's coefficients, so a caller
+that holds both (the smallness-constant fit) transforms neither again.
 
 The convective product uses real FFTs (half layout); it matches complex
 FFTs to roundoff only.  The nonlinearity stays on complex FFTs until the
@@ -62,12 +64,20 @@ def _convective(grid: GridSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     mask = grid.half_dealias_mask
     a_t = _irfftn(_rfftn(a, grid.dim) * mask, grid.shape)
     b_hat = _rfftn(b, grid.dim) * mask
-    acc = np.zeros(np.broadcast_shapes(a.shape, b.shape))
+    acc = _convective_samples(grid, a_t, b_hat)
+    return _irfftn(_rfftn(acc, grid.dim) * mask, grid.shape)
+
+
+def _convective_samples(grid: GridSpec, a: np.ndarray, b_hat: np.ndarray) -> np.ndarray:
+    """Samples of (a . grad) b, untruncated, from the samples ``a`` of a and
+    the half-layout coefficients ``b_hat`` of b (leading axes broadcast)."""
+    b_shape = b_hat.shape[: b_hat.ndim - grid.dim] + grid.shape
+    acc = np.zeros(np.broadcast_shapes(a.shape, b_shape))
     spatial = (slice(None),) * grid.dim
     for k, symbol in enumerate(grid.derivative_symbols[1]):
         db = _irfftn(b_hat * symbol, grid.shape)
-        acc = acc + a_t[(Ellipsis, slice(k, k + 1)) + spatial] * db
-    return _irfftn(_rfftn(acc, grid.dim) * mask, grid.shape)
+        acc = acc + a[(Ellipsis, slice(k, k + 1)) + spatial] * db
+    return acc
 
 
 def _quadratic_samples(

@@ -36,10 +36,14 @@ The same rule holds in space.  For u band-limited to |m_i| <= B and an even
 integer e, |D^alpha u|^e has degree eB per axis, so the rectangle rule on
 N > eB points per axis is exact; :func:`_exact_grid` picks the coarsest such
 grid whose dealias cutoff still holds the band.  Two callers evaluate there:
-``harness.fit_smallness_constant`` takes its linear probes on it (band: the
-default mode cap), and ``harness._run_bilinear_ensemble`` draws and
-evaluates its whole ensemble on it (band: twice the draws' largest |m_i|,
-which the convective products reach).
+``harness.fit_smallness_constant`` draws its samples on it (band: the
+default mode cap), transforms each once, and takes its linear probes and
+its convective products there, which N > 4B forms without aliasing; only
+each product's strong norm goes back to the full grid, by zero-padding.
+``harness._run_bilinear_ensemble`` draws and evaluates its whole ensemble
+on it (band: twice the draws' largest |m_i|, which the convective products
+reach).  ``_lambda_pieces`` and ``_negative_l2_from_coefficients`` take
+coefficients a caller has already formed.
 
 At r = 2 ``negative_norm_surrogate`` is a Parseval sum as well, of the
 half-layout coefficients times the grid's cached 1/|xi|; any other r inverts
@@ -185,8 +189,13 @@ def negative_norm_surrogate(field: SpatialField, r: float) -> float:
     r = _check_exponent(r, "r")
     if r != 2.0:
         return _negative_norm_by_transforms(field, r)
-    grid = field.grid
-    coeff = _rfftn(field.components, grid.dim)
+    return _negative_l2_from_coefficients(
+        field.grid, _rfftn(field.components, field.grid.dim)
+    )
+
+
+def _negative_l2_from_coefficients(grid: GridSpec, coeff: np.ndarray) -> float:
+    """The r = 2 surrogate from half-layout coefficients, which it overwrites."""
     coeff *= grid.half_inverse_wavenumber
     return _l2_from_coefficients(grid, coeff)
 
@@ -216,11 +225,17 @@ def lambda_norm_pieces(field: SpatialField, q: float, r: float) -> tuple[float, 
     drift follows from these by :func:`lambda_norm_from_pieces`, so a caller
     sweeping the drift evaluates them once per field.
     """
+    grid, components = field.grid, field.components
+    return _lambda_pieces(grid, components, _rfftn(components, grid.dim), q, r)
+
+
+def _lambda_pieces(
+    grid: GridSpec, components: np.ndarray, coeff: np.ndarray, q: float, r: float
+) -> tuple[float, float]:
+    """:func:`lambda_norm_pieces` of the samples ``components``, whose half-layout
+    coefficients ``coeff`` the caller has already formed."""
     q = _check_exponent(q, "q")
-    grid = field.grid
     s = s_exponent(grid.dim, r)
-    components = field.components
-    coeff = _rfftn(components, grid.dim)
     smooth = _seminorm_from_coefficients(
         grid, coeff, 2, q
     ) + _seminorm_from_coefficients(grid, coeff, 1, r)
@@ -292,14 +307,18 @@ def maxreg_norm(field: TimePeriodicField, q: float) -> float:
     return _maxreg_norm(field, q, _default_time_samples(field.max_mode, q))
 
 
-def _maxreg_norm(field: TimePeriodicField, q: float, nt: int) -> float:
-    """:func:`maxreg_norm` on ``nt`` uniform instants, at least 2K + 1."""
+def _maxreg_norm(
+    field: TimePeriodicField, q: float, nt: int, oscillatory: bool = False
+) -> float:
+    """:func:`maxreg_norm` on ``nt`` uniform instants, at least 2K + 1; an
+    ``oscillatory`` call measures the field less its time average, reading
+    the stack in place (the bits of ``oseen.project_oscillatory``'s copy)."""
     if nt < 2 * field.max_mode + 1:
         raise ValueError(
             f"need at least {2 * field.max_mode + 1} time samples, got {nt}"
         )
     grid = field.grid
-    basis, weights, dt_weights = _real_time_basis(field, nt)
+    basis, weights, dt_weights = _real_time_basis(field, nt, oscillatory)
     powers = _sample_powers(weights, basis.swapaxes(0, 1), q)
     dt_power = float(np.mean(_sample_powers(dt_weights, basis.swapaxes(0, 1), q)))
     coeff = _rfftn(basis, grid.dim).swapaxes(0, 1)
@@ -336,17 +355,18 @@ def _add_block_powers(
 
 
 def _real_time_basis(
-    field: TimePeriodicField, nt: int
+    field: TimePeriodicField, nt: int, oscillatory: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Real fields B_b and weights for the samples at t_j = j * period / nt.
 
     With B_0 = u_0, B_{2k-1} = 2 Re u_k and B_{2k} = -2 Im u_k, the samples
     are u(t_j) = sum_b weights[j, b] B_b and du/dt(t_j) = sum_b
-    dt_weights[j, b] B_b.  An exactly zero u_0 is dropped with its columns.
+    dt_weights[j, b] B_b.  An exactly zero u_0 is dropped with its columns;
+    ``oscillatory`` takes u_0 as zero.
     """
     size = 2 * field.max_mode + 1
     basis = np.empty((size,) + field.modes.shape[1:])
-    basis[0] = field.mode(0).real
+    basis[0] = 0.0 if oscillatory else field.mode(0).real
     for k in range(1, field.max_mode + 1):
         mode = field.mode(k)
         basis[2 * k - 1] = 2.0 * mode.real

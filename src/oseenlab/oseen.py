@@ -73,14 +73,17 @@ class StokesPair:
 
 def _apply_leray(grid: GridSpec, coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Divergence-free projection of (dim, ...) coefficients, and sum_a xi_a
-    coeff[a]; modes with vanishing wavenumber (mean, pure Nyquist) pass."""
-    dotted = np.zeros(grid.shape, dtype=np.complex128)
+    coeff[a]; modes with vanishing wavenumber (mean, pure Nyquist) pass.
+    ``coeff`` is in the full layout or the real-FFT half layout (last axis
+    cut to modes 0..N/2), to which the grid's arrays are cut."""
+    width = coeff.shape[-1]
+    dotted = np.zeros(coeff.shape[1:], dtype=np.complex128)
     for axis in range(grid.dim):
-        dotted += grid.wavenumber(axis) * coeff[axis]
-    scaled = np.where(grid.active, dotted / grid.safe, 0.0)
+        dotted += grid.wavenumber(axis)[..., :width] * coeff[axis]
+    scaled = np.where(grid.active[..., :width], dotted / grid.safe[..., :width], 0.0)
     out = np.empty_like(coeff)
     for axis in range(grid.dim):
-        out[axis] = coeff[axis] - grid.wavenumber(axis) * scaled
+        out[axis] = coeff[axis] - grid.wavenumber(axis)[..., :width] * scaled
     return out, dotted
 
 
@@ -101,13 +104,17 @@ def _mode_solution_coeff(
     The velocity symbol is |xi|^2 + i(lam*xi_1 + omega) on the projected
     forcing; pressure comes from the forcing divergence.  Zero-symbol modes
     get zero velocity when omega = 0 and forcing/(i*omega) otherwise.
+    ``coeff`` is in the full or, at omega = 0, the real-FFT half layout.
     """
-    active = grid.active
-    denom = np.where(active, grid.ksq + 1j * (lam * grid.wavenumber(0) + omega), 1.0)
+    width = coeff.shape[-1]
+    active = grid.active[..., :width]
+    denom = np.where(
+        active, grid.ksq[..., :width] + 1j * (lam * grid.wavenumber(0) + omega), 1.0
+    )
     u_coeff, dotted = _apply_leray(grid, coeff)
     u_coeff /= denom
     u_coeff[:, ~active] = coeff[:, ~active] / (1j * omega) if omega else 0.0
-    p_coeff = np.where(active, -1j * dotted / grid.safe, 0.0)
+    p_coeff = np.where(active, -1j * dotted / grid.safe[..., :width], 0.0)
     return u_coeff, p_coeff
 
 

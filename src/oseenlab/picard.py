@@ -43,12 +43,17 @@ from .exponents import (
 from .fields import GridSpec, SpatialField, TimePeriodicField
 from .lifting import LiftingField
 from .nonlinear import nonlinearity
-from .norms import _negative_norm_by_transforms, lambda_norm, lq_norm, maxreg_norm
+from .norms import (
+    _default_time_samples,
+    _maxreg_norm,
+    _negative_norm_by_transforms,
+    lambda_norm,
+    lq_norm,
+)
 from .oseen import (
     OseenParams,
     SolveReport,
     StokesPair,
-    project_oscillatory,
     project_steady,
     residual,
     solve_steady,
@@ -194,9 +199,11 @@ def driver_norm_timeperiodic(
     u: TimePeriodicField, lam: float, q: float, r: float
 ) -> float:
     """Wake-weighted norm of the time average plus maximal-regularity norm
-    of the oscillation; the metric the time-periodic driver contracts in."""
-    return lambda_norm(project_steady(u), lam, q, r) + maxreg_norm(
-        project_oscillatory(u), q
+    of the oscillation; the metric the time-periodic driver contracts in.
+    The oscillation is read from ``u`` in place (the last argument), not
+    copied out of it."""
+    return lambda_norm(project_steady(u), lam, q, r) + _maxreg_norm(
+        u, q, _default_time_samples(u.max_mode, q), True
     )
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import itertools
@@ -20,6 +21,8 @@ from oseenlab.fields import (
     TimePeriodicField,
     _fftn,
     _fold_modes,
+    _irfftn,
+    _rfftn,
     derivative,
     gradient,
 )
@@ -784,11 +787,77 @@ def test_smallness_constant_on_the_probe_grid_matches_the_full_grid(points):
     )
 
 
-@pytest.mark.parametrize("experiment", ["picard-steady", "picard-tp"])
-def test_fit_roundoff_cannot_move_the_scheduled_radius(experiment):
+def test_fit_draws_each_sample_once(monkeypatch):
+    # Before the coefficient-space fit, each sample was drawn a second time
+    # on the full grid for the convective products: 16 draws at 32^3.
+    grid_sizes = []
+
+    def counting(grid, *args, **kwargs):
+        grid_sizes.append(grid.points_per_axis)
+        return random_divergence_free(grid, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "random_divergence_free", counting)
+    fit_smallness_constant(GridSpec(3, np.pi, 32), ExponentProfile(3, 4.0, 2.0), seed=0)
+    assert grid_sizes == [18] * harness._FIT_SAMPLES
+
+
+def test_fit_transforms_by_kind(transform_log):
+    # 16^3, probe grid 10^3, q = 4, r = 2.  Per sample on the probe grid: one
+    # draw (ifftn) and one forward transform; seven inverses for each of the
+    # three drifts (velocity, six Hessian blocks) and six for its own Hessian;
+    # three gradient blocks and one forward transform for its product.  On
+    # the full grid only the padded product is inverted.  No pressure is
+    # transformed.
+    fit_smallness_constant(GridSpec(3, np.pi, 16), ExponentProfile(3, 4.0, 2.0), seed=0)
+    counts = collections.Counter((name, x.shape[-2]) for name, x in transform_log)
+    samples = harness._FIT_SAMPLES
+    assert counts == {
+        ("ifftn", 10): samples,
+        ("rfftn", 10): 2 * samples,
+        ("irfftn", 10): 30 * samples,
+        ("irfftn", 16): samples,
+    }
+
+
+def test_padded_probe_coefficients_match_a_full_grid_draw():
+    grid = GridSpec(3, np.pi, 32)
+    modes = harness._mode_list(grid, None, None, None)
+    probe_grid = norms._exact_grid(grid, 4, (4.0, 2.0, 4.0))
+    assert probe_grid.points_per_axis == 18
+    probe = random_divergence_free(probe_grid, [3, 101, 2], modes=modes)
+    padded = harness._padded(_rfftn(probe.components, 3), grid, 4)
+    direct = random_divergence_free(grid, [3, 101, 2], modes=modes).components
+    error = np.max(np.abs(_irfftn(padded, grid.shape) - direct))
+    assert error <= 1e-14 * np.max(np.abs(direct))
+
+
+def test_smallness_constant_off_the_even_exponents_matches_the_full_grid():
+    # r = 1.75 leaves no exact coarse grid: the probes and products stay on
+    # the full grid and the weak norms take the transform path.
+    profile = ExponentProfile(3, 4.0, 1.75)
+    grid = GridSpec(3, np.pi, 16)
+    assert fit_smallness_constant(grid, profile, seed=0) == pytest.approx(
+        _full_grid_fit(grid, profile, 0), rel=1e-13
+    )
+
+
+@pytest.mark.parametrize(
+    "experiment, seed",
+    [
+        pytest.param("picard-steady", None, id="picard-steady"),
+        pytest.param("picard-steady", 1, id="picard-steady-seed1"),
+        pytest.param("picard-tp", None, id="picard-tp"),
+        pytest.param("picard-tp", 4, id="picard-tp-seed4"),
+    ],
+)
+def test_fit_roundoff_cannot_move_the_scheduled_radius(experiment, seed):
     # The fit reaches the iterate only through the halving radius schedule,
-    # and the default schedules sit far from a threshold.
+    # and the default schedules sit far from a threshold.  Seeds 1 and 4 have
+    # the smallest margins of the golden seeds 0-15 (a relative change in C of
+    # 5.0e-3 and 4.4e-3 moves rho).
     cfg = default_config(experiment)
+    if seed is not None:
+        cfg = dataclasses.replace(cfg, seed=seed)
     profile, gamma, constant, base = harness._picard_schedule(cfg)
     for scale in (1.0 - 1e-12, 1.0 + 1e-12):
         moved = radius_schedule(cfg.rho, gamma, profile, constant * scale, tol=cfg.tol)

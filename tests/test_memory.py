@@ -26,6 +26,7 @@ from oseenlab.harness import (
 from oseenlab.nonlinear import nonlinearity
 from oseenlab.norms import lq_norm, negative_norm_surrogate
 from oseenlab.oseen import OseenParams, residual, solve_steady
+from oseenlab.picard import driver_norm_timeperiodic
 
 from test_harness import _bilinear_config
 
@@ -112,6 +113,13 @@ def test_r2_negative_norm_builds_no_riesz_tensor():
     v = random_divergence_free(_GRID24, [7, 1])
     assert _warm_peak(lambda: negative_norm_surrogate(v, 2.0)) <= 10.0
 
+
+
+def test_time_periodic_driver_norm_copies_no_oscillation():
+    # 53.0 fields when the oscillation was copied out of the stack; the copy
+    # is one complex K = 2 vector stack, 18 fields.
+    u = _stack24(2)
+    assert _warm_peak(lambda: driver_norm_timeperiodic(u, 0.3, 4.0, 2.0)) <= 36.0
 
 
 def test_steady_residual_copies_no_whole_stack():
