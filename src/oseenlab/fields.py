@@ -18,17 +18,20 @@ samples of shape (ncomp,) + grid.shape, with ncomp 1 for a scalar and dim for
 a vector.  A :class:`TimePeriodicField` holds its time modes k = 0..K in the
 same layout, (K+1, ncomp) + grid.shape, so a spatial field is one mode of a
 stack; for a real signal the mode at -k is the conjugate of the mode at k,
-and :meth:`TimePeriodicField.mode` derives it on request.  Spectral
-coefficients are plain arrays from the forward-normalized transforms here.
+and :meth:`TimePeriodicField.mode` derives it on request.  A spatial field
+owns its spectrum, :attr:`SpatialField.coefficients`: the forward real-FFT
+half layout (last axis cut to modes 0..N/2), taken on first read and kept
+while the field lives.  A stack owns none; its kernels transform its samples.
 
 Both kinds share one ownership contract.  The public constructor copies its
 input, so it never locks or aliases a caller's array; the private ``_adopt``
 wraps an array the package has just built and holds nowhere else, without a
 copy.  Either way the field checks the shared layout rule
-(:func:`_check_components`) and locks the array it keeps.  Both share one
-arithmetic: sums and differences of two fields of one kind, grid and
-component count (stacks also share period and ``max_mode``), negation, and
-scaling by a real number.
+(:func:`_check_components`) and locks the array it keeps; the private
+``SpatialField._from_coefficients`` keeps a just-built spectrum so, and
+arithmetic results start without one.  Both share one arithmetic: sums and
+differences of two fields of one kind, grid and component count (stacks also
+share period and ``max_mode``), negation, and scaling by a real number.
 
 The spatial transforms call scipy's ``pypocketfft`` extension, loaded by file
 without importing ``scipy.fft`` (or through it where the file is not found),
@@ -354,10 +357,23 @@ class SpatialField(_FieldAlgebra):
         field._take(grid, np.ascontiguousarray(components, dtype=np.float64))
         return field
 
+    @classmethod
+    def _from_coefficients(cls, grid: GridSpec, coeff: np.ndarray) -> "SpatialField":
+        """Invert a half-layout spectrum the package just built and holds
+        nowhere else; the field keeps that array, locked, as its spectrum."""
+        field = cls._adopt(grid, _irfftn(coeff, grid.shape))
+        field.__dict__["coefficients"] = _lock(coeff)
+        return field
+
     def _take(self, grid: GridSpec, components: np.ndarray) -> None:
         _check_components(grid, components, "components", 0)
         self.grid = grid
         self.components = _lock(components)
+
+    @cached_property
+    def coefficients(self) -> np.ndarray:
+        """The half-layout real-FFT spectrum of ``components``, taken once, locked."""
+        return _lock(_rfftn(self.components, self.grid.dim))
 
     def magnitude(self) -> np.ndarray:
         return np.sqrt(np.sum(self.components ** 2, axis=0))
@@ -373,9 +389,8 @@ def derivative(field: SpatialField, axis: int) -> SpatialField:
     grid = field.grid
     if not 1 <= axis <= grid.dim:
         raise ValueError(f"axis must lie in 1..{grid.dim}, got {axis}")
-    coeff = _rfftn(field.components, grid.dim)
-    symbol = grid.derivative_symbols[1][axis - 1]
-    return SpatialField._adopt(grid, _irfftn(coeff * symbol, grid.shape))
+    coeff = field.coefficients * grid.derivative_symbols[1][axis - 1]
+    return SpatialField._adopt(grid, _irfftn(coeff, grid.shape))
 
 
 def gradient(field: SpatialField) -> SpatialField:
@@ -383,7 +398,7 @@ def gradient(field: SpatialField) -> SpatialField:
     if field.ncomp != 1:
         raise ValueError("the gradient takes a scalar field")
     grid = field.grid
-    coeff = _rfftn(field.components[0], grid.dim)
+    coeff = field.coefficients[0]
     parts = [coeff * symbol for symbol in grid.derivative_symbols[1]]
     return SpatialField._adopt(grid, _irfftn(np.stack(parts), grid.shape))
 
@@ -393,8 +408,8 @@ def divergence(field: SpatialField) -> SpatialField:
     grid = field.grid
     if field.ncomp != grid.dim:
         raise ValueError("the divergence takes a vector field")
-    coeff = _rfftn(field.components, grid.dim)
-    out = sum(c * symbol for c, symbol in zip(coeff, grid.derivative_symbols[1]))
+    symbols = grid.derivative_symbols[1]
+    out = sum(c * symbol for c, symbol in zip(field.coefficients, symbols))
     return SpatialField._adopt(grid, _irfftn(out, grid.shape)[None])
 
 

@@ -41,9 +41,7 @@ from .fields import (
     TimePeriodicField,
     _fold_modes,
     _ifftn,
-    _irfftn,
     _lock,
-    _rfftn,
     derivative,
     gradient,
 )
@@ -57,8 +55,6 @@ from .nonlinear import _convective_samples, convective_product
 from .norms import (
     _bochner_gradient_norm,
     _exact_grid,
-    _lambda_pieces,
-    _negative_l2_from_coefficients,
     lambda_norm,
     lambda_norm_from_pieces,
     lambda_norm_pieces,
@@ -150,8 +146,9 @@ class ExperimentConfig:
         counts = ("seed", "time_modes", "sample_count", "mode_cap", "drift_mode_cap")
         for name in counts:
             value = getattr(self, name)
-            unset_cap = value is None and name.endswith("mode_cap")
-            if not (unset_cap or isinstance(value, (int, np.integer))):
+            if value is None and name.endswith("mode_cap"):
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value}")
         if self.time_modes < 1:
             raise ValueError(f"time_modes must be >= 1, got {self.time_modes}")
@@ -531,17 +528,17 @@ def fit_smallness_constant(
     each, on the probe grid :func:`oseenlab.norms._exact_grid`: the coarsest
     grid that integrates their even powers exactly (18^3 for a 32^3 grid at
     q = 4, r = 2), where they are the same continuum fields as on ``grid``.
-    Each is transformed forward once.  Those coefficients serve its wake
-    pieces, its r = 2 surrogate and all drifts of its linear probe, whose
-    velocity coefficients come from ``oseen._mode_solution_coeff`` with no
-    pressure transform.
+    Each sample's spectrum (:attr:`SpatialField.coefficients`) serves its
+    wake pieces, its r = 2 surrogate and all drifts of its linear probe, whose
+    solutions ``SpatialField._from_coefficients`` builds from the velocity
+    spectra of ``oseen._mode_solution_coeff``, with no pressure transform.
 
     A grid exact for fourth powers (N > 4B for band B) also multiplies two
     band-B fields without aliasing, so the convective products are formed
     on the probe grid too.  Their band 2B lies inside the dealias cutoff of
-    ``grid``, so no truncation touches them: the weak norm is a Parseval sum
-    over the product's coefficients, and the strong norm is taken on
-    ``grid`` from those coefficients zero-padded there and inverted once.
+    ``grid``, so no truncation touches them: at r = 2 the weak norm is a
+    Parseval sum over the product's spectrum on the probe grid, and the
+    strong norm is taken on ``grid``, from that spectrum zero-padded there.
     Each product pairs sample i with sample i + 1 (the last with sample 0),
     so only the current pair and sample 0 are held.
     """
@@ -557,43 +554,35 @@ def fit_smallness_constant(
     exponents = _integrand_exponents(n, q, r) + (4.0,)
     probe_grid = _exact_grid(grid, band, exponents)
 
-    def weak_norm(field, coeff):
-        """The surrogate of ``field``; at r = 2 by Parseval from ``coeff``,
-        its half-layout coefficients on the probe grid, which it overwrites."""
-        if r == 2.0:
-            return _negative_l2_from_coefficients(probe_grid, coeff)
-        return negative_norm_surrogate(field, r)
-
     def probe(i):
-        """Sample i's largest linear ratio, its wake pieces, and its samples
-        and half-layout coefficients on the probe grid."""
+        """Sample i's largest linear ratio, its wake pieces and its field on
+        the probe grid."""
         g = random_divergence_free(probe_grid, [seed, 101, i], modes=modes)
-        coeff = _rfftn(g.components, n)
         numerators = []
         for lam in _FIT_DRIFTS:
-            u_coeff, _ = _mode_solution_coeff(probe_grid, coeff, lam, 0.0)
-            u = _irfftn(u_coeff, probe_grid.shape)
-            u_pieces = _lambda_pieces(probe_grid, u, u_coeff, q, r)
-            numerators.append(lambda_norm_from_pieces(u_pieces, lam, n))
+            u_coeff, _ = _mode_solution_coeff(probe_grid, g.coefficients, lam, 0.0)
+            u = SpatialField._from_coefficients(probe_grid, u_coeff)
+            numerators.append(lambda_norm(u, lam, q, r))
         g_data = lq_norm(g, q)
-        g_neg = weak_norm(g, coeff.copy())
+        g_neg = negative_norm_surrogate(g, r)
         linear = max(
             numerator / (g_data + lam ** (-profile.m_exponent * weight) * g_neg)
             for lam, numerator in zip(_FIT_DRIFTS, numerators)
         )
-        pieces = _lambda_pieces(probe_grid, g.components, coeff, q, r)
-        return linear, pieces, g.components, coeff
+        return linear, lambda_norm_pieces(g, q, r), g
 
     def bilinear(one, two):
         """The largest bilinear ratio of the product (one . grad) two."""
-        _, pieces_one, samples, _ = one
-        _, pieces_two, _, coeff = two
-        acc = _convective_samples(probe_grid, samples, coeff)
-        product_coeff = _rfftn(acc, n)
-        padded = _padded(product_coeff, grid, 2 * band)
-        product = SpatialField._adopt(grid, _irfftn(padded, grid.shape))
+        _, pieces_one, g_one = one
+        _, pieces_two, g_two = two
+        acc = _convective_samples(probe_grid, g_one.components, g_two.coefficients)
+        unpadded = SpatialField._adopt(probe_grid, acc)
+        padded = _padded(unpadded.coefficients, grid, 2 * band)
+        product = SpatialField._from_coefficients(grid, padded)
         strong = lq_norm(product, q)
-        weak = weak_norm(product, product_coeff)
+        # At r = 2 the weak norm is a Parseval sum, exact on the smaller probe
+        # grid; the transform path of any other r reads the padded samples.
+        weak = negative_norm_surrogate(unpadded if r == 2.0 else product, r)
         best = 0.0
         for lam in _FIT_DRIFTS:
             denominator = lambda_norm_from_pieces(
@@ -759,6 +748,7 @@ def _estimate_sweep(cfg, forcing, solve, extra_columns, extra_row, finish):
     ``extra_row(lam, pair, line)`` appends the runner's own columns, with
     ``line`` the dict of the steady columns.  The lines' constants, checks
     and flags come first, then those ``finish(values, slopes)`` returns.
+    Each row's fields, and the spectra they own, end with the row.
     """
     n = cfg.grid.dim
     weight = 1.0 / (n + 1)
@@ -768,8 +758,8 @@ def _estimate_sweep(cfg, forcing, solve, extra_columns, extra_row, finish):
     f_lq = lq_norm(f_mean, cfg.q)
     f_neg = negative_norm_surrogate(f_mean, cfg.r)
     columns = _STEADY_COLUMNS + extra_columns
-    rows = []
-    for lam in cfg.lambda_grid:
+
+    def row(lam):
         pair = solve(forcing, OseenParams(lam))
         velocity = project_steady(pair.velocity)
         pressure = project_steady(pair.pressure)
@@ -801,7 +791,9 @@ def _estimate_sweep(cfg, forcing, solve, extra_columns, extra_row, finish):
             rhs_line2,
             lhs_line2 / rhs_line2,
         )
-        rows.append(line + extra_row(lam, pair, dict(zip(_STEADY_COLUMNS, line))))
+        return line + extra_row(lam, pair, dict(zip(_STEADY_COLUMNS, line)))
+
+    rows = [row(lam) for lam in cfg.lambda_grid]
     table, values, slopes = _sweep_table(columns, rows, columns[1:])
     constants = {
         "constant_line1": max(values["ratio_line1"]),
@@ -855,16 +847,27 @@ def _run_scaling_steady(cfg: ExperimentConfig) -> ScalingResult:
         theta = theta_exponent(n, cfg.q, cfg.r)
     except ValueError:
         theta = None
-    f_free = random_divergence_free(grid, [cfg.seed, 11], modes=cfg.forcing_modes)
-    g_scalar = random_scalar_field(grid, [cfg.seed, 12], modes=cfg.draw_modes)
-    forcing = f_free + gradient(g_scalar)
+
+    def gradient_part(tag):
+        potential = random_scalar_field(grid, [cfg.seed, tag], modes=cfg.draw_modes)
+        return gradient(potential)
+
+    forcing = random_divergence_free(
+        grid, [cfg.seed, 11], modes=cfg.forcing_modes
+    ) + gradient_part(12)
     weight = 1.0 / (n + 1)
     middle = cfg.lambda_grid[len(cfg.lambda_grid) // 2]
-    middle_pair = []
+    # A pure-gradient perturbation of the data must not move the velocity.  It
+    # is solved before the sweep, when no row's fields are held, and compared
+    # in the middle row.
+    shifted = solve_steady(forcing + gradient_part(13), OseenParams(middle)).velocity
+    invariance = math.nan
 
     def extra_row(lam, pair, line):
+        nonlocal invariance
         if lam == middle:
-            middle_pair.append(pair)
+            base = pair.velocity
+            invariance = _relative_l2(shifted - base, base)
         lq_q = lq_norm(pair.velocity, cfg.q)
         seminorm_1q = sobolev_seminorm(pair.velocity, 1, cfg.q)
         if theta is None:
@@ -891,11 +894,6 @@ def _run_scaling_steady(cfg: ExperimentConfig) -> ScalingResult:
                         "ratio_fullnorm_slope", slopes["ratio_fullnorm"], 0.15
                     )
                 )
-        # A pure-gradient perturbation of the data must not move the velocity.
-        base = middle_pair[0].velocity
-        extra = random_scalar_field(grid, [cfg.seed, 13], modes=cfg.draw_modes)
-        shifted = solve_steady(forcing + gradient(extra), OseenParams(middle)).velocity
-        invariance = _relative_l2(shifted - base, base)
         checks.append(
             _check_le("gradient_part_velocity_invariance", invariance, 1e-12)
         )

@@ -21,6 +21,7 @@ The dealias fraction is a package constant and is not serialized.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -57,8 +58,9 @@ def load_field(path) -> SpatialField:
         if ncomp not in (1, grid.dim):
             raise ValueError(f"{path}: invalid component count {ncomp}")
         count = int(ncomp) * grid.points_per_axis ** grid.dim
-        payload = np.frombuffer(handle.read(count * 8), dtype="<f8")
-        if payload.size != count:
+        # Checked before reading, so a header's oversized N asks for no read.
+        if os.fstat(handle.fileno()).st_size - handle.tell() < count * 8:
             raise ValueError(f"{path}: truncated payload")
+        payload = np.frombuffer(handle.read(count * 8), dtype="<f8")
     data = payload.reshape((int(ncomp),) + grid.shape).astype(np.float64)
     return SpatialField._adopt(grid, data)

@@ -18,11 +18,13 @@ Each operand is transformed once.  The quadratic kernel takes one forward
 transform of u, one inverse for the truncated u and one inverse per gradient
 axis, and one forward and one inverse to truncate the product: 21
 single-component transforms per instant at dim 3, with or without V.  The
-bilinear kernel ``_convective`` takes sample arrays whose leading axes
-broadcast, so a steady factor against many time instants is transformed
-once, not once per instant.  Its untruncated middle, ``_convective_samples``,
-takes the first factor's samples and the second's coefficients, so a caller
-that holds both (the smallness-constant fit) transforms neither again.
+bilinear kernel ``_convective`` takes the half-layout spectra of both factors,
+whose leading axes broadcast: a steady factor brings its own
+:attr:`SpatialField.coefficients`, transformed once while it lives, however
+many products and time instants it enters; a stack transforms its samples.
+Its untruncated middle, ``_convective_samples``, takes the first factor's
+samples and the second's spectrum, so the smallness-constant fit, whose
+band-limited factors need no truncation, forms its products from two fields.
 
 The convective product uses real FFTs (half layout); it matches complex
 FFTs to roundoff only.  The nonlinearity stays on complex FFTs until the
@@ -55,16 +57,15 @@ from .fields import (
 from .lifting import LiftingField
 
 
-def _convective(grid: GridSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(a . grad) b with truncated inputs and a truncated product.
+def _convective(grid: GridSpec, a_hat: np.ndarray, b_hat: np.ndarray) -> np.ndarray:
+    """Samples of (a . grad) b with truncated inputs and a truncated product.
 
-    ``a`` and ``b`` are (..., dim) + grid.shape sample arrays whose leading
-    axes broadcast against each other; each is transformed once.
+    ``a_hat`` and ``b_hat`` are the half-layout spectra of (..., dim) +
+    grid.shape sample arrays whose leading axes broadcast against each other.
     """
     mask = grid.half_dealias_mask
-    a_t = _irfftn(_rfftn(a, grid.dim) * mask, grid.shape)
-    b_hat = _rfftn(b, grid.dim) * mask
-    acc = _convective_samples(grid, a_t, b_hat)
+    a_t = _irfftn(a_hat * mask, grid.shape)
+    acc = _convective_samples(grid, a_t, b_hat * mask)
     return _irfftn(_rfftn(acc, grid.dim) * mask, grid.shape)
 
 
@@ -157,15 +158,16 @@ def convective_product(
     grid = a.grid
     a_tp = isinstance(a, TimePeriodicField)
     b_tp = isinstance(b, TimePeriodicField)
-    if not a_tp and not b_tp:
-        return SpatialField._adopt(grid, _convective(grid, a.components, b.components))
     if a_tp and b_tp and a.period != b.period:
         raise ValueError("operands have different periods")
-    period = a.period if a_tp else b.period
     k_out = (a.max_mode if a_tp else 0) + (b.max_mode if b_tp else 0)
     num_samples = 2 * k_out + 1
-    # A steady operand keeps its (dim, ...) shape and broadcasts over time.
-    a_samples = a.sample_times(num_samples) if a_tp else a.components
-    b_samples = b.sample_times(num_samples) if b_tp else b.components
-    out = _convective(grid, a_samples, b_samples)
+    # A steady operand brings its own (dim, ...) spectrum, which broadcasts
+    # over time.
+    a_hat = _rfftn(a.sample_times(num_samples), grid.dim) if a_tp else a.coefficients
+    b_hat = _rfftn(b.sample_times(num_samples), grid.dim) if b_tp else b.coefficients
+    out = _convective(grid, a_hat, b_hat)
+    if not a_tp and not b_tp:
+        return SpatialField._adopt(grid, out)
+    period = a.period if a_tp else b.period
     return TimePeriodicField.from_time_samples(grid, period, out, k_out)

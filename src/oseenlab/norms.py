@@ -10,14 +10,14 @@ combine the multi-index derivative blocks in the l^q sense instead, which
 makes every q = 2 quantity Plancherel-exact and every integrand in t a
 trigonometric polynomial at an even integer q.
 
-Derivative norms are evaluated from real-FFT coefficients: each field takes
-one forward ``rfftn``, and each derivative block D^alpha u comes back through
-one ``irfftn`` after a multiply by the grid's cached half-layout symbol
+Derivative norms are evaluated from real-FFT coefficients: a spatial field's
+are its own :attr:`SpatialField.coefficients`, transformed once while the
+field lives, and each derivative block D^alpha u comes back through one
+``irfftn`` after a multiply by the grid's cached half-layout symbol
 (:attr:`GridSpec.derivative_symbols`).  At q = 2 a seminorm needs no inverse
 transform: Parseval sums |symbol|^2 |u_m|^2 over the half layout, counting
 the last-axis planes 0 and N/2 once and every other plane twice for its
-conjugate mirror.  ``lambda_norm`` shares the one forward transform between
-its two seminorms.  ``maxreg_norm`` writes the K+1 stored
+conjugate mirror.  ``maxreg_norm`` writes the K+1 stored
 time modes as 2K+1 real fields B_b, with u(t) = sum_b W_b(t) B_b for cosine
 and sine weights W_b.  It transforms each derivative block of those fields
 once and forms every time sample by a small (nt x (2K+1)) weight matrix, so
@@ -37,13 +37,12 @@ integer e, |D^alpha u|^e has degree eB per axis, so the rectangle rule on
 N > eB points per axis is exact; :func:`_exact_grid` picks the coarsest such
 grid whose dealias cutoff still holds the band.  Two callers evaluate there:
 ``harness.fit_smallness_constant`` draws its samples on it (band: the
-default mode cap), transforms each once, and takes its linear probes and
-its convective products there, which N > 4B forms without aliasing; only
-each product's strong norm goes back to the full grid, by zero-padding.
+default mode cap) and takes its linear probes and its convective products
+there, which N > 4B forms without aliasing; only each product's strong norm
+goes back to the full grid, by zero-padding.
 ``harness._run_bilinear_ensemble`` draws and evaluates its whole ensemble
 on it (band: twice the draws' largest |m_i|, which the convective products
-reach).  ``_lambda_pieces`` and ``_negative_l2_from_coefficients`` take
-coefficients a caller has already formed.
+reach).
 
 At r = 2 ``negative_norm_surrogate`` is a Parseval sum as well, of the
 half-layout coefficients times the grid's cached 1/|xi|; any other r inverts
@@ -158,11 +157,9 @@ def sobolev_seminorm(field: SpatialField, k: int, q: float) -> float:
     """Homogeneous seminorm |u|_{k,q} = sum over multi-indices |alpha| = k."""
     q = _check_exponent(q, "q")
     _check_order(k)
-    grid = field.grid
-    components = field.components
     if k == 0:
-        return _lq_of_array(grid, components, q)
-    return _seminorm_from_coefficients(grid, _rfftn(components, grid.dim), k, q)
+        return _lq_of_array(field.grid, field.components, q)
+    return _seminorm_from_coefficients(field.grid, field.coefficients, k, q)
 
 
 def sobolev_full_norm(field: SpatialField, k: int, q: float) -> float:
@@ -173,13 +170,10 @@ def sobolev_full_norm(field: SpatialField, k: int, q: float) -> float:
     q = _check_exponent(q, "q")
     _check_order(k)
     grid = field.grid
-    components = field.components
-    total = _lq_of_array(grid, components, q) ** q
-    if k > 0:
-        coeff = _rfftn(components, grid.dim)
-        for order in range(1, k + 1):
-            for block in _derivative_blocks(grid, coeff, order):
-                total += _lq_of_array(grid, block, q) ** q
+    total = _lq_of_array(grid, field.components, q) ** q
+    for order in range(1, k + 1):
+        for block in _derivative_blocks(grid, field.coefficients, order):
+            total += _lq_of_array(grid, block, q) ** q
     return total ** (1.0 / q)
 
 
@@ -189,14 +183,8 @@ def negative_norm_surrogate(field: SpatialField, r: float) -> float:
     r = _check_exponent(r, "r")
     if r != 2.0:
         return _negative_norm_by_transforms(field, r)
-    return _negative_l2_from_coefficients(
-        field.grid, _rfftn(field.components, field.grid.dim)
-    )
-
-
-def _negative_l2_from_coefficients(grid: GridSpec, coeff: np.ndarray) -> float:
-    """The r = 2 surrogate from half-layout coefficients, which it overwrites."""
-    coeff *= grid.half_inverse_wavenumber
+    grid = field.grid
+    coeff = field.coefficients * grid.half_inverse_wavenumber
     return _l2_from_coefficients(grid, coeff)
 
 
@@ -221,25 +209,17 @@ def _negative_norm_by_transforms(field: SpatialField, r: float) -> float:
 def lambda_norm_pieces(field: SpatialField, q: float, r: float) -> tuple[float, float]:
     """The drift-free pieces (|v|_{2,q} + |v|_{1,r}, ||v||_s) of the wake norm.
 
-    Both seminorms share one forward transform.  :func:`lambda_norm` at any
-    drift follows from these by :func:`lambda_norm_from_pieces`, so a caller
-    sweeping the drift evaluates them once per field.
+    :func:`lambda_norm` at any drift follows from these by
+    :func:`lambda_norm_from_pieces`, so a caller sweeping the drift evaluates
+    them once per field.
     """
-    grid, components = field.grid, field.components
-    return _lambda_pieces(grid, components, _rfftn(components, grid.dim), q, r)
-
-
-def _lambda_pieces(
-    grid: GridSpec, components: np.ndarray, coeff: np.ndarray, q: float, r: float
-) -> tuple[float, float]:
-    """:func:`lambda_norm_pieces` of the samples ``components``, whose half-layout
-    coefficients ``coeff`` the caller has already formed."""
     q = _check_exponent(q, "q")
+    grid, coeff = field.grid, field.coefficients
     s = s_exponent(grid.dim, r)
     smooth = _seminorm_from_coefficients(
         grid, coeff, 2, q
     ) + _seminorm_from_coefficients(grid, coeff, 1, r)
-    return smooth, _lq_of_array(grid, components, s)
+    return smooth, _lq_of_array(grid, field.components, s)
 
 
 def lambda_norm_from_pieces(

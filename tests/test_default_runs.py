@@ -1,7 +1,7 @@
 """``tools/default_runs.py``: its output comparison on toy run directories,
 its runs against a throwaway package, and one run record of the real
-``lifting-check``: wall time, import time, peak RSS and the allocator
-counters."""
+``lifting-check``: wall time, import time, peak RSS, the allocator
+counters and the transform counts."""
 
 from __future__ import annotations
 
@@ -116,8 +116,9 @@ def test_runs_report_time_and_fail_on_a_failing_experiment(tmp_path, capsys):
         r"median \d+\.\d\d s, import \d+\.\d\d s, peak \d+\.\d MB, "
         r"\d+ minor faults, exit codes"
     )
-    assert re.fullmatch(rf"fine: {line} \[0, 0\]", lines[0])
-    assert re.fullmatch(rf"broken: {line} \[1, 1\]", lines[1])
+    # The throwaway package has no pocketfft handle to count.
+    assert re.fullmatch(rf"fine: {line} \[0, 0\], transforms n/a", lines[0])
+    assert re.fullmatch(rf"broken: {line} \[1, 1\], transforms n/a", lines[1])
     # Only the first round works in OUT; the wall time stays out of the
     # outputs, so --against stays meaningful.
     assert (out / "fine.stdout").read_text() == "ran fine\n"
@@ -127,8 +128,9 @@ def test_runs_report_time_and_fail_on_a_failing_experiment(tmp_path, capsys):
     bench = json.loads((out / "bench.json").read_text())
     reference = json.loads(_BENCH_31.read_text())
     assert list(bench) == list(reference)
-    run_keys = list(next(iter(reference["runs"].values())))
+    run_keys = list(next(iter(reference["runs"].values()))) + ["transforms"]
     assert all(list(run) == run_keys for run in bench["runs"].values())
+    assert bench["runs"]["fine"]["transforms"] is None
     assert bench["repeat"] == 2 and bench["fft_workers"] == 1
     assert len(bench["runs"]["fine"]["wall_s"]) == 2
     assert len(bench["runs"]["fine"]["import_s"]) == 2
@@ -216,6 +218,8 @@ def test_one_record_of_the_lifting_check(tmp_path):
     assert isinstance(run["ru_minflt"], int) and run["ru_minflt"] > 1000
     assert isinstance(run["ru_stime"], float) and 0.0 <= run["ru_stime"] < 60.0
     assert run["fft_workers"] == 1
+    # The obstacle lifting's seven real transforms, counted by kind.
+    assert run["transforms"] == {"c2c": 0, "r2c": 7, "c2r": 0}
     assert all(isinstance(run[key], str) for key in ("python", "numpy", "scipy"))
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "lifting-check.csv", "lifting-check.dat", "lifting-check.stdout",
@@ -233,6 +237,7 @@ def test_one_record_of_the_lifting_check(tmp_path):
     assert summary["ru_stime"] == [run["ru_stime"]] * 2
     assert summary["median_ru_stime"] == run["ru_stime"]
     assert summary["exit_codes"] == [0, 0]
+    assert summary["transforms"] == run["transforms"]
 
 
 def test_a_child_that_dies_before_reporting_gives_no_timings(tmp_path, capsys):
@@ -244,4 +249,5 @@ def test_a_child_that_dies_before_reporting_gives_no_timings(tmp_path, capsys):
     assert run["ru_minflt"] is None and run["ru_stime"] is None
     summary = default_runs.summarize([run])
     assert summary["median_wall_s"] is None and summary["median_ru_minflt"] is None
+    assert summary["transforms"] is None
     assert "invalid choice" in capsys.readouterr().err

@@ -223,6 +223,15 @@ def test_config_rejects_non_finite_and_non_integer_inputs(name, value, message):
         ExperimentConfig("picard-tp", GridSpec(3, np.pi, 16), (1.0,), **{name: value})
 
 
+@pytest.mark.parametrize(
+    "name", ["seed", "time_modes", "sample_count", "mode_cap", "drift_mode_cap"]
+)
+def test_config_rejects_a_boolean_count(name):
+    # bool is an int subclass, so True once passed for the count 1.
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got True$"):
+        dataclasses.replace(default_config("picard-steady"), **{name: True})
+
+
 def test_config_rejects_a_negative_seed():
     with pytest.raises(ValueError, match="^seed must be nonnegative, got -1"):
         ExperimentConfig("mms", GridSpec(3, np.pi, 16), (2.0,), seed=-1)
@@ -817,6 +826,39 @@ def test_fit_transforms_by_kind(transform_log):
         ("irfftn", 10): 30 * samples,
         ("irfftn", 16): samples,
     }
+
+
+def test_steady_sweep_transforms_each_row_velocity_once(monkeypatch, transform_log):
+    # The drift derivative and the three seminorms of a row read the
+    # velocity's own spectrum; before it owned one, each transformed it.
+    cfg = ExperimentConfig(
+        "scaling-steady",
+        GridSpec(3, np.pi, 16),
+        tuple(log_spaced(4 / np.pi, 40 / np.pi, 5)),
+        q=4.0,
+        r=2.0,
+        forcing_shell=(3.0, 4.0),
+        drift_mode_cap=1,
+    )
+    velocities = []
+
+    def recording(field, axis):
+        velocities.append(field)
+        return derivative(field, axis)
+
+    monkeypatch.setattr(harness, "derivative", recording)
+    run_experiment(cfg)
+    counts = [
+        sum(
+            1
+            for name, x in transform_log
+            if name in ("fftn", "rfftn")
+            and x.shape == velocity.components.shape
+            and np.array_equal(x, velocity.components)
+        )
+        for velocity in velocities
+    ]
+    assert counts == [1] * len(cfg.lambda_grid)
 
 
 def test_padded_probe_coefficients_match_a_full_grid_draw():

@@ -66,3 +66,15 @@ def test_bad_component_count_raises(tmp_path, grid2):
     path.write_bytes(header + b"\x00" * 64)
     with pytest.raises(ValueError, match="component count"):
         load_field(path)
+
+
+@pytest.mark.parametrize("points", [2**20, 512])
+def test_oversized_header_raises_before_reading(tmp_path, points):
+    # A header whose N makes the payload larger than the file: 2^20 once
+    # raised OverflowError from the read, and 512 asked for a 3.2 GB read.
+    import struct
+
+    path = tmp_path / "oversized.field"
+    path.write_bytes(struct.pack("<qqdq", 3, points, 1.0, 3) + b"\x00" * 64)
+    with pytest.raises(ValueError, match="truncated payload"):
+        load_field(path)

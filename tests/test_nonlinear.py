@@ -554,7 +554,9 @@ def test_convective_product_uses_real_transforms_only(grid3, transform_log):
         assert not names & {"fftn", "ifftn"}
 
 
-def test_steady_operand_is_transformed_once_per_product(grid3, transform_log):
+def test_steady_operand_is_transformed_once_over_both_products(grid3, transform_log):
+    # The steady operand keeps its spectrum: the second product, with more
+    # time instants, transforms it no more.
     a = trig_vector(grid3, 62, max_mode=3, terms=8)
     forward = {"fftn", "rfftn", "fft", "rfft"}
     counts = {}
@@ -569,4 +571,4 @@ def test_steady_operand_is_transformed_once_per_product(grid3, transform_log):
             and x.shape == a.components.shape
             and np.array_equal(x, a.components)
         )
-    assert counts[1] == counts[3] == 1
+    assert (counts[1], counts[3]) == (1, 0)

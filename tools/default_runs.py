@@ -18,14 +18,18 @@ time; numpy and the top-level ``scipy`` package are imported before that, so
 the import time holds the package's own imports only.  Its peak resident
 memory is ``ru_maxrss`` at the end, and its allocator counters are
 ``ru_minflt`` (minor page faults) and ``ru_stime`` (system CPU seconds) at the
-end, so all three include the imports.
+end, so all three include the imports.  After the import the run wraps the
+package's pocketfft handle, ``fields._pocketfft``, and counts its calls by kind
+(``c2c``, ``r2c``, ``c2r``); the wrapper adds one Python call per transform.
+A package without that handle gives null counts.
 
 OUT also receives ``bench.json``: the Python, numpy and scipy versions, the
 CPU count, the FFT worker count, ``git rev-parse HEAD`` of DIR's checkout
 (null outside one), N, and per experiment every wall time, import time, peak
-RSS, ``ru_minflt`` and ``ru_stime`` with their medians, and the exit codes.
-The console gets one line ``NAME: median T s, import I s, peak R MB, F minor
-faults, exit codes [..]`` per experiment.
+RSS, ``ru_minflt`` and ``ru_stime`` with their medians, the exit codes and
+the first round's transform counts.  The console gets one line ``NAME: median
+T s, import I s, peak R MB, F minor faults, exit codes [..], transforms c2c A
+r2c B c2r C`` per experiment.
 
 With ``--against REF`` (a directory an earlier run wrote) every file of
 either directory but ``bench.json`` is reported as "byte-identical", as
@@ -71,14 +75,26 @@ print(json.dumps(list(harness.EXPERIMENTS)))
 
 # Runs experiment argv[2], writes its console output to NAME.stdout, and
 # prints one JSON line: its environment, exit code, wall time, import time,
-# peak RSS (ru_maxrss is in KiB on Linux), minor faults and system CPU seconds.
+# peak RSS (ru_maxrss is in KiB on Linux), minor faults, system CPU seconds
+# and transform counts.
 CHILD = """
-import contextlib, io, json, resource, sys, time
+import contextlib, io, json, resource, sys, time, types
 sys.path.insert(0, sys.argv[1])
 import numpy, scipy, platform
 start = time.perf_counter()
 from oseenlab import cli, fields
 import_s = time.perf_counter() - start
+transforms = None
+if hasattr(fields, "_pocketfft"):
+    transforms = dict.fromkeys(("c2c", "r2c", "c2r"), 0)
+    def counted(kind, call):
+        def wrapper(*args, **kwargs):
+            transforms[kind] += 1
+            return call(*args, **kwargs)
+        return wrapper
+    fields._pocketfft = types.SimpleNamespace(**{
+        kind: counted(kind, getattr(fields._pocketfft, kind)) for kind in transforms
+    })
 name = sys.argv[2]
 captured = io.StringIO()
 with contextlib.redirect_stdout(captured):
@@ -99,6 +115,7 @@ print(json.dumps({
     "peak_rss_mb": usage.ru_maxrss / 1024.0,
     "ru_minflt": usage.ru_minflt,
     "ru_stime": usage.ru_stime,
+    "transforms": transforms,
 }))
 """
 
@@ -128,13 +145,14 @@ def _median(values: list) -> float | None:
 
 
 def summarize(records: list[dict]) -> dict:
-    """Every measure of one experiment's runs with its median, and the exit
-    codes."""
+    """Every measure of one experiment's runs with its median, the exit
+    codes and the first run's transform counts."""
     summary = {}
     for key in _MEASURES:
         values = [r[key] for r in records]
         summary["median_" + key], summary[key] = _median(values), values
     summary["exit_codes"] = [r["exit_code"] for r in records]
+    summary["transforms"] = records[0].get("transforms")
     return summary
 
 
@@ -276,6 +294,10 @@ def _show(value: float | None, spec: str) -> str:
     return "n/a" if value is None else format(value, spec)
 
 
+def _show_counts(counts: dict | None) -> str:
+    return "n/a" if counts is None else " ".join(f"{k} {v}" for k, v in counts.items())
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", type=pathlib.Path)
@@ -303,7 +325,8 @@ def main(argv: list[str] | None = None) -> int:
             f"import {_show(run['median_import_s'], '.2f')} s, "
             f"peak {_show(run['median_peak_rss_mb'], '.1f')} MB, "
             f"{_show(run['median_ru_minflt'], '.0f')} minor faults, "
-            f"exit codes {run['exit_codes']}"
+            f"exit codes {run['exit_codes']}, "
+            f"transforms {_show_counts(run['transforms'])}"
         )
         failed = failed or any(code != 0 for code in run["exit_codes"])
     if args.against is None:
